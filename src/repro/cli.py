@@ -170,7 +170,7 @@ def _add_serve(subparsers) -> None:
         "--device-command-path",
         default="paged",
         choices=["paged", "batched", "ndp"],
-        help="how reads reach the device: one command per page "
+        help="how reads reach the device: one submission per page "
         "(default), one submitted batch per query (amortizes the "
         "profile's submit overhead), or one in-device gather command "
         "(NDP; non-gather profiles are upgraded automatically)",

@@ -46,7 +46,7 @@ class MaxEmbedConfig:
         selector / executor: online algorithms (see
             :class:`~repro.serving.EngineConfig`).
         device_command_path: how selected reads reach the device —
-            ``"paged"`` (one command per page, the historical default),
+            ``"paged"`` (one submission per page, the historical default),
             ``"batched"`` (one submitted batch per query, amortizing
             the profile's ``submit_overhead_us``), or ``"ndp"`` (one
             in-device gather command per query; non-gather profiles

@@ -27,8 +27,13 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Set
 
 from ..errors import DeviceFault, DeviceInterfaceError
-from ..ssd.commands import DeviceCommand, GatherCommand, ReadCommand
-from ..ssd.device import Completion, DeviceStats
+from ..ssd.commands import (
+    DeviceCommand,
+    GatherCommand,
+    PacedReadCommand,
+    ReadCommand,
+)
+from ..ssd.device import Completion, DeviceStats, run_paced_reads
 from .injector import (
     BROWNOUT,
     CORRUPT,
@@ -229,9 +234,16 @@ class FaultySsd:
         the batch flowing — the caller retries the failed commands
         individually (starting at ``attempt + 1``; this batch consumed
         the per-page draws for ``attempt``).
+
+        A paced read is the exception: it is the per-page loop of the
+        plain executors, so it draws per page through ``submit_read``
+        (at attempt 0) and a failing page *raises*, as that loop did.
         """
         results: "List[Completion | DeviceFault]" = []
         for command in commands:
+            if isinstance(command, PacedReadCommand):
+                results.append(run_paced_reads(self, command, now_us))
+                continue
             try:
                 if isinstance(command, ReadCommand):
                     results.append(

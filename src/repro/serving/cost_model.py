@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 from ..errors import ConfigError
 from .selection import SelectionOutcome
@@ -58,11 +59,22 @@ class CpuCostModel:
         """Cost of choosing one page among ``candidates_examined``."""
         return self.step_base_us + self.candidate_examine_us * candidates_examined
 
+    def step_times_us(self, outcome: SelectionOutcome) -> List[float]:
+        """:meth:`step_time_us` of every step of ``outcome``, in order."""
+        base, examine = self.step_base_us, self.candidate_examine_us
+        return [base + examine * c for c in outcome.candidate_counts]
+
     def selection_time_us(self, outcome: SelectionOutcome) -> float:
-        """Total selection CPU (excluding the sort) for a query."""
-        return sum(
-            self.step_time_us(c) for c in outcome.candidate_counts
-        )
+        """Total selection CPU (excluding the sort) for a query.
+
+        Accumulated left to right: builtin ``sum`` is compensated on
+        Python >= 3.12 and plain before, so it would make the last bits
+        depend on the interpreter (and differ from a pipelined ``+=``).
+        """
+        total = 0.0
+        for step_us in self.step_times_us(outcome):
+            total += step_us
+        return total
 
     def total_cpu_us(self, outcome: SelectionOutcome) -> float:
         """Sort + selection + per-query base."""

@@ -120,7 +120,7 @@ class EngineConfig:
             ``pinned``/``hybrid`` mode derives a replica-count plan from
             the layout at ``tier_ratio``.
         device_command_path: how selected reads reach the device —
-            ``"paged"`` (one command per page through the configured
+            ``"paged"`` (one submission per page, paced by the configured
             executor; the default, bit-identical to the pre-batch
             engine), ``"batched"`` (all of a query's reads in one
             submitted batch, amortizing ``submit_overhead_us``), or

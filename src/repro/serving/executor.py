@@ -1,6 +1,6 @@
 """Query executors: serial vs pipelined selection + SSD access (paper §6.2).
 
-Both executors walk a :class:`~repro.serving.selection.SelectionOutcome`
+The executors walk a :class:`~repro.serving.selection.SelectionOutcome`
 against a simulated device, charging CPU per the cost model, and return
 when the query's last page read completes.
 
@@ -15,15 +15,20 @@ when the query's last page read completes.
   submit/poll usage in the paper).  The win is the selection CPU hidden
   behind device time — the paper measures ~10 % (§8.4).
 * :class:`BatchedExecutor` — the batched command path: selection runs to
-  completion, then every chosen read is submitted as **one**
-  :class:`~repro.ssd.commands.ReadCommand` batch, so the host-side
-  submission overhead (``SsdProfile.submit_overhead_us``) is paid once
-  per query instead of once per page.  With zero overhead (the default
-  profiles) timing is bit-identical to :class:`SerialExecutor`.
+  completion, then every chosen read goes down in **one** submission,
+  so the host-side overhead (``SsdProfile.submit_overhead_us``) is paid
+  once per query instead of once per page.  With zero overhead (the
+  default profiles) timing is bit-identical to :class:`SerialExecutor`.
 * :class:`NdpExecutor` — near-data-processing path: the selected pages
   go down as a single :class:`~repro.ssd.commands.GatherCommand`; the
   device parses pages in its controller and returns only the valid
   embeddings over the bus (requires a gather-capable profile).
+
+The first three are one run function (:class:`PacedExecutor`) over three
+gap vectors: each sends the query's reads as one
+:class:`~repro.ssd.commands.PacedReadCommand` — the pages plus the host
+CPU spent before each submission — so a query costs one device call,
+not one per page.
 
 Every executor charges ``device.submit_overhead_us`` of host CPU per
 submitted command; the default profiles set it to ``0.0``, so existing
@@ -36,7 +41,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..ssd.commands import DeviceCommand, GatherCommand, ReadCommand
+from ..ssd.commands import DeviceCommand, GatherCommand, PacedReadCommand
 from ..types import EmbeddingSpec
 from .cost_model import CpuCostModel
 from .selection import SelectionOutcome
@@ -116,23 +121,6 @@ class Executor(ABC):
         return getattr(device, "submit_overhead_us", 0.0)
 
     @staticmethod
-    def _submit_with_backpressure(device, page_id: int, now_us: float):
-        """Submit one read, stalling on a full submission queue.
-
-        Mirrors an SPDK application's behaviour: when the queue is full
-        the submitting CPU polls completions until a slot frees, so the
-        submission time advances to that completion.  Returns
-        ``(completion, now_us)`` with the possibly-advanced clock.
-        """
-        while device.inflight >= device.queue_depth:
-            next_done = device.next_completion_time()
-            if next_done is None:  # pragma: no cover - inflight>0 implies one
-                break
-            now_us = max(now_us, next_done)
-            device.poll(now_us)
-        return device.submit_read(page_id, now_us), now_us
-
-    @staticmethod
     def _submit_batch_with_backpressure(
         device, commands: Sequence[DeviceCommand], now_us: float
     ):
@@ -141,7 +129,8 @@ class Executor(ABC):
         The whole batch shares one submission timestamp unless the queue
         fills mid-way, in which case the submitting CPU polls until
         slots free (advancing the clock) and pushes the remainder —
-        same stall rule as :meth:`_submit_with_backpressure`, amortized.
+        same stall rule as
+        :func:`~repro.ssd.device.submit_with_backpressure`, amortized.
         Returns ``(completions, now_us)``.
         """
         completions: List = []
@@ -161,105 +150,79 @@ class Executor(ABC):
         return completions, now_us
 
 
-class SerialExecutor(Executor):
-    """All selection first, then all reads — no CPU/I-O overlap."""
+class PacedExecutor(Executor):
+    """Host executors: one :class:`~repro.ssd.commands.PacedReadCommand`.
+
+    Serial, pipelined and batched execution differ only in *when* the
+    host submits each read, so each subclass is a gap-vector builder
+    (:meth:`_pacing`) and this class runs the query: charge the front
+    costs, send the paced reads as one command, and finish when the
+    host clock and the latest completion have both passed.
+    """
+
+    @abstractmethod
+    def _pacing(
+        self, step_times: List[float], selection_us: float, overhead: float
+    ) -> Tuple[float, List[float]]:
+        """``(lead_us, gaps_us)``: CPU before the command, then per read."""
 
     def execute(
         self, outcome: SelectionOutcome, device, start_us: float
     ) -> ExecutionResult:
         front, sort_us = self._front_costs(outcome)
-        selection_us = self.cost_model.selection_time_us(outcome)
-        now = start_us + front + selection_us
-        overhead = self._submit_overhead(device)
-        last_completion = now
-        for page_id in outcome.pages:
-            now += overhead
-            completion, now = self._submit_with_backpressure(
-                device, page_id, now
-            )
-            last_completion = max(last_completion, completion.completed_at_us)
-        last_completion = max(last_completion, now)
-        device.poll(last_completion)
-        return ExecutionResult(
-            start_us=start_us,
-            finish_us=last_completion,
-            sort_us=sort_us,
-            selection_us=selection_us,
-            io_wait_us=last_completion - now,
-            pages_read=outcome.num_steps,
-        )
-
-
-class PipelinedExecutor(Executor):
-    """Selection step → async read issue → next step; wait once at the end."""
-
-    def execute(
-        self, outcome: SelectionOutcome, device, start_us: float
-    ) -> ExecutionResult:
-        front, sort_us = self._front_costs(outcome)
-        now = start_us + front
+        step_times = self.cost_model.step_times_us(outcome)
+        # Left to right, whichever executor: see selection_time_us.
         selection_us = 0.0
-        overhead = self._submit_overhead(device)
-        last_completion = now
-        for page_id, candidates in zip(
-            outcome.pages, outcome.candidate_counts
-        ):
-            cpu = self.cost_model.step_time_us(candidates)
-            selection_us += cpu
-            now += cpu + overhead
-            completion, now = self._submit_with_backpressure(
-                device, page_id, now
+        for step_us in step_times:
+            selection_us += step_us
+        lead_us, gaps_us = self._pacing(
+            step_times, selection_us, self._submit_overhead(device)
+        )
+        now = start_us + front + lead_us
+        if step_times:
+            (completion,) = device.submit_batch(
+                [PacedReadCommand(outcome.pages, gaps_us)], now
             )
-            last_completion = max(last_completion, completion.completed_at_us)
-        finish = max(now, last_completion)
-        device.poll(finish)
+            now = completion.submitted_at_us
+            finish = max(now, completion.completed_at_us)
+        else:
+            finish = now
+            device.poll(finish)
         return ExecutionResult(
             start_us=start_us,
             finish_us=finish,
             sort_us=sort_us,
             selection_us=selection_us,
-            io_wait_us=max(0.0, finish - now),
-            pages_read=outcome.num_steps,
+            io_wait_us=finish - now,
+            pages_read=len(step_times),
         )
 
 
-class BatchedExecutor(Executor):
+class SerialExecutor(PacedExecutor):
+    """All selection first, then all reads — no CPU/I-O overlap."""
+
+    def _pacing(self, step_times, selection_us, overhead):
+        return selection_us, [overhead] * len(step_times)
+
+
+class PipelinedExecutor(PacedExecutor):
+    """Selection step → async read issue → next step; wait once at the end."""
+
+    def _pacing(self, step_times, selection_us, overhead):
+        return 0.0, [step_us + overhead for step_us in step_times]
+
+
+class BatchedExecutor(PacedExecutor):
     """Selection first, then all reads as **one** submitted batch.
 
-    The host builds a :class:`~repro.ssd.commands.ReadCommand` per
-    selected page and pushes the whole vector through ``submit_batch``,
-    paying ``submit_overhead_us`` once per query rather than once per
-    page.  The device's service model is untouched: with zero overhead
-    this is bit-identical to :class:`SerialExecutor`.
+    The host pushes the whole read vector in one submission, paying
+    ``submit_overhead_us`` once per query rather than once per page.
+    The device's service model is untouched: with zero overhead this is
+    bit-identical to :class:`SerialExecutor`.
     """
 
-    def execute(
-        self, outcome: SelectionOutcome, device, start_us: float
-    ) -> ExecutionResult:
-        front, sort_us = self._front_costs(outcome)
-        selection_us = self.cost_model.selection_time_us(outcome)
-        now = start_us + front + selection_us
-        last_completion = now
-        if outcome.num_steps:
-            now += self._submit_overhead(device)
-            commands = [ReadCommand(p) for p in outcome.pages]
-            completions, now = self._submit_batch_with_backpressure(
-                device, commands, now
-            )
-            for completion in completions:
-                last_completion = max(
-                    last_completion, completion.completed_at_us
-                )
-        last_completion = max(last_completion, now)
-        device.poll(last_completion)
-        return ExecutionResult(
-            start_us=start_us,
-            finish_us=last_completion,
-            sort_us=sort_us,
-            selection_us=selection_us,
-            io_wait_us=last_completion - now,
-            pages_read=outcome.num_steps,
-        )
+    def _pacing(self, step_times, selection_us, overhead):
+        return selection_us, [overhead] + [0.0] * (len(step_times) - 1)
 
 
 class NdpExecutor(Executor):

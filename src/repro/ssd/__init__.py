@@ -19,6 +19,7 @@ from .commands import (
     DEVICE_COMMAND_PATHS,
     DeviceCommand,
     GatherCommand,
+    PacedReadCommand,
     ReadCommand,
 )
 from .profiles import (
@@ -56,6 +57,7 @@ __all__ = [
     "IoRecord",
     "ReadCommand",
     "GatherCommand",
+    "PacedReadCommand",
     "DeviceCommand",
     "DEVICE_COMMAND_PATHS",
 ]

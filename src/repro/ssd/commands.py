@@ -3,7 +3,7 @@
 Splitting the *command set* from the *timing model* lets every device in
 the stack (single drive, RAID-0 array, fault wrapper, tracing wrapper)
 accept the same batched submissions while keeping its own service-time
-rules.  Two commands cover the serving paths:
+rules.  Three commands cover the serving paths:
 
 * :class:`ReadCommand` — transfer one whole page over the bus (the
   classic path; a batch of these is what ``--device-command-path
@@ -15,16 +15,23 @@ rules.  Two commands cover the serving paths:
   ``--device-command-path ndp``).  Requires a profile with
   ``supports_gather`` (see
   :class:`~repro.ssd.profiles.NdpSsdProfile`).
+* :class:`PacedReadCommand` — a whole query's page reads with the host
+  CPU gap that precedes each submission, answered by **one**
+  completion.  It is what the serial, pipelined and batched executors
+  send (once per query); its meaning is the per-page loop
+  :func:`~repro.ssd.device.run_paced_reads`, which a leaf drive fuses
+  into one pass and wrappers run as written.
 
-Commands are pure descriptions — they carry no timing.  Devices answer
-each with one :class:`~repro.ssd.device.Completion`, in submission
-order.
+Read and gather commands are pure descriptions — they carry no timing;
+a paced read carries only *host* time (the gaps), never device time.
+Devices answer each command with one
+:class:`~repro.ssd.device.Completion`, in submission order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from ..errors import StorageError
 
@@ -88,7 +95,38 @@ class GatherCommand:
         return len(self.page_ids)
 
 
-DeviceCommand = Union[ReadCommand, GatherCommand]
+@dataclass(frozen=True)
+class PacedReadCommand:
+    """One query's page reads, paced by the host CPU between them.
+
+    The host clock starts at the batch's ``now_us``; before read ``i``
+    it advances by ``gaps_us[i]`` (selection CPU, submission overhead),
+    stalls while the submission queue is full, and submits
+    ``page_ids[i]``.  After the last read the host waits for them all:
+    it polls once at the later of its clock and the latest completion.
+
+    Attributes:
+        page_ids: pages to read, in submission order.
+        gaps_us: host CPU spent before each submission (same length).
+    """
+
+    page_ids: Sequence[int]
+    gaps_us: Sequence[float]
+
+    def __post_init__(self) -> None:
+        if not self.page_ids:
+            raise StorageError("a paced read must name at least one page")
+        if len(self.gaps_us) != len(self.page_ids):
+            raise StorageError(
+                f"{len(self.page_ids)} pages but {len(self.gaps_us)} gaps"
+            )
+        if min(self.page_ids) < 0:
+            raise StorageError(
+                f"page id must be >= 0, got {min(self.page_ids)}"
+            )
+
+
+DeviceCommand = Union[ReadCommand, GatherCommand, PacedReadCommand]
 
 #: Valid ``device_command_path`` settings, shared by engine/core/CLI.
 DEVICE_COMMAND_PATHS: Tuple[str, ...] = ("paged", "batched", "ndp")

@@ -27,6 +27,16 @@ accepts a sequence of :class:`~repro.ssd.commands.ReadCommand` /
 batching changes who pays the host-side submission overhead (see
 ``SsdProfile.submit_overhead_us``), never the device service model.
 
+A :class:`~repro.ssd.commands.PacedReadCommand` carries one query's
+reads and the host CPU gap before each; :func:`run_paced_reads` is its
+meaning, written over ``submit_read``/``poll``.  :class:`SimulatedSsd`
+answers it with one pass over local variables that leaves the same
+clock, counters and in-flight set: read completions are strictly
+increasing in submission order (each starts no earlier than the
+previous one's start plus a transfer time), so the closing poll at the
+latest completion reaps every read of the command — none of them needs
+a heap entry or a :class:`Completion` of its own.
+
 A gather (NDP profiles only) occupies the device for::
 
     media + controller-scan + bus
@@ -49,7 +59,12 @@ from typing import List, Optional, Sequence
 
 from ..errors import StorageError
 from ..utils.reservoir import LatencyReservoir
-from .commands import DeviceCommand, GatherCommand, ReadCommand
+from .commands import (
+    DeviceCommand,
+    GatherCommand,
+    PacedReadCommand,
+    ReadCommand,
+)
 from .profiles import SsdProfile
 
 
@@ -92,6 +107,50 @@ class DeviceStats:
     def mean_latency_us(self) -> float:
         """Average read latency (0 when idle)."""
         return self.total_latency_us / self.reads if self.reads else 0.0
+
+
+def submit_with_backpressure(device, page_id: int, now_us: float):
+    """Submit one read, stalling on a full submission queue.
+
+    Mirrors an SPDK application's behaviour: when the queue is full
+    the submitting CPU polls completions until a slot frees, so the
+    submission time advances to that completion.  Returns
+    ``(completion, now_us)`` with the possibly-advanced clock.
+    """
+    while device.inflight >= device.queue_depth:
+        next_done = device.next_completion_time()
+        if next_done is None:  # pragma: no cover - inflight>0 implies one
+            break
+        now_us = max(now_us, next_done)
+        device.poll(now_us)
+    return device.submit_read(page_id, now_us), now_us
+
+
+def run_paced_reads(
+    device, command: PacedReadCommand, now_us: float
+) -> Completion:
+    """What a :class:`~repro.ssd.commands.PacedReadCommand` means.
+
+    The reference loop over ``device``'s own per-page interface: spend
+    the gap, stall while the queue is full, submit; after the last read
+    poll once at the later of the host clock and the latest completion.
+    Wrappers that are per-page by nature (stripes, trace rows, fault
+    draws) answer the command by calling this on themselves.  The
+    completion is stamped with the host clock at the last submission and
+    the latest read completion; ticket and page are the first read's.
+    """
+    now = now_us
+    completions: List[Completion] = []
+    for page_id, gap_us in zip(command.page_ids, command.gaps_us):
+        now += gap_us
+        completion, now = submit_with_backpressure(device, page_id, now)
+        completions.append(completion)
+    latest = max(c.completed_at_us for c in completions)
+    device.poll(max(now, latest))
+    first = completions[0]
+    return Completion(
+        first.ticket, first.page_id, now, latest, pages=len(completions)
+    )
 
 
 class SimulatedSsd:
@@ -203,7 +262,9 @@ class SimulatedSsd:
         """
         completions: List[Completion] = []
         for command in commands:
-            if isinstance(command, ReadCommand):
+            if isinstance(command, PacedReadCommand):
+                completions.append(self._paced_reads(command, now_us))
+            elif isinstance(command, ReadCommand):
                 completions.append(self.submit_read(command.page_id, now_us))
             elif isinstance(command, GatherCommand):
                 completions.append(self.submit_gather(command, now_us))
@@ -212,6 +273,72 @@ class SimulatedSsd:
                     f"unknown device command {type(command).__name__}"
                 )
         return completions
+
+    def _paced_reads(
+        self, command: PacedReadCommand, now_us: float
+    ) -> Completion:
+        """:func:`run_paced_reads` on this drive, fused into one pass.
+
+        Same arithmetic in the same order as ``submit_read`` per page,
+        on locals; the command's own reads live only as a list of
+        completion times (increasing, so the earliest outstanding one is
+        at ``reaped``), and the device state is written once at the end.
+        """
+        heap = self._inflight
+        depth = self.profile.queue_depth
+        read_latency = self.profile.read_latency_us
+        transfer = self._transfer_us
+        stats = self.stats
+        ready = self._ready_at
+        total_latency = stats.total_latency_us
+        now = now_us
+        done_at: List[float] = []
+        latencies: List[float] = []
+        reaped = 0
+        outstanding = len(heap)
+        for gap_us in command.gaps_us:
+            now += gap_us
+            while outstanding >= depth:
+                # Queue full: the host polls until the earliest
+                # outstanding read, its own or an older one, completes.
+                if reaped == len(done_at) or (
+                    heap and heap[0][0] < done_at[reaped]
+                ):
+                    next_done = heap[0][0]
+                else:
+                    next_done = done_at[reaped]
+                if next_done > now:
+                    now = next_done
+                while heap and heap[0][0] <= now:
+                    heapq.heappop(heap)
+                while reaped < len(done_at) and done_at[reaped] <= now:
+                    reaped += 1
+                outstanding = len(heap) + len(done_at) - reaped
+            if now < 0:
+                raise StorageError(f"time must be >= 0, got {now}")
+            start = ready if ready > now else now
+            ready = start + transfer
+            completed = start + read_latency
+            done_at.append(completed)
+            latency = completed - now
+            latencies.append(latency)
+            total_latency += latency
+            outstanding += 1
+        latest = done_at[-1]
+        finish = latest if latest > now else now
+        while heap and heap[0][0] <= finish:
+            heapq.heappop(heap)
+        pages = len(done_at)
+        ticket = self._next_ticket
+        self._next_ticket = ticket + pages
+        self._ready_at = ready
+        stats.reads += pages
+        stats.bytes_read += pages * self.page_size
+        stats.total_latency_us = total_latency
+        stats.latencies.extend(latencies)
+        if latest > stats.busy_until_us:
+            stats.busy_until_us = latest
+        return Completion(ticket, command.page_ids[0], now, latest, pages)
 
     def _retire(
         self, page_id: int, now_us: float, completed: float, pages: int

@@ -11,6 +11,8 @@ path — so serving code is agnostic.
 :class:`~repro.ssd.commands.GatherCommand` is split into per-member
 sub-gathers (each member parses its own pages with its own controller)
 and answered with one merged completion at the slowest member's time.
+A :class:`~repro.ssd.commands.PacedReadCommand` is striped read by read
+through :func:`~repro.ssd.device.run_paced_reads`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import StorageError
-from .commands import DeviceCommand, GatherCommand, ReadCommand
-from .device import Completion, DeviceStats, SimulatedSsd
+from .commands import (
+    DeviceCommand,
+    GatherCommand,
+    PacedReadCommand,
+    ReadCommand,
+)
+from .device import Completion, DeviceStats, SimulatedSsd, run_paced_reads
 from .profiles import SsdProfile
 
 
@@ -140,11 +147,14 @@ class Raid0Array:
         """Submit a batch, striping each command; one completion each.
 
         A batch of read commands is bit-identical to the same
-        ``submit_read`` calls in a loop.
+        ``submit_read`` calls in a loop.  A paced read stripes page by
+        page, so the array runs the reference loop over itself.
         """
         completions: List[Completion] = []
         for command in commands:
-            if isinstance(command, ReadCommand):
+            if isinstance(command, PacedReadCommand):
+                completions.append(run_paced_reads(self, command, now_us))
+            elif isinstance(command, ReadCommand):
                 completions.append(self.submit_read(command.page_id, now_us))
             elif isinstance(command, GatherCommand):
                 completions.append(self.submit_gather(command, now_us))

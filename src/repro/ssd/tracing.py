@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import StorageError
-from .device import Completion
+from .commands import PacedReadCommand
+from .device import Completion, run_paced_reads
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,20 @@ class TracingDevice:
 
         Gather commands trace as one record on their first page (the
         completion covers all of the gather's pages; ``Completion.pages``
-        carries the count for anyone re-deriving amplification).
+        carries the count for anyone re-deriving amplification).  A
+        paced read is the exception: each of its pages has its own
+        submit time, so the wrapper runs the reference loop over its own
+        ``submit_read`` and records one row per page.
         """
-        completions = self._device.submit_batch(commands, now_us)
-        for completion in completions:
+        completions = []
+        for command in commands:
+            if isinstance(command, PacedReadCommand):
+                completions.append(run_paced_reads(self, command, now_us))
+                continue
+            (completion,) = self._device.submit_batch([command], now_us)
             if isinstance(completion, Completion):
                 self._record(completion.page_id, now_us, completion)
+            completions.append(completion)
         return completions
 
     def _record(

@@ -71,18 +71,31 @@ class LatencyReservoir:
 
     def append(self, value: float) -> None:
         """Offer one sample."""
-        self._observed += 1
-        if len(self._values) < self._capacity:
-            self._values.append(float(value))
-            return
-        slot = self._rng.randrange(self._observed)
-        if slot < self._capacity:
-            self._values[slot] = float(value)
+        self.extend((value,))
 
     def extend(self, values: Iterable[float]) -> None:
-        """Offer an iterable of samples in order."""
+        """Offer an iterable of samples in order (Algorithm R).
+
+        A full reservoir draws the slot by rejection over
+        ``getrandbits`` — the draws ``randrange(observed)`` makes on
+        CPython, without its three calls per sample.
+        """
+        retained = self._values
+        capacity = self._capacity
+        observed = self._observed
+        getrandbits = self._rng.getrandbits
         for value in values:
-            self.append(value)
+            observed += 1
+            if len(retained) < capacity:
+                retained.append(float(value))
+                continue
+            bits = observed.bit_length()
+            slot = getrandbits(bits)
+            while slot >= observed:
+                slot = getrandbits(bits)
+            if slot < capacity:
+                retained[slot] = float(value)
+        self._observed = observed
 
     def values(self) -> List[float]:
         """A copy of the retained samples (insertion/replacement order)."""

@@ -1,9 +1,14 @@
 """Submission-queue backpressure: stalls, clock advance, full queues.
 
-``_submit_with_backpressure`` / ``_submit_batch_with_backpressure``
+``submit_with_backpressure`` / ``_submit_batch_with_backpressure``
 mirror an SPDK submitter: when the queue is full, the submitting CPU
 polls completions until a slot frees, advancing its clock to that
-completion.  Pinned here:
+completion.  The single-read helper is the stall-and-submit step of the
+reference loop behind ``PacedReadCommand``
+(``repro.ssd.device.run_paced_reads``): the executors no longer call it
+page by page, but every wrapper device does, and the fused loop of
+``SimulatedSsd`` is tested against it (``tests/test_paced_reads.py``).
+Pinned here:
 
 * the queue-depth bound is never violated, whatever the page stream;
 * a stalled submission's clock advances exactly to the freed
@@ -22,6 +27,7 @@ from hypothesis import given, settings
 from repro import EngineConfig, PageLayout, Query, ServingEngine, SimulatedSsd
 from repro.serving.executor import Executor
 from repro.ssd import Completion, ReadCommand, SsdProfile
+from repro.ssd.device import submit_with_backpressure
 
 TINY = SsdProfile(
     "tiny-queue", read_latency_us=10.0, bandwidth_gb_s=4.096, queue_depth=2
@@ -41,18 +47,18 @@ def tiny_device(queue_depth=2):
 class TestSingleSubmitBackpressure:
     def test_stall_advances_clock_to_freed_completion(self):
         device = tiny_device(queue_depth=1)
-        first, now = Executor._submit_with_backpressure(device, 0, 0.0)
+        first, now = submit_with_backpressure(device, 0, 0.0)
         assert now == 0.0
         # The queue is full: the next submission must stall until the
         # first read completes, and submit at exactly that time.
-        second, now = Executor._submit_with_backpressure(device, 1, 0.0)
+        second, now = submit_with_backpressure(device, 1, 0.0)
         assert now == first.completed_at_us
         assert second.submitted_at_us == first.completed_at_us
 
     def test_no_stall_below_depth(self):
         device = tiny_device(queue_depth=4)
         for page in range(4):
-            _, now = Executor._submit_with_backpressure(device, page, 5.0)
+            _, now = submit_with_backpressure(device, page, 5.0)
             assert now == 5.0
 
     @settings(max_examples=50, deadline=None)
@@ -68,7 +74,7 @@ class TestSingleSubmitBackpressure:
         completions = []
         for page in pages:
             assert device.inflight <= queue_depth
-            completion, next_now = Executor._submit_with_backpressure(
+            completion, next_now = submit_with_backpressure(
                 device, page, now
             )
             assert next_now >= now  # the clock never runs backwards
@@ -126,7 +132,7 @@ class TestBatchSubmitBackpressure:
         looped = []
         loop_now = now
         for page in pages:
-            completion, loop_now = Executor._submit_with_backpressure(
+            completion, loop_now = submit_with_backpressure(
                 loop_dev, page, loop_now
             )
             looped.append(completion)
@@ -167,7 +173,7 @@ class BrokenFullQueueDevice:
 class TestBrokenDeviceDoesNotHang:
     def test_single_submit_breaks_out(self):
         device = BrokenFullQueueDevice()
-        completion, now = Executor._submit_with_backpressure(
+        completion, now = submit_with_backpressure(
             device, 7, 2.0
         )
         assert now == 2.0

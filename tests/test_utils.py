@@ -1,5 +1,7 @@
 """Tests for repro.utils: validation, rng, zipf, tables."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.utils import (
     spawn_rngs,
     zipf_weights,
 )
+from repro.utils.reservoir import DEFAULT_CAPACITY, LatencyReservoir
 from repro.utils.tables import format_mapping
 
 
@@ -161,3 +164,53 @@ class TestTables:
         text = format_table(["v"], [[1234.5], [0.1234567], [2.0]])
         assert "1,235" in text or "1,234" in text
         assert "0.1235" in text
+
+
+class TestLatencyReservoir:
+    @staticmethod
+    def algorithm_r(samples, capacity, seed):
+        """Textbook Algorithm R over ``random.Random.randrange``."""
+        rng = random.Random(seed)
+        retained = []
+        for observed, value in enumerate(samples, start=1):
+            if len(retained) < capacity:
+                retained.append(value)
+            else:
+                slot = rng.randrange(observed)
+                if slot < capacity:
+                    retained[slot] = value
+        return retained
+
+    def test_extend_equals_append_across_the_capacity_boundary(self):
+        samples = [float(i) for i in range(DEFAULT_CAPACITY + 1500)]
+        appended = LatencyReservoir()
+        for value in samples:
+            appended.append(value)
+        # Chunks that end before, straddle and start after the boundary.
+        extended = LatencyReservoir()
+        cuts = [0, 4000, 4090, 4103, 4104, 5000, len(samples)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            extended.extend(samples[lo:hi])
+        assert extended.values() == appended.values()
+        assert extended.observed == appended.observed == len(samples)
+        assert len(extended) == DEFAULT_CAPACITY
+        # Same draws afterwards: the two RNGs are in the same state.
+        extended.extend([-1.0] * 300)
+        for _ in range(300):
+            appended.append(-1.0)
+        assert extended.values() == appended.values()
+
+    def test_draws_are_randrange_draws(self):
+        samples = [float(i) for i in range(700)]
+        reservoir = LatencyReservoir(capacity=64, seed=11)
+        reservoir.extend(samples)
+        assert reservoir.values() == self.algorithm_r(samples, 64, 11)
+        assert reservoir.values() != samples[:64]
+
+    def test_extend_accepts_another_reservoir(self):
+        source = LatencyReservoir(capacity=8)
+        source.extend(range(5))
+        target = LatencyReservoir(capacity=8)
+        target.extend(source)
+        assert target.values() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert target.observed == 5
