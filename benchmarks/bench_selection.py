@@ -1,15 +1,21 @@
 """Selection hot-loop bench: fast selectors vs the reference oracle.
 
-Measures single-thread selection throughput on the criteo layout (the
-paper's §6.1 workload, where selection is >56 % of serving latency) and
-emits machine-readable ``benchmarks/results/selection.json``:
+Measures single-thread, cache-less selection throughput on the criteo
+layout (the paper's §6.1 workload, where selection is >56 % of serving
+latency) and emits machine-readable ``benchmarks/results/selection.json``,
+one row per operating point:
 
 * per-selector qps, mean/p50/p99 selection microseconds;
 * candidates examined per query (identical across paths by contract);
-* fast-vs-reference speedups (single-query and batched).
+* the fast-vs-reference speedup of ``select``.
 
-The batched fast path must clear ``REPRO_BENCH_MIN_SPEEDUP`` (default
-3.0; CI smoke runs set a looser floor to tolerate noisy runners).
+Two operating points, because the fast kernel's cost follows the
+query's fan-out (Σ pages per key): r = 0.4 with the index shrunk to 5,
+and r = 0.8 with the full index, where hot keys sit on a third of all
+pages — the kernel's weak side, kept on record.  The first row must
+clear ``REPRO_BENCH_MIN_SPEEDUP`` (default 1.5; CI smoke runs set a
+looser floor to tolerate noisy runners); the second must not lose to
+the reference.
 
 Run standalone with ``python benchmarks/bench_selection.py``.
 """
@@ -27,13 +33,12 @@ from repro.experiments.common import get_split_trace, layout_for
 from repro.placement import build_indexes
 from repro.serving import FastOnePassSelector, OnePassSelector
 
-INDEX_LIMIT = 5
-REPLICATION_RATIO = 0.4
-BATCH_CHUNK = 64  # queries per timed select_many call (p50/p99 resolution)
+# (replication ratio, index limit); the floor applies to the first.
+OPERATING_POINTS = ((0.4, 5), (0.8, None))
 
 
 def min_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
+    return float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "1.5"))
 
 
 def _percentile(sorted_values, fraction):
@@ -72,55 +77,43 @@ def _time_per_query(selector, queries, rounds):
     return [t * 1e6 / rounds for t in timings], candidates
 
 
-def _time_batched(selector, queries, rounds):
-    """Time select_many() in chunks; per-query µs is chunk-amortized."""
-    timings = [0.0] * len(queries)
-    candidates = 0
-    for round_index in range(rounds):
-        for start in range(0, len(queries), BATCH_CHUNK):
-            chunk = queries[start : start + BATCH_CHUNK]
-            t0 = time.perf_counter()
-            outcomes = selector.select_many(chunk)
-            per_query = (time.perf_counter() - t0) / len(chunk)
-            for i in range(start, start + len(chunk)):
-                timings[i] += per_query
-            if round_index == 0:
-                candidates += sum(o.total_candidates for o in outcomes)
-    return [t * 1e6 / rounds for t in timings], candidates
+def _race(queries, scale, ratio, limit) -> dict:
+    """Reference vs fast ``select`` at one operating point."""
+    layout = layout_for("criteo", "maxembed", ratio, scale)
+    forward, invert = build_indexes(layout, limit=limit)
+    reference = OnePassSelector(forward, invert)
+    fast = FastOnePassSelector(forward, invert)
+    # Warm up the memoized index tables outside the timed region.
+    for keys in queries[:8]:
+        reference.select(keys)
+        fast.select(keys)
+    ref_us, ref_candidates = _time_per_query(reference, queries, rounds=3)
+    fast_us, fast_candidates = _time_per_query(fast, queries, rounds=3)
+    assert ref_candidates == fast_candidates
+    return {
+        "replication_ratio": ratio,
+        "index_limit": limit,
+        "results": [
+            _stats(ref_us, ref_candidates, "onepass (reference)"),
+            _stats(fast_us, fast_candidates, "fast-onepass (select)"),
+        ],
+        "speedup_single": round(sum(ref_us) / sum(fast_us), 2),
+    }
 
 
 def run_selection_bench(scale: str) -> dict:
-    """Build the criteo layout and race the selection paths on it."""
+    """Build the criteo layouts and race the selection paths on them."""
     _, live = get_split_trace("criteo", scale)
     queries = [q.unique_keys() for q in live]
-    layout = layout_for("criteo", "maxembed", REPLICATION_RATIO, scale)
-    forward, invert = build_indexes(layout, limit=INDEX_LIMIT)
-    reference = OnePassSelector(forward, invert)
-    fast = FastOnePassSelector(forward, invert)
-    # Warm up memoized tables and the CSR build outside the timed region.
-    reference.select_many(queries[:8])
-    fast.select_many(queries[:8])
-    ref_us, ref_candidates = _time_per_query(reference, queries, rounds=3)
-    single_us, single_candidates = _time_per_query(fast, queries, rounds=3)
-    batch_us, batch_candidates = _time_batched(fast, queries, rounds=6)
-    assert ref_candidates == single_candidates == batch_candidates
-    ref_mean = sum(ref_us) / len(ref_us)
-    single_mean = sum(single_us) / len(single_us)
-    batch_mean = sum(batch_us) / len(batch_us)
     return {
         "bench": "selection",
         "dataset": "criteo",
         "scale": scale,
-        "index_limit": INDEX_LIMIT,
-        "replication_ratio": REPLICATION_RATIO,
         "num_queries": len(queries),
-        "results": [
-            _stats(ref_us, ref_candidates, "onepass (reference)"),
-            _stats(single_us, single_candidates, "fast-onepass (select)"),
-            _stats(batch_us, batch_candidates, "fast-onepass (select_many)"),
+        "rows": [
+            _race(queries, scale, ratio, limit)
+            for ratio, limit in OPERATING_POINTS
         ],
-        "speedup_single": round(ref_mean / single_mean, 2),
-        "speedup_batch": round(ref_mean / batch_mean, 2),
     }
 
 
@@ -135,24 +128,28 @@ def test_selection_fast_path_speedup(scale):
     document = run_selection_bench(scale)
     path = publish_json(document)
     lines = [f"selection bench ({document['num_queries']} queries) -> {path}"]
-    for row in document["results"]:
+    for point in document["rows"]:
         lines.append(
-            f"  {row['selector']:28s} {row['qps']:>10.0f} qps  "
-            f"mean {row['mean_us']:.1f} us  p50 {row['p50_us']:.1f}  "
-            f"p99 {row['p99_us']:.1f}  cand/q {row['candidates_per_query']}"
+            f"  r={point['replication_ratio']} "
+            f"index_limit={point['index_limit']}: "
+            f"speedup {point['speedup_single']}x"
         )
-    lines.append(
-        f"  speedup: single {document['speedup_single']}x, "
-        f"batch {document['speedup_batch']}x"
-    )
+        for row in point["results"]:
+            lines.append(
+                f"    {row['selector']:24s} {row['qps']:>10.0f} qps  "
+                f"mean {row['mean_us']:.1f} us  p50 {row['p50_us']:.1f}  "
+                f"p99 {row['p99_us']:.1f}  "
+                f"cand/q {row['candidates_per_query']}"
+            )
     print("\n" + "\n".join(lines))
+    shrunk, high_fanout = document["rows"]
     floor = min_speedup()
-    assert document["speedup_batch"] >= floor, (
-        f"batched fast path only {document['speedup_batch']}x >= {floor}x "
+    assert shrunk["speedup_single"] >= floor, (
+        f"fast select only {shrunk['speedup_single']}x >= {floor}x "
         f"required over the reference one-pass selector"
     )
-    # The single-query stamp path must at least not regress.
-    assert document["speedup_single"] >= 1.0
+    # Where fan-out dominates the kernel must at least not regress.
+    assert high_fanout["speedup_single"] >= 1.0
 
 
 if __name__ == "__main__":

@@ -160,7 +160,7 @@ def _add_serve(subparsers) -> None:
         "--selection-path",
         default="fast",
         choices=["fast", "reference"],
-        help="array-backed fast selectors (default) or the reference "
+        help="page-mask fast selectors (default) or the reference "
         "set-algebra oracle; outcomes are identical",
     )
     p.add_argument(

@@ -51,7 +51,7 @@ class MaxEmbedConfig:
             the profile's ``submit_overhead_us``), or ``"ndp"`` (one
             in-device gather command per query; non-gather profiles
             are upgraded to their NDP counterpart).
-        fast_selection: serve with the array-backed fast selectors
+        fast_selection: serve with the page-mask fast selectors
             (outcome-identical to the reference path; ``False`` forces
             the reference set-algebra selectors).
         threads: simulated serving threads.

@@ -8,6 +8,10 @@ cover.  This package provides:
 * :class:`OnePassSelector` — MaxEmbed's §6.1 algorithm: sort keys by
   ascending replica count, then for each uncovered key pick the best of
   its (index-limited) candidate pages;
+* :class:`FastOnePassSelector` / :class:`FastGreedySelector` — the same
+  two algorithms on one query-side integer-mask kernel, bit-identical in
+  outcome and the engine default (:class:`FastSelectionOutcome` is their
+  lazy result);
 * :class:`SerialExecutor` / :class:`PipelinedExecutor` — §6.2: overlap
   page selection with asynchronous SSD reads or run them back-to-back;
 * :class:`ServingEngine` — cache → selection → SSD, producing per-query

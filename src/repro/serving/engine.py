@@ -73,10 +73,11 @@ class EngineConfig:
             the keys likely to be asked for next).
         index_limit: forward-index shrink ``k`` (None = full index).
         selector: ``"onepass"`` (MaxEmbed) or ``"greedy"`` (baseline).
-        fast_selection: serve with the array-backed fast selectors
-            (:mod:`repro.serving.fast_selection`), which produce outcomes
-            identical to the reference selectors.  ``False`` forces the
-            reference set-algebra path (the oracle).
+        fast_selection: serve with the page-mask fast selectors
+            (:mod:`repro.serving.fast_selection`: one query-side integer
+            kernel, re-entrant), which produce outcomes identical to the
+            reference selectors.  ``False`` forces the reference
+            set-algebra path (the oracle).
         executor: ``"pipelined"`` (MaxEmbed) or ``"serial"`` (raw).
         threads: simulated serving threads (paper uses 8).
         scatter_workers: threads for the cluster scatter phase's per-shard

@@ -1,62 +1,46 @@
-"""Array-backed fast path for page selection.
+"""Page-mask fast path for page selection.
 
 Same algorithms as :mod:`repro.serving.selection`, engineered for the
 paper's observation that selection is >56 % of end-to-end latency
-(Fig. 15).  Two mechanisms replace the per-query set algebra:
+(Fig. 15).  One kernel serves both selectors, and it works from the
+*query* side: a page holds 16 slots but a query wants little more than
+one of them, so walking page contents is mostly misses.
 
-**Epoch stamp array** (single-query path, both selectors).  One
-preallocated ``int`` per table key.  A key is "uncovered in the current
-query" iff ``stamp[key] == epoch``; the epoch counter increments per
-query, so resetting state costs one integer increment, an uncovered test
-is one list index + compare, and covering a key is one stamp write.  No
-per-query allocation beyond the output.
-
-**Packed cover masks** (batched path, :meth:`FastOnePassSelector.
-select_many`).  The replica-count sort of every query in the batch is
-amortized into a single composite-key ``np.argsort``; each (query, page)
-pair gets an integer bitmask of the query keys that page would cover,
-built with one ``np.bincount``; the per-query cover loop then runs on
-plain ints — "next uncovered key" is ``rem & -rem`` and covering is one
-XOR.  Bits are assigned in *process* order (ascending replica count,
-then key), so the loop visits exactly the keys the reference selector
-would start a step from.  Queries wider than 52 distinct keys (the
-float64-exact bincount limit) and queries with duplicate keys fall back
-to the stamp-array path.
+Per query: dedupe and bounds-check once, give the *i*-th key bit *i*,
+and walk each key's pages in the never-shrunk key→pages map (the
+transpose of the invert index) to fill a ``page → int mask`` dict of
+the query keys each page holds — O(Σ fan-out) dict updates.  The cover
+loop is then plain ints: ``rem`` is the mask of still-uncovered keys,
+a candidate's gain is ``(mask & rem).bit_count()``, covering is one
+XOR.  The one-pass selector assigns bits in *process* order (ascending
+replica count, then key, from a per-selector precomputed rank), so
+``rem & -rem`` is exactly the key the reference selector would start
+its next step from.  Python ints are unbounded, so a 300-key gateway
+union takes the same path as a 6-key cluster fragment.
 
 Outcomes are bit-identical to the reference selectors: candidates are
-examined in forward-index order with the same first-strict-max tie
-break, covers are counted through the (never-shrunk) invert index, and
-covered keys are emitted ascending.  ``select_many`` returns lazy
-outcome objects that serve the executors' flat accessors from arrays
-and only build :class:`SelectionStep` tuples if ``.steps`` is read.
+examined in (shrunk) forward-index order with the same first-strict-max
+tie break, covers are counted through the never-shrunk map, and covered
+keys are emitted ascending.  The selectors keep no per-query state, so
+one instance may serve concurrent threads.  :class:`FastSelectionOutcome`
+serves the executors' flat accessors from the loop's lists and builds
+:class:`SelectionStep` tuples only if ``.steps`` is read.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ServingError
-from ..placement import CsrIndexes, ForwardIndex, InvertIndex
-from .selection import SelectionOutcome, SelectionStep, Selector
-
-# Cover masks are summed via float64 bincount weights: distinct powers of
-# two sum exactly while the total stays under 2**53, i.e. <= 52 bits.
-MASK_KEY_LIMIT = 52
-
-# Cap on B * num_pages cells in one batched mask table (64 MiB of float64).
-_CHUNK_CELLS = 1 << 23
-
-# Composite sort keys must stay well inside int64.
-_COMP_LIMIT = 1 << 62
+from ..placement import ForwardIndex, InvertIndex
+from .selection import SelectionStep, Selector
 
 
 class FastSelectionOutcome:
-    """Lazy outcome produced by the batched fast path.
+    """Lazy outcome produced by the fast selectors.
 
     Duck-types :class:`~repro.serving.selection.SelectionOutcome`: the
-    flat accessors are served straight from the selection loop's arrays,
+    flat accessors are served straight from the selection loop's lists,
     and ``.steps`` materializes (once) only when read.
     """
 
@@ -64,7 +48,6 @@ class FastSelectionOutcome:
         "_pages",
         "_masks",
         "_candidate_counts",
-        "_kbase",
         "_okeys",
         "sorted_keys",
         "tier_hits",
@@ -76,16 +59,14 @@ class FastSelectionOutcome:
         pages: List[int],
         masks: List[int],
         candidate_counts: List[int],
-        kbase: int,
         okeys: List[int],
         sorted_keys: int,
         tier_hits: int = 0,
     ) -> None:
         self._pages = pages
-        self._masks = masks
+        self._masks = masks  # per step: bit i set <=> okeys[i] newly covered
         self._candidate_counts = candidate_counts
-        self._kbase = kbase
-        self._okeys = okeys  # shared process-order key list for the batch
+        self._okeys = okeys
         self.sorted_keys = sorted_keys
         self.tier_hits = tier_hits
         self._steps: Optional[Tuple[SelectionStep, ...]] = None
@@ -119,383 +100,187 @@ class FastSelectionOutcome:
     def steps(self) -> Tuple[SelectionStep, ...]:
         """Materialized steps, identical to the reference selector's."""
         if self._steps is None:
-            okeys = self._okeys
-            kbase = self._kbase
-            steps = []
-            for page, mask, n_cand in zip(
-                self._pages, self._masks, self._candidate_counts
-            ):
-                covered = []
-                while mask:
-                    bit = mask & -mask
-                    covered.append(okeys[kbase + bit.bit_length() - 1])
-                    mask ^= bit
-                covered.sort()
-                steps.append(
-                    SelectionStep(
-                        page_id=page,
-                        covered=tuple(covered),
-                        candidates_examined=n_cand,
-                    )
+            self._steps = tuple(
+                SelectionStep(
+                    page_id=page,
+                    covered=tuple(sorted(_mask_keys(mask, self._okeys))),
+                    candidates_examined=n_cand,
                 )
-            self._steps = tuple(steps)
+                for page, mask, n_cand in zip(
+                    self._pages, self._masks, self._candidate_counts
+                )
+            )
         return self._steps
 
     def covered_keys(self) -> Set[int]:
         """Union of keys served by the chosen pages."""
-        okeys = self._okeys
-        kbase = self._kbase
         out: Set[int] = set()
         for mask in self._masks:
-            while mask:
-                bit = mask & -mask
-                out.add(okeys[kbase + bit.bit_length() - 1])
-                mask ^= bit
+            out.update(_mask_keys(mask, self._okeys))
         return out
 
 
 class _FastSelectorBase(Selector):
-    """Shared state: list mirrors of the indexes plus the stamp array."""
+    """Shared front end and page-mask fill; subclasses run the cover loop."""
 
-    def __init__(
-        self,
-        forward: ForwardIndex,
-        invert: InvertIndex,
-        csr: "CsrIndexes | None" = None,
-    ) -> None:
+    def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
         super().__init__(forward, invert)
         self._num_keys = forward.num_keys
         self._entries = forward.entries()
-        self._counts = forward.replica_counts()
-        self._inv_pages = [
-            invert.keys_of(p) for p in range(invert.num_pages)
-        ]
-        # Epoch/generation stamps: stamp[k] == epoch  <=>  k is an
-        # uncovered key of the query currently being selected.
-        self._stamp = [0] * self._num_keys
-        self._epoch = 0
-        self._csr = csr
+        self._full = _key_pages(forward, invert)
 
-    # -- shared per-query front end ----------------------------------------------
-
-    def _stamp_query(self, keys: Sequence[int]) -> Tuple[List[int], int]:
-        """Bounds-check, dedupe, and stamp ``keys``; return (distinct, epoch)."""
-        self._epoch += 1
-        epoch = self._epoch
-        stamp = self._stamp
+    def select(self, keys: Sequence[int]) -> FastSelectionOutcome:
+        """Choose pages covering all ``keys``; tier-1 keys need none."""
+        distinct = list(dict.fromkeys(keys))
         num_keys = self._num_keys
-        distinct: List[int] = []
-        for k in keys:
-            if not 0 <= k < num_keys:
-                raise ServingError(f"key {k} is not in the embedding table")
-            if stamp[k] != epoch:
-                stamp[k] = epoch
-                distinct.append(k)
-        return distinct, epoch
+        if distinct and (min(distinct) < 0 or max(distinct) >= num_keys):
+            bad = next(k for k in distinct if not 0 <= k < num_keys)
+            raise ServingError(f"key {bad} is not in the embedding table")
+        tier = self.tier
+        if tier is None:
+            return self._select_impl(distinct)
+        hits, residue = tier.split(distinct)
+        return self._select_impl(residue, len(hits))
 
-    def _csr_indexes(self) -> CsrIndexes:
-        if self._csr is None:
-            self._csr = CsrIndexes.from_indexes(
-                self.forward, self.invert, limit=None
-            )
-        return self._csr
+    def _page_masks(self, okeys: List[int]) -> Dict[int, int]:
+        """page → mask of the ``okeys`` it holds (bit i = ``okeys[i]``)."""
+        full = self._full
+        masks: Dict[int, int] = {}
+        get = masks.get
+        bit = 1
+        for key in okeys:
+            for page in full[key]:
+                masks[page] = get(page, 0) | bit
+            bit <<= 1
+        return masks
 
 
 class FastOnePassSelector(_FastSelectorBase):
-    """One-pass selection (§6.1) on the stamp array / packed-mask machinery.
+    """One-pass selection (§6.1) on per-query page masks.
 
     Produces outcomes identical to
     :class:`~repro.serving.selection.OnePassSelector`.
     """
 
-    def _select_impl(self, keys: Sequence[int]) -> SelectionOutcome:
-        distinct, epoch = self._stamp_query(keys)
-        counts = self._counts
+    def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
+        super().__init__(forward, invert)
         span = self._num_keys
-        distinct.sort(key=lambda k: counts[k] * span + k)
-        stamp = self._stamp
-        entries = self._entries
-        inv_pages = self._inv_pages
-        sorted_keys_of = self.invert.sorted_keys_of
-        steps: List[SelectionStep] = []
-        for key in distinct:
-            if stamp[key] != epoch:
-                continue  # hitchhiked on an earlier read — skip
-            candidates = entries[key]
-            best_page = candidates[0]
-            best_count = 0
-            for k in inv_pages[best_page]:
-                if stamp[k] == epoch:
-                    best_count += 1
-            for page in candidates[1:]:
-                count = 0
-                for k in inv_pages[page]:
-                    if stamp[k] == epoch:
-                        count += 1
-                if count > best_count:
-                    best_page = page
-                    best_count = count
-            covered = []
-            for k in sorted_keys_of(best_page):
-                if stamp[k] == epoch:
-                    stamp[k] = 0
-                    covered.append(k)
-            steps.append(
-                SelectionStep(
-                    page_id=best_page,
-                    covered=tuple(covered),
-                    candidates_examined=len(candidates),
-                )
-            )
-        return SelectionOutcome(tuple(steps), sorted_keys=len(distinct))
-
-    # -- batched path -------------------------------------------------------------
-
-    def select_many(self, queries: Sequence[Sequence[int]]) -> List[object]:
-        """Batched selection; amortizes the replica-count sort via argsort.
-
-        With a pinned tier attached each query is deduped and split into
-        tier-1 hits and SSD residue up front; only the residue enters the
-        width check and the packed-mask machinery, so tier hits cost no
-        sort, no candidate scan, and no page read — in the batched path
-        exactly as in the per-query path.
-        """
-        tier = self.tier
-        if tier is not None:
-            return self._select_many_tiered(queries, tier)
-        results: List[object] = [None] * len(queries)
-        narrow: List[Tuple[int, Sequence[int]]] = []
-        for i, q in enumerate(queries):
-            if len(q) > MASK_KEY_LIMIT:
-                results[i] = self.select(q)  # wide: stamp-array path
-            else:
-                narrow.append((i, q))
-        if narrow:
-            chunk = self._chunk_size()
-            for at in range(0, len(narrow), chunk):
-                part = narrow[at : at + chunk]
-                outcomes = self._select_batch([q for _, q in part])
-                for (i, _), outcome in zip(part, outcomes):
-                    results[i] = outcome
-        return results
-
-    def _select_many_tiered(
-        self, queries: Sequence[Sequence[int]], tier
-    ) -> List[object]:
-        from dataclasses import replace
-
-        results: List[object] = [None] * len(queries)
-        narrow: List[Tuple[int, List[int], int]] = []
-        for i, q in enumerate(queries):
-            distinct = self._check_keys(q)
-            hits, residue = tier.split(distinct)
-            if len(residue) > MASK_KEY_LIMIT:
-                outcome = self._select_impl(residue)
-                if hits:
-                    outcome = replace(outcome, tier_hits=len(hits))
-                results[i] = outcome
-            else:
-                narrow.append((i, residue, len(hits)))
-        if narrow:
-            chunk = self._chunk_size()
-            for at in range(0, len(narrow), chunk):
-                part = narrow[at : at + chunk]
-                # Residues are distinct already, so composite-key
-                # collisions are impossible; skip the dedupe rerun.
-                outcomes = self._select_batch(
-                    [q for _, q, _ in part], deduped=True
-                )
-                for (i, _, n_hits), outcome in zip(part, outcomes):
-                    outcome.tier_hits = n_hits
-                    results[i] = outcome
-        return results
-
-    def _chunk_size(self) -> int:
-        n_pages = len(self._inv_pages)
-        max_count = max(self._counts) + 1
-        by_cells = max(1, _CHUNK_CELLS // max(1, n_pages))
-        by_comp = max(1, _COMP_LIMIT // (max_count * max(1, self._num_keys)))
-        return min(by_cells, by_comp)
-
-    def _select_batch(
-        self, batch: Sequence[Sequence[int]], deduped: bool = False
-    ) -> List[object]:
-        csr = self._csr_indexes()
-        n_keys = self._num_keys
-        n_pages = len(self._inv_pages)
-        num_queries = len(batch)
-        flat: List[int] = []
-        for q in batch:
-            flat.extend(q)
-        raw = np.asarray(flat, dtype=np.int64)
-        if len(raw) and (int(raw.min()) < 0 or int(raw.max()) >= n_keys):
-            bad = raw[(raw < 0) | (raw >= n_keys)]
-            raise ServingError(
-                f"key {int(bad[0])} is not in the embedding table"
-            )
-        lens = np.fromiter(
-            (len(q) for q in batch), dtype=np.int64, count=num_queries
-        )
-        qstart = np.zeros(num_queries, dtype=np.int64)
-        np.cumsum(lens[:-1], out=qstart[1:])
-        qid = np.repeat(np.arange(num_queries, dtype=np.int64), lens)
-        counts = np.asarray(self._counts, dtype=np.int64)[raw]
-        max_count = max(self._counts) + 1
-        # One composite int per key orders the whole batch like the
-        # reference's per-query sorted(key=(replica_count, key)).
-        comp = (qid * max_count + counts) * n_keys + raw
-        order = np.argsort(comp, kind="quicksort")
-        csorted = comp[order]
-        if len(csorted) > 1 and bool((csorted[1:] == csorted[:-1]).any()):
-            # Duplicate keys inside a query collide in the composite key;
-            # dedupe (first occurrence, order-irrelevant after the sort)
-            # and rerun.  Distinct keys can never collide again.
-            if deduped:  # pragma: no cover - dedupe removes all collisions
-                raise ServingError("duplicate keys survived deduplication")
-            return self._select_batch(
-                [list(dict.fromkeys(q)) for q in batch], deduped=True
-            )
-        # porank: each key's position in its query's process order — its
-        # bit index in the query's cover masks.
-        porank = np.empty(len(raw), dtype=np.int64)
-        porank[order] = np.arange(len(raw), dtype=np.int64) - qstart[
-            qid[order]
+        # Orders like the reference's (replica count, key) sort key.
+        self._rank = [
+            count * span + key
+            for key, count in enumerate(forward.replica_counts())
         ]
-        # Page cover masks: for every page holding a query key (via the
-        # full, never-shrunk forward map), add the key's bit.  Exact in
-        # float64 because every (query, page, bit) contribution is a
-        # distinct power of two and totals stay under 2**53.
-        full = csr.full_forward
-        pflat, pln = _ragged_gather(full.indptr, full.indices, raw)
-        weights = np.exp2(porank.astype(np.float64))
-        page_cell = np.repeat(qid * n_pages, pln) + pflat
-        masks = np.bincount(
-            page_cell,
-            weights=np.repeat(weights, pln),
-            minlength=num_queries * n_pages,
+
+    def _select_impl(
+        self, keys: List[int], tier_hits: int = 0
+    ) -> FastSelectionOutcome:
+        """Cover ``keys`` — distinct and in range (``select`` checked)."""
+        keys.sort(key=self._rank.__getitem__)
+        masks = self._page_masks(keys)
+        entries = self._entries
+        rem = (1 << len(keys)) - 1
+        pages: List[int] = []
+        step_masks: List[int] = []
+        step_cands: List[int] = []
+        while rem:
+            # Lowest set bit: the first key in process order not yet
+            # covered (hitchhikers on earlier reads are already cleared).
+            candidates = entries[keys[(rem & -rem).bit_length() - 1]]
+            best_page = candidates[0]
+            best_mask = masks[best_page] & rem
+            if len(candidates) > 1:
+                best_count = best_mask.bit_count()
+                for page in candidates[1:]:
+                    mask = masks[page] & rem
+                    count = mask.bit_count()
+                    if count > best_count:
+                        best_page = page
+                        best_mask = mask
+                        best_count = count
+            rem ^= best_mask
+            pages.append(best_page)
+            step_masks.append(best_mask)
+            step_cands.append(len(candidates))
+        return FastSelectionOutcome(
+            pages, step_masks, step_cands, keys, len(keys), tier_hits
         )
-        # Candidate lists (shrunk forward index) gathered in process order.
-        okeys = raw[order]
-        cflat, cln = _ragged_gather(
-            csr.forward.indptr, csr.forward.indices, okeys
-        )
-        cand_cell = np.repeat(qid[order] * n_pages, cln) + cflat
-        cand_masks = masks[cand_cell].astype(np.int64).tolist()
-        cand_pages = cflat.tolist()
-        cand_offsets = np.zeros(len(okeys) + 1, dtype=np.int64)
-        np.cumsum(cln, out=cand_offsets[1:])
-        cand_offsets = cand_offsets.tolist()
-        okeys_list = okeys.tolist()
-        outcomes: List[object] = []
-        kbase = 0
-        for width in lens.tolist():
-            rem = (1 << width) - 1
-            pages: List[int] = []
-            step_masks: List[int] = []
-            step_cands: List[int] = []
-            while rem:
-                bit = rem & -rem
-                j = kbase + bit.bit_length() - 1
-                c0 = cand_offsets[j]
-                c1 = cand_offsets[j + 1]
-                best_mask = cand_masks[c0] & rem
-                best_page = cand_pages[c0]
-                if c1 - c0 > 1:
-                    best_count = best_mask.bit_count()
-                    for t in range(c0 + 1, c1):
-                        mask = cand_masks[t] & rem
-                        count = mask.bit_count()
-                        if count > best_count:
-                            best_page = cand_pages[t]
-                            best_mask = mask
-                            best_count = count
-                rem ^= best_mask
-                pages.append(best_page)
-                step_masks.append(best_mask)
-                step_cands.append(c1 - c0)
-            outcomes.append(
-                FastSelectionOutcome(
-                    pages=pages,
-                    masks=step_masks,
-                    candidate_counts=step_cands,
-                    kbase=kbase,
-                    okeys=okeys_list,
-                    sorted_keys=width,
-                )
-            )
-            kbase += width
-        return outcomes
 
 
 class FastGreedySelector(_FastSelectorBase):
-    """Greedy set cover on the stamp array with incremental candidates.
+    """Greedy set cover on per-query page masks, incremental candidates.
 
     Produces outcomes identical to
     :class:`~repro.serving.selection.GreedySetCoverSelector`.
     """
 
-    def _select_impl(self, keys: Sequence[int]) -> SelectionOutcome:
-        distinct, epoch = self._stamp_query(keys)
-        stamp = self._stamp
+    def _select_impl(
+        self, keys: List[int], tier_hits: int = 0
+    ) -> FastSelectionOutcome:
+        """Cover ``keys`` — distinct and in range (``select`` checked)."""
+        masks = self._page_masks(keys)
         entries = self._entries
-        inv_pages = self._inv_pages
-        sorted_keys_of = self.invert.sorted_keys_of
-        support = {}
-        for key in distinct:
+        support: Dict[int, int] = {}
+        for key in keys:
             for page in entries[key]:
                 support[page] = support.get(page, 0) + 1
-        uncovered = len(distinct)
-        steps: List[SelectionStep] = []
-        while uncovered:
-            num_candidates = len(support)
+        rem = (1 << len(keys)) - 1
+        pages: List[int] = []
+        step_masks: List[int] = []
+        step_cands: List[int] = []
+        while rem:
+            step_cands.append(len(support))
             best_page = -1
+            best_mask = 0
             best_count = 0
             for page in sorted(support):
-                count = 0
-                for k in inv_pages[page]:
-                    if stamp[k] == epoch:
-                        count += 1
+                mask = masks[page] & rem
+                count = mask.bit_count()
                 if count > best_count:
                     best_page = page
+                    best_mask = mask
                     best_count = count
-            if best_page < 0:
-                stranded = sorted(
-                    k for k in distinct if stamp[k] == epoch
-                )
+            if not best_mask:  # pragma: no cover - every key has a page
+                stranded = sorted(_mask_keys(rem, keys))
                 raise ServingError(f"keys {stranded[:5]} are on no page")
-            covered = []
-            for k in sorted_keys_of(best_page):
-                if stamp[k] == epoch:
-                    stamp[k] = 0
-                    covered.append(k)
-                    for page in entries[k]:
-                        count = support[page] - 1
-                        if count:
-                            support[page] = count
-                        else:
-                            del support[page]
-            uncovered -= len(covered)
-            steps.append(
-                SelectionStep(
-                    page_id=best_page,
-                    covered=tuple(covered),
-                    candidates_examined=num_candidates,
-                )
-            )
-        return SelectionOutcome(tuple(steps), sorted_keys=0)
+            rem ^= best_mask
+            pages.append(best_page)
+            step_masks.append(best_mask)
+            for key in _mask_keys(best_mask, keys):
+                for page in entries[key]:
+                    count = support[page] - 1
+                    if count:
+                        support[page] = count
+                    else:
+                        del support[page]
+        return FastSelectionOutcome(
+            pages, step_masks, step_cands, keys, 0, tier_hits
+        )
 
 
-def _ragged_gather(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate CSR rows ``rows``; returns (values, per-row lengths)."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    total = int(lengths.sum())
-    cum = np.cumsum(lengths)
-    idx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(cum - lengths, lengths)
-        + np.repeat(starts, lengths)
-    )
-    return indices[idx], lengths
+def _mask_keys(mask: int, okeys: List[int]) -> List[int]:
+    """The keys of ``okeys`` whose bits are set in ``mask``, in bit order."""
+    keys = []
+    while mask:
+        bit = mask & -mask
+        keys.append(okeys[bit.bit_length() - 1])
+        mask ^= bit
+    return keys
+
+
+def _key_pages(
+    forward: ForwardIndex, invert: InvertIndex
+) -> List[Tuple[int, ...]]:
+    """The never-shrunk key → pages map: the invert index transposed.
+
+    A forward index that kept every (key, page) pair *is* that map, so
+    it is shared rather than rebuilt; only a shrunk index pays for a
+    second copy.
+    """
+    pages = [invert.keys_of(p) for p in range(invert.num_pages)]
+    if sum(map(len, pages)) == sum(forward.replica_counts()):
+        return forward.entries()
+    full: List[List[int]] = [[] for _ in range(forward.num_keys)]
+    for page_id, page in enumerate(pages):
+        for key in page:
+            full[key].append(page_id)
+    return [tuple(entry) for entry in full]

@@ -129,8 +129,8 @@ class Selector(ABC):
     ) -> List[SelectionOutcome]:
         """Select for a batch of queries.
 
-        The reference implementation is a straight loop; fast selectors
-        override this to amortize the per-query sort across the batch.
+        A straight loop: no serving path holds a batch of independent
+        queries, so there is nothing to amortize across one.
         """
         return [self.select(keys) for keys in queries]
 
