@@ -1,18 +1,19 @@
-"""Device command-path bench: batched submission and NDP gathers.
+"""Device command bench: batched submission and NDP gathers.
 
 Two questions the device layer's command/timing split exists to answer:
 
 1. **What does batching buy?**  With a non-zero per-command host cost
-   (``SsdProfile.submit_overhead_us``), the paged path pays it once per
-   page while the batched path pays it once per query.  Measured on a
+   (``SsdProfile.submit_overhead_us``), the serial executor pays it once
+   per page while the batched executor pays it once per query.  Measured on a
    single serving thread (with 8 threads the device is the bottleneck
    and host CPU hides behind the other threads), at the paper's P5800X
    preset with a 1 µs submit overhead.
 2. **What happens to replication under NDP?**  The ``extension-ndp``
-   experiment's curve: serve at several replication ratios through all
-   three command paths.  In-device gathers pay read amplification at
-   internal bandwidth and ship only valid embeddings over the bus, so
-   the benefit of replication flattens relative to the classic paths.
+   experiment's curve: serve at several replication ratios under the
+   pipelined, batched and ndp executors.  In-device gathers pay read
+   amplification at internal bandwidth and ship only valid embeddings
+   over the bus, so the benefit of replication flattens relative to the
+   per-page reads.
 
 Emits machine-readable ``benchmarks/results/device.json``.
 
@@ -20,10 +21,10 @@ Contract checks:
 
 * batched throughput beats per-page submission by at least
   ``REPRO_BENCH_MIN_BATCH_GAIN`` (default 10 %) at 1 µs overhead;
-* with zero overhead the batched path is bit-identical to serial
-  paged serving (batching must not touch the service model);
-* replication still monotonically helps on the paged path, and the
-  NDP benefit at the top ratio does not exceed the paged benefit
+* with zero overhead the batched executor is bit-identical to the
+  serial one (batching must not touch the service model);
+* replication still monotonically helps under every executor, and the
+  NDP benefit at the top ratio does not exceed the pipelined benefit
   (the flattening the extension predicts).
 
 Run standalone with ``python benchmarks/bench_device.py``.
@@ -54,13 +55,12 @@ def min_batch_gain() -> float:
     return float(os.environ.get("REPRO_BENCH_MIN_BATCH_GAIN", "0.10"))
 
 
-def _serve(layout, live, path: str, profile, threads: int) -> dict:
+def _serve(layout, live, executor: str, profile, threads: int) -> dict:
     config = EngineConfig(
         spec=EmbeddingSpec(dim=64),
         profile=profile,
         cache_ratio=0.0,
-        executor="serial",
-        device_command_path=path,
+        executor=executor,
         threads=threads,
     )
     engine = ServingEngine(layout, config)
@@ -76,7 +76,7 @@ def _serve(layout, live, path: str, profile, threads: int) -> dict:
 
 
 def run_overhead_bench(scale: str) -> dict:
-    """Paged vs batched submission at 1 µs per-command host overhead."""
+    """Serial vs batched submission at 1 µs per-command host overhead."""
     _, live = get_split_trace("criteo", scale)
     layout = layout_for("criteo", "maxembed", CRITEO_RATIO, scale)
     profile = replace(
@@ -84,14 +84,14 @@ def run_overhead_bench(scale: str) -> dict:
         name=f"{P5800X.name} (+{SUBMIT_OVERHEAD_US}us submit)",
         submit_overhead_us=SUBMIT_OVERHEAD_US,
     )
-    paged = _serve(layout, live, "paged", profile, threads=1)
+    serial = _serve(layout, live, "serial", profile, threads=1)
     batched = _serve(layout, live, "batched", profile, threads=1)
-    gain = batched["throughput_qps"] / paged["throughput_qps"] - 1.0
+    gain = batched["throughput_qps"] / serial["throughput_qps"] - 1.0
     return {
         "profile": profile.name,
         "submit_overhead_us": SUBMIT_OVERHEAD_US,
         "threads": 1,
-        "paged": paged,
+        "serial": serial,
         "batched": batched,
         "batched_gain": round(gain, 4),
     }
@@ -137,8 +137,8 @@ def test_batched_amortizes_submit_overhead(scale):
     document = _document(scale)
     overhead = document["submit_overhead"]
     print(
-        f"\ndevice bench ({scale}): paged "
-        f"{overhead['paged']['throughput_qps']} qps vs batched "
+        f"\ndevice bench ({scale}): serial "
+        f"{overhead['serial']['throughput_qps']} qps vs batched "
         f"{overhead['batched']['throughput_qps']} qps "
         f"({overhead['batched_gain']:+.1%}) at "
         f"{overhead['submit_overhead_us']}us submit overhead"
@@ -151,11 +151,11 @@ def test_batched_amortizes_submit_overhead(scale):
 
 
 def test_zero_overhead_batching_is_free(scale):
-    """overhead=0 batched serving == serial paged serving, exactly."""
+    """overhead=0 batched serving == serial serving, exactly."""
     _, live = get_split_trace("criteo", scale)
     layout = layout_for("criteo", "maxembed", CRITEO_RATIO, scale)
     queries = list(live)[:200]
-    serial = _serve(layout, queries, "paged", P5800X, threads=4)
+    serial = _serve(layout, queries, "serial", P5800X, threads=4)
     batched = _serve(layout, queries, "batched", P5800X, threads=4)
     assert serial == batched, (serial, batched)
 
@@ -164,26 +164,27 @@ def test_replication_benefit_flattens_under_ndp(scale):
     document = _document(scale)
     curve = document["replication_curve"]
     headers = curve["headers"]
-    path_col = headers.index("path")
+    executor_col = headers.index("executor")
     benefit_col = headers.index("benefit")
     benefits: dict = {}
     for row in curve["rows"]:
-        benefits.setdefault(row[path_col], []).append(row[benefit_col])
-    lines = [f"replication benefit by path ({scale}):"]
-    for path, series in benefits.items():
-        lines.append(f"  {path:>8s}: {series}")
+        benefits.setdefault(row[executor_col], []).append(row[benefit_col])
+    lines = [f"replication benefit by executor ({scale}):"]
+    for executor, series in benefits.items():
+        lines.append(f"  {executor:>9s}: {series}")
     print("\n" + "\n".join(lines))
-    assert set(benefits) == {"paged", "batched", "ndp"}
-    for path, series in benefits.items():
+    assert set(benefits) == {"pipelined", "batched", "ndp"}
+    for executor, series in benefits.items():
         assert len(series) == len(NDP_RATIOS)
         assert series == sorted(series), (
-            f"replication stopped helping on the {path} path: {series}"
+            f"replication stopped helping under the {executor} "
+            f"executor: {series}"
         )
-    # The flattening: NDP's benefit at the top ratio must not exceed
-    # the paged path's (in-device gathers discount read amplification).
-    assert benefits["ndp"][-1] <= benefits["paged"][-1] + 1e-9, (
-        f"NDP benefit {benefits['ndp'][-1]} exceeds paged "
-        f"{benefits['paged'][-1]}"
+    # The flattening: NDP's benefit at the top ratio must not exceed the
+    # pipelined one (in-device gathers discount read amplification).
+    assert benefits["ndp"][-1] <= benefits["pipelined"][-1] + 1e-9, (
+        f"NDP benefit {benefits['ndp'][-1]} exceeds pipelined "
+        f"{benefits['pipelined'][-1]}"
     )
 
 

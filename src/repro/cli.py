@@ -31,6 +31,7 @@ from typing import List, Optional
 from .core import MaxEmbedConfig, MaxEmbedStore, build_offline_layout
 from .experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
 from .placement import load_layout, save_layout
+from .serving import EXECUTORS
 from .types import EmbeddingSpec
 from .utils.tables import format_mapping
 from .workloads import load_trace, make_trace, save_trace, DATASETS
@@ -164,16 +165,15 @@ def _add_serve(subparsers) -> None:
         "set-algebra oracle; outcomes are identical",
     )
     p.add_argument(
-        "--executor", default="pipelined", choices=["pipelined", "serial"]
-    )
-    p.add_argument(
-        "--device-command-path",
-        default="paged",
-        choices=["paged", "batched", "ndp"],
-        help="how reads reach the device: one submission per page "
-        "(default), one submitted batch per query (amortizes the "
-        "profile's submit overhead), or one in-device gather command "
-        "(NDP; non-gather profiles are upgraded automatically)",
+        "--executor",
+        default="pipelined",
+        choices=list(EXECUTORS),
+        help="when, and in what form, a query's reads reach the device: "
+        "each read right after its selection step (default), all "
+        "selection then one submission per page, one submitted batch "
+        "per query (amortizes the profile's submit overhead), or one "
+        "in-device gather command (NDP; non-gather profiles are "
+        "upgraded automatically)",
     )
     p.add_argument("--threads", type=int, default=8)
     p.add_argument(
@@ -562,14 +562,6 @@ def _replica_options(args) -> dict:
     return options
 
 
-def _device_options(args) -> dict:
-    """EngineConfig kwargs for the serve command's device-path flags."""
-    options: dict = {}
-    if getattr(args, "device_command_path", "paged") != "paged":
-        options["device_command_path"] = args.device_command_path
-    return options
-
-
 def _tier_options(args) -> dict:
     """EngineConfig kwargs for the serve command's DRAM-tier flags."""
     options: dict = {}
@@ -717,7 +709,6 @@ def _build_serve_engine(args):
             fast_selection=args.selection_path == "fast",
             executor=args.executor,
             threads=args.threads,
-            **_device_options(args),
             **fault_options,
         ),
     )
@@ -856,7 +847,6 @@ def _cmd_serve_cluster(args, trace) -> int:
             fast_selection=args.selection_path == "fast",
             executor=args.executor,
             threads=args.threads,
-            **_device_options(args),
             **_fault_options(args),
             **_replica_options(args),
         ),
@@ -919,7 +909,6 @@ def _cmd_serve(args) -> int:
                 executor=args.executor,
                 threads=args.threads,
                 **tier_options,
-                **_device_options(args),
                 **fault_options,
             ),
         )
@@ -939,7 +928,6 @@ def _cmd_serve(args) -> int:
                 executor=args.executor,
                 threads=args.threads,
                 **tier_options,
-                **_device_options(args),
                 **fault_options,
             ),
         )
@@ -956,7 +944,6 @@ def _cmd_serve(args) -> int:
             selector=args.selector,
             fast_selection=args.selection_path == "fast",
             executor=args.executor,
-            device_command_path=args.device_command_path,
             threads=args.threads,
         )
         store = MaxEmbedStore(layout, config)

@@ -14,7 +14,7 @@ from typing import Optional
 from ..errors import ConfigError
 from ..overload import ADMISSION_POLICIES, AdmissionConfig
 from ..partition import ShpConfig
-from ..serving import CpuCostModel
+from ..serving import EXECUTORS, CpuCostModel
 from ..ssd import P5800X, SsdProfile
 from ..types import EmbeddingSpec
 
@@ -44,13 +44,8 @@ class MaxEmbedConfig:
         profile: simulated SSD profile.
         raid_members: >1 stripes over a RAID-0.
         selector / executor: online algorithms (see
-            :class:`~repro.serving.EngineConfig`).
-        device_command_path: how selected reads reach the device —
-            ``"paged"`` (one submission per page, the historical default),
-            ``"batched"`` (one submitted batch per query, amortizing
-            the profile's ``submit_overhead_us``), or ``"ndp"`` (one
-            in-device gather command per query; non-gather profiles
-            are upgraded to their NDP counterpart).
+            :class:`~repro.serving.EngineConfig`; ``executor`` is one
+            of :data:`~repro.serving.EXECUTORS`).
         fast_selection: serve with the page-mask fast selectors
             (outcome-identical to the reference path; ``False`` forces
             the reference set-algebra selectors).
@@ -107,7 +102,6 @@ class MaxEmbedConfig:
     selector: str = "onepass"
     fast_selection: bool = True
     executor: str = "pipelined"
-    device_command_path: str = "paged"
     threads: int = 8
     scatter_workers: Optional[int] = None
     cost_model: CpuCostModel = field(default_factory=CpuCostModel)
@@ -131,9 +125,6 @@ class MaxEmbedConfig:
     # this way — see _SHARD_STRATEGIES below).
     _TIER_MODES = ("pinned", "lru", "hybrid")
     _OFFLINE_PATHS = ("fast", "reference")
-    # Kept in sync with repro.ssd.commands.DEVICE_COMMAND_PATHS (same
-    # one-way import rationale as the other mirrored tuples).
-    _DEVICE_COMMAND_PATHS = ("paged", "batched", "ndp")
     _PARTITIONERS = ("shp", "multilevel", "random", "vanilla")
     # Kept in sync with repro.cluster.planner.SHARD_STRATEGIES (the
     # cluster package imports core, so core cannot import it back).
@@ -191,11 +182,10 @@ class MaxEmbedConfig:
             raise ConfigError(
                 f"offline_workers must be >= 0, got {self.offline_workers}"
             )
-        if self.device_command_path not in self._DEVICE_COMMAND_PATHS:
+        if self.executor not in EXECUTORS:
             raise ConfigError(
-                f"unknown device command path "
-                f"{self.device_command_path!r}; "
-                f"choose from {self._DEVICE_COMMAND_PATHS}"
+                f"unknown executor {self.executor!r}; "
+                f"choose from {sorted(EXECUTORS)}"
             )
         if self.tier_mode not in self._TIER_MODES:
             raise ConfigError(

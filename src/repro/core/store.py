@@ -119,7 +119,6 @@ class MaxEmbedStore:
                 selector=self.config.selector,
                 fast_selection=self.config.fast_selection,
                 executor=self.config.executor,
-                device_command_path=self.config.device_command_path,
                 threads=self.config.threads,
                 scatter_workers=self.config.scatter_workers,
                 raid_members=self.config.raid_members,

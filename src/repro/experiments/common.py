@@ -169,7 +169,6 @@ def make_engine(
     tier_mode: str = "lru",
     tier_ratio: float = 0.0,
     tier_plan: "TierPlan | None" = None,
-    device_command_path: str = "paged",
 ) -> ServingEngine:
     """Construct a serving engine with experiment-friendly defaults."""
     return ServingEngine(
@@ -187,7 +186,6 @@ def make_engine(
             tier_mode=tier_mode,
             tier_ratio=tier_ratio,
             tier_plan=tier_plan,
-            device_command_path=device_command_path,
         ),
     )
 

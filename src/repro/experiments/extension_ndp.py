@@ -1,31 +1,33 @@
-"""Extension: replication benefit under batched / NDP command paths.
+"""Extension: replication benefit under the batched / NDP executors.
 
 Not a figure of the paper.  MaxEmbed's selective replication buys fewer
 page reads per query; how much that matters depends on what a *command*
 costs the host and the device.  This sweep serves the same live trace
-through the three device command paths — ``paged`` (one command per
-page), ``batched`` (one submitted batch per query), and ``ndp`` (one
-in-device gather per query, RecSSD-style) — at several replication
-ratios, and reports each cell's throughput plus the *replication
-benefit* (throughput over the unreplicated layout on the same path).
+through three executors — ``pipelined`` (one submission per page, the
+paper's default), ``batched`` (one submitted batch per query), and
+``ndp`` (one in-device gather per query, RecSSD-style) — at several
+replication ratios, and reports each cell's throughput plus the
+*replication benefit* (throughput over the unreplicated layout under
+the same executor).
 
-Expected shape: the paged and batched paths keep the paper's benefit
-curve (fewer reads → more bandwidth headroom), while NDP *flattens* it —
-once the device parses pages internally and only ships valid embeddings
-over the bus, read amplification is paid at the (faster) internal
-bandwidth and the bus moves the same payload regardless of placement, so
-replication's win shrinks to the per-page media + scan cost.
+Expected shape: the pipelined and batched executors keep the paper's
+benefit curve (fewer reads → more bandwidth headroom), while NDP
+*flattens* it — once the device parses pages internally and only ships
+valid embeddings over the bus, read amplification is paid at the
+(faster) internal bandwidth and the bus moves the same payload
+regardless of placement, so replication's win shrinks to the per-page
+media + scan cost.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ssd import P5800X_NDP
+from ..ssd import P5800X, P5800X_NDP
 from .common import layout_for, make_engine, serve_live
 from .report import ExperimentResult
 
-COMMAND_PATHS = ("paged", "batched", "ndp")
+SWEPT_EXECUTORS = ("pipelined", "batched", "ndp")
 
 
 def run(
@@ -37,15 +39,15 @@ def run(
     cache_ratio: float = 0.10,
     max_queries: Optional[int] = None,
 ) -> ExperimentResult:
-    """Sweep command path x replication ratio on one dataset."""
+    """Sweep executor x replication ratio on one dataset."""
     result = ExperimentResult(
         exp_id="extension-ndp",
         title=(
-            f"Replication benefit by device command path on {dataset} "
-            f"(paged / batched / ndp)"
+            f"Replication benefit by executor on {dataset} "
+            f"(pipelined / batched / ndp)"
         ),
         headers=[
-            "path",
+            "executor",
             "ratio",
             "qps",
             "benefit",
@@ -54,14 +56,15 @@ def run(
             "eff_bw",
         ],
         notes=(
-            "benefit = qps over the ratio-0 layout on the same path; "
+            "benefit = qps over the ratio-0 layout under the same "
+            "executor; "
             "NDP flattens the curve: in-device gathers pay read "
             "amplification at internal bandwidth, so replication's win "
             "shrinks to media + controller-scan time"
         ),
     )
-    for path in COMMAND_PATHS:
-        profile = P5800X_NDP if path == "ndp" else None
+    for executor in SWEPT_EXECUTORS:
+        profile = P5800X_NDP if executor == "ndp" else P5800X
         base_qps = None
         for ratio in ratios:
             strategy = "none" if ratio == 0.0 else "maxembed"
@@ -72,8 +75,8 @@ def run(
                 layout,
                 dim=dim,
                 cache_ratio=cache_ratio,
-                device_command_path=path,
-                **({"profile": profile} if profile is not None else {}),
+                executor=executor,
+                profile=profile,
             )
             report = serve_live(
                 engine, dataset, scale=scale, seed=seed,
@@ -83,7 +86,7 @@ def run(
             if base_qps is None:
                 base_qps = qps
             result.rows.append((
-                path,
+                executor,
                 round(ratio, 2),
                 round(qps),
                 round(qps / base_qps, 3) if base_qps else 0.0,

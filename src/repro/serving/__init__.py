@@ -13,7 +13,9 @@ cover.  This package provides:
   outcome and the engine default (:class:`FastSelectionOutcome` is their
   lazy result);
 * :class:`SerialExecutor` / :class:`PipelinedExecutor` — §6.2: overlap
-  page selection with asynchronous SSD reads or run them back-to-back;
+  page selection with asynchronous SSD reads or run them back-to-back
+  (with :class:`BatchedExecutor` / :class:`NdpExecutor`, the four values
+  of the one execution axis, :data:`EXECUTORS`);
 * :class:`ServingEngine` — cache → selection → SSD, producing per-query
   timing breakdowns and trace-level throughput/latency reports.
 """
@@ -32,6 +34,7 @@ from .fast_selection import (
 )
 from .cost_model import CpuCostModel
 from .executor import (
+    EXECUTORS,
     BatchedExecutor,
     ExecutionResult,
     Executor,
@@ -57,6 +60,7 @@ __all__ = [
     "FastSelectionOutcome",
     "CpuCostModel",
     "Executor",
+    "EXECUTORS",
     "SerialExecutor",
     "PipelinedExecutor",
     "BatchedExecutor",

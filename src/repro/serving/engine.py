@@ -20,7 +20,6 @@ from ..faults import BreakerConfig, FaultPlan, FaultySsd, ShardFaultPlan
 from ..overload import DegradeLevel
 from ..placement import PageLayout, build_indexes
 from ..ssd import (
-    DEVICE_COMMAND_PATHS,
     NdpSsdProfile,
     P5800X,
     Raid0Array,
@@ -30,13 +29,7 @@ from ..ssd import (
 from ..tiering import TIER_MODES, PinnedTier, TierPlan, plan_tier
 from ..types import EmbeddingSpec, Query, QueryTrace
 from .cost_model import CpuCostModel
-from .executor import (
-    BatchedExecutor,
-    Executor,
-    NdpExecutor,
-    PipelinedExecutor,
-    SerialExecutor,
-)
+from .executor import EXECUTORS, Executor, NdpExecutor
 from .fast_selection import FastGreedySelector, FastOnePassSelector
 from .recovery import RecoveringExecutor, RetryPolicy
 from .selection import (
@@ -52,7 +45,6 @@ _FAST_SELECTORS = {
     "onepass": FastOnePassSelector,
     "greedy": FastGreedySelector,
 }
-_EXECUTORS = {"pipelined": PipelinedExecutor, "serial": SerialExecutor}
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,15 @@ class EngineConfig:
             kernel, re-entrant), which produce outcomes identical to the
             reference selectors.  ``False`` forces the reference
             set-algebra path (the oracle).
-        executor: ``"pipelined"`` (MaxEmbed) or ``"serial"`` (raw).
+        executor: when, and in what form, a query's selected reads
+            reach the device (:data:`~repro.serving.executor.EXECUTORS`)
+            — ``"pipelined"`` (MaxEmbed §6.2: each read issued right
+            after its selection step), ``"serial"`` (raw: all selection,
+            then one submission per page), ``"batched"`` (all selection,
+            then one submitted batch, amortizing ``submit_overhead_us``)
+            or ``"ndp"`` (one in-device gather command; the profile must
+            support gather — a plain profile is auto-upgraded to its
+            :class:`~repro.ssd.NdpSsdProfile` counterpart).
         threads: simulated serving threads (paper uses 8).
         scatter_workers: threads for the cluster scatter phase's per-shard
             selection (``None`` = one per shard when sharded, ``0``/``1``
@@ -120,15 +120,6 @@ class EngineConfig:
             trace-hotness plan persisted next to the layout).  None in
             ``pinned``/``hybrid`` mode derives a replica-count plan from
             the layout at ``tier_ratio``.
-        device_command_path: how selected reads reach the device —
-            ``"paged"`` (one submission per page, paced by the configured
-            executor; the default, bit-identical to the pre-batch
-            engine), ``"batched"`` (all of a query's reads in one
-            submitted batch, amortizing ``submit_overhead_us``), or
-            ``"ndp"`` (a single in-device gather command; the profile
-            must support gather — a plain profile is auto-upgraded to
-            its :class:`~repro.ssd.NdpSsdProfile` counterpart).
-            Non-paged paths override the ``executor`` timing model.
     """
 
     spec: EmbeddingSpec = field(default_factory=EmbeddingSpec)
@@ -155,24 +146,17 @@ class EngineConfig:
     tier_mode: str = "lru"
     tier_ratio: float = 0.0
     tier_plan: Optional[TierPlan] = None
-    device_command_path: str = "paged"
 
     def __post_init__(self) -> None:
-        if self.device_command_path not in DEVICE_COMMAND_PATHS:
-            raise ServingError(
-                f"unknown device_command_path "
-                f"{self.device_command_path!r}; "
-                f"choose from {sorted(DEVICE_COMMAND_PATHS)}"
-            )
         if self.selector not in _SELECTORS:
             raise ServingError(
                 f"unknown selector {self.selector!r}; "
                 f"choose from {sorted(_SELECTORS)}"
             )
-        if self.executor not in _EXECUTORS:
+        if self.executor not in EXECUTORS:
             raise ServingError(
                 f"unknown executor {self.executor!r}; "
-                f"choose from {sorted(_EXECUTORS)}"
+                f"choose from {sorted(EXECUTORS)}"
             )
         if self.threads <= 0:
             raise ServingError(f"threads must be positive, got {self.threads}")
@@ -243,18 +227,9 @@ class ServingEngine:
         self.selector: Selector = selectors[self.config.selector](
             self.forward, self.invert
         )
-        # Non-paged command paths carry their own timing model; the
-        # configured executor only picks the model on the paged path.
-        if self.config.device_command_path == "batched":
-            self.executor: Executor = BatchedExecutor(self.config.cost_model)
-        elif self.config.device_command_path == "ndp":
-            self.executor = NdpExecutor(
-                self.config.cost_model, spec=self.config.spec
-            )
-        else:
-            self.executor = _EXECUTORS[self.config.executor](
-                self.config.cost_model
-            )
+        self.executor: Executor = EXECUTORS[self.config.executor](
+            self.config.cost_model, spec=self.config.spec
+        )
         self.tier_plan, self.tier = self._build_tier()
         # Pinned mode devotes the whole DRAM key budget to the offline
         # statistical tier; the reactive cache is off.  The engine splits
@@ -278,17 +253,8 @@ class ServingEngine:
                 full_forward = self.forward
             else:
                 full_forward, _ = build_indexes(layout, limit=None)
-            if self.config.device_command_path != "paged":
-                recovery_mode = self.config.device_command_path
-            else:
-                recovery_mode = self.config.executor
             self._recovery = RecoveringExecutor(
-                full_forward,
-                self.invert,
-                cost_model=self.config.cost_model,
-                retry=self.config.retry,
-                mode=recovery_mode,
-                spec=self.config.spec,
+                self.executor, full_forward, self.invert, self.config.retry
             )
         self._closed = False
 
@@ -375,10 +341,10 @@ class ServingEngine:
     def _build_device(self):
         profile = self.config.profile
         if (
-            self.config.device_command_path == "ndp"
+            isinstance(self.executor, NdpExecutor)
             and not profile.supports_gather
         ):
-            # The ndp path needs a gather engine: upgrade a plain profile
+            # A gather needs a gather engine: upgrade a plain profile
             # to its NDP counterpart (same latency/bandwidth/queue depth,
             # default controller parameters).
             profile = NdpSsdProfile.from_base(profile)
@@ -423,37 +389,12 @@ class ServingEngine:
         tier_hits, rest = self._tier_split(keys)
         hits, misses = self.cache.filter_hits(rest)
         if not misses:
-            finish = start_us + self.config.cost_model.query_base_us
-            return QueryResult(
-                requested_keys=len(keys),
-                cache_hits=len(hits),
-                ssd_keys=0,
-                pages_read=0,
-                valid_per_read=(),
-                start_us=start_us,
-                finish_us=finish,
-                tier_hits=tier_hits,
+            return self._cache_only_result(
+                len(keys), len(hits), 0, start_us, 0, tier_hits
             )
         outcome = self.selector.select(misses)
-        if self._recovery is not None:
-            return self._serve_degradable(
-                outcome, len(keys), len(hits), misses, start_us, tier_hits
-            )
-        execution = self.executor.execute(outcome, self.device, start_us)
-        if self.config.page_grain_admission:
-            self._admit_pages(outcome.pages)
-        else:
-            self.cache.admit(misses)
-        return QueryResult(
-            requested_keys=len(keys),
-            cache_hits=len(hits),
-            ssd_keys=len(misses),
-            pages_read=execution.pages_read,
-            valid_per_read=tuple(outcome.covered_counts),
-            start_us=start_us,
-            finish_us=execution.finish_us,
-            execution=execution,
-            tier_hits=tier_hits,
+        return self._execute(
+            outcome, misses, start_us, len(keys), len(hits), tier_hits
         )
 
     def _admit_pages(self, page_ids) -> None:
@@ -477,32 +418,52 @@ class ServingEngine:
         tier_keys, rest = tier.split(keys)
         return len(tier_keys), rest
 
-    def _serve_degradable(
-        self, outcome, requested, hits, misses, start_us, tier_hits=0
+    def _execute(
+        self, outcome, keys, start_us, requested, hits, tier_hits,
+        shed=0, level=0,
     ) -> QueryResult:
-        """Fault-aware execution: retries, replica recovery, degradation."""
-        degraded = self._recovery.execute(outcome, self.device, start_us)
-        missing = set(degraded.missing_keys)
-        if self.config.page_grain_admission:
-            self._admit_pages(degraded.pages_ok)
-        elif missing:
-            self.cache.admit([k for k in misses if k not in missing])
+        """Execute ``outcome``, admit what arrived, report the query.
+
+        ``keys`` are the keys ``outcome`` covers; ``shed`` counts those a
+        degraded rung ``level`` dropped before it.  With a fault plan the
+        reads run under the recovering executor (retries, replica
+        recovery): keys it could not serve are reported ``missing`` and
+        stay out of the cache, and a page-grain admission trusts only
+        the pages that arrived intact.
+        """
+        retries = failed = recovered = lost = 0
+        if self._recovery is None:
+            execution = self.executor.execute(outcome, self.device, start_us)
+            pages, valid = outcome.pages, tuple(outcome.covered_counts)
         else:
-            self.cache.admit(misses)
-        execution = degraded.execution
+            degraded = self._recovery.execute(outcome, self.device, start_us)
+            execution = degraded.execution
+            pages, valid = degraded.pages_ok, degraded.valid_per_read
+            retries, failed = degraded.retries, degraded.failed_reads
+            recovered = degraded.recovered_keys
+            if degraded.missing_keys:
+                missing = set(degraded.missing_keys)
+                lost = len(missing)
+                keys = [k for k in keys if k not in missing]
+        if self.config.page_grain_admission:
+            self._admit_pages(pages)
+        else:
+            self.cache.admit(keys)
         return QueryResult(
             requested_keys=requested,
             cache_hits=hits,
-            ssd_keys=len(misses) - len(missing),
+            ssd_keys=len(keys),
             pages_read=execution.pages_read,
-            valid_per_read=degraded.valid_per_read,
+            valid_per_read=valid,
             start_us=start_us,
             finish_us=execution.finish_us,
             execution=execution,
-            retries=degraded.retries,
-            failed_reads=degraded.failed_reads,
-            recovered_keys=degraded.recovered_keys,
-            missing_keys=len(missing),
+            retries=retries,
+            failed_reads=failed,
+            recovered_keys=recovered,
+            missing_keys=shed + lost,
+            degrade_level=level,
+            degrade_shed_keys=shed,
             tier_hits=tier_hits,
         )
 
@@ -552,10 +513,9 @@ class ServingEngine:
         tier_hits, rest = self._tier_split(keys)
         hits, misses = self.cache.filter_hits(rest)
         if not misses:
-            result = self._cache_only_result(
+            return self._cache_only_result(
                 len(keys), len(hits), 0, start_us, degrade.level, tier_hits
             )
-            return result
         if degrade.cache_only:
             served: List[int] = []
         elif degrade.skip_cold_keys:
@@ -581,49 +541,9 @@ class ServingEngine:
             outcome = SelectionOutcome(steps, sorted_keys=outcome.sorted_keys)
             covered = [k for step in steps for k in step.covered]
             shed += len(served) - len(covered)
-        if self._recovery is not None:
-            degraded = self._recovery.execute(outcome, self.device, start_us)
-            missing = set(degraded.missing_keys)
-            if self.config.page_grain_admission:
-                self._admit_pages(degraded.pages_ok)
-            else:
-                self.cache.admit([k for k in covered if k not in missing])
-            execution = degraded.execution
-            return QueryResult(
-                requested_keys=len(keys),
-                cache_hits=len(hits),
-                ssd_keys=len(covered) - len(missing),
-                pages_read=execution.pages_read,
-                valid_per_read=degraded.valid_per_read,
-                start_us=start_us,
-                finish_us=execution.finish_us,
-                execution=execution,
-                retries=degraded.retries,
-                failed_reads=degraded.failed_reads,
-                recovered_keys=degraded.recovered_keys,
-                missing_keys=shed + len(missing),
-                degrade_level=degrade.level,
-                degrade_shed_keys=shed,
-                tier_hits=tier_hits,
-            )
-        execution = self.executor.execute(outcome, self.device, start_us)
-        if self.config.page_grain_admission:
-            self._admit_pages(outcome.pages)
-        else:
-            self.cache.admit(covered)
-        return QueryResult(
-            requested_keys=len(keys),
-            cache_hits=len(hits),
-            ssd_keys=len(covered),
-            pages_read=execution.pages_read,
-            valid_per_read=tuple(outcome.covered_counts),
-            start_us=start_us,
-            finish_us=execution.finish_us,
-            execution=execution,
-            missing_keys=shed,
-            degrade_level=degrade.level,
-            degrade_shed_keys=shed,
-            tier_hits=tier_hits,
+        return self._execute(
+            outcome, covered, start_us, len(keys), len(hits), tier_hits,
+            shed, degrade.level,
         )
 
     # -- whole trace ----------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Query executors: serial vs pipelined selection + SSD access (paper §6.2).
+"""Query executors: when, and in what form, selected reads reach the device.
 
 The executors walk a :class:`~repro.serving.selection.SelectionOutcome`
 against a simulated device, charging CPU per the cost model, and return
-when the query's last page read completes.
+when the query's last page read completes.  ``EngineConfig.executor``
+names one of the four (:data:`EXECUTORS`); it is the only execution
+choice the engine has.
 
 * :class:`SerialExecutor` — the "Raw" configuration of Figure 15: the
   page selection runs to completion first, and only then are the chosen
@@ -24,11 +26,14 @@ when the query's last page read completes.
   device parses pages in its controller and returns only the valid
   embeddings over the bus (requires a gather-capable profile).
 
-The first three are one run function (:class:`PacedExecutor`) over three
-gap vectors: each sends the query's reads as one
-:class:`~repro.ssd.commands.PacedReadCommand` — the pages plus the host
-CPU spent before each submission — so a query costs one device call,
-not one per page.
+Every executor is a *pacing* (:meth:`Executor._pacing`): the CPU spent
+after the sort and before the first submission (``lead``), then the CPU
+spent before each submitted command (``gaps``).  The first three share
+one run function (:meth:`Executor.execute`) that sends the query's reads
+as one :class:`~repro.ssd.commands.PacedReadCommand` — the pages plus
+their gaps — so a query costs one device call, not one per page.  Fault
+recovery (:class:`~repro.serving.recovery.RecoveringExecutor`) wraps an
+executor and walks the same pacing command by command.
 
 Every executor charges ``device.submit_overhead_us`` of host CPU per
 submitted command; the default profiles set it to ``0.0``, so existing
@@ -39,9 +44,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Type
 
-from ..ssd.commands import DeviceCommand, GatherCommand, PacedReadCommand
+from ..ssd.commands import (
+    DeviceCommand,
+    GatherCommand,
+    PacedReadCommand,
+    ReadCommand,
+)
 from ..types import EmbeddingSpec
 from .cost_model import CpuCostModel
 from .selection import SelectionOutcome
@@ -99,26 +109,99 @@ def build_gather_command(
 
 
 class Executor(ABC):
-    """Strategy interface for executing a selected query against a device."""
+    """Strategy interface for executing a selected query against a device.
 
-    def __init__(self, cost_model: "CpuCostModel | None" = None) -> None:
+    Args:
+        cost_model: CPU charge table for the selection path.
+        spec: embedding geometry; only a gather is sized by it.
+    """
+
+    #: The query's reads go down in one submission, so a faulted read
+    #: shows only once the whole wave is out: fault recovery then
+    #: retries the stragglers, instead of each read before the next.
+    submits_wave = False
+
+    def __init__(
+        self,
+        cost_model: "CpuCostModel | None" = None,
+        spec: "EmbeddingSpec | None" = None,
+    ) -> None:
         self.cost_model = cost_model or CpuCostModel()
+        self.spec = spec
 
-    @abstractmethod
     def execute(
         self, outcome: SelectionOutcome, device, start_us: float
     ) -> ExecutionResult:
-        """Run ``outcome``'s reads on ``device`` starting at ``start_us``."""
+        """Run ``outcome``'s reads on ``device`` starting at ``start_us``.
 
-    def _front_costs(self, outcome: SelectionOutcome) -> Tuple[float, float]:
-        """(query base + sort) and zero selection accumulator."""
-        sort = self.cost_model.sort_time_us(outcome.sorted_keys)
-        return self.cost_model.query_base_us + sort, sort
+        Serial, pipelined and batched execution differ only in *when*
+        the host submits each read, so they share this run function:
+        charge the front costs, send the paced reads as one
+        :class:`~repro.ssd.commands.PacedReadCommand`, and finish when
+        the host clock and the latest completion have both passed.
+        """
+        front, sort_us, selection_us, lead_us, gaps_us = self._schedule(
+            outcome, device
+        )
+        now = start_us + front + lead_us
+        if gaps_us:
+            (completion,) = device.submit_batch(
+                [PacedReadCommand(outcome.pages, gaps_us)], now
+            )
+            now = completion.submitted_at_us
+            finish = max(now, completion.completed_at_us)
+        else:
+            finish = now
+            device.poll(finish)
+        return ExecutionResult(
+            start_us=start_us,
+            finish_us=finish,
+            sort_us=sort_us,
+            selection_us=selection_us,
+            io_wait_us=finish - now,
+            pages_read=len(gaps_us),
+        )
 
-    @staticmethod
-    def _submit_overhead(device) -> float:
-        """Host CPU charged per submitted command (0 for plain devices)."""
-        return getattr(device, "submit_overhead_us", 0.0)
+    @abstractmethod
+    def _pacing(
+        self, step_times: List[float], selection_us: float, overhead: float
+    ) -> Tuple[float, List[float]]:
+        """``(lead_us, gaps_us)``: CPU before the first gap, then the CPU
+        before each submitted command (``overhead`` is the device's
+        ``submit_overhead_us``)."""
+
+    def _schedule(
+        self, outcome: SelectionOutcome, device
+    ) -> Tuple[float, float, float, float, List[float]]:
+        """Host timeline of one query on ``device``.
+
+        ``(front_us, sort_us, selection_us, lead_us, gaps_us)``: the
+        query base plus the sort, its sort share, the selection CPU, and
+        this executor's pacing.  The first submission is due at
+        ``start_us + front_us + lead_us + gaps_us[0]``.
+        """
+        cost = self.cost_model
+        sort_us = cost.sort_time_us(outcome.sorted_keys)
+        step_times = cost.step_times_us(outcome)
+        # Left to right, whichever executor: see selection_time_us.
+        selection_us = 0.0
+        for step_us in step_times:
+            selection_us += step_us
+        lead_us, gaps_us = self._pacing(
+            step_times,
+            selection_us,
+            getattr(device, "submit_overhead_us", 0.0),
+        )
+        front_us = cost.query_base_us + sort_us
+        return front_us, sort_us, selection_us, lead_us, gaps_us
+
+    def _commands(self, outcome: SelectionOutcome) -> List[DeviceCommand]:
+        """The commands the gaps pace, one per gap.
+
+        Fault recovery submits these one by one, so each can be retried
+        on its own; the fault-free executors send them fused.
+        """
+        return [ReadCommand(page_id) for page_id in outcome.pages]
 
     @staticmethod
     def _submit_batch_with_backpressure(
@@ -150,69 +233,21 @@ class Executor(ABC):
         return completions, now_us
 
 
-class PacedExecutor(Executor):
-    """Host executors: one :class:`~repro.ssd.commands.PacedReadCommand`.
-
-    Serial, pipelined and batched execution differ only in *when* the
-    host submits each read, so each subclass is a gap-vector builder
-    (:meth:`_pacing`) and this class runs the query: charge the front
-    costs, send the paced reads as one command, and finish when the
-    host clock and the latest completion have both passed.
-    """
-
-    @abstractmethod
-    def _pacing(
-        self, step_times: List[float], selection_us: float, overhead: float
-    ) -> Tuple[float, List[float]]:
-        """``(lead_us, gaps_us)``: CPU before the command, then per read."""
-
-    def execute(
-        self, outcome: SelectionOutcome, device, start_us: float
-    ) -> ExecutionResult:
-        front, sort_us = self._front_costs(outcome)
-        step_times = self.cost_model.step_times_us(outcome)
-        # Left to right, whichever executor: see selection_time_us.
-        selection_us = 0.0
-        for step_us in step_times:
-            selection_us += step_us
-        lead_us, gaps_us = self._pacing(
-            step_times, selection_us, self._submit_overhead(device)
-        )
-        now = start_us + front + lead_us
-        if step_times:
-            (completion,) = device.submit_batch(
-                [PacedReadCommand(outcome.pages, gaps_us)], now
-            )
-            now = completion.submitted_at_us
-            finish = max(now, completion.completed_at_us)
-        else:
-            finish = now
-            device.poll(finish)
-        return ExecutionResult(
-            start_us=start_us,
-            finish_us=finish,
-            sort_us=sort_us,
-            selection_us=selection_us,
-            io_wait_us=finish - now,
-            pages_read=len(step_times),
-        )
-
-
-class SerialExecutor(PacedExecutor):
+class SerialExecutor(Executor):
     """All selection first, then all reads — no CPU/I-O overlap."""
 
     def _pacing(self, step_times, selection_us, overhead):
         return selection_us, [overhead] * len(step_times)
 
 
-class PipelinedExecutor(PacedExecutor):
+class PipelinedExecutor(Executor):
     """Selection step → async read issue → next step; wait once at the end."""
 
     def _pacing(self, step_times, selection_us, overhead):
         return 0.0, [step_us + overhead for step_us in step_times]
 
 
-class BatchedExecutor(PacedExecutor):
+class BatchedExecutor(Executor):
     """Selection first, then all reads as **one** submitted batch.
 
     The host pushes the whole read vector in one submission, paying
@@ -221,8 +256,13 @@ class BatchedExecutor(PacedExecutor):
     bit-identical to :class:`SerialExecutor`.
     """
 
+    submits_wave = True
+
     def _pacing(self, step_times, selection_us, overhead):
-        return selection_us, [overhead] + [0.0] * (len(step_times) - 1)
+        gaps_us = [0.0] * len(step_times)
+        if gaps_us:
+            gaps_us[0] = overhead
+        return selection_us, gaps_us
 
 
 class NdpExecutor(Executor):
@@ -237,41 +277,45 @@ class NdpExecutor(Executor):
     gather-capable profile (:class:`~repro.ssd.profiles.NdpSsdProfile`).
     """
 
-    def __init__(
-        self,
-        cost_model: "CpuCostModel | None" = None,
-        spec: "EmbeddingSpec | None" = None,
-    ) -> None:
-        super().__init__(cost_model)
-        self.spec = spec
+    def _pacing(self, step_times, selection_us, overhead):
+        return selection_us, [overhead] if step_times else []
 
-    def _gather_command(self, outcome: SelectionOutcome) -> GatherCommand:
-        """Translate a selection outcome into one gather command."""
-        return build_gather_command(outcome, self.spec)
+    def _commands(self, outcome: SelectionOutcome) -> List[DeviceCommand]:
+        """The whole selection outcome as one gather command."""
+        if not outcome.num_steps:
+            return []
+        return [build_gather_command(outcome, self.spec)]
 
     def execute(
         self, outcome: SelectionOutcome, device, start_us: float
     ) -> ExecutionResult:
-        front, sort_us = self._front_costs(outcome)
-        selection_us = self.cost_model.selection_time_us(outcome)
-        now = start_us + front + selection_us
-        last_completion = now
-        if outcome.num_steps:
-            now += self._submit_overhead(device)
+        front, sort_us, selection_us, lead_us, gaps_us = self._schedule(
+            outcome, device
+        )
+        now = finish = start_us + front + lead_us
+        if gaps_us:
             completions, now = self._submit_batch_with_backpressure(
-                device, [self._gather_command(outcome)], now
+                device, self._commands(outcome), now + gaps_us[0]
             )
+            finish = now
             for completion in completions:
-                last_completion = max(
-                    last_completion, completion.completed_at_us
-                )
-        last_completion = max(last_completion, now)
-        device.poll(last_completion)
+                finish = max(finish, completion.completed_at_us)
+        device.poll(finish)
         return ExecutionResult(
             start_us=start_us,
-            finish_us=last_completion,
+            finish_us=finish,
             sort_us=sort_us,
             selection_us=selection_us,
-            io_wait_us=last_completion - now,
+            io_wait_us=finish - now,
             pages_read=outcome.num_steps,
         )
+
+
+#: ``EngineConfig.executor`` value → executor class: the one execution
+#: axis (config validation and the CLI take their choices from here).
+EXECUTORS: Dict[str, Type[Executor]] = {
+    "pipelined": PipelinedExecutor,
+    "serial": SerialExecutor,
+    "batched": BatchedExecutor,
+    "ndp": NdpExecutor,
+}

@@ -1,13 +1,13 @@
 """Fault-tolerant query execution: retries, backoff, replica recovery.
 
-:class:`RecoveringExecutor` is the fault-aware counterpart of the plain
-executors in :mod:`repro.serving.executor`.  It walks the same selection
-outcome with the same cost model and the same submit/backpressure logic
-— with a no-fault device its timing is bit-identical to
-:class:`~repro.serving.executor.PipelinedExecutor` /
-:class:`~repro.serving.executor.SerialExecutor` — but every read passes
-through a bounded retry loop, and reads that ultimately fail trigger
-**replica-aware recovery**:
+:class:`RecoveringExecutor` wraps one of the plain executors of
+:mod:`repro.serving.executor` and runs *its* host timeline — the same
+front costs, the same pacing, the same
+:func:`~repro.ssd.device.submit_with_backpressure` stall rule — one
+command at a time, so with a no-fault device its timing is bit-identical
+to the executor it wraps.  Every command passes through one bounded
+retry ladder, and reads that ultimately fail trigger **replica-aware
+recovery**:
 
 1. Keys lost with a failed page are first checked against the pages that
    *did* transfer: a co-resident replica on any successfully read page
@@ -29,12 +29,10 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import ConfigError, DeviceFault
-from ..faults.device import FaultySsd
 from ..placement import ForwardIndex, InvertIndex
-from ..ssd.commands import ReadCommand
-from ..types import EmbeddingSpec
-from .cost_model import CpuCostModel
-from .executor import ExecutionResult, Executor, build_gather_command
+from ..ssd.commands import GatherCommand, ReadCommand
+from ..ssd.device import submit_with_backpressure
+from .executor import ExecutionResult, Executor
 
 
 @dataclass(frozen=True)
@@ -110,338 +108,198 @@ class DegradedExecution:
         return bool(self.missing_keys)
 
 
+class _Reads:
+    """Clock and accounting of one query's reads on a faulty device."""
+
+    def __init__(self, device, retry: RetryPolicy, now_us: float) -> None:
+        self.device = device
+        self.retry = retry
+        self.now = now_us
+        self.last_completion = now_us
+        self.retries = 0
+        self.failed_reads = 0
+        self.wasted_reads = 0
+        self.valid_counts: List[int] = []
+        self.pages_ok: List[int] = []
+        self.failed_pages = set()
+        self.lost: List[int] = []
+
+    def submit(self, command, gap_us: float, attempt: int = 0):
+        """Submit ``command`` once, ``gap_us`` of host CPU from now.
+
+        Same placement as :func:`~repro.ssd.device.run_paced_reads`:
+        spend the gap, stall while the queue is full, submit.  Returns
+        the completion, or the :class:`~repro.errors.DeviceFault` the
+        device handed back inline.  ``attempt`` is the coordinate of
+        the injector's per-attempt draws.
+        """
+        device = self.device
+
+        def send(target, now_us):
+            return device.submit_batch([target], now_us, attempt)[0]
+
+        result, self.now = submit_with_backpressure(
+            device, command, self.now + gap_us, send
+        )
+        return result
+
+    def settle(self, command, result, attempt: int = 0, first: int = 0):
+        """The retry ladder: submit fault → corrupt → backoff → resubmit.
+
+        ``result`` is what attempt ``attempt`` of ``command`` returned;
+        the command is resubmitted until a completion passes its
+        integrity check (returned) or the page is dead or the budget is
+        spent (None).  A corrupt completion is detected at its
+        (simulated) arrival, so the clock first catches up with the
+        wasted transfer.  The retry budget and the backoff schedule
+        count from attempt ``first``: attempts below it were burnt by a
+        command submitted elsewhere (a batch, a failed gather), and the
+        read still gets a full set of retries.
+        """
+        device, retry = self.device, self.retry
+        while True:
+            if isinstance(result, DeviceFault):
+                self.now = max(self.now, result.failed_at_us)
+                if result.kind == "dead_page":
+                    return None
+            elif device.is_corrupt(result):
+                self.wasted_reads += 1
+                self.now = max(self.now, result.completed_at_us)
+            else:
+                self.last_completion = max(
+                    self.last_completion, result.completed_at_us
+                )
+                return result
+            used = max(0, attempt - first)
+            if used >= retry.max_retries:
+                return None
+            self.now += retry.backoff_for(used)
+            attempt += 1
+            self.retries += 1
+            result = self.submit(command, device.submit_overhead_us, attempt)
+
+    def account(self, steps, completion) -> None:
+        """Book ``steps``' pages as transferred, or their keys as lost."""
+        for step in steps:
+            if completion is None:
+                self.failed_reads += 1
+                self.failed_pages.add(step.page_id)
+                self.lost.extend(step.covered)
+            else:
+                self.valid_counts.append(len(step.covered))
+                self.pages_ok.append(step.page_id)
+
+    def read(self, command, steps, gap_us: float, attempt: int = 0) -> None:
+        """Submit, settle and account the ``command`` that reads ``steps``.
+
+        A gather is all-or-nothing, so it is retried *whole*
+        (``wasted_reads`` counts corrupt gathers at command grain); when
+        it keeps failing — a dead page poisons every attempt — its pages
+        are read one by one, past the attempts the gathers burnt.
+        """
+        burnt = self.retries
+        completion = self.settle(
+            command, self.submit(command, gap_us, attempt), attempt, attempt
+        )
+        if completion is None and isinstance(command, GatherCommand):
+            attempt += self.retries - burnt + 1
+            gap_us = self.device.submit_overhead_us
+            for step in steps:
+                self.read(ReadCommand(step.page_id), (step,), gap_us, attempt)
+        else:
+            self.account(steps, completion)
+
+
 class RecoveringExecutor:
-    """Executes a selection outcome with retries and replica recovery.
+    """Runs a wrapped executor's query with retries and replica recovery.
 
     Args:
+        executor: the engine's executor.  Its front costs, pacing and
+            commands (:meth:`~repro.serving.executor.Executor._schedule`,
+            ``_commands``) are the query's timeline; ``submits_wave``
+            says whether faults show read by read or after the wave.
         full_forward: the **unshrunk** forward index (every page holding
             each key) — the replica map recovery re-selects from.
         invert: the layout's invert index (page → co-resident keys).
-        cost_model: CPU charge table (same as the plain executors).
         retry: bounded-backoff retry policy.
-        mode: ``"pipelined"``, ``"serial"``, ``"batched"`` or ``"ndp"``
-            — mirrors the timing model of the corresponding plain
-            executor.  The batched mode submits the initial read wave as
-            one batch (faults come back inline and are retried
-            per-page); the ndp mode retries the whole gather, falling
-            back to per-page reads when it keeps failing.
-        spec: embedding geometry (ndp mode only — sizes the gather's
-            candidate scan and payload).
+
+    The device must hand faults back inline from ``submit_batch`` and
+    expose ``is_corrupt`` — a :class:`~repro.faults.device.FaultySsd`.
     """
 
     def __init__(
         self,
+        executor: Executor,
         full_forward: ForwardIndex,
         invert: InvertIndex,
-        cost_model: "CpuCostModel | None" = None,
         retry: "RetryPolicy | None" = None,
-        mode: str = "pipelined",
-        spec: "EmbeddingSpec | None" = None,
     ) -> None:
-        if mode not in ("pipelined", "serial", "batched", "ndp"):
-            raise ConfigError(
-                f"mode must be pipelined|serial|batched|ndp, got {mode!r}"
-            )
+        self.executor = executor
         self.full_forward = full_forward
         self.invert = invert
-        self.cost_model = cost_model or CpuCostModel()
         self.retry = retry or RetryPolicy()
-        self.mode = mode
-        self.spec = spec
-
-    # -- one fault-aware read ----------------------------------------------------
-
-    def _read_with_retry(
-        self, device, page_id: int, now_us: float, start_attempt: int = 0
-    ):
-        """Read ``page_id`` with backpressure, retries, and backoff.
-
-        Returns ``(completion_or_None, now_us, retries, wasted_reads)``;
-        ``None`` means the read was abandoned after exhausting retries.
-        Corrupt completions are detected at their (simulated) arrival, so
-        a corrupt read synchronizes the clock to its completion before
-        the retry — the caller paid for the full wasted transfer.
-
-        ``start_attempt`` offsets the injector's per-attempt draw
-        coordinates past attempts already consumed elsewhere (a failed
-        batch or gather submission burnt attempt numbers below it); the
-        retry *budget* and backoff schedule are relative to it, so the
-        page still gets a full set of retries.
-        """
-        attempt_aware = isinstance(device, FaultySsd)
-        overhead = getattr(device, "submit_overhead_us", 0.0)
-        attempt = start_attempt
-        retries = 0
-        wasted = 0
-        while True:
-            while device.inflight >= device.queue_depth:
-                next_done = device.next_completion_time()
-                if next_done is None:  # pragma: no cover - inflight implies one
-                    break
-                now_us = max(now_us, next_done)
-                device.poll(now_us)
-            now_us += overhead
-            try:
-                if attempt_aware:
-                    completion = device.submit_read(page_id, now_us, attempt)
-                else:
-                    completion = device.submit_read(page_id, now_us)
-            except DeviceFault as fault:
-                now_us = max(now_us, fault.failed_at_us)
-                if (
-                    fault.kind == "dead_page"
-                    or attempt - start_attempt >= self.retry.max_retries
-                ):
-                    return None, now_us, retries, wasted
-                now_us += self.retry.backoff_for(attempt - start_attempt)
-                attempt += 1
-                retries += 1
-                continue
-            if attempt_aware and device.is_corrupt(completion):
-                wasted += 1
-                now_us = max(now_us, completion.completed_at_us)
-                if attempt - start_attempt >= self.retry.max_retries:
-                    return None, now_us, retries, wasted
-                now_us += self.retry.backoff_for(attempt - start_attempt)
-                attempt += 1
-                retries += 1
-                continue
-            return completion, now_us, retries, wasted
-
-    # -- initial waves for the batched command paths ----------------------------
-
-    def _batched_wave(
-        self, device, steps, now, last_completion,
-        valid_counts, pages_ok, failed_pages, lost_order,
-    ):
-        """Submit the whole read wave as one batch; retry stragglers.
-
-        With a :class:`~repro.faults.device.FaultySsd` underneath, the
-        batch comes back as a mix of completions and inline
-        :class:`~repro.errors.DeviceFault` entries; each faulted or
-        corrupt entry is resubmitted per-page starting at attempt 1
-        (the batch consumed every page's attempt-0 draw).
-        """
-        retries = 0
-        failed_reads = 0
-        wasted_reads = 0
-        attempt_aware = isinstance(device, FaultySsd)
-        now += getattr(device, "submit_overhead_us", 0.0)
-        commands = [ReadCommand(step.page_id) for step in steps]
-        results, now = Executor._submit_batch_with_backpressure(
-            device, commands, now
-        )
-        for step, result in zip(steps, results):
-            completion = result
-            if isinstance(result, DeviceFault):
-                now = max(now, result.failed_at_us)
-                if result.kind == "dead_page" or self.retry.max_retries == 0:
-                    completion = None
-                else:
-                    now += self.retry.backoff_for(0)
-                    retries += 1
-                    completion, now, r, w = self._read_with_retry(
-                        device, step.page_id, now, start_attempt=1
-                    )
-                    retries += r
-                    wasted_reads += w
-            elif attempt_aware and device.is_corrupt(result):
-                wasted_reads += 1
-                now = max(now, result.completed_at_us)
-                if self.retry.max_retries == 0:
-                    completion = None
-                else:
-                    now += self.retry.backoff_for(0)
-                    retries += 1
-                    completion, now, r, w = self._read_with_retry(
-                        device, step.page_id, now, start_attempt=1
-                    )
-                    retries += r
-                    wasted_reads += w
-            if completion is None:
-                failed_reads += 1
-                failed_pages.add(step.page_id)
-                lost_order.extend(step.covered)
-            else:
-                last_completion = max(
-                    last_completion, completion.completed_at_us
-                )
-                valid_counts.append(len(step.covered))
-                pages_ok.append(step.page_id)
-        return now, last_completion, retries, failed_reads, wasted_reads
-
-    def _gather_wave(
-        self, outcome, device, now, last_completion,
-        valid_counts, pages_ok, failed_pages, lost_order,
-    ):
-        """Submit the query as one gather; retry whole, then per-page.
-
-        A gather is all-or-nothing, so a fault retries the *whole*
-        command (``wasted_reads`` counts corrupt gathers at command
-        grain).  When it keeps failing — a dead page poisons every
-        attempt — the wave falls back to plain per-page reads, with
-        attempt numbers offset past the draws the gathers consumed.
-        """
-        retries = 0
-        failed_reads = 0
-        wasted_reads = 0
-        steps = outcome.steps
-        attempt_aware = isinstance(device, FaultySsd)
-        overhead = getattr(device, "submit_overhead_us", 0.0)
-        command = build_gather_command(outcome, self.spec)
-        attempt = 0
-        completion = None
-        while True:
-            while device.inflight >= device.queue_depth:
-                next_done = device.next_completion_time()
-                if next_done is None:  # pragma: no cover - inflight implies one
-                    break
-                now = max(now, next_done)
-                device.poll(now)
-            now += overhead
-            try:
-                if attempt_aware:
-                    result = device.submit_gather(command, now, attempt)
-                else:
-                    result = device.submit_gather(command, now)
-            except DeviceFault as fault:
-                now = max(now, fault.failed_at_us)
-                if (
-                    fault.kind == "dead_page"
-                    or attempt >= self.retry.max_retries
-                ):
-                    break
-                now += self.retry.backoff_for(attempt)
-                attempt += 1
-                retries += 1
-                continue
-            if attempt_aware and device.is_corrupt(result):
-                wasted_reads += 1
-                now = max(now, result.completed_at_us)
-                if attempt >= self.retry.max_retries:
-                    break
-                now += self.retry.backoff_for(attempt)
-                attempt += 1
-                retries += 1
-                continue
-            completion = result
-            break
-        if completion is not None:
-            last_completion = max(last_completion, completion.completed_at_us)
-            for step in steps:
-                valid_counts.append(len(step.covered))
-                pages_ok.append(step.page_id)
-            return now, last_completion, retries, failed_reads, wasted_reads
-        start = attempt + 1
-        for step in steps:
-            completion, now, r, w = self._read_with_retry(
-                device, step.page_id, now, start_attempt=start
-            )
-            retries += r
-            wasted_reads += w
-            if completion is None:
-                failed_reads += 1
-                failed_pages.add(step.page_id)
-                lost_order.extend(step.covered)
-            else:
-                last_completion = max(
-                    last_completion, completion.completed_at_us
-                )
-                valid_counts.append(len(step.covered))
-                pages_ok.append(step.page_id)
-        return now, last_completion, retries, failed_reads, wasted_reads
-
-    # -- full query --------------------------------------------------------------
 
     def execute(self, outcome, device, start_us: float) -> DegradedExecution:
         """Run ``outcome`` on ``device``; degrade instead of raising."""
-        cost = self.cost_model
+        executor = self.executor
+        front, sort_us, selection_us, lead_us, gaps_us = executor._schedule(
+            outcome, device
+        )
+        reads = _Reads(device, self.retry, start_us + front + lead_us)
         steps = outcome.steps
-        sort_us = cost.sort_time_us(outcome.sorted_keys)
-        now = start_us + cost.query_base_us + sort_us
-        selection_us = 0.0
-        if self.mode in ("serial", "batched", "ndp"):
-            selection_us = cost.selection_time_us(outcome)
-            now += selection_us
-        last_completion = now
-        retries = 0
-        failed_reads = 0
-        wasted_reads = 0
-        valid_counts: List[int] = []
-        pages_ok: List[int] = []
-        failed_pages = set()
-        lost_order: List[int] = []
-        if self.mode == "batched" and steps:
-            (
-                now, last_completion, retries, failed_reads, wasted_reads
-            ) = self._batched_wave(
-                device, steps, now, last_completion,
-                valid_counts, pages_ok, failed_pages, lost_order,
-            )
-        elif self.mode == "ndp" and steps:
-            (
-                now, last_completion, retries, failed_reads, wasted_reads
-            ) = self._gather_wave(
-                outcome, device, now, last_completion,
-                valid_counts, pages_ok, failed_pages, lost_order,
-            )
+        commands = executor._commands(outcome)
+        # One read per step, or a single command for the whole query.
+        covers = (
+            [(step,) for step in steps]
+            if len(commands) == len(steps)
+            else [steps]
+        )
+        if executor.submits_wave:
+            # The wave goes out whole; each straggler is then retried
+            # from attempt 1 (the wave consumed its attempt-0 draw).
+            sent = [
+                reads.submit(command, gap_us)
+                for command, gap_us in zip(commands, gaps_us)
+            ]
+            for command, cover, result in zip(commands, covers, sent):
+                reads.account(cover, reads.settle(command, result, first=1))
         else:
-            for step in steps:
-                if self.mode == "pipelined":
-                    cpu = cost.step_time_us(step.candidates_examined)
-                    selection_us += cpu
-                    now += cpu
-                completion, now, r, w = self._read_with_retry(
-                    device, step.page_id, now
-                )
-                retries += r
-                wasted_reads += w
-                if completion is None:
-                    failed_reads += 1
-                    failed_pages.add(step.page_id)
-                    lost_order.extend(step.covered)
-                else:
-                    last_completion = max(
-                        last_completion, completion.completed_at_us
-                    )
-                    valid_counts.append(len(step.covered))
-                    pages_ok.append(step.page_id)
+            for command, cover, gap_us in zip(commands, covers, gaps_us):
+                reads.read(command, cover, gap_us)
         recovered = 0
         missing: List[int] = []
         replacement_reads = 0
-        if lost_order:
+        if reads.lost:
+            cost = executor.cost_model
+            overhead = device.submit_overhead_us
             # Free recovery: a successfully transferred page holds every
             # co-resident key, not only the ones selection assigned it.
             available = set()
-            for page in pages_ok:
+            for page in reads.pages_ok:
                 available |= self.invert.key_set(page)
-            lost = [k for k in lost_order if k not in available]
-            recovered += len(lost_order) - len(lost)
+            lost = [k for k in reads.lost if k not in available]
+            recovered += len(reads.lost) - len(lost)
             remaining = dict.fromkeys(lost)
             while remaining:
                 key = next(iter(remaining))
                 alternates = self.full_forward.pages_of(key)
                 cpu = cost.step_time_us(len(alternates))
                 selection_us += cpu
-                now += cpu
+                reads.now += cpu
                 served = False
                 for alt in alternates:
-                    if alt in failed_pages:
+                    if alt in reads.failed_pages:
                         continue
-                    completion, now, r, w = self._read_with_retry(
-                        device, alt, now
+                    command = ReadCommand(alt)
+                    completion = reads.settle(
+                        command, reads.submit(command, overhead)
                     )
-                    retries += r
-                    wasted_reads += w
                     if completion is None:
-                        failed_reads += 1
-                        failed_pages.add(alt)
+                        reads.failed_reads += 1
+                        reads.failed_pages.add(alt)
                         continue
                     replacement_reads += 1
-                    pages_ok.append(alt)
-                    last_completion = max(
-                        last_completion, completion.completed_at_us
-                    )
+                    reads.pages_ok.append(alt)
                     cover = [
                         k
                         for k in self.invert.sorted_keys_of(alt)
@@ -450,35 +308,29 @@ class RecoveringExecutor:
                     for k in cover:
                         del remaining[k]
                     recovered += len(cover)
-                    valid_counts.append(len(cover))
+                    reads.valid_counts.append(len(cover))
                     served = True
                     break
                 if not served:
                     missing.append(key)
                     del remaining[key]
-        if self.mode == "pipelined":
-            finish = max(now, last_completion)
-            io_wait = max(0.0, finish - now)
-        else:
-            finish = max(now, last_completion)
-            io_wait = max(0.0, last_completion - now)
+        finish = max(reads.now, reads.last_completion)
         device.poll(finish)
-        transfers = len(pages_ok) + wasted_reads
         execution = ExecutionResult(
             start_us=start_us,
             finish_us=finish,
             sort_us=sort_us,
             selection_us=selection_us,
-            io_wait_us=io_wait,
-            pages_read=transfers,
+            io_wait_us=finish - reads.now,
+            pages_read=len(reads.pages_ok) + reads.wasted_reads,
         )
         return DegradedExecution(
             execution=execution,
-            valid_per_read=tuple(valid_counts),
-            pages_ok=tuple(pages_ok),
-            retries=retries,
-            failed_reads=failed_reads,
-            wasted_reads=wasted_reads,
+            valid_per_read=tuple(reads.valid_counts),
+            pages_ok=tuple(reads.pages_ok),
+            retries=reads.retries,
+            failed_reads=reads.failed_reads,
+            wasted_reads=reads.wasted_reads,
             replacement_reads=replacement_reads,
             recovered_keys=recovered,
             missing_keys=tuple(missing),

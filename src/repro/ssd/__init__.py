@@ -16,7 +16,6 @@ returns a ticket; ``poll`` retires completions.  All time is simulated
 
 from .clock import SimClock
 from .commands import (
-    DEVICE_COMMAND_PATHS,
     DeviceCommand,
     GatherCommand,
     PacedReadCommand,
@@ -59,5 +58,4 @@ __all__ = [
     "GatherCommand",
     "PacedReadCommand",
     "DeviceCommand",
-    "DEVICE_COMMAND_PATHS",
 ]

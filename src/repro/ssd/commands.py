@@ -6,13 +6,13 @@ accept the same batched submissions while keeping its own service-time
 rules.  Three commands cover the serving paths:
 
 * :class:`ReadCommand` — transfer one whole page over the bus (the
-  classic path; a batch of these is what ``--device-command-path
-  batched`` submits per selection outcome).
+  classic path; fault recovery submits a query's reads as these, one
+  by one, so each can be retried on its own).
 * :class:`GatherCommand` — a near-data-processing multi-key gather: the
   device reads the named pages internally, parses them, scans the slot
   candidates with its controller CPU, and puts only the valid embedding
   payload on the bus (the RecSSD-style path behind
-  ``--device-command-path ndp``).  Requires a profile with
+  ``--executor ndp``).  Requires a profile with
   ``supports_gather`` (see
   :class:`~repro.ssd.profiles.NdpSsdProfile`).
 * :class:`PacedReadCommand` — a whole query's page reads with the host
@@ -127,6 +127,3 @@ class PacedReadCommand:
 
 
 DeviceCommand = Union[ReadCommand, GatherCommand, PacedReadCommand]
-
-#: Valid ``device_command_path`` settings, shared by engine/core/CLI.
-DEVICE_COMMAND_PATHS: Tuple[str, ...] = ("paged", "batched", "ndp")

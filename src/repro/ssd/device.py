@@ -109,13 +109,18 @@ class DeviceStats:
         return self.total_latency_us / self.reads if self.reads else 0.0
 
 
-def submit_with_backpressure(device, page_id: int, now_us: float):
+def submit_with_backpressure(device, page_id: int, now_us: float, submit=None):
     """Submit one read, stalling on a full submission queue.
 
     Mirrors an SPDK application's behaviour: when the queue is full
     the submitting CPU polls completions until a slot frees, so the
     submission time advances to that completion.  Returns
     ``(completion, now_us)`` with the possibly-advanced clock.
+
+    ``submit(page_id, now_us)`` stands in for ``device.submit_read``:
+    fault recovery passes an attempt-numbered call that hands faults
+    back inline (and a command where a page id goes), so it stalls by
+    this loop and not a copy of it.
     """
     while device.inflight >= device.queue_depth:
         next_done = device.next_completion_time()
@@ -123,7 +128,7 @@ def submit_with_backpressure(device, page_id: int, now_us: float):
             break
         now_us = max(now_us, next_done)
         device.poll(now_us)
-    return device.submit_read(page_id, now_us), now_us
+    return (submit or device.submit_read)(page_id, now_us), now_us
 
 
 def run_paced_reads(
@@ -220,7 +225,7 @@ class SimulatedSsd:
         if not profile.supports_gather:
             raise StorageError(
                 f"profile {profile.name!r} has no gather engine; use an "
-                f"NdpSsdProfile for --device-command-path ndp"
+                f"NdpSsdProfile for --executor ndp"
             )
         if now_us < 0:
             raise StorageError(f"time must be >= 0, got {now_us}")

@@ -17,7 +17,7 @@ Pinned here:
   broken stub — impossible for the real model) does not hang either
   helper;
 * end-to-end, a depth-2 device serves every query with full coverage
-  on both the paged and batched paths.
+  under both the serial and the batched executor.
 """
 
 import hypothesis.strategies as st
@@ -191,8 +191,8 @@ class TestBrokenDeviceDoesNotHang:
 
 
 class TestEndToEndTinyQueue:
-    @pytest.mark.parametrize("path", ["paged", "batched"])
-    def test_depth_two_device_serves_fully(self, path):
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
+    def test_depth_two_device_serves_fully(self, executor):
         pages = [
             (0, 1, 2, 3),
             (4, 5, 6, 7),
@@ -205,8 +205,7 @@ class TestEndToEndTinyQueue:
             EngineConfig(
                 cache_ratio=0.0,
                 profile=TINY,
-                executor="serial",
-                device_command_path=path,
+                executor=executor,
                 threads=1,
             ),
         )
@@ -225,19 +224,18 @@ class TestEndToEndTinyQueue:
         ]
         layout = PageLayout(16, 4, pages, num_base_pages=4)
 
-        def build(path):
+        def build(executor):
             return ServingEngine(
                 layout,
                 EngineConfig(
                     cache_ratio=0.0,
                     profile=TINY,
-                    executor="serial",
-                    device_command_path=path,
+                    executor=executor,
                     threads=1,
                 ),
             )
 
         queries = [Query(tuple(range(16)))] * 20
-        assert build("paged").serve_trace(queries) == build(
+        assert build("serial").serve_trace(queries) == build(
             "batched"
         ).serve_trace(queries)

@@ -1,18 +1,20 @@
-"""Fault injection through the batched and NDP command paths.
+"""Fault injection under the batched and NDP executors.
 
 The per-page recovery contract of ``test_fault_recovery`` must survive
-the command-path change of who talks to the device:
+the change of who talks to the device:
 
-* a no-op plan on the batched/ndp path is bit-identical to the same
-  path without the fault subsystem mounted;
+* a no-op plan under the batched/ndp executor is bit-identical to the
+  same executor without the fault subsystem mounted — at the presets'
+  zero submit overhead and at 1 µs, on a shallow and a deep queue;
 * batched waves retry their failed sub-reads individually (the batch
   consumed attempt 0; retries start at 1) and recover transients;
 * a faulted gather falls back to per-page reads, so NDP serving loses
   exactly the unrecoverable keys, never the whole gather;
 * the accounting identity ``requested == cache_hits + ssd_keys +
-  missing`` holds per query on every path, whatever the draw.
+  missing`` holds per query under both, whatever the draw.
 """
 
+import dataclasses
 import os
 
 import hypothesis.strategies as st
@@ -27,12 +29,21 @@ from repro import (
     RetryPolicy,
     ServingEngine,
 )
+from repro.ssd import P5800X
 
 # CI's chaos job sweeps this to replay the suite under different fault
 # draws; the properties under test are seed-independent.
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
-PATHS = ["batched", "ndp"]
+EXECUTORS = ["batched", "ndp"]
+
+# The presets charge no submit overhead; with one, the recovery wrapper
+# must still place it where the plain executor does (before the stall).
+PROFILES = {"preset": P5800X}
+for depth in (2, 128):
+    PROFILES[f"1us-qd{depth}"] = dataclasses.replace(
+        P5800X, submit_overhead_us=1.0, queue_depth=depth
+    )
 
 REPLICATED_PAGES = [
     (0, 1, 2, 3),
@@ -53,21 +64,25 @@ def holders(key: int):
 
 
 class TestFaultFreeParity:
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFILES)
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_no_op_plan_is_bit_identical(
-        self, path, maxembed_layout_small, criteo_small
+        self, executor, profile, maxembed_layout_small, criteo_small
     ):
         _, live = criteo_small
         queries = list(live)[:200]
-        baseline = ServingEngine(
-            maxembed_layout_small,
-            EngineConfig(device_command_path=path),
-        )
+        config = EngineConfig(executor=executor, profile=profile)
+        baseline = ServingEngine(maxembed_layout_small, config)
         guarded = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(device_command_path=path, fault_plan=FaultPlan()),
+            dataclasses.replace(config, fault_plan=FaultPlan()),
         )
         assert baseline.serve_trace(queries) == guarded.serve_trace(queries)
+        # ...and the device saw every read at the same two timestamps.
+        assert (
+            baseline.device.stats.latencies.values()
+            == guarded.device.stats.latencies.values()
+        )
 
 
 class TestBatchedRecovery:
@@ -78,7 +93,7 @@ class TestBatchedRecovery:
         engine = ServingEngine(
             maxembed_layout_small,
             EngineConfig(
-                device_command_path="batched",
+                executor="batched",
                 fault_plan=FaultPlan(
                     seed=7 + FAULT_SEED, read_error_rate=0.05
                 ),
@@ -96,7 +111,7 @@ class TestBatchedRecovery:
         engine = ServingEngine(
             maxembed_layout_small,
             EngineConfig(
-                device_command_path="batched",
+                executor="batched",
                 fault_plan=FaultPlan(
                     seed=7 + FAULT_SEED,
                     read_error_rate=0.3,
@@ -129,7 +144,7 @@ class TestBatchedRecovery:
             replicated_layout(),
             EngineConfig(
                 cache_ratio=0.0,
-                device_command_path="batched",
+                executor="batched",
                 fault_plan=plan,
                 retry=RetryPolicy(max_retries=0),
             ),
@@ -152,7 +167,7 @@ class TestNdpRecovery:
         engine = ServingEngine(
             maxembed_layout_small,
             EngineConfig(
-                device_command_path="ndp",
+                executor="ndp",
                 fault_plan=FaultPlan(
                     seed=11 + FAULT_SEED, read_error_rate=0.05
                 ),
@@ -168,7 +183,7 @@ class TestNdpRecovery:
             replicated_layout(),
             EngineConfig(
                 cache_ratio=0.0,
-                device_command_path="ndp",
+                executor="ndp",
                 fault_plan=plan,
                 retry=RetryPolicy(max_retries=0),
             ),
@@ -187,7 +202,7 @@ class TestNdpRecovery:
             replicated_layout(),
             EngineConfig(
                 cache_ratio=0.0,
-                device_command_path="ndp",
+                executor="ndp",
                 fault_plan=FaultPlan(
                     seed=5 + FAULT_SEED, corrupt_rate=0.5
                 ),
@@ -196,7 +211,7 @@ class TestNdpRecovery:
         )
         clean = ServingEngine(
             replicated_layout(),
-            EngineConfig(cache_ratio=0.0, device_command_path="ndp"),
+            EngineConfig(cache_ratio=0.0, executor="ndp"),
         )
         query = Query(tuple(range(16)))
         faulty_result = engine.serve_query(query)
@@ -206,7 +221,7 @@ class TestNdpRecovery:
 
 
 class TestAccountingIdentity:
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize(
         "plan_kwargs",
         [
@@ -215,12 +230,12 @@ class TestAccountingIdentity:
             {"read_error_rate": 0.2, "brownouts": ((50.0, 500.0),)},
         ],
     )
-    def test_no_key_dropped_or_double_counted(self, path, plan_kwargs):
+    def test_no_key_dropped_or_double_counted(self, executor, plan_kwargs):
         engine = ServingEngine(
             replicated_layout(),
             EngineConfig(
                 cache_ratio=0.0,
-                device_command_path=path,
+                executor=executor,
                 fault_plan=FaultPlan(seed=3 + FAULT_SEED, **plan_kwargs),
                 retry=RetryPolicy(max_retries=1, backoff_us=10.0),
             ),
@@ -232,15 +247,15 @@ class TestAccountingIdentity:
                 result.cache_hits + result.ssd_keys + result.missing_keys
             )
 
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_raid_array_behind_faults(
-        self, path, maxembed_layout_small, criteo_small
+        self, executor, maxembed_layout_small, criteo_small
     ):
         _, live = criteo_small
         engine = ServingEngine(
             maxembed_layout_small,
             EngineConfig(
-                device_command_path=path,
+                executor=executor,
                 raid_members=2,
                 fault_plan=FaultPlan(
                     seed=17 + FAULT_SEED, read_error_rate=0.05

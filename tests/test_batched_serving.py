@@ -1,16 +1,17 @@
-"""Serving over the device command paths: paged, batched, ndp.
+"""Serving through the batched and ndp executors, next to the paged ones.
 
 Contracts:
 
-* ``device_command_path="paged"`` (the default) is bit-identical to the
-  historical per-page serving — adding the batched machinery must not
-  perturb a single timestamp (hypothesis parity on engine and cluster);
+* the per-page executors (``pipelined``, the default, and ``serial``)
+  are bit-identical to the historical per-page serving — adding the
+  batched machinery must not perturb a single timestamp (hypothesis
+  parity on engine and cluster);
 * with zero submit overhead, ``batched`` is bit-identical to ``serial``
-  paged serving — batching only moves who pays the overhead;
+  serving — batching only moves who pays the overhead;
 * with a non-zero overhead, batched serving is strictly faster;
-* the ``ndp`` path auto-upgrades a plain profile to an NDP one, reads
-  the same pages, and covers every key;
-* all three paths compose with the overload degrade ladder.
+* the ``ndp`` executor auto-upgrades a plain profile to an NDP one,
+  reads the same pages, and covers every key;
+* all of them compose with the overload degrade ladder.
 """
 
 import dataclasses
@@ -89,25 +90,25 @@ def engine_for(layout, **overrides):
 
 
 class TestConfigValidation:
-    def test_engine_rejects_unknown_path(self):
-        with pytest.raises(ServingError, match="device_command_path"):
-            EngineConfig(device_command_path="dma")
+    def test_engine_rejects_unknown_executor(self):
+        with pytest.raises(ServingError, match="executor"):
+            EngineConfig(executor="dma")
 
-    def test_core_config_rejects_unknown_path(self):
-        with pytest.raises(ConfigError, match="device command path"):
-            MaxEmbedConfig(device_command_path="dma")
+    def test_core_config_rejects_unknown_executor(self):
+        with pytest.raises(ConfigError, match="executor"):
+            MaxEmbedConfig(executor="dma")
 
     def test_executor_selection(self):
         assert isinstance(
-            EngineConfig(device_command_path="batched"), EngineConfig
+            EngineConfig(executor="batched"), EngineConfig
         )
         layout = PageLayout(4, 2, [(0, 1), (2, 3)], num_base_pages=2)
         assert isinstance(
-            engine_for(layout, device_command_path="batched").executor,
+            engine_for(layout, executor="batched").executor,
             BatchedExecutor,
         )
         assert isinstance(
-            engine_for(layout, device_command_path="ndp").executor,
+            engine_for(layout, executor="ndp").executor,
             NdpExecutor,
         )
         assert isinstance(
@@ -127,7 +128,7 @@ class TestPagedDefaultParity:
     def test_engine_paged_equals_batched_at_zero_overhead(self, data):
         layout, queries = data
         serial = engine_for(layout, executor="serial")
-        batched = engine_for(layout, device_command_path="batched")
+        batched = engine_for(layout, executor="batched")
         assert serial.serve_trace(queries) == batched.serve_trace(queries)
 
     @settings(
@@ -150,7 +151,7 @@ class TestPagedDefaultParity:
         )
         batched = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(device_command_path="batched"),
+            EngineConfig(executor="batched"),
         )
         assert serial.serve_trace(queries) == batched.serve_trace(queries)
 
@@ -170,7 +171,7 @@ class TestBatchedAmortization:
         batched = ServingEngine(
             maxembed_layout_small,
             EngineConfig(
-                device_command_path="batched",
+                executor="batched",
                 profile=OVERHEAD_P5800X,
                 threads=1,
             ),
@@ -186,7 +187,7 @@ class TestBatchedAmortization:
             layout, executor="serial", profile=OVERHEAD_P5800X
         )
         batched = engine_for(
-            layout, device_command_path="batched", profile=OVERHEAD_P5800X
+            layout, executor="batched", profile=OVERHEAD_P5800X
         )
         query = [Query((0, 1))]
         assert serial.serve_trace(query) == batched.serve_trace(query)
@@ -195,11 +196,11 @@ class TestBatchedAmortization:
 class TestNdpServing:
     def test_plain_profile_auto_upgraded(self):
         layout = PageLayout(4, 2, [(0, 1), (2, 3)], num_base_pages=2)
-        engine = engine_for(layout, device_command_path="ndp")
+        engine = engine_for(layout, executor="ndp")
         assert engine.device.profile.supports_gather
         # An explicit NDP profile is kept as-is.
         explicit = engine_for(
-            layout, device_command_path="ndp", profile=P5800X_NDP
+            layout, executor="ndp", profile=P5800X_NDP
         )
         assert explicit.device.profile is P5800X_NDP
 
@@ -212,7 +213,7 @@ class TestNdpServing:
             maxembed_layout_small, EngineConfig(executor="serial")
         )
         ndp = ServingEngine(
-            maxembed_layout_small, EngineConfig(device_command_path="ndp")
+            maxembed_layout_small, EngineConfig(executor="ndp")
         )
         paged_report = paged.serve_trace(queries)
         ndp_report = ndp.serve_trace(queries)
@@ -223,7 +224,7 @@ class TestNdpServing:
     def test_gather_command_reflects_selection(self, maxembed_layout_small):
         engine = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(device_command_path="ndp"),
+            EngineConfig(executor="ndp"),
         )
         outcome = engine.selector.select([0, 1, 2, 3])
         spec = EmbeddingSpec(dim=8)
@@ -244,7 +245,7 @@ class TestNdpServing:
             maxembed_layout_small, EngineConfig(executor="serial")
         )
         ndp = ServingEngine(
-            maxembed_layout_small, EngineConfig(device_command_path="ndp")
+            maxembed_layout_small, EngineConfig(executor="ndp")
         )
         paged.serve_trace(queries)
         ndp.serve_trace(queries)
@@ -273,7 +274,7 @@ class TestClusterPaths:
         queries = list(live)[:200]
         paged = ClusterEngine(sharded, EngineConfig(executor="serial"))
         batched = ClusterEngine(
-            sharded, EngineConfig(device_command_path="batched")
+            sharded, EngineConfig(executor="batched")
         )
         paged_report = paged.serve_trace(queries)
         batched_report = batched.serve_trace(queries)
@@ -283,22 +284,22 @@ class TestClusterPaths:
         _, live = criteo_small
         queries = list(live)[:200]
         engine = ClusterEngine(
-            sharded, EngineConfig(device_command_path="ndp")
+            sharded, EngineConfig(executor="ndp")
         )
         report = engine.serve_trace(queries)
         assert report.coverage() == 1.0
 
 
 class TestDegradeLadder:
-    @pytest.mark.parametrize("path", ["paged", "batched", "ndp"])
+    @pytest.mark.parametrize("executor", ["pipelined", "batched", "ndp"])
     def test_openloop_degrades_and_accounts(
-        self, path, maxembed_layout_small, criteo_small
+        self, executor, maxembed_layout_small, criteo_small
     ):
         _, live = criteo_small
         queries = list(live)[:400]
         engine = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(device_command_path=path, threads=1),
+            EngineConfig(executor=executor, threads=1),
         )
         sim = OpenLoopSimulator(
             engine,

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 
 from repro import DeviceFault, FaultPlan, FaultySsd, SimulatedSsd, StorageError
 from repro.errors import DeviceInterfaceError
+from repro.serving import EXECUTORS
 from repro.ssd import (
-    DEVICE_COMMAND_PATHS,
     GatherCommand,
     NdpSsdProfile,
     P5800X,
@@ -47,8 +47,8 @@ GATHER = GatherCommand(
 
 
 class TestCommandVocabulary:
-    def test_paths_tuple(self):
-        assert DEVICE_COMMAND_PATHS == ("paged", "batched", "ndp")
+    def test_executor_names(self):
+        assert tuple(EXECUTORS) == ("pipelined", "serial", "batched", "ndp")
 
     def test_read_command_rejects_negative_page(self):
         with pytest.raises(StorageError):

@@ -4,7 +4,8 @@ The recovery contract under test:
 
 * with no fault plan — or a plan that injects nothing — serving is
   bit-identical to the plain executors (the whole fault subsystem stays
-  out of the hot path);
+  out of the hot path), at the presets' zero submit overhead and at
+  1 µs, on a shallow and a deep queue;
 * under injected faults, every key recoverable via a surviving replica
   page is served, every unrecoverable key is reported ``missing``, and
   no key is ever silently dropped or double-counted (the accounting
@@ -12,6 +13,7 @@ The recovery contract under test:
   every query).
 """
 
+import dataclasses
 import os
 
 import hypothesis.strategies as st
@@ -26,10 +28,19 @@ from repro import (
     RetryPolicy,
     ServingEngine,
 )
+from repro.ssd import P5800X
 
 # CI's chaos job sweeps this to replay the suite under different fault
 # draws; the properties under test are seed-independent.
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+
+# The presets charge no submit overhead; with one, the recovery wrapper
+# must still place it where the plain executor does (before the stall).
+PROFILES = {"preset": P5800X}
+for depth in (2, 128):
+    PROFILES[f"1us-qd{depth}"] = dataclasses.replace(
+        P5800X, submit_overhead_us=1.0, queue_depth=depth
+    )
 
 # A small layout with real replicas: four base pages partition the 16
 # keys, two replica pages duplicate one key from each base page.
@@ -53,23 +64,28 @@ def holders(key: int):
 
 
 class TestFaultFreeParity:
+    @pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFILES)
     @pytest.mark.parametrize("executor", ["pipelined", "serial"])
     def test_no_op_plan_is_bit_identical(
-        self, executor, maxembed_layout_small, criteo_small
+        self, executor, profile, maxembed_layout_small, criteo_small
     ):
         _, live = criteo_small
-        baseline = ServingEngine(
-            maxembed_layout_small, EngineConfig(executor=executor)
-        )
+        config = EngineConfig(executor=executor, profile=profile)
+        baseline = ServingEngine(maxembed_layout_small, config)
         # FaultPlan() injects nothing, but its mere presence routes every
         # query through the recovery executor — which must reproduce the
         # plain executor's timing exactly.
         guarded = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(executor=executor, fault_plan=FaultPlan()),
+            dataclasses.replace(config, fault_plan=FaultPlan()),
         )
         queries = list(live)[:200]
         assert baseline.serve_trace(queries) == guarded.serve_trace(queries)
+        # ...and the device saw every read at the same two timestamps.
+        assert (
+            baseline.device.stats.latencies.values()
+            == guarded.device.stats.latencies.values()
+        )
 
     def test_no_plan_leaves_fault_surface_dark(self, maxembed_layout_small):
         engine = ServingEngine(maxembed_layout_small, EngineConfig())

@@ -8,12 +8,13 @@ from repro import (
     EmbeddingSpec,
     MaxEmbedConfig,
     P4510,
+    PageLayout,
     Query,
     ShpConfig,
 )
 from repro.core import MaxEmbedStore, load_store, save_store
 from repro.core.persist import config_from_dict, config_to_dict
-from repro.serving import CpuCostModel
+from repro.serving import EXECUTORS, CpuCostModel
 
 
 @pytest.fixture
@@ -103,6 +104,18 @@ class TestStoreBundle:
         restored = loaded.serve_trace(live)
         assert original.total_pages_read == restored.total_pages_read
         assert original.makespan_us == restored.makespan_us
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_executor_survives_the_bundle(self, executor, tmp_path):
+        config = MaxEmbedConfig(executor=executor)
+        assert config_from_dict(config_to_dict(config)).executor == executor
+        layout = PageLayout(
+            8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)], num_base_pages=2
+        )
+        save_store(MaxEmbedStore(layout, config), tmp_path / "bundle")
+        loaded = load_store(tmp_path / "bundle")
+        assert loaded.config.executor == executor
+        assert type(loaded.engine.executor) is EXECUTORS[executor]
 
     def test_load_missing_bundle(self, tmp_path):
         with pytest.raises(ConfigError, match="not a store bundle"):
