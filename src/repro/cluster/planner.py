@@ -95,6 +95,11 @@ class ShardPlan:
         """Size of the global key space."""
         return len(self.assignment)
 
+    @property
+    def local_ids(self) -> Tuple[int, ...]:
+        """Global key → dense id within its shard (parallel to ``assignment``)."""
+        return self._local_ids
+
     def shard_of(self, key: int) -> int:
         """Shard owning ``key``."""
         return self.assignment[key]

@@ -154,13 +154,15 @@ class ReplicaGroup:
         """
         self._maintain(start_us)
         self.fragments += 1
-        order = self.monitor.dispatch_order()
+        monitor = self.monitor
+        order = monitor.dispatch_order()
         if not order:
             raise ReplicaExhaustedError(
                 f"shard {self.shard}: every replica is dead",
                 shard=self.shard,
                 kind="error",
             )
+        deadline = self.deadline_us
         clock = start_us
         elapsed = 0.0
         failures = 0
@@ -169,27 +171,23 @@ class ReplicaGroup:
             try:
                 result = self._attempt(replica, fragment, clock, degrade)
             except Exception:  # noqa: BLE001 - failover catches everything
-                self.monitor.record_failure(replica, clock)
+                monitor.record_failure(replica, clock)
                 failures += 1
                 continue
-            if (
-                self.deadline_us is not None
-                and result.latency_us > self.deadline_us
-            ):
+            latency = result.latency_us
+            if deadline is not None and latency > deadline:
                 # The caller waited out the deadline before giving up on
                 # this replica; the next attempt starts that much later.
-                self.monitor.record_failure(
-                    replica, clock + self.deadline_us, reason="timeout"
+                monitor.record_failure(
+                    replica, clock + deadline, reason="timeout"
                 )
                 failures += 1
                 timeouts += 1
-                clock += self.deadline_us
-                elapsed += self.deadline_us
+                clock += deadline
+                elapsed += deadline
                 continue
-            self.monitor.record_success(
-                replica, result.latency_us, result.finish_us
-            )
-            self._latencies.append(result.latency_us)
+            monitor.record_success(replica, latency, result.finish_us)
+            self._latencies.append(latency)
             winner = replica
             hedges = hedge_wins = 0
             if failures == 0:
@@ -199,13 +197,28 @@ class ReplicaGroup:
                     fragment, start_us, degrade, replica, result, order
                 )
             self.failovers += failures
-            return replace(
-                result,
-                start_us=start_us,
-                failovers=failures,
-                hedges=hedges,
-                hedge_wins=hedge_wins,
-                served_by=((self.shard, winner),),
+            # The engine's result rebased to the original start, plus this
+            # group's provenance; field order is QueryResult's.
+            return QueryResult(
+                result.requested_keys,
+                result.cache_hits,
+                result.ssd_keys,
+                result.pages_read,
+                result.valid_per_read,
+                start_us,
+                result.finish_us,
+                result.execution,
+                result.retries,
+                result.failed_reads,
+                result.recovered_keys,
+                result.missing_keys,
+                result.degrade_level,
+                result.degrade_shed_keys,
+                result.tier_hits,
+                failures,
+                hedges,
+                hedge_wins,
+                ((self.shard, winner),),
             )
         kind = "timeout" if timeouts and timeouts == failures else "error"
         raise ReplicaExhaustedError(
@@ -307,12 +320,19 @@ class ReplicaGroup:
     # -- probes / resync ------------------------------------------------------
 
     def _maintain(self, now_us: float) -> None:
-        """Run due resyncs and probes before dispatching a fragment."""
-        for replica in range(self.num_replicas):
-            if self.monitor.resync_due(replica, now_us):
+        """Run due resyncs, then due probes, before dispatching a fragment.
+
+        Only replicas in the monitor's attention set can be due for
+        either, so a healthy group does no per-replica work here.
+        """
+        monitor = self.monitor
+        watched = sorted(monitor.attention)
+        for replica in watched:
+            if monitor.resync_due(replica, now_us):
                 self._resync(replica, now_us)
-        for replica in self.monitor.probes_due(now_us):
-            self._probe(replica, now_us)
+        for replica in watched:
+            if monitor.probe_due(replica, now_us):
+                self._probe(replica, now_us)
 
     def _probe(self, replica: int, now_us: float) -> None:
         """Send a tiny canary query through the full attempt path.

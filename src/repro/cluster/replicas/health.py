@@ -25,7 +25,7 @@ no randomness — so chaos runs replay deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ...errors import ConfigError
 
@@ -149,6 +149,10 @@ class ReplicaHealthMonitor:
         self.dead_since_us: List[Optional[float]] = [None] * num_replicas
         self.last_probe_us: List[float] = [float("-inf")] * num_replicas
         self.transitions: List[HealthTransition] = []
+        #: Replicas that are not healthy or whose error score is above the
+        #: clear bar — the only ones maintenance (probes, resyncs) can
+        #: concern.  Empty in steady state.
+        self.attention: Set[int] = set()
 
     # -- outcome feed ---------------------------------------------------------
 
@@ -189,6 +193,7 @@ class ReplicaHealthMonitor:
             >= self.config.promote_successes
         ):
             self._transition(replica, HEALTHY, now_us, "promoted")
+        self._watch(replica)
 
     def record_failure(
         self, replica: int, now_us: float, reason: str = "fault"
@@ -216,6 +221,7 @@ class ReplicaHealthMonitor:
             or failures >= self.config.dead_failures
         ):
             self._transition(replica, DEAD, now_us, reason)
+        self._watch(replica)
 
     def record_probe(self, replica: int, ok: bool, now_us: float) -> None:
         """Feed one probe outcome (success path may promote)."""
@@ -233,6 +239,7 @@ class ReplicaHealthMonitor:
         self.consecutive_failures[replica] = 0
         self.consecutive_successes[replica] = 0
         self._transition(replica, RECOVERING, now_us, "resync")
+        self._watch(replica)
 
     # -- dispatch / maintenance queries --------------------------------------
 
@@ -255,21 +262,21 @@ class ReplicaHealthMonitor:
         — not the raw score — keeps cleared replicas load-balanced with
         never-failed ones.  Dead replicas are excluded entirely.
         """
-        candidates = [
-            r
-            for r in range(self.num_replicas)
-            if self.states[r] != DEAD
-        ]
-        candidates.sort(
-            key=lambda r: (
-                _DISPATCH_RANK[self.states[r]],
-                self.tainted(r),
-                self.dispatched[r],
-                self.error_score[r],
+        states, scores = self.states, self.error_score
+        dispatched, clear = self.dispatched, self.config.clear_error_score
+        ranked = [
+            (
+                _DISPATCH_RANK[states[r]],
+                scores[r] > clear,
+                dispatched[r],
+                scores[r],
                 r,
             )
-        )
-        return candidates
+            for r in range(self.num_replicas)
+            if states[r] != DEAD
+        ]
+        ranked.sort()
+        return [key[4] for key in ranked]
 
     def resync_due(self, replica: int, now_us: float) -> bool:
         """True when a dead replica has served out its resync delay."""
@@ -280,22 +287,25 @@ class ReplicaHealthMonitor:
             and now_us - dead_since >= self.config.resync_delay_us
         )
 
-    def probes_due(self, now_us: float) -> List[int]:
-        """Replicas under observation whose probe interval elapsed.
+    def probe_due(self, replica: int, now_us: float) -> bool:
+        """True when a replica under observation has waited out its interval.
 
         Suspect and recovering replicas are always probed; healthy
         replicas are probed only while tainted, so their score decays
-        back under the clear bar and they rejoin load balancing.
+        back under the clear bar and they rejoin load balancing.  That
+        is every live member of ``attention``.
         """
-        return [
-            r
-            for r in range(self.num_replicas)
-            if (
-                self.states[r] in (SUSPECT, RECOVERING)
-                or (self.states[r] == HEALTHY and self.tainted(r))
-            )
-            and now_us - self.last_probe_us[r]
+        return (
+            replica in self.attention
+            and self.states[replica] != DEAD
+            and now_us - self.last_probe_us[replica]
             >= self.config.probe_interval_us
+        )
+
+    def probes_due(self, now_us: float) -> List[int]:
+        """Replicas whose probe is due, in ascending id."""
+        return [
+            r for r in sorted(self.attention) if self.probe_due(r, now_us)
         ]
 
     def state_counts(self) -> Dict[str, int]:
@@ -306,6 +316,17 @@ class ReplicaHealthMonitor:
         return counts
 
     # -- internals ------------------------------------------------------------
+
+    def _watch(self, replica: int) -> None:
+        """Re-derive ``replica``'s ``attention`` membership.
+
+        Called wherever a score or a state changes, so the set always
+        equals its definition.
+        """
+        if self.states[replica] != HEALTHY or self.tainted(replica):
+            self.attention.add(replica)
+        else:
+            self.attention.discard(replica)
 
     def _transition(
         self, replica: int, to_state: str, now_us: float, reason: str

@@ -30,9 +30,9 @@ unit; page-level faults are handled inside each shard engine by
   (keys missing, zero latency) until its recovery timeout lets a probe
   through.  Breakers also switch the router to *resilient* gathering:
   a worker exception degrades the fragment instead of failing the query;
-* **strict mode** (no breaker) — a worker exception cancels the query's
-  outstanding fragment futures and raises
-  :class:`~repro.errors.ShardUnavailableError` naming the failing shard;
+* **strict mode** (no breaker) — a worker exception stops the gather at
+  the failing shard (later shards are not served) and raises
+  :class:`~repro.errors.ShardUnavailableError` naming it;
 * **replica groups** — with ``config.replicas > 1`` (or a
   ``config.shard_fault_plan`` to inject against) every shard becomes an
   R-way :class:`~repro.cluster.replicas.ReplicaGroup`: fragments are
@@ -57,8 +57,6 @@ deadline's partial gather.
 from __future__ import annotations
 
 import heapq
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import (
@@ -143,18 +141,6 @@ class ClusterEngine:
                 CircuitBreaker(self.config.breaker)
                 for _ in range(self.num_shards)
             ]
-        workers = self.config.scatter_workers
-        if workers is None:
-            workers = self.num_shards if self.num_shards > 1 else 0
-        self._pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=min(workers, self.num_shards),
-                thread_name_prefix="scatter",
-            )
-            if workers > 1
-            else None
-        )
-        self._closed = False
         self.swap_counts: List[int] = [0] * self.num_shards
         self.swap_rollbacks = 0
         self.swap_events: List[dict] = []
@@ -170,23 +156,15 @@ class ClusterEngine:
         return self.breakers is not None
 
     def close(self) -> None:
-        """Shut down the scatter worker pool (idempotent).
+        """Retire every shard engine or replica group (idempotent).
 
-        Safe to call any number of times, and safe concurrently with an
-        in-flight ``serve_query``: the serve falls back to the serial
-        scatter path once the pool is gone.
+        Retirement is a marker, not a teardown (see
+        :meth:`~repro.serving.ServingEngine.close`), so this is safe
+        concurrently with an in-flight ``serve_query`` and serving after
+        ``close`` still completes.
         """
-        if self._closed:
-            return
-        self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # A scatter worker may itself trigger close(); joining the
-            # calling thread would raise, so only wait from outsiders.
-            # (Workers are identified by name: the pool registers threads
-            # in _threads only after they start, so identity is racy.)
-            wait = not threading.current_thread().name.startswith("scatter")
-            pool.shutdown(wait=wait)
+        for owned in self.groups if self.groups is not None else self.engines:
+            owned.close()
 
     # -- layout management -----------------------------------------------------
 
@@ -351,14 +329,19 @@ class ClusterEngine:
 
     def scatter(self, query: Query) -> Dict[int, Query]:
         """Split a global query into shard-local fragments."""
+        keys = query.keys
+        assignment = self.plan.assignment
+        num_keys = len(assignment)
+        if max(keys) >= num_keys:
+            bad = next(k for k in keys if k >= num_keys)
+            raise ServingError(f"key {bad} is not in the embedding table")
+        local_ids = self.plan.local_ids
         fragments: Dict[int, List[int]] = {}
-        for key in query.keys:
-            fragments.setdefault(self.plan.shard_of(key), []).append(
-                self.plan.local_id(key)
-            )
+        for key in keys:
+            fragments.setdefault(assignment[key], []).append(local_ids[key])
         return {
-            shard: Query(tuple(keys))
-            for shard, keys in fragments.items()
+            shard: Query(tuple(local))
+            for shard, local in fragments.items()
         }
 
     @staticmethod
@@ -384,105 +367,28 @@ class ClusterEngine:
             degrade_shed_keys=n if shed else 0,
         )
 
-    def _fragment_server(self, shard: int):
-        """The callable serving one shard's fragments (replica-aware)."""
-        if self.groups is not None:
-            return self.groups[shard].serve
-        return self.engines[shard].serve_query
-
-    def _gather(self, dispatch, start_us: float, degrade=None):
-        """Run the dispatched fragments; return shard → result-or-exception.
-
-        Uses the scatter pool when available; in strict mode the first
-        worker exception cancels every outstanding future and re-raises
-        as :class:`ShardUnavailableError` naming the shard.  A pool torn
-        down mid-serve (``close`` racing a query) falls back to the
-        serial path for the remaining fragments.
-        """
-        raw: Dict[int, object] = {}
-        # A None degrade is not forwarded at all, so engines (or test
-        # doubles) with the pre-overload two-argument signature keep
-        # working and the disabled path stays call-identical.
-        extra = () if degrade is None else (degrade,)
-        pool = self._pool
-        if pool is not None and len(dispatch) > 1:
-            futures = []
-            try:
-                for shard, fragment in dispatch:
-                    futures.append(
-                        (
-                            shard,
-                            pool.submit(
-                                self._fragment_server(shard),
-                                fragment,
-                                start_us,
-                                *extra,
-                            ),
-                        )
-                    )
-            except RuntimeError:
-                # close() won the race; whatever was submitted still
-                # completes below, the rest run serially.
-                pass
-            submitted = {shard for shard, _ in futures}
-            failure: "Optional[Tuple[int, BaseException]]" = None
-            for shard, future in futures:
-                if failure is not None:
-                    future.cancel()
-                    continue
-                try:
-                    raw[shard] = future.result()
-                except Exception as exc:  # noqa: BLE001 - rewrapped below
-                    if self.resilient:
-                        raw[shard] = exc
-                    else:
-                        failure = (shard, exc)
-            if failure is not None:
-                shard, exc = failure
-                raise ShardUnavailableError(
-                    f"shard {shard} failed serving a scattered fragment: "
-                    f"{exc}",
-                    shard=shard,
-                ) from exc
-            dispatch = [
-                (shard, fragment)
-                for shard, fragment in dispatch
-                if shard not in submitted
-            ]
-        for shard, fragment in dispatch:
-            try:
-                raw[shard] = self._fragment_server(shard)(
-                    fragment, start_us, *extra
-                )
-            except Exception as exc:  # noqa: BLE001 - rewrapped below
-                if self.resilient:
-                    raw[shard] = exc
-                else:
-                    raise ShardUnavailableError(
-                        f"shard {shard} failed serving a scattered "
-                        f"fragment: {exc}",
-                        shard=shard,
-                    ) from exc
-        return raw
-
     def _serve_scattered(
         self, query: Query, start_us: float, degrade=None
     ) -> Tuple[QueryResult, Dict[int, QueryResult], Dict[int, str]]:
         """Serve one query; return (gathered, per-shard results, events).
 
+        Fragments are served one after another in ascending shard id —
+        shards share nothing but the start time, so the order is only
+        visible in strict mode, where a failing shard ends the gather.
         ``events`` maps each touched shard to one of :data:`SHARD_OK`,
         :data:`SHARD_TIMEOUT`, :data:`SHARD_SKIPPED` (breaker open),
         :data:`SHARD_ERROR` (resilient-mode worker exception) or
         :data:`SHARD_SHED` (fragment dropped by a degraded fan-out cap).
         """
-        fragments = self.scatter(query)
-        all_items = items = sorted(fragments.items())
-        sub_results: Dict[int, QueryResult] = {}
-        events: Dict[int, str] = {}
+        items = sorted(self.scatter(query).items())
         if degrade is not None and degrade.is_noop:
             degrade = None
-        fanout_cap = degrade.fanout_cap if degrade is not None else None
-        if fanout_cap is not None and len(items) > fanout_cap:
+        kept = None
+        if (
+            degrade is not None
+            and degrade.fanout_cap is not None
+            and len(items) > degrade.fanout_cap
+        ):
             # Keep the shards carrying the most keys (ties: lower shard
             # id); shed the small fragments whole — their keys buy the
             # least coverage per gather slot.
@@ -490,71 +396,83 @@ class ClusterEngine:
                 items,
                 key=lambda item: (-len(item[1].unique_keys()), item[0]),
             )
-            kept = {shard for shard, _ in ranked[:fanout_cap]}
-            for shard, fragment in items:
-                if shard not in kept:
-                    sub_results[shard] = self._unserved_result(
-                        fragment,
-                        start_us,
-                        start_us,
-                        degrade_level=degrade.level,
-                        shed=True,
-                    )
-                    events[shard] = SHARD_SHED
-            items = [item for item in items if item[0] in kept]
-        dispatch = []
-        for shard, fragment in items:
-            breaker = self.breakers[shard] if self.breakers else None
-            if breaker is not None and not breaker.allow(start_us):
-                sub_results[shard] = self._unserved_result(
-                    fragment, start_us, start_us
-                )
-                events[shard] = SHARD_SKIPPED
-            else:
-                dispatch.append((shard, fragment))
-        raw = self._gather(dispatch, start_us, degrade)
+            kept = {shard for shard, _ in ranked[: degrade.fanout_cap]}
+        # A None degrade is not forwarded at all, so engines (or test
+        # doubles) with the pre-overload two-argument signature keep
+        # working and the disabled path stays call-identical.
+        extra = () if degrade is None else (degrade,)
+        groups = self.groups
+        breakers = self.breakers
         # Replica groups enforce the per-attempt deadline internally (a
         # failover legally finishes later than one deadline), so the
         # router-side timeout check only applies to bare engines.
-        deadline = (
-            self.config.shard_deadline_us if self.groups is None else None
-        )
-        for shard, fragment in dispatch:
-            breaker = self.breakers[shard] if self.breakers else None
-            outcome = raw[shard]
-            if isinstance(outcome, Exception):
+        deadline = self.config.shard_deadline_us if groups is None else None
+        subs: Dict[int, QueryResult] = {}
+        events: Dict[int, str] = {}
+        for shard, fragment in items:
+            if kept is not None and shard not in kept:
+                subs[shard] = self._unserved_result(
+                    fragment,
+                    start_us,
+                    start_us,
+                    degrade_level=degrade.level,
+                    shed=True,
+                )
+                events[shard] = SHARD_SHED
+                continue
+            breaker = breakers[shard] if breakers is not None else None
+            if breaker is not None and not breaker.allow(start_us):
+                subs[shard] = self._unserved_result(
+                    fragment, start_us, start_us
+                )
+                events[shard] = SHARD_SKIPPED
+                continue
+            try:
+                # Looked up per dispatch: swaps and fault doubles replace
+                # ``group.serve`` / ``engine.serve_query`` on the instance.
+                if groups is not None:
+                    outcome = groups[shard].serve(fragment, start_us, *extra)
+                else:
+                    outcome = self.engines[shard].serve_query(
+                        fragment, start_us, *extra
+                    )
+            except Exception as exc:  # noqa: BLE001 - degraded or rewrapped
+                if breaker is None:
+                    raise ShardUnavailableError(
+                        f"shard {shard} failed serving a scattered "
+                        f"fragment: {exc}",
+                        shard=shard,
+                    ) from exc
                 # A group exhausted by timeouts burned real simulated
                 # time (deadline waits) and maps onto the shard-timeout
                 # taxonomy; everything else is an instant shard error.
                 if (
-                    isinstance(outcome, ReplicaExhaustedError)
-                    and outcome.kind == "timeout"
+                    isinstance(exc, ReplicaExhaustedError)
+                    and exc.kind == "timeout"
                 ):
-                    finish = start_us + outcome.elapsed_us
+                    finish = start_us + exc.elapsed_us
                     events[shard] = SHARD_TIMEOUT
                 else:
                     finish = start_us
                     events[shard] = SHARD_ERROR
-                sub_results[shard] = self._unserved_result(
+                subs[shard] = self._unserved_result(
                     fragment, start_us, finish
                 )
-                if breaker is not None:
-                    breaker.record_failure(finish)
-            elif deadline is not None and outcome.latency_us > deadline:
-                sub_results[shard] = self._unserved_result(
+                breaker.record_failure(finish)
+                continue
+            if deadline is not None and outcome.latency_us > deadline:
+                subs[shard] = self._unserved_result(
                     fragment, start_us, start_us + deadline
                 )
                 events[shard] = SHARD_TIMEOUT
                 if breaker is not None:
                     breaker.record_failure(start_us + deadline)
             else:
-                sub_results[shard] = outcome
+                subs[shard] = outcome
                 events[shard] = SHARD_OK
                 if breaker is not None:
                     breaker.record_success(outcome.finish_us)
-        ordered = {shard: sub_results[shard] for shard, _ in all_items}
-        merged = merge_shard_results(list(ordered.values()))
-        return merged, ordered, events
+        return merge_shard_results(list(subs.values())), subs, events
 
     def serve_query(
         self, query: Query, start_us: float = 0.0, degrade=None

@@ -50,8 +50,6 @@ class MaxEmbedConfig:
             (outcome-identical to the reference path; ``False`` forces
             the reference set-algebra selectors).
         threads: simulated serving threads.
-        scatter_workers: cluster scatter-phase selection threads (see
-            :class:`~repro.serving.EngineConfig`).
         cost_model: selection CPU charges.
         num_shards: >1 splits the table across that many shards, each
             served by its own engine and device (see :mod:`repro.cluster`).
@@ -103,7 +101,6 @@ class MaxEmbedConfig:
     fast_selection: bool = True
     executor: str = "pipelined"
     threads: int = 8
-    scatter_workers: Optional[int] = None
     cost_model: CpuCostModel = field(default_factory=CpuCostModel)
     num_shards: int = 1
     shard_strategy: str = "cooccurrence"

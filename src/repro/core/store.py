@@ -120,7 +120,6 @@ class MaxEmbedStore:
                 fast_selection=self.config.fast_selection,
                 executor=self.config.executor,
                 threads=self.config.threads,
-                scatter_workers=self.config.scatter_workers,
                 raid_members=self.config.raid_members,
                 cost_model=self.config.cost_model,
             ),

@@ -80,9 +80,6 @@ class EngineConfig:
             support gather — a plain profile is auto-upgraded to its
             :class:`~repro.ssd.NdpSsdProfile` counterpart).
         threads: simulated serving threads (paper uses 8).
-        scatter_workers: threads for the cluster scatter phase's per-shard
-            selection (``None`` = one per shard when sharded, ``0``/``1``
-            = serial).  Ignored by single-shard engines.
         raid_members: >1 builds a RAID-0 of that many drives.
         cost_model: CPU charge table for the selection path.
         fault_plan: deterministic fault-injection schedule (None = no
@@ -132,7 +129,6 @@ class EngineConfig:
     fast_selection: bool = True
     executor: str = "pipelined"
     threads: int = 8
-    scatter_workers: Optional[int] = None
     raid_members: int = 1
     cost_model: CpuCostModel = field(default_factory=CpuCostModel)
     fault_plan: Optional[FaultPlan] = None
@@ -163,10 +159,6 @@ class EngineConfig:
         if self.raid_members <= 0:
             raise ServingError(
                 f"raid_members must be positive, got {self.raid_members}"
-            )
-        if self.scatter_workers is not None and self.scatter_workers < 0:
-            raise ServingError(
-                f"scatter_workers must be >= 0, got {self.scatter_workers}"
             )
         if not 0.0 <= self.cache_ratio <= 1.0:
             raise ServingError(

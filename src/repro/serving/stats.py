@@ -276,51 +276,84 @@ def merge_shard_results(results: Sequence[QueryResult]) -> QueryResult:
     disjoint key sets — and the finish time is the slowest shard's, which
     is what the client observes.  A single sub-result is returned as-is,
     so a 1-shard cluster reproduces the plain engine's results exactly.
+    Everything accumulates in one left-to-right pass, so float sums add
+    in fragment order.
     """
     if not results:
         raise ServingError("cannot merge an empty result list")
+    first = results[0]
     if len(results) == 1:
-        return results[0]
-    starts = {r.start_us for r in results}
-    if len(starts) != 1:
-        raise ServingError(
-            f"scattered fragments must share a start time, got {starts}"
-        )
-    finish = max(r.finish_us for r in results)
-    executions = [r.execution for r in results if r.execution is not None]
-    merged_execution = None
-    if executions:
-        merged_execution = ExecutionResult(
-            start_us=results[0].start_us,
-            finish_us=finish,
-            sort_us=sum(e.sort_us for e in executions),
-            selection_us=sum(e.selection_us for e in executions),
-            io_wait_us=sum(e.io_wait_us for e in executions),
-            pages_read=sum(e.pages_read for e in executions),
-        )
+        return first
+    start, finish, level = first.start_us, first.finish_us, first.degrade_level
+    requested = cache_hits = ssd_keys = pages_read = tier_hits = 0
+    retries = failed_reads = recovered = missing = shed = 0
+    failovers = hedges = hedge_wins = 0
+    executed = False
+    sort_us = selection_us = io_wait_us = executed_pages = 0
     valid: List[int] = []
+    served_by: List[tuple] = []
     for r in results:
+        if r.start_us != start:
+            starts = {r.start_us for r in results}
+            raise ServingError(
+                f"scattered fragments must share a start time, got {starts}"
+            )
+        if r.finish_us > finish:
+            finish = r.finish_us
+        if r.degrade_level > level:
+            level = r.degrade_level
+        requested += r.requested_keys
+        cache_hits += r.cache_hits
+        ssd_keys += r.ssd_keys
+        pages_read += r.pages_read
+        tier_hits += r.tier_hits
+        retries += r.retries
+        failed_reads += r.failed_reads
+        recovered += r.recovered_keys
+        missing += r.missing_keys
+        shed += r.degrade_shed_keys
+        failovers += r.failovers
+        hedges += r.hedges
+        hedge_wins += r.hedge_wins
         valid.extend(r.valid_per_read)
+        served_by.extend(r.served_by)
+        execution = r.execution
+        if execution is not None:
+            executed = True
+            sort_us += execution.sort_us
+            selection_us += execution.selection_us
+            io_wait_us += execution.io_wait_us
+            executed_pages += execution.pages_read
+    merged_execution = None
+    if executed:
+        merged_execution = ExecutionResult(
+            start_us=start,
+            finish_us=finish,
+            sort_us=sort_us,
+            selection_us=selection_us,
+            io_wait_us=io_wait_us,
+            pages_read=executed_pages,
+        )
     return QueryResult(
-        requested_keys=sum(r.requested_keys for r in results),
-        cache_hits=sum(r.cache_hits for r in results),
-        ssd_keys=sum(r.ssd_keys for r in results),
-        pages_read=sum(r.pages_read for r in results),
+        requested_keys=requested,
+        cache_hits=cache_hits,
+        ssd_keys=ssd_keys,
+        pages_read=pages_read,
         valid_per_read=tuple(valid),
-        start_us=results[0].start_us,
+        start_us=start,
         finish_us=finish,
         execution=merged_execution,
-        retries=sum(r.retries for r in results),
-        failed_reads=sum(r.failed_reads for r in results),
-        recovered_keys=sum(r.recovered_keys for r in results),
-        missing_keys=sum(r.missing_keys for r in results),
-        degrade_level=max(r.degrade_level for r in results),
-        degrade_shed_keys=sum(r.degrade_shed_keys for r in results),
-        tier_hits=sum(r.tier_hits for r in results),
-        failovers=sum(r.failovers for r in results),
-        hedges=sum(r.hedges for r in results),
-        hedge_wins=sum(r.hedge_wins for r in results),
-        served_by=tuple(p for r in results for p in r.served_by),
+        retries=retries,
+        failed_reads=failed_reads,
+        recovered_keys=recovered,
+        missing_keys=missing,
+        degrade_level=level,
+        degrade_shed_keys=shed,
+        tier_hits=tier_hits,
+        failovers=failovers,
+        hedges=hedges,
+        hedge_wins=hedge_wins,
+        served_by=tuple(served_by),
     )
 
 

@@ -242,6 +242,19 @@ class TestClusterEngine:
                     == shard
                 )
 
+    def test_out_of_range_key_raises_like_the_single_engine(self, cluster):
+        num_keys = cluster.plan.num_keys
+        reads_before = [e.device.stats.reads for e in cluster.engines]
+        with pytest.raises(ServingError) as info:
+            cluster.serve_query(Query((1, num_keys + 5, num_keys)))
+        # The first offending key in query order, the selectors' wording.
+        assert str(info.value) == (
+            f"key {num_keys + 5} is not in the embedding table"
+        )
+        with pytest.raises(ServingError):
+            cluster.scatter(Query((num_keys,)))
+        assert [e.device.stats.reads for e in cluster.engines] == reads_before
+
     def test_gathered_result_sums_shards(self, cluster):
         result = cluster.serve_query(Query((0, 1, 4, 5)))
         assert result.requested_keys == 4

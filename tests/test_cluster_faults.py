@@ -177,24 +177,26 @@ class TestCircuitBreakers:
 
 
 class TestStrictMode:
+    @pytest.mark.parametrize("failing", [0, 1])
     def test_worker_exception_names_the_failing_shard(
-        self, two_community_trace
+        self, two_community_trace, failing
     ):
         cluster = make_cluster(two_community_trace)
         assert not cluster.resilient
-        break_engine(cluster.engines[1], RuntimeError("boom"))
+        break_engine(cluster.engines[failing], RuntimeError("boom"))
+        reads_before = [e.device.stats.reads for e in cluster.engines]
         with pytest.raises(ShardUnavailableError) as info:
             cluster.serve_query(Query((0, 1, 4, 5)))
-        assert info.value.shard == 1
-        assert "shard 1" in str(info.value)
-
-    def test_serial_scatter_path_also_wraps(self, two_community_trace):
-        cluster = make_cluster(two_community_trace, scatter_workers=0)
-        assert cluster._pool is None
-        break_engine(cluster.engines[0], ValueError("bad"))
-        with pytest.raises(ShardUnavailableError) as info:
-            cluster.serve_query(Query((0, 1, 4, 5)))
-        assert info.value.shard == 0
+        assert info.value.shard == failing
+        assert f"shard {failing}" in str(info.value)
+        # The gather runs in ascending shard id and stops at the failure:
+        # shards before it were served, shards after it never were.
+        reads = [e.device.stats.reads for e in cluster.engines]
+        for shard in range(cluster.num_shards):
+            if shard < failing:
+                assert reads[shard] > reads_before[shard]
+            else:
+                assert reads[shard] == reads_before[shard]
 
 
 class TestSwapRollback:
@@ -252,21 +254,36 @@ class TestClose:
         cluster.close()
         cluster.close()  # second close is a no-op, not an error
 
-    def test_serving_after_close_falls_back_to_serial(
-        self, two_community_trace
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_close_retires_every_shard_engine(
+        self, two_community_trace, replicas
     ):
+        cluster = make_cluster(two_community_trace, replicas=replicas)
+        owned = (
+            cluster.engines
+            if cluster.groups is None
+            else [e for group in cluster.groups for e in group.engines]
+        )
+        assert len(owned) == 2 * replicas
+        assert not any(engine.closed for engine in owned)
+        cluster.close()
+        assert all(engine.closed for engine in owned)
+        assert all(engine.closed for engine in cluster.engines)
+
+    def test_serving_after_close_still_completes(self, two_community_trace):
         cluster = make_cluster(two_community_trace)
         fanout_query = Query((0, 1, 4, 5))
         before = cluster.serve_query(fanout_query)
         cluster.close()
+        assert all(engine.closed for engine in cluster.engines)
         after = cluster.serve_query(fanout_query, start_us=before.finish_us)
         assert after.missing_keys == 0
         assert after.requested_keys == before.requested_keys
 
     def test_close_during_serve_completes_the_query(self, two_community_trace):
-        # Simulate close() winning the submit race: the pool is torn down
-        # between dispatch and gather, and the query must still complete
-        # through the serial fallback.
+        # close() lands while shard 0's fragment is being served: closing
+        # is a retirement marker, so that fragment and the one after it
+        # still complete.
         cluster = make_cluster(two_community_trace)
         original = cluster.engines[0].serve_query
 
@@ -278,3 +295,4 @@ class TestClose:
         result = cluster.serve_query(Query((0, 1, 4, 5)))
         assert result.missing_keys == 0
         assert result.requested_keys == 4
+        assert all(engine.closed for engine in cluster.engines)

@@ -2,9 +2,12 @@
 
 Because fast selectors produce bit-identical outcomes, every serving
 report must be *exactly* equal between the fast and reference paths —
-not approximately.  Likewise the parallel offline build and the scatter
-pool must reproduce the serial artifacts verbatim.
+not approximately.  Likewise the parallel offline build must reproduce
+the serial artifacts verbatim, and a cluster serves on the caller's
+thread alone.
 """
+
+import threading
 
 import pytest
 
@@ -136,47 +139,35 @@ class TestParallelShardBuilds:
 
 
 class TestClusterScatterPool:
-    def cluster_report(self, trace, scatter_workers, fast=True):
+    def cluster_report(self, trace, fast=True):
         config = MaxEmbedConfig(num_shards=2, replication_ratio=0.2)
         sharded = build_sharded_layout(trace, config, workers=1)
-        engine = ClusterEngine(
-            sharded,
-            EngineConfig(
-                fast_selection=fast, scatter_workers=scatter_workers
-            ),
-        )
+        engine = ClusterEngine(sharded, EngineConfig(fast_selection=fast))
         try:
             return engine.serve_trace(trace)
         finally:
             engine.close()
 
-    def test_pool_matches_serial(self, trace):
-        pooled = self.cluster_report(trace, scatter_workers=4)
-        serial = self.cluster_report(trace, scatter_workers=0)
-        assert report_fingerprint(pooled.report) == report_fingerprint(
-            serial.report
-        )
-        assert pooled.shard_pages_read == serial.shard_pages_read
-        assert pooled.shard_queries == serial.shard_queries
-
     def test_fast_and_reference_cluster_parity(self, trace):
-        fast = self.cluster_report(trace, scatter_workers=0, fast=True)
-        ref = self.cluster_report(trace, scatter_workers=0, fast=False)
+        fast = self.cluster_report(trace, fast=True)
+        ref = self.cluster_report(trace, fast=False)
         assert report_fingerprint(fast.report) == report_fingerprint(
             ref.report
         )
 
-    def test_default_pool_when_sharded(self, trace):
-        config = MaxEmbedConfig(num_shards=2, replication_ratio=0.2)
+    def test_cluster_starts_no_threads(self, trace):
+        # Deliberately never closed: a pool would keep its workers alive.
+        before = threading.active_count()
+        config = MaxEmbedConfig(num_shards=4, replication_ratio=0.2)
         sharded = build_sharded_layout(trace, config, workers=1)
-        engine = ClusterEngine(sharded)
-        assert engine._pool is not None
-        engine.close()
-        assert engine._pool is None
-        engine.close()  # idempotent
+        engine = ClusterEngine(sharded, EngineConfig(replicas=2))
+        report = engine.serve_trace(trace)
+        assert max(report.fanouts) > 1
+        assert threading.active_count() == before
 
     def test_scatter_workers_validation(self):
-        from repro import ServingError
-
-        with pytest.raises(ServingError):
-            EngineConfig(scatter_workers=-1)
+        # The knob is gone, not deprecated: there is no pool to size.
+        with pytest.raises(TypeError):
+            EngineConfig(scatter_workers=0)
+        with pytest.raises(TypeError):
+            MaxEmbedConfig(scatter_workers=0)

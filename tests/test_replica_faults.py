@@ -48,6 +48,7 @@ from repro.cluster.replicas.health import (
     RECOVERING,
     SUSPECT,
 )
+from repro.ssd import P5800X
 
 
 @pytest.fixture
@@ -526,6 +527,16 @@ def sharded_traces(draw):
     return QueryTrace(n, queries)
 
 
+# "Feature off" must hold away from the preset's device parameters too:
+# a submit overhead and a queue that actually fills.
+PARITY_PROFILES = st.sampled_from(
+    [
+        P5800X,
+        dataclasses.replace(P5800X, submit_overhead_us=1.0, queue_depth=2),
+    ]
+)
+
+
 class TestReplicasOneParity:
     """``replicas=1`` with no fault plan must be invisible."""
 
@@ -534,8 +545,8 @@ class TestReplicasOneParity:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(trace=sharded_traces())
-    def test_cluster_report_is_bit_identical(self, trace):
+    @given(trace=sharded_traces(), profile=PARITY_PROFILES)
+    def test_cluster_report_is_bit_identical(self, trace, profile):
         config = MaxEmbedConfig(
             num_shards=2,
             shard_strategy="modulo",
@@ -543,10 +554,11 @@ class TestReplicasOneParity:
         )
         sharded = build_sharded_layout(trace, config)
         baseline = ClusterEngine(
-            sharded, EngineConfig(cache_ratio=0.0)
+            sharded, EngineConfig(cache_ratio=0.0, profile=profile)
         ).serve_trace(trace)
         replicated = ClusterEngine(
-            sharded, EngineConfig(cache_ratio=0.0, replicas=1)
+            sharded,
+            EngineConfig(cache_ratio=0.0, profile=profile, replicas=1),
         ).serve_trace(trace)
         assert baseline == replicated
         assert baseline.as_dict() == replicated.as_dict()
@@ -556,8 +568,8 @@ class TestReplicasOneParity:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(trace=sharded_traces())
-    def test_engine_report_is_bit_identical(self, trace):
+    @given(trace=sharded_traces(), profile=PARITY_PROFILES)
+    def test_engine_report_is_bit_identical(self, trace, profile):
         config = MaxEmbedConfig(shp=ShpConfig(max_iterations=2))
         sharded = build_sharded_layout(
             trace,
@@ -566,9 +578,10 @@ class TestReplicasOneParity:
         )
         layout = sharded.layouts[0]
         baseline = ServingEngine(
-            layout, EngineConfig(cache_ratio=0.0)
+            layout, EngineConfig(cache_ratio=0.0, profile=profile)
         ).serve_trace(trace)
         replicated = ServingEngine(
-            layout, EngineConfig(cache_ratio=0.0, replicas=1)
+            layout,
+            EngineConfig(cache_ratio=0.0, profile=profile, replicas=1),
         ).serve_trace(trace)
         assert baseline == replicated

@@ -1,7 +1,8 @@
 """One fast selector shared by concurrent threads.
 
-The cluster scatter phase and the gateway hand one engine's selector to
-whichever thread holds the query.  The fast selectors keep no per-query
+The gateway — and any application that shares an engine — hands one
+engine's selector to whichever thread holds the query (the cluster's
+own gather is single-threaded).  The fast selectors keep no per-query
 state on the instance, so every thread must get the reference
 selector's outcome however the interpreter interleaves them; a selector
 with per-query scratch state on the instance loses updates under this
