@@ -1,15 +1,16 @@
-"""Offline placement bench: fast pipeline vs the reference loops.
+"""Offline placement bench: the offline pipeline vs its oracle.
 
-Races the array-backed offline pipeline (CSR-based SHP bisection +
-vectorized replication) against the pure-python reference on two
+Races the offline pipeline (CSR-based SHP bisection + vectorized
+replication) against the pure-python loops of ``repro.reference`` on two
 workloads — the scaled Criteo preset and a pure-Zipf synthetic trace —
 and emits machine-readable ``benchmarks/results/offline.json``:
 
 * reference build seconds per workload;
-* fast build seconds and speedup at 1/4/8 bisection-subtree workers;
-* a layout-parity bit for every fast run (identical pages by contract).
+* build seconds and speedup at 1/4/8 bisection-subtree workers (the
+  ``fast`` rows);
+* a layout-parity bit for every run (identical pages by contract).
 
-The fast path at the highest worker count must clear
+The pipeline at the highest worker count must clear
 ``REPRO_BENCH_MIN_OFFLINE_SPEEDUP`` (default 3.0; CI smoke runs set a
 looser floor to tolerate noisy single-core runners) on the Criteo
 config.
@@ -26,7 +27,9 @@ from pathlib import Path
 
 from conftest import RESULTS_DIR, bench_scale
 
+from repro import reference
 from repro.core import MaxEmbedConfig, build_offline_layout
+from repro.hypergraph import build_weighted_hypergraph
 from repro.workloads import SyntheticTraceGenerator, WorkloadSpec, get_preset
 
 STRATEGY = "maxembed"
@@ -81,40 +84,50 @@ def _workloads(scale: str):
     )
 
 
-def _build_config(path: str, workers: int) -> MaxEmbedConfig:
+def _build_config(workers: int) -> MaxEmbedConfig:
     return MaxEmbedConfig(
         strategy=STRATEGY,
         replication_ratio=REPLICATION_RATIO,
-        offline_path=path,
         offline_workers=workers,
     )
 
 
-def _time_build(trace, config, rounds: int):
-    """Best-of-N wall time; returns (seconds, layout)."""
+def _build_reference(trace):
+    """The same build — hypergraph included — on the oracles only."""
+    config = _build_config(1)
+    return reference.maxembed_layout(
+        build_weighted_hypergraph(trace),
+        config.page_capacity,
+        config.replication_ratio,
+        config.shp,
+    )
+
+
+def _time_build(build, rounds: int):
+    """Best-of-N wall time of ``build()``; returns (seconds, layout)."""
     best = float("inf")
     layout = None
     for _ in range(rounds):
         started = time.perf_counter()
-        layout = build_offline_layout(trace, config)
+        layout = build()
         best = min(best, time.perf_counter() - started)
     return best, layout
 
 
 def run_offline_bench(scale: str) -> dict:
-    """Build each workload's layout on both paths and compare."""
+    """Build each workload's layout on the pipeline and the oracle."""
     workloads = []
     for name, spec in _workloads(scale):
         trace = SyntheticTraceGenerator(spec, seed=0).generate()
         ref_seconds, ref_layout = _time_build(
-            trace, _build_config("reference", 1), rounds=1
+            lambda: _build_reference(trace), rounds=1
         )
         ref_pages = ref_layout.pages()
         rows = []
         for workers in WORKER_COUNTS[scale]:
+            config = _build_config(workers)
             seconds, layout = _time_build(
-                trace,
-                _build_config("fast", workers),
+                lambda: build_offline_layout(trace, config),
                 rounds=FAST_ROUNDS[scale],
             )
             rows.append(

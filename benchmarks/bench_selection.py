@@ -1,4 +1,4 @@
-"""Selection hot-loop bench: fast selectors vs the reference oracle.
+"""Selection hot-loop bench: the one-pass selector vs its oracle.
 
 Measures single-thread, cache-less selection throughput on the criteo
 layout (the paper's §6.1 workload, where selection is >56 % of serving
@@ -7,9 +7,9 @@ one row per operating point:
 
 * per-selector qps, mean/p50/p99 selection microseconds;
 * candidates examined per query (identical across paths by contract);
-* the fast-vs-reference speedup of ``select``.
+* the speedup of ``select`` over ``repro.reference``'s set algebra.
 
-Two operating points, because the fast kernel's cost follows the
+Two operating points, because the page-mask kernel's cost follows the
 query's fan-out (Σ pages per key): r = 0.4 with the index shrunk to 5,
 and r = 0.8 with the full index, where hot keys sit on a third of all
 pages — the kernel's weak side, kept on record.  The first row must
@@ -29,9 +29,10 @@ from pathlib import Path
 
 from conftest import RESULTS_DIR, bench_scale
 
+from repro import reference
 from repro.experiments.common import get_split_trace, layout_for
 from repro.placement import build_indexes
-from repro.serving import FastOnePassSelector, OnePassSelector
+from repro.serving import OnePassSelector
 
 # (replication ratio, index limit); the floor applies to the first.
 OPERATING_POINTS = ((0.4, 5), (0.8, None))
@@ -78,16 +79,16 @@ def _time_per_query(selector, queries, rounds):
 
 
 def _race(queries, scale, ratio, limit) -> dict:
-    """Reference vs fast ``select`` at one operating point."""
+    """Oracle vs production ``select`` at one operating point."""
     layout = layout_for("criteo", "maxembed", ratio, scale)
     forward, invert = build_indexes(layout, limit=limit)
-    reference = OnePassSelector(forward, invert)
-    fast = FastOnePassSelector(forward, invert)
+    oracle = reference.OnePassSelector(forward, invert)
+    fast = OnePassSelector(forward, invert)
     # Warm up the memoized index tables outside the timed region.
     for keys in queries[:8]:
-        reference.select(keys)
+        oracle.select(keys)
         fast.select(keys)
-    ref_us, ref_candidates = _time_per_query(reference, queries, rounds=3)
+    ref_us, ref_candidates = _time_per_query(oracle, queries, rounds=3)
     fast_us, fast_candidates = _time_per_query(fast, queries, rounds=3)
     assert ref_candidates == fast_candidates
     return {
@@ -102,7 +103,7 @@ def _race(queries, scale, ratio, limit) -> dict:
 
 
 def run_selection_bench(scale: str) -> dict:
-    """Build the criteo layouts and race the selection paths on them."""
+    """Build the criteo layouts and race selector and oracle on them."""
     _, live = get_split_trace("criteo", scale)
     queries = [q.unique_keys() for q in live]
     return {

@@ -16,13 +16,9 @@ def test_table1_partition_time(benchmark, scale):
     # Paper shape: time is nearly flat in d (Criteo: 5 / 4.9 / 4.8 min),
     # and the larger dataset (CriteoTB) costs more than Criteo.
     for row in result.rows:
-        times = row[2:]
+        times = row[1:]
         assert max(times) <= max(4 * min(times), min(times) + 2.0), (
             f"partition time should be roughly flat in d, got {row}"
         )
-    totals = {(row[0], row[1]): sum(row[2:]) for row in result.rows}
-    for path in ("reference", "fast"):
-        assert totals[("criteo_tb", path)] > totals[("criteo", path)]
-    # The fast path must not lose to the reference loops on either dataset.
-    for dataset in ("criteo", "criteo_tb"):
-        assert totals[(dataset, "fast")] <= totals[(dataset, "reference")]
+    totals = {row[0]: sum(row[1:]) for row in result.rows}
+    assert totals["criteo_tb"] > totals["criteo"]

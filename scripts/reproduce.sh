@@ -25,8 +25,9 @@ python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 echo "== contract benches (no pytest-benchmark fixture, skipped above) =="
 # These carry their own pass/fail contracts and publish JSON results:
-# selection/offline fast paths, degraded serving under faults, overload
-# goodput, and the live service gateway vs the open-loop simulator.
+# selection/offline speed-up over the repro.reference oracle, degraded
+# serving under faults, overload goodput, and the live service gateway
+# vs the open-loop simulator.
 python -m pytest -q -s \
     benchmarks/bench_selection.py \
     benchmarks/bench_offline.py \

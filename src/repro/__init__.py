@@ -86,7 +86,6 @@ from .overload import (
 )
 from .metrics import evaluate_placement, read_amplification
 from .partition import (
-    FastShpPartitioner,
     MultilevelConfig,
     MultilevelPartitioner,
     RandomPartitioner,
@@ -170,7 +169,6 @@ __all__ = [
     "build_weighted_hypergraph",
     # partition
     "ShpPartitioner",
-    "FastShpPartitioner",
     "ShpConfig",
     "MultilevelPartitioner",
     "MultilevelConfig",

@@ -31,7 +31,7 @@ from typing import List, Optional
 from .core import MaxEmbedConfig, MaxEmbedStore, build_offline_layout
 from .experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
 from .placement import load_layout, save_layout
-from .serving import EXECUTORS
+from .serving import EXECUTORS, SELECTORS
 from .types import EmbeddingSpec
 from .utils.tables import format_mapping
 from .workloads import load_trace, make_trace, save_trace, DATASETS
@@ -80,15 +80,8 @@ def _add_build(subparsers) -> None:
         type=int,
         default=None,
         help="build processes: per-shard builds when --shards > 1, "
-        "bisection subtrees of the fast offline path otherwise "
+        "SHP bisection subtrees otherwise "
         "(default: one per CPU; 1 = serial; results are identical)",
-    )
-    p.add_argument(
-        "--offline-path",
-        default="fast",
-        choices=["fast", "reference"],
-        help="array-backed offline pipeline (default) or the reference "
-        "pure-python loops; layouts are identical",
     )
     p.add_argument(
         "--tier-ratio",
@@ -154,16 +147,7 @@ def _add_serve(subparsers) -> None:
         "single-shard layouts only",
     )
     p.add_argument("--index-limit", type=int, default=None)
-    p.add_argument(
-        "--selector", default="onepass", choices=["onepass", "greedy"]
-    )
-    p.add_argument(
-        "--selection-path",
-        default="fast",
-        choices=["fast", "reference"],
-        help="page-mask fast selectors (default) or the reference "
-        "set-algebra oracle; outcomes are identical",
-    )
+    p.add_argument("--selector", default="onepass", choices=list(SELECTORS))
     p.add_argument(
         "--executor",
         default="pipelined",
@@ -481,7 +465,6 @@ def _cmd_build(args) -> int:
         num_shards=args.shards,
         shard_strategy=args.shard_strategy,
         build_workers=args.workers,
-        offline_path=args.offline_path,
         offline_workers=args.workers,
         seed=args.seed,
     )
@@ -706,7 +689,6 @@ def _build_serve_engine(args):
             index_limit=args.index_limit,
             **tier_options,
             selector=args.selector,
-            fast_selection=args.selection_path == "fast",
             executor=args.executor,
             threads=args.threads,
             **fault_options,
@@ -844,7 +826,6 @@ def _cmd_serve_cluster(args, trace) -> int:
             index_limit=args.index_limit,
             **_tier_options(args),
             selector=args.selector,
-            fast_selection=args.selection_path == "fast",
             executor=args.executor,
             threads=args.threads,
             **_fault_options(args),
@@ -905,7 +886,6 @@ def _cmd_serve(args) -> int:
                 cache_policy=args.cache_policy,
                 index_limit=args.index_limit,
                 selector=args.selector,
-                fast_selection=args.selection_path == "fast",
                 executor=args.executor,
                 threads=args.threads,
                 **tier_options,
@@ -924,7 +904,6 @@ def _cmd_serve(args) -> int:
                 cache_policy=args.cache_policy,
                 index_limit=args.index_limit,
                 selector=args.selector,
-                fast_selection=args.selection_path == "fast",
                 executor=args.executor,
                 threads=args.threads,
                 **tier_options,
@@ -942,7 +921,6 @@ def _cmd_serve(args) -> int:
             tier_ratio=args.tier_ratio,
             index_limit=args.index_limit,
             selector=args.selector,
-            fast_selection=args.selection_path == "fast",
             executor=args.executor,
             threads=args.threads,
         )

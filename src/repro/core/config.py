@@ -14,7 +14,7 @@ from typing import Optional
 from ..errors import ConfigError
 from ..overload import ADMISSION_POLICIES, AdmissionConfig
 from ..partition import ShpConfig
-from ..serving import EXECUTORS, CpuCostModel
+from ..serving import EXECUTORS, SELECTORS, CpuCostModel
 from ..ssd import P5800X, SsdProfile
 from ..types import EmbeddingSpec
 
@@ -44,11 +44,9 @@ class MaxEmbedConfig:
         profile: simulated SSD profile.
         raid_members: >1 stripes over a RAID-0.
         selector / executor: online algorithms (see
-            :class:`~repro.serving.EngineConfig`; ``executor`` is one
-            of :data:`~repro.serving.EXECUTORS`).
-        fast_selection: serve with the page-mask fast selectors
-            (outcome-identical to the reference path; ``False`` forces
-            the reference set-algebra selectors).
+            :class:`~repro.serving.EngineConfig`; one of
+            :data:`~repro.serving.SELECTORS` and of
+            :data:`~repro.serving.EXECUTORS`).
         threads: simulated serving threads.
         cost_model: selection CPU charges.
         num_shards: >1 splits the table across that many shards, each
@@ -66,10 +64,7 @@ class MaxEmbedConfig:
         build_workers: processes for the per-shard offline builds
             (``None`` = one per shard up to the CPU count, ``0``/``1`` =
             serial).
-        offline_path: ``"fast"`` builds layouts with the array-backed
-            offline pipeline (vectorized SHP + replication; bit-identical
-            artifacts), ``"reference"`` forces the pure-python loops.
-        offline_workers: processes for the fast path's parallel bisection
+        offline_workers: processes for SHP's parallel bisection
             subtrees (``None`` = one per CPU, ``0``/``1`` = serial; the
             layout is identical for every worker count).
         admission_capacity: bound on the open-loop arrival queue
@@ -98,7 +93,6 @@ class MaxEmbedConfig:
     profile: SsdProfile = P5800X
     raid_members: int = 1
     selector: str = "onepass"
-    fast_selection: bool = True
     executor: str = "pipelined"
     threads: int = 8
     cost_model: CpuCostModel = field(default_factory=CpuCostModel)
@@ -108,7 +102,6 @@ class MaxEmbedConfig:
     hedge_quantile: Optional[float] = None
     hedge_budget: float = 0.1
     build_workers: Optional[int] = None
-    offline_path: str = "fast"
     offline_workers: Optional[int] = 1
     admission_capacity: Optional[int] = None
     admission_policy: str = "tail"
@@ -121,7 +114,6 @@ class MaxEmbedConfig:
     # placement/types only, but core already mirrors cluster constants
     # this way — see _SHARD_STRATEGIES below).
     _TIER_MODES = ("pinned", "lru", "hybrid")
-    _OFFLINE_PATHS = ("fast", "reference")
     _PARTITIONERS = ("shp", "multilevel", "random", "vanilla")
     # Kept in sync with repro.cluster.planner.SHARD_STRATEGIES (the
     # cluster package imports core, so core cannot import it back).
@@ -170,14 +162,14 @@ class MaxEmbedConfig:
             raise ConfigError(
                 f"build_workers must be >= 0, got {self.build_workers}"
             )
-        if self.offline_path not in self._OFFLINE_PATHS:
-            raise ConfigError(
-                f"unknown offline path {self.offline_path!r}; "
-                f"choose from {self._OFFLINE_PATHS}"
-            )
         if self.offline_workers is not None and self.offline_workers < 0:
             raise ConfigError(
                 f"offline_workers must be >= 0, got {self.offline_workers}"
+            )
+        if self.selector not in SELECTORS:
+            raise ConfigError(
+                f"unknown selector {self.selector!r}; "
+                f"choose from {sorted(SELECTORS)}"
             )
         if self.executor not in EXECUTORS:
             raise ConfigError(

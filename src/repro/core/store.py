@@ -15,7 +15,6 @@ import numpy as np
 from ..errors import ConfigError, ServingError
 from ..hypergraph import build_weighted_hypergraph
 from ..partition import (
-    FastShpPartitioner,
     MultilevelPartitioner,
     Partitioner,
     RandomPartitioner,
@@ -37,11 +36,7 @@ from .config import MaxEmbedConfig
 
 def _make_partitioner(config: MaxEmbedConfig) -> Partitioner:
     if config.partitioner == "shp":
-        if config.offline_path == "fast":
-            return FastShpPartitioner(
-                config.shp, workers=config.offline_workers
-            )
-        return ShpPartitioner(config.shp)
+        return ShpPartitioner(config.shp, workers=config.offline_workers)
     if config.partitioner == "multilevel":
         return MultilevelPartitioner()
     if config.partitioner == "random":
@@ -58,22 +53,15 @@ def build_offline_layout(
     ``strategy="none"`` it reproduces the Bandana baseline (plain SHP,
     no replicas); ``partitioner="vanilla"`` with ``strategy="none"``
     reproduces the vanilla sequential placement.
-
-    ``config.offline_path`` selects the implementation:  ``"fast"``
-    (default) partitions and replicates over CSR pin arrays —
-    bit-identical layouts, fraction of the build time — while
-    ``"reference"`` keeps the pure-python loops of the paper
-    pseudo-code.
     """
     config = config or MaxEmbedConfig()
     graph = build_weighted_hypergraph(trace)
     partitioner = _make_partitioner(config)
     capacity = config.page_capacity
-    fast = config.offline_path == "fast"
     if config.strategy == "none" or config.replication_ratio == 0:
         return layout_from_partition(partitioner.partition(graph, capacity))
     if config.strategy == "maxembed":
-        strategy = ConnectivityPriorityStrategy(partitioner, fast=fast)
+        strategy = ConnectivityPriorityStrategy(partitioner)
     elif config.strategy == "rpp":
         strategy = RppStrategy(partitioner)
     else:  # fpr
@@ -117,7 +105,6 @@ class MaxEmbedStore:
                 tier_plan=tier_plan,
                 index_limit=self.config.index_limit,
                 selector=self.config.selector,
-                fast_selection=self.config.fast_selection,
                 executor=self.config.executor,
                 threads=self.config.threads,
                 raid_members=self.config.raid_members,

@@ -2,9 +2,7 @@
 
 The paper reports SHP + replication (r=10 %) wall time on Criteo and
 CriteoTB with 16/32/64 embeddings per page and observes the time is nearly
-flat in d (the edge count dominates).  We measure the same at our scale,
-on both offline paths: the pure-python reference loops and the
-array-backed fast pipeline (bit-identical layouts, fraction of the time).
+flat in d (the edge count dominates).  We measure the same at our scale.
 """
 
 from __future__ import annotations
@@ -20,19 +18,17 @@ from .report import ExperimentResult
 TABLE1_DATASETS: Sequence[str] = ("criteo", "criteo_tb")
 # d = page_size / (dim * 4); dims 64/32/16 give d = 16/32/64.
 TABLE1_DIMS: Sequence[int] = (64, 32, 16)
-TABLE1_PATHS: Sequence[str] = ("reference", "fast")
 
 
 def run(
     datasets: Sequence[str] = TABLE1_DATASETS,
     dims: Sequence[int] = TABLE1_DIMS,
-    paths: Sequence[str] = TABLE1_PATHS,
     ratio: float = 0.1,
     scale: str = "bench",
     seed: int = 0,
 ) -> ExperimentResult:
-    """Regenerate Table 1: offline build wall time per (dataset, path, d)."""
-    headers = ["dataset", "path"] + [
+    """Regenerate Table 1: offline build wall time per (dataset, d)."""
+    headers = ["dataset"] + [
         f"{EmbeddingSpec(dim=dim).slots_per_page}_per_page" for dim in dims
     ]
     result = ExperimentResult(
@@ -41,25 +37,22 @@ def run(
         headers=headers,
         notes=(
             "partition time is nearly flat in the page capacity d; "
-            "the larger dataset costs proportionally more and the fast "
-            "path beats the reference at every capacity"
+            "the larger dataset costs proportionally more"
         ),
     )
     for dataset in datasets:
         history, _ = get_split_trace(dataset, scale, seed)
-        for path in paths:
-            row: list = [dataset, path]
-            for dim in dims:
-                config = MaxEmbedConfig(
-                    spec=EmbeddingSpec(dim=dim),
-                    strategy="maxembed",
-                    replication_ratio=ratio,
-                    offline_path=path,
-                    offline_workers=1,
-                    seed=seed,
-                )
-                started = time.perf_counter()
-                build_offline_layout(history, config)
-                row.append(round(time.perf_counter() - started, 2))
-            result.rows.append(row)
+        row: list = [dataset]
+        for dim in dims:
+            config = MaxEmbedConfig(
+                spec=EmbeddingSpec(dim=dim),
+                strategy="maxembed",
+                replication_ratio=ratio,
+                offline_workers=1,
+                seed=seed,
+            )
+            started = time.perf_counter()
+            build_offline_layout(history, config)
+            row.append(round(time.perf_counter() - started, 2))
+        result.rows.append(row)
     return result

@@ -1,10 +1,10 @@
 """CSR pin representation of a hypergraph.
 
-The offline fast path (partitioning, connectivity scoring, replica-page
+The offline pipeline (partitioning, connectivity scoring, replica-page
 construction) wants the incidence as flat arrays rather than python
 lists: one pass over ``pin_vertices`` replaces a per-edge python loop,
 and the transpose gives every vertex its incident edges without dict
-walks.  Mirrors the online-phase :mod:`repro.placement.csr` layout:
+walks:
 
 * ``edge_indptr`` / ``pin_vertices`` — pins grouped by edge, vertices in
   the edge's tuple order (the hypergraph's dedupe order);

@@ -12,7 +12,7 @@ file raises :class:`~repro.errors.CorruptArtifactError` at load instead
 of producing a silently wrong layout.  Files written before the envelope
 existed load unchanged with an :class:`UncheckedArtifactWarning`.
 
-Binary sidecars (``.npy`` index arrays, embedding tables) are covered by
+Binary sidecars (``.npy`` embedding tables) are covered by
 streaming :func:`crc32_file` checksums recorded in their metadata files.
 """
 

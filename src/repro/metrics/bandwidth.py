@@ -19,14 +19,8 @@ from typing import Dict, List, Optional
 
 from ..errors import ConfigError
 from ..placement import PageLayout, build_indexes
-from ..serving.selection import (
-    GreedySetCoverSelector,
-    OnePassSelector,
-    Selector,
-)
+from ..serving.selection import SELECTORS, Selector
 from ..types import QueryTrace
-
-_SELECTORS = {"onepass": OnePassSelector, "greedy": GreedySetCoverSelector}
 
 
 @dataclass
@@ -93,12 +87,12 @@ def evaluate_placement(
         page_size: SSD page size in bytes.
         max_queries: optionally evaluate only the head of the trace.
     """
-    if selector not in _SELECTORS:
+    if selector not in SELECTORS:
         raise ConfigError(
-            f"unknown selector {selector!r}; choose from {sorted(_SELECTORS)}"
+            f"unknown selector {selector!r}; choose from {sorted(SELECTORS)}"
         )
     forward, invert = build_indexes(layout, limit=index_limit)
-    chooser: Selector = _SELECTORS[selector](forward, invert)
+    chooser: Selector = SELECTORS[selector](forward, invert)
     evaluation = PlacementEvaluation(
         num_queries=0,
         total_reads=0,

@@ -10,7 +10,10 @@ SSD page.  This package provides:
 * :class:`RandomPartitioner` — random balanced assignment, used as the SHP
   initializer and as an ablation baseline;
 * :class:`ShpPartitioner` — iterative, swap-based SHP minimizing the
-  connectivity (fanout) objective.
+  connectivity (fanout) objective: array-backed bisections, optionally
+  over parallel subtrees.  Its per-pin python-loop oracle, and the
+  set-based λ, live in :mod:`repro.reference`, which nothing here
+  imports.
 """
 
 from .base import PartitionResult, Partitioner
@@ -21,13 +24,16 @@ from .metrics import (
     mean_connectivity,
     total_connectivity,
 )
-from .fast_metrics import fast_edge_connectivities
-from .fast_shp import FastShpPartitioner
 from .multilevel import MultilevelConfig, MultilevelPartitioner
 from .random_partition import RandomPartitioner
 from .streaming import StreamingPartitioner
 from .shp import ShpConfig, ShpPartitioner
 from .vanilla import VanillaPlacement
+
+# benchmarks/e2e (frozen by BENCHMARK.json) times `partition.shp_s`
+# through this name; it is the same object, not a second path, and goes
+# when ROADMAP item 4 retires the harness's proxies.
+FastShpPartitioner = ShpPartitioner
 
 __all__ = [
     "PartitionResult",
@@ -41,7 +47,6 @@ __all__ = [
     "MultilevelConfig",
     "StreamingPartitioner",
     "edge_connectivities",
-    "fast_edge_connectivities",
     "total_connectivity",
     "mean_connectivity",
     "fanout_objective",

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
+from ..hypergraph.csr import PIN_DTYPE
 
 
 def _check(graph: Hypergraph, assignment: Sequence[int]) -> None:
@@ -28,9 +29,37 @@ def _check(graph: Hypergraph, assignment: Sequence[int]) -> None:
 def edge_connectivities(
     graph: Hypergraph, assignment: Sequence[int]
 ) -> List[int]:
-    """λ(e) for every edge: distinct clusters spanned by its vertices."""
+    """λ(e) for every edge: distinct clusters spanned by its vertices.
+
+    Counted by sorting the composite keys ``edge_id · num_clusters +
+    label`` over the CSR pin arrays — the global sort keeps each edge's
+    pins contiguous because the edge id dominates — and reducing the
+    boundary mask per edge: one sort over all pins, no python set per
+    edge.
+    """
     _check(graph, assignment)
-    return [len({assignment[v] for v in edge}) for edge in graph.edges()]
+    csr = graph.csr()
+    if csr.num_edges == 0:
+        return []
+    assignment_arr = np.asarray(assignment, dtype=PIN_DTYPE)
+    labels = assignment_arr[csr.pin_vertices]
+    num_clusters = int(labels.max()) + 1
+    if csr.num_edges * num_clusters >= 2**62:
+        raise PartitionError(
+            f"{csr.num_edges} edges x {num_clusters} clusters overflow "
+            f"the int64 composite sort key"
+        )
+    sizes = csr.edge_sizes()
+    composite = (
+        np.repeat(np.arange(csr.num_edges, dtype=PIN_DTYPE), sizes)
+        * num_clusters
+        + labels
+    )
+    composite.sort()
+    boundary = np.empty(len(composite), dtype=PIN_DTYPE)
+    boundary[0] = 1
+    boundary[1:] = composite[1:] != composite[:-1]
+    return np.add.reduceat(boundary, csr.edge_indptr[:-1]).tolist()
 
 
 def total_connectivity(

@@ -18,40 +18,88 @@ cut by::
 
     Δcut = Σ_{e ∋ v} w(e) · ( [count_e(B) == 0] − [count_e(A) == 1] )
 
-so the *gain* of the move is ``−Δcut``.  Each iteration computes every
-vertex's gain, sorts the would-be movers on both sides descending, and
-executes pairwise swaps while the combined gain of the best remaining
-A→B / B→A pair is positive — keeping both sides exactly their target
-sizes, the same balance discipline the distributed SHP enforces with
-matched probabilistic exchanges.
+so the *gain* of the move is ``−Δcut``.  Large blocks run bulk rounds:
+each computes every vertex's social-hash *attraction* gain
+``Σ w · (count_other − (count_own − 1))`` — which, unlike the exact cut
+delta, stays non-zero while an edge is split deep on both sides, so
+coarse levels make progress instead of stalling on a plateau — sorts
+the would-be movers on both sides descending, and executes pairwise
+swaps while the combined gain of the best remaining A→B / B→A pair is
+positive, keeping both sides exactly their target sizes (the balance
+discipline the distributed SHP enforces with matched probabilistic
+exchanges).  Blocks of at most ``kl_threshold`` vertices — the last
+levels, where SSD pages actually form — run Kernighan–Lin passes on the
+exact gain instead: tentatively execute the best balance-preserving swap
+from each side, even when negative, lock the moved vertices, then roll
+back to the prefix with the highest cumulative gain.
 
 Complexity is ``O(pins · iterations · log B)`` — the ``E log B`` of the
 paper's §7.2 with the iteration count as the constant.
 
-Randomness discipline
----------------------
+Array layout
+------------
+No step loops over pins in python:
+
+* **Fragments as CSR slices** — each block carries its restricted edge
+  fragments as ``(indptr, pins, weights)`` int64 arrays; restriction to a
+  child block is one boolean mask + ``reduceat``.
+* **Bulk refinement vectorized** — the attraction gains of one iteration
+  are ``W + side·D`` where ``W`` is a per-vertex scatter-add of fragment
+  weights and ``D`` a scatter-add of ``w·(count₁ − count₀)``; movers are
+  ranked with one ``lexsort`` (gain desc, vertex desc) and the
+  matched-swap prefix is a single count, because pair gains are
+  non-increasing.
+* **KL with incremental gains** — a maintained gain table is updated
+  only for vertices sharing an edge with each moved vertex; move choices
+  are max gain, tie → lowest vertex id.
+
+Scatter-adds route through :func:`np.bincount` with float64 weights when
+the value bound fits 2⁵³ (always, in practice) and fall back to
+``np.add.at`` on int64 otherwise, so sums are exact either way.
+
+Randomness discipline and parallel subtrees
+-------------------------------------------
 Every bisection node derives a private generator from
 ``(seed, first_cluster_id, targets)`` rather than consuming one shared
 sequential stream.  The pair (first cluster id of the subtree, remaining
 cluster targets) is unique per node — nodes sharing a first cluster id
 form an ancestor chain with strictly decreasing targets — so streams
-never collide, and sibling subtrees become RNG-independent.  That is
-what lets :class:`repro.partition.fast_shp.FastShpPartitioner` recurse
-over subtrees in parallel worker processes while reproducing this
-class's output bit for bit.
+never collide, and sibling subtrees become RNG-independent.  Sibling
+blocks share nothing else either, so once the frontier holds enough
+blocks the subtrees run in a ``ProcessPoolExecutor`` (the
+``build_workers`` pattern of :mod:`repro.cluster.pipeline`), each worker
+reproducing the depth-first cluster numbering from its precomputed base.
+Results are independent of the worker count.
+
+The per-pin python loops this replaces live on, unchanged, as
+``repro.reference.ShpPartitioner`` — the oracle the differential suite
+in ``tests/test_fast_partition.py`` holds this class to, bit for bit.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
+from ..hypergraph.csr import scatter_add_exact
 from ..utils.rng import RngLike
-from .base import PartitionResult, Partitioner, balanced_sizes
+from .base import PartitionResult, Partitioner
+
+INDEX_DTYPE = np.int64
+
+# Below these sizes process dispatch costs more than it saves.
+PARALLEL_MIN_VERTICES = 512
+PARALLEL_MIN_TARGETS = 4
+
+FragArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+"""Block fragments: (frag_indptr, frag_pins, frag_weights)."""
 
 
 def _seed_entropy(seed: RngLike) -> int:
@@ -123,11 +171,32 @@ class ShpConfig:
             )
 
 
-class ShpPartitioner(Partitioner):
-    """Recursive-bisection SHP minimizing weighted hyperedge fanout."""
+def _left_size(n: int, left_targets: int, right_targets: int) -> int:
+    """Vertices assigned to the left half, proportional to its targets."""
+    total = left_targets + right_targets
+    size = round(n * left_targets / total)
+    return max(min(size, n - 1), 1) if n > 1 else n
 
-    def __init__(self, config: "ShpConfig | None" = None) -> None:
+
+class ShpPartitioner(Partitioner):
+    """Recursive-bisection SHP minimizing weighted hyperedge fanout.
+
+    Args:
+        config: tuning knobs (:class:`ShpConfig`).
+        workers: subtree worker processes (``0``/``1`` = serial,
+            ``None`` = one per CPU).  The partition is identical for
+            every worker count.
+    """
+
+    def __init__(
+        self,
+        config: "ShpConfig | None" = None,
+        workers: "int | None" = 1,
+    ) -> None:
         self.config = config or ShpConfig()
+        self.workers = workers
+        self._local: "np.ndarray | None" = None  # vertex -> block-local id
+        self._mask: "np.ndarray | None" = None  # vertex membership scratch
 
     # -- public API ----------------------------------------------------------
 
@@ -139,57 +208,183 @@ class ShpPartitioner(Partitioner):
     ) -> PartitionResult:
         clusters = self.resolve_num_clusters(graph, capacity, num_clusters)
         entropy = _seed_entropy(self.config.seed)
+        self._prepare_scratch(graph.num_vertices)
+        frags = _top_fragments(graph)
         vertices = list(range(graph.num_vertices))
-        # Edges as lists once; fragments are recomputed per block.
-        edges = [list(edge) for edge in graph.edges()]
-        weights = [graph.weight(e) for e in range(graph.num_edges)]
-        assignment = [0] * graph.num_vertices
-        next_cluster = [0]  # boxed counter shared across recursion
+        assignment = np.zeros(graph.num_vertices, dtype=INDEX_DTYPE)
 
-        def assign_block(block: List[int]) -> None:
-            cluster = next_cluster[0]
-            next_cluster[0] += 1
-            for v in block:
-                assignment[v] = cluster
+        def emit(block: List[int], cluster: int) -> None:
+            assignment[np.asarray(block, dtype=INDEX_DTYPE)] = cluster
 
-        def recurse(
-            block: List[int],
-            block_edges: List[Tuple[List[int], int]],
-            targets: int,
-        ) -> None:
-            if targets <= 1 or len(block) <= 1:
-                assign_block(block)
-                return
-            # At node entry the shared counter equals the first cluster id
-            # this subtree will emit — the node's identity for seeding.
-            rng = _node_rng(entropy, next_cluster[0], targets)
+        effective = self._resolve_workers()
+        total: "int | None" = None
+        if (
+            effective > 1
+            and clusters >= PARALLEL_MIN_TARGETS
+            and graph.num_vertices >= PARALLEL_MIN_VERTICES
+        ):
+            total = self._partition_parallel(
+                vertices, frags, clusters, entropy, effective,
+                graph.num_vertices, assignment,
+            )
+        if total is None:
+            counter = [0]
+            self._recurse(vertices, frags, clusters, counter, entropy, emit)
+            total = counter[0]
+        return PartitionResult(assignment.tolist(), total, capacity)
+
+    # -- worker plumbing -----------------------------------------------------
+
+    def _resolve_workers(self) -> int:
+        """Effective process count: 0/1 = serial, None = one per CPU."""
+        if self.workers is None:
+            return os.cpu_count() or 1
+        return max(1, self.workers)
+
+    def _partition_parallel(
+        self,
+        vertices: List[int],
+        frags: FragArrays,
+        clusters: int,
+        entropy: int,
+        effective: int,
+        num_vertices: int,
+        assignment: np.ndarray,
+    ) -> "int | None":
+        """Expand a frontier of blocks, then partition subtrees in a pool.
+
+        Returns the cluster count, or None if the pool was unavailable
+        and the caller should run the serial path instead (the result is
+        identical either way).
+        """
+        frontier = self._expand_frontier(vertices, frags, clusters, entropy)
+        if len(frontier) <= 1:
+            return None
+        jobs = [
+            (
+                self.config,
+                entropy,
+                num_vertices,
+                np.asarray(block, dtype=INDEX_DTYPE),
+                frag_arrays,
+                targets,
+                base,
+            )
+            for block, frag_arrays, targets, base in frontier
+        ]
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(effective, len(jobs))
+            ) as pool:
+                results = list(pool.map(_partition_subtree, jobs))
+        except (OSError, ValueError, RuntimeError, pickle.PicklingError):
+            return None  # pool unavailable — caller falls back to serial
+        total = 0
+        for (block, _, targets, base), (verts, cids, leaves) in zip(
+            frontier, results
+        ):
+            assignment[verts] = cids
+            total = max(total, base + leaves)
+        return total
+
+    def _expand_frontier(
+        self,
+        vertices: List[int],
+        frags: FragArrays,
+        clusters: int,
+        entropy: int,
+    ) -> List[Tuple[List[int], FragArrays, int, int]]:
+        """Bisect largest blocks in-process until one exists per worker.
+
+        Each frontier entry is ``(block, fragments, targets, cluster
+        base)``; bases are exact because the bisection tree's shape —
+        and hence each subtree's leaf count — depends only on block
+        sizes and targets.
+        """
+        effective = self._resolve_workers()
+        frontier = [(vertices, frags, clusters, 0)]
+        while len(frontier) < effective:
+            pick = -1
+            for index, (block, _, targets, _) in enumerate(frontier):
+                if targets <= 1 or len(block) <= 1:
+                    continue
+                if pick < 0 or len(block) > len(frontier[pick][0]):
+                    pick = index
+            if pick < 0:
+                break
+            block, block_frags, targets, base = frontier.pop(pick)
+            rng = _node_rng(entropy, base, targets)
             left_targets = targets // 2
             right_targets = targets - left_targets
-            left_size = self._left_size(
+            left_size = _left_size(
                 len(block), left_targets, right_targets
             )
             left, right = self._bisect(
-                block, left_size, block_edges, weights, rng
+                block, left_size, block_frags, rng
             )
-            left_edges = self._restrict(block_edges, set(left))
-            right_edges = self._restrict(block_edges, set(right))
-            recurse(left, left_edges, left_targets)
-            recurse(right, right_edges, right_targets)
+            left_frags = self._child_fragments(block_frags, left, left_targets)
+            right_frags = self._child_fragments(
+                block_frags, right, right_targets
+            )
+            right_base = base + self._subtree_leaf_count(
+                len(left), left_targets
+            )
+            frontier.append((left, left_frags, left_targets, base))
+            frontier.append((right, right_frags, right_targets, right_base))
+        return frontier
 
-        top_edges = [
-            (edges[e], e) for e in range(graph.num_edges) if len(edges[e]) > 1
-        ]
-        recurse(vertices, top_edges, clusters)
-        return PartitionResult(assignment, next_cluster[0], capacity)
+    def _subtree_leaf_count(self, block_size: int, targets: int) -> int:
+        """Clusters a (block_size, targets) subtree will emit."""
+        if targets <= 1 or block_size <= 1:
+            return 1
+        left_targets = targets // 2
+        right_targets = targets - left_targets
+        left_size = _left_size(block_size, left_targets, right_targets)
+        return self._subtree_leaf_count(
+            left_size, left_targets
+        ) + self._subtree_leaf_count(block_size - left_size, right_targets)
 
-    # -- block geometry ---------------------------------------------------------
+    # -- recursion -----------------------------------------------------------
 
-    @staticmethod
-    def _left_size(n: int, left_targets: int, right_targets: int) -> int:
-        """Vertices assigned to the left half, proportional to its targets."""
-        total = left_targets + right_targets
-        size = round(n * left_targets / total)
-        return max(min(size, n - 1), 1) if n > 1 else n
+    def _prepare_scratch(self, num_vertices: int) -> None:
+        if self._local is None or len(self._local) < num_vertices:
+            self._local = np.empty(num_vertices, dtype=INDEX_DTYPE)
+            self._mask = np.zeros(num_vertices, dtype=bool)
+
+    def _recurse(
+        self,
+        block: List[int],
+        frags: FragArrays,
+        targets: int,
+        counter: List[int],
+        entropy: int,
+        emit: Callable[[List[int], int], None],
+    ) -> None:
+        if targets <= 1 or len(block) <= 1:
+            emit(block, counter[0])
+            counter[0] += 1
+            return
+        rng = _node_rng(entropy, counter[0], targets)
+        left_targets = targets // 2
+        right_targets = targets - left_targets
+        left_size = _left_size(len(block), left_targets, right_targets)
+        left, right = self._bisect(block, left_size, frags, rng)
+        left_frags = self._child_fragments(frags, left, left_targets)
+        right_frags = self._child_fragments(frags, right, right_targets)
+        self._recurse(left, left_frags, left_targets, counter, entropy, emit)
+        self._recurse(
+            right, right_frags, right_targets, counter, entropy, emit
+        )
+
+    def _child_fragments(
+        self, frags: FragArrays, child: List[int], child_targets: int
+    ) -> FragArrays:
+        # Leaves never look at their fragments; skip the restriction.
+        if child_targets <= 1 or len(child) <= 1:
+            return _EMPTY_FRAGS
+        return self._restrict(frags, child)
+
+    # -- bisection -----------------------------------------------------------
 
     @staticmethod
     def _initial_split(
@@ -199,245 +394,362 @@ class ShpPartitioner(Partitioner):
         rng.shuffle(order)
         return order[:left_size], order[left_size:]
 
-    @staticmethod
-    def _restrict(
-        block_edges: List[Tuple[List[int], int]], members: set
-    ) -> List[Tuple[List[int], int]]:
-        """Edge fragments within ``members`` (size >= 2 only)."""
-        fragments = []
-        for vertices, eid in block_edges:
-            frag = [v for v in vertices if v in members]
-            if len(frag) > 1:
-                fragments.append((frag, eid))
-        return fragments
-
-    # -- bisection refinement ------------------------------------------------------
-
     def _bisect(
         self,
         block: List[int],
         left_size: int,
-        block_edges: List[Tuple[List[int], int]],
-        weights: Sequence[int],
+        frags: FragArrays,
         rng,
     ) -> Tuple[List[int], List[int]]:
-        """Split ``block`` into refined halves of sizes (left_size, rest)."""
-        if len(block) <= self.config.kl_threshold and block_edges:
-            best: "Tuple[int, List[int], List[int]] | None" = None
-            for _ in range(self.config.kl_restarts):
-                left, right = self._initial_split(block, left_size, rng)
-                self._refine(left, right, block_edges, weights)
-                cut = self._cut_value(left, block_edges, weights)
-                if best is None or cut < best[0]:
-                    best = (cut, left, right)
-                if best[0] == 0:
-                    break
-            return best[1], best[2]
+        frag_indptr, frag_pins, frag_w = frags
+        has_frags = len(frag_w) > 0
+        if len(block) <= self.config.kl_threshold and has_frags:
+            return self._bisect_small(block, left_size, frags, rng)
         left, right = self._initial_split(block, left_size, rng)
-        self._refine(left, right, block_edges, weights)
+        if has_frags:
+            left, right = self._refine_bulk(left, right, frags)
         return left, right
 
-    @staticmethod
-    def _cut_value(
-        left: List[int],
-        block_edges: List[Tuple[List[int], int]],
-        weights: Sequence[int],
-    ) -> int:
-        """Weighted count of edges straddling the bisection."""
-        members = set(left)
-        cut = 0
-        for vertices, eid in block_edges:
-            inside = sum(1 for v in vertices if v in members)
-            if 0 < inside < len(vertices):
-                cut += weights[eid]
-        return cut
+    def _restrict(
+        self, frags: FragArrays, members: List[int]
+    ) -> FragArrays:
+        """Fragments restricted to ``members`` (size >= 2 only)."""
+        frag_indptr, frag_pins, frag_w = frags
+        if len(frag_w) == 0:
+            return _EMPTY_FRAGS
+        mask = self._mask
+        members_arr = np.asarray(members, dtype=INDEX_DTYPE)
+        mask[members_arr] = True
+        pin_in = mask[frag_pins]
+        mask[members_arr] = False
+        kept = np.add.reduceat(
+            pin_in.astype(INDEX_DTYPE), frag_indptr[:-1]
+        )
+        keep_frag = kept >= 2
+        if not keep_frag.any():
+            return _EMPTY_FRAGS
+        sizes = np.diff(frag_indptr)
+        new_pins = frag_pins[pin_in & np.repeat(keep_frag, sizes)]
+        new_sizes = kept[keep_frag]
+        new_indptr = np.zeros(len(new_sizes) + 1, dtype=INDEX_DTYPE)
+        np.cumsum(new_sizes, out=new_indptr[1:])
+        return new_indptr, new_pins, frag_w[keep_frag]
 
-    def _refine(
-        self,
-        left: List[int],
-        right: List[int],
-        block_edges: List[Tuple[List[int], int]],
-        weights: Sequence[int],
-    ) -> None:
-        """Refine one bisection in place: KL for small blocks, bulk otherwise."""
-        if not block_edges or not left or not right:
-            return
-        if len(left) + len(right) <= self.config.kl_threshold:
-            self._refine_kl(left, right, block_edges, weights)
-        else:
-            self._refine_bulk(left, right, block_edges, weights)
+    # -- bulk refinement (large blocks) --------------------------------------
 
     def _refine_bulk(
-        self,
-        left: List[int],
-        right: List[int],
-        block_edges: List[Tuple[List[int], int]],
-        weights: Sequence[int],
-    ) -> None:
-        """Attraction-gain bulk swaps (cheap, for large blocks)."""
-        side: Dict[int, int] = {}
-        for v in left:
-            side[v] = 0
-        for v in right:
-            side[v] = 1
-        # Per-edge count of vertices on each side.
-        edge_sides: List[List[int]] = []
-        incident: Dict[int, List[int]] = {}
-        for index, (vertices, eid) in enumerate(block_edges):
-            counts = [0, 0]
-            for v in vertices:
-                counts[side[v]] += 1
-                incident.setdefault(v, []).append(index)
-            edge_sides.append(counts)
-
+        self, left: List[int], right: List[int], frags: FragArrays
+    ) -> Tuple[List[int], List[int]]:
+        """Vectorized attraction-gain swaps; order-parity with the
+        reference's dict-based pass."""
+        frag_indptr, frag_pins, frag_w = frags
+        n = len(left) + len(right)
+        order_arr = np.asarray(left + right, dtype=INDEX_DTYPE)
+        local = self._local
+        local[order_arr] = np.arange(n, dtype=INDEX_DTYPE)
+        pins_local = local[frag_pins]
+        sizes = np.diff(frag_indptr)
+        starts = frag_indptr[:-1]
+        pin_frag = np.repeat(
+            np.arange(len(frag_w), dtype=INDEX_DTYPE), sizes
+        )
+        side = np.zeros(n, dtype=INDEX_DTYPE)
+        side[len(left):] = 1
+        # Per-vertex total fragment weight; constant across iterations.
+        weight_pull = scatter_add_exact(pins_local, frag_w[pin_frag], n)
+        min_swap_gain = self.config.min_swap_gain
         for _ in range(self.config.max_iterations):
-            movers: Tuple[List, List] = ([], [])
-            for v, edge_ids in incident.items():
-                own = side[v]
-                other = 1 - own
-                gain = 0
-                for index in edge_ids:
-                    counts = edge_sides[index]
-                    w = weights[block_edges[index][1]]
-                    # Social-hash attraction gain: pull a vertex toward the
-                    # side holding more of its co-edge members.  Unlike the
-                    # exact cut delta, this stays non-zero while an edge is
-                    # split deep on both sides, so coarse levels make
-                    # progress instead of stalling on a plateau; at
-                    # convergence (count_own == 1 vs count_other large) it
-                    # agrees with the exact fanout gain.
-                    gain += w * (counts[other] - (counts[own] - 1))
-                if gain > 0:
-                    movers[own].append((gain, v))
-            if not movers[0] or not movers[1]:
+            count_right = np.add.reduceat(side[pins_local], starts)
+            # w·(count_other − count_own) summed over a vertex's fragments.
+            imbalance = frag_w * (2 * count_right - sizes)
+            drift = scatter_add_exact(pins_local, imbalance[pin_frag], n)
+            gain = weight_pull + np.where(side == 0, drift, -drift)
+            positive = gain > 0
+            movers_l = np.nonzero(positive & (side == 0))[0]
+            movers_r = np.nonzero(positive & (side == 1))[0]
+            if len(movers_l) == 0 or len(movers_r) == 0:
                 break
-            movers[0].sort(reverse=True)
-            movers[1].sort(reverse=True)
-            swapped = 0
-            for (gain_l, v_l), (gain_r, v_r) in zip(movers[0], movers[1]):
-                if gain_l + gain_r <= self.config.min_swap_gain:
-                    break
-                self._swap_sides(
-                    v_l, v_r, side, incident, edge_sides
-                )
-                swapped += 1
-            if swapped == 0:
+            movers_l = _rank_movers(movers_l, gain, order_arr)
+            movers_r = _rank_movers(movers_r, gain, order_arr)
+            pairs = min(len(movers_l), len(movers_r))
+            combined = gain[movers_l[:pairs]] + gain[movers_r[:pairs]]
+            # Both sides are gain-descending, so pair gains never
+            # increase: the swap prefix is just a count.
+            swaps = int(np.count_nonzero(combined > min_swap_gain))
+            if swaps == 0:
                 break
+            side[movers_l[:swaps]] = 1
+            side[movers_r[:swaps]] = 0
+        return (
+            order_arr[side == 0].tolist(),
+            order_arr[side == 1].tolist(),
+        )
 
-        left[:] = [v for v in side if side[v] == 0]
-        right[:] = [v for v in side if side[v] == 1]
+    # -- KL refinement (small blocks) ----------------------------------------
+
+    def _bisect_small(
+        self,
+        block: List[int],
+        left_size: int,
+        frags: FragArrays,
+        rng,
+    ) -> Tuple[List[int], List[int]]:
+        """Restarted KL with incrementally maintained exact gains.
+
+        Reproduces the reference's restart loop, move choices, rollback,
+        and output ordering exactly; only the gain bookkeeping differs
+        (updated per move instead of rescanned per candidate).
+        """
+        frag_indptr, frag_pins, frag_w = frags
+        n = len(block)
+        position = {v: i for i, v in enumerate(block)}
+        num_frags = len(frag_w)
+        frag_local = [
+            [
+                position[v]
+                for v in frag_pins[
+                    frag_indptr[f] : frag_indptr[f + 1]
+                ].tolist()
+            ]
+            for f in range(num_frags)
+        ]
+        weights = frag_w.tolist()
+        incident: List[List[int]] = [[] for _ in range(n)]
+        for f, verts in enumerate(frag_local):
+            for i in verts:
+                incident[i].append(f)
+        # Candidate scan order: ascending global id, so a strict-greater
+        # max scan lands on the reference's (max gain, lowest id) choice.
+        by_global = sorted(range(n), key=block.__getitem__)
+
+        best: "Tuple[int, List[int], List[int]] | None" = None
+        for _ in range(self.config.kl_restarts):
+            left, right = self._initial_split(block, left_size, rng)
+            cut = self._refine_kl(
+                left,
+                right,
+                position,
+                frag_local,
+                weights,
+                incident,
+                by_global,
+            )
+            if best is None or cut < best[0]:
+                best = (cut, left, right)
+            if best[0] == 0:
+                break
+        return best[1], best[2]
 
     def _refine_kl(
         self,
         left: List[int],
         right: List[int],
-        block_edges: List[Tuple[List[int], int]],
-        weights: Sequence[int],
-    ) -> None:
-        """Kernighan–Lin bisection refinement with exact cut gains.
-
-        Each pass tentatively executes a sequence of balance-preserving
-        swaps — always the best *exact-gain* move from each side, even when
-        negative — locking moved vertices, then rolls back to the prefix
-        with the highest cumulative gain.  Tentative negative moves are
-        what lets KL escape the local minima that greedy pairwise swapping
-        (the bulk path) cannot.
-        """
-        side: Dict[int, int] = {}
-        for v in left:
-            side[v] = 0
+        position: dict,
+        frag_local: List[List[int]],
+        weights: List[int],
+        incident: List[List[int]],
+        by_global: List[int],
+    ) -> int:
+        """One KL refinement (in place); returns the resulting cut."""
+        n = len(left) + len(right)
+        side = [0] * n
         for v in right:
-            side[v] = 1
-        edge_sides: List[List[int]] = []
-        incident: Dict[int, List[int]] = {v: [] for v in side}
-        for index, (vertices, _) in enumerate(block_edges):
-            counts = [0, 0]
-            for v in vertices:
-                counts[side[v]] += 1
-                incident[v].append(index)
-            edge_sides.append(counts)
+            side[position[v]] = 1
+        count_left = [0] * len(frag_local)
+        count_right = [0] * len(frag_local)
+        for f, verts in enumerate(frag_local):
+            on_right = 0
+            for i in verts:
+                on_right += side[i]
+            count_right[f] = on_right
+            count_left[f] = len(verts) - on_right
+        gain = [0] * n
+        for f, verts in enumerate(frag_local):
+            c_left = count_left[f]
+            c_right = count_right[f]
+            w = weights[f]
+            for i in verts:
+                if side[i] == 0:
+                    gain[i] += (w if c_left == 1 else 0) - (
+                        w if c_right == 0 else 0
+                    )
+                else:
+                    gain[i] += (w if c_right == 1 else 0) - (
+                        w if c_left == 0 else 0
+                    )
 
-        def exact_gain(v: int) -> int:
-            own = side[v]
-            other = 1 - own
-            gain = 0
-            for index in incident[v]:
-                counts = edge_sides[index]
-                w = weights[block_edges[index][1]]
-                if counts[own] == 1:
-                    gain += w
-                if counts[other] == 0:
-                    gain -= w
-            return gain
+        def move(
+            i: int,
+            side=side,
+            gain=gain,
+            weights=weights,
+            incident=incident,
+            frag_local=frag_local,
+            count_left=count_left,
+            count_right=count_right,
+        ) -> None:
+            # Hot path: the default args bind the closure lists as
+            # locals (LOAD_FAST instead of LOAD_DEREF per access).
+            was_left = side[i] == 0
+            for f in incident[i]:
+                w = weights[f]
+                c_left = count_left[f]
+                c_right = count_right[f]
+                if was_left:
+                    own, other = c_left, c_right
+                    new_left = c_left - 1
+                    new_right = c_right + 1
+                else:
+                    own, other = c_right, c_left
+                    new_left = c_left + 1
+                    new_right = c_right - 1
+                # The mover's own term switches side as well as counts.
+                gain[i] += (
+                    (w if other + 1 == 1 else 0)
+                    - (w if own - 1 == 0 else 0)
+                    - (w if own == 1 else 0)
+                    + (w if other == 0 else 0)
+                )
+                # A neighbor's delta depends only on its side, not on
+                # which neighbor it is: one value per side per edge.
+                delta_left = w * (
+                    (new_left == 1) - (new_right == 0)
+                    - (c_left == 1) + (c_right == 0)
+                )
+                delta_right = w * (
+                    (new_right == 1) - (new_left == 0)
+                    - (c_right == 1) + (c_left == 0)
+                )
+                if delta_left or delta_right:
+                    for j in frag_local[f]:
+                        if j != i:
+                            gain[j] += (
+                                delta_left if side[j] == 0 else delta_right
+                            )
+                count_left[f] = new_left
+                count_right[f] = new_right
+            side[i] = 1 if was_left else 0
 
-        def move(v: int) -> None:
-            own = side[v]
-            other = 1 - own
-            side[v] = other
-            for index in incident[v]:
-                edge_sides[index][own] -= 1
-                edge_sides[index][other] += 1
-
-        def best_unlocked(wanted_side: int, locked: set) -> "int | None":
-            best_v = None
+        def best_unlocked(
+            wanted: int,
+            locked: List[bool],
+            side=side,
+            gain=gain,
+            by_global=by_global,
+        ) -> int:
+            best_i = -1
             best_g = None
-            for v in side:
-                if v in locked or side[v] != wanted_side:
+            for i in by_global:
+                if locked[i] or side[i] != wanted:
                     continue
-                g = exact_gain(v)
-                if best_g is None or g > best_g or (g == best_g and v < best_v):
-                    best_v, best_g = v, g
-            return best_v
+                g = gain[i]
+                if best_g is None or g > best_g:
+                    best_i, best_g = i, g
+            return best_i
 
         pair_budget = min(len(left), len(right))
         for _ in range(self.config.kl_passes):
-            locked: set = set()
-            moves: List[Tuple[int, int]] = []
+            locked = [False] * n
             cumulative = 0
             best_total = 0
-            best_length = 0
+            # Rolling back by replaying moves in reverse lands exactly on
+            # the best-prefix state (every update is an exact integer
+            # delta), so snapshotting that state and restoring it at the
+            # end of the pass is equivalent — and skips the replay moves.
+            snap = (
+                side.copy(),
+                gain.copy(),
+                count_left.copy(),
+                count_right.copy(),
+            )
             for _ in range(pair_budget):
                 a = best_unlocked(0, locked)
-                if a is None:
+                if a < 0:
                     break
-                gain_a = exact_gain(a)
+                gain_a = gain[a]
                 move(a)
                 b = best_unlocked(1, locked)
-                if b is None:
-                    move(a)  # undo: no counterpart to restore balance
-                    break
-                gain_b = exact_gain(b)
+                if b < 0:
+                    break  # unpaired move of `a` is dropped by the restore
+                gain_b = gain[b]
                 move(b)
-                locked.add(a)
-                locked.add(b)
+                locked[a] = True
+                locked[b] = True
                 cumulative += gain_a + gain_b
-                moves.append((a, b))
                 if cumulative > best_total:
                     best_total = cumulative
-                    best_length = len(moves)
-            # Roll back everything after the best prefix.
-            for a, b in reversed(moves[best_length:]):
-                move(b)
-                move(a)
+                    snap = (
+                        side.copy(),
+                        gain.copy(),
+                        count_left.copy(),
+                        count_right.copy(),
+                    )
+            # In-place restore: move/best_unlocked hold references.
+            side[:], gain[:], count_left[:], count_right[:] = snap
             if best_total <= 0:
                 break
 
-        left[:] = [v for v in side if side[v] == 0]
-        right[:] = [v for v in side if side[v] == 1]
+        order = left + right
+        left[:] = [v for v in order if side[position[v]] == 0]
+        right[:] = [v for v in order if side[position[v]] == 1]
+        return sum(
+            weights[f]
+            for f in range(len(frag_local))
+            if 0 < count_left[f] < len(frag_local[f])
+        )
 
-    @staticmethod
-    def _swap_sides(
-        v_left: int,
-        v_right: int,
-        side: Dict[int, int],
-        incident: Dict[int, List[int]],
-        edge_sides: List[List[int]],
-    ) -> None:
-        for v in (v_left, v_right):
-            own = side[v]
-            other = 1 - own
-            side[v] = other
-            for index in incident[v]:
-                counts = edge_sides[index]
-                counts[own] -= 1
-                counts[other] += 1
+
+_EMPTY_FRAGS: FragArrays = (
+    np.zeros(1, dtype=INDEX_DTYPE),
+    np.empty(0, dtype=INDEX_DTYPE),
+    np.empty(0, dtype=INDEX_DTYPE),
+)
+
+
+def _top_fragments(graph: Hypergraph) -> FragArrays:
+    """Top-level fragments: every edge with at least two pins."""
+    csr = graph.csr()
+    sizes = csr.edge_sizes()
+    keep = sizes >= 2
+    if not keep.any():
+        return _EMPTY_FRAGS
+    pins = csr.pin_vertices[np.repeat(keep, sizes)]
+    new_sizes = sizes[keep]
+    indptr = np.zeros(len(new_sizes) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(new_sizes, out=indptr[1:])
+    return indptr, pins, csr.weights[keep]
+
+
+def _rank_movers(
+    movers: np.ndarray, gain: np.ndarray, order_arr: np.ndarray
+) -> np.ndarray:
+    """Sort movers like the reference's ``(gain, vertex) reverse=True``."""
+    return movers[np.lexsort((-order_arr[movers], -gain[movers]))]
+
+
+def _partition_subtree(job) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Partition one frontier subtree (top-level so pools can pickle it).
+
+    Returns ``(vertices, cluster_ids, leaf_count)``; cluster ids are
+    absolute (the subtree's precomputed base plus its DFS counter).
+    """
+    config, entropy, num_vertices, block_arr, frags, targets, base = job
+    partitioner = ShpPartitioner(config, workers=1)
+    partitioner._prepare_scratch(num_vertices)
+    verts: List[np.ndarray] = []
+    cids: List[np.ndarray] = []
+
+    def emit(block: List[int], cluster: int) -> None:
+        chunk = np.asarray(block, dtype=INDEX_DTYPE)
+        verts.append(chunk)
+        cids.append(np.full(len(chunk), cluster, dtype=INDEX_DTYPE))
+
+    counter = [base]
+    partitioner._recurse(
+        block_arr.tolist(), frags, targets, counter, entropy, emit
+    )
+    return (
+        np.concatenate(verts),
+        np.concatenate(cids),
+        counter[0] - base,
+    )

@@ -13,8 +13,7 @@ from .layout import PageLayout, layout_from_partition
 from .forward_index import ForwardIndex
 from .invert_index import InvertIndex
 from .build import build_indexes
-from .csr import CsrArray, CsrIndexes, transpose_csr
-from .serialize import load_indexes, load_layout, save_indexes, save_layout
+from .serialize import load_layout, save_layout
 from .diagnostics import LayoutReport, hot_pair_coverage, layout_report
 
 __all__ = [
@@ -23,13 +22,8 @@ __all__ = [
     "ForwardIndex",
     "InvertIndex",
     "build_indexes",
-    "CsrArray",
-    "CsrIndexes",
-    "transpose_csr",
     "save_layout",
     "load_layout",
-    "save_indexes",
-    "load_indexes",
     "LayoutReport",
     "layout_report",
     "hot_pair_coverage",

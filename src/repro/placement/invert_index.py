@@ -20,7 +20,7 @@ class InvertIndex:
 
     def __init__(self, pages: List[Tuple[int, ...]]) -> None:
         self._pages = pages
-        self._sets: List[FrozenSet[int]] = [frozenset(p) for p in pages]
+        self._sets: Optional[List[FrozenSet[int]]] = None
         self._sorted: Optional[List[Tuple[int, ...]]] = None
 
     @classmethod
@@ -40,7 +40,14 @@ class InvertIndex:
         return self._pages[page_id]
 
     def key_set(self, page_id: int) -> FrozenSet[int]:
-        """Keys on ``page_id`` as a frozenset (for intersections)."""
+        """Keys on ``page_id`` as a frozenset (for intersections), memoized.
+
+        The set-typed copy of every page is built on the first call: the
+        serving hot path never asks for it (fault recovery and the
+        set-algebra oracle do).
+        """
+        if self._sets is None:
+            self._sets = [frozenset(p) for p in self._pages]
         if not 0 <= page_id < len(self._sets):
             raise PlacementError(f"page id {page_id} out of range")
         return self._sets[page_id]

@@ -17,30 +17,11 @@ import json
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from ..errors import CorruptArtifactError, PlacementError
-from ..integrity import (
-    MAGIC_LAYOUT,
-    crc32_file,
-    unwrap_document,
-    verify_file_checksum,
-    wrap_document,
-)
-from .csr import CsrArray, CsrIndexes
+from ..integrity import MAGIC_LAYOUT, unwrap_document, wrap_document
 from .layout import PageLayout
 
 PathLike = Union[str, Path]
-
-# The six arrays of a CsrIndexes bundle, one .npy file each.
-_INDEX_ARRAYS = (
-    "forward_indptr",
-    "forward_indices",
-    "invert_indptr",
-    "invert_indices",
-    "full_forward_indptr",
-    "full_forward_indices",
-)
 
 
 def save_layout(layout: PageLayout, path: PathLike) -> None:
@@ -83,100 +64,4 @@ def load_layout(path: PathLike) -> PageLayout:
         capacity=document["capacity"],
         pages=document["pages"],
         num_base_pages=document["num_base_pages"],
-    )
-
-
-def save_indexes(indexes: CsrIndexes, directory: PathLike) -> None:
-    """Persist CSR indexes as one ``.npy`` file per array plus metadata.
-
-    Per-array ``np.save`` (rather than one pickle) lets
-    :func:`load_indexes` map the arrays back read-only with zero copies.
-    """
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        "forward_indptr": indexes.forward.indptr,
-        "forward_indices": indexes.forward.indices,
-        "invert_indptr": indexes.invert.indptr,
-        "invert_indices": indexes.invert.indices,
-        "full_forward_indptr": indexes.full_forward.indptr,
-        "full_forward_indices": indexes.full_forward.indices,
-    }
-    checksums = {}
-    for name in _INDEX_ARRAYS:
-        target = root / f"{name}.npy"
-        np.save(target, arrays[name], allow_pickle=False)
-        checksums[name] = crc32_file(target)
-    meta = {
-        "format": "maxembed-csr-indexes",
-        "version": 2,
-        "limit": indexes.limit,
-        "num_keys": indexes.num_keys,
-        "num_pages": indexes.num_pages,
-        "checksums": checksums,
-    }
-    (root / "meta.json").write_text(json.dumps(meta))
-
-
-def load_indexes(directory: PathLike, mmap: bool = True) -> CsrIndexes:
-    """Load indexes written by :func:`save_indexes`.
-
-    With ``mmap`` (the default) the arrays are memory-mapped read-only —
-    the layout hand-off artifact is shared between serving processes
-    without each one paying a copy of the index footprint.
-    """
-    root = Path(directory)
-    try:
-        meta = json.loads((root / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PlacementError(f"cannot load indexes from {root}: {exc}")
-    if meta.get("format") != "maxembed-csr-indexes":
-        raise PlacementError(f"{root} does not hold CSR indexes")
-    version = meta.get("version")
-    if version not in (1, 2):
-        raise CorruptArtifactError(
-            f"{root} has unsupported index-bundle version {version!r}"
-        )
-    checksums = meta.get("checksums")
-    if checksums is None:
-        import warnings
-
-        from ..integrity import UncheckedArtifactWarning
-
-        warnings.warn(
-            f"index bundle {root} has no array checksums (legacy "
-            f"format); loading without verification",
-            UncheckedArtifactWarning,
-            stacklevel=2,
-        )
-    mode = "r" if mmap else None
-    loaded = {}
-    for name in _INDEX_ARRAYS:
-        path = root / f"{name}.npy"
-        if checksums is not None:
-            if name not in checksums:
-                raise CorruptArtifactError(
-                    f"index bundle {root} records no checksum for {name}"
-                )
-            verify_file_checksum(
-                path, checksums[name], source=f"index bundle {root}:"
-            )
-        try:
-            loaded[name] = np.load(path, mmap_mode=mode, allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise PlacementError(f"cannot load index array {path}: {exc}")
-    return CsrIndexes(
-        forward=CsrArray(
-            indptr=loaded["forward_indptr"],
-            indices=loaded["forward_indices"],
-        ),
-        invert=CsrArray(
-            indptr=loaded["invert_indptr"],
-            indices=loaded["invert_indices"],
-        ),
-        full_forward=CsrArray(
-            indptr=loaded["full_forward_indptr"],
-            indices=loaded["full_forward_indices"],
-        ),
-        limit=meta.get("limit"),
     )

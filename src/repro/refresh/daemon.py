@@ -15,8 +15,8 @@ open.  It mounts on either repair target:
 The repair ladder escalates only on *persistent* evidence: a stale
 target first gets a **tier re-plan** (cheap: re-pin the DRAM hot set
 from the live window, no engine rebuild), then — if the next probe
-still says stale — a **rebuild** of just that target with the fast
-offline path, and finally (cluster mode, when enough shards are stale
+still says stale — a **rebuild** of just that target with the offline
+pipeline, and finally (cluster mode, when enough shards are stale
 at once) one **full re-placement** over the existing shard plan.
 
 Every rebuilt layout is staged through a CRC-validated artifact and

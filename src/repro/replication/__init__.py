@@ -11,16 +11,17 @@ placement with replication), all producing a
   with vanilla SHP first, then replicate the vertices scoring highest on
   ``Σ_{e ∋ v} (λ(e) − 1)`` together with their most frequent co-appearing
   neighbours.
+
+Scores and replica pages are computed over the hypergraph's CSR pin
+arrays; :func:`replica_page` is the single-base step
+:class:`IncrementalReplicator` shares with the offline build.  The
+loop-based oracles live in :mod:`repro.reference`, which nothing here
+imports.
 """
 
 from .base import ReplicationStrategy, build_layout
 from .scoring import connectivity_scores, hotness_scores
-from .fast_replication import (
-    fast_connectivity_scores,
-    fast_hotness_scores,
-    fast_replica_pages,
-)
-from .connectivity import ConnectivityPriorityStrategy
+from .connectivity import ConnectivityPriorityStrategy, replica_page
 from .rpp import RppStrategy
 from .fpr import FprStrategy
 from .benefit import GreedyBenefitStrategy
@@ -36,7 +37,5 @@ __all__ = [
     "IncrementalReplicator",
     "connectivity_scores",
     "hotness_scores",
-    "fast_connectivity_scores",
-    "fast_hotness_scores",
-    "fast_replica_pages",
+    "replica_page",
 ]

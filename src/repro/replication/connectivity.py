@@ -18,14 +18,16 @@ single page read already serves.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
-from ..hypergraph import Hypergraph, vertex_cooccurrence
-from ..partition import edge_connectivities, fast_edge_connectivities
+from ..hypergraph import Hypergraph, gather_rows
+from ..hypergraph.csr import PIN_DTYPE, scatter_add_exact
+from ..partition import edge_connectivities
 from ..placement import PageLayout, layout_from_partition
 from .base import ReplicationStrategy
-from .fast_replication import fast_replica_pages
 from .scoring import connectivity_scores, hotness_scores, top_scored_vertices
 
 
@@ -38,7 +40,6 @@ class ConnectivityPriorityStrategy(ReplicationStrategy):
         exclude_home_cluster: bool = True,
         dedupe_pages: bool = True,
         scoring: str = "connectivity",
-        fast: bool = False,
     ) -> None:
         """Args:
         partitioner: base partitioner (defaults to SHP).
@@ -51,9 +52,6 @@ class ConnectivityPriorityStrategy(ReplicationStrategy):
         scoring: ``"connectivity"`` (the paper's Σ(λ−1) score) or
             ``"hotness"`` (pure degree — DESIGN.md ablation #2, which
             degenerates the selection toward RPP's).
-        fast: replicate via the vectorized
-            :mod:`~repro.replication.fast_replication` path (identical
-            pages, CSR arrays instead of per-edge python loops).
         """
         super().__init__(partitioner)
         if scoring not in ("connectivity", "hotness"):
@@ -63,7 +61,6 @@ class ConnectivityPriorityStrategy(ReplicationStrategy):
         self.exclude_home_cluster = exclude_home_cluster
         self.dedupe_pages = dedupe_pages
         self.scoring = scoring
-        self.fast = fast
 
     def build_layout(
         self, graph: Hypergraph, capacity: int, ratio: float
@@ -76,10 +73,7 @@ class ConnectivityPriorityStrategy(ReplicationStrategy):
         # λ is computed once per build and threaded through scoring.
         lambdas = None
         if budget > 0 and self.scoring == "connectivity":
-            connectivity_of = (
-                fast_edge_connectivities if self.fast else edge_connectivities
-            )
-            lambdas = connectivity_of(graph, result.assignment)
+            lambdas = edge_connectivities(graph, result.assignment)
         replica_pages = self.build_replica_pages(
             graph, result.assignment, capacity, budget, lambdas=lambdas
         )
@@ -90,34 +84,27 @@ class ConnectivityPriorityStrategy(ReplicationStrategy):
     def build_replica_pages(
         self,
         graph: Hypergraph,
-        assignment: List[int],
+        assignment: Sequence[int],
         capacity: int,
         budget: int,
-        lambdas: "List[int] | None" = None,
+        lambdas: "Sequence[int] | None" = None,
     ) -> List[Tuple[int, ...]]:
         """Steps 2–4: score, select bases, emit one replica page per base."""
         if budget <= 0:
             return []
-        if self.fast:
-            return fast_replica_pages(
-                graph,
-                assignment,
-                capacity,
-                budget,
-                exclude_home_cluster=self.exclude_home_cluster,
-                dedupe_pages=self.dedupe_pages,
-                scoring=self.scoring,
-                lambdas=lambdas,
-            )
         if self.scoring == "connectivity":
             scores = connectivity_scores(graph, assignment, lambdas=lambdas)
         else:
             scores = hotness_scores(graph)
         bases = top_scored_vertices(scores, budget)
+        assignment_arr = np.asarray(assignment, dtype=PIN_DTYPE)
         pages: List[Tuple[int, ...]] = []
         seen = set()
         for base in bases:
-            page = self._replica_page_for(graph, assignment, capacity, base)
+            page = replica_page(
+                graph, assignment_arr, capacity, base,
+                self.exclude_home_cluster,
+            )
             if len(page) < 2:
                 # A lone base replicates nothing useful: a base-only page
                 # cannot serve any *combination* a home page read wouldn't.
@@ -131,21 +118,40 @@ class ConnectivityPriorityStrategy(ReplicationStrategy):
                 break
         return pages
 
-    def _replica_page_for(
-        self,
-        graph: Hypergraph,
-        assignment: List[int],
-        capacity: int,
-        base: int,
-    ) -> Tuple[int, ...]:
-        """One replica page: base + its d−1 most frequent co-neighbours."""
-        cooccurrence = vertex_cooccurrence(graph, base)
-        home = assignment[base]
-        candidates = [
-            (count, -neighbour, neighbour)
-            for neighbour, count in cooccurrence.items()
-            if not (self.exclude_home_cluster and assignment[neighbour] == home)
-        ]
-        candidates.sort(reverse=True)
-        companions = [n for _, _, n in candidates[: capacity - 1]]
-        return tuple([base] + companions)
+
+def replica_page(
+    graph: Hypergraph,
+    assignment: Sequence[int],
+    capacity: int,
+    base: int,
+    exclude_home_cluster: bool = True,
+) -> Tuple[int, ...]:
+    """One replica page: ``base`` + its d−1 most frequent co-neighbours.
+
+    Step 4 for a single base.  The base's incident edges are gathered
+    from the vertex-side CSR, neighbour counts aggregated with
+    ``np.unique`` and ranked by one ``lexsort`` (count desc, neighbour
+    asc).  ``assignment`` locates every vertex (cluster id, or home page
+    for :class:`~repro.replication.IncrementalReplicator`); callers in a
+    loop pass an int64 array so it is not converted per base.
+    """
+    assignment_arr = np.asarray(assignment, dtype=PIN_DTYPE)
+    csr = graph.csr()
+    edge_ids = csr.edges_of_vertex(base)
+    if len(edge_ids) == 0:
+        return (base,)
+    neighbours, lengths = gather_rows(
+        csr.edge_indptr, csr.pin_vertices, edge_ids
+    )
+    per_pin_weight = np.repeat(csr.weights[edge_ids], lengths)
+    keep = neighbours != base
+    if exclude_home_cluster:
+        keep &= assignment_arr[neighbours] != assignment_arr[base]
+    neighbours = neighbours[keep]
+    if len(neighbours) == 0:
+        return (base,)
+    unique, inverse = np.unique(neighbours, return_inverse=True)
+    counts = scatter_add_exact(inverse, per_pin_weight[keep], len(unique))
+    ranked = np.lexsort((unique, -counts))  # count desc, neighbour asc
+    companions = unique[ranked[: capacity - 1]]
+    return tuple([int(base)] + [int(v) for v in companions])

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..hypergraph import Hypergraph, build_weighted_hypergraph
+from ..hypergraph.csr import PIN_DTYPE
 from ..placement import ForwardIndex, PageLayout, build_indexes
 from ..serving.selection import OnePassSelector
 from ..types import QueryTrace
-from .connectivity import ConnectivityPriorityStrategy
+from .connectivity import replica_page
 from .scoring import top_scored_vertices
 
 
@@ -60,14 +63,12 @@ class IncrementalReplicator:
         scores = self._observed_scores(graph, layout)
         bases = top_scored_vertices(scores, extra_pages)
         home_of = self._home_assignment(layout)
-        builder = ConnectivityPriorityStrategy(
-            exclude_home_cluster=self.exclude_home_cluster
-        )
         existing = {frozenset(p) for p in layout.pages()}
         new_pages: List[Tuple[int, ...]] = []
         for base in bases:
-            page = builder._replica_page_for(
-                graph, home_of, layout.capacity, base
+            page = replica_page(
+                graph, home_of, layout.capacity, base,
+                self.exclude_home_cluster,
             )
             if len(page) < 2:
                 continue
@@ -90,10 +91,13 @@ class IncrementalReplicator:
     # -- internals -------------------------------------------------------------
 
     @staticmethod
-    def _home_assignment(layout: PageLayout) -> List[int]:
+    def _home_assignment(layout: PageLayout) -> np.ndarray:
         """Pseudo-assignment: each key's home (first) page id."""
         forward = ForwardIndex.from_layout(layout)
-        return [forward.home_page(k) for k in range(layout.num_keys)]
+        return np.array(
+            [forward.home_page(k) for k in range(layout.num_keys)],
+            dtype=PIN_DTYPE,
+        )
 
     @staticmethod
     def _observed_scores(

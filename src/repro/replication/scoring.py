@@ -18,7 +18,10 @@ from __future__ import annotations
 import heapq
 from typing import List, Sequence
 
+import numpy as np
+
 from ..hypergraph import Hypergraph
+from ..hypergraph.csr import PIN_DTYPE, scatter_add_exact
 from ..partition import edge_connectivities
 
 
@@ -34,19 +37,24 @@ def connectivity_scores(
     """
     if lambdas is None:
         lambdas = edge_connectivities(graph, assignment)
-    scores = [0] * graph.num_vertices
-    for eid, edge, weight in graph.edge_items():
-        contribution = (lambdas[eid] - 1) * weight
-        if contribution == 0:
-            continue
-        for v in edge:
-            scores[v] += contribution
-    return scores
+    weights = graph.csr().weights
+    return _sum_onto_pins(
+        graph, (np.asarray(lambdas, dtype=PIN_DTYPE) - 1) * weights
+    )
 
 
 def hotness_scores(graph: Hypergraph) -> List[int]:
     """Pure popularity: weighted degree of each vertex."""
-    return graph.degrees()
+    return _sum_onto_pins(graph, graph.csr().weights)
+
+
+def _sum_onto_pins(graph: Hypergraph, per_edge: np.ndarray) -> List[int]:
+    """Per-vertex sum of its edges' values: one scatter-add over the pins."""
+    csr = graph.csr()
+    per_pin = np.repeat(per_edge, csr.edge_sizes())
+    return scatter_add_exact(
+        csr.pin_vertices, per_pin, graph.num_vertices
+    ).tolist()
 
 
 def top_scored_vertices(scores: Sequence[int], count: int) -> List[int]:

@@ -4,14 +4,14 @@ With replication, choosing the minimal page set covering a query is set
 cover.  This package provides:
 
 * :class:`GreedySetCoverSelector` — the near-optimal but expensive greedy
-  baseline (O(|S|·|Q|) set operations per query);
+  baseline (O(|S|·|Q|) candidate examinations per query);
 * :class:`OnePassSelector` — MaxEmbed's §6.1 algorithm: sort keys by
   ascending replica count, then for each uncovered key pick the best of
-  its (index-limited) candidate pages;
-* :class:`FastOnePassSelector` / :class:`FastGreedySelector` — the same
-  two algorithms on one query-side integer-mask kernel, bit-identical in
-  outcome and the engine default (:class:`FastSelectionOutcome` is their
-  lazy result);
+  its (index-limited) candidate pages — both on one query-side
+  integer-mask kernel (:class:`MaskSelectionOutcome` is their lazy
+  result), the two values of the selection axis, :data:`SELECTORS`;
+  their set-algebra oracles live in :mod:`repro.reference`, which
+  nothing here imports;
 * :class:`SerialExecutor` / :class:`PipelinedExecutor` — §6.2: overlap
   page selection with asynchronous SSD reads or run them back-to-back
   (with :class:`BatchedExecutor` / :class:`NdpExecutor`, the four values
@@ -21,16 +21,13 @@ cover.  This package provides:
 """
 
 from .selection import (
+    SELECTORS,
     GreedySetCoverSelector,
+    MaskSelectionOutcome,
     OnePassSelector,
     SelectionOutcome,
     SelectionStep,
     Selector,
-)
-from .fast_selection import (
-    FastGreedySelector,
-    FastOnePassSelector,
-    FastSelectionOutcome,
 )
 from .cost_model import CpuCostModel
 from .executor import (
@@ -53,11 +50,10 @@ __all__ = [
     "Selector",
     "SelectionStep",
     "SelectionOutcome",
+    "MaskSelectionOutcome",
+    "SELECTORS",
     "GreedySetCoverSelector",
     "OnePassSelector",
-    "FastOnePassSelector",
-    "FastGreedySelector",
-    "FastSelectionOutcome",
     "CpuCostModel",
     "Executor",
     "EXECUTORS",

@@ -30,21 +30,9 @@ from ..tiering import TIER_MODES, PinnedTier, TierPlan, plan_tier
 from ..types import EmbeddingSpec, Query, QueryTrace
 from .cost_model import CpuCostModel
 from .executor import EXECUTORS, Executor, NdpExecutor
-from .fast_selection import FastGreedySelector, FastOnePassSelector
 from .recovery import RecoveringExecutor, RetryPolicy
-from .selection import (
-    GreedySetCoverSelector,
-    OnePassSelector,
-    SelectionOutcome,
-    Selector,
-)
+from .selection import SELECTORS, SelectionOutcome, Selector
 from .stats import QueryResult, ServingReport, aggregate_results
-
-_SELECTORS = {"onepass": OnePassSelector, "greedy": GreedySetCoverSelector}
-_FAST_SELECTORS = {
-    "onepass": FastOnePassSelector,
-    "greedy": FastGreedySelector,
-}
 
 
 @dataclass(frozen=True)
@@ -64,12 +52,8 @@ class EngineConfig:
             a co-occurrence-aware placement the co-residents are exactly
             the keys likely to be asked for next).
         index_limit: forward-index shrink ``k`` (None = full index).
-        selector: ``"onepass"`` (MaxEmbed) or ``"greedy"`` (baseline).
-        fast_selection: serve with the page-mask fast selectors
-            (:mod:`repro.serving.fast_selection`: one query-side integer
-            kernel, re-entrant), which produce outcomes identical to the
-            reference selectors.  ``False`` forces the reference
-            set-algebra path (the oracle).
+        selector: ``"onepass"`` (MaxEmbed) or ``"greedy"`` (baseline) —
+            the keys of :data:`~repro.serving.selection.SELECTORS`.
         executor: when, and in what form, a query's selected reads
             reach the device (:data:`~repro.serving.executor.EXECUTORS`)
             — ``"pipelined"`` (MaxEmbed §6.2: each read issued right
@@ -126,7 +110,6 @@ class EngineConfig:
     page_grain_admission: bool = False
     index_limit: Optional[int] = None
     selector: str = "onepass"
-    fast_selection: bool = True
     executor: str = "pipelined"
     threads: int = 8
     raid_members: int = 1
@@ -144,10 +127,10 @@ class EngineConfig:
     tier_plan: Optional[TierPlan] = None
 
     def __post_init__(self) -> None:
-        if self.selector not in _SELECTORS:
+        if self.selector not in SELECTORS:
             raise ServingError(
                 f"unknown selector {self.selector!r}; "
-                f"choose from {sorted(_SELECTORS)}"
+                f"choose from {sorted(SELECTORS)}"
             )
         if self.executor not in EXECUTORS:
             raise ServingError(
@@ -213,10 +196,7 @@ class ServingEngine:
         self.forward, self.invert = build_indexes(
             layout, limit=self.config.index_limit
         )
-        selectors = (
-            _FAST_SELECTORS if self.config.fast_selection else _SELECTORS
-        )
-        self.selector: Selector = selectors[self.config.selector](
+        self.selector: Selector = SELECTORS[self.config.selector](
             self.forward, self.invert
         )
         self.executor: Executor = EXECUTORS[self.config.executor](

@@ -1,7 +1,7 @@
 """Artifact integrity: magic/version/CRC32 envelopes on every persisted file.
 
-Every artifact the library writes — layouts, sharded layouts, CSR index
-bundles, store bundles — must detect truncation and bit flips at load
+Every artifact the library writes — layouts, sharded layouts, store
+bundles — must detect truncation and bit flips at load
 time with a typed :class:`CorruptArtifactError`, while files written
 before checksumming existed keep loading (with a warning).
 """
@@ -31,13 +31,7 @@ from repro.integrity import (
     unwrap_document,
     wrap_document,
 )
-from repro.placement import (
-    CsrIndexes,
-    load_indexes,
-    load_layout,
-    save_indexes,
-    save_layout,
-)
+from repro.placement import load_layout, save_layout
 from repro.types import Query, QueryTrace
 
 
@@ -164,48 +158,6 @@ class TestShardedLayoutFiles:
         save_layout(layout, path)
         with pytest.raises(PlacementError):
             load_sharded_layout(path)
-
-
-class TestIndexBundles:
-    def test_round_trip_verifies(self, layout, tmp_path):
-        indexes = CsrIndexes.from_layout(layout)
-        save_indexes(indexes, tmp_path / "idx")
-        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
-        assert meta["version"] == 2
-        assert set(meta["checksums"]) == {
-            f"{kind}_{part}"
-            for kind in ("forward", "invert", "full_forward")
-            for part in ("indptr", "indices")
-        }
-        loaded = load_indexes(tmp_path / "idx")
-        np.testing.assert_array_equal(
-            loaded.invert.indices, indexes.invert.indices
-        )
-
-    def test_flipped_array_byte_detected(self, layout, tmp_path):
-        save_indexes(CsrIndexes.from_layout(layout), tmp_path / "idx")
-        target = tmp_path / "idx" / "invert_indices.npy"
-        blob = bytearray(target.read_bytes())
-        blob[-1] ^= 0xFF
-        target.write_bytes(bytes(blob))
-        with pytest.raises(CorruptArtifactError, match="integrity"):
-            load_indexes(tmp_path / "idx")
-
-    def test_missing_array_file_detected(self, layout, tmp_path):
-        save_indexes(CsrIndexes.from_layout(layout), tmp_path / "idx")
-        (tmp_path / "idx" / "forward_indptr.npy").unlink()
-        with pytest.raises(CorruptArtifactError, match="missing"):
-            load_indexes(tmp_path / "idx")
-
-    def test_legacy_meta_loads_with_warning(self, layout, tmp_path):
-        save_indexes(CsrIndexes.from_layout(layout), tmp_path / "idx")
-        meta_path = tmp_path / "idx" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["version"] = 1
-        del meta["checksums"]
-        meta_path.write_text(json.dumps(meta))
-        with pytest.warns(UncheckedArtifactWarning):
-            load_indexes(tmp_path / "idx")
 
 
 class TestStoreBundles:

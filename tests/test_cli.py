@@ -27,6 +27,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--layout", "l.json", "--selection-path", "reference"],
+            ["build", "--trace", "t", "--out", "l.json", "--offline-path", "fast"],
+            ["serve", "--layout", "l.json", "--selector", "warp"],
+        ],
+    )
+    def test_removed_path_flags_and_unknown_selector_exit_2(self, argv):
+        # There is one implementation per algorithm: nothing to select.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        # The same lines minus the offending pair parse.
+        build_parser().parse_args(argv[:-2])
+
 
 class TestCommands:
     def test_generate_build_serve_pipeline(self, tmp_path, capsys):

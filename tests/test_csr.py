@@ -1,19 +1,9 @@
-"""Tests for repro.placement.csr, build_indexes, and index persistence."""
+"""Tests for the single-pass ``build_indexes``."""
 
-import numpy as np
 import pytest
 
 from repro import PageLayout, PlacementError
-from repro.placement import (
-    CsrArray,
-    CsrIndexes,
-    ForwardIndex,
-    InvertIndex,
-    build_indexes,
-    load_indexes,
-    save_indexes,
-    transpose_csr,
-)
+from repro.placement import ForwardIndex, InvertIndex, build_indexes
 
 
 @pytest.fixture
@@ -29,105 +19,6 @@ def layout():
         ],
         num_base_pages=2,
     )
-
-
-class TestCsrArray:
-    def test_from_rows_roundtrip(self):
-        rows = [(3, 1), (), (2,), (0, 1, 2)]
-        csr = CsrArray.from_rows(rows)
-        assert csr.num_rows == 4
-        assert csr.num_entries == 6
-        for r, expected in enumerate(rows):
-            assert csr.row(r).tolist() == list(expected)
-        assert csr.row_lengths().tolist() == [2, 0, 1, 3]
-
-    def test_row_out_of_range(self):
-        csr = CsrArray.from_rows([(0,)])
-        with pytest.raises(PlacementError):
-            csr.row(1)
-
-    def test_rejects_inconsistent_indptr(self):
-        with pytest.raises(PlacementError):
-            CsrArray(
-                indptr=np.array([0, 3], dtype=np.int64),
-                indices=np.array([1], dtype=np.int64),
-            )
-
-    def test_transpose(self):
-        # rows -> cols: 0 -> {1, 2}, 1 -> {0}, 2 -> {0, 2}
-        csr = CsrArray.from_rows([(1, 2), (0,), (0, 2)])
-        t = transpose_csr(csr, 3)
-        assert t.row(0).tolist() == [1, 2]
-        assert t.row(1).tolist() == [0]
-        assert t.row(2).tolist() == [0, 2]
-
-
-class TestCsrIndexes:
-    @pytest.mark.parametrize("limit", [None, 1, 2, 5])
-    def test_matches_reference_indexes(self, layout, limit):
-        csr = CsrIndexes.from_layout(layout, limit=limit)
-        forward = ForwardIndex.from_layout(layout, limit=limit)
-        invert = InvertIndex.from_layout(layout)
-        full = ForwardIndex.from_layout(layout)
-        for k in range(layout.num_keys):
-            assert tuple(csr.forward.row(k)) == forward.pages_of(k)
-            assert tuple(csr.full_forward.row(k)) == full.pages_of(k)
-        for p in range(layout.num_pages):
-            assert tuple(csr.invert.row(p)) == invert.keys_of(p)
-
-    def test_from_indexes_mirrors_entries(self, layout):
-        forward = ForwardIndex.from_layout(layout, limit=1)
-        invert = InvertIndex.from_layout(layout)
-        csr = CsrIndexes.from_indexes(forward, invert, limit=1)
-        for k in range(layout.num_keys):
-            assert tuple(csr.forward.row(k)) == forward.pages_of(k)
-        assert csr.num_keys == 8
-        assert csr.num_pages == 4
-
-    def test_to_indexes_roundtrip(self, layout):
-        csr = CsrIndexes.from_layout(layout, limit=2)
-        forward, invert = csr.to_indexes()
-        ref_forward = ForwardIndex.from_layout(layout, limit=2)
-        ref_invert = InvertIndex.from_layout(layout)
-        for k in range(layout.num_keys):
-            assert forward.pages_of(k) == ref_forward.pages_of(k)
-        for p in range(layout.num_pages):
-            assert invert.keys_of(p) == ref_invert.keys_of(p)
-
-    def test_rejects_bad_limit(self, layout):
-        with pytest.raises(PlacementError):
-            CsrIndexes.from_layout(layout, limit=0)
-
-    def test_memory_bytes_positive(self, layout):
-        assert CsrIndexes.from_layout(layout).memory_bytes() > 0
-
-
-class TestPersistence:
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_save_load_roundtrip(self, layout, tmp_path, mmap):
-        csr = CsrIndexes.from_layout(layout, limit=2)
-        save_indexes(csr, tmp_path / "indexes")
-        loaded = load_indexes(tmp_path / "indexes", mmap=mmap)
-        assert loaded.limit == 2
-        for name in ("forward", "invert", "full_forward"):
-            got = getattr(loaded, name)
-            want = getattr(csr, name)
-            assert got.indptr.tolist() == want.indptr.tolist()
-            assert got.indices.tolist() == want.indices.tolist()
-
-    def test_mmap_load_is_zero_copy(self, layout, tmp_path):
-        save_indexes(CsrIndexes.from_layout(layout), tmp_path / "idx")
-        loaded = load_indexes(tmp_path / "idx")
-        assert isinstance(loaded.forward.indices, np.memmap)
-
-    def test_load_missing_directory(self, tmp_path):
-        with pytest.raises(PlacementError):
-            load_indexes(tmp_path / "nope")
-
-    def test_load_rejects_foreign_meta(self, tmp_path):
-        (tmp_path / "meta.json").write_text("{}")
-        with pytest.raises(PlacementError):
-            load_indexes(tmp_path)
 
 
 class TestBuildIndexes:

@@ -258,21 +258,20 @@ class TestClusterScaling:
 class TestTable1:
     def test_measures_all_cells(self):
         result = table1_partition_time.run(
-            datasets=("criteo",), dims=(64, 32), **SMALL
+            datasets=("criteo", "criteo_tb"), dims=(64, 32), **SMALL
         )
-        assert len(result.rows) == 2  # one row per offline path
-        assert [row[1] for row in result.rows] == ["reference", "fast"]
+        # The paper's shape: dataset x d, one pipeline.
+        assert result.headers == ["dataset", "16_per_page", "32_per_page"]
+        assert [row[0] for row in result.rows] == ["criteo", "criteo_tb"]
         for row in result.rows:
-            assert row[0] == "criteo"
-            assert len(row) == 4
-            assert all(cell >= 0 for cell in row[2:])
+            assert len(row) == 3
+            assert all(cell >= 0 for cell in row[1:])
 
-    def test_single_path(self):
-        result = table1_partition_time.run(
-            datasets=("criteo",), dims=(64,), paths=("fast",), **SMALL
-        )
-        assert len(result.rows) == 1
-        assert result.rows[0][1] == "fast"
+    def test_paths_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            table1_partition_time.run(
+                datasets=("criteo",), dims=(64,), paths=("fast",), **SMALL
+            )
 
 
 class TestTable2:

@@ -1,10 +1,11 @@
-"""Fast selection path wired through engines, cluster, and offline builds.
+"""Selector parity through engines and clusters; parallel offline builds.
 
-Because fast selectors produce bit-identical outcomes, every serving
-report must be *exactly* equal between the fast and reference paths —
-not approximately.  Likewise the parallel offline build must reproduce
-the serial artifacts verbatim, and a cluster serves on the caller's
-thread alone.
+Because the production selectors produce outcomes bit-identical to the
+``repro.reference`` oracles, every serving report must be *exactly*
+equal between an engine as built and the same engine with the oracle
+assigned to ``engine.selector`` — not approximately.  Likewise the
+parallel offline build must reproduce the serial artifacts verbatim,
+and a cluster serves on the caller's thread alone.
 """
 
 import threading
@@ -17,12 +18,11 @@ from repro import (
     Query,
     QueryTrace,
     build_sharded_layout,
+    reference,
 )
 from repro.cluster import ClusterEngine
 from repro.core import MaxEmbedStore, build_offline_layout
 from repro.serving import (
-    FastGreedySelector,
-    FastOnePassSelector,
     GreedySetCoverSelector,
     OnePassSelector,
     ServingEngine,
@@ -61,51 +61,53 @@ def report_fingerprint(report):
     )
 
 
+def use_oracle(engine):
+    """Swap ``engine``'s selector for its ``repro.reference`` oracle."""
+    oracle = getattr(reference, type(engine.selector).__name__)
+    engine.selector = oracle(engine.forward, engine.invert)
+    engine.selector.attach_tier(engine.tier)
+    return engine
+
+
 class TestEngineFastPath:
     def test_fast_is_default(self, layout):
         engine = ServingEngine(layout)
-        assert isinstance(engine.selector, FastOnePassSelector)
-
-    def test_reference_path_forced_by_flag(self, layout):
-        engine = ServingEngine(layout, EngineConfig(fast_selection=False))
-        assert isinstance(engine.selector, OnePassSelector)
+        assert type(engine.selector) is OnePassSelector
+        assert type(MaxEmbedStore(layout).engine.selector) is OnePassSelector
 
     @pytest.mark.parametrize("selector", ["onepass", "greedy"])
     def test_fast_and_reference_reports_identical(
         self, layout, trace, selector
     ):
-        reports = []
-        for fast in (True, False):
-            engine = ServingEngine(
-                layout,
-                EngineConfig(selector=selector, fast_selection=fast),
-            )
-            reports.append(engine.serve_trace(trace))
-        assert report_fingerprint(reports[0]) == report_fingerprint(
-            reports[1]
-        )
+        config = EngineConfig(selector=selector)
+        got = ServingEngine(layout, config).serve_trace(trace)
+        want = use_oracle(ServingEngine(layout, config)).serve_trace(trace)
+        assert report_fingerprint(got) == report_fingerprint(want)
 
     def test_greedy_fast_class(self, layout):
         engine = ServingEngine(layout, EngineConfig(selector="greedy"))
-        assert isinstance(engine.selector, FastGreedySelector)
+        assert type(engine.selector) is GreedySetCoverSelector
 
-    def test_store_passes_flag_through(self, layout):
-        store = MaxEmbedStore(layout, MaxEmbedConfig(fast_selection=False))
-        assert isinstance(store.engine.selector, OnePassSelector)
-        store = MaxEmbedStore(layout, MaxEmbedConfig())
-        assert isinstance(store.engine.selector, FastOnePassSelector)
+    def test_selection_path_knob_is_gone_not_deprecated(self):
+        with pytest.raises(TypeError):
+            EngineConfig(fast_selection=False)
+        with pytest.raises(TypeError):
+            MaxEmbedConfig(fast_selection=False)
+
+    def test_fault_free_serving_builds_no_page_sets(self, layout, trace):
+        # The set-typed copy of every page is for fault recovery and the
+        # oracle; the page-mask kernel reads the tuples.
+        engine = ServingEngine(layout)
+        engine.serve_trace(trace)
+        assert engine.invert._sets is None
+        assert engine.invert.key_set(0) == frozenset(layout.page(0))
+        assert engine.invert._sets is not None
 
     def test_page_grain_admission_parity(self, layout, trace):
-        reports = []
-        for fast in (True, False):
-            engine = ServingEngine(
-                layout,
-                EngineConfig(fast_selection=fast, page_grain_admission=True),
-            )
-            reports.append(engine.serve_trace(trace))
-        assert report_fingerprint(reports[0]) == report_fingerprint(
-            reports[1]
-        )
+        config = EngineConfig(page_grain_admission=True)
+        got = ServingEngine(layout, config).serve_trace(trace)
+        want = use_oracle(ServingEngine(layout, config)).serve_trace(trace)
+        assert report_fingerprint(got) == report_fingerprint(want)
 
 
 class TestParallelShardBuilds:
@@ -123,12 +125,12 @@ class TestParallelShardBuilds:
             num_shards=2, replication_ratio=0.2, build_workers=2
         )
         sharded = build_sharded_layout(trace, config)
-        reference = build_sharded_layout(
+        serial = build_sharded_layout(
             trace,
             MaxEmbedConfig(num_shards=2, replication_ratio=0.2),
             workers=1,
         )
-        for a, b in zip(sharded.layouts, reference.layouts):
+        for a, b in zip(sharded.layouts, serial.layouts):
             assert a.pages() == b.pages()
 
     def test_build_workers_validation(self):
@@ -139,18 +141,21 @@ class TestParallelShardBuilds:
 
 
 class TestClusterScatterPool:
-    def cluster_report(self, trace, fast=True):
+    def cluster_report(self, trace, oracle=False):
         config = MaxEmbedConfig(num_shards=2, replication_ratio=0.2)
         sharded = build_sharded_layout(trace, config, workers=1)
-        engine = ClusterEngine(sharded, EngineConfig(fast_selection=fast))
+        engine = ClusterEngine(sharded, EngineConfig())
+        if oracle:
+            for shard_engine in engine.engines:
+                use_oracle(shard_engine)
         try:
             return engine.serve_trace(trace)
         finally:
             engine.close()
 
     def test_fast_and_reference_cluster_parity(self, trace):
-        fast = self.cluster_report(trace, fast=True)
-        ref = self.cluster_report(trace, fast=False)
+        fast = self.cluster_report(trace)
+        ref = self.cluster_report(trace, oracle=True)
         assert report_fingerprint(fast.report) == report_fingerprint(
             ref.report
         )

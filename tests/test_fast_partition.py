@@ -1,19 +1,23 @@
-"""Differential tests: the fast offline pipeline vs the reference loops.
+"""Differential tests: the offline pipeline vs its ``repro.reference`` oracle.
 
-The fast path's whole contract is bit-identity — same
-``PartitionResult``, same scores, same replica pages, same final
-``PageLayout`` — so every test here builds both and compares, with
-hypothesis generating the traces.
+The production implementations' whole contract is bit-identity with the
+reference loops — same ``PartitionResult``, same scores, same replica
+pages, same final ``PageLayout`` — so every test here builds both and
+compares, with hypothesis generating the traces and, since every figure
+and the cluster's shard cut now run the production code, the argument
+ranges those callers use.
 """
 
 from __future__ import annotations
+
+import math
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import Query, QueryTrace, ShpConfig, ShpPartitioner
+from repro import Query, QueryTrace, ShpConfig, ShpPartitioner, reference
 from repro.core import MaxEmbedConfig, build_offline_layout
 from repro.hypergraph import (
     HypergraphCsr,
@@ -21,18 +25,15 @@ from repro.hypergraph import (
     gather_rows,
 )
 from repro.hypergraph.csr import scatter_add_exact
-from repro.partition import (
-    FastShpPartitioner,
-    edge_connectivities,
-    fast_edge_connectivities,
-)
+from repro.partition import edge_connectivities
+from repro.placement import layout_from_partition
 from repro.replication import (
     ConnectivityPriorityStrategy,
+    FprStrategy,
+    RppStrategy,
     connectivity_scores,
-    fast_connectivity_scores,
-    fast_hotness_scores,
-    fast_replica_pages,
     hotness_scores,
+    replica_page,
 )
 
 SETTINGS = settings(
@@ -44,7 +45,11 @@ SETTINGS = settings(
 
 @st.composite
 def traces(draw, max_keys=60, max_queries=40):
-    """A small random trace where every key appears in some query."""
+    """A small random trace where every key appears in some query.
+
+    Half the draws repeat a random sample of their queries, so the
+    hypergraph carries edge weights above 1.
+    """
     num_keys = draw(st.integers(min_value=4, max_value=max_keys))
     num_queries = draw(st.integers(min_value=1, max_value=max_queries))
     key = st.integers(min_value=0, max_value=num_keys - 1)
@@ -55,6 +60,10 @@ def traces(draw, max_keys=60, max_queries=40):
             max_size=num_queries,
         )
     )
+    if draw(st.booleans()):
+        queries += draw(
+            st.lists(st.sampled_from(queries), min_size=1, max_size=20)
+        )
     return QueryTrace(num_keys, [Query(tuple(q)) for q in queries])
 
 
@@ -107,11 +116,55 @@ class TestFastShpParity:
     def test_partition_identical(self, trace, seed, capacity, kl_threshold):
         graph = _graph(trace)
         config = ShpConfig(seed=seed, kl_threshold=kl_threshold)
-        reference = ShpPartitioner(config).partition(graph, capacity)
-        fast = FastShpPartitioner(config, workers=1).partition(
-            graph, capacity
+        want = reference.ShpPartitioner(config).partition(graph, capacity)
+        got = ShpPartitioner(config, workers=1).partition(graph, capacity)
+        assert got == want
+
+    @SETTINGS
+    @given(
+        traces(),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([None, 2, 3, 4, 7]),
+        st.sampled_from([0, 1, 3, 20]),
+        st.sampled_from([0, 1, 3]),
+        st.sampled_from([0, 1, 8]),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([8, 48]),
+    )
+    def test_partition_identical_over_config_and_cluster_count(
+        self,
+        trace,
+        seed,
+        num_clusters,
+        max_iterations,
+        min_swap_gain,
+        kl_passes,
+        kl_restarts,
+        kl_threshold,
+    ):
+        # num_clusters with capacity = ceil(n / k) is the shard cut's
+        # call (CoOccurrencePlanner); the config ranges are the
+        # partitioner ablation's.
+        graph = _graph(trace)
+        config = ShpConfig(
+            max_iterations=max_iterations,
+            min_swap_gain=min_swap_gain,
+            kl_threshold=kl_threshold,
+            kl_passes=kl_passes,
+            kl_restarts=kl_restarts,
+            seed=seed,
         )
-        assert fast == reference
+        if num_clusters is None:
+            capacity = 4
+        else:
+            capacity = math.ceil(graph.num_vertices / num_clusters)
+        want = reference.ShpPartitioner(config).partition(
+            graph, capacity, num_clusters=num_clusters
+        )
+        got = ShpPartitioner(config, workers=1).partition(
+            graph, capacity, num_clusters=num_clusters
+        )
+        assert got == want
 
     def test_worker_count_invariance(self):
         rng = np.random.default_rng(11)
@@ -122,21 +175,21 @@ class TestFastShpParity:
         trace = QueryTrace(900, queries)
         graph = _graph(trace)
         config = ShpConfig(seed=5)
-        serial = FastShpPartitioner(config, workers=1).partition(graph, 8)
-        parallel = FastShpPartitioner(config, workers=3).partition(graph, 8)
+        serial = ShpPartitioner(config, workers=1).partition(graph, 8)
+        parallel = ShpPartitioner(config, workers=3).partition(graph, 8)
         assert parallel == serial
-        assert serial == ShpPartitioner(config).partition(graph, 8)
+        assert serial == reference.ShpPartitioner(config).partition(graph, 8)
 
     @SETTINGS
     @given(traces())
     def test_generator_seed_parity(self, trace):
-        # Generator seeds draw their entropy identically on both paths.
+        # Generator seeds draw their entropy identically on both sides.
         graph = _graph(trace)
         ref_cfg = ShpConfig(seed=np.random.default_rng(3))
-        fast_cfg = ShpConfig(seed=np.random.default_rng(3))
-        reference = ShpPartitioner(ref_cfg).partition(graph, 4)
-        fast = FastShpPartitioner(fast_cfg, workers=1).partition(graph, 4)
-        assert fast == reference
+        cfg = ShpConfig(seed=np.random.default_rng(3))
+        want = reference.ShpPartitioner(ref_cfg).partition(graph, 4)
+        got = ShpPartitioner(cfg, workers=1).partition(graph, 4)
+        assert got == want
 
 
 class TestFastMetricsAndScoring:
@@ -149,15 +202,17 @@ class TestFastMetricsAndScoring:
             .partition(graph, capacity)
             .assignment
         )
-        ref_lambdas = edge_connectivities(graph, assignment)
-        assert fast_edge_connectivities(graph, assignment) == ref_lambdas
-        assert fast_connectivity_scores(
+        ref_lambdas = reference.edge_connectivities(graph, assignment)
+        assert edge_connectivities(graph, assignment) == ref_lambdas
+        assert connectivity_scores(
             graph, assignment
-        ) == connectivity_scores(graph, assignment)
-        assert fast_connectivity_scores(
+        ) == reference.connectivity_scores(graph, assignment)
+        assert connectivity_scores(
             graph, assignment, lambdas=ref_lambdas
-        ) == connectivity_scores(graph, assignment, lambdas=ref_lambdas)
-        assert fast_hotness_scores(graph) == hotness_scores(graph)
+        ) == reference.connectivity_scores(
+            graph, assignment, lambdas=ref_lambdas
+        )
+        assert hotness_scores(graph) == reference.hotness_scores(graph)
 
     @SETTINGS
     @given(
@@ -165,10 +220,11 @@ class TestFastMetricsAndScoring:
         st.sampled_from([2, 4, 8]),
         st.integers(min_value=0, max_value=12),
         st.booleans(),
+        st.booleans(),
         st.sampled_from(["connectivity", "hotness"]),
     )
     def test_replica_pages_identical(
-        self, trace, capacity, budget, exclude_home, scoring
+        self, trace, capacity, budget, exclude_home, dedupe, scoring
     ):
         graph = _graph(trace)
         assignment = (
@@ -176,18 +232,46 @@ class TestFastMetricsAndScoring:
             .partition(graph, capacity)
             .assignment
         )
-        reference = ConnectivityPriorityStrategy(
-            exclude_home_cluster=exclude_home, scoring=scoring
-        ).build_replica_pages(graph, assignment, capacity, budget)
-        fast = fast_replica_pages(
+        want = reference.build_replica_pages(
             graph,
             assignment,
             capacity,
             budget,
             exclude_home_cluster=exclude_home,
+            dedupe_pages=dedupe,
             scoring=scoring,
         )
-        assert fast == reference
+        got = ConnectivityPriorityStrategy(
+            exclude_home_cluster=exclude_home,
+            dedupe_pages=dedupe,
+            scoring=scoring,
+        ).build_replica_pages(graph, assignment, capacity, budget)
+        assert got == want
+
+    @SETTINGS
+    @given(traces(), st.sampled_from([2, 4, 8]), st.booleans())
+    def test_single_base_replica_page_identical(
+        self, trace, capacity, exclude_home
+    ):
+        # The IncrementalReplicator call: one page per base, the
+        # assignment a plain list or the int64 array a loop passes.
+        graph = _graph(trace)
+        assignment = (
+            ShpPartitioner(ShpConfig(seed=2))
+            .partition(graph, capacity)
+            .assignment
+        )
+        as_array = np.asarray(assignment, dtype=np.int64)
+        for base in range(graph.num_vertices):
+            want = reference.replica_page(
+                graph, assignment, capacity, base, exclude_home
+            )
+            for located in (assignment, as_array):
+                got = replica_page(
+                    graph, located, capacity, base, exclude_home
+                )
+                assert got == want
+                assert all(type(key) is int for key in got)
 
 
 class TestEndToEndLayoutParity:
@@ -199,24 +283,33 @@ class TestEndToEndLayoutParity:
             for _ in range(400)
         ]
         trace = QueryTrace(300, queries)
-        reference = build_offline_layout(
-            trace,
-            MaxEmbedConfig(strategy=strategy, offline_path="reference"),
-        )
-        fast = build_offline_layout(
-            trace,
-            MaxEmbedConfig(
-                strategy=strategy, offline_path="fast", offline_workers=1
-            ),
-        )
-        assert fast.pages() == reference.pages()
-        assert fast.num_base_pages == reference.num_base_pages
+        config = MaxEmbedConfig(strategy=strategy, offline_workers=1)
+        graph, capacity = _graph(trace), config.page_capacity
+        oracle = reference.ShpPartitioner(config.shp)
+        if strategy == "maxembed":
+            want = reference.maxembed_layout(
+                graph, capacity, config.replication_ratio, config.shp
+            )
+        elif strategy == "none":
+            want = layout_from_partition(oracle.partition(graph, capacity))
+        else:
+            wrapper = RppStrategy if strategy == "rpp" else FprStrategy
+            want = wrapper(oracle).build_layout(
+                graph, capacity, config.replication_ratio
+            )
+        got = build_offline_layout(trace, config)
+        assert got.pages() == want.pages()
+        assert got.num_base_pages == want.num_base_pages
 
     def test_offline_path_validated(self):
         with pytest.raises(Exception):
-            MaxEmbedConfig(offline_path="turbo")
-        with pytest.raises(Exception):
             MaxEmbedConfig(offline_workers=-1)
+
+    def test_removed_knobs_are_gone_not_deprecated(self):
+        with pytest.raises(TypeError):
+            MaxEmbedConfig(offline_path="reference")
+        with pytest.raises(TypeError):
+            ConnectivityPriorityStrategy(fast=True)
 
 
 class TestHypergraphCsrValidation:

@@ -1,13 +1,13 @@
-"""Differential tests: fast selectors vs the reference oracle.
+"""Differential tests: the page-mask selectors vs their set-algebra oracle.
 
-The fast selectors' contract is *bit-identical outcomes*: same pages in
-the same order, same covered tuples, same candidate counts, same
-sorted-keys charge.  These tests enforce the contract over hand-built
-layouts, hypothesis-generated random layouts (all shrink limits, query
-shapes including single-key, fully-replicated, duplicate-laden,
-out-of-range and several-machine-words-wide queries, one key replicated
-on 64+ pages), and both the per-query and the ``select_many`` entry
-points.
+The production selectors' contract is *bit-identical outcomes* with
+``repro.reference``: same pages in the same order, same covered tuples,
+same candidate counts, same sorted-keys charge.  These tests enforce
+the contract over hand-built layouts and hypothesis-generated random
+layouts (all shrink limits, query shapes including single-key,
+fully-replicated, duplicate-laden, out-of-range and
+several-machine-words-wide queries, one key replicated on 64+ pages).
+In every pair ``fast`` is the production selector and ``ref`` the oracle.
 """
 
 import re
@@ -16,14 +16,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import PageLayout, ServingError
+from repro import PageLayout, ServingError, reference
 from repro.placement import build_indexes
-from repro.serving import (
-    FastGreedySelector,
-    FastOnePassSelector,
-    GreedySetCoverSelector,
-    OnePassSelector,
-)
+from repro.serving import GreedySetCoverSelector, OnePassSelector
 
 
 def assert_same_outcome(fast, ref):
@@ -67,14 +62,15 @@ def layout():
 
 
 def selector_pairs(layout, limit=None):
+    """(production, oracle) selector pairs over one index pair."""
     forward, invert = build_indexes(layout, limit=limit)
     yield (
-        FastOnePassSelector(forward, invert),
         OnePassSelector(forward, invert),
+        reference.OnePassSelector(forward, invert),
     )
     yield (
-        FastGreedySelector(forward, invert),
         GreedySetCoverSelector(forward, invert),
+        reference.GreedySetCoverSelector(forward, invert),
     )
 
 
@@ -97,25 +93,12 @@ class TestFixtureParity:
             for keys in QUERIES:
                 assert_same_outcome(fast.select(keys), ref.select(keys))
 
-    def test_select_many_matches_reference_loop(self, layout):
-        for fast, ref in selector_pairs(layout):
-            fast_outcomes = fast.select_many(QUERIES)
-            ref_outcomes = ref.select_many(QUERIES)
-            for got, want in zip(fast_outcomes, ref_outcomes):
-                assert_same_outcome(got, want)
-
     def test_rejects_unknown_key(self, layout):
         for fast, _ in selector_pairs(layout):
             with pytest.raises(ServingError):
                 fast.select([99])
             with pytest.raises(ServingError):
                 fast.select([-1])
-
-    def test_select_many_rejects_unknown_key(self, layout):
-        forward, invert = build_indexes(layout)
-        fast = FastOnePassSelector(forward, invert)
-        with pytest.raises(ServingError):
-            fast.select_many([[0, 1], [99]])
 
     def test_no_state_carried_across_queries(self, layout):
         for fast, ref in selector_pairs(layout):
@@ -160,7 +143,7 @@ class TestWideQueries:
 class TestLazyOutcome:
     def test_flat_accessors_agree_with_steps(self, layout):
         forward, invert = build_indexes(layout)
-        fast = FastOnePassSelector(forward, invert)
+        fast = OnePassSelector(forward, invert)
         outcome = fast.select([0, 1, 4, 6])
         # Read flat accessors BEFORE steps to prove they don't depend on
         # materialization.
@@ -249,18 +232,6 @@ def layouts_queries_limits(draw):
     return layout, queries, limit
 
 
-def assert_same_batch(fast, ref, queries):
-    """``select_many``: same outcomes, or the same ``ServingError``."""
-    try:
-        want = ref.select_many(queries)
-    except ServingError as exc:
-        with pytest.raises(ServingError, match=re.escape(str(exc))):
-            fast.select_many(queries)
-        return
-    for got_one, want_one in zip(fast.select_many(queries), want):
-        assert_same_outcome(got_one, want_one)
-
-
 @settings(
     max_examples=80,
     deadline=None,
@@ -269,18 +240,6 @@ def assert_same_batch(fast, ref, queries):
 @given(data=layouts_queries_limits())
 def test_fast_selectors_match_reference(data):
     layout, queries, limit = data
-    forward, invert = build_indexes(layout, limit=limit)
-    pairs = [
-        (
-            FastOnePassSelector(forward, invert),
-            OnePassSelector(forward, invert),
-        ),
-        (
-            FastGreedySelector(forward, invert),
-            GreedySetCoverSelector(forward, invert),
-        ),
-    ]
-    for fast, ref in pairs:
+    for fast, ref in selector_pairs(layout, limit):
         for keys in queries:
             assert_same_selection(fast, ref, keys)
-        assert_same_batch(fast, ref, queries)

@@ -8,6 +8,7 @@ from repro import (
     ShpConfig,
     ShpPartitioner,
     VanillaPlacement,
+    reference,
 )
 from repro.hypergraph import Hypergraph
 from repro.partition import (
@@ -165,15 +166,19 @@ class TestRandom:
 
 
 class TestShp:
+    """Algorithmic properties, on the partitioner and on its oracle."""
+
+    shp = ShpPartitioner
+
     def test_recovers_planted_communities(self, tiny_graph):
-        result = ShpPartitioner(ShpConfig(seed=0)).partition(tiny_graph, 4)
+        result = self.shp(ShpConfig(seed=0)).partition(tiny_graph, 4)
         # Communities {0,1,2,3} and {4,5,6,7} should each land on one page.
         assert len({result.assignment[v] for v in (0, 1, 2, 3)}) == 1
         assert len({result.assignment[v] for v in (4, 5, 6, 7)}) == 1
 
     def test_beats_random_on_structured_trace(self, small_graph):
         random_result = RandomPartitioner(seed=0).partition(small_graph, 16)
-        shp_result = ShpPartitioner(ShpConfig(seed=0)).partition(
+        shp_result = self.shp(ShpConfig(seed=0)).partition(
             small_graph, 16
         )
         assert fanout_objective(
@@ -181,30 +186,30 @@ class TestShp:
         ) < fanout_objective(small_graph, random_result.assignment)
 
     def test_balance_is_preserved(self, small_graph):
-        result = ShpPartitioner(ShpConfig(seed=0)).partition(small_graph, 16)
+        result = self.shp(ShpConfig(seed=0)).partition(small_graph, 16)
         assert max(result.cluster_sizes()) <= 16
         assert imbalance(result.assignment, result.num_clusters) <= 0.2
 
     def test_deterministic_under_seed(self, tiny_graph):
-        a = ShpPartitioner(ShpConfig(seed=4)).partition(tiny_graph, 4)
-        b = ShpPartitioner(ShpConfig(seed=4)).partition(tiny_graph, 4)
+        a = self.shp(ShpConfig(seed=4)).partition(tiny_graph, 4)
+        b = self.shp(ShpConfig(seed=4)).partition(tiny_graph, 4)
         assert a.assignment == b.assignment
 
     def test_zero_iterations_is_random_but_valid(self, tiny_graph):
-        result = ShpPartitioner(
+        result = self.shp(
             ShpConfig(max_iterations=0, seed=0)
         ).partition(tiny_graph, 4)
         assert sorted(result.cluster_sizes()) == [4, 4, 4]
 
     def test_single_cluster_graph(self):
         g = Hypergraph(3, [(0, 1, 2)])
-        result = ShpPartitioner().partition(g, 4)
+        result = self.shp().partition(g, 4)
         assert result.num_clusters == 1
         assert result.assignment == [0, 0, 0]
 
     def test_finer_partition_request(self, small_graph):
         finer = small_graph.num_vertices // 16 + 10
-        result = ShpPartitioner(ShpConfig(seed=0)).partition(
+        result = self.shp(ShpConfig(seed=0)).partition(
             small_graph, 16, num_clusters=finer
         )
         assert result.num_clusters == finer
@@ -215,12 +220,17 @@ class TestShp:
             ShpConfig(max_iterations=-1)
 
     def test_more_iterations_never_hurt_much(self, small_graph):
-        quick = ShpPartitioner(ShpConfig(max_iterations=2, seed=0)).partition(
+        quick = self.shp(ShpConfig(max_iterations=2, seed=0)).partition(
             small_graph, 16
         )
-        long = ShpPartitioner(ShpConfig(max_iterations=30, seed=0)).partition(
+        long = self.shp(ShpConfig(max_iterations=30, seed=0)).partition(
             small_graph, 16
         )
         assert fanout_objective(small_graph, long.assignment) <= (
             fanout_objective(small_graph, quick.assignment) * 1.05
         )
+
+
+class TestReferenceShp(TestShp):
+    shp = reference.ShpPartitioner
+

@@ -14,7 +14,7 @@ from repro import (
 )
 from repro.core import MaxEmbedStore, load_store, save_store
 from repro.core.persist import config_from_dict, config_to_dict
-from repro.serving import EXECUTORS, CpuCostModel
+from repro.serving import EXECUTORS, SELECTORS, CpuCostModel
 
 
 @pytest.fixture
@@ -116,6 +116,14 @@ class TestStoreBundle:
         loaded = load_store(tmp_path / "bundle")
         assert loaded.config.executor == executor
         assert type(loaded.engine.executor) is EXECUTORS[executor]
+
+    def test_unknown_selector_rejected_at_config_time(self):
+        # One table (repro.serving.SELECTORS) validates every entry
+        # point: the config refuses before any offline phase runs, not
+        # the engine after it.
+        with pytest.raises(ConfigError, match="unknown selector 'warp'"):
+            MaxEmbedConfig(selector="warp")
+        assert sorted(SELECTORS) == ["greedy", "onepass"]
 
     def test_load_missing_bundle(self, tmp_path):
         with pytest.raises(ConfigError, match="not a store bundle"):

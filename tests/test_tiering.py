@@ -34,13 +34,6 @@ from repro import (
 from repro.cache.policies import CACHE_POLICIES, NullCache, make_cache
 from repro.cluster import ClusterEngine
 from repro.errors import CorruptArtifactError
-from repro.placement import build_indexes
-from repro.serving import (
-    FastGreedySelector,
-    FastOnePassSelector,
-    GreedySetCoverSelector,
-    OnePassSelector,
-)
 from repro.tiering import (
     PinnedTier,
     TierPlan,
@@ -52,10 +45,10 @@ from repro.tiering import (
     save_tier_plan,
 )
 from tests.test_fast_selection import (
-    assert_same_batch,
     assert_same_outcome,
     assert_same_selection,
     layouts_queries_limits,
+    selector_pairs,
 )
 
 
@@ -226,18 +219,6 @@ class TestConfigValidation:
             EngineConfig(tier_mode="flat")
 
 
-def selector_pairs(layout, limit=None):
-    forward, invert = build_indexes(layout, limit=limit)
-    yield (
-        FastOnePassSelector(forward, invert),
-        OnePassSelector(forward, invert),
-    )
-    yield (
-        FastGreedySelector(forward, invert),
-        GreedySetCoverSelector(forward, invert),
-    )
-
-
 QUERIES = [
     [0],
     [5],
@@ -269,16 +250,6 @@ class TestTieredSelection:
                 got, want = fast.select(keys), ref.select(keys)
                 assert_same_outcome(got, want)
                 assert_tier_partition(got, tier, keys)
-
-    def test_select_many_matches_with_tier(self, layout):
-        tier = PinnedTier(8, (0, 5))
-        for fast, ref in selector_pairs(layout):
-            fast.attach_tier(tier)
-            ref.attach_tier(tier)
-            for got, want in zip(
-                fast.select_many(QUERIES), ref.select_many(QUERIES)
-            ):
-                assert_same_outcome(got, want)
 
     def test_empty_tier_is_identity(self, layout):
         empty = PinnedTier(8, ())
@@ -321,25 +292,13 @@ class TestTieredSelection:
 def test_tiered_selectors_match_reference(data, ratio):
     layout, queries, limit = data
     tier = plan_tier(layout, ratio).runtime()
-    forward, invert = build_indexes(layout, limit=limit)
-    pairs = [
-        (
-            FastOnePassSelector(forward, invert),
-            OnePassSelector(forward, invert),
-        ),
-        (
-            FastGreedySelector(forward, invert),
-            GreedySetCoverSelector(forward, invert),
-        ),
-    ]
-    for fast, ref in pairs:
+    for fast, ref in selector_pairs(layout, limit):
         fast.attach_tier(tier)
         ref.attach_tier(tier)
         for keys in queries:
             got = assert_same_selection(fast, ref, keys)
             if got is not None:  # None: both rejected an unknown key
                 assert_tier_partition(got, tier, keys)
-        assert_same_batch(fast, ref, queries)
 
 
 @pytest.fixture
