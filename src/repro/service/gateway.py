@@ -13,7 +13,7 @@ engine*:
    :class:`~repro.overload.AdmissionQueue` (there is deliberately no
    separate HTTP-level limiter): a full queue sheds per the configured
    policy, and queue deadlines turn stale waiters into deadline misses;
-3. **coalescing** — a dispatcher drains the waiting room into batches.
+3. **coalescing** — a flush drains the waiting room into batches.
    Same-tenant neighbours merge: their deduplicated key union is served
    as *one* engine query, so overlapping keys share page reads (the
    batched-selection fast path the engine already has).  Batches never
@@ -27,12 +27,30 @@ engine*:
    are then served member-by-member, because degraded shedding must be
    attributed to individual requests).
 
+One thread, one flush per loop tick: everything runs on the event loop's
+thread — no dispatcher task, no serve thread.  ``submit`` queues its
+entry and schedules :meth:`GatewayCore._flush` once per tick
+(``loop.call_soon``, de-duplicated by a flag), so one tick's arrivals
+meet the admission policy and then flush together; the flush calls the
+engine inline and — unpaced — records the batch and resolves its futures
+before returning.  ``coalescer.max_wait_us`` is one ``loop.call_later``
+handle on the same flush; a paced batch's completion calls it directly.
+Dispatching straight from ``submit`` was measured and rejected: each
+flush then finds one request, the mean batch halves to 1.0, the engine
+runs twice as often and ``gateway-single`` is slower (7 905–8 291
+against 8 541–8 749 wall qps; docs/architecture.md).  Declared
+consequence: an engine call blocks the loop for its ≈ 50–100 µs, so an
+unpaced batch is never "in flight" while the loop runs —
+``max_concurrent_batches``, queue ageing, deadline misses and
+``in_flight_batches > 0`` arise only under ``pace_service``.
+
 Time: arrivals and queue waits are wall-clock microseconds from the
 gateway's monotonic clock; service time is the engine's simulated
 microseconds.  Both feed one latency signal, so the brownout controller
 sees real queueing plus modeled service — and with ``pace_service`` set
-the gateway additionally *sleeps* each batch's simulated service time,
-making the wall-clock throughput ceiling track the device model.
+the gateway additionally *sleeps* each batch's simulated service time
+(in the batch's own task, the only one the gateway creates), making the
+wall-clock throughput ceiling track the device model.
 
 Accounting invariant (the tests and ``/metrics`` pin it): every offered
 request is exactly one of *completed*, *shed* (quota / admission policy
@@ -43,7 +61,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -154,12 +171,13 @@ class _Pending:
 
 @dataclass
 class _BatchServed:
-    """Executor-thread result of one flushed batch (pure data)."""
+    """What the engine returned for one flushed batch (pure data)."""
 
-    members: List[Tuple[QueueEntry, int, int]]  # (entry, served, missing)
+    #: (entry, requested keys, missing keys, engine result) per served
+    #: member; a member whose engine call raised is shed, not listed.
+    members: List[Tuple[QueueEntry, int, int, QueryResult]]
     query_results: List[QueryResult]
     finish_us: float
-    degrade_level: int
     pages_read: int
     duplicate_keys: int = 0
     unattributed_missing: int = 0
@@ -229,13 +247,10 @@ class GatewayCore:
             or getattr(engine_cfg, "shard_deadline_us", None) is not None
             or getattr(engine_cfg, "shard_fault_plan", None) is not None
         )
-        # Engine work is serialized on one thread: the simulated device
-        # is shared mutable state, and serve_trace's concurrency model is
+        # Engine work runs inline on the loop's thread: the simulated
+        # device is shared mutable state and serve_trace's model is
         # simulated workers over one real thread — the gateway keeps that
         # contract, overlapping batches only in (paced) completion.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="gateway-serve"
-        )
         self._pending: Dict[int, _Pending] = {}
         self._seq = 0
         self._offered = 0
@@ -257,23 +272,19 @@ class GatewayCore:
         self._draining = False
         self._stopped = False
         self._engine_close_calls = 0
-        self._started = False
         self._started_at_us = 0.0
-        self._wake: Optional[asyncio.Event] = None
-        self._pump_task: Optional[asyncio.Task] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._flush_scheduled = False
+        self._max_wait_timer: Optional[asyncio.TimerHandle] = None
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the dispatcher (idempotent)."""
-        if self._started:
+        """Bind to the running loop and open for requests (idempotent)."""
+        if self._loop is not None:
             return
-        self._wake = asyncio.Event()
-        self._pump_task = asyncio.create_task(
-            self._pump(), name="gateway-pump"
-        )
+        self._loop = asyncio.get_running_loop()
         self._started_at_us = self.clock.now_us()
-        self._started = True
         if self.refresh is not None:
             self.refresh.resume()
             self.refresh.start()
@@ -296,8 +307,7 @@ class GatewayCore:
             # never race in-flight batches that are being run down.
             self.refresh.pause()
             self.refresh.stop()
-        if self._wake is not None:
-            self._wake.set()
+        self._cancel_max_wait()
         for entry in self.queue.drain():
             self._resolve_shed(entry, SHED_DRAIN)
         if self._batch_tasks:
@@ -305,14 +315,6 @@ class GatewayCore:
                 set(self._batch_tasks), timeout=self.config.drain_timeout_s
             )
         self._stopped = True
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
-        self._executor.shutdown(wait=True)
         self._close_engine_once()
 
     async def __aenter__(self) -> "GatewayCore":
@@ -347,7 +349,7 @@ class GatewayCore:
         (the HTTP layer maps that to 400) — malformed requests are not
         *offered* and do not enter the accounting.
         """
-        if not self._started:
+        if self._loop is None:
             raise ServingError("gateway not started; call start() first")
         query = Query(tuple(keys))
         now = self.clock.now_us()
@@ -366,14 +368,16 @@ class GatewayCore:
         entry = QueueEntry(
             arrival_us=now, index=self._seq, query=query, priority=priority
         )
-        future: "asyncio.Future[ServeOutcome]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        loop = self._loop
+        future: "asyncio.Future[ServeOutcome]" = loop.create_future()
         self._pending[entry.index] = _Pending(entry, tenant, future)
         for victim, reason in self.queue.offer(entry, now):
             self._resolve_shed(victim, reason)
-        assert self._wake is not None
-        self._wake.set()
+        if not self._flush_scheduled:
+            # One flush per loop tick: every arrival of this tick is in
+            # the queue (and has met the admission policy) when it runs.
+            self._flush_scheduled = True
+            loop.call_soon(self._flush)
         return await future
 
     def _count_shed(self, reason: str) -> None:
@@ -391,32 +395,23 @@ class GatewayCore:
             shed_reason=reason,
         )
 
-    def _resolve_shed(self, entry: QueueEntry, reason: str) -> None:
+    def _resolve_shed(
+        self, entry: QueueEntry, reason: str, status: str = "shed"
+    ) -> None:
+        """Resolve a queued request as shed (or, ``miss``, deadline-missed)."""
         pending = self._pending.pop(entry.index, None)
         if pending is None:
             return
-        self._count_shed(reason)
+        if status == "miss":
+            self._deadline_misses += 1
+        else:
+            self._count_shed(reason)
         outcome = ServeOutcome(
-            status="shed",
+            status=status,
             tenant=pending.tenant,
             keys=entry.query.keys,
             arrival_us=entry.arrival_us,
             shed_reason=reason,
-        )
-        if not pending.future.done():
-            pending.future.set_result(outcome)
-
-    def _resolve_miss(self, entry: QueueEntry) -> None:
-        pending = self._pending.pop(entry.index, None)
-        if pending is None:
-            return
-        self._deadline_misses += 1
-        outcome = ServeOutcome(
-            status="miss",
-            tenant=pending.tenant,
-            keys=entry.query.keys,
-            arrival_us=entry.arrival_us,
-            shed_reason="deadline-miss",
         )
         if not pending.future.done():
             pending.future.set_result(outcome)
@@ -427,18 +422,13 @@ class GatewayCore:
         pending = self._pending.get(entry.index)
         return pending.tenant if pending is not None else "default"
 
-    def _head(self, now: float) -> Optional[QueueEntry]:
-        """Expire deadline-missed waiters; peek the dispatchable head."""
-        for missed in self.queue.expire(now):
-            self._resolve_miss(missed)
-        return self.queue.peek()
-
     def _take_batch(self, now: float) -> List[QueueEntry]:
-        """Pop the head run of same-tenant entries, up to ``max_batch``."""
-        head = self._head(now)
-        if head is None:
-            return []
-        tenant = self._tenant_of(head)
+        """Pop the head run of same-tenant entries, up to ``max_batch``.
+
+        The caller has just expired the queue at ``now`` and found a head,
+        so the batch is never empty.
+        """
+        tenant = self._tenant_of(self.queue.peek())
         limit = (
             self.config.coalescer.max_batch
             if self.config.coalescer.enabled
@@ -451,58 +441,67 @@ class GatewayCore:
                 break
             entry, skipped = self.queue.take(now)
             for missed in skipped:
-                self._resolve_miss(missed)
+                self._resolve_shed(missed, "deadline-miss", status="miss")
             if entry is None:
                 break
             batch.append(entry)
         return batch
 
-    async def _pump(self) -> None:
-        """Drain the admission queue into coalesced batch flushes."""
-        assert self._wake is not None
+    def _cancel_max_wait(self) -> None:
+        if self._max_wait_timer is not None:
+            self._max_wait_timer.cancel()
+            self._max_wait_timer = None
+
+    def _flush(self) -> None:
+        """Drain the admission queue into coalesced batches, synchronously.
+
+        Runs once per loop tick that saw a ``submit``, when the
+        ``max_wait_us`` timer fires and when a paced batch completes.
+        """
+        self._flush_scheduled = False
+        self._cancel_max_wait()
         coalescer = self.config.coalescer
-        while True:
-            deadline_us: Optional[float] = None
-            while (
-                self._in_flight < self.config.max_concurrent_batches
-                and len(self.queue)
-            ):
-                now = self.clock.now_us()
-                head = self._head(now)
-                if head is None:
-                    break
-                ready = (
-                    not coalescer.enabled
-                    or self._draining
-                    or len(self.queue) >= coalescer.max_batch
-                    or now - head.arrival_us >= coalescer.max_wait_us
-                    # Idle bypass: with nothing in flight, waiting to
-                    # coalesce would only manufacture latency.
-                    or self._in_flight == 0
+        slots = self.config.max_concurrent_batches
+        queue = self.queue
+        while len(queue) and self._in_flight < slots:
+            now = self.clock.now_us()
+            for missed in queue.expire(now):
+                self._resolve_shed(missed, "deadline-miss", status="miss")
+            head = queue.peek()
+            if head is None:
+                break
+            ready = (
+                not coalescer.enabled
+                or len(queue) >= coalescer.max_batch
+                or now - head.arrival_us >= coalescer.max_wait_us
+                # Idle bypass: with nothing in flight, waiting to
+                # coalesce would only manufacture latency.
+                or self._in_flight == 0
+            )
+            if not ready:
+                wait_us = head.arrival_us + coalescer.max_wait_us - now
+                self._max_wait_timer = self._loop.call_later(
+                    wait_us * 1e-6, self._flush
                 )
-                if not ready:
-                    deadline_us = head.arrival_us + coalescer.max_wait_us
-                    break
-                batch = self._take_batch(now)
-                if not batch:
-                    continue
-                self._in_flight += 1
-                task = asyncio.create_task(self._run_batch(batch, now))
-                self._batch_tasks.add(task)
-                task.add_done_callback(self._batch_tasks.discard)
-            self._wake.clear()
-            if deadline_us is None:
-                await self._wake.wait()
-            else:
-                timeout_s = max(
-                    0.0, (deadline_us - self.clock.now_us()) * 1e-6
-                )
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout_s)
-                except asyncio.TimeoutError:
-                    pass
+                break
+            self._dispatch(self._take_batch(now), now)
 
     # -- batch execution -------------------------------------------------------
+
+    def _shed_error(self, batch: List[QueueEntry], exc: Exception) -> None:
+        """Resolve ``batch`` as shed("error") and keep ``exc`` for /metrics.
+
+        A request must never wedge its submitter: an engine error becomes
+        a 503 instead of a hung connection, and the accounting invariant
+        (offered == completed + shed + missed) holds.  The error is kept
+        rather than re-raised — nothing awaits a flush.
+        """
+        for entry in batch:
+            self._resolve_shed(entry, "error")
+        self._batch_errors_total += 1
+        self._last_batch_error = f"{type(exc).__name__}: {exc}"
+        if len(self._batch_errors) < 16:
+            self._batch_errors.append(self._last_batch_error)
 
     def _serve_merged(
         self, batch: List[QueueEntry], start_us: float
@@ -517,25 +516,22 @@ class GatewayCore:
         ``unattributed_missing`` rather than silently dropped.
         """
         union: Dict[int, None] = {}
-        total_refs = 0
+        requested: List[int] = []
         for entry in batch:
             member_keys = entry.query.unique_keys()
-            total_refs += len(member_keys)
-            for key in member_keys:
-                union[key] = None
+            requested.append(len(member_keys))
+            union.update(dict.fromkeys(member_keys))
         result = self.engine.serve_query(Query(tuple(union)), start_us)
-        missing = result.missing_keys
-        members = [
-            (entry, len(entry.query.unique_keys()), 0) for entry in batch
-        ]
         return _BatchServed(
-            members=members,
+            members=[
+                (entry, keys, 0, result)
+                for entry, keys in zip(batch, requested)
+            ],
             query_results=[result],
             finish_us=result.finish_us,
-            degrade_level=result.degrade_level,
             pages_read=result.pages_read,
-            duplicate_keys=total_refs - len(union),
-            unattributed_missing=missing,
+            duplicate_keys=sum(requested) - len(union),
+            unattributed_missing=result.missing_keys,
         )
 
     def _serve_each(
@@ -545,122 +541,116 @@ class GatewayCore:
 
         Used when a degradation rung is active or the engine can lose
         keys (faults / breakers / shard deadlines): shed and missing
-        keys must land on the request that owns them.  Members share the
-        batch's dispatch time, mirroring ``serve_trace``'s simulated
-        worker model.
+        keys must land on the request that owns them — and so must an
+        engine error, which sheds the member that raised it and nobody
+        else.  Members share the batch's dispatch time, mirroring
+        ``serve_trace``'s simulated worker model.
         """
-        members: List[Tuple[QueueEntry, int, int]] = []
-        query_results: List[QueryResult] = []
-        finish = start_us
-        level = 0
-        pages = 0
+        served = _BatchServed([], [], finish_us=start_us, pages_read=0)
         for entry in batch:
-            result = self.engine.serve_query(entry.query, start_us, degrade)
+            try:
+                result = self.engine.serve_query(
+                    entry.query, start_us, degrade
+                )
+            except Exception as exc:
+                self._shed_error([entry], exc)
+                continue
             requested = len(entry.query.unique_keys())
-            members.append(
-                (entry, requested - result.missing_keys, result.missing_keys)
+            served.members.append(
+                (entry, requested, result.missing_keys, result)
             )
-            query_results.append(result)
-            finish = max(finish, result.finish_us)
-            level = max(level, result.degrade_level)
-            pages += result.pages_read
-        return _BatchServed(
-            members=members,
-            query_results=query_results,
-            finish_us=finish,
-            degrade_level=level,
-            pages_read=pages,
-        )
+            served.query_results.append(result)
+            served.finish_us = max(served.finish_us, result.finish_us)
+            served.pages_read += result.pages_read
+        return served
 
-    async def _run_batch(
-        self, batch: List[QueueEntry], start_us: float
-    ) -> None:
-        try:
-            await self._execute_batch(batch, start_us)
-        except Exception as exc:
-            # A batch must never wedge its submitters: an engine error
-            # resolves every member as shed("error") so the accounting
-            # invariant (offered == completed + shed + missed) holds and
-            # clients get a 503 instead of a hung connection.  The error
-            # is kept for /metrics rather than re-raised — raising from a
-            # fire-and-forget task would only warn at GC time.
-            for entry in batch:
-                self._resolve_shed(entry, "error")
-            self._batch_errors_total += 1
-            self._last_batch_error = f"{type(exc).__name__}: {exc}"
-            if len(self._batch_errors) < 16:
-                self._batch_errors.append(self._last_batch_error)
-        finally:
-            self._in_flight -= 1
-            if self._wake is not None:
-                self._wake.set()
-
-    async def _execute_batch(
-        self, batch: List[QueueEntry], start_us: float
-    ) -> None:
+    def _dispatch(self, batch: List[QueueEntry], start_us: float) -> None:
+        """Serve ``batch`` on this thread; complete it now or after pacing."""
+        tenant = self._tenant_of(batch[0])
         degrade = None
         if self.controller is not None and self.controller.level > 0:
             degrade = self.ladder.level(self.controller.level)
-        merge = (
+        served = None
+        if (
             self.config.coalescer.enabled
             and degrade is None
             and not self._exact_per_query
             and len(batch) > 1
-        )
-        loop = asyncio.get_running_loop()
-        if merge:
-            served = await loop.run_in_executor(
-                self._executor, self._serve_merged, batch, start_us
-            )
-            self._merged_batches += 1
-        else:
-            served = await loop.run_in_executor(
-                self._executor,
-                self._serve_each,
-                batch,
-                start_us,
-                degrade,
-            )
+        ):
+            try:
+                served = self._serve_merged(batch, start_us)
+                self._merged_batches += 1
+            except Exception:
+                # One member's keys broke the union; serving each member
+                # alone lands the error on its owner.
+                pass
+        if served is None:
+            served = self._serve_each(batch, start_us, degrade)
+        if not served.members:
+            return  # every member raised and is already shed
         if self.config.pace_service:
-            sleep_s = (
-                max(0.0, served.finish_us - start_us)
-                * self.config.time_scale
-                * 1e-6
+            self._in_flight += 1
+            task = self._loop.create_task(
+                self._complete_paced(tenant, len(batch), served, start_us)
             )
-            if sleep_s > 0:
-                await asyncio.sleep(sleep_s)
-        self._record_batch(batch, served, start_us)
+            self._batch_tasks.add(task)
+            task.add_done_callback(self._batch_tasks.discard)
+        else:
+            self._complete(tenant, len(batch), served, start_us)
+
+    async def _complete_paced(
+        self, tenant: str, size: int, served: _BatchServed, start_us: float
+    ) -> None:
+        """Sleep the batch's simulated service time, then complete it."""
+        try:
+            await asyncio.sleep(
+                (served.finish_us - start_us) * self.config.time_scale * 1e-6
+            )
+            self._complete(tenant, size, served, start_us)
+        finally:
+            self._in_flight -= 1
+        self._flush()
+
+    def _complete(
+        self, tenant: str, size: int, served: _BatchServed, start_us: float
+    ) -> None:
+        """Record a served batch; a failure there sheds its members."""
+        try:
+            self._record_batch(tenant, size, served, start_us)
+        except Exception as exc:
+            self._shed_error([member[0] for member in served.members], exc)
 
     def _record_batch(
-        self, batch: List[QueueEntry], served: _BatchServed, start_us: float
+        self, tenant: str, size: int, served: _BatchServed, start_us: float
     ) -> None:
-        tenant = self._tenant_of(batch[0])
+        """Account one served batch and resolve its members' futures."""
         self._batches += 1
-        self._coalesced_queries += len(batch)
+        self._coalesced_queries += size
         self._duplicate_keys_merged += served.duplicate_keys
         self._unattributed_missing += served.unattributed_missing
         if len(self._batch_log) < BATCH_LOG_LIMIT:
-            self._batch_log.append((tenant, len(batch)))
+            self._batch_log.append((tenant, size))
         self._query_results.extend(served.query_results)
         if self.refresh is not None:
             # Completed requests are the drift evidence: the daemon's
             # window sees exactly what the engine actually served.
             self.refresh.observe_many(
-                entry.query for entry, _, _ in served.members
+                member[0].query for member in served.members
             )
         depth = self.queue.depth
-        for (entry, served_keys, missing), result in zip(
-            served.members, self._member_results(served)
-        ):
-            latency = result.finish_us - entry.arrival_us
-            if self.controller is not None:
-                self.controller.observe(latency, depth, start_us)
+        controller = self.controller
+        pages_read = served.pages_read
+        for entry, requested, missing, result in served.members:
+            arrival_us = entry.arrival_us
+            finish_us = result.finish_us
+            if controller is not None:
+                controller.observe(finish_us - arrival_us, depth, start_us)
             self._results.append(
                 OpenLoopResult(
-                    arrival_us=entry.arrival_us,
+                    arrival_us=arrival_us,
                     start_us=start_us,
-                    finish_us=result.finish_us,
-                    requested_keys=len(entry.query.unique_keys()),
+                    finish_us=finish_us,
+                    requested_keys=requested,
                     missing_keys=missing,
                     degrade_level=result.degrade_level,
                     retries=result.retries,
@@ -668,30 +658,23 @@ class GatewayCore:
                 )
             )
             pending = self._pending.pop(entry.index, None)
-            if pending is None:
+            if pending is None or pending.future.done():
                 continue
-            outcome = ServeOutcome(
-                status="ok",
-                tenant=pending.tenant,
-                keys=entry.query.keys,
-                arrival_us=entry.arrival_us,
-                served=served_keys,
-                missing=missing,
-                degrade_level=result.degrade_level,
-                start_us=start_us,
-                finish_us=result.finish_us,
-                coalesced=len(batch),
-                batch_pages_read=served.pages_read,
+            pending.future.set_result(
+                ServeOutcome(
+                    status="ok",
+                    tenant=pending.tenant,
+                    keys=entry.query.keys,
+                    arrival_us=arrival_us,
+                    served=requested - missing,
+                    missing=missing,
+                    degrade_level=result.degrade_level,
+                    start_us=start_us,
+                    finish_us=finish_us,
+                    coalesced=size,
+                    batch_pages_read=pages_read,
+                )
             )
-            if not pending.future.done():
-                pending.future.set_result(outcome)
-
-    @staticmethod
-    def _member_results(served: _BatchServed) -> List[QueryResult]:
-        """Per-member engine results (the union result repeats for all)."""
-        if len(served.query_results) == len(served.members):
-            return served.query_results
-        return [served.query_results[0]] * len(served.members)
 
     # -- introspection ---------------------------------------------------------
 
@@ -740,7 +723,7 @@ class GatewayCore:
             "uptime_s": round(
                 (self.clock.now_us() - self._started_at_us) * 1e-6, 3
             )
-            if self._started
+            if self._loop is not None
             else 0.0,
             "queue_depth": self.queue.depth,
             "in_flight_batches": self._in_flight,

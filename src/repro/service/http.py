@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import signal
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +49,11 @@ from .gateway import GatewayCore, ServeOutcome
 MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Hard cap on request head (request line + headers) bytes.
 MAX_HEAD_BYTES = 64 * 1024
+
+#: A ``Content-Length`` header line inside a request head.
+_CONTENT_LENGTH = re.compile(
+    rb"\r\n[ \t]*content-length[ \t]*:([^\r\n]*)", re.IGNORECASE
+)
 
 _REASONS = {
     200: "OK",
@@ -92,6 +98,12 @@ def _response(
     return ("\r\n".join(head) + "\r\n\r\n").encode() + body
 
 
+def _error_response(exc: HttpError) -> bytes:
+    return _response(
+        exc.status, _json_bytes({"error": exc.detail, "status": exc.status})
+    )
+
+
 def _chunk(data: bytes) -> bytes:
     return f"{len(data):x}\r\n".encode() + data + b"\r\n"
 
@@ -112,6 +124,7 @@ class HttpGateway:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._drain_requested = asyncio.Event()
 
     @property
@@ -131,12 +144,26 @@ class HttpGateway:
         )
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain the gateway."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Graceful shutdown: stop accepting, drain the gateway, then end
+        the connections — returns once every handler has (bounded by
+        ``drain_timeout_s``, like the batches)."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         await self.gateway.stop()
+        if self._handlers:
+            # One turn first: a handler whose request the drain has just
+            # resolved is already scheduled, and writes its reply in it.
+            await asyncio.sleep(0)
+            for writer in self._handlers.values():
+                writer.close()
+            await asyncio.wait(
+                set(self._handlers),
+                timeout=self.gateway.config.drain_timeout_s,
+            )
+        if server is not None:
+            # Last: from Python 3.12 on this waits for every connection.
+            await server.wait_closed()
 
     async def serve_until_drained(self) -> None:
         """Run until :meth:`request_drain` (or SIGTERM/SIGINT) fires.
@@ -178,6 +205,9 @@ class HttpGateway:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = writer
+        task.add_done_callback(self._handlers.pop)
         try:
             while True:
                 try:
@@ -185,14 +215,7 @@ class HttpGateway:
                 except asyncio.IncompleteReadError:
                     break
                 except HttpError as exc:
-                    writer.write(
-                        _response(
-                            exc.status,
-                            _json_bytes(
-                                {"error": exc.detail, "status": exc.status}
-                            ),
-                        )
-                    )
+                    writer.write(_error_response(exc))
                     await writer.drain()
                     break
                 if request is None:
@@ -219,18 +242,22 @@ class HttpGateway:
             raise HttpError(413, "request head too large")
         if len(head) > MAX_HEAD_BYTES:
             raise HttpError(413, "request head too large")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
+        request_line = head[: head.index(b"\r\n")].decode("latin-1")
+        parts = request_line.split(" ")
         if len(parts) != 3:
-            raise HttpError(400, f"malformed request line {lines[0]!r}")
+            raise HttpError(400, f"malformed request line {request_line!r}")
         method, target, _version = parts
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        # Content-Length is the only header read; the last one wins.
+        lengths = _CONTENT_LENGTH.findall(head)
+        raw = lengths[-1].strip() if lengths else b""
+        try:
+            length = int(raw or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            raise HttpError(
+                400, f"malformed Content-Length {raw.decode('latin-1')!r}"
+            )
         if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body of {length} bytes exceeds cap")
         body = await reader.readexactly(length) if length else b""
@@ -303,12 +330,7 @@ class HttpGateway:
             else:
                 raise HttpError(404, f"no route {path!r}")
         except HttpError as exc:
-            writer.write(
-                _response(
-                    exc.status,
-                    _json_bytes({"error": exc.detail, "status": exc.status}),
-                )
-            )
+            writer.write(_error_response(exc))
 
     # -- /refresh --------------------------------------------------------------
 
@@ -377,10 +399,8 @@ class HttpGateway:
             keys = raw.get("keys") if isinstance(raw, dict) else raw
             if not isinstance(keys, list) or not keys:
                 raise HttpError(400, "each query needs a non-empty key list")
-            if not all(
-                isinstance(k, int) and not isinstance(k, bool) and k >= 0
-                for k in keys
-            ):
+            # json yields exact ints, never subclasses other than bool.
+            if set(map(type, keys)) != {int} or min(keys) < 0:
                 raise HttpError(400, "keys must be non-negative integers")
             key_lists.append(keys)
         return key_lists, tenant, stream
@@ -389,19 +409,19 @@ class HttpGateway:
         self, body: bytes, writer: asyncio.StreamWriter
     ) -> None:
         key_lists, tenant, stream = self._parse_query_body(body)
-        submissions = [
-            asyncio.ensure_future(self.gateway.submit(keys, tenant))
-            for keys in key_lists
-        ]
-        if len(submissions) == 1:
+        if len(key_lists) == 1:
             try:
-                outcome = await submissions[0]
+                outcome = await self.gateway.submit(key_lists[0], tenant)
             except ConfigError as exc:
                 raise HttpError(400, str(exc))
             writer.write(
                 _response(outcome.http_status(), _json_bytes(outcome.payload()))
             )
             return
+        submissions = [
+            asyncio.ensure_future(self.gateway.submit(keys, tenant))
+            for keys in key_lists
+        ]
         if stream:
             await self._stream_batch(submissions, writer)
             return

@@ -41,7 +41,7 @@ class Query:
     def __post_init__(self) -> None:
         if not self.keys:
             raise ConfigError("a query must contain at least one key")
-        if any(k < 0 for k in self.keys):
+        if min(self.keys) < 0:
             raise ConfigError("query keys must be non-negative")
 
     def __len__(self) -> int:

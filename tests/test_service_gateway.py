@@ -64,16 +64,11 @@ class RecordingEngine:
         return getattr(self.inner, name)
 
 
-class SlowEngine(RecordingEngine):
-    """Adds real wall delay per call, to age queued requests."""
-
-    def __init__(self, inner, delay_s=0.01):
-        super().__init__(inner)
-        self.delay_s = delay_s
-
-    def serve_query(self, query, start_us=0.0, degrade=None):
-        time.sleep(self.delay_s)
-        return super().serve_query(query, start_us, degrade)
+#: ``time_scale`` turning the fixture engine's ≈ 5.9 simulated µs per
+#: query into ≈ 24 ms of paced ``asyncio.sleep`` — the in-flight window
+#: the queueing scenarios need (an unpaced batch completes inside its
+#: flush, so nothing can queue behind it).
+SLOW_PACE = 4000.0
 
 
 def run(coro):
@@ -234,17 +229,80 @@ class TestInvariant:
         text = render_prometheus(metrics)
         assert "maxembed_service_batch_errors_total 20" in text
 
+    @pytest.mark.parametrize("path", ["merged", "each", "coalescer-off"])
+    def test_bad_key_sheds_only_its_owner(self, layout, path):
+        """A key outside the table fails the engine call; coalesced
+        neighbours of the request that sent it must still be served."""
+        from repro.faults import FaultPlan
+
+        engine = ServingEngine(
+            layout,
+            EngineConfig(
+                cache_ratio=0.0,
+                threads=2,
+                # A (never-firing) fault plan turns union merging off,
+                # so the batch is served member by member.
+                fault_plan=FaultPlan.from_spec("seed=3,read_error=0.0")
+                if path == "each"
+                else None,
+            ),
+        )
+
+        async def scenario():
+            config = ServiceConfig(
+                coalescer=CoalescerConfig(enabled=path != "coalescer-off")
+            )
+            async with GatewayCore(engine, config) as core:
+                outcomes = await asyncio.gather(
+                    core.submit((1, 2, 3)),
+                    core.submit((10**9,)),
+                    core.submit((4, 5)),
+                )
+                return outcomes, core.batch_log, check_invariant(core)
+
+        (first, bad, last), log, metrics = run(scenario())
+        if path != "coalescer-off":
+            assert log == [("default", 3)], "the three must share a batch"
+        assert first.ok and first.served == 3
+        assert last.ok and last.served == 2
+        assert (bad.status, bad.shed_reason) == ("shed", "error")
+        svc = metrics["service"]
+        assert svc["shed"] == {"error": 1}
+        assert svc["completed"] == 2
+        assert svc["batch_errors_total"] == 1
+        assert "1000000000" in svc["last_batch_error"]
+
+    def test_engine_error_in_paced_batch_resolves_every_member(self, engine):
+        class ExplodingEngine(RecordingEngine):
+            def serve_query(self, query, start_us=0.0, degrade=None):
+                raise RuntimeError("device on fire")
+
+        async def scenario():
+            config = ServiceConfig(pace_service=True, time_scale=SLOW_PACE)
+            async with GatewayCore(ExplodingEngine(engine), config) as core:
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*(core.submit((i,)) for i in range(4))),
+                    timeout=5,
+                )
+                return outcomes, check_invariant(core)
+
+        outcomes, metrics = run(scenario())
+        assert [o.shed_reason for o in outcomes] == ["error"] * 4
+        assert metrics["service"]["shed"] == {"error": 4}
+        assert metrics["service"]["in_flight_batches"] == 0
+
     def test_deadline_miss_accounted(self, engine):
         async def scenario():
-            slow = SlowEngine(engine, delay_s=0.02)
             config = ServiceConfig(
                 coalescer=CoalescerConfig(enabled=False),
                 admission=AdmissionConfig(
                     capacity=64, queue_deadline_us=1.0
                 ),
                 max_concurrent_batches=1,
+                pace_service=True,
+                time_scale=SLOW_PACE,
             )
-            async with GatewayCore(slow, config) as core:
+            async with GatewayCore(engine, config) as core:
                 outcomes = await asyncio.gather(
                     *(core.submit((i % 8,)) for i in range(10))
                 )
@@ -253,7 +311,7 @@ class TestInvariant:
 
         outcomes, metrics = run(scenario())
         misses = [o for o in outcomes if o.status == "miss"]
-        # The first request holds the only batch slot for 20 ms; every
+        # The first request holds the only batch slot for ~24 ms; every
         # waiter's 1 us queue deadline has long lapsed by then.
         assert misses
         assert metrics["service"]["deadline_misses"] == len(misses)
@@ -351,6 +409,69 @@ class TestCoalescing:
         outcome, elapsed = run(scenario())
         assert outcome.ok
         assert elapsed < 2.0
+
+    def test_one_flush_per_tick(self, engine):
+        """Every submit of one loop tick is in the queue when the flush
+        runs: N of them leave as ceil(N / max_batch) batches, and a lone
+        submit leaves alone on the next tick."""
+
+        async def scenario():
+            config = ServiceConfig(coalescer=CoalescerConfig(max_batch=4))
+            async with GatewayCore(engine, config) as core:
+                outcomes = await asyncio.gather(
+                    *(core.submit((i % 8,)) for i in range(10))
+                )
+                lone = await core.submit((0,))
+                return outcomes, lone, core.batch_log
+
+        outcomes, lone, log = run(scenario())
+        assert log == [("default", 4), ("default", 4), ("default", 2)] + [
+            ("default", 1)
+        ]
+        assert [o.coalesced for o in outcomes] == [4] * 8 + [2] * 2
+        assert lone.ok and lone.coalesced == 1
+        # One flush served all ten: they share its tick, in queue order.
+        starts = [o.start_us for o in outcomes]
+        assert starts == sorted(starts)
+
+    def test_max_wait_fires_behind_a_paced_batch(self, layout):
+        """With a batch in flight and a slot free, a lone waiter is held
+        for ``max_wait_us`` (hoping for company) and then flushed by the
+        timer — not by the in-flight batch's completion, which comes much
+        later.  (With ``max_concurrent_batches=1`` the wait never applies:
+        no slot is free until the completion, and then the gateway is
+        idle, so the waiter leaves at once.)"""
+        max_wait_us = 20_000.0
+        time_scale = 10 * SLOW_PACE  # ~240 ms in flight
+
+        async def scenario(slots):
+            config = ServiceConfig(
+                coalescer=CoalescerConfig(max_batch=8, max_wait_us=max_wait_us),
+                max_concurrent_batches=slots,
+                pace_service=True,
+                time_scale=time_scale,
+            )
+            engine = ServingEngine(
+                layout, EngineConfig(cache_ratio=0.0, threads=2)
+            )
+            async with GatewayCore(engine, config) as core:
+                first = asyncio.ensure_future(core.submit((0,)))
+                await asyncio.sleep(0.002)
+                assert core.health()["in_flight_batches"] == 1
+                waiter = await core.submit((1,))
+                first = await first
+            assert first.ok and waiter.ok
+            in_flight_until = (
+                first.start_us + (first.finish_us - first.start_us) * time_scale
+            )
+            return waiter, in_flight_until
+
+        waiter, in_flight_until = run(scenario(slots=2))
+        assert waiter.start_us - waiter.arrival_us >= max_wait_us
+        assert waiter.start_us < in_flight_until, "the timer flushed it"
+
+        waiter, in_flight_until = run(scenario(slots=1))
+        assert waiter.start_us >= in_flight_until
 
     def test_faulty_engine_disables_union_merging(self, layout):
         """With a fault plan the gateway must serve members one by one
@@ -455,7 +576,6 @@ class TestQuota:
         cold tenant's waiter when the queue is full."""
 
         async def scenario():
-            slow = SlowEngine(engine, delay_s=0.05)
             config = ServiceConfig(
                 coalescer=CoalescerConfig(enabled=False),
                 admission=AdmissionConfig(capacity=1, policy="priority"),
@@ -464,14 +584,16 @@ class TestQuota:
                     TenantConfig(name="bronze", priority=0.0),
                 ),
                 max_concurrent_batches=1,
+                pace_service=True,
+                time_scale=2 * SLOW_PACE,
             )
-            async with GatewayCore(slow, config) as core:
+            async with GatewayCore(engine, config) as core:
                 # Occupy the single batch slot, then fill the queue with
                 # a bronze waiter; gold arrives into the full queue.
                 blocker = asyncio.ensure_future(core.submit((0,), "bronze"))
-                await asyncio.sleep(0.01)
+                await asyncio.sleep(0.002)
                 bronze = asyncio.ensure_future(core.submit((1,), "bronze"))
-                await asyncio.sleep(0.005)
+                await asyncio.sleep(0.001)
                 gold = asyncio.ensure_future(core.submit((2,), "gold"))
                 results = await asyncio.gather(blocker, bronze, gold)
                 check_invariant(core)
@@ -524,12 +646,14 @@ class TestBrownout:
 
 class TestDrain:
     def test_drain_sheds_waiters_and_closes_engine_once(self, engine):
-        recorder = SlowEngine(engine, delay_s=0.05)
+        recorder = RecordingEngine(engine)
 
         async def scenario():
             config = ServiceConfig(
                 coalescer=CoalescerConfig(enabled=False),
                 max_concurrent_batches=1,
+                pace_service=True,
+                time_scale=2 * SLOW_PACE,
             )
             core = GatewayCore(recorder, config)
             await core.start()
@@ -537,7 +661,7 @@ class TestDrain:
                 asyncio.ensure_future(core.submit((i % 8,)))
                 for i in range(6)
             ]
-            await asyncio.sleep(0.01)  # first request enters the engine
+            await asyncio.sleep(0.002)  # first request is in flight
             await core.stop()
             outcomes = await asyncio.gather(*submissions)
             late = await core.submit((0,))
@@ -554,6 +678,26 @@ class TestDrain:
         assert late.shed_reason == "drain"
         assert recorder.close_calls == 1
         assert metrics["service"]["draining"] is True
+
+    def test_gateway_starts_no_thread(self, engine):
+        import threading
+
+        async def scenario():
+            counts = [threading.active_count()]
+            core = GatewayCore(engine, ServiceConfig())
+            await core.start()
+            for i in range(100):
+                await asyncio.gather(
+                    core.submit((i % 8,)), core.submit(((i + 1) % 8,))
+                )
+            counts.append(threading.active_count())
+            await core.stop()
+            counts.append(threading.active_count())
+            return counts, check_invariant(core)
+
+        counts, metrics = run(scenario())
+        assert metrics["service"]["completed"] == 200
+        assert counts[0] == counts[1] == counts[2]
 
     def test_engine_without_close_is_fine(self, engine):
         async def scenario():

@@ -201,6 +201,45 @@ class TestRoutes:
             assert "error" in results[name][1]
         assert metrics["service"]["offered"] == 0
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, layout, value):
+        async def scenario(server, r, w):
+            w.write(
+                f"POST /query HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode()
+            )
+            reply = await asyncio.wait_for(r.read(), timeout=5)  # to EOF
+            r2, w2 = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            try:
+                _, metrics = await http_request(r2, w2, "GET", "/metrics")
+            finally:
+                w2.close()
+            return reply, metrics
+
+        reply, metrics = serve(layout, ServiceConfig(), scenario)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert value in json.loads(body)["error"]
+        assert metrics["service"]["offered"] == 0
+
+    def test_last_content_length_wins(self, layout):
+        async def scenario(server, r, w):
+            body = json.dumps({"keys": [0, 1]}).encode()
+            w.write(
+                (
+                    "POST /query HTTP/1.1\r\nContent-Length: 9999\r\n"
+                    f"content-length : {len(body)}\r\n\r\n"
+                ).encode()
+                + body
+            )
+            head = await asyncio.wait_for(r.readuntil(b"\r\n\r\n"), timeout=5)
+            return head
+
+        assert serve(layout, ServiceConfig(), scenario).startswith(
+            b"HTTP/1.1 200 "
+        )
+
     def test_quota_maps_to_429(self, layout):
         config = ServiceConfig(
             tenants=(TenantConfig(name="metered", rate_qps=0.001, burst=1),)
@@ -237,6 +276,33 @@ class TestRoutes:
         assert late[0] == 503
         assert late[1]["reason"] == "drain"
         assert health[1]["status"] == "draining"
+
+
+class TestLifecycle:
+    def test_stop_returns_after_its_connection_handlers(self, layout):
+        """``stop()`` must not leave handler tasks for the loop's owner
+        to destroy: a keep-alive connection is still open when it runs."""
+
+        async def runner():
+            core = GatewayCore(make_engine(layout), ServiceConfig())
+            server = HttpGateway(core, port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            status, _ = await http_request(
+                reader, writer, "POST", "/query", {"keys": [0]}
+            )
+            await asyncio.wait_for(server.stop(), timeout=5)
+            pending = asyncio.all_tasks() - {asyncio.current_task()}
+            at_eof = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return status, pending, at_eof
+
+        status, pending, at_eof = asyncio.run(runner())
+        assert status == 200
+        assert pending == set()
+        assert at_eof == b""  # the server closed the connection
 
 
 class TestBackpressureOverHttp:

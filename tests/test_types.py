@@ -27,6 +27,8 @@ class TestQuery:
     def test_rejects_negative_keys(self):
         with pytest.raises(ConfigError):
             Query((1, -2))
+        with pytest.raises(ConfigError):
+            Query((-1,))
 
     def test_is_hashable_and_equal_by_value(self):
         assert Query((1, 2)) == Query((1, 2))
