@@ -3,13 +3,14 @@
 Sizes an :class:`~repro.cache.lru.LruCache` as a *ratio* of the embedding
 table (the paper's cache-ratio knob: 1–40 %, default 10 %) and offers the
 bulk filter operation the serving engine needs: split a query's keys into
-cache hits and misses, admitting the misses after the SSD serves them.
+cache hits and misses, admitting the misses after the SSD serves them —
+one call into the policy per direction (``get_many`` / ``put_many``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from ..errors import CacheError
 from .lru import CacheStats, LruCache
@@ -41,12 +42,11 @@ class EmbeddingCache:
         # make_cache returns a NullCache (zeroed, never-counting stats)
         # at capacity 0, so the disabled path is policy-uniform.
         self._cache = make_cache(policy, capacity)
-        self._enabled = capacity > 0
 
     @property
     def enabled(self) -> bool:
         """False for a zero-ratio (cacheless) configuration."""
-        return self._enabled
+        return self._cache.capacity > 0
 
     @property
     def capacity(self) -> int:
@@ -60,24 +60,11 @@ class EmbeddingCache:
 
     def filter_hits(self, keys: Iterable[int]) -> Tuple[List[int], List[int]]:
         """Split ``keys`` into (hits, misses), refreshing recency on hits."""
-        hits: List[int] = []
-        misses: List[int] = []
-        if not self._enabled:
-            misses = list(keys)
-            return hits, misses
-        for key in keys:
-            if self._cache.get(key) is not None:
-                hits.append(key)
-            else:
-                misses.append(key)
-        return hits, misses
+        return self._cache.get_many(keys)
 
     def admit(self, keys: Iterable[int]) -> None:
         """Insert keys served from SSD (no-op when disabled)."""
-        if not self._enabled:
-            return
-        for key in keys:
-            self._cache.put(key, True)
+        self._cache.put_many(keys)
 
     def admit_value(self, key: int, value) -> None:
         """Insert one key with an explicit value (DLRM path)."""
@@ -86,7 +73,3 @@ class EmbeddingCache:
     def get_value(self, key: int):
         """Value lookup for the DLRM path (None on miss or disabled)."""
         return self._cache.get(key)
-
-    def warm(self, keys: Iterable[int]) -> None:
-        """Pre-populate without counting stats churn (admits in order)."""
-        self.admit(keys)

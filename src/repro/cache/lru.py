@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Generic, Hashable, Optional, TypeVar
+from typing import Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
 from ..errors import CacheError
 
@@ -38,20 +38,48 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-class LruCache(Generic[K, V]):
-    """Bounded LRU mapping with updateOnRead / no-updateOnWrite semantics."""
+class CachePolicy(Generic[K, V]):
+    """Base of the eviction policies: capacity, counters, batch surface.
+
+    A policy supplies per-key ``get`` / ``put`` (``None`` is ``get``'s
+    miss, so values are never ``None``).  The batch methods mean exactly
+    those calls in key order — same hits, recency, evictions, counters,
+    repeated keys included — and are overridden only to go faster.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise CacheError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._items: "OrderedDict[K, V]" = OrderedDict()
         self.stats = CacheStats()
 
     @property
     def capacity(self) -> int:
         """Maximum number of entries."""
         return self._capacity
+
+    def get_many(self, keys: Iterable[K]) -> Tuple[List[K], List[K]]:
+        """Look every key up; ``(hits, misses)``, each in key order."""
+        hits: List[K] = []
+        misses: List[K] = []
+        get = self.get
+        for key in keys:
+            (misses if get(key) is None else hits).append(key)
+        return hits, misses
+
+    def put_many(self, keys: Iterable[K], value: V = True) -> None:
+        """Insert every key with ``value``, in key order."""
+        put = self.put
+        for key in keys:
+            put(key, value)
+
+
+class LruCache(CachePolicy[K, V]):
+    """Bounded LRU mapping with updateOnRead / no-updateOnWrite semantics."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        self._items: "OrderedDict[K, V]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -82,6 +110,38 @@ class LruCache(Generic[K, V]):
             self.stats.evictions += 1
         self._items[key] = value
         self.stats.inserts += 1
+
+    def get_many(self, keys: Iterable[K]) -> Tuple[List[K], List[K]]:
+        """``get`` per key, fused: one pass on locals, counters added once."""
+        items = self._items
+        move_to_end = items.move_to_end
+        hits: List[K] = []
+        misses: List[K] = []
+        for key in keys:
+            if key in items:
+                move_to_end(key)
+                hits.append(key)
+            else:
+                misses.append(key)
+        self.stats.hits += len(hits)
+        self.stats.misses += len(misses)
+        return hits, misses
+
+    def put_many(self, keys: Iterable[K], value: V = True) -> None:
+        """``put`` per key, fused: one pass on locals, counters added once."""
+        items = self._items
+        capacity = self._capacity
+        popitem = items.popitem
+        inserts = evictions = 0
+        for key in keys:
+            if key not in items:
+                if len(items) >= capacity:
+                    popitem(last=False)
+                    evictions += 1
+                inserts += 1
+            items[key] = value  # an existing key keeps its position
+        self.stats.inserts += inserts
+        self.stats.evictions += evictions
 
     def evict_all(self) -> None:
         """Empty the cache (counters retained)."""

@@ -13,38 +13,31 @@ alternatives behind one interface:
   variant): new keys enter a probationary segment; a hit promotes to the
   protected segment, which evicts back into probation.  Scan-resistant.
 
-All policies expose the :class:`~repro.cache.lru.LruCache` surface
-(``get``/``put``/``stats``/``capacity``) so
-:class:`~repro.cache.embedding_cache.EmbeddingCache` and the serving
-engine can swap them freely.
+All policies extend :class:`~repro.cache.lru.CachePolicy` — per-key
+``get``/``put`` plus ``stats``/``capacity`` and the batch surface
+``get_many``/``put_many``, here the base class's loops over ``get`` and
+``put`` — so :class:`~repro.cache.embedding_cache.EmbeddingCache` and
+the serving engine can swap them freely.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Generic, Hashable, Optional, TypeVar
+from typing import Dict, Hashable, Optional, TypeVar
 
 from ..errors import CacheError
-from .lru import CacheStats, LruCache
+from .lru import CachePolicy, CacheStats, LruCache
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
 
-class FifoCache(Generic[K, V]):
+class FifoCache(CachePolicy[K, V]):
     """Bounded FIFO mapping: eviction order is pure insertion order."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise CacheError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
+        super().__init__(capacity)
         self._items: "OrderedDict[K, V]" = OrderedDict()
-        self.stats = CacheStats()
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of entries."""
-        return self._capacity
 
     def __len__(self) -> int:
         return len(self._items)
@@ -80,7 +73,7 @@ class FifoCache(Generic[K, V]):
         self._items.clear()
 
 
-class LfuCache(Generic[K, V]):
+class LfuCache(CachePolicy[K, V]):
     """Bounded LFU mapping: evict the least-frequently-used entry.
 
     Frequency counts reset on eviction (no ghost history).  Ties evict
@@ -88,17 +81,9 @@ class LfuCache(Generic[K, V]):
     """
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise CacheError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
+        super().__init__(capacity)
         self._items: "OrderedDict[K, V]" = OrderedDict()
         self._freq: Dict[K, int] = {}
-        self.stats = CacheStats()
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of entries."""
-        return self._capacity
 
     def __len__(self) -> int:
         return len(self._items)
@@ -143,27 +128,19 @@ class LfuCache(Generic[K, V]):
         self._freq.clear()
 
 
-class SegmentedLruCache(Generic[K, V]):
+class SegmentedLruCache(CachePolicy[K, V]):
     """Two-segment LRU: probation for new keys, protection for re-hits."""
 
     def __init__(self, capacity: int, protected_fraction: float = 0.8) -> None:
-        if capacity <= 0:
-            raise CacheError(f"capacity must be positive, got {capacity}")
+        super().__init__(capacity)
         if not 0.0 < protected_fraction < 1.0:
             raise CacheError(
                 f"protected_fraction must be in (0, 1), got "
                 f"{protected_fraction}"
             )
-        self._capacity = capacity
         self._protected_cap = max(1, int(capacity * protected_fraction))
         self._probation: "OrderedDict[K, V]" = OrderedDict()
         self._protected: "OrderedDict[K, V]" = OrderedDict()
-        self.stats = CacheStats()
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of entries across both segments."""
-        return self._capacity
 
     def __len__(self) -> int:
         return len(self._probation) + len(self._protected)
@@ -224,7 +201,7 @@ class SegmentedLruCache(Generic[K, V]):
         self._protected.clear()
 
 
-class NullCache(Generic[K, V]):
+class NullCache(CachePolicy[K, V]):
     """The disabled (zero-capacity) cache: never stores, never counts.
 
     A ``cache_ratio=0`` configuration must report zeroed
@@ -235,12 +212,8 @@ class NullCache(Generic[K, V]):
     """
 
     def __init__(self) -> None:
+        self._capacity = 0
         self.stats = CacheStats()
-
-    @property
-    def capacity(self) -> int:
-        """Always 0."""
-        return 0
 
     def __len__(self) -> int:
         return 0
@@ -257,6 +230,13 @@ class NullCache(Generic[K, V]):
         return None
 
     def put(self, key: K, value: V) -> None:
+        """Dropped."""
+
+    def get_many(self, keys):
+        """Every key is an uncounted miss."""
+        return [], list(keys)
+
+    def put_many(self, keys, value=True) -> None:
         """Dropped."""
 
     def evict_all(self) -> None:

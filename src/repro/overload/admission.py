@@ -79,7 +79,7 @@ class AdmissionConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass
 class QueueEntry:
     """One waiting request."""
 

@@ -19,7 +19,7 @@ from ..types import Query
 from .engine import ServingEngine
 
 
-@dataclass(frozen=True)
+@dataclass
 class BatchResult:
     """Outcome of serving one merged batch.
 

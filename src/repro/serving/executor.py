@@ -57,12 +57,13 @@ from .cost_model import CpuCostModel
 from .selection import SelectionOutcome
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExecutionResult:
     """Timing of one executed query.
 
     All fields are simulated microseconds; ``finish_us`` is absolute,
-    the breakdown components are durations.
+    the breakdown components are durations.  A per-query record, so a
+    plain dataclass (DESIGN.md, "Values and records").
     """
 
     start_us: float

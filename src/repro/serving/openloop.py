@@ -43,7 +43,7 @@ from ..utils.rng import RngLike, make_rng
 from .engine import ServingEngine
 
 
-@dataclass(frozen=True)
+@dataclass
 class OpenLoopResult:
     """One served arrival."""
 

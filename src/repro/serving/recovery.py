@@ -70,7 +70,7 @@ class RetryPolicy:
         return self.backoff_us * self.backoff_multiplier**attempt
 
 
-@dataclass(frozen=True)
+@dataclass
 class DegradedExecution:
     """A fault-aware execution: timing plus recovery accounting.
 

@@ -18,9 +18,14 @@ from ..utils.reservoir import percentile
 from .executor import ExecutionResult
 
 
-@dataclass(frozen=True)
+@dataclass
 class QueryResult:
     """Outcome of serving one query.
+
+    A plain (unfrozen) dataclass, like every record built per query, per
+    fragment or per device command: handed to exactly one receiver and
+    not touched by its producer afterwards.  Configuration, inputs and
+    plans are the frozen, hashable values (DESIGN.md, "Values and records").
 
     Attributes:
         requested_keys: distinct keys in the request.

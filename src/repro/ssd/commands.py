@@ -95,7 +95,7 @@ class GatherCommand:
         return len(self.page_ids)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PacedReadCommand:
     """One query's page reads, paced by the host CPU between them.
 
@@ -104,6 +104,9 @@ class PacedReadCommand:
     stalls while the submission queue is full, and submits
     ``page_ids[i]``.  After the last read the host waits for them all:
     it polls once at the later of its clock and the latest completion.
+    Built once per query for one device, so a plain dataclass (DESIGN.md,
+    "Values and records"); :class:`ReadCommand` / :class:`GatherCommand`
+    stay frozen, hashable descriptions (a test pins that).
 
     Attributes:
         page_ids: pages to read, in submission order.

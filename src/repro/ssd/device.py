@@ -68,12 +68,14 @@ from .commands import (
 from .profiles import SsdProfile
 
 
-@dataclass(frozen=True)
+@dataclass
 class Completion:
     """A finished command: which page(s), when submitted, when done.
 
     ``pages`` is 1 for an ordinary read; a gather completion covers all
     the pages its command named (its ``page_id`` is the first of them).
+    A per-command record, so a plain dataclass: one receiver, untouched
+    by the device afterwards (DESIGN.md, "Values and records").
     """
 
     ticket: int

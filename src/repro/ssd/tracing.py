@@ -20,7 +20,7 @@ from .commands import PacedReadCommand
 from .device import Completion, run_paced_reads
 
 
-@dataclass(frozen=True)
+@dataclass
 class IoRecord:
     """One traced read."""
 

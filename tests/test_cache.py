@@ -121,12 +121,6 @@ class TestEmbeddingCache:
         cache.admit_value(2, "vec")
         assert cache.get_value(2) == "vec"
 
-    def test_warm(self):
-        cache = EmbeddingCache(num_keys=4, cache_ratio=1.0)
-        cache.warm([0, 1])
-        hits, _ = cache.filter_hits([0, 1])
-        assert hits == [0, 1]
-
     def test_stats_exposed(self):
         cache = EmbeddingCache(num_keys=4, cache_ratio=0.5)
         cache.filter_hits([0])

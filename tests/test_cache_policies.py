@@ -1,8 +1,20 @@
 """Tests for repro.cache.policies: FIFO, LFU, segmented LRU."""
 
-import pytest
+import hashlib
+import random
 
-from repro import CacheError, EmbeddingCache
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro import (
+    CacheError,
+    EmbeddingCache,
+    EngineConfig,
+    PageLayout,
+    Query,
+    ServingEngine,
+)
 from repro.cache import (
     CACHE_POLICIES,
     FifoCache,
@@ -177,8 +189,6 @@ class TestPolicyRegistry:
         assert misses == [3]
 
     def test_engine_accepts_policy(self, shp_layout_small, criteo_small):
-        from repro import EngineConfig, ServingEngine
-
         _, live = criteo_small
         engine = ServingEngine(
             shp_layout_small,
@@ -186,3 +196,117 @@ class TestPolicyRegistry:
         )
         report = engine.serve_trace(list(live)[:50])
         assert report.num_queries == 50
+
+
+# -- batch surface: get_many / put_many vs. per-key get / put -----------------
+
+NUM_KEYS = 8  # capacities 0, 1, 2, 7 are exact binary ratios of it
+batches = st.lists(st.integers(0, 9), max_size=6)  # repeats, may be empty
+operations = st.lists(
+    st.tuples(st.booleans(), st.booleans(), batches), max_size=24
+)
+
+
+def counters(stats):
+    return (stats.hits, stats.misses, stats.evictions, stats.inserts)
+
+
+def members(policy):
+    return [key for key in range(10) if key in policy]
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 2, 7])
+@pytest.mark.parametrize("policy", sorted(CACHE_POLICIES))
+@settings(max_examples=60, deadline=None)
+@given(ops=operations)
+def test_batch_calls_equal_per_key_calls(policy, capacity, ops):
+    """``filter_hits`` / ``admit`` leave what key-by-key ``get`` / ``put`` do.
+
+    One ``EmbeddingCache`` takes each batch in one call (through the
+    facade, or ``direct``ly on its policy); its twin takes the same keys
+    one at a time.  Every reply, all four counters, the membership and —
+    drained with fresh keys — the eviction order agree.
+    """
+    cache = EmbeddingCache(NUM_KEYS, capacity / NUM_KEYS, policy)
+    assert cache.capacity == capacity
+    batched, twin = cache._cache, make_cache(policy, capacity)
+    for lookup, direct, keys in ops:
+        if lookup:
+            hits, misses = [], []
+            for key in keys:
+                (misses if twin.get(key) is None else hits).append(key)
+            filter_hits = batched.get_many if direct else cache.filter_hits
+            assert filter_hits(keys) == (hits, misses)
+        else:
+            (batched.put_many if direct else cache.admit)(keys)
+            for key in keys:
+                twin.put(key, True)
+        assert counters(cache.stats) == counters(twin.stats)
+    assert members(batched) == members(twin)
+    if policy == "lru" and capacity:
+        assert batched.keys_in_recency_order() == twin.keys_in_recency_order()
+    for fresh in range(100, 100 + capacity):
+        batched.put(fresh, True)
+        twin.put(fresh, True)
+        assert members(batched) == members(twin)
+    assert counters(cache.stats) == counters(twin.stats)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5])
+@pytest.mark.parametrize("policy", sorted(CACHE_POLICIES))
+def test_embedding_cache_enters_the_policy_once_per_call(policy, ratio):
+    cache = EmbeddingCache(NUM_KEYS, ratio, policy)
+    inner, entered = cache._cache, []
+    get_many, put_many = inner.get_many, inner.put_many
+    inner.get_many = lambda keys: (entered.append("get"), get_many(keys))[1]
+    inner.put_many = lambda keys: (entered.append("put"), put_many(keys))[1]
+    cache.admit([1, 2, 2, 3])
+    expected = ([3, 3], [9]) if ratio else ([], [3, 9, 3])
+    assert cache.filter_hits([3, 9, 3]) == expected
+    assert entered == ["put", "get"]
+
+
+def test_serve_trace_pinned_against_parent():
+    """A seeded 300-query trace serves to the digit as before the batch calls.
+
+    The three numbers were read at the parent commit (per-key cache
+    calls, frozen records); layout and trace use only ``Random.random``,
+    whose stream is the same on every supported interpreter.
+    """
+    rng = random.Random(22)
+    num_keys, capacity = 96, 4
+    pages = [
+        tuple(range(p * capacity, (p + 1) * capacity))
+        for p in range(num_keys // capacity)
+    ]
+    for _ in range(8):  # replica pages over the hot (low-numbered) keys
+        hot = {int(32 * rng.random() ** 2) for _ in range(capacity)}
+        pages.append(tuple(sorted(hot)))
+    layout = PageLayout(num_keys=num_keys, capacity=capacity, pages=pages)
+    queries = [
+        Query(
+            tuple(
+                int(num_keys * rng.random() ** 2)
+                for _ in range(3 + int(10 * rng.random()))
+            )
+        )
+        for _ in range(300)
+    ]
+    engine = ServingEngine(layout, EngineConfig(cache_ratio=0.10, threads=4))
+    finishes = []
+    serve_query = engine.serve_query
+
+    def recording(query, start_us=0.0, degrade=None):
+        result = serve_query(query, start_us, degrade)
+        finishes.append(result.finish_us.hex())
+        return result
+
+    engine.serve_query = recording
+    report = engine.serve_trace(queries)
+    digest = hashlib.sha256(" ".join(finishes).encode()).hexdigest()
+    assert len(finishes) == 300
+    assert report.cache_hit_rate().hex() == "0x1.3dc23dc23dc24p-3"  # 0.1552
+    assert report.total_pages_read == 1495
+    assert digest == (
+        "ff3521f4aa1d81abbe27032894e029fe96b16c842de40cb2bf578ff959ff3237"
+    )
