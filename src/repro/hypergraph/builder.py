@@ -14,6 +14,7 @@ builders turn a :class:`~repro.types.QueryTrace` into a
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from ..errors import HypergraphError
@@ -65,17 +66,16 @@ def build_weighted_hypergraph(
         raise HypergraphError(
             f"min_edge_size must be >= 1, got {min_edge_size}"
         )
-    raw = []
-    for query in trace:
-        keys = query.unique_keys()
-        if len(keys) < min_edge_size:
-            continue
-        raw.append(keys)
-        if max_edges is not None and len(raw) >= max_edges:
-            break
-    if not raw:
+    # merge_duplicate_edges canonicalizes every key-set, so only a size
+    # filter that can drop a query needs its distinct count beforehand.
+    kept = (
+        query.keys
+        for query in trace
+        if min_edge_size == 1 or len(set(query.keys)) >= min_edge_size
+    )
+    edges, weights = merge_duplicate_edges(islice(kept, max_edges))
+    if not edges:
         raise HypergraphError(
             "trace produced no hyperedges (all queries filtered out)"
         )
-    edges, weights = merge_duplicate_edges(raw)
     return Hypergraph(trace.num_keys, edges, weights)

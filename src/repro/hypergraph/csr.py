@@ -20,7 +20,8 @@ the same arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
@@ -107,22 +108,13 @@ class HypergraphCsr:
 
     @classmethod
     def from_graph(cls, graph: "Hypergraph") -> "HypergraphCsr":
-        """Flatten ``graph``'s pins into both CSR directions."""
-        sizes = [0] * graph.num_edges
-        total = 0
-        for eid, edge, _ in graph.edge_items():
-            sizes[eid] = len(edge)
-            total += len(edge)
-        edge_indptr = np.zeros(graph.num_edges + 1, dtype=PIN_DTYPE)
-        np.cumsum(sizes, out=edge_indptr[1:])
-        pin_vertices = np.empty(total, dtype=PIN_DTYPE)
-        at = 0
-        for eid, edge, _ in graph.edge_items():
-            pin_vertices[at : at + len(edge)] = edge
-            at += len(edge)
-        weights = np.asarray(
-            [graph.weight(e) for e in range(graph.num_edges)],
+        """Both CSR directions over ``graph``'s flat pins (shared, not
+        copied: the graph flattened them at construction)."""
+        edge_indptr, pin_vertices = graph.edge_pins()
+        weights = np.fromiter(
+            map(graph.weight, range(graph.num_edges)),
             dtype=PIN_DTYPE,
+            count=graph.num_edges,
         )
         vertex_indptr, vertex_edges = _transpose(
             edge_indptr, pin_vertices, graph.num_vertices
@@ -151,6 +143,23 @@ class HypergraphCsr:
         ]
 
 
+def flatten_edges(
+    edges: Sequence[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(edge_indptr, pin_vertices)`` of ``edges``, pins in edge order."""
+    edge_indptr = np.zeros(len(edges) + 1, dtype=PIN_DTYPE)
+    np.cumsum(
+        np.fromiter(map(len, edges), dtype=PIN_DTYPE, count=len(edges)),
+        out=edge_indptr[1:],
+    )
+    pin_vertices = np.fromiter(
+        chain.from_iterable(edges),
+        dtype=PIN_DTYPE,
+        count=int(edge_indptr[-1]),
+    )
+    return edge_indptr, pin_vertices
+
+
 def _transpose(
     edge_indptr: np.ndarray, pin_vertices: np.ndarray, num_vertices: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -162,8 +171,13 @@ def _transpose(
     edge_ids = np.repeat(
         np.arange(num_edges, dtype=PIN_DTYPE), np.diff(edge_indptr)
     )
-    # Stable sort by vertex keeps pins in edge-id order within a vertex.
-    order = np.argsort(pin_vertices, kind="stable")
+    # Stable sort by vertex keeps pins in edge-id order within a vertex;
+    # in the narrowest dtype that holds the ids, because numpy sorts
+    # 16-bit keys by radix (~8x faster, same permutation).
+    order = np.argsort(
+        pin_vertices.astype(np.min_scalar_type(num_vertices - 1)),
+        kind="stable",
+    )
     return vertex_indptr, np.ascontiguousarray(edge_ids[order])
 
 

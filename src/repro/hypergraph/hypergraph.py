@@ -17,12 +17,12 @@ walks vertex→edges.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import HypergraphError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .csr import HypergraphCsr
+from .csr import HypergraphCsr, flatten_edges
 
 Edge = Tuple[int, ...]
 
@@ -41,17 +41,24 @@ class Hypergraph:
                 f"num_vertices must be positive, got {num_vertices}"
             )
         self._num_vertices = num_vertices
-        self._edges: List[Edge] = []
-        for raw in edges:
-            edge = tuple(dict.fromkeys(raw))  # dedupe, keep order
-            if not edge:
-                raise HypergraphError("hyperedges must be non-empty")
-            for v in edge:
-                if not 0 <= v < num_vertices:
-                    raise HypergraphError(
-                        f"vertex {v} out of range [0, {num_vertices})"
-                    )
-            self._edges.append(edge)
+        self._edges: List[Edge] = [tuple(raw) for raw in edges]
+        try:
+            self._edge_indptr, pins = flatten_edges(self._edges)
+            valid = np.diff(self._edge_indptr).all() and (
+                len(pins) == 0 or 0 <= pins.min() <= pins.max() < num_vertices
+            )
+        except OverflowError:  # an id past int64 is out of range too
+            valid = False
+        if not valid:
+            self._raise_invalid_edge()
+        # Ids that strictly rise along an edge cannot repeat; any other
+        # edge order (first-appearance traces) pays the ordered dedupe.
+        falls = pins[1:] <= pins[:-1]
+        falls[self._edge_indptr[1:-1] - 1] = False
+        if falls.any():
+            self._edges = [tuple(dict.fromkeys(e)) for e in self._edges]
+            self._edge_indptr, pins = flatten_edges(self._edges)
+        self._pin_vertices = pins
         if weights is None:
             self._weights = [1] * len(self._edges)
         else:
@@ -64,6 +71,18 @@ class Hypergraph:
                 raise HypergraphError("edge weights must be positive")
         self._incidence: "List[List[int]] | None" = None
         self._csr: "HypergraphCsr | None" = None
+
+    def _raise_invalid_edge(self) -> None:
+        """Name the first empty edge or out-of-range vertex, in edge order."""
+        for edge in self._edges:
+            if not edge:
+                raise HypergraphError("hyperedges must be non-empty")
+            for v in edge:
+                if not 0 <= v < self._num_vertices:
+                    raise HypergraphError(
+                        f"vertex {v} out of range [0, {self._num_vertices})"
+                    )
+        raise AssertionError("unreachable: the array check found a culprit")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -88,6 +107,13 @@ class Hypergraph:
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges (vertex tuples)."""
         return iter(self._edges)
+
+    def edge_pins(self) -> "Tuple[np.ndarray, np.ndarray]":
+        """``(edge_indptr, pin_vertices)``: the edges as one flat array.
+
+        Flattened once, at construction; :meth:`csr` shares the arrays.
+        """
+        return self._edge_indptr, self._pin_vertices
 
     def edge_items(self) -> Iterator[Tuple[int, Edge, int]]:
         """Iterate ``(edge_id, vertices, weight)`` triples."""
@@ -136,14 +162,12 @@ class Hypergraph:
         share the same arrays.
         """
         if self._csr is None:
-            from .csr import HypergraphCsr
-
             self._csr = HypergraphCsr.from_graph(self)
         return self._csr
 
     def total_pin_count(self) -> int:
         """Total number of (edge, vertex) incidences, unweighted."""
-        return sum(len(e) for e in self._edges)
+        return len(self._pin_vertices)
 
     def subgraph_on_edges(self, edge_ids: Sequence[int]) -> "Hypergraph":
         """Hypergraph restricted to the given edges (same vertex space)."""

@@ -38,24 +38,53 @@ paper's §7.2 with the iteration count as the constant.
 
 Array layout
 ------------
-No step loops over pins in python:
+No step loops over the graph's pins in python:
 
 * **Fragments as CSR slices** — each block carries its restricted edge
-  fragments as ``(indptr, pins, weights)`` int64 arrays; restriction to a
-  child block is one boolean mask + ``reduceat``.
+  fragments as ``(indptr, pins, weights)`` int64 arrays; one membership
+  gather + ``reduceat`` restricts a block to both of its children.
 * **Bulk refinement vectorized** — the attraction gains of one iteration
   are ``W + side·D`` where ``W`` is a per-vertex scatter-add of fragment
   weights and ``D`` a scatter-add of ``w·(count₁ − count₀)``; movers are
   ranked with one ``lexsort`` (gain desc, vertex desc) and the
   matched-swap prefix is a single count, because pair gains are
   non-increasing.
-* **KL with incremental gains** — a maintained gain table is updated
-  only for vertices sharing an edge with each moved vertex; move choices
-  are max gain, tie → lowest vertex id.
 
 Scatter-adds route through :func:`np.bincount` with float64 weights when
 the value bound fits 2⁵³ (always, in practice) and fall back to
 ``np.add.at`` on int64 otherwise, so sums are exact either way.
+
+The KL kernel
+-------------
+Blocks of at most ``kl_threshold`` vertices leave numpy (one ``tolist``
+per block) for a gain table in plain lists, built once per bisection
+and shared by its restarts:
+
+* **Merged fragments** — fragments that restriction has made identical
+  become one fragment of their summed weight.  Gains and cuts are
+  integer sums over fragments, so this is exact; at page-sized blocks it
+  halves the fragments (criteo: 12 738 → 6 668, and 45 % of what is
+  left are plain pairs).
+* **Local ids are id ranks** — so the reference's "max gain, tie →
+  lowest vertex id" is ``max`` over an ascending list of unlocked ids,
+  which keeps the first of equals.
+* **A case table instead of a formula** — moving ``v`` off its side of a
+  fragment with ``(own, other)`` pins per side *before* the move
+  changes the gain of its co-pins by::
+
+      other == 0      every co-pin (all left behind)  +w, +2w if own == 2
+      own == 1        every co-pin (all across)       −w, −2w if other == 1
+      own == 2        the one co-pin left behind      +w
+      other == 1      the one co-pin across           −w
+
+  (rows three and four only when neither of the first two applies; both
+  can fire, and with neither nobody's gain moves) and negates ``v``'s
+  own gain — moving back undoes exactly what moving did.  Each vertex
+  carries its ``(fragment, weight, co-pins)`` triples, so a move
+  touches nothing it does not change.
+* **The reference's quirk is kept** — ``b`` is chosen before ``a`` is
+  locked, so the just-moved ``a`` competes for the return move and a
+  pass may undo its own step at cumulative gain 0.
 
 Randomness discipline and parallel subtrees
 -------------------------------------------
@@ -82,7 +111,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -100,6 +129,9 @@ PARALLEL_MIN_TARGETS = 4
 
 FragArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 """Block fragments: (frag_indptr, frag_pins, frag_weights)."""
+
+Incidence = List[List[Tuple[int, int, Tuple[int, ...]]]]
+"""KL kernel, per block-local vertex: (fragment, weight, co-pins)."""
 
 
 def _seed_entropy(seed: RngLike) -> int:
@@ -322,9 +354,8 @@ class ShpPartitioner(Partitioner):
             left, right = self._bisect(
                 block, left_size, block_frags, rng
             )
-            left_frags = self._child_fragments(block_frags, left, left_targets)
-            right_frags = self._child_fragments(
-                block_frags, right, right_targets
+            left_frags, right_frags = self._split_fragments(
+                block_frags, left, right, left_targets, right_targets
             )
             right_base = base + self._subtree_leaf_count(
                 len(left), left_targets
@@ -369,20 +400,57 @@ class ShpPartitioner(Partitioner):
         right_targets = targets - left_targets
         left_size = _left_size(len(block), left_targets, right_targets)
         left, right = self._bisect(block, left_size, frags, rng)
-        left_frags = self._child_fragments(frags, left, left_targets)
-        right_frags = self._child_fragments(frags, right, right_targets)
+        left_frags, right_frags = self._split_fragments(
+            frags, left, right, left_targets, right_targets
+        )
         self._recurse(left, left_frags, left_targets, counter, entropy, emit)
         self._recurse(
             right, right_frags, right_targets, counter, entropy, emit
         )
 
-    def _child_fragments(
-        self, frags: FragArrays, child: List[int], child_targets: int
-    ) -> FragArrays:
+    def _split_fragments(
+        self,
+        frags: FragArrays,
+        left: List[int],
+        right: List[int],
+        left_targets: int,
+        right_targets: int,
+    ) -> Tuple[FragArrays, FragArrays]:
+        """Both children's fragments (size >= 2 only) from one
+        membership pass over the block's pins."""
+        frag_indptr, frag_pins, frag_w = frags
         # Leaves never look at their fragments; skip the restriction.
-        if child_targets <= 1 or len(child) <= 1:
-            return _EMPTY_FRAGS
-        return self._restrict(frags, child)
+        want_left = left_targets > 1 and len(left) > 1
+        want_right = right_targets > 1 and len(right) > 1
+        if len(frag_w) == 0 or not (want_left or want_right):
+            return _EMPTY_FRAGS, _EMPTY_FRAGS
+        mask = self._mask
+        right_arr = np.asarray(right, dtype=INDEX_DTYPE)
+        mask[right_arr] = True
+        on_right = mask[frag_pins]
+        mask[right_arr] = False
+        sizes = np.diff(frag_indptr)
+        kept_right = np.add.reduceat(
+            on_right.astype(INDEX_DTYPE), frag_indptr[:-1]
+        )
+
+        def child(pin_in: np.ndarray, kept: np.ndarray) -> FragArrays:
+            keep_frag = kept >= 2
+            if not keep_frag.any():
+                return _EMPTY_FRAGS
+            new_pins = frag_pins[pin_in & np.repeat(keep_frag, sizes)]
+            new_indptr = np.zeros(
+                np.count_nonzero(keep_frag) + 1, dtype=INDEX_DTYPE
+            )
+            np.cumsum(kept[keep_frag], out=new_indptr[1:])
+            return new_indptr, new_pins, frag_w[keep_frag]
+
+        return (
+            child(~on_right, sizes - kept_right)
+            if want_left
+            else _EMPTY_FRAGS,
+            child(on_right, kept_right) if want_right else _EMPTY_FRAGS,
+        )
 
     # -- bisection -----------------------------------------------------------
 
@@ -409,31 +477,6 @@ class ShpPartitioner(Partitioner):
         if has_frags:
             left, right = self._refine_bulk(left, right, frags)
         return left, right
-
-    def _restrict(
-        self, frags: FragArrays, members: List[int]
-    ) -> FragArrays:
-        """Fragments restricted to ``members`` (size >= 2 only)."""
-        frag_indptr, frag_pins, frag_w = frags
-        if len(frag_w) == 0:
-            return _EMPTY_FRAGS
-        mask = self._mask
-        members_arr = np.asarray(members, dtype=INDEX_DTYPE)
-        mask[members_arr] = True
-        pin_in = mask[frag_pins]
-        mask[members_arr] = False
-        kept = np.add.reduceat(
-            pin_in.astype(INDEX_DTYPE), frag_indptr[:-1]
-        )
-        keep_frag = kept >= 2
-        if not keep_frag.any():
-            return _EMPTY_FRAGS
-        sizes = np.diff(frag_indptr)
-        new_pins = frag_pins[pin_in & np.repeat(keep_frag, sizes)]
-        new_sizes = kept[keep_frag]
-        new_indptr = np.zeros(len(new_sizes) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(new_sizes, out=new_indptr[1:])
-        return new_indptr, new_pins, frag_w[keep_frag]
 
     # -- bulk refinement (large blocks) --------------------------------------
 
@@ -494,45 +537,42 @@ class ShpPartitioner(Partitioner):
         frags: FragArrays,
         rng,
     ) -> Tuple[List[int], List[int]]:
-        """Restarted KL with incrementally maintained exact gains.
+        """Restarted KL on the block's merged fragments.
 
-        Reproduces the reference's restart loop, move choices, rollback,
-        and output ordering exactly; only the gain bookkeeping differs
-        (updated per move instead of rescanned per candidate).
+        Reproduces the reference's restart loop, move choices, rollback
+        and output ordering exactly.  Local ids are ranks in ascending
+        global id, so "tie -> lowest vertex id" is "tie -> lowest local
+        id"; everything the restarts share is built here, once.
         """
         frag_indptr, frag_pins, frag_w = frags
         n = len(block)
-        position = {v: i for i, v in enumerate(block)}
-        num_frags = len(frag_w)
-        frag_local = [
-            [
-                position[v]
-                for v in frag_pins[
-                    frag_indptr[f] : frag_indptr[f + 1]
-                ].tolist()
-            ]
-            for f in range(num_frags)
-        ]
-        weights = frag_w.tolist()
-        incident: List[List[int]] = [[] for _ in range(n)]
+        ranked = sorted(block)
+        local = self._local
+        local[np.asarray(ranked, dtype=INDEX_DTYPE)] = np.arange(
+            n, dtype=INDEX_DTYPE
+        )
+        pins = local[frag_pins].tolist()
+        bounds = frag_indptr.tolist()
+        # Fragments that restriction made identical act as one fragment
+        # of their summed weight (gains and cuts are integer sums).
+        merged: Dict[Tuple[int, ...], int] = {}
+        for lo, hi, w in zip(bounds, bounds[1:], frag_w.tolist()):
+            key = tuple(pins[lo:hi])
+            merged[key] = merged.get(key, 0) + w
+        frag_local = list(merged)
+        weights = list(merged.values())
+        incident: Incidence = [[] for _ in range(n)]
         for f, verts in enumerate(frag_local):
-            for i in verts:
-                incident[i].append(f)
-        # Candidate scan order: ascending global id, so a strict-greater
-        # max scan lands on the reference's (max gain, lowest id) choice.
-        by_global = sorted(range(n), key=block.__getitem__)
+            w = weights[f]
+            for at, i in enumerate(verts):
+                incident[i].append((f, w, verts[:at] + verts[at + 1 :]))
+        rank = dict(zip(ranked, range(n)))
 
         best: "Tuple[int, List[int], List[int]] | None" = None
         for _ in range(self.config.kl_restarts):
             left, right = self._initial_split(block, left_size, rng)
             cut = self._refine_kl(
-                left,
-                right,
-                position,
-                frag_local,
-                weights,
-                incident,
-                by_global,
+                left, right, rank, frag_local, weights, incident
             )
             if best is None or cut < best[0]:
                 best = (cut, left, right)
@@ -544,112 +584,88 @@ class ShpPartitioner(Partitioner):
         self,
         left: List[int],
         right: List[int],
-        position: dict,
-        frag_local: List[List[int]],
+        rank: Dict[int, int],
+        frag_local: List[Tuple[int, ...]],
         weights: List[int],
-        incident: List[List[int]],
-        by_global: List[int],
+        incident: Incidence,
     ) -> int:
         """One KL refinement (in place); returns the resulting cut."""
         n = len(left) + len(right)
         side = [0] * n
         for v in right:
-            side[position[v]] = 1
+            side[rank[v]] = 1
         count_left = [0] * len(frag_local)
         count_right = [0] * len(frag_local)
+        gain = [0] * n
         for f, verts in enumerate(frag_local):
             on_right = 0
             for i in verts:
                 on_right += side[i]
+            on_left = len(verts) - on_right
+            count_left[f] = on_left
             count_right[f] = on_right
-            count_left[f] = len(verts) - on_right
-        gain = [0] * n
-        for f, verts in enumerate(frag_local):
-            c_left = count_left[f]
-            c_right = count_right[f]
             w = weights[f]
-            for i in verts:
-                if side[i] == 0:
-                    gain[i] += (w if c_left == 1 else 0) - (
-                        w if c_right == 0 else 0
-                    )
-                else:
-                    gain[i] += (w if c_right == 1 else 0) - (
-                        w if c_left == 0 else 0
-                    )
+            if on_left == 0 or on_right == 0:
+                for i in verts:
+                    gain[i] -= w
+            else:
+                if on_left == 1:
+                    for i in verts:
+                        if side[i] == 0:
+                            gain[i] += w
+                            break
+                if on_right == 1:
+                    for i in verts:
+                        if side[i] == 1:
+                            gain[i] += w
+                            break
+        counts = (count_left, count_right)  # counts[side][fragment]
 
-        def move(
-            i: int,
-            side=side,
-            gain=gain,
-            weights=weights,
-            incident=incident,
-            frag_local=frag_local,
-            count_left=count_left,
-            count_right=count_right,
-        ) -> None:
+        def move(i: int, side=side, gain=gain, incident=incident) -> None:
             # Hot path: the default args bind the closure lists as
             # locals (LOAD_FAST instead of LOAD_DEREF per access).
-            was_left = side[i] == 0
-            for f in incident[i]:
-                w = weights[f]
-                c_left = count_left[f]
-                c_right = count_right[f]
-                if was_left:
-                    own, other = c_left, c_right
-                    new_left = c_left - 1
-                    new_right = c_right + 1
+            here = side[i]
+            own = counts[here]
+            other = counts[1 - here]
+            for f, w, others in incident[i]:
+                c_own = own[f]
+                c_other = other[f]
+                own[f] = c_own - 1
+                other[f] = c_other + 1
+                if c_other == 0:
+                    # Uncut -> cut: every other pin stays behind.
+                    if c_own == 2:
+                        w += w
+                    for j in others:
+                        gain[j] += w
+                elif c_own == 1:
+                    # Cut -> uncut: every other pin is on the far side.
+                    if c_other == 1:
+                        w += w
+                    for j in others:
+                        gain[j] -= w
                 else:
-                    own, other = c_right, c_left
-                    new_left = c_left + 1
-                    new_right = c_right - 1
-                # The mover's own term switches side as well as counts.
-                gain[i] += (
-                    (w if other + 1 == 1 else 0)
-                    - (w if own - 1 == 0 else 0)
-                    - (w if own == 1 else 0)
-                    + (w if other == 0 else 0)
-                )
-                # A neighbor's delta depends only on its side, not on
-                # which neighbor it is: one value per side per edge.
-                delta_left = w * (
-                    (new_left == 1) - (new_right == 0)
-                    - (c_left == 1) + (c_right == 0)
-                )
-                delta_right = w * (
-                    (new_right == 1) - (new_left == 0)
-                    - (c_right == 1) + (c_left == 0)
-                )
-                if delta_left or delta_right:
-                    for j in frag_local[f]:
-                        if j != i:
-                            gain[j] += (
-                                delta_left if side[j] == 0 else delta_right
-                            )
-                count_left[f] = new_left
-                count_right[f] = new_right
-            side[i] = 1 if was_left else 0
+                    if c_own == 2:
+                        for j in others:
+                            if side[j] == here:
+                                gain[j] += w
+                                break
+                    if c_other == 1:
+                        for j in others:
+                            if side[j] != here:
+                                gain[j] -= w
+                                break
+            gain[i] = -gain[i]
+            side[i] = 1 - here
 
-        def best_unlocked(
-            wanted: int,
-            locked: List[bool],
-            side=side,
-            gain=gain,
-            by_global=by_global,
-        ) -> int:
-            best_i = -1
-            best_g = None
-            for i in by_global:
-                if locked[i] or side[i] != wanted:
-                    continue
-                g = gain[i]
-                if best_g is None or g > best_g:
-                    best_i, best_g = i, g
-            return best_i
-
+        gain_of = gain.__getitem__
         pair_budget = min(len(left), len(right))
         for _ in range(self.config.kl_passes):
-            locked = [False] * n
+            # Unlocked vertices per side in ascending id: ``max`` keeps
+            # the first of equal gains, the reference's tie-break.  Both
+            # lists outlast the pair budget, so neither runs empty.
+            free_left = [i for i in range(n) if side[i] == 0]
+            free_right = [i for i in range(n) if side[i] == 1]
             cumulative = 0
             best_total = 0
             # Rolling back by replaying moves in reverse lands exactly on
@@ -663,18 +679,19 @@ class ShpPartitioner(Partitioner):
                 count_right.copy(),
             )
             for _ in range(pair_budget):
-                a = best_unlocked(0, locked)
-                if a < 0:
-                    break
+                a = max(free_left, key=gain_of)
+                free_left.remove(a)
                 gain_a = gain[a]
                 move(a)
-                b = best_unlocked(1, locked)
-                if b < 0:
-                    break  # unpaired move of `a` is dropped by the restore
+                # The reference locks `a` only after choosing `b`, so the
+                # just-moved `a` competes for `b` (and moves straight back).
+                b = max(free_right, key=gain_of)
                 gain_b = gain[b]
+                if -gain_a > gain_b or (-gain_a == gain_b and a < b):
+                    b, gain_b = a, -gain_a
+                else:
+                    free_right.remove(b)
                 move(b)
-                locked[a] = True
-                locked[b] = True
                 cumulative += gain_a + gain_b
                 if cumulative > best_total:
                     best_total = cumulative
@@ -684,18 +701,18 @@ class ShpPartitioner(Partitioner):
                         count_left.copy(),
                         count_right.copy(),
                     )
-            # In-place restore: move/best_unlocked hold references.
+            # In-place restore: move holds references.
             side[:], gain[:], count_left[:], count_right[:] = snap
             if best_total <= 0:
                 break
 
         order = left + right
-        left[:] = [v for v in order if side[position[v]] == 0]
-        right[:] = [v for v in order if side[position[v]] == 1]
+        left[:] = [v for v in order if side[rank[v]] == 0]
+        right[:] = [v for v in order if side[rank[v]] == 1]
         return sum(
-            weights[f]
-            for f in range(len(frag_local))
-            if 0 < count_left[f] < len(frag_local[f])
+            w
+            for w, on_left, on_right in zip(weights, count_left, count_right)
+            if on_left and on_right
         )
 
 

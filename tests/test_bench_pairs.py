@@ -29,6 +29,28 @@ def test_gain_needs_nine_wins_in_ten_and_medians_past_the_parent_iqr():
     assert judge(PARENT, ties, "higher", 0.1, True) == (0, "claim not met")
 
 
+def test_gain_must_also_clear_the_metric_bound():
+    # 10 / 10 wins and medians 3 apart (parent IQR 2), but the bound is
+    # 10 % of 100: the pipeline would refuse this "gain".
+    three_percent = [p + 3.0 for p in PARENT]
+    assert judge(PARENT, three_percent, "higher", 0.1, True) == (
+        10,
+        "claim not met",
+    )
+    assert judge(PARENT, three_percent, "higher", 0.02, True) == (10, "gain")
+
+
+def test_three_percent_setup_win_is_not_a_gain():
+    # setup_s shape: lower is better, bound 0.20, a very tight parent.
+    setups = [0.255, 0.252, 0.256, 0.254, 0.257, 0.255, 0.253, 0.256, 0.255]
+    assert judge(
+        setups, [s * 0.97 for s in setups], "lower", 0.2, True
+    ) == (9, "claim not met")
+    assert judge(
+        setups, [s * 0.75 for s in setups], "lower", 0.2, True
+    ) == (9, "gain")
+
+
 def test_lower_is_better_flips_the_sign():
     slower = [p * 1.3 for p in PARENT]
     assert judge(PARENT, slower, "lower", 0.1, True) == (0, "claim not met")

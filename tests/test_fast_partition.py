@@ -10,6 +10,7 @@ ranges those callers use.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import hypothesis.strategies as st
@@ -17,15 +18,24 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import Query, QueryTrace, ShpConfig, ShpPartitioner, reference
+from repro import (
+    Query,
+    QueryTrace,
+    ShpConfig,
+    ShpPartitioner,
+    make_trace,
+    reference,
+)
 from repro.core import MaxEmbedConfig, build_offline_layout
 from repro.hypergraph import (
+    Hypergraph,
     HypergraphCsr,
     build_weighted_hypergraph,
     gather_rows,
 )
 from repro.hypergraph.csr import scatter_add_exact
 from repro.partition import edge_connectivities
+from repro.partition.shp import _top_fragments
 from repro.placement import layout_from_partition
 from repro.replication import (
     ConnectivityPriorityStrategy,
@@ -190,6 +200,122 @@ class TestFastShpParity:
         want = reference.ShpPartitioner(ref_cfg).partition(graph, 4)
         got = ShpPartitioner(cfg, workers=1).partition(graph, 4)
         assert got == want
+
+
+# sha256 of the int64 little-endian assignment: whole trace, seed 0,
+# ShpConfig(seed=0), capacity 16.  Unchanged since 8c622a9 introduced
+# per-node generators; a new value here means every layout, and with it
+# every committed figure under benchmarks/results, has moved (by a code
+# change, or by a numpy release that changes a Generator stream).
+GOLDEN_ASSIGNMENTS = {
+    ("criteo", "bench"): (
+        "fefdac8fb1077f5ee4fb033ec6c040ed373bc60e03e2d71958e90051d7deacee"
+    ),
+    ("amazon_m2", "bench"): (
+        "d4fa54aa1137e5d7a80c760a9682159ac8f68f806d2b1f97797197dd3c975fd8"
+    ),
+    ("criteo", "small"): (
+        "f03ef8c1835fe95a2fcd3d8a06658165908ae63df13a5762c7f034e080f3b0e1"
+    ),
+}
+
+
+class TestGoldenFingerprint:
+    @pytest.mark.parametrize("dataset,scale", sorted(GOLDEN_ASSIGNMENTS))
+    def test_assignment_fingerprint(self, dataset, scale):
+        trace, _ = make_trace(dataset, scale, seed=0)
+        result = ShpPartitioner(ShpConfig(seed=0), workers=1).partition(
+            _graph(trace), 16
+        )
+        digest = hashlib.sha256(
+            np.asarray(result.assignment, dtype="<i8").tobytes()
+        ).hexdigest()
+        assert digest == GOLDEN_ASSIGNMENTS[dataset, scale]
+
+
+class _PinnedSplit:
+    """Stands in for a node generator: ``shuffle`` leaves the block in
+    its own order, so the initial split is known, and counts restarts."""
+
+    def __init__(self):
+        self.shuffles = 0
+
+    def shuffle(self, order):
+        self.shuffles += 1
+
+
+def _bisect_both(graph, left_size):
+    """One KL bisection of the whole graph, production and oracle, each
+    from the pinned split: ``(got, want, restarts, oracle restarts)``."""
+    block = list(range(graph.num_vertices))
+    fast = ShpPartitioner()
+    fast._prepare_scratch(graph.num_vertices)
+    fast_rng, oracle_rng = _PinnedSplit(), _PinnedSplit()
+    got = fast._bisect(block, left_size, _top_fragments(graph), fast_rng)
+    want = reference.ShpPartitioner()._bisect(
+        block,
+        left_size,
+        [(list(e), eid) for eid, e, _ in graph.edge_items() if len(e) > 1],
+        [w for _, _, w in graph.edge_items()],
+        oracle_rng,
+    )
+    return got, want, fast_rng.shuffles, oracle_rng.shuffles
+
+
+class TestKlKernel:
+    """What the merged-fragment KL kernel relies on, beyond the sweeps."""
+
+    @SETTINGS
+    @given(
+        traces(),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([2, 4, 8]),
+        st.sampled_from([0, 48]),
+    )
+    def test_repeated_edges_partition_like_doubled_weights(
+        self, trace, seed, capacity, kl_threshold
+    ):
+        # Merging identical fragments into one of summed weight is exact
+        # only if this holds, for the oracle as for production.
+        graph = _graph(trace)
+        edges = list(graph.edges())
+        weights = [graph.weight(e) for e in range(graph.num_edges)]
+        twice = Hypergraph(graph.num_vertices, edges + edges, weights * 2)
+        doubled = Hypergraph(
+            graph.num_vertices, edges, [2 * w for w in weights]
+        )
+        config = ShpConfig(seed=seed, kl_threshold=kl_threshold)
+        for partitioner in (
+            ShpPartitioner(config),
+            reference.ShpPartitioner(config),
+        ):
+            assert partitioner.partition(
+                twice, capacity
+            ) == partitioner.partition(doubled, capacity)
+        assert ShpPartitioner(config).partition(
+            twice, capacity
+        ) == reference.ShpPartitioner(config).partition(twice, capacity)
+
+    def test_just_moved_vertex_competes_for_the_return_move(self):
+        # From left = [0, 1]: vertex 0 moves right at gain 0 and, not yet
+        # locked, ties with 2 for the return move; the lower id wins, so
+        # `b` is `a` and the pass undoes itself.  A kernel that locks `a`
+        # before choosing `b` returns ([2, 3], [0, 1, 4]) instead.
+        graph = Hypergraph(5, [(0, 1, 4)], [2])
+        got, want, _, _ = _bisect_both(graph, 2)
+        assert got == want == ([0, 1], [2, 3, 4])
+
+    def test_zero_cut_restart_ends_the_restarts(self):
+        # The pinned split already separates the two edges: the first
+        # restart reaches cut 0 and the second is never drawn.
+        graph = Hypergraph(4, [(0, 1), (2, 3)])
+        got, want, restarts, oracle_restarts = _bisect_both(graph, 2)
+        assert got == want == ([0, 1], [2, 3])
+        assert restarts == oracle_restarts == 1
+        # A cut that stays positive runs every restart.
+        stuck = Hypergraph(5, [(0, 1, 4)], [2])
+        _, _, restarts, oracle_restarts = _bisect_both(stuck, 2)
+        assert restarts == oracle_restarts == ShpConfig().kl_restarts
 
 
 class TestFastMetricsAndScoring:

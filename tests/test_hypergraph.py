@@ -1,10 +1,14 @@
 """Tests for repro.hypergraph: structure, builders, stats, io."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro import HypergraphError, Query, QueryTrace
 from repro.hypergraph import (
     Hypergraph,
+    HypergraphCsr,
     build_hypergraph,
     build_weighted_hypergraph,
     compute_stats,
@@ -76,6 +80,127 @@ class TestHypergraph:
         assert sub.num_edges == 2
         assert sub.num_vertices == tiny_graph.num_vertices
         assert sub.edge(0) == (0, 1, 2, 3)
+
+
+@st.composite
+def raw_traces(draw):
+    """Traces whose queries repeat keys and repeat each other."""
+    num_keys = draw(st.integers(min_value=2, max_value=30))
+    key = st.integers(min_value=0, max_value=num_keys - 1)
+    queries = draw(
+        st.lists(st.lists(key, min_size=1, max_size=7), min_size=1, max_size=25)
+    )
+    queries += draw(st.lists(st.sampled_from(queries), max_size=10))
+    return QueryTrace(num_keys, [Query(tuple(q)) for q in queries])
+
+
+def _loop_weighted_edges(trace, min_edge_size, max_edges):
+    """The per-query loop ``build_weighted_hypergraph`` used to be."""
+    raw = []
+    for query in trace:
+        keys = query.unique_keys()
+        if len(keys) < min_edge_size:
+            continue
+        raw.append(keys)
+        if max_edges is not None and len(raw) >= max_edges:
+            break
+    return merge_duplicate_edges(raw)
+
+
+def _loop_csr_arrays(graph):
+    """The per-edge copy and int64 counting sort ``from_graph`` used to be."""
+    sizes = [len(edge) for edge in graph.edges()]
+    edge_indptr = np.zeros(graph.num_edges + 1, dtype=np.int64)
+    np.cumsum(sizes, out=edge_indptr[1:])
+    pin_vertices = np.empty(sum(sizes), dtype=np.int64)
+    at = 0
+    for edge in graph.edges():
+        pin_vertices[at : at + len(edge)] = edge
+        at += len(edge)
+    vertex_indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(pin_vertices, minlength=graph.num_vertices),
+        out=vertex_indptr[1:],
+    )
+    edge_ids = np.repeat(np.arange(graph.num_edges, dtype=np.int64), sizes)
+    vertex_edges = edge_ids[np.argsort(pin_vertices, kind="stable")]
+    weights = np.asarray(
+        [graph.weight(e) for e in range(graph.num_edges)], dtype=np.int64
+    )
+    return edge_indptr, pin_vertices, vertex_indptr, vertex_edges, weights
+
+
+class TestFlatFrontEnd:
+    """The one-pass front end against the loops it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        raw_traces(),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([None, 1, 4]),
+    )
+    def test_weighted_builder_equals_the_loop(
+        self, trace, min_edge_size, max_edges
+    ):
+        edges, weights = _loop_weighted_edges(trace, min_edge_size, max_edges)
+        if not edges:
+            with pytest.raises(HypergraphError, match="no hyperedges"):
+                build_weighted_hypergraph(trace, min_edge_size, max_edges)
+            return
+        graph = build_weighted_hypergraph(trace, min_edge_size, max_edges)
+        assert list(graph.edges()) == edges
+        assert [graph.weight(e) for e in range(graph.num_edges)] == weights
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_traces(), st.booleans())
+    def test_csr_equals_the_loop(self, trace, weighted):
+        # The unweighted builder keeps first-appearance key order, so its
+        # edges are the ones that are not strictly rising.
+        build = build_weighted_hypergraph if weighted else build_hypergraph
+        graph = build(trace)
+        csr = HypergraphCsr.from_graph(graph)
+        got = (
+            csr.edge_indptr,
+            csr.pin_vertices,
+            csr.vertex_indptr,
+            csr.vertex_edges,
+            csr.weights,
+        )
+        for have, want in zip(got, _loop_csr_arrays(graph)):
+            assert have.dtype == want.dtype
+            assert have.tolist() == want.tolist()
+        assert graph.total_pin_count() == csr.num_pins
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_traces())
+    def test_constructor_dedupes_in_first_appearance_order(self, trace):
+        raw = [query.keys for query in trace]
+        graph = Hypergraph(trace.num_keys, raw)
+        assert list(graph.edges()) == [tuple(dict.fromkeys(r)) for r in raw]
+
+    def test_error_messages_unchanged(self):
+        with pytest.raises(HypergraphError) as empty:
+            Hypergraph(4, [(0, 1), ()])
+        assert str(empty.value) == "hyperedges must be non-empty"
+        with pytest.raises(HypergraphError) as high:
+            Hypergraph(4, [(0, 1), (2, 4, 9)])
+        assert str(high.value) == "vertex 4 out of range [0, 4)"
+        with pytest.raises(HypergraphError) as low:
+            Hypergraph(4, [(3, -1)])
+        assert str(low.value) == "vertex -1 out of range [0, 4)"
+        with pytest.raises(HypergraphError) as huge:
+            Hypergraph(4, [(0, 2**70)])
+        assert str(huge.value) == f"vertex {2**70} out of range [0, 4)"
+        with pytest.raises(HypergraphError) as count:
+            Hypergraph(4, [(0, 1)], weights=[1, 2])
+        assert str(count.value) == "2 weights for 1 edges"
+
+    def test_first_invalid_edge_is_the_one_named(self):
+        # Edge order decides which error surfaces, as in the loop.
+        with pytest.raises(HypergraphError, match="vertex 7 out of range"):
+            Hypergraph(4, [(7,), ()])
+        with pytest.raises(HypergraphError, match="non-empty"):
+            Hypergraph(4, [(), (7,)])
 
 
 class TestMergeDuplicateEdges:
