@@ -19,7 +19,14 @@ Subcommands::
     maxembed experiments [--scale small]
 
 Everything the CLI does is a thin layer over the public API, so scripts
-can reproduce any invocation programmatically.
+can reproduce any invocation programmatically.  Every ``serve`` mode —
+replay, open loop (``--offered-qps``) and the gateway (``--listen``) —
+runs an engine from one builder: every engine flag goes into one
+:class:`~repro.serving.EngineConfig`, and the layout file decides
+between a :class:`~repro.serving.ServingEngine` and a
+:class:`~repro.cluster.ClusterEngine`.  The modes differ only in what
+they print.  A library error (:class:`~repro.errors.ReproError`) exits 1
+with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,10 +35,28 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import MaxEmbedConfig, MaxEmbedStore, build_offline_layout
+from .cache import CACHE_POLICIES
+from .cluster import (
+    SHARD_STRATEGIES,
+    ClusterEngine,
+    is_sharded_layout_file,
+    load_sharded_layout,
+)
+from .core import MaxEmbedConfig, build_offline_layout
+from .errors import ConfigError, ReproError
 from .experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
+from .faults import FaultPlan, ShardFaultPlan
+from .overload import ADMISSION_POLICIES, AdmissionConfig, BrownoutConfig
 from .placement import load_layout, save_layout
-from .serving import EXECUTORS, SELECTORS
+from .serving import (
+    EXECUTORS,
+    SELECTORS,
+    EngineConfig,
+    OpenLoopSimulator,
+    RetryPolicy,
+    ServingEngine,
+)
+from .tiering import TIER_MODES, load_tier_plan
 from .types import EmbeddingSpec
 from .utils.tables import format_mapping
 from .workloads import load_trace, make_trace, save_trace, DATASETS
@@ -73,7 +98,7 @@ def _add_build(subparsers) -> None:
     p.add_argument(
         "--shard-strategy",
         default="cooccurrence",
-        choices=["modulo", "frequency", "cooccurrence"],
+        choices=SHARD_STRATEGIES,
     )
     p.add_argument(
         "--workers",
@@ -121,14 +146,12 @@ def _add_serve(subparsers) -> None:
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--cache-ratio", type=float, default=0.1)
     p.add_argument(
-        "--cache-policy",
-        default="lru",
-        choices=["lru", "fifo", "lfu", "slru"],
+        "--cache-policy", default="lru", choices=list(CACHE_POLICIES)
     )
     p.add_argument(
         "--tier-mode",
         default="lru",
-        choices=["pinned", "lru", "hybrid"],
+        choices=TIER_MODES,
         help="DRAM tier strategy: reactive LRU cache only (default), a "
         "statistically pinned hot set, or pinned + LRU for the residue",
     )
@@ -237,7 +260,7 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--admission-policy",
         default="tail",
-        choices=["tail", "deadline", "priority"],
+        choices=ADMISSION_POLICIES,
         help="shed policy when the bounded queue is full",
     )
     p.add_argument(
@@ -514,55 +537,69 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _fault_options(args) -> dict:
-    """EngineConfig kwargs for the serve command's fault/recovery flags."""
-    from .faults import FaultPlan
-    from .serving import RetryPolicy
+def _engine_config(args) -> EngineConfig:
+    """The serve command's engine flags, all of them, in every mode.
 
-    options: dict = {}
-    if getattr(args, "fault_plan", None):
-        options["fault_plan"] = FaultPlan.from_spec(args.fault_plan)
-        options["retry"] = RetryPolicy(max_retries=args.retry_max)
-    if getattr(args, "shard_deadline_us", None) is not None:
-        options["shard_deadline_us"] = args.shard_deadline_us
-    return options
+    Nothing is passed conditionally: a single engine ignores the
+    cluster-only fields, ``retry`` is read only under a fault plan and
+    ``tier_ratio`` only outside ``lru``.  ``--tier-plan`` alone implies
+    the pinned tier.
+    """
+    tier_plan = load_tier_plan(args.tier_plan) if args.tier_plan else None
+    tier_mode = args.tier_mode
+    if tier_plan is not None and tier_mode == "lru":
+        tier_mode = "pinned"
+    return EngineConfig(
+        spec=EmbeddingSpec(dim=args.dim),
+        cache_ratio=args.cache_ratio,
+        cache_policy=args.cache_policy,
+        index_limit=args.index_limit,
+        selector=args.selector,
+        executor=args.executor,
+        threads=args.threads,
+        fault_plan=(
+            FaultPlan.from_spec(args.fault_plan) if args.fault_plan else None
+        ),
+        retry=RetryPolicy(max_retries=args.retry_max),
+        shard_deadline_us=args.shard_deadline_us,
+        replicas=args.replicas,
+        hedge_quantile=args.hedge_quantile,
+        hedge_budget=args.hedge_budget,
+        shard_fault_plan=(
+            ShardFaultPlan.from_spec(args.shard_fault_plan)
+            if args.shard_fault_plan
+            else None
+        ),
+        tier_mode=tier_mode,
+        tier_ratio=args.tier_ratio,
+        tier_plan=tier_plan,
+    )
 
 
-def _replica_options(args) -> dict:
-    """EngineConfig kwargs for the serve command's replica-group flags."""
-    options: dict = {}
-    if getattr(args, "replicas", 1) != 1:
-        options["replicas"] = args.replicas
-    if getattr(args, "hedge_quantile", None) is not None:
-        options["hedge_quantile"] = args.hedge_quantile
-        options["hedge_budget"] = args.hedge_budget
-    if getattr(args, "shard_fault_plan", None):
-        from .faults import ShardFaultPlan
+def _build_serve_engine(args):
+    """The engine every serve mode runs: one per layout file.
 
-        options["shard_fault_plan"] = ShardFaultPlan.from_spec(
-            args.shard_fault_plan
+    A sharded layout file gets a :class:`~repro.cluster.ClusterEngine`,
+    a plain one a :class:`~repro.serving.ServingEngine` and counts as one
+    shard; ``--shards``, when given, must match.
+    """
+    if is_sharded_layout_file(args.layout):
+        engine_cls, layout = ClusterEngine, load_sharded_layout(args.layout)
+        shards = layout.num_shards
+    else:
+        engine_cls, layout = ServingEngine, load_layout(args.layout)
+        shards = 1
+    if args.shards is not None and args.shards != shards:
+        raise ConfigError(
+            f"--shards {args.shards} but {args.layout} holds {shards} "
+            f"shard{'' if shards == 1 else 's'}\n"
+            f"hint: build a cluster layout with `maxembed build --shards N`"
         )
-    return options
-
-
-def _tier_options(args) -> dict:
-    """EngineConfig kwargs for the serve command's DRAM-tier flags."""
-    options: dict = {}
-    if getattr(args, "tier_mode", "lru") != "lru":
-        options["tier_mode"] = args.tier_mode
-        options["tier_ratio"] = args.tier_ratio
-    if getattr(args, "tier_plan", None):
-        from .tiering import load_tier_plan
-
-        options.setdefault("tier_mode", "pinned")
-        options["tier_plan"] = load_tier_plan(args.tier_plan)
-    return options
+    return engine_cls(layout, _engine_config(args))
 
 
 def _overload_options(args) -> dict:
     """OpenLoopSimulator kwargs for the serve command's overload flags."""
-    from .overload import AdmissionConfig, BrownoutConfig
-
     options: dict = {}
     if getattr(args, "admission_capacity", None) is not None:
         options["admission"] = AdmissionConfig(
@@ -577,8 +614,6 @@ def _overload_options(args) -> dict:
 
 def _serve_open_loop(engine, trace, args) -> int:
     """Open-loop replay (with optional admission control / brownout)."""
-    from .serving import OpenLoopSimulator
-
     simulator = OpenLoopSimulator(engine, seed=0, **_overload_options(args))
     report = simulator.run(
         trace.queries,
@@ -659,43 +694,6 @@ def _service_config(args):
     )
 
 
-def _build_serve_engine(args):
-    """The engine the serve command would replay against (any layout)."""
-    from .cluster import is_sharded_layout_file
-    from .serving import EngineConfig, ServingEngine
-
-    fault_options = _fault_options(args)
-    tier_options = _tier_options(args)
-    if is_sharded_layout_file(args.layout):
-        from .cluster import ClusterEngine, load_sharded_layout
-
-        sharded = load_sharded_layout(args.layout)
-        if args.shards is not None and args.shards != sharded.num_shards:
-            raise SystemExit(
-                f"error: --shards {args.shards} but {args.layout} holds "
-                f"{sharded.num_shards} shards"
-            )
-        engine_cls, layout = ClusterEngine, sharded
-        fault_options.update(_replica_options(args))
-    else:
-        engine_cls, layout = ServingEngine, load_layout(args.layout)
-        fault_options.pop("shard_deadline_us", None)  # cluster-only knob
-    return engine_cls(
-        layout,
-        EngineConfig(
-            spec=EmbeddingSpec(dim=args.dim),
-            cache_ratio=args.cache_ratio,
-            cache_policy=args.cache_policy,
-            index_limit=args.index_limit,
-            **tier_options,
-            selector=args.selector,
-            executor=args.executor,
-            threads=args.threads,
-            **fault_options,
-        ),
-    )
-
-
 def _refresh_daemon(args, engine):
     """(engine, daemon) for `serve --listen --refresh`.
 
@@ -706,7 +704,6 @@ def _refresh_daemon(args, engine):
     """
     if not getattr(args, "refresh", False):
         return engine, None
-    from .cluster import ClusterEngine
     from .core import LayoutManager
     from .refresh import RefreshConfig, RefreshDaemon
 
@@ -795,137 +792,26 @@ def _cmd_loadgen(args) -> int:
     return 0 if report.errors == 0 else 1
 
 
-def _cmd_serve_cluster(args, trace) -> int:
-    from .cluster import ClusterEngine, load_sharded_layout
-    from .serving import EngineConfig
-
-    from .errors import PlacementError
-
-    try:
-        sharded = load_sharded_layout(args.layout)
-    except PlacementError as exc:
+def _print_replay(engine, report, args) -> None:
+    """The closed-loop replay's tables: cluster or single engine."""
+    if isinstance(engine, ClusterEngine):
         print(
-            f"error: {exc}\nhint: build a cluster layout with "
-            f"`maxembed build --shards N`",
-            file=sys.stderr,
+            format_mapping(
+                f"cluster serving report ({engine.num_shards} shards, "
+                f"{engine.plan.strategy})",
+                report.as_dict(),
+            )
         )
-        return 1
-    if args.shards is not None and args.shards != sharded.num_shards:
         print(
-            f"error: --shards {args.shards} but {args.layout} holds "
-            f"{sharded.num_shards} shards",
-            file=sys.stderr,
+            format_mapping(
+                "per-shard load (pages read)",
+                {
+                    f"shard_{s}": pages
+                    for s, pages in enumerate(report.shard_pages_read)
+                },
+            )
         )
-        return 1
-    engine = ClusterEngine(
-        sharded,
-        EngineConfig(
-            spec=EmbeddingSpec(dim=args.dim),
-            cache_ratio=args.cache_ratio,
-            cache_policy=args.cache_policy,
-            index_limit=args.index_limit,
-            **_tier_options(args),
-            selector=args.selector,
-            executor=args.executor,
-            threads=args.threads,
-            **_fault_options(args),
-            **_replica_options(args),
-        ),
-    )
-    if args.offered_qps is not None:
-        return _serve_open_loop(engine, trace, args)
-    cluster = engine.serve_trace(trace)
-    print(
-        format_mapping(
-            f"cluster serving report ({sharded.num_shards} shards, "
-            f"{sharded.plan.strategy})",
-            cluster.as_dict(),
-        )
-    )
-    print(
-        format_mapping(
-            "per-shard load (pages read)",
-            {
-                f"shard_{s}": pages
-                for s, pages in enumerate(cluster.shard_pages_read)
-            },
-        )
-    )
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    if args.listen is not None:
-        return _cmd_serve_gateway(args)
-    if args.trace is None:
-        print(
-            "error: --trace is required unless --listen starts the live "
-            "gateway",
-            file=sys.stderr,
-        )
-        return 1
-    trace = load_trace(args.trace)
-    from .cluster import is_sharded_layout_file
-
-    if (args.shards is not None and args.shards > 1) or (
-        is_sharded_layout_file(args.layout)
-    ):
-        return _cmd_serve_cluster(args, trace)
-    layout = load_layout(args.layout)
-    fault_options = _fault_options(args)
-    fault_options.pop("shard_deadline_us", None)  # cluster-only knob
-    tier_options = _tier_options(args)
-    if args.offered_qps is not None:
-        from .serving import EngineConfig, ServingEngine
-
-        engine = ServingEngine(
-            layout,
-            EngineConfig(
-                spec=EmbeddingSpec(dim=args.dim),
-                cache_ratio=args.cache_ratio,
-                cache_policy=args.cache_policy,
-                index_limit=args.index_limit,
-                selector=args.selector,
-                executor=args.executor,
-                threads=args.threads,
-                **tier_options,
-                **fault_options,
-            ),
-        )
-        return _serve_open_loop(engine, trace, args)
-    if fault_options or tier_options.get("tier_plan") is not None:
-        from .serving import EngineConfig, ServingEngine
-
-        engine = ServingEngine(
-            layout,
-            EngineConfig(
-                spec=EmbeddingSpec(dim=args.dim),
-                cache_ratio=args.cache_ratio,
-                cache_policy=args.cache_policy,
-                index_limit=args.index_limit,
-                selector=args.selector,
-                executor=args.executor,
-                threads=args.threads,
-                **tier_options,
-                **fault_options,
-            ),
-        )
-        report = engine.serve_trace(trace)
-    else:
-        engine = None
-        config = MaxEmbedConfig(
-            spec=EmbeddingSpec(dim=args.dim),
-            cache_ratio=args.cache_ratio,
-            cache_policy=args.cache_policy,
-            tier_mode=args.tier_mode,
-            tier_ratio=args.tier_ratio,
-            index_limit=args.index_limit,
-            selector=args.selector,
-            executor=args.executor,
-            threads=args.threads,
-        )
-        store = MaxEmbedStore(layout, config)
-        report = store.serve_trace(trace)
+        return
     print(
         format_mapping(
             "serving report",
@@ -943,7 +829,7 @@ def _cmd_serve(args) -> int:
             },
         )
     )
-    if engine is not None:
+    if args.fault_plan:
         fault_report = {
             "retries": report.total_retries,
             "failed_reads": report.total_failed_reads,
@@ -952,33 +838,33 @@ def _cmd_serve(args) -> int:
             "degraded_queries": report.degraded_queries,
             "coverage": round(report.coverage(), 6),
         }
-        counters = engine.fault_counters
-        if counters:
-            for kind, count in sorted(counters.items()):
-                fault_report[f"injected_{kind}"] = count
+        for kind, count in sorted(engine.fault_counters.items()):
+            fault_report[f"injected_{kind}"] = count
         print()
         print(format_mapping("fault & recovery report", fault_report))
+
+
+def _cmd_serve(args) -> int:
+    if args.listen is not None:
+        return _cmd_serve_gateway(args)
+    if args.trace is None:
+        raise ConfigError(
+            "--trace is required unless --listen starts the live gateway"
+        )
+    trace = load_trace(args.trace)
+    engine = _build_serve_engine(args)
+    if args.offered_qps is not None:
+        return _serve_open_loop(engine, trace, args)
+    _print_replay(engine, engine.serve_trace(trace), args)
     return 0
 
 
-def main(argv: "Optional[List[str]]" = None) -> int:
-    """CLI entry point."""
-    args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "build":
-        return _cmd_build(args)
-    if args.command == "diagnose":
-        return _cmd_diagnose(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "experiment":
-        print(run_experiment(args.exp_id, scale=args.scale).render())
-        return 0
+def _cmd_experiment(args) -> int:
+    print(run_experiment(args.exp_id, scale=args.scale).render())
+    return 0
+
+
+def _cmd_experiments(args) -> int:
     results = run_all(scale=args.scale)
     if args.report:
         from .experiments.runner import write_markdown_report
@@ -986,6 +872,28 @@ def main(argv: "Optional[List[str]]" = None) -> int:
         write_markdown_report(results, args.report)
         print(f"markdown report written to {args.report}")
     return 0
+
+
+_COMMANDS = {
+    "generate": _cmd_generate,
+    "analyze": _cmd_analyze,
+    "build": _cmd_build,
+    "diagnose": _cmd_diagnose,
+    "serve": _cmd_serve,
+    "loadgen": _cmd_loadgen,
+    "experiment": _cmd_experiment,
+    "experiments": _cmd_experiments,
+}
+
+
+def main(argv: "Optional[List[str]]" = None) -> int:
+    """CLI entry point: a library error is one ``error:`` line, exit 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigError
-from ..overload import ADMISSION_POLICIES, AdmissionConfig
 from ..partition import ShpConfig
 from ..serving import EXECUTORS, SELECTORS, CpuCostModel
 from ..ssd import P5800X, SsdProfile
+from ..tiering import TIER_MODES
 from ..types import EmbeddingSpec
 
 
@@ -56,28 +56,19 @@ class MaxEmbedConfig:
         replicas: engines per logical shard; >1 turns on the
             health-tracked replica groups of
             :mod:`repro.cluster.replicas` (failover + hedging).
-        hedge_quantile: latency quantile after which a straggling
-            fragment is hedged to a second replica (``None`` disables
-            hedging; requires ``replicas > 1`` to have any effect).
-        hedge_budget: hedged dispatches allowed per routed fragment —
-            a hard cap, not a target.
         build_workers: processes for the per-shard offline builds
             (``None`` = one per shard up to the CPU count, ``0``/``1`` =
             serial).
         offline_workers: processes for SHP's parallel bisection
             subtrees (``None`` = one per CPU, ``0``/``1`` = serial; the
             layout is identical for every worker count).
-        admission_capacity: bound on the open-loop arrival queue
-            (``None`` disables admission control entirely — serving is
-            bit-identical to earlier releases).
-        admission_policy: shedding policy when the queue is full:
-            ``"tail"``, ``"deadline"``, or ``"priority"`` (see
-            :mod:`repro.overload`).
-        admission_deadline_us: per-request queueing deadline; required
-            by the ``"deadline"`` policy.
-        brownout: enable the brownout controller, which steps queries
-            down a graceful-degradation ladder under sustained pressure.
         seed: base RNG seed for every stochastic component.
+
+    Hedging, fault plans and the tier plan are
+    :class:`~repro.serving.EngineConfig` settings; admission control and
+    brownout are :class:`~repro.overload.AdmissionConfig` /
+    :class:`~repro.overload.BrownoutConfig` arguments of the open-loop
+    simulator and the gateway.
     """
 
     spec: EmbeddingSpec = field(default_factory=EmbeddingSpec)
@@ -99,21 +90,11 @@ class MaxEmbedConfig:
     num_shards: int = 1
     shard_strategy: str = "cooccurrence"
     replicas: int = 1
-    hedge_quantile: Optional[float] = None
-    hedge_budget: float = 0.1
     build_workers: Optional[int] = None
     offline_workers: Optional[int] = 1
-    admission_capacity: Optional[int] = None
-    admission_policy: str = "tail"
-    admission_deadline_us: Optional[float] = None
-    brownout: bool = False
     seed: int = 0
 
     _STRATEGIES = ("maxembed", "rpp", "fpr", "none")
-    # Kept in sync with repro.tiering.TIER_MODES (tiering imports
-    # placement/types only, but core already mirrors cluster constants
-    # this way — see _SHARD_STRATEGIES below).
-    _TIER_MODES = ("pinned", "lru", "hybrid")
     _PARTITIONERS = ("shp", "multilevel", "random", "vanilla")
     # Kept in sync with repro.cluster.planner.SHARD_STRATEGIES (the
     # cluster package imports core, so core cannot import it back).
@@ -142,17 +123,6 @@ class MaxEmbedConfig:
             raise ConfigError(
                 f"replicas must be >= 1, got {self.replicas}"
             )
-        if self.hedge_quantile is not None and not (
-            0.0 < self.hedge_quantile < 1.0
-        ):
-            raise ConfigError(
-                f"hedge_quantile must be in (0, 1), got "
-                f"{self.hedge_quantile}"
-            )
-        if self.hedge_budget < 0:
-            raise ConfigError(
-                f"hedge_budget must be >= 0, got {self.hedge_budget}"
-            )
         if self.shard_strategy not in self._SHARD_STRATEGIES:
             raise ConfigError(
                 f"unknown shard strategy {self.shard_strategy!r}; "
@@ -176,33 +146,15 @@ class MaxEmbedConfig:
                 f"unknown executor {self.executor!r}; "
                 f"choose from {sorted(EXECUTORS)}"
             )
-        if self.tier_mode not in self._TIER_MODES:
+        if self.tier_mode not in TIER_MODES:
             raise ConfigError(
                 f"unknown tier mode {self.tier_mode!r}; "
-                f"choose from {self._TIER_MODES}"
+                f"choose from {TIER_MODES}"
             )
         if not 0.0 <= self.tier_ratio <= 1.0:
             raise ConfigError(
                 f"tier_ratio must be in [0, 1], got {self.tier_ratio}"
             )
-        if self.admission_policy not in ADMISSION_POLICIES:
-            raise ConfigError(
-                f"unknown admission policy {self.admission_policy!r}; "
-                f"choose from {ADMISSION_POLICIES}"
-            )
-        # Eagerly validate the knob combination (capacity bounds,
-        # deadline-policy-needs-a-deadline) at config construction.
-        self.admission_config()
-
-    def admission_config(self) -> Optional[AdmissionConfig]:
-        """The admission-control config, or None when disabled."""
-        if self.admission_capacity is None:
-            return None
-        return AdmissionConfig(
-            capacity=self.admission_capacity,
-            policy=self.admission_policy,
-            queue_deadline_us=self.admission_deadline_us,
-        )
 
     @property
     def page_capacity(self) -> int:

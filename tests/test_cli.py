@@ -470,3 +470,175 @@ class TestGatewayCli:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+
+
+@pytest.fixture(scope="module")
+def deployment(tmp_path_factory):
+    """One small trace, a plain layout with its tier plan, a 2-shard one."""
+    root = tmp_path_factory.mktemp("serve-modes")
+    paths = {
+        "trace": str(root / "trace.txt"),
+        "layout": str(root / "layout.json"),
+        "cluster": str(root / "cluster.json"),
+    }
+    paths["tier_plan"] = paths["layout"] + ".tier.json"
+    build = ["build", "--trace", paths["trace"], "--workers", "1"]
+    assert main(
+        ["generate", "--dataset", "amazon_m2", "--scale", "small",
+         "--out", paths["trace"]]
+    ) == 0
+    assert main(build + ["--tier-ratio", "0.1", "--out", paths["layout"]]) == 0
+    assert main(build + ["--shards", "2", "--out", paths["cluster"]]) == 0
+    return paths
+
+
+class TestServeModes:
+    """Every serve mode builds through one EngineConfig."""
+
+    # Each engine flag at a non-default value, and the field it must set.
+    ENGINE_FLAGS = [
+        ("--dim", "32", lambda c: c.spec.dim, 32),
+        ("--cache-ratio", "0.2", lambda c: c.cache_ratio, 0.2),
+        ("--cache-policy", "slru", lambda c: c.cache_policy, "slru"),
+        ("--tier-mode", "hybrid", lambda c: c.tier_mode, "hybrid"),
+        ("--tier-ratio", "0.05", lambda c: c.tier_ratio, 0.05),
+        ("--index-limit", "4", lambda c: c.index_limit, 4),
+        ("--selector", "greedy", lambda c: c.selector, "greedy"),
+        ("--executor", "batched", lambda c: c.executor, "batched"),
+        ("--threads", "3", lambda c: c.threads, 3),
+        ("--retry-max", "5", lambda c: c.retry.max_retries, 5),
+        ("--shard-deadline-us", "500", lambda c: c.shard_deadline_us, 500.0),
+        ("--replicas", "2", lambda c: c.replicas, 2),
+        ("--hedge-quantile", "0.8", lambda c: c.hedge_quantile, 0.8),
+        ("--hedge-budget", "0.3", lambda c: c.hedge_budget, 0.3),
+    ]
+    FAULT_SPEC = "seed=1,read_error=0.05"
+    SHARD_FAULT_SPEC = "seed=1,crash=0.1,horizon_us=250"
+
+    @pytest.mark.parametrize("kind", ["plain", "cluster"])
+    def test_every_engine_flag_reaches_the_engine(self, deployment, kind):
+        from repro.cli import _build_serve_engine
+        from repro.faults import FaultPlan, ShardFaultPlan
+        from repro.tiering import load_tier_plan
+
+        argv = ["serve", "--trace", deployment["trace"]]
+        for flag, value, _, _ in self.ENGINE_FLAGS:
+            argv += [flag, value]
+        argv += [
+            "--fault-plan", self.FAULT_SPEC,
+            "--shard-fault-plan", self.SHARD_FAULT_SPEC,
+        ]
+        if kind == "plain":
+            # An explicit tier plan is single-engine only.
+            argv += [
+                "--layout", deployment["layout"],
+                "--tier-plan", deployment["tier_plan"],
+            ]
+        else:
+            argv += ["--layout", deployment["cluster"], "--shards", "2"]
+        engine = _build_serve_engine(build_parser().parse_args(argv))
+        config = engine.config
+        for flag, _, read, want in self.ENGINE_FLAGS:
+            assert read(config) == want, flag
+        assert config.fault_plan == FaultPlan.from_spec(self.FAULT_SPEC)
+        assert config.shard_fault_plan == ShardFaultPlan.from_spec(
+            self.SHARD_FAULT_SPEC
+        )
+        if kind == "plain":
+            assert type(engine).__name__ == "ServingEngine"
+            assert config.tier_plan == load_tier_plan(deployment["tier_plan"])
+            assert engine.tier_plan == config.tier_plan
+        else:
+            assert type(engine).__name__ == "ClusterEngine"
+            assert config.tier_plan is None
+            assert engine.groups[0].num_replicas == 2
+            assert engine.groups[0].hedge_quantile == 0.8
+
+    @pytest.mark.parametrize(
+        "layout, extra, header",
+        [
+            (
+                "layout",
+                ["--offered-qps", "400000", "--admission-capacity", "8",
+                 "--admission-policy", "deadline",
+                 "--admission-deadline-us", "200", "--brownout"],
+                "open-loop report",
+            ),
+            (
+                "layout",
+                ["--fault-plan", "seed=7,read_error=0.05"],
+                "fault & recovery report",
+            ),
+            # --tier-plan alone implies the pinned tier.
+            ("layout", ["--tier-plan", "{tier_plan}"], "tier_hit_rate"),
+            (
+                "cluster",
+                ["--replicas", "2", "--hedge-quantile", "0.9"],
+                "cluster serving report (2 shards",
+            ),
+            (
+                "cluster",
+                ["--shard-fault-plan", "seed=7,crash=0.1,horizon_us=250"],
+                "cluster serving report (2 shards",
+            ),
+        ],
+        ids=["open-loop", "fault-plan", "tier-plan", "replicas", "shard-faults"],
+    )
+    def test_replay_modes_smoke(self, deployment, capsys, layout, extra, header):
+        extra = [arg.format(**deployment) for arg in extra]
+        assert main(
+            ["serve", "--trace", deployment["trace"],
+             "--layout", deployment[layout]] + extra
+        ) == 0
+        out = capsys.readouterr().out
+        assert header in out
+        # The fault report is printed under a fault plan only.
+        assert ("fault & recovery report" in out) == ("--fault-plan" in extra)
+
+    @pytest.mark.parametrize(
+        "layout, extra",
+        [
+            ("cluster", ["--tier-plan", "{tier_plan}"]),
+            ("layout", ["--fault-plan", "bogus=1"]),
+            ("layout", ["--cache-ratio", "1.5"]),
+            ("layout", ["--hedge-quantile", "1.5"]),
+            (
+                "layout",
+                ["--offered-qps", "1000", "--admission-policy", "deadline",
+                 "--admission-capacity", "4"],
+            ),
+        ],
+        ids=["tier-plan-on-cluster", "fault-plan", "cache-ratio",
+             "hedge-quantile", "deadline-without-deadline"],
+    )
+    def test_bad_value_is_one_error_line(self, deployment, capsys, layout, extra):
+        extra = [arg.format(**deployment) for arg in extra]
+        assert main(
+            ["serve", "--trace", deployment["trace"],
+             "--layout", deployment[layout]] + extra
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_listen_refuses_shards_mismatch(self, deployment):
+        """`--listen` checks --shards like the replay does (it used to start
+        a single-engine gateway and ignore it)."""
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--layout", deployment["layout"], "--shards", "4",
+                "--listen", "127.0.0.1:0",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 1, proc.stdout
+        assert "holds 1 shard" in proc.stderr
+        assert "maxembed build --shards" in proc.stderr
+        assert "gateway listening" not in proc.stdout

@@ -76,22 +76,18 @@ class TestAdmissionConfig:
             AdmissionConfig(capacity=4, policy="deadline")  # needs deadline
 
     def test_maxembed_config_accessor(self):
-        assert MaxEmbedConfig().admission_config() is None
-        config = MaxEmbedConfig(
-            admission_capacity=16,
-            admission_policy="deadline",
-            admission_deadline_us=500.0,
-        )
-        admission = config.admission_config()
-        assert admission.capacity == 16
-        assert admission.policy == "deadline"
-        with pytest.raises(ConfigError):
-            MaxEmbedConfig(admission_policy="nope")
-        with pytest.raises(ConfigError):
-            # Invalid combination caught at construction, not first use.
-            MaxEmbedConfig(
-                admission_capacity=16, admission_policy="deadline"
-            )
+        # Admission and brownout are simulator / gateway arguments; the
+        # deployment config's copies, which nothing read, are gone, not
+        # deprecated.
+        assert not hasattr(MaxEmbedConfig, "admission_config")
+        for removed in (
+            {"admission_capacity": 16},
+            {"admission_policy": "deadline"},
+            {"admission_deadline_us": 500.0},
+            {"brownout": True},
+        ):
+            with pytest.raises(TypeError):
+                MaxEmbedConfig(**removed)
 
 
 class TestAdmissionQueue:

@@ -483,12 +483,13 @@ class TestConfigWiring:
     def test_core_config_validation(self):
         with pytest.raises(ConfigError):
             MaxEmbedConfig(replicas=0)
-        with pytest.raises(ConfigError):
-            MaxEmbedConfig(hedge_quantile=0.0)
-        with pytest.raises(ConfigError):
-            MaxEmbedConfig(hedge_budget=-1.0)
-        config = MaxEmbedConfig(replicas=2, hedge_quantile=0.95)
-        assert config.replicas == 2
+        assert MaxEmbedConfig(replicas=2).replicas == 2
+        # Hedging is an EngineConfig setting; the deployment config's
+        # copies, which nothing read, are gone, not deprecated.
+        with pytest.raises(TypeError):
+            MaxEmbedConfig(hedge_quantile=0.95)
+        with pytest.raises(TypeError):
+            MaxEmbedConfig(hedge_budget=0.5)
 
     def test_groups_only_built_when_useful(self, two_community_trace):
         plain = make_cluster(two_community_trace)
