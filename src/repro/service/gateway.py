@@ -2,9 +2,10 @@
 
 :class:`GatewayCore` is the transport-independent heart of the live
 front-end (:mod:`repro.service.http` wraps it in HTTP/1.1).  It takes
-concurrent ``await submit(keys, tenant)`` calls and runs each through
-the pipeline the docs diagram as *gateway → admission → coalescer →
-engine*:
+concurrent requests — ``offer(keys, tenant, reply)``, synchronous, whose
+``reply(outcome)`` is called exactly once, or its awaitable form
+``await submit(keys, tenant)`` — and runs each through the pipeline the
+docs diagram as *gateway → admission → coalescer → engine*:
 
 1. **quota** — the tenant's token bucket is charged; an over-quota
    request is shed immediately (``quota``, HTTP 429) before it can
@@ -28,17 +29,18 @@ engine*:
    attributed to individual requests).
 
 One thread, one flush per loop tick: everything runs on the event loop's
-thread — no dispatcher task, no serve thread.  ``submit`` queues its
+thread — no dispatcher task, no serve thread.  ``offer`` queues its
 entry and schedules :meth:`GatewayCore._flush` once per tick
 (``loop.call_soon``, de-duplicated by a flag), so one tick's arrivals
 meet the admission policy and then flush together; the flush calls the
-engine inline and — unpaced — records the batch and resolves its futures
-before returning.  ``coalescer.max_wait_us`` is one ``loop.call_later``
-handle on the same flush; a paced batch's completion calls it directly.
-Dispatching straight from ``submit`` was measured and rejected: each
-flush then finds one request, the mean batch halves to 1.0, the engine
-runs twice as often and ``gateway-single`` is slower (7 905–8 291
-against 8 541–8 749 wall qps; docs/architecture.md).  Declared
+engine inline and — unpaced — records the batch and calls each member's
+``reply`` before returning, so the HTTP front end writes its replies
+from inside the flush.  ``coalescer.max_wait_us`` is one
+``loop.call_later`` handle on the same flush; a paced batch's completion
+calls it directly.  Dispatching straight from ``offer`` was measured and
+rejected: each flush then finds one request, the mean batch halves to
+1.0, the engine runs twice as often and ``gateway-single`` is slower
+(7 905–8 291 against 8 541–8 749 wall qps; docs/architecture.md).  Declared
 consequence: an engine call blocks the loop for its ≈ 50–100 µs, so an
 unpaced batch is never "in flight" while the loop runs —
 ``max_concurrent_batches``, queue ageing, deadline misses and
@@ -60,9 +62,11 @@ request is exactly one of *completed*, *shed* (quota / admission policy
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ServingError
 from ..overload import (
@@ -159,6 +163,37 @@ class ServeOutcome:
             body["reason"] = self.shed_reason
         return body
 
+    def json_line(self) -> bytes:
+        """:meth:`payload` encoded as one JSON line.
+
+        Byte-identical to ``json.dumps(self.payload(), sort_keys=True) +
+        "\\n"``.  A served outcome — the single-query HTTP reply on the
+        hot path — is formatted without the dict: the fields in sorted
+        order, and the keys as a list repr, which is their JSON when they
+        are exact ``int`` (the only keys the HTTP layer admits).
+        ``json.dumps`` spends most of its time on the key list; the A/B
+        is in EXPERIMENTS.md.  A field added to :meth:`payload` must be
+        added here too: ``tests/test_service_http.py::TestSingleQueryReply``
+        compares the two encodings byte for byte.
+        """
+        if not self.ok:
+            return (json.dumps(self.payload(), sort_keys=True) + "\n").encode()
+        return (
+            '{"batch_pages_read": %d, "coalesced": %d, "degrade_level": %d, '
+            '"keys": %r, "latency_us": %r, "missing": %d, "served": %d, '
+            '"status": "ok", "tenant": %s}\n'
+            % (
+                self.batch_pages_read,
+                self.coalesced,
+                self.degrade_level,
+                list(self.keys),
+                round(self.finish_us - self.arrival_us, 3),
+                self.missing,
+                self.served,
+                encode_basestring_ascii(self.tenant),
+            )
+        ).encode()
+
 
 @dataclass
 class _Pending:
@@ -166,7 +201,7 @@ class _Pending:
 
     entry: QueueEntry
     tenant: str
-    future: "asyncio.Future[ServeOutcome]"
+    reply: Callable[[ServeOutcome], None]
 
 
 @dataclass
@@ -345,20 +380,48 @@ class GatewayCore:
     ) -> ServeOutcome:
         """Run one request through quota → admission → coalescer → engine.
 
-        Raises :class:`~repro.errors.ConfigError` for malformed keys
-        (the HTTP layer maps that to 400) — malformed requests are not
-        *offered* and do not enter the accounting.
+        The awaitable form of :meth:`offer`.  Raises
+        :class:`~repro.errors.ConfigError` for malformed keys — malformed
+        requests are not *offered* and do not enter the accounting.
         """
-        if self._loop is None:
+        future: "asyncio.Future[ServeOutcome]" = (
+            asyncio.get_running_loop().create_future()
+        )
+
+        def resolve(outcome: ServeOutcome) -> None:
+            if not future.done():  # the awaiting task may be cancelled
+                future.set_result(outcome)
+
+        self.offer(keys, tenant, resolve)
+        return await future
+
+    def offer(
+        self,
+        keys: Iterable[int],
+        tenant: str,
+        reply: Callable[[ServeOutcome], None],
+    ) -> None:
+        """Offer one request; ``reply(outcome)`` is called exactly once.
+
+        Synchronous: a request shed on arrival (drain, quota, admission)
+        is answered before ``offer`` returns; an admitted one is answered
+        from the loop tick's flush, once its batch is served.  Raises
+        :class:`~repro.errors.ConfigError` for malformed keys (the HTTP
+        layer maps that to 400) before anything is counted.
+        """
+        loop = self._loop
+        if loop is None:
             raise ServingError("gateway not started; call start() first")
         query = Query(tuple(keys))
         now = self.clock.now_us()
         self._offered += 1
         if self._draining:
-            return self._immediate_shed(query, tenant, now, SHED_DRAIN)
+            reply(self._immediate_shed(query, tenant, now, SHED_DRAIN))
+            return
         bucket = self._buckets.get(tenant)
         if bucket is not None and not bucket.try_take(now):
-            return self._immediate_shed(query, tenant, now, SHED_QUOTA)
+            reply(self._immediate_shed(query, tenant, now, SHED_QUOTA))
+            return
         priority = self.config.tenant(tenant).priority
         if self._hotness is not None:
             # Tenant priority breaks ties between tenants; query hotness
@@ -368,9 +431,7 @@ class GatewayCore:
         entry = QueueEntry(
             arrival_us=now, index=self._seq, query=query, priority=priority
         )
-        loop = self._loop
-        future: "asyncio.Future[ServeOutcome]" = loop.create_future()
-        self._pending[entry.index] = _Pending(entry, tenant, future)
+        self._pending[entry.index] = _Pending(entry, tenant, reply)
         for victim, reason in self.queue.offer(entry, now):
             self._resolve_shed(victim, reason)
         if not self._flush_scheduled:
@@ -378,7 +439,6 @@ class GatewayCore:
             # the queue (and has met the admission policy) when it runs.
             self._flush_scheduled = True
             loop.call_soon(self._flush)
-        return await future
 
     def _count_shed(self, reason: str) -> None:
         self._shed[reason] = self._shed.get(reason, 0) + 1
@@ -413,8 +473,7 @@ class GatewayCore:
             arrival_us=entry.arrival_us,
             shed_reason=reason,
         )
-        if not pending.future.done():
-            pending.future.set_result(outcome)
+        pending.reply(outcome)
 
     # -- dispatcher ------------------------------------------------------------
 
@@ -623,7 +682,7 @@ class GatewayCore:
     def _record_batch(
         self, tenant: str, size: int, served: _BatchServed, start_us: float
     ) -> None:
-        """Account one served batch and resolve its members' futures."""
+        """Account one served batch and reply to each of its members."""
         self._batches += 1
         self._coalesced_queries += size
         self._duplicate_keys_merged += served.duplicate_keys
@@ -658,9 +717,9 @@ class GatewayCore:
                 )
             )
             pending = self._pending.pop(entry.index, None)
-            if pending is None or pending.future.done():
+            if pending is None:
                 continue
-            pending.future.set_result(
+            pending.reply(
                 ServeOutcome(
                     status="ok",
                     tenant=pending.tenant,

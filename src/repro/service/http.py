@@ -1,9 +1,10 @@
 """Stdlib-only asyncio HTTP/1.1 front of :class:`~repro.service.GatewayCore`.
 
-No web framework, no new dependencies: a hand-rolled HTTP/1.1 server on
-``asyncio.start_server`` with keep-alive, JSON bodies, and chunked
-transfer for streamed batch responses.  The protocol surface is small on
-purpose — four routes, documented in ``docs/architecture.md``:
+No web framework, no new dependencies: a hand-rolled HTTP/1.1 server —
+one :class:`asyncio.Protocol` per connection on ``loop.create_server`` —
+with keep-alive, JSON bodies, and chunked transfer for streamed batch
+responses.  The protocol surface is small on purpose — four routes,
+documented in ``docs/architecture.md``:
 
 ========  ==========  ====================================================
 method    path        behaviour
@@ -25,11 +26,28 @@ POST      /refresh    trigger one watch→repair iteration now (off the
 POST      /drain      begin graceful drain (also triggered by SIGTERM)
 ========  ==========  ====================================================
 
+One callback from request bytes to reply bytes: ``data_received`` parses
+every complete request out of the connection's buffer, and a
+single-query ``POST /query`` goes straight to the synchronous
+:meth:`GatewayCore.offer <repro.service.GatewayCore.offer>` with the
+connection's reply callable, which the gateway's per-tick flush calls to
+write the encoded reply to the transport — no stream reader, coroutine,
+task or future per request.  The routes that must await (a batch, a
+streamed batch, the ``/refresh`` trigger) run as one task whose writes
+go to the same transport.  A connection parses nothing further until
+its current reply is written, so pipelined requests are answered in
+order, and it stops reading while a reply is pending and its buffer
+holds more than one largest request.
+
 Backpressure maps straight off the gateway outcome: quota sheds are 429,
 admission-policy sheds / deadline misses / drain are 503, each carrying
 its shed reason so clients can distinguish "you specifically are over
 quota" from "the service is hot".  Malformed requests are 400 and are
-*not* offered to the gateway — they never touch the accounting.
+*not* offered to the gateway — they never touch the accounting.  A
+request the server cannot frame — a malformed request line or
+``Content-Length``, an oversized head or body, or any
+``Transfer-Encoding`` (501: a body must come with a ``Content-Length``)
+— is answered with ``Connection: close``, and the connection closes.
 """
 
 from __future__ import annotations
@@ -38,7 +56,7 @@ import asyncio
 import json
 import re
 import signal
-from typing import Dict, List, Optional, Tuple
+from typing import Awaitable, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from .config import ServiceConfig
@@ -49,10 +67,17 @@ from .gateway import GatewayCore, ServeOutcome
 MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Hard cap on request head (request line + headers) bytes.
 MAX_HEAD_BYTES = 64 * 1024
+#: A connection with a reply pending stops reading once it has buffered
+#: more than one largest request.
+_BUFFER_LIMIT = MAX_HEAD_BYTES + MAX_BODY_BYTES
 
 #: A ``Content-Length`` header line inside a request head.
 _CONTENT_LENGTH = re.compile(
     rb"\r\n[ \t]*content-length[ \t]*:([^\r\n]*)", re.IGNORECASE
+)
+#: A ``Transfer-Encoding`` header line inside a request head.
+_TRANSFER_ENCODING = re.compile(
+    rb"\r\n[ \t]*transfer-encoding[ \t]*:", re.IGNORECASE
 )
 
 _REASONS = {
@@ -62,6 +87,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -85,22 +111,26 @@ def _response(
     *,
     chunked: bool = False,
     content_type: str = "application/json",
+    close: bool = False,
 ) -> bytes:
-    head = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-    ]
-    if chunked:
-        head.append("Transfer-Encoding: chunked")
-    else:
-        head.append(f"Content-Length: {len(body)}")
-    head.append("Connection: keep-alive")
-    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+    framing = (
+        "Transfer-Encoding: chunked"
+        if chunked
+        else f"Content-Length: {len(body)}"
+    )
+    return (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"{framing}\r\n"
+        f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
+    ).encode() + body
 
 
-def _error_response(exc: HttpError) -> bytes:
+def _error_response(exc: HttpError, close: bool = False) -> bytes:
     return _response(
-        exc.status, _json_bytes({"error": exc.detail, "status": exc.status})
+        exc.status,
+        _json_bytes({"error": exc.detail, "status": exc.status}),
+        close=close,
     )
 
 
@@ -109,6 +139,210 @@ def _chunk(data: bytes) -> bytes:
 
 
 _LAST_CHUNK = b"0\r\n\r\n"
+
+
+class _Connection(asyncio.Protocol):
+    """One keep-alive HTTP/1.1 connection: frame, dispatch, write.
+
+    ``busy`` runs from the dispatch of a request until the last bytes of
+    its reply are written (:meth:`send`); meanwhile arriving bytes are
+    only buffered.
+    """
+
+    transport: asyncio.Transport  # set by connection_made
+
+    def __init__(self, server: "HttpGateway") -> None:
+        self.server = server
+        self.buffer = bytearray()
+        #: Where the search for the head's blank line resumes.
+        self._scan_from = 0
+        #: The buffered head, once framed: see :meth:`_frame`.
+        self._framed: Optional[Tuple[int, int, str, str, str]] = None
+        self.busy = False
+        self._parsing = False
+        self._eof = False
+        self._reading_paused = False
+        self._writing_paused = False
+        self._drain_waiter: "Optional[asyncio.Future[None]]" = None
+
+    # -- asyncio.Protocol ------------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+        self._wake_drain()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if not self.busy:
+            self._parse()
+        elif len(self.buffer) > _BUFFER_LIMIT and not self._reading_paused:
+            self._reading_paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        # Answer what the client asked before its half-close, then close.
+        self._eof = True
+        if not self.busy:
+            self.transport.close()
+        return True
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._wake_drain()
+
+    # -- writing ---------------------------------------------------------------
+
+    def write(self, data: bytes) -> None:
+        """Write part of the current reply (dropped once closing)."""
+        if not self.transport.is_closing():
+            self.transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait while the transport's write buffer is over its high mark."""
+        if self._writing_paused and not self.transport.is_closing():
+            self._drain_waiter = asyncio.get_running_loop().create_future()
+            await self._drain_waiter
+
+    def _wake_drain(self) -> None:
+        waiter, self._drain_waiter = self._drain_waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def send(self, data: bytes) -> None:
+        """Write the last bytes of the current reply; the connection is
+        free for its next request."""
+        self.write(data)
+        self.busy = False
+        if (
+            not self._parsing
+            and (self.buffer or self._eof)
+            and not self.transport.is_closing()
+        ):
+            # Taken up on the next turn, never from inside the flush that
+            # is replying (a pipelined request must not join its batch).
+            asyncio.get_running_loop().call_soon(self._parse)
+
+    def reply(self, outcome: ServeOutcome) -> None:
+        """The reply callable handed to :meth:`GatewayCore.offer`."""
+        self.send(_response(outcome.http_status(), outcome.json_line()))
+
+    # -- framing ---------------------------------------------------------------
+
+    def _parse(self) -> None:
+        """Dispatch the buffer's complete requests, in order, until one
+        leaves its reply pending."""
+        self._parsing = True
+        while not self.busy:
+            try:
+                request = self._next_request()
+            except HttpError as exc:
+                self._refuse(exc)
+                break
+            if request is None:
+                break
+            self.busy = True
+            pending = self.server._dispatch(self, *request)
+            if pending is not None:
+                self._run(pending)
+        self._parsing = False
+        if self.busy:
+            return
+        # Needs more bytes (or none are coming).
+        if self._reading_paused:
+            self._reading_paused = False
+            self.transport.resume_reading()
+        if self._eof:
+            self.transport.close()
+
+    def _next_request(self) -> Optional[Tuple[str, str, str, bytes]]:
+        """Take one complete request off the buffer; None until its last
+        byte has arrived.
+
+        Resumes where the previous call stopped — the blank-line search
+        from where the last one ended, a framed head kept until its body
+        is complete — so a request costs work linear in its bytes however
+        finely it is segmented.
+        """
+        buffer = self.buffer
+        framed = self._framed
+        if framed is None:
+            end = buffer.find(b"\r\n\r\n", self._scan_from)
+            if end < 0:
+                if len(buffer) > MAX_HEAD_BYTES:
+                    raise HttpError(413, "request head too large")
+                self._scan_from = max(0, len(buffer) - 3)
+                return None
+            framed = self._framed = self._frame(end + 4)
+        head_end, stop, method, path, query = framed
+        if len(buffer) < stop:
+            return None
+        body = bytes(buffer[head_end:stop])
+        del buffer[:stop]
+        self._framed = None
+        self._scan_from = 0
+        return method, path, query, body
+
+    def _frame(self, head_end: int) -> Tuple[int, int, str, str, str]:
+        """Check the head ending at ``head_end`` -> (head end, request
+        end, method, path, query string)."""
+        if head_end > MAX_HEAD_BYTES:
+            raise HttpError(413, "request head too large")
+        head = self.buffer[:head_end]
+        request_line = head[: head.index(b"\r\n")].decode("latin-1")
+        parts = request_line.split(" ")
+        if len(parts) != 3:
+            raise HttpError(400, f"malformed request line {request_line!r}")
+        if _TRANSFER_ENCODING.search(head):
+            raise HttpError(
+                501,
+                "Transfer-Encoding is not supported; send a Content-Length",
+            )
+        # Content-Length is the only header read; the last one wins.
+        lengths = _CONTENT_LENGTH.findall(head)
+        raw = lengths[-1].strip() if lengths else b""
+        try:
+            length = int(raw or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            raise HttpError(
+                400, f"malformed Content-Length {raw.decode('latin-1')!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            raise HttpError(413, f"body of {length} bytes exceeds cap")
+        method, target, _version = parts
+        path, _, query = target.partition("?")
+        return head_end, head_end + length, method.upper(), path, query
+
+    def _refuse(self, exc: HttpError) -> None:
+        """Answer a request that cannot be framed, then close: nothing
+        after it can be trusted to start the next request."""
+        self.busy = True  # for good: nothing more is parsed
+        self.buffer.clear()
+        self.write(_error_response(exc, close=True))
+        self.transport.close()
+
+    def _run(self, pending: Awaitable[None]) -> None:
+        task = asyncio.get_running_loop().create_task(self._finish(pending))
+        tasks = self.server._tasks
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    async def _finish(self, pending: Awaitable[None]) -> None:
+        try:
+            await pending
+        except HttpError as exc:
+            self.send(_error_response(exc))
+        finally:
+            if self.busy:  # the route raised before its reply was done
+                self.transport.close()
 
 
 class HttpGateway:
@@ -124,7 +358,8 @@ class HttpGateway:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._connections: Set[_Connection] = set()
+        self._tasks: Set["asyncio.Task[None]"] = set()
         self._drain_requested = asyncio.Event()
 
     @property
@@ -139,28 +374,29 @@ class HttpGateway:
     async def start(self) -> None:
         """Start the gateway core and begin accepting connections."""
         await self.gateway.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=self.host, port=self.port
         )
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain the gateway, then end
-        the connections — returns once every handler has (bounded by
+        the connections — returns once every request task has (bounded by
         ``drain_timeout_s``, like the batches)."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
         await self.gateway.stop()
-        if self._handlers:
-            # One turn first: a handler whose request the drain has just
+        if self._connections or self._tasks:
+            # One turn first: a task whose request the drain has just
             # resolved is already scheduled, and writes its reply in it.
             await asyncio.sleep(0)
-            for writer in self._handlers.values():
-                writer.close()
-            await asyncio.wait(
-                set(self._handlers),
-                timeout=self.gateway.config.drain_timeout_s,
-            )
+            for connection in list(self._connections):
+                connection.transport.close()
+            if self._tasks:
+                await asyncio.wait(
+                    set(self._tasks),
+                    timeout=self.gateway.config.drain_timeout_s,
+                )
         if server is not None:
             # Last: from Python 3.12 on this waits for every connection.
             await server.wait_closed()
@@ -198,71 +434,7 @@ class HttpGateway:
     async def __aexit__(self, *exc_info) -> None:
         await self.stop()
 
-    # -- protocol --------------------------------------------------------------
-
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        task = asyncio.current_task()
-        self._handlers[task] = writer
-        task.add_done_callback(self._handlers.pop)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except asyncio.IncompleteReadError:
-                    break
-                except HttpError as exc:
-                    writer.write(_error_response(exc))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, path, query, body = request
-                await self._dispatch(method, path, query, body, writer)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, str, bytes]]:
-        """Parse one request; None on a cleanly closed connection."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise HttpError(413, "request head too large")
-        if len(head) > MAX_HEAD_BYTES:
-            raise HttpError(413, "request head too large")
-        request_line = head[: head.index(b"\r\n")].decode("latin-1")
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            raise HttpError(400, f"malformed request line {request_line!r}")
-        method, target, _version = parts
-        # Content-Length is the only header read; the last one wins.
-        lengths = _CONTENT_LENGTH.findall(head)
-        raw = lengths[-1].strip() if lengths else b""
-        try:
-            length = int(raw or 0)
-            if length < 0:
-                raise ValueError(length)
-        except ValueError:
-            raise HttpError(
-                400, f"malformed Content-Length {raw.decode('latin-1')!r}"
-            )
-        if length > MAX_BODY_BYTES:
-            raise HttpError(413, f"body of {length} bytes exceeds cap")
-        body = await reader.readexactly(length) if length else b""
-        path, _, query = target.partition("?")
-        return method.upper(), path, query, body
+    # -- routes ----------------------------------------------------------------
 
     @staticmethod
     def _query_params(query: str) -> Dict[str, str]:
@@ -275,25 +447,26 @@ class HttpGateway:
             params[name] = value
         return params
 
-    async def _dispatch(
+    def _dispatch(
         self,
+        conn: _Connection,
         method: str,
         path: str,
         query: str,
         body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    ) -> Optional[Awaitable[None]]:
+        """Route one request.  The reply goes out through ``conn`` — now,
+        or from the gateway's flush; a route that must await returns its
+        coroutine for ``conn`` to run."""
         try:
             if path == "/query":
                 if method != "POST":
                     raise HttpError(405, "/query is POST-only")
-                await self._handle_query(body, writer)
+                return self._handle_query(body, conn)
             elif path == "/health":
                 if method != "GET":
                     raise HttpError(405, "/health is GET-only")
-                writer.write(
-                    _response(200, _json_bytes(self.gateway.health()))
-                )
+                conn.send(_response(200, _json_bytes(self.gateway.health())))
             elif path == "/metrics":
                 if method != "GET":
                     raise HttpError(405, "/metrics is GET-only")
@@ -301,7 +474,7 @@ class HttpGateway:
                 if fmt == "prometheus":
                     from . import prometheus
 
-                    writer.write(
+                    conn.send(
                         _response(
                             200,
                             prometheus.render_prometheus(
@@ -311,7 +484,7 @@ class HttpGateway:
                         )
                     )
                 elif fmt == "json":
-                    writer.write(
+                    conn.send(
                         _response(200, _json_bytes(self.gateway.metrics()))
                     )
                 else:
@@ -319,30 +492,29 @@ class HttpGateway:
                         400, f"unknown metrics format {fmt!r}"
                     )
             elif path == "/refresh":
-                await self._handle_refresh(method, body, writer)
+                return self._handle_refresh(method, body, conn)
             elif path == "/drain":
                 if method != "POST":
                     raise HttpError(405, "/drain is POST-only")
                 self.request_drain()
-                writer.write(
-                    _response(200, _json_bytes({"status": "draining"}))
-                )
+                conn.send(_response(200, _json_bytes({"status": "draining"})))
             else:
                 raise HttpError(404, f"no route {path!r}")
         except HttpError as exc:
-            writer.write(_error_response(exc))
+            conn.send(_error_response(exc))
+        return None
 
     # -- /refresh --------------------------------------------------------------
 
-    async def _handle_refresh(
-        self, method: str, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle_refresh(
+        self, method: str, body: bytes, conn: _Connection
+    ) -> Optional[Awaitable[None]]:
         daemon = self.gateway.refresh
         if daemon is None:
             raise HttpError(404, "no refresh daemon is mounted")
         if method == "GET":
-            writer.write(_response(200, _json_bytes(daemon.status())))
-            return
+            conn.send(_response(200, _json_bytes(daemon.status())))
+            return None
         if method != "POST":
             raise HttpError(405, "/refresh is GET or POST")
         try:
@@ -356,15 +528,17 @@ class HttpGateway:
                 daemon.pause()
             else:
                 daemon.resume()
-            writer.write(
-                _response(200, _json_bytes({"state": daemon.state}))
-            )
-            return
+            conn.send(_response(200, _json_bytes({"state": daemon.state})))
+            return None
+        return self._refresh_step(daemon, conn)
+
+    @staticmethod
+    async def _refresh_step(daemon, conn: _Connection) -> None:
         # Trigger one iteration now; step() serializes internally and
         # never raises, but it can rebuild — keep it off the event loop.
         loop = asyncio.get_running_loop()
         outcome = await loop.run_in_executor(None, daemon.step)
-        writer.write(
+        conn.send(
             _response(
                 200,
                 _json_bytes({"step": outcome, "state": daemon.state}),
@@ -405,26 +579,28 @@ class HttpGateway:
             key_lists.append(keys)
         return key_lists, tenant, stream
 
-    async def _handle_query(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle_query(
+        self, body: bytes, conn: _Connection
+    ) -> Optional[Awaitable[None]]:
         key_lists, tenant, stream = self._parse_query_body(body)
         if len(key_lists) == 1:
             try:
-                outcome = await self.gateway.submit(key_lists[0], tenant)
+                self.gateway.offer(key_lists[0], tenant, conn.reply)
             except ConfigError as exc:
                 raise HttpError(400, str(exc))
-            writer.write(
-                _response(outcome.http_status(), _json_bytes(outcome.payload()))
-            )
-            return
+            return None
         submissions = [
             asyncio.ensure_future(self.gateway.submit(keys, tenant))
             for keys in key_lists
         ]
         if stream:
-            await self._stream_batch(submissions, writer)
-            return
+            return self._stream_batch(submissions, conn)
+        return self._gather_batch(submissions, conn)
+
+    @staticmethod
+    async def _gather_batch(
+        submissions: List["asyncio.Future[ServeOutcome]"], conn: _Connection
+    ) -> None:
         try:
             outcomes: List[ServeOutcome] = list(
                 await asyncio.gather(*submissions)
@@ -434,7 +610,7 @@ class HttpGateway:
         status = 200 if any(o.ok for o in outcomes) else max(
             o.http_status() for o in outcomes
         )
-        writer.write(
+        conn.send(
             _response(
                 status,
                 _json_bytes(
@@ -450,7 +626,7 @@ class HttpGateway:
     async def _stream_batch(
         self,
         submissions: List["asyncio.Future[ServeOutcome]"],
-        writer: asyncio.StreamWriter,
+        conn: _Connection,
     ) -> None:
         """Chunked response: one JSON line per member, in completion order.
 
@@ -460,8 +636,8 @@ class HttpGateway:
         buffering for the stragglers.  Member ``index`` identifies which
         request each line answers.
         """
-        writer.write(_response(200, b"", chunked=True))
-        await writer.drain()
+        conn.write(_response(200, b"", chunked=True))
+        await conn.drain()
         indexed = {
             asyncio.ensure_future(self._tag(i, fut)): i
             for i, fut in enumerate(submissions)
@@ -476,9 +652,9 @@ class HttpGateway:
                 line = dict(outcome.payload())
                 line["index"] = index
                 line["http_status"] = outcome.http_status()
-                writer.write(_chunk(_json_bytes(line)))
-            await writer.drain()
-        writer.write(_LAST_CHUNK)
+                conn.write(_chunk(_json_bytes(line)))
+            await conn.drain()
+        conn.send(_LAST_CHUNK)
 
     @staticmethod
     async def _tag(

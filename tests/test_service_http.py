@@ -1,8 +1,8 @@
 """Tests for the HTTP transport: routes, status mapping, streaming, drain.
 
-Each test runs a real ``asyncio.start_server`` gateway on an ephemeral
-port and talks raw HTTP/1.1 to it — the same wire a production client
-would see, including keep-alive reuse and chunked streaming.
+Each test runs a real gateway on an ephemeral port and talks raw HTTP/1.1
+to it — the same wire a production client would see, including
+keep-alive reuse, pipelining, chunked streaming and refused framing.
 """
 
 from __future__ import annotations
@@ -22,6 +22,44 @@ from repro.service import (
     ServiceConfig,
     TenantConfig,
 )
+from repro.service import http as http_module
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
+    _Connection,
+    _response,
+)
+from tests.test_service_hot_path import KEYS, CannedEngine, http_pairs
+
+_KEYS_BODY = b'{"keys": [0, 1]}'
+
+#: Requests the server cannot frame -> the status it answers them with.
+UNFRAMEABLE = {
+    "content-length": (
+        b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        400,
+    ),
+    "request-line": (b"POST /query\r\nContent-Length: 0\r\n\r\n", 400),
+    # One byte over the cap and still no blank line: all of it is read.
+    "head-too-large": (
+        (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEAD_BYTES)[
+            : MAX_HEAD_BYTES + 1
+        ],
+        413,
+    ),
+    "body-too-large": (
+        b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (MAX_BODY_BYTES + 1),
+        413,
+    ),
+    "transfer-encoding": (
+        b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n" % len(_KEYS_BODY)
+        + _KEYS_BODY
+        + b"\r\n0\r\n\r\n",
+        501,
+    ),
+}
 
 
 @pytest.fixture
@@ -37,19 +75,25 @@ def make_engine(layout):
     return ServingEngine(layout, EngineConfig(cache_ratio=0.0, threads=2))
 
 
+def encode_request(method, path, body=None) -> bytes:
+    payload = json.dumps(body).encode() if body is not None else b""
+    return (
+        f"{method} {path} HTTP/1.1\r\n"
+        "Host: test\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        "\r\n"
+    ).encode() + payload
+
+
 async def http_request(reader, writer, method, path, body=None):
     """One request on a kept-alive connection -> (status, payload dict)."""
-    payload = json.dumps(body).encode() if body is not None else b""
-    writer.write(
-        (
-            f"{method} {path} HTTP/1.1\r\n"
-            "Host: test\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "\r\n"
-        ).encode()
-        + payload
-    )
+    writer.write(encode_request(method, path, body))
     await writer.drain()
+    return await read_reply(reader)
+
+
+async def read_reply(reader):
+    """One response off the connection -> (status, payload dict)."""
     head = await reader.readuntil(b"\r\n\r\n")
     status = int(head.split(b"\r\n")[0].split(b" ")[1])
     length = 0
@@ -240,6 +284,24 @@ class TestRoutes:
             b"HTTP/1.1 200 "
         )
 
+    @pytest.mark.parametrize("case", sorted(UNFRAMEABLE))
+    def test_unframeable_request_is_answered_once_then_closed(
+        self, layout, case
+    ):
+        request, status = UNFRAMEABLE[case]
+
+        async def scenario(server, r, w):
+            w.write(request)
+            return await asyncio.wait_for(r.read(), timeout=5)  # to EOF
+
+        reply = serve(layout, ServiceConfig(), scenario)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        # One reply: a chunked body is never parsed as a second request.
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["status"] == status
+
     def test_quota_maps_to_429(self, layout):
         config = ServiceConfig(
             tenants=(TenantConfig(name="metered", rate_qps=0.001, burst=1),)
@@ -276,6 +338,179 @@ class TestRoutes:
         assert late[0] == 503
         assert late[1]["reason"] == "drain"
         assert health[1]["status"] == "draining"
+
+
+class TestPipelining:
+    def test_pipelined_requests_are_answered_in_order(self, layout):
+        config = ServiceConfig(
+            tenants=(TenantConfig(name="metered", rate_qps=0.001, burst=1),)
+        )
+
+        async def scenario(server, r, w):
+            w.write(
+                encode_request(
+                    "POST", "/query", {"keys": [0], "tenant": "metered"}
+                )
+                + encode_request("POST", "/query", {"keys": [1, 2]})
+            )
+            replies = [await read_reply(r) for _ in range(2)]
+            w.write(
+                encode_request("GET", "/nope")
+                + encode_request(
+                    "POST", "/query", {"keys": [3], "tenant": "metered"}
+                )
+                + encode_request("POST", "/query", {"keys": [4, 5]})
+            )
+            replies += [await read_reply(r) for _ in range(3)]
+            return replies
+
+        replies = serve(layout, config, scenario)
+        assert [status for status, _ in replies] == [200, 200, 404, 429, 200]
+        assert [payload.get("keys") for _, payload in replies] == [
+            [0],
+            [1, 2],
+            None,
+            [3],
+            [4, 5],
+        ]
+
+    def test_request_dribbled_one_byte_per_write_is_served(self, layout):
+        async def scenario(server, r, w):
+            for byte in encode_request("POST", "/query", {"keys": [0, 1]}):
+                w.write(bytes([byte]))
+                await w.drain()
+                await asyncio.sleep(0)
+            return await read_reply(r)
+
+        status, payload = serve(layout, ServiceConfig(), scenario)
+        assert status == 200
+        assert payload["served"] == 2
+
+    def test_framing_work_is_linear_in_the_bytes_received(self, monkeypatch):
+        """A head near the cap one byte per segment, then a large body in
+        small segments: the blank-line search visits each byte at most
+        four times (it resumes three bytes back) and the head is framed
+        once, not again per segment."""
+        body = b"x" * (400 * 1024)
+        head = b"POST /nowhere HTTP/1.1\r\nContent-Length: %d\r\nX-Pad: " % len(
+            body
+        )
+        head += b"a" * (MAX_HEAD_BYTES - len(head) - 4) + b"\r\n\r\n"
+        assert len(head) == MAX_HEAD_BYTES
+
+        class ScanCountingBuffer(bytearray):
+            scanned = 0
+
+            def find(self, sub, start=0, *args):
+                self.scanned += len(self) - start
+                return super().find(sub, start, *args)
+
+        class CountingPattern:
+            calls = 0
+
+            def __init__(self, pattern):
+                self.pattern = pattern
+
+            def findall(self, data):
+                CountingPattern.calls += 1
+                return self.pattern.findall(data)
+
+        monkeypatch.setattr(
+            http_module,
+            "_CONTENT_LENGTH",
+            CountingPattern(http_module._CONTENT_LENGTH),
+        )
+        conn = _Connection(HttpGateway(GatewayCore(CannedEngine()), port=0))
+        conn.transport = _CapturingTransport()
+        conn.buffer = buffer = ScanCountingBuffer()
+        for at in range(len(head)):
+            conn.data_received(head[at : at + 1])
+        for at in range(0, len(body), 512):
+            conn.data_received(body[at : at + 512])
+
+        assert len(conn.transport.writes) == 1
+        assert conn.transport.writes[0].startswith(b"HTTP/1.1 404 ")
+        assert not buffer
+        # Re-searching the whole buffer per segment would scan ≈ 2 GB.
+        assert buffer.scanned <= 4 * len(head)
+        assert CountingPattern.calls == 1
+
+
+class _CapturingTransport:
+    """Stands in for a socket transport; keeps what is written."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def is_closing(self) -> bool:
+        return False
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+
+class TestSingleQueryReply:
+    def test_reply_bytes_are_the_payload_encoded(self, layout):
+        """The reply is written without building the payload dict; it must
+        still be the bytes the dict encodes to, for every outcome kind."""
+        config = ServiceConfig(
+            admission=AdmissionConfig(capacity=1, policy="tail"),
+            tenants=(TenantConfig(name="métré", rate_qps=0.001, burst=1),),
+        )
+
+        async def scenario():
+            async with GatewayCore(make_engine(layout), config) as core:
+                conn = _Connection(HttpGateway(core, port=0))
+                conn.transport = _CapturingTransport()
+                outcomes = []
+
+                def reply(outcome):
+                    outcomes.append(outcome)
+                    conn.reply(outcome)
+
+                core.offer([0, 1, 4, 1], "métré", reply)  # the one slot
+                core.offer([2], "métré", reply)  # over quota
+                core.offer([5, 7], "default", reply)  # waiting room full
+                while len(outcomes) < 3:
+                    await asyncio.sleep(0)
+                return outcomes, conn.transport.writes
+
+        outcomes, writes = asyncio.run(scenario())
+        assert [o.http_status() for o in outcomes] == [429, 503, 200]
+        assert [o.shed_reason for o in outcomes] == ["quota", "tail", None]
+        for outcome, data in zip(outcomes, writes):
+            body = json.dumps(outcome.payload(), sort_keys=True) + "\n"
+            assert data == _response(outcome.http_status(), body.encode())
+
+    def test_submit_and_http_leave_the_same_service_section(self):
+        async def by_submit():
+            async with GatewayCore(CannedEngine(), ServiceConfig()) as core:
+                for _ in range(10):
+                    await asyncio.gather(*(core.submit(k) for k in KEYS))
+                return core.metrics()["service"]
+
+        async def by_http():
+            core = GatewayCore(CannedEngine(), ServiceConfig())
+            server = HttpGateway(core, port=0)
+            await server.start()
+            connections = [
+                await asyncio.open_connection("127.0.0.1", server.bound_port)
+                for _ in KEYS
+            ]
+            try:
+                await http_pairs(connections, 10)
+                return core.metrics()["service"]
+            finally:
+                for _, writer in connections:
+                    writer.close()
+                await server.stop()
+
+        submitted = asyncio.run(by_submit())
+        over_http = asyncio.run(by_http())
+        assert over_http == submitted
+        assert submitted["offered"] == submitted["completed"] == 20
+        assert submitted["accounted"] == 20
+        assert submitted["coalescer"]["mean_batch_size"] == 2.0
 
 
 class TestLifecycle:
