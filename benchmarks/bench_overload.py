@@ -72,14 +72,14 @@ def _row(fraction: float, offered_qps: float, report, slo_us: float) -> dict:
     return {
         "load_fraction": fraction,
         "offered_qps": round(offered_qps, 1),
-        "achieved_qps": round(report.achieved_qps(), 1),
+        "achieved_qps": round(report.throughput_qps(), 1),
         "goodput_qps": round(report.goodput_qps(slo_us), 1),
         "mean_latency_us": round(report.mean_latency_us(), 3),
         "p99_latency_us": round(report.percentile_latency_us(99.0), 3),
         "completion_rate": round(report.completion_rate(), 4),
         "shed": dict(report.shed),
         "deadline_misses": report.deadline_misses,
-        "degraded_completions": report.degraded_count(),
+        "degraded_completions": report.degraded_mode_queries(),
         "brownout_transitions": len(report.brownout_transitions),
         "final_degrade_level": report.final_degrade_level,
     }

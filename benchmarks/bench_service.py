@@ -196,7 +196,7 @@ def run_service_bench(scale: str) -> dict:
     )
     sim_row = {
         "offered_qps": round(offered_sim_qps, 1),
-        "achieved_qps": round(sim_report.achieved_qps(), 1),
+        "achieved_qps": round(sim_report.throughput_qps(), 1),
         "goodput_qps": round(sim_report.goodput_qps(slo_us), 1),
         "mean_latency_us": round(sim_report.mean_latency_us(), 3),
         "p99_latency_us": round(sim_report.percentile_latency_us(99.0), 3),

@@ -625,15 +625,15 @@ def _serve_open_loop(engine, trace, args) -> int:
             f"open-loop report ({args.offered_qps:g} qps offered)",
             {
                 "offered": report.offered_count(),
-                "completed": len(report.results),
-                "achieved_qps": round(report.achieved_qps()),
+                "completed": report.num_queries,
+                "achieved_qps": round(report.throughput_qps()),
                 "goodput_qps": round(report.goodput_qps()),
                 "mean_latency_us": round(report.mean_latency_us(), 2),
                 "p99_latency_us": round(report.percentile_latency_us(99), 2),
                 "mean_queue_wait_us": round(report.mean_queue_wait_us(), 2),
                 "shed": report.shed_count,
                 "deadline_misses": report.deadline_misses,
-                "degraded_completions": report.degraded_count(),
+                "degraded_completions": report.degraded_mode_queries(),
                 "brownout_transitions": len(report.brownout_transitions),
                 "final_degrade_level": report.final_degrade_level,
             },

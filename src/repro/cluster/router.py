@@ -9,12 +9,13 @@ shard plan, each fragment (remapped to shard-local ids) is served by its
 shard engine starting at the query's dispatch time, and the results are
 **gathered** — the query completes when its slowest shard does.
 
-The trace loop is the same closed-loop client model as the single
-engine: ``threads`` simulated workers, each serving one query at a time,
-dispatching in trace order to the earliest-free worker.  All shard
-devices advance on the shared simulated clock, so cross-query contention
-on a hot shard emerges naturally — that is precisely the imbalance the
-:class:`~repro.cluster.stats.ClusterReport` measures.
+The trace loop is the single engine's, the one driver
+:func:`~repro.serving.openloop.simulate`: ``threads`` simulated workers,
+each serving one query at a time, dispatching in trace order to the
+earliest-free worker.  All shard devices advance on the shared simulated
+clock, so cross-query contention on a hot shard emerges naturally — that
+is precisely the imbalance the :class:`~repro.cluster.stats.ClusterReport`
+measures.
 
 Fault-domain behaviour (this layer treats a whole shard as the failure
 unit; page-level faults are handled inside each shard engine by
@@ -56,7 +57,6 @@ deadline's partial gather.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import (
@@ -67,11 +67,8 @@ from ..errors import (
 from ..faults import CircuitBreaker
 from ..placement import PageLayout
 from ..serving import EngineConfig, ServingEngine
-from ..serving.stats import (
-    QueryResult,
-    aggregate_results,
-    merge_shard_results,
-)
+from ..serving.openloop import simulate
+from ..serving.stats import QueryResult, ServingReport, merge_shard_results
 from ..types import Query, QueryTrace
 from .pipeline import ShardedLayout
 from .replicas import HealthConfig, ReplicaGroup
@@ -83,6 +80,29 @@ SHARD_TIMEOUT = "timeout"
 SHARD_SKIPPED = "skipped"
 SHARD_ERROR = "error"
 SHARD_SHED = "shed"
+
+#: The per-shard counters of a :class:`ClusterReport`, in the order
+#: :meth:`_TraceTally.serve_query` unpacks them.
+_SHARD_COUNTS = (
+    "shard_queries",
+    "shard_pages_read",
+    "shard_ssd_keys",
+    "shard_cache_hits",
+    "shard_tier_hits",
+    "shard_requested_keys",
+    "shard_missing_keys",
+    "shard_failovers",
+    "shard_hedges",
+    "shard_hedge_wins",
+)
+
+#: The :class:`ClusterReport` counter each gather event increments.
+_EVENT_COUNTS = {
+    SHARD_TIMEOUT: "shard_timeouts",
+    SHARD_SKIPPED: "shard_skipped",
+    SHARD_ERROR: "shard_errors",
+    SHARD_SHED: "shard_shed",
+}
 
 
 class ClusterEngine:
@@ -504,127 +524,8 @@ class ClusterEngine:
         (fan-out caps surface as ``shard_shed`` counters); None serves
         at full service, unchanged from earlier releases.
         """
-        queries = list(trace)
-        if not queries:
-            raise ServingError("cannot serve an empty trace")
-        if warmup_queries >= len(queries):
-            raise ServingError(
-                f"warmup ({warmup_queries}) must leave at least one "
-                f"measured query ({len(queries)} total)"
-            )
-        workers = [(0.0, t) for t in range(self.config.threads)]
-        heapq.heapify(workers)
-        results: List[QueryResult] = []
-        shard_queries = [0] * self.num_shards
-        shard_pages = [0] * self.num_shards
-        shard_ssd_keys = [0] * self.num_shards
-        shard_cache_hits = [0] * self.num_shards
-        shard_tier_hits = [0] * self.num_shards
-        shard_requested = [0] * self.num_shards
-        shard_missing = [0] * self.num_shards
-        shard_timeouts = [0] * self.num_shards
-        shard_skipped = [0] * self.num_shards
-        shard_errors = [0] * self.num_shards
-        shard_shed = [0] * self.num_shards
-        shard_failovers = [0] * self.num_shards
-        shard_hedges = [0] * self.num_shards
-        shard_hedge_wins = [0] * self.num_shards
-        fanouts: List[int] = []
-        max_shard_latency: List[float] = []
-        straggler: List[float] = []
-        event_counters = {
-            SHARD_TIMEOUT: shard_timeouts,
-            SHARD_SKIPPED: shard_skipped,
-            SHARD_ERROR: shard_errors,
-            SHARD_SHED: shard_shed,
-        }
-        for index, query in enumerate(queries):
-            ready, thread = heapq.heappop(workers)
-            merged, subs, events = self._serve_scattered(
-                query, start_us=ready, degrade=degrade
-            )
-            heapq.heappush(workers, (merged.finish_us, thread))
-            if index < warmup_queries:
-                continue
-            results.append(merged)
-            latencies = []
-            for shard, sub in subs.items():
-                shard_queries[shard] += 1
-                shard_pages[shard] += sub.pages_read
-                shard_ssd_keys[shard] += sub.ssd_keys
-                shard_cache_hits[shard] += sub.cache_hits
-                shard_tier_hits[shard] += sub.tier_hits
-                shard_requested[shard] += sub.requested_keys
-                shard_missing[shard] += sub.missing_keys
-                shard_failovers[shard] += sub.failovers
-                shard_hedges[shard] += sub.hedges
-                shard_hedge_wins[shard] += sub.hedge_wins
-                latencies.append(sub.latency_us)
-            for shard, event in events.items():
-                counter = event_counters.get(event)
-                if counter is not None:
-                    counter[shard] += 1
-            fanouts.append(len(subs))
-            slowest = max(latencies)
-            max_shard_latency.append(slowest)
-            straggler.append(slowest - sum(latencies) / len(latencies))
-        report = aggregate_results(
-            results,
-            page_size=self.config.spec.page_size,
-            embedding_bytes=self.config.spec.embedding_bytes,
-        )
-        breaker_states: List[str] = []
-        breaker_transitions: List[List] = []
-        if self.breakers is not None:
-            breaker_states = [b.state for b in self.breakers]
-            breaker_transitions = [list(b.transitions) for b in self.breakers]
-        replica_states: List[List[str]] = []
-        replica_transitions: List[int] = []
-        replica_resyncs: List[int] = []
-        replica_probes: List[int] = []
-        shard_hedges_denied: List[int] = []
-        num_replicas = 1
-        if self.groups is not None:
-            num_replicas = self.config.replicas
-            replica_states = [list(g.monitor.states) for g in self.groups]
-            replica_transitions = [
-                len(g.monitor.transitions) for g in self.groups
-            ]
-            replica_resyncs = [g.resyncs for g in self.groups]
-            replica_probes = [g.probes for g in self.groups]
-            shard_hedges_denied = [g.hedges_denied for g in self.groups]
-        return ClusterReport(
-            report=report,
-            num_shards=self.num_shards,
-            strategy=self.plan.strategy,
-            shard_queries=shard_queries,
-            shard_pages_read=shard_pages,
-            shard_ssd_keys=shard_ssd_keys,
-            shard_cache_hits=shard_cache_hits,
-            shard_tier_hits=shard_tier_hits,
-            fanouts=fanouts,
-            max_shard_latency_us=max_shard_latency,
-            straggler_us=straggler,
-            shard_requested_keys=shard_requested,
-            shard_missing_keys=shard_missing,
-            shard_timeouts=shard_timeouts,
-            shard_skipped=shard_skipped,
-            shard_errors=shard_errors,
-            shard_shed=shard_shed,
-            breaker_states=breaker_states,
-            breaker_transitions=breaker_transitions,
-            shard_swaps=list(self.swap_counts),
-            swap_rollbacks=self.swap_rollbacks,
-            num_replicas=num_replicas,
-            shard_failovers=shard_failovers,
-            shard_hedges=shard_hedges,
-            shard_hedge_wins=shard_hedge_wins,
-            shard_hedges_denied=shard_hedges_denied,
-            replica_states=replica_states,
-            replica_transitions=replica_transitions,
-            replica_resyncs=replica_resyncs,
-            replica_probes=replica_probes,
-        )
+        tally = _TraceTally(self, warmup_queries, degrade)
+        return tally.finish(simulate(tally, trace, warmup=warmup_queries))
 
     # -- introspection -----------------------------------------------------------
 
@@ -686,3 +587,91 @@ class ClusterEngine:
             ),
             "shards": infos,
         }
+
+
+class _TraceTally:
+    """What :func:`simulate` serves during one ``ClusterEngine.serve_trace``.
+
+    Its ``serve_query`` gathers each query through the cluster, as the
+    cluster's own does, and adds the fragments and gather events to the
+    per-shard counters of a :class:`ClusterReport` once the warmup
+    queries have passed.
+    """
+
+    def __init__(self, cluster: ClusterEngine, warmup: int, degrade) -> None:
+        self.cluster = cluster
+        self.config = cluster.config
+        self.degrade = degrade
+        self.skip = warmup
+        n = cluster.num_shards
+        self.out = ClusterReport(
+            report=ServingReport(),  # the trace's own, set by finish()
+            num_shards=n,
+            strategy=cluster.plan.strategy,
+            **{name: [0] * n for name in _SHARD_COUNTS},
+            **{name: [0] * n for name in _EVENT_COUNTS.values()},
+        )
+        self._counts = tuple(getattr(self.out, name) for name in _SHARD_COUNTS)
+        self._events = {
+            event: getattr(self.out, name)
+            for event, name in _EVENT_COUNTS.items()
+        }
+
+    def serve_query(self, query: Query, start_us: float) -> QueryResult:
+        merged, subs, events = self.cluster._serve_scattered(
+            query, start_us, self.degrade
+        )
+        if self.skip:
+            self.skip -= 1
+            return merged
+        (
+            queries, pages, ssd_keys, cache_hits, tier_hits, requested,
+            missing, failovers, hedges, hedge_wins,
+        ) = self._counts
+        latencies = []
+        for shard, sub in subs.items():
+            queries[shard] += 1
+            pages[shard] += sub.pages_read
+            ssd_keys[shard] += sub.ssd_keys
+            cache_hits[shard] += sub.cache_hits
+            tier_hits[shard] += sub.tier_hits
+            requested[shard] += sub.requested_keys
+            missing[shard] += sub.missing_keys
+            failovers[shard] += sub.failovers
+            hedges[shard] += sub.hedges
+            hedge_wins[shard] += sub.hedge_wins
+            latencies.append(sub.latency_us)
+        for shard, event in events.items():
+            counts = self._events.get(event)
+            if counts is not None:
+                counts[shard] += 1
+        out = self.out
+        out.fanouts.append(len(subs))
+        slowest = max(latencies)
+        out.max_shard_latency_us.append(slowest)
+        out.straggler_us.append(slowest - sum(latencies) / len(latencies))
+        return merged
+
+    def finish(self, report: ServingReport) -> ClusterReport:
+        """The tallied report around ``report``, with the cluster's
+        breaker, swap and replica state as the trace left them."""
+        out, cluster = self.out, self.cluster
+        out.report = report
+        if cluster.breakers is not None:
+            out.breaker_states = [b.state for b in cluster.breakers]
+            out.breaker_transitions = [
+                list(b.transitions) for b in cluster.breakers
+            ]
+        out.shard_swaps = list(cluster.swap_counts)
+        out.swap_rollbacks = cluster.swap_rollbacks
+        if cluster.groups is not None:
+            groups = cluster.groups
+            out.num_replicas = cluster.config.replicas
+            out.replica_states = [list(g.monitor.states) for g in groups]
+            out.replica_transitions = [
+                len(g.monitor.transitions) for g in groups
+            ]
+            out.replica_resyncs = [g.resyncs for g in groups]
+            out.replica_probes = [g.probes for g in groups]
+            out.shard_hedges_denied = [g.hedges_denied for g in groups]
+        return out

@@ -76,9 +76,8 @@ from ..overload import (
     default_ladder,
     engine_hotness,
 )
-from ..serving.openloop import OpenLoopReport, OpenLoopResult
-from ..serving.stats import QueryResult, aggregate_results
-from ..types import Query
+from ..serving.stats import QueryResult, ServingReport
+from ..types import EmbeddingSpec, Query
 from .config import ServiceConfig
 from .quota import TokenBucket
 
@@ -288,11 +287,14 @@ class GatewayCore:
         # contract, overlapping batches only in (paced) completion.
         self._pending: Dict[int, _Pending] = {}
         self._seq = 0
-        self._offered = 0
-        self._shed: Dict[str, int] = {}
-        self._deadline_misses = 0
-        self._results: List[OpenLoopResult] = []
-        self._query_results: List[QueryResult] = []
+        # Two reports accumulate at completion, never a record per
+        # request: one per request (what was offered, shed and missed
+        # too), one per engine call (what the device did).
+        spec = getattr(engine_cfg, "spec", None) or EmbeddingSpec()
+        self._requests = ServingReport(spec.page_size, spec.embedding_bytes)
+        self._engine_calls = ServingReport(
+            spec.page_size, spec.embedding_bytes
+        )
         self._batch_log: List[Tuple[str, int]] = []
         self._batches = 0
         self._batch_errors: List[str] = []
@@ -414,7 +416,7 @@ class GatewayCore:
             raise ServingError("gateway not started; call start() first")
         query = Query(tuple(keys))
         now = self.clock.now_us()
-        self._offered += 1
+        self._requests.offered += 1
         if self._draining:
             reply(self._immediate_shed(query, tenant, now, SHED_DRAIN))
             return
@@ -441,7 +443,8 @@ class GatewayCore:
             loop.call_soon(self._flush)
 
     def _count_shed(self, reason: str) -> None:
-        self._shed[reason] = self._shed.get(reason, 0) + 1
+        shed = self._requests.shed
+        shed[reason] = shed.get(reason, 0) + 1
 
     def _immediate_shed(
         self, query: Query, tenant: str, now: float, reason: str
@@ -463,7 +466,7 @@ class GatewayCore:
         if pending is None:
             return
         if status == "miss":
-            self._deadline_misses += 1
+            self._requests.deadline_misses += 1
         else:
             self._count_shed(reason)
         outcome = ServeOutcome(
@@ -689,7 +692,9 @@ class GatewayCore:
         self._unattributed_missing += served.unattributed_missing
         if len(self._batch_log) < BATCH_LOG_LIMIT:
             self._batch_log.append((tenant, size))
-        self._query_results.extend(served.query_results)
+        add_call = self._engine_calls.add
+        for result in served.query_results:
+            add_call(result, result.start_us)
         if self.refresh is not None:
             # Completed requests are the drift evidence: the daemon's
             # window sees exactly what the engine actually served.
@@ -699,22 +704,19 @@ class GatewayCore:
         depth = self.queue.depth
         controller = self.controller
         pages_read = served.pages_read
+        add_request = self._requests.add_request
         for entry, requested, missing, result in served.members:
             arrival_us = entry.arrival_us
             finish_us = result.finish_us
             if controller is not None:
                 controller.observe(finish_us - arrival_us, depth, start_us)
-            self._results.append(
-                OpenLoopResult(
-                    arrival_us=arrival_us,
-                    start_us=start_us,
-                    finish_us=finish_us,
-                    requested_keys=requested,
-                    missing_keys=missing,
-                    degrade_level=result.degrade_level,
-                    retries=result.retries,
-                    recovered_keys=result.recovered_keys,
-                )
+            add_request(
+                arrival_us,
+                start_us,
+                finish_us,
+                requested,
+                missing,
+                result.degrade_level,
             )
             pending = self._pending.pop(entry.index, None)
             if pending is None:
@@ -747,33 +749,24 @@ class GatewayCore:
         """(tenant, size) of recent flushed batches (bounded history)."""
         return list(self._batch_log)
 
-    def open_loop_report(self) -> OpenLoopReport:
-        """Live counters folded into the simulator's report type.
+    def open_loop_report(self) -> ServingReport:
+        """The live per-request report, the simulator's report type.
 
-        Identical shape to :class:`~repro.serving.OpenLoopReport`, so
-        ``/metrics`` output reconciles field-by-field with offline
-        simulator runs (offered == completed + shed + misses).
+        The same :class:`~repro.serving.ServingReport` an open-loop
+        simulation returns, so ``/metrics`` output reconciles
+        field-by-field with offline simulator runs (offered == completed
+        + shed + misses).  The offered rate and the brownout record are
+        brought up to date on each call.
         """
-        results = list(self._results)
-        span = 0.0
-        if len(results) >= 2:
-            span = max(r.finish_us for r in results) - min(
-                r.arrival_us for r in results
-            )
-        offered_qps = self._offered / (span * 1e-6) if span > 0 else 0.0
-        return OpenLoopReport(
-            offered_qps=offered_qps,
-            results=results,
-            offered=self._offered,
-            shed=dict(self._shed),
-            deadline_misses=self._deadline_misses,
-            brownout_transitions=(
-                list(self.controller.transitions)
-                if self.controller is not None
-                else []
-            ),
-            final_degrade_level=self.brownout_level,
+        report = self._requests
+        span = report.makespan_us
+        report.offered_qps = (
+            report.offered / (span * 1e-6) if span > 0 else 0.0
         )
+        if self.controller is not None:
+            report.brownout_transitions = list(self.controller.transitions)
+        report.final_degrade_level = self.brownout_level
+        return report
 
     def health(self) -> Dict[str, object]:
         """Liveness summary for ``/health``."""
@@ -803,17 +796,18 @@ class GatewayCore:
         replica-group health states and failover/hedge counters when
         replica groups are active.
         """
-        completed = len(self._results)
-        shed_total = sum(self._shed.values())
+        requests = self._requests
+        completed = requests.num_queries
+        shed_total = requests.shed_count
         batches = self._batches
         data: Dict[str, object] = {
             "service": {
-                "offered": self._offered,
+                "offered": requests.offered,
                 "completed": completed,
-                "shed": dict(self._shed),
+                "shed": dict(requests.shed),
                 "shed_total": shed_total,
-                "deadline_misses": self._deadline_misses,
-                "accounted": completed + shed_total + self._deadline_misses,
+                "deadline_misses": requests.deadline_misses,
+                "accounted": completed + shed_total + requests.deadline_misses,
                 "queue_depth": self.queue.depth,
                 "in_flight_batches": self._in_flight,
                 "draining": self._draining,
@@ -840,13 +834,8 @@ class GatewayCore:
             },
             "open_loop": self.open_loop_report().as_dict(),
         }
-        if self._query_results:
-            spec = self.engine.config.spec
-            data["serving"] = aggregate_results(
-                list(self._query_results),
-                page_size=spec.page_size,
-                embedding_bytes=spec.embedding_bytes,
-            ).as_dict()
+        if self._engine_calls.num_queries:
+            data["serving"] = self._engine_calls.as_dict()
         tier_info = getattr(self.engine, "tier_info", None)
         if callable(tier_info):
             info = tier_info()

@@ -17,10 +17,12 @@ Two client transports share one report shape:
   layer (benches use it so HTTP parsing never pollutes a coalescing or
   backpressure measurement).
 
-The :class:`LoadReport` mirrors the field names of
-:meth:`~repro.serving.OpenLoopReport.as_dict` where the concepts match
-(offered / completed / shed / goodput / latency quantiles), so gateway
-measurements line up column-for-column with simulator results.
+The :class:`LoadReport` mirrors the fields of
+:meth:`~repro.serving.ServingReport.as_dict` where the concepts match
+(offered / shed / goodput / latency quantiles; its ``completed`` and
+``achieved_qps`` are the report's ``queries`` and ``throughput_qps``),
+so gateway measurements line up column-for-column with simulator
+results.
 """
 
 from __future__ import annotations

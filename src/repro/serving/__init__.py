@@ -17,7 +17,9 @@ cover.  This package provides:
   (with :class:`BatchedExecutor` / :class:`NdpExecutor`, the four values
   of the one execution axis, :data:`EXECUTORS`);
 * :class:`ServingEngine` — cache → selection → SSD, producing per-query
-  timing breakdowns and trace-level throughput/latency reports.
+  timing breakdowns;
+* :func:`simulate` — the one driver from a query stream (closed loop, or
+  open loop at given arrival times) to one :class:`ServingReport`.
 """
 
 from .selection import (
@@ -42,9 +44,8 @@ from .executor import (
 )
 from .engine import EngineConfig, QueryResult, ServingEngine
 from .recovery import DegradedExecution, RecoveringExecutor, RetryPolicy
-from .stats import ServingReport, aggregate_results
-from .batch import BatchResult, BatchServer, batching_summary
-from .openloop import OpenLoopReport, OpenLoopResult, OpenLoopSimulator
+from .stats import ServingReport
+from .openloop import OpenLoopSimulator, simulate
 
 __all__ = [
     "Selector",
@@ -70,11 +71,6 @@ __all__ = [
     "EngineConfig",
     "QueryResult",
     "ServingReport",
-    "aggregate_results",
-    "BatchServer",
-    "BatchResult",
-    "batching_summary",
+    "simulate",
     "OpenLoopSimulator",
-    "OpenLoopReport",
-    "OpenLoopResult",
 ]

@@ -4,13 +4,14 @@
 paper: the DRAM cache absorbs hot keys, the selector picks replica pages
 for the misses, and an executor runs the reads against a simulated device.
 ``serve_trace`` simulates a closed-loop multi-threaded client (the paper
-runs 8 serving threads): each simulated thread serves one query at a time,
-all threads share one device, and throughput is queries over makespan.
+runs 8 serving threads) through the one driver,
+:func:`~repro.serving.openloop.simulate`: each simulated thread serves one
+query at a time, all threads share one device, and throughput is queries
+over makespan.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -32,7 +33,8 @@ from .cost_model import CpuCostModel
 from .executor import EXECUTORS, Executor, NdpExecutor
 from .recovery import RecoveringExecutor, RetryPolicy
 from .selection import SELECTORS, SelectionOutcome, Selector
-from .stats import QueryResult, ServingReport, aggregate_results
+from .openloop import simulate
+from .stats import QueryResult, ServingReport
 
 
 @dataclass(frozen=True)
@@ -525,40 +527,10 @@ class ServingEngine:
         trace: "QueryTrace | Sequence[Query]",
         warmup_queries: int = 0,
     ) -> ServingReport:
-        """Closed-loop simulation of the trace over ``threads`` workers.
-
-        Queries are dispatched in trace order to the earliest-available
-        simulated thread; all threads share the engine's single device, so
-        bandwidth contention emerges naturally from the service model.
-
-        Args:
-            trace: queries to serve.
-            warmup_queries: queries at the head of the trace used only to
-                warm the cache — excluded from the report.
-        """
-        queries = list(trace)
-        if not queries:
-            raise ServingError("cannot serve an empty trace")
-        if warmup_queries >= len(queries):
-            raise ServingError(
-                f"warmup ({warmup_queries}) must leave at least one "
-                f"measured query ({len(queries)} total)"
-            )
-        # (ready_time, thread_id) min-heap of simulated workers.
-        workers = [(0.0, t) for t in range(self.config.threads)]
-        heapq.heapify(workers)
-        results: List[QueryResult] = []
-        for index, query in enumerate(queries):
-            ready, thread = heapq.heappop(workers)
-            result = self.serve_query(query, start_us=ready)
-            heapq.heappush(workers, (result.finish_us, thread))
-            if index >= warmup_queries:
-                results.append(result)
-        return aggregate_results(
-            results,
-            page_size=self.config.spec.page_size,
-            embedding_bytes=self.config.spec.embedding_bytes,
-        )
+        """Closed-loop :func:`~repro.serving.openloop.simulate` of the
+        trace over ``threads`` workers sharing this engine's one device;
+        the first ``warmup_queries`` only warm the cache."""
+        return simulate(self, trace, warmup=warmup_queries)
 
     # -- introspection -----------------------------------------------------------
 

@@ -1,19 +1,22 @@
-"""Per-query results and trace-level serving reports.
+"""Per-query results and the one serving report.
 
-A :class:`QueryResult` records what one query cost; ``aggregate_results``
-rolls a list of them into the :class:`ServingReport` that the experiment
-harness prints: throughput, latency percentiles, effective bandwidth, and
-the valid-embeddings-per-read distribution (paper Figure 9).
+A :class:`QueryResult` records what one query cost; a
+:class:`ServingReport` accumulates them as they complete into what the
+experiment harness prints: throughput, latency percentiles, effective
+bandwidth, the valid-embeddings-per-read distribution (paper Figure 9)
+and, for open-loop streams, offered load, shedding and goodput.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..errors import ServingError
+from ..overload import BrownoutTransition
 from ..utils.reservoir import percentile
 from .executor import ExecutionResult
 
@@ -93,21 +96,37 @@ class QueryResult:
 
 @dataclass
 class ServingReport:
-    """Aggregate metrics over a served trace."""
+    """What one served stream did, accumulated one completion at a time.
 
-    num_queries: int
-    makespan_us: float
-    total_pages_read: int
-    total_valid_embeddings: int
-    total_cache_hits: int
-    total_requested: int
+    The one report of the simulation driver
+    (:func:`~repro.serving.openloop.simulate`), so of ``serve_trace`` and
+    :class:`~repro.serving.openloop.OpenLoopSimulator` alike, and of the
+    gateway's ``/metrics``.  :meth:`add` folds in one measured completion
+    (the open loop and the gateway as each completes, a closed loop once
+    its last query is served).  Latency runs from the query's *arrival*;
+    in a closed loop a query arrives when its worker frees, so there it
+    is the service time.  The open-loop fields (``offered``, ``shed``,
+    ``deadline_misses``, the brownout record) are set by whoever offers
+    the stream; ``offered`` 0 means "what completed".
+    """
+
+    page_size: int = 4096
+    embedding_bytes: int = 256
+    num_queries: int = 0
+    total_pages_read: int = 0
+    total_valid_embeddings: int = 0
+    total_cache_hits: int = 0
+    total_requested: int = 0
     latencies_us: List[float] = field(default_factory=list)
+    #: Latencies of the completions that missed a key (goodput's rejects).
+    degraded_latencies_us: List[float] = field(default_factory=list)
+    first_arrival_us: float = math.inf
+    last_finish_us: float = -math.inf
+    queue_wait_us: float = 0.0
     sort_us: float = 0.0
     selection_us: float = 0.0
     io_wait_us: float = 0.0
     valid_per_read_hist: Dict[int, int] = field(default_factory=dict)
-    page_size: int = 4096
-    embedding_bytes: int = 256
     total_retries: int = 0
     total_failed_reads: int = 0
     total_recovered_keys: int = 0
@@ -119,20 +138,123 @@ class ServingReport:
     total_failovers: int = 0
     total_hedges: int = 0
     total_hedge_wins: int = 0
+    offered_qps: float = 0.0
+    offered: int = 0
+    shed: Dict[str, int] = field(default_factory=dict)
+    deadline_misses: int = 0
+    brownout_transitions: List[BrownoutTransition] = field(
+        default_factory=list
+    )
+    final_degrade_level: int = 0
+
+    # -- accumulation ----------------------------------------------------------
+
+    def add_request(
+        self,
+        arrival_us: float,
+        start_us: float,
+        finish_us: float,
+        requested_keys: int,
+        missing_keys: int,
+        degrade_level: int,
+    ) -> None:
+        """Account one completed request by its request-level facts only.
+
+        The gateway's per-request report uses this: a coalesced batch
+        serves its members with one engine call, whose page reads and
+        cache hits belong to no single member.
+        """
+        latency = finish_us - arrival_us
+        self.num_queries += 1
+        self.latencies_us.append(latency)
+        if arrival_us < self.first_arrival_us:
+            self.first_arrival_us = arrival_us
+        if finish_us > self.last_finish_us:
+            self.last_finish_us = finish_us
+        self.queue_wait_us += start_us - arrival_us
+        self.total_requested += requested_keys
+        if missing_keys:
+            self.total_missing_keys += missing_keys
+            self.degraded_queries += 1
+            self.degraded_latencies_us.append(latency)
+        if degrade_level:
+            hist = self.degrade_level_hist
+            hist[degrade_level] = hist.get(degrade_level, 0) + 1
+
+    def add(self, result: QueryResult, arrival_us: float) -> None:
+        """Account one measured completion of a query that arrived at
+        ``arrival_us``: its request-level facts and its engine counters."""
+        self.add_request(
+            arrival_us,
+            result.start_us,
+            result.finish_us,
+            result.requested_keys,
+            result.missing_keys,
+            result.degrade_level,
+        )
+        self.total_pages_read += result.pages_read
+        self.total_valid_embeddings += result.ssd_keys
+        self.total_cache_hits += result.cache_hits
+        self.total_tier_hits += result.tier_hits
+        hist = self.valid_per_read_hist
+        for v in result.valid_per_read:
+            hist[v] = hist.get(v, 0) + 1
+        execution = result.execution
+        if execution is not None:
+            self.sort_us += execution.sort_us
+            self.selection_us += execution.selection_us
+            self.io_wait_us += execution.io_wait_us
+        if result.retries or result.failed_reads or result.recovered_keys:
+            self.total_retries += result.retries
+            self.total_failed_reads += result.failed_reads
+            self.total_recovered_keys += result.recovered_keys
+        self.total_degrade_shed_keys += result.degrade_shed_keys
+        if result.failovers or result.hedges:
+            self.total_failovers += result.failovers
+            self.total_hedges += result.hedges
+            self.total_hedge_wins += result.hedge_wins
 
     # -- throughput / latency ------------------------------------------------
 
-    def throughput_qps(self) -> float:
-        """Queries per second over the simulated makespan."""
-        if self.makespan_us <= 0:
+    @property
+    def makespan_us(self) -> float:
+        """First measured arrival to last measured completion (0 if none)."""
+        if not self.num_queries:
             return 0.0
-        return self.num_queries / (self.makespan_us * 1e-6)
+        return self.last_finish_us - self.first_arrival_us
+
+    def throughput_qps(self) -> float:
+        """Completions per second over :attr:`makespan_us`."""
+        span = self.makespan_us
+        return self.num_queries / (span * 1e-6) if span > 0 else 0.0
+
+    def goodput_qps(self, latency_slo_us: "float | None" = None) -> float:
+        """On-time, full-coverage completions per second.
+
+        The overload headline metric: a completion counts only when
+        every requested key was served (no fault losses, no degradation
+        shedding) *and*, when ``latency_slo_us`` is given, it finished
+        within that arrival-to-completion budget.  Same time base as
+        :meth:`throughput_qps`.
+        """
+        span = self.makespan_us
+        if span <= 0:
+            return 0.0
+        good = self.num_queries - self.degraded_queries
+        if latency_slo_us is not None:
+            good = sum(
+                1 for lat in self.latencies_us if lat <= latency_slo_us
+            ) - sum(
+                1
+                for lat in self.degraded_latencies_us
+                if lat <= latency_slo_us
+            )
+        return good / (span * 1e-6)
 
     def keys_per_second(self) -> float:
         """Embedding lookups per second (cache + SSD)."""
-        if self.makespan_us <= 0:
-            return 0.0
-        return self.total_requested / (self.makespan_us * 1e-6)
+        span = self.makespan_us
+        return self.total_requested / (span * 1e-6) if span > 0 else 0.0
 
     def mean_latency_us(self) -> float:
         """Mean query latency."""
@@ -145,6 +267,12 @@ class ServingReport:
         if not 0 <= pct <= 100:
             raise ServingError(f"percentile must be in [0, 100], got {pct}")
         return percentile(self.latencies_us, pct)
+
+    def mean_queue_wait_us(self) -> float:
+        """Mean time from arrival to a free worker (0 in a closed loop)."""
+        if not self.num_queries:
+            return 0.0
+        return self.queue_wait_us / self.num_queries
 
     # -- bandwidth ---------------------------------------------------------------
 
@@ -234,22 +362,45 @@ class ServingReport:
             if level > 0
         )
 
+    # -- overload accounting ---------------------------------------------------
+
+    @property
+    def shed_count(self) -> int:
+        """Arrivals rejected by admission control (all reasons)."""
+        return sum(self.shed.values())
+
+    def offered_count(self) -> int:
+        """Measured arrivals offered (falls back to completions)."""
+        return self.offered or self.num_queries
+
+    def completion_rate(self) -> float:
+        """Fraction of offered arrivals that completed (1.0 = no shedding)."""
+        offered = self.offered_count()
+        return self.num_queries / offered if offered else 0.0
+
     # -- serialization ---------------------------------------------------------
 
-    def as_dict(self) -> Dict[str, object]:
+    def as_dict(
+        self, latency_slo_us: "float | None" = None
+    ) -> Dict[str, object]:
         """Headline metrics as one flat JSON-ready mapping.
 
         The cluster report's :meth:`~repro.cluster.stats.ClusterReport.as_dict`
-        set the shape precedent; this is the single-report counterpart the
-        service ``/metrics`` endpoint and the benches share, so live
-        counters and persisted results stay field-compatible.
+        set the shape precedent; the service ``/metrics`` endpoint (both
+        its ``open_loop`` and ``serving`` sections) and the benches share
+        this one, so live counters and simulator reports stay
+        field-compatible.  ``latency_slo_us`` threads through to
+        :meth:`goodput_qps`.
         """
         return {
             "queries": self.num_queries,
             "throughput_qps": round(self.throughput_qps(), 1),
+            "goodput_qps": round(self.goodput_qps(latency_slo_us), 1),
             "keys_per_second": round(self.keys_per_second(), 1),
             "mean_latency_us": round(self.mean_latency_us(), 3),
+            "p50_latency_us": round(self.percentile_latency_us(50.0), 3),
             "p99_latency_us": round(self.percentile_latency_us(99.0), 3),
+            "mean_queue_wait_us": round(self.mean_queue_wait_us(), 3),
             "effective_bandwidth": round(
                 self.effective_bandwidth_fraction(), 4
             ),
@@ -270,6 +421,14 @@ class ServingReport:
             "failovers": self.total_failovers,
             "hedges": self.total_hedges,
             "hedge_wins": self.total_hedge_wins,
+            "offered_qps": round(self.offered_qps, 1),
+            "offered": self.offered_count(),
+            "completion_rate": round(self.completion_rate(), 4),
+            "shed": dict(self.shed),
+            "shed_total": self.shed_count,
+            "deadline_misses": self.deadline_misses,
+            "brownout_transitions": len(self.brownout_transitions),
+            "final_degrade_level": self.final_degrade_level,
         }
 
 
@@ -361,49 +520,3 @@ def merge_shard_results(results: Sequence[QueryResult]) -> QueryResult:
         served_by=tuple(served_by),
     )
 
-
-def aggregate_results(
-    results: Sequence[QueryResult],
-    page_size: int,
-    embedding_bytes: int,
-) -> ServingReport:
-    """Fold per-query results into one :class:`ServingReport`."""
-    if not results:
-        raise ServingError("cannot aggregate an empty result list")
-    report = ServingReport(
-        num_queries=len(results),
-        makespan_us=max(r.finish_us for r in results)
-        - min(r.start_us for r in results),
-        total_pages_read=sum(r.pages_read for r in results),
-        total_valid_embeddings=sum(r.ssd_keys for r in results),
-        total_cache_hits=sum(r.cache_hits for r in results),
-        total_requested=sum(r.requested_keys for r in results),
-        page_size=page_size,
-        embedding_bytes=embedding_bytes,
-    )
-    for r in results:
-        report.latencies_us.append(r.latency_us)
-        for v in r.valid_per_read:
-            report.valid_per_read_hist[v] = (
-                report.valid_per_read_hist.get(v, 0) + 1
-            )
-        if r.execution is not None:
-            report.sort_us += r.execution.sort_us
-            report.selection_us += r.execution.selection_us
-            report.io_wait_us += r.execution.io_wait_us
-        report.total_retries += r.retries
-        report.total_failed_reads += r.failed_reads
-        report.total_recovered_keys += r.recovered_keys
-        report.total_missing_keys += r.missing_keys
-        if r.missing_keys > 0:
-            report.degraded_queries += 1
-        report.total_degrade_shed_keys += r.degrade_shed_keys
-        report.total_tier_hits += r.tier_hits
-        report.total_failovers += r.failovers
-        report.total_hedges += r.hedges
-        report.total_hedge_wins += r.hedge_wins
-        if r.degrade_level > 0:
-            report.degrade_level_hist[r.degrade_level] = (
-                report.degrade_level_hist.get(r.degrade_level, 0) + 1
-            )
-    return report

@@ -311,6 +311,6 @@ class TestDegradeLadder:
         # Warm-up head excluded; everything measured must be accounted.
         offered = data["offered"]
         assert 0 < offered <= len(queries)
-        assert data["completed"] + data["shed_total"] == offered
+        assert data["queries"] + data["shed_total"] == offered
         # The arrival rate is far beyond capacity: the ladder must engage.
-        assert data["shed_total"] > 0 or data["degraded_completions"] > 0
+        assert data["shed_total"] > 0 or data["degraded_mode_queries"] > 0

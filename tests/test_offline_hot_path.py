@@ -9,6 +9,7 @@ this is the count that names a slower build without a benchmark run.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 
@@ -55,11 +56,16 @@ def build_calls(trace: QueryTrace, config: MaxEmbedConfig) -> int:
         if event == "call" or event == "c_call":
             calls += 1
 
+    # Garbage other tests left behind must not run its finalizers here:
+    # they are counted calls (an extra 4 in one suite run).
+    gc.collect()
+    gc.disable()
     sys.setprofile(hook)
     try:
         layout = build_offline_layout(trace, config)
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert layout.num_keys == NUM_KEYS
     assert layout.num_replica_pages > 0
     return calls

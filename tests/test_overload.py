@@ -3,8 +3,8 @@
 Covers the three overload primitives in isolation (bounded queue with
 shed policies, degradation ladder, brownout state machine), their wiring
 into the serving engine / cluster router, and the open-loop simulator's
-goodput accounting — including the bit-identical parity of the disabled
-paths with the legacy simulator.
+goodput accounting — including the bit-identical parity of disabled
+knobs with no knobs at all.
 """
 
 import pytest
@@ -32,8 +32,7 @@ from repro.overload import (
     default_ladder,
     engine_hotness,
 )
-from repro.serving import OpenLoopSimulator
-from repro.serving.openloop import OpenLoopReport, OpenLoopResult
+from repro.serving import OpenLoopSimulator, ServingReport
 
 
 def entry(index, arrival=0.0, priority=0.0):
@@ -374,8 +373,6 @@ class TestEngineDegradedModes:
         assert result.degrade_shed_keys == 0
 
     def test_degrade_counts_flow_into_report(self, hot_cold_layout):
-        from repro.serving.stats import aggregate_results
-
         engine = ServingEngine(hot_cold_layout, EngineConfig(cache_ratio=0.0))
         results = [
             engine.serve_query(self.QUERY),
@@ -386,7 +383,9 @@ class TestEngineDegradedModes:
                 ),
             ),
         ]
-        report = aggregate_results(results, 4096, 256)
+        report = ServingReport()
+        for result in results:
+            report.add(result, result.start_us)
         assert report.total_degrade_shed_keys == 4
         assert report.degrade_level_hist == {2: 1}
         assert report.degraded_mode_queries() == 1
@@ -477,7 +476,7 @@ class TestOpenLoopParity:
             seed=7,
             admission=AdmissionConfig(capacity=10**9),
         ).run(stream, offered_qps=300_000.0)
-        assert admitted.results == legacy.results
+        assert admitted == legacy
         assert admitted.shed == {}
         assert admitted.deadline_misses == 0
 
@@ -495,7 +494,7 @@ class TestOpenLoopParity:
                 high_watermark_us=1e12, low_watermark_us=1e11
             ),
         ).run(stream, offered_qps=300_000.0)
-        assert browned.results == legacy.results
+        assert browned == legacy
         assert browned.brownout_transitions == []
         assert browned.final_degrade_level == 0
 
@@ -520,7 +519,7 @@ class TestOpenLoopParity:
         admitted = OpenLoopSimulator(
             fresh(), seed=3, admission=AdmissionConfig(capacity=10**9)
         ).run(stream, offered_qps=200_000.0)
-        assert admitted.results == legacy.results
+        assert admitted == legacy
 
 
 class TestOverloadedSimulation:
@@ -545,7 +544,7 @@ class TestOverloadedSimulation:
         assert report.shed_count > 0
         assert (
             report.offered_count()
-            == len(report.results)
+            == report.num_queries
             + report.shed_count
             + report.deadline_misses
         )
@@ -594,7 +593,7 @@ class TestOverloadedSimulation:
         report = simulator.run(stream, offered_qps=10_000_000.0)
         assert len(report.brownout_transitions) >= 1
         assert report.final_degrade_level > 0
-        assert report.degraded_count() > 0
+        assert report.degraded_mode_queries() > 0
 
     def test_deterministic_under_seed(self, hot_cold_layout, stream):
         def run():
@@ -609,7 +608,7 @@ class TestOverloadedSimulation:
             ).run(stream, offered_qps=5_000_000.0)
 
         first, second = run(), run()
-        assert first.results == second.results
+        assert first == second
         assert first.shed == second.shed
         assert first.deadline_misses == second.deadline_misses
         assert [
@@ -621,52 +620,44 @@ class TestOverloadedSimulation:
         ]
 
 
+def completed(*rows, **fields) -> ServingReport:
+    """A report of ``(arrival, start, finish, missing keys)`` completions."""
+    report = ServingReport(**fields)
+    for arrival, start, finish, missing in rows:
+        report.add_request(arrival, start, finish, 4, missing, 0)
+    return report
+
+
 class TestReportAccounting:
-    def test_span_needs_two_results(self):
-        report = OpenLoopReport(offered_qps=100.0)
-        assert report.span_us() == 0.0
-        assert report.achieved_qps() == 0.0
-        single = OpenLoopReport(
-            offered_qps=100.0,
-            results=[OpenLoopResult(0.0, 0.0, 50.0)],
-        )
-        # Documented: 0.0 because a single completion has no span, not
-        # because nothing completed.
-        assert single.span_us() == 0.0
-        assert single.achieved_qps() == 0.0
-        assert single.goodput_qps() == 0.0
+    def test_single_completion_spans_its_latency(self):
+        report = ServingReport(offered_qps=100.0)
+        assert report.makespan_us == 0.0
+        assert report.throughput_qps() == 0.0
+        single = completed((0.0, 0.0, 50.0, 0))
+        # One completion spans its own latency: arrival to finish.
+        assert single.makespan_us == 50.0
+        assert single.throughput_qps() == pytest.approx(1 / 50e-6)
+        assert single.goodput_qps() == single.throughput_qps()
 
     def test_span_first_arrival_to_last_completion(self):
-        report = OpenLoopReport(
-            offered_qps=100.0,
-            results=[
-                OpenLoopResult(arrival_us=0.0, start_us=0.0, finish_us=150.0),
-                OpenLoopResult(
-                    arrival_us=100.0, start_us=100.0, finish_us=200.0
-                ),
-            ],
-        )
-        assert report.span_us() == pytest.approx(200.0)
-        assert report.achieved_qps() == pytest.approx(2 / 200e-6)
+        report = completed((0.0, 0.0, 150.0, 0), (100.0, 100.0, 200.0, 0))
+        assert report.makespan_us == pytest.approx(200.0)
+        assert report.throughput_qps() == pytest.approx(2 / 200e-6)
 
     def test_goodput_excludes_partial_coverage_and_slo_misses(self):
-        results = [
-            OpenLoopResult(0.0, 0.0, 50.0),  # good
-            OpenLoopResult(10.0, 10.0, 60.0, missing_keys=2),  # partial
-            OpenLoopResult(20.0, 20.0, 400.0),  # slow
-        ]
-        report = OpenLoopReport(offered_qps=100.0, results=results)
-        span = report.span_us()
+        report = completed(
+            (0.0, 0.0, 50.0, 0),  # good
+            (10.0, 10.0, 60.0, 2),  # partial
+            (20.0, 20.0, 400.0, 0),  # slow
+        )
+        span = report.makespan_us
         assert report.goodput_qps() == pytest.approx(2 / (span * 1e-6))
         assert report.goodput_qps(latency_slo_us=100.0) == pytest.approx(
             1 / (span * 1e-6)
         )
 
     def test_offered_falls_back_to_completions(self):
-        report = OpenLoopReport(
-            offered_qps=100.0,
-            results=[OpenLoopResult(0.0, 0.0, 1.0)] * 3,
-        )
+        report = completed(*[(0.0, 0.0, 1.0, 0)] * 3)
         assert report.offered_count() == 3
         assert report.completion_rate() == 1.0
 
@@ -678,5 +669,5 @@ class TestReportAccounting:
             capacity_qps=100_000.0,
             warmup_fraction=0.5,
         )
-        assert len(reports[0].results) == len(stream) - len(stream) // 2
+        assert reports[0].num_queries == len(stream) - len(stream) // 2
         assert reports[0].offered_count() == len(stream) - len(stream) // 2

@@ -140,7 +140,7 @@ class TestEndpoint:
         assert ctype == content_type()
         assert "# TYPE maxembed_service_offered gauge" in body
         assert "maxembed_service_offered 0" in body
-        assert "maxembed_open_loop_completed 0" in body
+        assert "maxembed_open_loop_queries 0" in body
 
     def test_tier_counters_exposed(self, layout):
         status, _, body = scrape(

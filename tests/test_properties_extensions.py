@@ -1,9 +1,8 @@
 """Property-based tests for the extension modules.
 
-Invariants: batching never reads more pages than unbatched serving;
-incremental replication preserves base pages and respects budgets; the
-benefit strategy's layouts stay within budget on arbitrary traces; cache
-policies never exceed capacity under arbitrary op streams.
+Invariants: incremental replication preserves base pages and respects
+budgets; the benefit strategy's layouts stay within budget on arbitrary
+traces; cache policies never exceed capacity under arbitrary op streams.
 """
 
 from __future__ import annotations
@@ -12,18 +11,15 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro import (
-    EngineConfig,
     PageLayout,
     Query,
     QueryTrace,
-    ServingEngine,
     ShpConfig,
     ShpPartitioner,
 )
 from repro.cache.policies import CACHE_POLICIES, make_cache
 from repro.hypergraph import build_weighted_hypergraph
 from repro.replication import GreedyBenefitStrategy, IncrementalReplicator
-from repro.serving import BatchServer
 
 
 @st.composite
@@ -51,28 +47,6 @@ def sequential_layout(num_keys: int, capacity: int = 4) -> PageLayout:
         for start in range(0, num_keys, capacity)
     ]
     return PageLayout(num_keys, capacity, pages)
-
-
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(trace=traces(), batch_size=st.integers(min_value=1, max_value=8))
-def test_batching_never_reads_more_pages(trace, batch_size):
-    layout = sequential_layout(trace.num_keys)
-    unbatched = ServingEngine(
-        layout, EngineConfig(cache_ratio=0.0, threads=1)
-    )
-    unbatched_report = unbatched.serve_trace(list(trace))
-    batched_engine = ServingEngine(
-        layout, EngineConfig(cache_ratio=0.0, threads=1)
-    )
-    results = BatchServer(batched_engine).serve_stream(
-        list(trace), batch_size
-    )
-    batched_pages = sum(r.pages_read for r in results)
-    assert batched_pages <= unbatched_report.total_pages_read
 
 
 @settings(

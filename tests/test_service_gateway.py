@@ -11,14 +11,15 @@ on the fault-free path.
 from __future__ import annotations
 
 import asyncio
+import gc
+import json
 import time
 
 import pytest
 
 from repro import ConfigError, EngineConfig, PageLayout, Query, ServingEngine
 from repro.overload import AdmissionConfig, BrownoutConfig
-from repro.serving.openloop import OpenLoopReport, OpenLoopResult
-from repro.serving.stats import aggregate_results
+from repro.serving import QueryResult, ServingReport
 from repro.service import (
     CoalescerConfig,
     CoreLoadGenerator,
@@ -85,7 +86,7 @@ def check_invariant(core: GatewayCore) -> dict:
     )
     # The open_loop section must agree with the service section.
     ol = metrics["open_loop"]
-    assert ol["completed"] == svc["completed"]
+    assert ol["queries"] == svc["completed"]
     assert ol["shed_total"] == svc["shed_total"]
     assert ol["deadline_misses"] == svc["deadline_misses"]
     assert ol["offered"] == svc["offered"]
@@ -713,6 +714,35 @@ class TestDrain:
 # ---------------------------------------------------------------------------
 
 
+class TestMemory:
+    def test_no_per_request_record_outlives_its_reply(self, engine):
+        def live_results() -> int:
+            gc.collect()
+            return sum(1 for o in gc.get_objects() if type(o) is QueryResult)
+
+        async def submit_all(core, count) -> None:
+            # Ten at a time: coalesced batches and single requests alike.
+            for start in range(0, count, 10):
+                await asyncio.gather(
+                    *(core.submit((i % 8,)) for i in range(start, start + 10))
+                )
+
+        async def scenario():
+            async with GatewayCore(engine) as core:
+                await submit_all(core, 100)
+                before = live_results()
+                await submit_all(core, 500)
+                after = live_results()
+                metrics = check_invariant(core)
+            return before, after, metrics
+
+        before, after, metrics = run(scenario())
+        assert after <= before
+        assert metrics["service"]["completed"] == 600
+        assert metrics["open_loop"]["queries"] == 600
+        assert metrics["serving"]["queries"] <= 600
+
+
 class TestCoreLoadGenerator:
     def test_closed_loop_reconciles_with_gateway(self, engine):
         async def scenario():
@@ -750,11 +780,12 @@ class TestCoreLoadGenerator:
 
 class TestReportDicts:
     def test_serving_report_as_dict(self, engine):
-        results = [
-            engine.serve_query(Query((i % 8, (i + 1) % 8)), float(i * 10))
-            for i in range(10)
-        ]
-        report = aggregate_results(results, page_size=4096, embedding_bytes=256)
+        report = ServingReport()
+        for i in range(10):
+            result = engine.serve_query(
+                Query((i % 8, (i + 1) % 8)), float(i * 10)
+            )
+            report.add(result, result.start_us)
         data = report.as_dict()
         assert data["queries"] == 10
         assert data["requested_keys"] == report.total_requested
@@ -762,34 +793,23 @@ class TestReportDicts:
         assert data["coverage"] == 1.0
         assert 0.0 <= data["cache_hit_rate"] <= 1.0
         assert data["missing_keys"] == 0
-        # JSON-ready: every value is a plain scalar.
-        assert all(
-            isinstance(v, (int, float, str)) for v in data.values()
-        )
+        # JSON-ready: plain scalars, and the shed breakdown by reason.
+        assert json.loads(json.dumps(data)) == data
 
     def test_open_loop_report_as_dict(self):
-        results = [
-            OpenLoopResult(
-                arrival_us=float(i),
-                start_us=float(i),
-                finish_us=float(i + 100),
-                requested_keys=2,
-                missing_keys=0,
-            )
-            for i in range(8)
-        ]
-        report = OpenLoopReport(
+        report = ServingReport(
             offered_qps=100.0,
-            results=results,
             offered=10,
             shed={"tail": 1},
             deadline_misses=1,
         )
+        for i in range(8):
+            report.add_request(float(i), float(i), float(i + 100), 2, 0, 0)
         data = report.as_dict()
         assert data["offered"] == 10
-        assert data["completed"] == 8
+        assert data["queries"] == 8
         assert data["offered"] == (
-            data["completed"] + data["shed_total"] + data["deadline_misses"]
+            data["queries"] + data["shed_total"] + data["deadline_misses"]
         )
         assert data["shed"] == {"tail": 1}
         assert data["p99_latency_us"] == 100.0

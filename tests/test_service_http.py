@@ -161,7 +161,7 @@ class TestRoutes:
         svc = metrics["service"]
         assert svc["offered"] == 1
         assert svc["offered"] == svc["accounted"]
-        assert metrics["open_loop"]["completed"] == 1
+        assert metrics["open_loop"]["queries"] == 1
         assert metrics["serving"]["queries"] == 1
 
     def test_batch_query_aggregates(self, layout):

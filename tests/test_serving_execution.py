@@ -16,7 +16,7 @@ from repro import (
     ServingError,
     SimulatedSsd,
 )
-from repro.serving import CpuCostModel, aggregate_results
+from repro.serving import CpuCostModel, ServingReport, simulate
 from repro.serving.selection import SelectionOutcome, SelectionStep
 from repro.serving.stats import QueryResult
 from repro.ssd import SsdProfile
@@ -294,10 +294,14 @@ class TestReports:
             ),
         ]
 
+    def make_report(self):
+        report = ServingReport()
+        for result in self.make_results():
+            report.add(result, result.start_us)
+        return report
+
     def test_aggregate(self):
-        report = aggregate_results(
-            self.make_results(), page_size=4096, embedding_bytes=256
-        )
+        report = self.make_report()
         assert report.num_queries == 2
         assert report.makespan_us == 50.0
         assert report.total_pages_read == 2
@@ -306,9 +310,7 @@ class TestReports:
         assert report.valid_per_read_hist == {2: 1, 1: 1}
 
     def test_bandwidth_math(self):
-        report = aggregate_results(
-            self.make_results(), page_size=4096, embedding_bytes=256
-        )
+        report = self.make_report()
         assert report.useful_bytes() == 3 * 256
         assert report.total_bytes_read() == 2 * 4096
         assert report.effective_bandwidth_fraction() == pytest.approx(
@@ -319,32 +321,26 @@ class TestReports:
         )
 
     def test_latency_percentiles(self):
-        report = aggregate_results(
-            self.make_results(), page_size=4096, embedding_bytes=256
-        )
+        report = self.make_report()
         assert report.mean_latency_us() == pytest.approx(30.0)
         assert report.percentile_latency_us(100) == pytest.approx(50.0)
         with pytest.raises(ServingError):
             report.percentile_latency_us(101)
 
     def test_cache_hit_rate(self):
-        report = aggregate_results(
-            self.make_results(), page_size=4096, embedding_bytes=256
-        )
+        report = self.make_report()
         assert report.cache_hit_rate() == pytest.approx(3 / 6)
 
     def test_valid_per_read_cdf(self):
-        report = aggregate_results(
-            self.make_results(), page_size=4096, embedding_bytes=256
-        )
+        report = self.make_report()
         assert report.valid_per_read_cdf() == [(1, 0.5), (2, 1.0)]
 
     def test_mean_valid_per_read(self):
-        report = aggregate_results(
-            self.make_results(), page_size=4096, embedding_bytes=256
-        )
+        report = self.make_report()
         assert report.mean_valid_per_read() == pytest.approx(1.5)
 
     def test_aggregate_rejects_empty(self):
+        layout = PageLayout(4, 4, [(0, 1, 2, 3)])
+        engine = ServingEngine(layout, EngineConfig())
         with pytest.raises(ServingError):
-            aggregate_results([], page_size=4096, embedding_bytes=256)
+            simulate(engine, [])

@@ -113,7 +113,7 @@ class TestRunArrivals:
         report = OpenLoopSimulator(engine, seed=0).run_arrivals(
             queries, arrivals
         )
-        assert len(report.results) == 18  # 10% warmup
+        assert report.num_queries == 18  # 10% warmup
         assert report.offered_qps == pytest.approx(10_000.0, rel=0.06)
 
     def test_burst_raises_tail_latency(self):
