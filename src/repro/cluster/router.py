@@ -191,58 +191,11 @@ class ClusterEngine:
     def swap_shard(
         self, shard: int, layout: PageLayout, keep_cache: bool = True
     ) -> ServingEngine:
-        """Atomically replace one shard's engine with a new layout.
-
-        The other shards keep serving untouched — this is the cluster
-        version of :meth:`~repro.core.deploy.LayoutManager.swap`, applied
-        shard by shard so a rolling re-deploy never takes the whole
-        cluster offline.  The new engine is fully constructed *before*
-        the shard is touched, so any failure (invalid layout, spec
-        mismatch) leaves the previous layout serving; on success the
-        shard's circuit breaker, if any, is reset — the replacement
-        device has no failure history.
-        """
-        if not 0 <= shard < self.num_shards:
-            raise ServingError(
-                f"shard {shard} out of range [0, {self.num_shards})"
-            )
-        expected = len(self.plan.shard_keys(shard))
-        if layout.num_keys != expected:
-            raise ServingError(
-                f"new layout covers {layout.num_keys} keys, shard {shard} "
-                f"owns {expected}"
-            )
-        if self.groups is not None:
-            group = ReplicaGroup(
-                shard,
-                layout,
-                self.config,
-                health=self._replica_health,
-                staging_dir=self._replica_staging_dir,
-            )
-            displaced_group = self.groups[shard]
-            if keep_cache:
-                group.adopt_caches(displaced_group)
-            self.groups[shard] = group
-            replacement = group.engines[0]
-            self.engines[shard] = replacement
-            if self.breakers is not None:
-                self.breakers[shard] = CircuitBreaker(self.config.breaker)
-            displaced_group.close()
-        else:
-            replacement = ServingEngine(layout, self.config)
-            displaced = self.engines[shard]
-            if keep_cache:
-                replacement.cache = displaced.cache
-            self.engines[shard] = replacement
-            if self.breakers is not None:
-                self.breakers[shard] = CircuitBreaker(self.config.breaker)
-            displaced.close()
-        self.swap_counts[shard] += 1
-        self.swap_events.append(
-            {"shard": shard, "keep_cache": keep_cache, "rolling": False}
-        )
-        return replacement
+        """Replace one shard's engine with a new layout: a one-shard
+        :meth:`swap_shards`, so the other shards keep serving untouched
+        and a failure leaves the previous layout serving.  Returns the
+        installed engine."""
+        return self.swap_shards({shard: layout}, keep_cache)[shard]
 
     def swap_shards(
         self,
@@ -254,77 +207,34 @@ class ClusterEngine:
 
         Shards are swapped one at a time (ascending id) so the cluster
         keeps serving throughout — at every instant each shard has
-        exactly one fully built engine installed.  If any step fails
-        (an invalid layout, or ``after_install`` raising — the fault
-        hook the chaos suite uses to kill a swap mid-flight), every
-        shard already swapped is **rolled back** to its original engine
-        and breaker before the error propagates, so a failed rolling
-        deploy never leaves the cluster partially swapped.  Displaced
-        engines are closed only after the whole roll commits; on
-        rollback the abandoned replacements are closed instead.
+        exactly one fully built engine (or replica group) installed, and
+        a fresh circuit breaker, since the replacement device has no
+        failure history.  If any step fails (an invalid layout, or
+        ``after_install`` raising — the fault hook the chaos suite uses
+        to kill a swap mid-flight), every shard already swapped gets its
+        displaced engine, group and breaker back, by identity, before
+        the error propagates, so a failed rolling deploy never leaves
+        the cluster partially swapped.  Displaced engines are closed
+        only after the whole roll commits; on rollback the abandoned
+        replacements are closed instead.
         """
         for shard in layouts:
             if not 0 <= shard < self.num_shards:
                 raise ServingError(
                     f"shard {shard} out of range [0, {self.num_shards})"
                 )
-        originals: Dict[int, ServingEngine] = {}
-        original_groups: Dict[int, ReplicaGroup] = {}
-        original_breakers: Dict[int, CircuitBreaker] = {}
-        installed: Dict[int, ServingEngine] = {}
-        installed_groups: Dict[int, ReplicaGroup] = {}
+        displaced: Dict[int, tuple] = {}
         try:
             for shard in sorted(layouts):
-                layout = layouts[shard]
-                expected = len(self.plan.shard_keys(shard))
-                if layout.num_keys != expected:
-                    raise ServingError(
-                        f"new layout covers {layout.num_keys} keys, shard "
-                        f"{shard} owns {expected}"
-                    )
-                if self.groups is not None:
-                    group = ReplicaGroup(
-                        shard,
-                        layout,
-                        self.config,
-                        health=self._replica_health,
-                        staging_dir=self._replica_staging_dir,
-                    )
-                    displaced_group = self.groups[shard]
-                    if keep_cache:
-                        group.adopt_caches(displaced_group)
-                    original_groups[shard] = displaced_group
-                    originals[shard] = self.engines[shard]
-                    self.groups[shard] = group
-                    replacement = group.engines[0]
-                    self.engines[shard] = replacement
-                    installed[shard] = replacement
-                    installed_groups[shard] = group
-                else:
-                    replacement = ServingEngine(layout, self.config)
-                    displaced = self.engines[shard]
-                    if keep_cache:
-                        replacement.cache = displaced.cache
-                    originals[shard] = displaced
-                    self.engines[shard] = replacement
-                    installed[shard] = replacement
-                if self.breakers is not None:
-                    original_breakers[shard] = self.breakers[shard]
-                    self.breakers[shard] = CircuitBreaker(self.config.breaker)
+                slot = self._replacement(shard, layouts[shard], keep_cache)
+                displaced[shard] = self._install(shard, slot)
                 if after_install is not None:
                     after_install(shard)
         except Exception as exc:
-            for shard, engine in originals.items():
-                self.engines[shard] = engine
-                if shard in original_groups:
-                    self.groups[shard] = original_groups[shard]
-                if self.breakers is not None:
-                    self.breakers[shard] = original_breakers[shard]
-            for shard, engine in installed.items():
-                if shard in installed_groups:
-                    installed_groups[shard].close()
-                else:
-                    engine.close()
+            for shard, slot in displaced.items():
+                # Reinstalling hands back the abandoned replacement.
+                abandoned, _, _ = self._install(shard, slot)
+                abandoned.close()
             self.swap_rollbacks += 1
             self.swap_events.append(
                 {
@@ -334,16 +244,64 @@ class ClusterEngine:
                 }
             )
             raise
-        for shard, engine in originals.items():
-            if shard in original_groups:
-                original_groups[shard].close()
-            else:
-                engine.close()
+        for shard, (owner, _, _) in displaced.items():
+            owner.close()
             self.swap_counts[shard] += 1
             self.swap_events.append(
                 {"shard": shard, "keep_cache": keep_cache, "rolling": True}
             )
-        return installed
+        return {shard: self.engines[shard] for shard in displaced}
+
+    def _replacement(
+        self, shard: int, layout: PageLayout, keep_cache: bool
+    ) -> tuple:
+        """What will serve ``layout`` on ``shard``, as an (owner, engine,
+        breaker) slot: a replica group that adopted the displaced
+        group's caches, or a bare engine carrying the displaced engine's
+        cache.  The owner is what :meth:`close` retires."""
+        expected = len(self.plan.shard_keys(shard))
+        if layout.num_keys != expected:
+            raise ServingError(
+                f"new layout covers {layout.num_keys} keys, shard {shard} "
+                f"owns {expected}"
+            )
+        breaker = (
+            CircuitBreaker(self.config.breaker)
+            if self.breakers is not None
+            else None
+        )
+        if self.groups is None:
+            engine = ServingEngine(layout, self.config)
+            if keep_cache:
+                engine.cache = self.engines[shard].cache
+            return engine, engine, breaker
+        group = ReplicaGroup(
+            shard,
+            layout,
+            self.config,
+            health=self._replica_health,
+            staging_dir=self._replica_staging_dir,
+        )
+        if keep_cache:
+            group.adopt_caches(self.groups[shard])
+        return group, group.engines[0], breaker
+
+    def _install(self, shard: int, slot: tuple) -> tuple:
+        """Put an (owner, engine, breaker) slot on ``shard``; return the
+        slot it displaced."""
+        owner, engine, breaker = slot
+        groups, breakers = self.groups, self.breakers
+        displaced = (
+            groups[shard] if groups is not None else self.engines[shard],
+            self.engines[shard],
+            breakers[shard] if breakers is not None else None,
+        )
+        if groups is not None:
+            groups[shard] = owner
+        self.engines[shard] = engine
+        if breakers is not None:
+            breakers[shard] = breaker
+        return displaced
 
     # -- scatter / gather -------------------------------------------------------
 
@@ -532,10 +490,6 @@ class ClusterEngine:
     def memory_overhead_entries(self) -> int:
         """DRAM index entries summed over every shard engine."""
         return sum(e.memory_overhead_entries() for e in self.engines)
-
-    def total_pages(self) -> int:
-        """SSD pages across the cluster (base + replica)."""
-        return self.sharded.total_pages()
 
     def shard_device_stats(self) -> List[Optional[object]]:
         """Each shard device's :class:`~repro.ssd.device.DeviceStats`."""

@@ -9,6 +9,8 @@ placement in.  :class:`LayoutManager` models that operational loop:
   rebuilt from the new layout; the cache can be kept — keys are stable —
   or dropped to model a cold restart).  The displaced engine is closed,
   never the active one, so version churn cannot accumulate live engines;
+  a swap whose ``after_install`` hook fails reinstalls the displaced
+  engine itself, as the cluster's ``swap_shards`` does;
 * a **retention policy** bounds registry memory: only the last
   ``retain`` registrations plus the active version keep their layouts
   (pruning never drops the active version, and version numbers are
@@ -17,15 +19,15 @@ placement in.  :class:`LayoutManager` models that operational loop:
   traffic window so operators can trigger rebuilds on evidence instead
   of on a timer.  Scores are cached per (version, window fingerprint),
   so a daemon probing the same window repeatedly does no repeat work;
-* ``swap_events`` records every activation (from, to, cache fate) for
-  the refresh daemon's audit trail.
+* ``swap_events`` records every activation (from, to, cache fate), and
+  every rolled-back attempt, for the refresh daemon's audit trail.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ServingError
 from ..metrics import evaluate_placement
@@ -177,7 +179,12 @@ class LayoutManager:
 
     # -- swap ---------------------------------------------------------------------
 
-    def swap(self, version: int, keep_cache: bool = True) -> ServingEngine:
+    def swap(
+        self,
+        version: int,
+        keep_cache: bool = True,
+        after_install: "Optional[Callable[[int], None]]" = None,
+    ) -> ServingEngine:
         """Activate a registered version.
 
         Args:
@@ -185,11 +192,18 @@ class LayoutManager:
             keep_cache: carry the warm DRAM cache across the swap.  Keys
                 are placement-independent, so a kept cache stays valid; a
                 dropped cache models a cold restart.
+            after_install: called with ``version`` once the replacement
+                serves, as :meth:`ClusterEngine.swap_shards
+                <repro.cluster.ClusterEngine.swap_shards>` calls it per
+                shard.  If it raises, the displaced engine object is
+                reinstalled — its cache and tier plan untouched — the
+                abandoned replacement is closed, the attempt is recorded
+                as rolled back, and the error propagates.
 
         The replacement engine is fully built before the one-reference
         activation, so a failed build leaves the previous version
-        serving.  The displaced engine is closed (idempotently) — never
-        the newly active one.
+        serving.  Once the swap commits the displaced engine is closed
+        (idempotently) — never the newly active one.
         """
         record = self._versions.get(version)
         if record is None:
@@ -201,16 +215,25 @@ class LayoutManager:
             replacement.cache = old_cache
         self._engine = replacement
         previous, self._active = self._active, version
+        event = {
+            "from": previous,
+            "to": version,
+            "label": record.label,
+            "keep_cache": keep_cache,
+        }
+        if after_install is not None:
+            try:
+                after_install(version)
+            except Exception as exc:
+                self._engine, self._active = old_engine, previous
+                replacement.close()
+                self.swap_events.append(
+                    {**event, "rolled_back": True, "error": repr(exc)}
+                )
+                raise
         if old_engine is not None:
             old_engine.close()
-        self.swap_events.append(
-            {
-                "from": previous,
-                "to": version,
-                "label": record.label,
-                "keep_cache": keep_cache,
-            }
-        )
+        self.swap_events.append(event)
         self._prune()
         return replacement
 

@@ -1,30 +1,34 @@
 """The self-healing refresh daemon: watch drift, repair, hot-swap.
 
 :class:`RefreshDaemon` closes the loop that ROADMAP items 2–3 left
-open.  It mounts on either repair target:
+open.  It runs one repair ladder over ``N`` targets:
 
-* a :class:`~repro.core.deploy.LayoutManager` (single-engine mode) —
-  drift is judged by the staleness probe's share-of-best plus the
-  bandwidth-drop signal, and repairs re-register + swap through the
-  manager's versioned registry;
-* a :class:`~repro.cluster.ClusterEngine` (cluster mode) — each shard
-  gets its own drift watcher fed by the shard's projection of the live
-  window, and repairs go through the router's rolling
-  ``swap_shards`` (all-or-nothing per repair, rollback on failure).
+* a :class:`~repro.core.deploy.LayoutManager` is one target — probed on
+  the whole window by the manager's staleness probe (its bandwidth plus
+  its share of the best retained version), repaired by registering the
+  rebuilt layout and swapping to it;
+* a :class:`~repro.cluster.ClusterEngine` has one target per shard —
+  each probed on its projection of the window by bandwidth alone,
+  repaired through the router's rolling ``swap_shards``.
 
-The repair ladder escalates only on *persistent* evidence: a stale
-target first gets a **tier re-plan** (cheap: re-pin the DRAM hot set
-from the live window, no engine rebuild), then — if the next probe
-still says stale — a **rebuild** of just that target with the offline
-pipeline, and finally (cluster mode, when enough shards are stale
-at once) one **full re-placement** over the existing shard plan.
+A target's window, its probe and the install of a staged layout are the
+only steps that differ; every step runs the same loop.  The ladder
+escalates only on *persistent* evidence: a stale target first gets a
+**tier re-plan** (cheap: re-pin the DRAM hot set from the live window,
+no engine rebuild), then — if the next probe still says stale — a
+**rebuild** of just that target with the offline pipeline, and finally
+(when enough targets are past rung 1 at once) one **full re-placement**
+over the existing shard plan.
 
 Every rebuilt layout is staged through a CRC-validated artifact and
-must pass the shadow-score gate before it may swap; a failed swap rolls
-back to the previous version; bounded retries with exponential backoff
-wrap every repair; and a watchdog marks the daemon degraded-but-serving
-after ``max_failures`` consecutive abandoned repairs — the daemon can
-stop healing, but it can never take serving down with it.
+must pass the shadow-score gate before it may swap.  Both swap owners
+share one rollback rule: a swap that fails after installing puts back
+the very engines it displaced — with their caches, breakers and
+re-pinned tier plans — and closes only the abandoned candidates.
+Bounded retries with exponential backoff wrap every repair, and a
+watchdog marks the daemon degraded-but-serving after ``max_failures``
+consecutive abandoned repairs — the daemon can stop healing, but it can
+never take serving down with it.
 
 The daemon is stdlib-thread based (``start``/``stop``), but every test
 and bench can drive it deterministically instead: construct it with
@@ -37,7 +41,7 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.pipeline import build_sharded_layout, project_trace
 from ..cluster.router import ClusterEngine
@@ -47,6 +51,7 @@ from ..core.store import build_offline_layout
 from ..errors import RefreshError, ServingError
 from ..faults.refresh import RefreshFaultPlan
 from ..metrics import evaluate_placement
+from ..placement import PageLayout
 from ..tiering import replan_tier
 from ..types import QueryTrace
 from .config import RefreshConfig
@@ -86,8 +91,8 @@ class RefreshDaemon:
     """Background drift-watch / repair-ladder / hot-swap loop.
 
     Args:
-        target: a :class:`LayoutManager` (single-engine mode) or
-            :class:`ClusterEngine` (cluster mode).
+        target: a :class:`LayoutManager` (one target) or
+            :class:`ClusterEngine` (one target per shard).
         config: the daemon's knobs (:class:`RefreshConfig`).
         build_config: offline-build configuration for rebuilds; its
             ``num_shards`` is overridden per repair scope.
@@ -108,10 +113,12 @@ class RefreshDaemon:
         self.target = target
         if isinstance(target, LayoutManager):
             self.cluster = False
+            self._engine = lambda i: target.engine
             num_keys = target.engine.layout.num_keys
             self._num_targets = 1
         elif isinstance(target, ClusterEngine):
             self.cluster = True
+            self._engine = lambda i: target.engines[i]
             num_keys = len(target.plan.assignment)
             self._num_targets = target.num_shards
         else:
@@ -136,7 +143,7 @@ class RefreshDaemon:
         self.errors: List[str] = []
         self._degraded = False
         self._staging: Optional[str] = self.config.staging_dir
-        self._shard_probe_cache: Dict[tuple, float] = {}
+        self._probe_cache: Dict[tuple, float] = {}
         self._step_lock = threading.Lock()
         self._pause = threading.Event()
         self._stop = threading.Event()
@@ -213,7 +220,10 @@ class RefreshDaemon:
 
         Never raises: repair errors are counted, logged (bounded) and
         retried/abandoned per the config — the serving path must never
-        die of its healer.  Returns a summary of what the step did.
+        die of its healer.  Returns a summary of what the step did: a
+        one-target daemon returns its target's action; a cluster returns
+        ``healthy`` with the shards probed, ``repair`` with each stale
+        shard's action, or one ``full-replace``.
         """
         with self._step_lock:
             self.counters["steps"] += 1
@@ -229,9 +239,7 @@ class RefreshDaemon:
                 }
             snapshot = self.window.snapshot()
             try:
-                if self.cluster:
-                    return self._step_cluster(snapshot)
-                return self._step_single(snapshot)
+                return self._climb(snapshot)
             except Exception as exc:  # noqa: BLE001 - watchdog boundary
                 # Belt and braces: individual repairs handle their own
                 # failures; anything escaping to here is a daemon bug,
@@ -240,370 +248,255 @@ class RefreshDaemon:
                 self._register_failure()
                 return {"action": "error", "error": str(exc)}
 
-    # -- single-engine mode ----------------------------------------------------
-
-    def _active_record(self):
-        manager = self.target
-        for record in manager.versions():
-            if record.version == manager.active_version:
-                return record
-        raise ServingError("active version missing from registry")
-
-    def _step_single(self, snapshot: QueryTrace) -> Dict[str, object]:
-        manager: LayoutManager = self.target
-        scores = manager.staleness_probe(
-            snapshot, max_queries=self.config.probe_max_queries
-        )
+    def _climb(self, snapshot: QueryTrace) -> Dict[str, object]:
+        cfg = self.config
+        windows: Dict[int, QueryTrace] = {}
+        actions: Dict[int, Dict[str, object]] = {}
+        stale: List[int] = []
+        for i in range(self._num_targets):
+            window = self._window(i, snapshot)
+            if not len(window.queries):
+                continue
+            windows[i] = window
+            bw, share = self._probe(i, window)
+            if self._watchers[i].assess(bw, share):
+                stale.append(i)
+            else:
+                self._rungs[i] = RUNG_HEALTHY
+                actions[i] = {
+                    "action": "healthy",
+                    "share_of_best": share,
+                    "active_bw": bw,
+                }
         self.counters["probes"] += 1
-        record = self._active_record()
-        active_name = record.label or f"v{record.version}"
-        active_bw = scores[active_name]
-        share = scores["active_share_of_best"]
-        watcher = self._watchers[0]
-        if not watcher.assess(active_bw, share):
-            self._rungs[0] = RUNG_HEALTHY
-            return {
-                "action": "healthy",
-                "share_of_best": share,
-                "active_bw": active_bw,
-            }
-        self.counters["drift_detections"] += 1
-        engine = manager.engine
-        if (
-            self._rungs[0] == RUNG_HEALTHY
-            and self.config.tier_first
-            and engine.config.tier_mode != "lru"
-        ):
-            return self._tier_replan_single(snapshot)
-        return self._rebuild_single(snapshot)
+        if stale:
+            self.counters["drift_detections"] += 1
+            tier_first = (
+                cfg.tier_first and self.target.config.tier_mode != "lru"
+            )
+            past_tier = [
+                i
+                for i in stale
+                if self._rungs[i] >= RUNG_TIER or not tier_first
+            ]
+            if (
+                len(past_tier) > 1
+                and len(past_tier)
+                >= cfg.full_replace_fraction * self._num_targets
+            ):
+                return self._full_replace(snapshot, windows)
+            for i in stale:
+                if self._rungs[i] == RUNG_HEALTHY and tier_first:
+                    actions[i] = self._tier_replan(i, windows[i])
+                else:
+                    actions[i] = self._rebuild(i, windows[i])
+        if self._num_targets == 1:
+            return actions[0]
+        if not stale:
+            return {"action": "healthy", "shards_probed": len(windows)}
+        return {"action": "repair", "shards": {i: actions[i] for i in stale}}
 
-    def _tier_replan_single(self, snapshot: QueryTrace) -> Dict[str, object]:
-        manager: LayoutManager = self.target
-        engine = manager.engine
+    # -- what differs between a manager and a cluster --------------------------
+
+    def _window(self, i: int, snapshot: QueryTrace) -> QueryTrace:
+        """Target ``i``'s traffic: the snapshot, or its shard's share."""
+        if self.cluster:
+            return project_trace(snapshot, self.target.plan, i)
+        return snapshot
+
+    def _probe(
+        self, i: int, window: QueryTrace
+    ) -> Tuple[float, Optional[float]]:
+        """Target ``i``'s effective bandwidth on its window, and its
+        share of the best retained version (None for a shard: a cluster
+        keeps no versions to rank against)."""
+        max_queries = self.config.probe_max_queries
+        if not self.cluster:
+            manager = self.target
+            scores = manager.staleness_probe(window, max_queries=max_queries)
+            active = next(
+                record
+                for record in manager.versions()
+                if record.version == manager.active_version
+            )
+            return (
+                scores[active.label or f"v{active.version}"],
+                scores["active_share_of_best"],
+            )
+        layout = self.target.engines[i].layout
+        key = (i, id(layout), window_fingerprint(window, max_queries))
+        bw = self._probe_cache.get(key)
+        if bw is None:
+            spec = self.target.config.spec
+            bw = evaluate_placement(
+                layout,
+                window,
+                max_queries=max_queries,
+                embedding_bytes=spec.embedding_bytes,
+                page_size=spec.page_size,
+            ).effective_fraction()
+            if len(self._probe_cache) >= 256:
+                self._probe_cache.clear()
+            self._probe_cache[key] = bw
+        return bw, None
+
+    def _install(
+        self, staged: Dict[int, PageLayout], seq: int
+    ) -> Dict[str, object]:
+        """Swap the staged layouts in, all or none.
+
+        Returns what the action reports about the install (the new
+        version, for a manager).  The fault plan's swap failures strike
+        after each target is installed; either owner has put the
+        displaced engines back by the time the error reaches here.
+        """
+
+        def after_install(i: int) -> None:
+            if self.faults is not None and self.faults.draw_swap_failure(
+                i, seq
+            ):
+                raise RefreshError(
+                    f"injected swap failure after installing target {i}",
+                    stage="swap",
+                )
+
+        keep_cache = self.config.keep_cache
+        installed: Dict[str, object] = {}
+        try:
+            if self.cluster:
+                self.target.swap_shards(staged, keep_cache, after_install)
+            else:
+                record = self.target.register(
+                    staged[0], label=f"refresh-{seq}"
+                )
+                self.target.swap(
+                    record.version, keep_cache, lambda _: after_install(0)
+                )
+                installed["version"] = record.version
+        except Exception:
+            self.counters["rollbacks"] += 1
+            raise
+        self.counters["swaps"] += 1
+        self.counters["consecutive_failures"] = 0
+        # A swapped-out layout may be freed and its id() reused by a
+        # later one, so its cached scores must not outlive the swap.
+        self._probe_cache = {
+            key: bw
+            for key, bw in self._probe_cache.items()
+            if key[0] not in staged
+        }
+        return installed
+
+    # -- the rungs -------------------------------------------------------------
+
+    def _tier_replan(self, i: int, window: QueryTrace) -> Dict[str, object]:
+        engine = self._engine(i)
         ratio = engine.config.tier_ratio or (
             engine.tier_plan.tier_ratio if engine.tier_plan else 0.0
         )
         plan = replan_tier(
-            engine.layout, snapshot, ratio, previous=engine.tier_plan
+            engine.layout, window, ratio, previous=engine.tier_plan
         )
         engine.apply_tier_plan(plan)
-        self._rungs[0] = RUNG_TIER
+        self._rungs[i] = RUNG_TIER
         self.counters["tier_replans"] += 1
         return {"action": "tier-replan", "pinned_keys": plan.capacity}
 
-    def _rebuild_single(self, snapshot: QueryTrace) -> Dict[str, object]:
-        manager: LayoutManager = self.target
+    def _rebuild(self, i: int, window: QueryTrace) -> Dict[str, object]:
         cfg = self.config
-        last_error: Optional[Exception] = None
-        for attempt in range(cfg.max_retries):
-            seq = self.counters["rebuild_attempts"]
-            self.counters["rebuild_attempts"] += 1
-            try:
-                if self.faults is not None and self.faults.draw_rebuild_failure(
-                    0, seq
-                ):
-                    raise RefreshError(
-                        "injected rebuild failure", stage="rebuild"
-                    )
-                layout = build_offline_layout(
-                    snapshot, self._scoped_build_config(1)
-                )
-                corrupt = (
-                    self.faults is not None
-                    and self.faults.draw_corrupt_artifact(0, seq)
-                )
-                staged = stage_layout(
-                    layout, self._staging_dir(), f"single-{seq}",
-                    corrupt=corrupt,
-                )
-                score = shadow_score(
-                    staged,
-                    manager.engine.layout,
-                    snapshot,
-                    manager.config.spec,
-                    max_queries=cfg.probe_max_queries,
-                    margin=cfg.shadow_margin,
-                )
-                if not score.passes:
-                    self.counters["shadow_rejections"] += 1
-                    # A rebuild from this window cannot beat the active
-                    # layout; rebuilding again would spin.  Accept the
-                    # current bandwidth as the new baseline and re-arm.
-                    self._watchers[0].rebaseline(score.active_bw)
-                    self._rungs[0] = RUNG_HEALTHY
-                    return {
-                        "action": "shadow-rejected",
-                        "candidate_bw": score.candidate_bw,
-                        "active_bw": score.active_bw,
-                    }
-                record = manager.register(staged, label=f"refresh-{seq}")
-                previous = manager.active_version
-                manager.swap(record.version, keep_cache=cfg.keep_cache)
-                try:
-                    if (
-                        self.faults is not None
-                        and self.faults.draw_swap_failure(0, seq)
-                    ):
-                        raise RefreshError(
-                            "injected swap failure", stage="swap"
-                        )
-                except Exception:
-                    # Any swap-time error rolls back to the previous
-                    # version before propagating into the retry loop.
-                    manager.swap(previous, keep_cache=cfg.keep_cache)
-                    self.counters["rollbacks"] += 1
-                    raise
-                self.counters["swaps"] += 1
-                self.counters["consecutive_failures"] = 0
-                self._watchers[0].rebaseline(score.candidate_bw)
-                self._rungs[0] = RUNG_REBUILT
+
+        def attempt(seq: int) -> Dict[str, object]:
+            layout = build_offline_layout(
+                window, self._scoped_build_config(1)
+            )
+            staged = self._stage(layout, i, seq, f"target{i}-{seq}")
+            score = shadow_score(
+                staged,
+                self._engine(i).layout,
+                window,
+                self.target.config.spec,
+                max_queries=cfg.probe_max_queries,
+                margin=cfg.shadow_margin,
+            )
+            if not score.passes:
+                self.counters["shadow_rejections"] += 1
+                # A rebuild from this window cannot beat the active
+                # layout; rebuilding again would spin.  Accept the
+                # current bandwidth as the new baseline and re-arm.
+                self._watchers[i].rebaseline(score.active_bw)
+                self._rungs[i] = RUNG_HEALTHY
                 return {
-                    "action": "swap",
-                    "version": record.version,
+                    "action": "shadow-rejected",
                     "candidate_bw": score.candidate_bw,
                     "active_bw": score.active_bw,
                 }
-            except Exception as exc:  # noqa: BLE001 - retried below
-                last_error = exc
-                self._count_repair_error(exc)
-                self._backoff(attempt)
-        return self._abandon(last_error)
+            installed = self._install({i: staged}, seq)
+            self._watchers[i].rebaseline(score.candidate_bw)
+            self._rungs[i] = RUNG_REBUILT
+            return {
+                "action": "swap",
+                **installed,
+                "candidate_bw": score.candidate_bw,
+                "active_bw": score.active_bw,
+            }
 
-    # -- cluster mode ----------------------------------------------------------
-
-    def _shard_bw(self, shard: int, window: QueryTrace) -> float:
-        engine: ClusterEngine = self.target
-        layout = engine.engines[shard].layout
-        key = (
-            shard,
-            id(layout),
-            window_fingerprint(window, self.config.probe_max_queries),
-        )
-        cached = self._shard_probe_cache.get(key)
-        if cached is not None:
-            return cached
-        spec = engine.config.spec
-        bw = evaluate_placement(
-            layout,
-            window,
-            max_queries=self.config.probe_max_queries,
-            embedding_bytes=spec.embedding_bytes,
-            page_size=spec.page_size,
-        ).effective_fraction()
-        if len(self._shard_probe_cache) >= 256:
-            self._shard_probe_cache.clear()
-        self._shard_probe_cache[key] = bw
-        return bw
-
-    def _step_cluster(self, snapshot: QueryTrace) -> Dict[str, object]:
-        engine: ClusterEngine = self.target
-        cfg = self.config
-        shard_windows: Dict[int, QueryTrace] = {}
-        stale: List[int] = []
-        for shard in range(engine.num_shards):
-            window = project_trace(snapshot, engine.plan, shard)
-            if not len(window.queries):
-                continue
-            shard_windows[shard] = window
-            bw = self._shard_bw(shard, window)
-            if self._watchers[shard].assess(bw):
-                stale.append(shard)
-            else:
-                self._rungs[shard] = RUNG_HEALTHY
-        self.counters["probes"] += 1
-        if not stale:
-            return {"action": "healthy", "shards_probed": len(shard_windows)}
-        self.counters["drift_detections"] += 1
-        tiered = engine.config.tier_mode != "lru"
-        past_tier = [
-            s
-            for s in stale
-            if self._rungs[s] >= RUNG_TIER or not (cfg.tier_first and tiered)
-        ]
-        if (
-            len(past_tier) > 1
-            and len(past_tier)
-            >= cfg.full_replace_fraction * engine.num_shards
-        ):
-            return self._full_replace(snapshot, shard_windows)
-        actions: Dict[str, object] = {"action": "repair", "shards": {}}
-        for shard in stale:
-            if (
-                self._rungs[shard] == RUNG_HEALTHY
-                and cfg.tier_first
-                and tiered
-            ):
-                actions["shards"][shard] = self._tier_replan_shard(
-                    shard, shard_windows[shard]
-                )
-            else:
-                actions["shards"][shard] = self._rebuild_shard(
-                    shard, shard_windows[shard]
-                )
-        return actions
-
-    def _tier_replan_shard(
-        self, shard: int, window: QueryTrace
-    ) -> Dict[str, object]:
-        engine: ClusterEngine = self.target
-        shard_engine = engine.engines[shard]
-        ratio = engine.config.tier_ratio or (
-            shard_engine.tier_plan.tier_ratio
-            if shard_engine.tier_plan
-            else 0.0
-        )
-        plan = replan_tier(
-            shard_engine.layout, window, ratio,
-            previous=shard_engine.tier_plan,
-        )
-        shard_engine.apply_tier_plan(plan)
-        self._rungs[shard] = RUNG_TIER
-        self.counters["tier_replans"] += 1
-        return {"action": "tier-replan", "pinned_keys": plan.capacity}
-
-    def _rebuild_shard(
-        self, shard: int, window: QueryTrace
-    ) -> Dict[str, object]:
-        engine: ClusterEngine = self.target
-        cfg = self.config
-        last_error: Optional[Exception] = None
-        for attempt in range(cfg.max_retries):
-            seq = self.counters["rebuild_attempts"]
-            self.counters["rebuild_attempts"] += 1
-            try:
-                if self.faults is not None and self.faults.draw_rebuild_failure(
-                    shard, seq
-                ):
-                    raise RefreshError(
-                        "injected rebuild failure", stage="rebuild"
-                    )
-                layout = build_offline_layout(
-                    window, self._scoped_build_config(1)
-                )
-                corrupt = (
-                    self.faults is not None
-                    and self.faults.draw_corrupt_artifact(shard, seq)
-                )
-                staged = stage_layout(
-                    layout,
-                    self._staging_dir(),
-                    f"shard{shard}-{seq}",
-                    corrupt=corrupt,
-                )
-                score = shadow_score(
-                    staged,
-                    engine.engines[shard].layout,
-                    window,
-                    engine.config.spec,
-                    max_queries=cfg.probe_max_queries,
-                    margin=cfg.shadow_margin,
-                )
-                if not score.passes:
-                    self.counters["shadow_rejections"] += 1
-                    self._watchers[shard].rebaseline(score.active_bw)
-                    self._rungs[shard] = RUNG_HEALTHY
-                    return {
-                        "action": "shadow-rejected",
-                        "candidate_bw": score.candidate_bw,
-                        "active_bw": score.active_bw,
-                    }
-                self._guarded_cluster_swap({shard: staged}, seq)
-                self.counters["swaps"] += 1
-                self.counters["consecutive_failures"] = 0
-                self._watchers[shard].rebaseline(score.candidate_bw)
-                self._rungs[shard] = RUNG_REBUILT
-                return {"action": "swap", "candidate_bw": score.candidate_bw}
-            except Exception as exc:  # noqa: BLE001 - retried below
-                last_error = exc
-                self._count_repair_error(exc)
-                self._backoff(attempt)
-        return self._abandon(last_error)
+        return self._retrying(i, attempt)
 
     def _full_replace(
-        self, snapshot: QueryTrace, shard_windows: Dict[int, QueryTrace]
+        self, snapshot: QueryTrace, windows: Dict[int, QueryTrace]
     ) -> Dict[str, object]:
-        engine: ClusterEngine = self.target
         cfg = self.config
-        last_error: Optional[Exception] = None
-        for attempt in range(cfg.max_retries):
-            seq = self.counters["rebuild_attempts"]
-            self.counters["rebuild_attempts"] += 1
-            try:
-                if self.faults is not None and self.faults.draw_rebuild_failure(
-                    -1, seq
-                ):
-                    raise RefreshError(
-                        "injected rebuild failure", stage="rebuild"
-                    )
-                # Re-place every shard over the *existing* shard plan —
-                # the router's key→shard mapping is fixed for the life
-                # of the cluster, only the per-shard page layouts move.
-                sharded = build_sharded_layout(
-                    snapshot,
-                    self._scoped_build_config(engine.num_shards),
-                    plan=engine.plan,
-                )
-                staged: Dict[int, object] = {}
-                for shard, layout in enumerate(sharded.layouts):
-                    corrupt = (
-                        self.faults is not None
-                        and self.faults.draw_corrupt_artifact(shard, seq)
-                    )
-                    staged[shard] = stage_layout(
-                        layout,
-                        self._staging_dir(),
-                        f"full{seq}-shard{shard}",
-                        corrupt=corrupt,
-                    )
-                candidate_bw, active_bw = self._aggregate_shadow(
-                    staged, shard_windows
-                )
-                if candidate_bw < active_bw * cfg.shadow_margin:
-                    self.counters["shadow_rejections"] += 1
-                    for shard, window in shard_windows.items():
-                        self._watchers[shard].rebaseline(
-                            self._shard_bw(shard, window)
-                        )
-                        self._rungs[shard] = RUNG_HEALTHY
-                    return {
-                        "action": "shadow-rejected",
-                        "candidate_bw": candidate_bw,
-                        "active_bw": active_bw,
-                    }
-                self._guarded_cluster_swap(staged, seq)
-                self.counters["swaps"] += 1
-                self.counters["consecutive_failures"] = 0
-                self._shard_probe_cache.clear()
-                for shard, window in shard_windows.items():
-                    self._watchers[shard].rebaseline(
-                        self._shard_bw(shard, window)
-                    )
-                    self._rungs[shard] = RUNG_REPLACED
+        num_targets = self._num_targets
+
+        def settle(rung: int) -> None:
+            for i, window in windows.items():
+                self._watchers[i].rebaseline(self._probe(i, window)[0])
+                self._rungs[i] = rung
+
+        def attempt(seq: int) -> Dict[str, object]:
+            # Re-place every shard over the *existing* shard plan — the
+            # router's key→shard mapping is fixed for the life of the
+            # cluster, only the per-shard page layouts move.
+            sharded = build_sharded_layout(
+                snapshot,
+                self._scoped_build_config(num_targets),
+                plan=self.target.plan,
+            )
+            staged = {
+                i: self._stage(layout, i, seq, f"full{seq}-target{i}")
+                for i, layout in enumerate(sharded.layouts)
+            }
+            candidate_bw, active_bw = self._aggregate_shadow(staged, windows)
+            if candidate_bw < active_bw * cfg.shadow_margin:
+                self.counters["shadow_rejections"] += 1
+                settle(RUNG_HEALTHY)
                 return {
-                    "action": "full-replace",
-                    "shards": engine.num_shards,
+                    "action": "shadow-rejected",
                     "candidate_bw": candidate_bw,
                     "active_bw": active_bw,
                 }
-            except Exception as exc:  # noqa: BLE001 - retried below
-                last_error = exc
-                self._count_repair_error(exc)
-                self._backoff(attempt)
-        return self._abandon(last_error)
+            self._install(staged, seq)
+            settle(RUNG_REPLACED)
+            return {
+                "action": "full-replace",
+                "shards": num_targets,
+                "candidate_bw": candidate_bw,
+                "active_bw": active_bw,
+            }
 
-    def _aggregate_shadow(self, staged, shard_windows):
+        return self._retrying(-1, attempt)
+
+    def _aggregate_shadow(self, staged, windows):
         """Mean candidate/active effective bandwidth over probed shards."""
-        engine: ClusterEngine = self.target
-        cfg = self.config
         candidate_scores: List[float] = []
         active_scores: List[float] = []
-        for shard, window in shard_windows.items():
+        for i, window in windows.items():
             score = shadow_score(
-                staged[shard],
-                engine.engines[shard].layout,
+                staged[i],
+                self._engine(i).layout,
                 window,
-                engine.config.spec,
-                max_queries=cfg.probe_max_queries,
+                self.target.config.spec,
+                max_queries=self.config.probe_max_queries,
             )
             candidate_scores.append(score.candidate_bw)
             active_scores.append(score.active_bw)
@@ -612,31 +505,39 @@ class RefreshDaemon:
         mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
         return mean(candidate_scores), mean(active_scores)
 
-    def _guarded_cluster_swap(self, staged, seq: int) -> None:
-        """Rolling swap with injected mid-swap failures → rollback."""
-        engine: ClusterEngine = self.target
-
-        def after_install(shard: int) -> None:
-            if self.faults is not None and self.faults.draw_swap_failure(
-                shard, seq
-            ):
-                raise RefreshError(
-                    f"injected swap failure after installing shard {shard}",
-                    stage="swap",
-                )
-
-        try:
-            engine.swap_shards(
-                staged,
-                keep_cache=self.config.keep_cache,
-                after_install=after_install,
-            )
-        except Exception:
-            # swap_shards already rolled the cluster back; account it.
-            self.counters["rollbacks"] += 1
-            raise
-
     # -- shared plumbing -------------------------------------------------------
+
+    def _retrying(
+        self, target: int, attempt: Callable[[int], Dict[str, object]]
+    ) -> Dict[str, object]:
+        """Run ``attempt(seq)`` until it returns, at most ``max_retries``
+        times with backoff, then abandon the repair.  ``target`` (-1 for
+        a full re-placement) is where injected rebuild failures land."""
+        last_error: Optional[Exception] = None
+        for retry in range(self.config.max_retries):
+            seq = self.counters["rebuild_attempts"]
+            self.counters["rebuild_attempts"] += 1
+            try:
+                if self.faults is not None and self.faults.draw_rebuild_failure(
+                    target, seq
+                ):
+                    raise RefreshError(
+                        "injected rebuild failure", stage="rebuild"
+                    )
+                return attempt(seq)
+            except Exception as exc:  # noqa: BLE001 - retried below
+                last_error = exc
+                self._count_repair_error(exc)
+                self._backoff(retry)
+        return self._abandon(last_error)
+
+    def _stage(
+        self, layout: PageLayout, target: int, seq: int, tag: str
+    ) -> PageLayout:
+        corrupt = self.faults is not None and self.faults.draw_corrupt_artifact(
+            target, seq
+        )
+        return stage_layout(layout, self._staging_dir(), tag, corrupt=corrupt)
 
     def _scoped_build_config(self, num_shards: int) -> MaxEmbedConfig:
         return replace(self.build_config, num_shards=num_shards)

@@ -248,6 +248,84 @@ class TestSwapRollback:
             cluster.swap_shard(9, cluster.sharded.layouts[0])
 
 
+class TestReplicatedSwap:
+    @staticmethod
+    def _cluster(trace) -> ClusterEngine:
+        sharded = build_sharded_layout(
+            trace,
+            MaxEmbedConfig(
+                num_shards=2,
+                shard_strategy="modulo",
+                shp=ShpConfig(max_iterations=4),
+            ),
+        )
+        config = EngineConfig(
+            cache_ratio=0.5, replicas=2, breaker=BreakerConfig()
+        )
+        return ClusterEngine(sharded, config)
+
+    def test_commit_replaces_groups_and_carries_every_cache(
+        self, two_community_trace
+    ):
+        cluster = self._cluster(two_community_trace)
+        groups = list(cluster.groups)
+        breakers = list(cluster.breakers)
+        for _ in range(BreakerConfig().failure_threshold):
+            breakers[0].record_failure(0.0)
+        assert breakers[0].state == OPEN
+        caches = [[e.cache for e in group.engines] for group in groups]
+        assert all(cache is not None for row in caches for cache in row)
+        installed = cluster.swap_shards(dict(enumerate(cluster.sharded.layouts)))
+        for shard in range(2):
+            group = cluster.groups[shard]
+            assert group is not groups[shard]
+            assert cluster.engines[shard] is group.engines[0]
+            assert installed[shard] is group.engines[0]
+            assert all(
+                mine.cache is theirs
+                for mine, theirs in zip(group.engines, caches[shard])
+            )
+            assert cluster.breakers[shard] is not breakers[shard]
+            assert cluster.breakers[shard].state == "closed"
+            assert all(e.closed for e in groups[shard].engines)
+            assert not any(e.closed for e in group.engines)
+        assert cluster.swap_counts == [1, 1]
+        assert cluster.swap_rollbacks == 0
+        assert cluster.serve_query(Query((0, 1, 4, 5))).missing_keys == 0
+
+    def test_rollback_restores_groups_engines_and_breakers(
+        self, two_community_trace
+    ):
+        cluster = self._cluster(two_community_trace)
+        groups = list(cluster.groups)
+        engines = list(cluster.engines)
+        breakers = list(cluster.breakers)
+        abandoned = []
+
+        def dies_on_second_shard(shard):
+            abandoned.append(cluster.groups[shard])
+            if shard == 1:
+                raise RuntimeError("swap died mid-roll")
+
+        with pytest.raises(RuntimeError, match="mid-roll"):
+            cluster.swap_shards(
+                dict(enumerate(cluster.sharded.layouts)),
+                after_install=dies_on_second_shard,
+            )
+        assert all(a is b for a, b in zip(cluster.groups, groups))
+        assert all(a is b for a, b in zip(cluster.engines, engines))
+        assert all(a is b for a, b in zip(cluster.breakers, breakers))
+        assert len(abandoned) == 2
+        assert all(a is not b for a in abandoned for b in groups)
+        assert all(e.closed for group in abandoned for e in group.engines)
+        assert not any(e.closed for group in groups for e in group.engines)
+        assert cluster.swap_counts == [0, 0]
+        assert cluster.swap_rollbacks == 1
+        assert cluster.swap_events[-1]["rolled_back"]
+        assert cluster.swap_events[-1]["shards"] == [0, 1]
+        assert cluster.serve_query(Query((0, 1, 4, 5))).missing_keys == 0
+
+
 class TestClose:
     def test_close_is_idempotent(self, two_community_trace):
         cluster = make_cluster(two_community_trace)

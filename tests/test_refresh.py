@@ -29,6 +29,7 @@ from repro import (
 from repro.cluster import ClusterEngine
 from repro.core import LayoutManager
 from repro.core.deploy import window_fingerprint
+from repro.refresh import daemon as daemon_module
 from repro.refresh import (
     DRIFTING,
     HEALTHY,
@@ -467,6 +468,46 @@ class TestDaemonCluster:
             report = engine.serve_trace(list(live)[:40])
             assert report.as_dict()["shard_swaps"] >= 1
             assert report.as_dict()["swap_rollbacks"] == 0
+
+    def test_swapped_shard_is_probed_again(self, drift_pair, monkeypatch):
+        """A committed shard swap drops that shard's cached probe scores.
+
+        Every ``id()`` reads 0 here: the worst case of CPython handing a
+        freed layout's id to a later layout.
+        """
+        history, live, drifted_live = drift_pair
+        config = _build_config(num_shards=2)
+        engine = ClusterEngine(
+            build_sharded_layout(history, config), EngineConfig()
+        )
+        assignment = engine.plan.assignment
+
+        def shard0_only(trace):
+            # Only shard 0 sees traffic, so only it can be repaired.
+            fragments = (
+                tuple(k for k in query.keys if assignment[k] == 0)
+                for query in trace.queries
+            )
+            return [Query(keys) for keys in fragments if keys]
+
+        monkeypatch.setattr(daemon_module, "id", lambda _: 0, raising=False)
+        daemon = RefreshDaemon(
+            engine, _daemon_config(tier_first=False), build_config=config
+        )
+        daemon.observe_many(shard0_only(live)[:200])
+        assert daemon.step()["action"] == "healthy"
+        daemon.observe_many(shard0_only(drifted_live))
+        assert daemon.step()["shards"][0]["action"] == "swap"
+        scored = []
+        evaluate = daemon_module.evaluate_placement
+
+        def counting(layout, *args, **kwargs):
+            scored.append(layout)
+            return evaluate(layout, *args, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "evaluate_placement", counting)
+        daemon.step()  # the same window as the swap's
+        assert scored == [engine.engines[0].layout]
 
     def test_full_replace_preserves_key_space(self, drift_pair):
         history, live, drifted_live = drift_pair

@@ -27,7 +27,7 @@ from repro import (
     build_sharded_layout,
 )
 from repro.cluster import ClusterEngine
-from repro.core import LayoutManager
+from repro.core import LayoutManager, deploy
 from repro.refresh import STATE_DEGRADED, STATE_WATCHING, stage_layout
 from repro.workloads.drift import drifted_trace_for
 
@@ -157,6 +157,49 @@ class TestSingleModeFaults:
         # Serving is unaffected by the failed repair.
         for query in list(live)[:40]:
             assert manager.serve_query(query).missing_keys == 0
+
+    def test_failed_swap_reinstalls_the_displaced_engine(
+        self, drift_pair, monkeypatch
+    ):
+        """Rollback puts back the engine object, re-pinned tier and all."""
+        history, live, drifted_live = drift_pair
+        layout = build_offline_layout(history, _build_config())
+        manager = LayoutManager(
+            layout, EngineConfig(tier_mode="hybrid", tier_ratio=0.05)
+        )
+        daemon = RefreshDaemon(
+            manager,
+            _daemon_config(tier_first=True),
+            build_config=_build_config(),
+            fault_plan=RefreshFaultPlan(seed=0, swap_failure_rate=1.0),
+        )
+        daemon.observe_many(live.queries[:200])
+        assert daemon.step()["action"] == "healthy"
+        daemon.observe_many(drifted_live.queries)
+        assert daemon.step()["action"] == "tier-replan"
+        engine = manager.engine
+        plan = engine.tier_plan
+        candidates = []
+        build_engine = deploy.ServingEngine
+
+        def recording(*args, **kwargs):
+            candidates.append(build_engine(*args, **kwargs))
+            return candidates[-1]
+
+        monkeypatch.setattr(deploy, "ServingEngine", recording)
+        assert daemon.step()["action"] == "repair-failed"
+        retries = daemon.config.max_retries
+        assert manager.engine is engine
+        assert manager.engine.tier_plan is plan
+        assert not engine.closed
+        assert len(candidates) == retries
+        assert all(candidate.closed for candidate in candidates)
+        assert manager.active_version == 0
+        # One rolled-back record per attempt, after the first activation.
+        assert len(manager.swap_events) == 1 + retries
+        for event in manager.swap_events[1:]:
+            assert event["from"] == 0 and event["rolled_back"]
+            assert "injected swap failure" in event["error"]
 
     def test_corrupt_artifacts_never_reach_the_engine(self, drift_pair):
         _, live, _ = drift_pair
