@@ -45,7 +45,7 @@ from ...placement import PageLayout
 from ...serving import EngineConfig, ServingEngine
 from ...serving.stats import QueryResult
 from ...types import Query
-from ...utils.reservoir import percentile
+from ...utils.percentile import percentile
 from .health import HealthConfig, ReplicaHealthMonitor
 
 #: Fragment latencies retained for the hedge-delay quantile (a recent
@@ -174,8 +174,7 @@ class ReplicaGroup:
                 monitor.record_failure(replica, clock)
                 failures += 1
                 continue
-            latency = result.latency_us
-            if deadline is not None and latency > deadline:
+            if deadline is not None and result.latency_us > deadline:
                 # The caller waited out the deadline before giving up on
                 # this replica; the next attempt starts that much later.
                 monitor.record_failure(
@@ -186,16 +185,19 @@ class ReplicaGroup:
                 clock += deadline
                 elapsed += deadline
                 continue
-            monitor.record_success(replica, latency, result.finish_us)
-            self._latencies.append(latency)
+            monitor.record_success(replica, result.finish_us)
             winner = replica
             hedges = hedge_wins = 0
-            if failures == 0:
-                # Hedge only the clean primary path: a failover already
-                # consumed its extra dispatch (and its latency slack).
-                result, winner, hedges, hedge_wins = self._maybe_hedge(
-                    fragment, start_us, degrade, replica, result, order
-                )
+            if self.hedge_quantile is not None:
+                # The window feeds only the hedge delay.
+                self._latencies.append(result.latency_us)
+                if failures == 0:
+                    # Hedge only the clean primary path: a failover
+                    # already consumed its extra dispatch (and its
+                    # latency slack).
+                    result, winner, hedges, hedge_wins = self._maybe_hedge(
+                        fragment, start_us, degrade, replica, result, order
+                    )
             self.failovers += failures
             # The engine's result rebased to the original start, plus this
             # group's provenance; field order is QueryResult's.
@@ -309,9 +311,7 @@ class ReplicaGroup:
         except Exception:  # noqa: BLE001 - a failed hedge is just a loss
             self.monitor.record_failure(secondary, hedge_start)
             return result, primary, 1, 0
-        self.monitor.record_success(
-            secondary, alternate.latency_us, alternate.finish_us
-        )
+        self.monitor.record_success(secondary, alternate.finish_us)
         if alternate.finish_us < result.finish_us:
             self.hedge_wins += 1
             return alternate, secondary, 1, 1

@@ -1,9 +1,8 @@
-"""Per-replica health tracking: EWMA scores and a 4-state machine.
+"""Per-replica health tracking: an EWMA error score and a state machine.
 
 The :class:`ReplicaHealthMonitor` is the control plane of a replica
 group.  Every real fragment outcome (and every probe) feeds a
-per-replica EWMA error score and latency estimate; the scores drive a
-state machine::
+per-replica EWMA error score; the score drives a state machine::
 
     healthy ──(errors)──> suspect ──(more errors)──> dead
        ^                     │                        │
@@ -49,8 +48,6 @@ class HealthConfig:
     Attributes:
         ewma_alpha: weight of the newest outcome in the error score
             (score → 1 under failures, → 0 under successes).
-        latency_alpha: weight of the newest latency sample in the
-            per-replica latency EWMA (used for observability/tiebreaks).
         suspect_error_score: healthy → suspect threshold.
         dead_error_score: suspect → dead threshold.
         clear_error_score: suspect → healthy threshold (hysteresis:
@@ -67,7 +64,6 @@ class HealthConfig:
     """
 
     ewma_alpha: float = 0.35
-    latency_alpha: float = 0.2
     suspect_error_score: float = 0.5
     dead_error_score: float = 0.85
     clear_error_score: float = 0.2
@@ -78,10 +74,10 @@ class HealthConfig:
     resync_delay_us: float = 50_000.0
 
     def __post_init__(self) -> None:
-        for name in ("ewma_alpha", "latency_alpha"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {value}")
+        if not 0.0 < self.ewma_alpha <= 1.0:
+            raise ConfigError(
+                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
+            )
         if not (
             0.0
             <= self.clear_error_score
@@ -140,11 +136,9 @@ class ReplicaHealthMonitor:
         self.num_replicas = num_replicas
         self.states: List[str] = [HEALTHY] * num_replicas
         self.error_score: List[float] = [0.0] * num_replicas
-        self.latency_ewma_us: List[float] = [0.0] * num_replicas
         self.consecutive_failures: List[int] = [0] * num_replicas
         self.consecutive_successes: List[int] = [0] * num_replicas
         self.dispatched: List[int] = [0] * num_replicas
-        self.successes: List[int] = [0] * num_replicas
         self.failures: List[int] = [0] * num_replicas
         self.dead_since_us: List[Optional[float]] = [None] * num_replicas
         self.last_probe_us: List[float] = [float("-inf")] * num_replicas
@@ -161,26 +155,13 @@ class ReplicaHealthMonitor:
         self.dispatched[replica] += 1
 
     def record_success(
-        self,
-        replica: int,
-        latency_us: "float | None",
-        now_us: float,
-        reason: str = "cleared",
+        self, replica: int, now_us: float, reason: str = "cleared"
     ) -> None:
         """Feed one successful outcome; may clear suspect / promote."""
         alpha = self.config.ewma_alpha
         self.error_score[replica] *= 1.0 - alpha
-        if latency_us is not None:
-            beta = self.config.latency_alpha
-            previous = self.latency_ewma_us[replica]
-            self.latency_ewma_us[replica] = (
-                latency_us
-                if previous == 0.0
-                else (1.0 - beta) * previous + beta * latency_us
-            )
         self.consecutive_failures[replica] = 0
         self.consecutive_successes[replica] += 1
-        self.successes[replica] += 1
         state = self.states[replica]
         if (
             state == SUSPECT
@@ -227,7 +208,7 @@ class ReplicaHealthMonitor:
         """Feed one probe outcome (success path may promote)."""
         self.last_probe_us[replica] = now_us
         if ok:
-            self.record_success(replica, None, now_us, reason="probe")
+            self.record_success(replica, now_us, reason="probe")
         else:
             self.record_failure(replica, now_us, reason="probe")
 

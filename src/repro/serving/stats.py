@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ServingError
 from ..overload import BrownoutTransition
-from ..utils.reservoir import percentile
+from ..utils.percentile import percentile
 from .executor import ExecutionResult
 
 

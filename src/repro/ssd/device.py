@@ -54,11 +54,10 @@ and I/O deterministically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..errors import StorageError
-from ..utils.reservoir import LatencyReservoir
 from .commands import (
     DeviceCommand,
     GatherCommand,
@@ -94,9 +93,10 @@ class Completion:
 class DeviceStats:
     """Aggregate counters for one device.
 
-    ``latencies`` is a bounded uniform sample of per-command latencies
-    (:class:`~repro.utils.reservoir.LatencyReservoir`), not the full
-    stream — ``reads``/``total_latency_us`` stay exact.
+    ``total_latency_us`` sums per-*command* latencies while ``reads``
+    counts *pages*: a gather adds one latency and ``num_pages`` reads.
+    Per-read latencies are not kept; a
+    :class:`~repro.ssd.tracing.TracingDevice` records every command.
     """
 
     reads: int = 0
@@ -104,11 +104,6 @@ class DeviceStats:
     total_latency_us: float = 0.0
     busy_until_us: float = 0.0
     gathers: int = 0
-    latencies: LatencyReservoir = field(default_factory=LatencyReservoir)
-
-    def mean_latency_us(self) -> float:
-        """Average read latency (0 when idle)."""
-        return self.total_latency_us / self.reads if self.reads else 0.0
 
 
 def submit_with_backpressure(device, page_id: int, now_us: float, submit=None):
@@ -300,7 +295,6 @@ class SimulatedSsd:
         total_latency = stats.total_latency_us
         now = now_us
         done_at: List[float] = []
-        latencies: List[float] = []
         reaped = 0
         outstanding = len(heap)
         for gap_us in command.gaps_us:
@@ -327,9 +321,7 @@ class SimulatedSsd:
             ready = start + transfer
             completed = start + read_latency
             done_at.append(completed)
-            latency = completed - now
-            latencies.append(latency)
-            total_latency += latency
+            total_latency += completed - now
             outstanding += 1
         latest = done_at[-1]
         finish = latest if latest > now else now
@@ -342,7 +334,6 @@ class SimulatedSsd:
         stats.reads += pages
         stats.bytes_read += pages * self.page_size
         stats.total_latency_us = total_latency
-        stats.latencies.extend(latencies)
         if latest > stats.busy_until_us:
             stats.busy_until_us = latest
         return Completion(ticket, command.page_ids[0], now, latest, pages)
@@ -357,12 +348,10 @@ class SimulatedSsd:
         heapq.heappush(
             self._inflight, (completed, ticket, completion)
         )
-        self.stats.reads += 1
-        self.stats.total_latency_us += completion.latency_us
-        self.stats.latencies.append(completion.latency_us)
-        self.stats.busy_until_us = max(
-            self.stats.busy_until_us, completed
-        )
+        stats = self.stats
+        stats.reads += 1
+        stats.total_latency_us += completed - now_us
+        stats.busy_until_us = max(stats.busy_until_us, completed)
         return completion
 
     def poll(self, now_us: float) -> List[Completion]:

@@ -43,7 +43,6 @@ class Raid0Array:
         self._members: List[SimulatedSsd] = [
             SimulatedSsd(profile, page_size) for _ in range(members)
         ]
-        self._stats_cache: "DeviceStats | None" = None
 
     @property
     def members(self) -> int:
@@ -82,7 +81,6 @@ class Raid0Array:
 
     def submit_read(self, page_id: int, now_us: float) -> Completion:
         """Submit a read to the member owning ``page_id``'s stripe."""
-        self._stats_cache = None
         return self._member_for(page_id).submit_read(page_id, now_us)
 
     def submit_gather(
@@ -95,7 +93,6 @@ class Raid0Array:
         share of the payload); the merged completion lands at the
         slowest member's time, which is what the host observes.
         """
-        self._stats_cache = None
         by_member: Dict[int, List[int]] = {}
         for page_id in command.page_ids:
             by_member.setdefault(
@@ -187,29 +184,19 @@ class Raid0Array:
 
     @property
     def stats(self) -> DeviceStats:
-        """Aggregated counters across members.
-
-        Memoized until the next ``submit_read``/``reset_stats``: member
-        counters only change on submission, so repeated accesses (hot in
-        per-query reporting loops) return the same aggregate instead of
-        re-extending every member's full latency sample each time.
-        """
-        if self._stats_cache is None:
-            total = DeviceStats()
-            for member in self._members:
-                total.reads += member.stats.reads
-                total.bytes_read += member.stats.bytes_read
-                total.total_latency_us += member.stats.total_latency_us
-                total.busy_until_us = max(
-                    total.busy_until_us, member.stats.busy_until_us
-                )
-                total.gathers += member.stats.gathers
-                total.latencies.extend(member.stats.latencies)
-            self._stats_cache = total
-        return self._stats_cache
+        """Aggregated counters across members (a fresh snapshot)."""
+        total = DeviceStats()
+        for member in self._members:
+            total.reads += member.stats.reads
+            total.bytes_read += member.stats.bytes_read
+            total.total_latency_us += member.stats.total_latency_us
+            total.busy_until_us = max(
+                total.busy_until_us, member.stats.busy_until_us
+            )
+            total.gathers += member.stats.gathers
+        return total
 
     def reset_stats(self) -> None:
         """Zero every member's counters."""
-        self._stats_cache = None
         for member in self._members:
             member.reset_stats()

@@ -150,7 +150,7 @@ class TracingDevice:
         self, percentiles: Tuple[float, ...] = (50.0, 99.0)
     ) -> Dict[float, float]:
         """Observed device-latency percentiles."""
-        from ..utils.reservoir import percentile
+        from ..utils.percentile import percentile
 
         latencies = [r.latency_us for r in self.records]
         return {p: percentile(latencies, p) for p in percentiles}

@@ -1,4 +1,4 @@
-"""Small shared utilities: validation, seeded RNG, Zipf sampling, tables."""
+"""Small shared utilities: validation, seeded RNG, percentile, Zipf, tables."""
 
 from .validation import (
     check_fraction,
@@ -7,7 +7,7 @@ from .validation import (
     check_probability,
 )
 from .rng import make_rng, spawn_rngs
-from .reservoir import LatencyReservoir, percentile
+from .percentile import percentile
 from .zipf import ZipfSampler, zipf_weights
 from .tables import format_table, format_series
 
@@ -18,7 +18,6 @@ __all__ = [
     "check_probability",
     "make_rng",
     "spawn_rngs",
-    "LatencyReservoir",
     "percentile",
     "ZipfSampler",
     "zipf_weights",

@@ -280,10 +280,7 @@ HEALTH_CONFIGS = [
 
 steps = st.one_of(
     st.tuples(st.just("dispatch")),
-    st.tuples(
-        st.just("success"),
-        st.one_of(st.none(), st.floats(0.0, 500.0, allow_nan=False)),
-    ),
+    st.tuples(st.just("success")),
     st.tuples(st.just("failure"), st.sampled_from(["fault", "timeout"])),
     st.tuples(st.just("probe"), st.booleans()),
     st.tuples(st.just("recovering")),
@@ -318,7 +315,7 @@ class TestMonitorMatchesDefinitions:
             if kind == "dispatch":
                 monitor.record_dispatch(replica)
             elif kind == "success":
-                monitor.record_success(replica, args[0], now)
+                monitor.record_success(replica, now)
             elif kind == "failure":
                 monitor.record_failure(replica, now, reason=args[0])
             elif kind == "probe":

@@ -97,9 +97,6 @@ class TestBatchEqualsLoop:
         assert batch_dev.stats.total_latency_us == (
             loop_dev.stats.total_latency_us
         )
-        assert list(batch_dev.stats.latencies) == list(
-            loop_dev.stats.latencies
-        )
 
     @settings(max_examples=50, deadline=None)
     @given(

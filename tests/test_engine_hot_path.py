@@ -42,13 +42,14 @@ from repro.ssd import Completion, PacedReadCommand, SsdProfile
 QUERIES = 200
 WARMUP = 100
 
-#: Python + C calls per query: 269.4 / 99.0 / 577.7 measured on CPython
+#: Python + C calls per query: 237.4 / 95.5 / 526.8 measured on CPython
 #: 3.11 (each repeats to the digit), plus 15 %.  Ceilings, not equalities —
 #: the trace comes from numpy's generator and the C-call mix differs
 #: across the CI matrix.  Lower them when a path gets shorter: with one
 #: ``LruCache.get`` / ``put`` per key the same loops made 306.7 / 105.6 /
-#: 604.5.
-CEILINGS = {"engine": 309, "hybrid": 113, "cluster": 664}
+#: 604.5, and with a sampled latency per device read and a latency EWMA
+#: per replica fragment 269.4 / 99.0 / 577.7.
+CEILINGS = {"engine": 273, "hybrid": 110, "cluster": 606}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
 #: (cluster: a replayed gather): 15.4 / 37.6 measured on CPython 3.11, plus

@@ -5,8 +5,9 @@ each; its meaning is the per-page loop ``run_paced_reads`` (stall while
 the queue is full, ``submit_read``, poll once at the end).  Pinned here:
 
 * ``SimulatedSsd`` fuses that loop into one pass and must leave the same
-  completion, counters, reservoir, in-flight set, tickets and service
-  cursor as the reference loop on a twin drive;
+  completion, counters, in-flight set, tickets and service cursor as the
+  reference loop on a twin drive, and each further page of the command
+  costs it at most one Python or C call;
 * the serial / pipelined / batched executors — three gap vectors over
   one run function — report the same ``ExecutionResult`` as the per-page
   executors they replace (kept below as the oracle) on every device
@@ -18,6 +19,7 @@ the queue is full, ``submit_read``, poll once at the end).  Pinned here:
 """
 
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -123,8 +125,6 @@ def device_state(device):
         stats.bytes_read,
         stats.total_latency_us,
         stats.busy_until_us,
-        stats.latencies.observed,
-        stats.latencies.values(),
         device.inflight,
         device.next_completion_time(),
     )
@@ -177,19 +177,19 @@ class TestFusedLoopEqualsReference:
         assert device.inflight == 0
         assert device.stats.reads == 4
 
-    def test_reservoir_past_capacity(self):
+    def test_long_run_matches_reference(self):
         fused, twin = make_device("ssd"), make_device("ssd")
         rng = random.Random(5)
         now = 0.0
-        for _ in range(600):  # 600 × 8 reads > the 4096-sample reservoir
+        for _ in range(600):
             pages = [rng.randrange(100) for _ in range(8)]
             gaps = [rng.random() for _ in range(8)]
             command = PacedReadCommand(pages, gaps)
             (answer,) = fused.submit_batch([command], now)
             assert answer == run_paced_reads(twin, command, now)
+            assert device_state(fused) == device_state(twin)
             now = answer.completed_at_us - 5.0
-        assert fused.stats.latencies.observed == 4800
-        assert device_state(fused) == device_state(twin)
+        assert fused.stats.reads == 4800
 
     def test_command_validation(self):
         with pytest.raises(StorageError, match="at least one page"):
@@ -202,6 +202,45 @@ class TestFusedLoopEqualsReference:
             make_device("ssd").submit_batch(
                 [PacedReadCommand([1], [0.0])], -1.0
             )
+
+
+def counted_calls(run) -> int:
+    """Python + C calls made by ``run()``."""
+    calls = 0
+
+    def hook(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestPerPageCalls:
+    def test_calls_per_further_page_past_4096_reads(self):
+        # Serve 4 096 reads first, so bookkeeping that changes past a
+        # bounded sample's capacity is what gets counted.
+        device = make_device("ssd")
+        now = 0.0
+        while device.stats.reads <= 4096:
+            command = PacedReadCommand(list(range(8)), [0.5] * 8)
+            (answer,) = device.submit_batch([command], now)
+            now = answer.completed_at_us
+        short = [PacedReadCommand([3], [0.5])]
+        long = [PacedReadCommand(list(range(12)), [0.5] * 12)]
+        calls = {}
+        for name, batch in (("short", short), ("long", long)):
+            assert device.inflight == 0
+            calls[name] = counted_calls(
+                lambda: device.submit_batch(batch, now)
+            )
+            now = device.stats.busy_until_us
+        assert calls["long"] - calls["short"] <= 11, calls
 
 
 class TestExecutorsEqualPerPageOracle:

@@ -208,7 +208,7 @@ class TestHealthStateMachine:
         monitor.record_failure(0, 2.0)
         assert monitor.states[0] == SUSPECT
         for t in (3.0, 4.0, 5.0):
-            monitor.record_success(0, 10.0, t)
+            monitor.record_success(0, t)
         assert monitor.states[0] == HEALTHY
 
     def test_recovering_promotes_after_consecutive_successes(self):

@@ -6,8 +6,10 @@ paths.  Small seeded runs of each pin what those loops produced, as
 ``float.hex()`` strings taken before the fold: three closed loops (the
 default engine, a hybrid-tier engine and a 4 x 2 cluster, with the
 cluster report's per-shard lists) and three open loops (an unbounded
-queue, tail admission, admission with brownout).  A change that moves a
-simulated number fails here, in the change that moves it.
+queue, tail admission, admission with brownout).  The closed loops, plus
+an engine on a two-drive RAID-0, also pin every counter of every device
+they drove.  A change that moves a simulated number fails here, in the
+change that moves it.
 """
 
 from __future__ import annotations
@@ -112,6 +114,33 @@ GOLDEN_OPEN = {
     ),
 }
 
+#: Per device after the closed loops: reads, bytes read, gathers, total
+#: latency and busy-until.  ``raid`` is the array's aggregate, then each
+#: member; ``cluster`` is shard by shard, replica by replica.
+GOLDEN_DEVICES = {
+    "engine": [
+        (3311, 13561856, 0, "0x1.eb01931d2abffp+16", "0x1.da5e235fb8eacp+10"),
+    ],
+    "hybrid": [
+        (453, 1855488, 0, "0x1.1c0f507c9aa6ep+12", "0x1.174d81a0a8f4bp+8"),
+    ],
+    "raid": [
+        (3311, 13561856, 0, "0x1.72ddcd2337952p+15", "0x1.e7e7823ffb314p+9"),
+        (1640, 6717440, 0, "0x1.6e213dfabf613p+14", "0x1.e336bf811ad13p+9"),
+        (1671, 6844416, 0, "0x1.779a5c4bafc91p+14", "0x1.e7e7823ffb314p+9"),
+    ],
+    "cluster": [
+        (409, 1675264, 0, "0x1.22645b5c89ca7p+11", "0x1.79d6b0d5e733fp+8"),
+        (397, 1626112, 0, "0x1.20f766d173857p+11", "0x1.7aa6ba2ade9d8p+8"),
+        (552, 2260992, 0, "0x1.c0c7bcadb1703p+11", "0x1.7c5f77e6ce8d2p+8"),
+        (521, 2134016, 0, "0x1.a1248acd2f1a2p+11", "0x1.7aa6ba2ade9d8p+8"),
+        (190, 778240, 0, "0x1.e82c749582c47p+9", "0x1.781647deed8f2p+8"),
+        (209, 856064, 0, "0x1.0ed79f5544513p+10", "0x1.7849842629e44p+8"),
+        (436, 1785856, 0, "0x1.42531eba5c3a7p+11", "0x1.79e1fa7a5bf3dp+8"),
+        (450, 1843200, 0, "0x1.4d61d72874f1ap+11", "0x1.78c1842c4bfeap+8"),
+    ],
+}
+
 #: The open loops: offered rate and overload knobs (seed 5, 10 % warmup).
 OPEN_LOOPS = {
     "unbounded": (150_000.0, {}),
@@ -144,6 +173,19 @@ def pinned(report) -> tuple:
     )
 
 
+def device_counters(*devices) -> list:
+    return [
+        (
+            d.stats.reads,
+            d.stats.bytes_read,
+            d.stats.gathers,
+            d.stats.total_latency_us.hex(),
+            d.stats.busy_until_us.hex(),
+        )
+        for d in devices
+    ]
+
+
 @pytest.fixture(scope="module")
 def queries(criteo_small):
     _, live = criteo_small
@@ -163,6 +205,16 @@ def test_closed_loop_engine(name, maxembed_layout_small, queries):
     engine = ServingEngine(maxembed_layout_small, ENGINES[name])
     report = engine.serve_trace(queries, warmup_queries=100)
     assert pinned(report) == GOLDEN[name]
+    assert device_counters(engine.device) == GOLDEN_DEVICES[name]
+
+
+def test_raid_device_counters(maxembed_layout_small, queries):
+    engine = ServingEngine(maxembed_layout_small, EngineConfig(raid_members=2))
+    engine.serve_trace(queries, warmup_queries=100)
+    array = engine.device
+    assert (
+        device_counters(array, *array._members) == GOLDEN_DEVICES["raid"]
+    )
 
 
 def test_closed_loop_cluster(criteo_small, queries):
@@ -188,6 +240,8 @@ def test_closed_loop_cluster(criteo_small, queries):
     assert sum(report.fanouts) == 967
     assert report.mean_straggler_us().hex() == "0x1.1e5a53b7e1006p+1"
     assert report.p99_max_shard_latency_us().hex() == "0x1.a3ed9d0f10660p+3"
+    devices = [e.device for group in cluster.groups for e in group.engines]
+    assert device_counters(*devices) == GOLDEN_DEVICES["cluster"]
 
 
 @pytest.mark.parametrize("name", sorted(OPEN_LOOPS))
