@@ -152,9 +152,12 @@ class ReplicaGroup:
         *every* live replica failed the attempt — the router maps that
         onto its shard-grain outcome taxonomy.
         """
-        self._maintain(start_us)
-        self.fragments += 1
         monitor = self.monitor
+        if monitor.attention:
+            # Only a replica under attention can be due a probe or a
+            # resync, so a healthy group skips maintenance outright.
+            self._maintain(start_us)
+        self.fragments += 1
         order = monitor.dispatch_order()
         if not order:
             raise ReplicaExhaustedError(
@@ -187,7 +190,6 @@ class ReplicaGroup:
                 continue
             monitor.record_success(replica, result.finish_us)
             winner = replica
-            hedges = hedge_wins = 0
             if self.hedge_quantile is not None:
                 # The window feeds only the hedge delay.
                 self._latencies.append(result.latency_us)
@@ -198,30 +200,16 @@ class ReplicaGroup:
                     result, winner, hedges, hedge_wins = self._maybe_hedge(
                         fragment, start_us, degrade, replica, result, order
                     )
+                    result.hedges = hedges
+                    result.hedge_wins = hedge_wins
             self.failovers += failures
-            # The engine's result rebased to the original start, plus this
-            # group's provenance; field order is QueryResult's.
-            return QueryResult(
-                result.requested_keys,
-                result.cache_hits,
-                result.ssd_keys,
-                result.pages_read,
-                result.valid_per_read,
-                start_us,
-                result.finish_us,
-                result.execution,
-                result.retries,
-                result.failed_reads,
-                result.recovered_keys,
-                result.missing_keys,
-                result.degrade_level,
-                result.degrade_shed_keys,
-                result.tier_hits,
-                failures,
-                hedges,
-                hedge_wins,
-                ((self.shard, winner),),
-            )
+            # The winning attempt's own record, rebased to the original
+            # start, with this group's provenance: the group is its only
+            # receiver, so it needs no copy.
+            result.start_us = start_us
+            result.failovers = failures
+            result.served_by = ((self.shard, winner),)
+            return result
         kind = "timeout" if timeouts and timeouts == failures else "error"
         raise ReplicaExhaustedError(
             f"shard {self.shard}: all {failures} live replicas failed "

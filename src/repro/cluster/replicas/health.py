@@ -162,6 +162,10 @@ class ReplicaHealthMonitor:
         self.error_score[replica] *= 1.0 - alpha
         self.consecutive_failures[replica] = 0
         self.consecutive_successes[replica] += 1
+        if replica not in self.attention:
+            # Healthy and untainted: a decayed score can change neither
+            # the state nor attention membership.
+            return
         state = self.states[replica]
         if (
             state == SUSPECT
@@ -242,7 +246,16 @@ class ReplicaHealthMonitor:
         then score and replica id for determinism.  The tainted *flag*
         — not the raw score — keeps cleared replicas load-balanced with
         never-failed ones.  Dead replicas are excluded entirely.
+
+        With ``attention`` empty every replica is healthy and untainted,
+        so the first two keys tie and the stable sort of ``range`` keeps
+        the id tiebreak: the order is by (dispatches, score) alone.
         """
+        if not self.attention:
+            return sorted(
+                range(self.num_replicas),
+                key=list(zip(self.dispatched, self.error_score)).__getitem__,
+            )
         states, scores = self.states, self.error_score
         dispatched, clear = self.dispatched, self.config.clear_error_score
         ranked = [

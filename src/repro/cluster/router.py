@@ -74,8 +74,8 @@ from .pipeline import ShardedLayout
 from .replicas import HealthConfig, ReplicaGroup
 from .stats import ClusterReport
 
-#: Per-shard gather outcomes recorded by :meth:`ClusterEngine._serve_scattered`.
-SHARD_OK = "ok"
+#: Per-shard gather outcomes recorded by :meth:`ClusterEngine._serve_scattered`
+#: (a shard served in full records none).
 SHARD_TIMEOUT = "timeout"
 SHARD_SKIPPED = "skipped"
 SHARD_ERROR = "error"
@@ -316,7 +316,11 @@ class ClusterEngine:
         local_ids = self.plan.local_ids
         fragments: Dict[int, List[int]] = {}
         for key in keys:
-            fragments.setdefault(assignment[key], []).append(local_ids[key])
+            shard = assignment[key]
+            if shard in fragments:
+                fragments[shard].append(local_ids[key])
+            else:
+                fragments[shard] = [local_ids[key]]
         return {
             shard: Query(tuple(local))
             for shard, local in fragments.items()
@@ -353,10 +357,11 @@ class ClusterEngine:
         Fragments are served one after another in ascending shard id —
         shards share nothing but the start time, so the order is only
         visible in strict mode, where a failing shard ends the gather.
-        ``events`` maps each touched shard to one of :data:`SHARD_OK`,
-        :data:`SHARD_TIMEOUT`, :data:`SHARD_SKIPPED` (breaker open),
-        :data:`SHARD_ERROR` (resilient-mode worker exception) or
-        :data:`SHARD_SHED` (fragment dropped by a degraded fan-out cap).
+        ``events`` names only the shards that were not served in full,
+        each with one of :data:`SHARD_TIMEOUT`, :data:`SHARD_SKIPPED`
+        (breaker open), :data:`SHARD_ERROR` (resilient-mode worker
+        exception) or :data:`SHARD_SHED` (fragment dropped by a degraded
+        fan-out cap); it is empty for a query every shard served.
         """
         items = sorted(self.scatter(query).items())
         if degrade is not None and degrade.is_noop:
@@ -447,7 +452,6 @@ class ClusterEngine:
                     breaker.record_failure(start_us + deadline)
             else:
                 subs[shard] = outcome
-                events[shard] = SHARD_OK
                 if breaker is not None:
                     breaker.record_success(outcome.finish_us)
         return merge_shard_results(list(subs.values())), subs, events
@@ -543,6 +547,12 @@ class ClusterEngine:
         }
 
 
+def _fold(counts: List[int], subs: Dict[int, QueryResult], field: str) -> None:
+    """Add each fragment's ``field`` to its shard's entry of ``counts``."""
+    for shard, sub in subs.items():
+        counts[shard] += getattr(sub, field)
+
+
 class _TraceTally:
     """What :func:`simulate` serves during one ``ClusterEngine.serve_trace``.
 
@@ -588,17 +598,23 @@ class _TraceTally:
             pages[shard] += sub.pages_read
             ssd_keys[shard] += sub.ssd_keys
             cache_hits[shard] += sub.cache_hits
-            tier_hits[shard] += sub.tier_hits
             requested[shard] += sub.requested_keys
-            missing[shard] += sub.missing_keys
-            failovers[shard] += sub.failovers
-            hedges[shard] += sub.hedges
-            hedge_wins[shard] += sub.hedge_wins
-            latencies.append(sub.latency_us)
-        for shard, event in events.items():
-            counts = self._events.get(event)
-            if counts is not None:
-                counts[shard] += 1
+            latencies.append(sub.finish_us - sub.start_us)
+        # The rest are zero on every fragment of a fault-free query.  They
+        # are non-negative, so a zero merged total is zero on every shard.
+        if merged.tier_hits:
+            _fold(tier_hits, subs, "tier_hits")
+        if merged.missing_keys:
+            _fold(missing, subs, "missing_keys")
+        if merged.failovers:
+            _fold(failovers, subs, "failovers")
+        if merged.hedges:
+            _fold(hedges, subs, "hedges")
+        if merged.hedge_wins:
+            _fold(hedge_wins, subs, "hedge_wins")
+        if events:
+            for shard, event in events.items():
+                self._events[event][shard] += 1
         out = self.out
         out.fanouts.append(len(subs))
         slowest = max(latencies)

@@ -423,22 +423,23 @@ class ServingEngine:
             self._admit_pages(pages)
         else:
             self.cache.admit(keys)
+        # Field order is QueryResult's.
         return QueryResult(
-            requested_keys=requested,
-            cache_hits=hits,
-            ssd_keys=len(keys),
-            pages_read=execution.pages_read,
-            valid_per_read=valid,
-            start_us=start_us,
-            finish_us=execution.finish_us,
-            execution=execution,
-            retries=retries,
-            failed_reads=failed,
-            recovered_keys=recovered,
-            missing_keys=shed + lost,
-            degrade_level=level,
-            degrade_shed_keys=shed,
-            tier_hits=tier_hits,
+            requested,
+            hits,
+            len(keys),
+            execution.pages_read,
+            valid,
+            start_us,
+            execution.finish_us,
+            execution,
+            retries,
+            failed,
+            recovered,
+            shed + lost,
+            level,
+            shed,
+            tier_hits,
         )
 
     def _cache_only_result(
@@ -456,18 +457,23 @@ class ServingEngine:
         cache hits from DRAM — strictly better coverage than the LRU
         alone at the same rung.
         """
+        # Field order is QueryResult's.
         return QueryResult(
-            requested_keys=requested,
-            cache_hits=hits,
-            ssd_keys=0,
-            pages_read=0,
-            valid_per_read=(),
-            start_us=start_us,
-            finish_us=start_us + self.config.cost_model.query_base_us,
-            missing_keys=shed,
-            degrade_level=level,
-            degrade_shed_keys=shed,
-            tier_hits=tier_hits,
+            requested,
+            hits,
+            0,
+            0,
+            (),
+            start_us,
+            start_us + self.config.cost_model.query_base_us,
+            None,
+            0,
+            0,
+            0,
+            shed,
+            level,
+            shed,
+            tier_hits,
         )
 
     def _serve_overloaded(

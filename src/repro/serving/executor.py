@@ -154,13 +154,9 @@ class Executor(ABC):
         else:
             finish = now
             device.poll(finish)
+        # Field order is ExecutionResult's.
         return ExecutionResult(
-            start_us=start_us,
-            finish_us=finish,
-            sort_us=sort_us,
-            selection_us=selection_us,
-            io_wait_us=finish - now,
-            pages_read=len(gaps_us),
+            start_us, finish, sort_us, selection_us, finish - now, len(gaps_us)
         )
 
     @abstractmethod
@@ -302,13 +298,14 @@ class NdpExecutor(Executor):
             for completion in completions:
                 finish = max(finish, completion.completed_at_us)
         device.poll(finish)
+        # Field order is ExecutionResult's.
         return ExecutionResult(
-            start_us=start_us,
-            finish_us=finish,
-            sort_us=sort_us,
-            selection_us=selection_us,
-            io_wait_us=finish - now,
-            pages_read=outcome.num_steps,
+            start_us,
+            finish,
+            sort_us,
+            selection_us,
+            finish - now,
+            outcome.num_steps,
         )
 
 

@@ -27,8 +27,11 @@ class QueryResult:
 
     A plain (unfrozen) dataclass, like every record built per query, per
     fragment or per device command: handed to exactly one receiver and
-    not touched by its producer afterwards.  Configuration, inputs and
-    plans are the frozen, hashable values (DESIGN.md, "Values and records").
+    not touched by its producer afterwards.  The receiver may set fields
+    in place — a replica group rebases ``start_us`` and sets the
+    provenance fields on its winning attempt's own record.
+    Configuration, inputs and plans are the frozen, hashable values
+    (DESIGN.md, "Values and records").
 
     Attributes:
         requested_keys: distinct keys in the request.
@@ -490,33 +493,30 @@ def merge_shard_results(results: Sequence[QueryResult]) -> QueryResult:
             executed_pages += execution.pages_read
     merged_execution = None
     if executed:
+        # Field order is ExecutionResult's.
         merged_execution = ExecutionResult(
-            start_us=start,
-            finish_us=finish,
-            sort_us=sort_us,
-            selection_us=selection_us,
-            io_wait_us=io_wait_us,
-            pages_read=executed_pages,
+            start, finish, sort_us, selection_us, io_wait_us, executed_pages
         )
+    # Field order is QueryResult's.
     return QueryResult(
-        requested_keys=requested,
-        cache_hits=cache_hits,
-        ssd_keys=ssd_keys,
-        pages_read=pages_read,
-        valid_per_read=tuple(valid),
-        start_us=start,
-        finish_us=finish,
-        execution=merged_execution,
-        retries=retries,
-        failed_reads=failed_reads,
-        recovered_keys=recovered,
-        missing_keys=missing,
-        degrade_level=level,
-        degrade_shed_keys=shed,
-        tier_hits=tier_hits,
-        failovers=failovers,
-        hedges=hedges,
-        hedge_wins=hedge_wins,
-        served_by=tuple(served_by),
+        requested,
+        cache_hits,
+        ssd_keys,
+        pages_read,
+        tuple(valid),
+        start,
+        finish,
+        merged_execution,
+        retries,
+        failed_reads,
+        recovered,
+        missing,
+        level,
+        shed,
+        tier_hits,
+        failovers,
+        hedges,
+        hedge_wins,
+        tuple(served_by),
     )
 

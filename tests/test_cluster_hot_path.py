@@ -7,14 +7,18 @@ lives on here as the oracle:
 * ``merge_shard_results`` against the generator-``sum`` version, floats
   compared by ``.hex()``;
 * ``ReplicaHealthMonitor``: after every step of a random outcome feed the
-  attention set equals its definition, and ``dispatch_order`` /
-  ``probes_due`` / ``resync_due`` equal the full-scan versions;
-* ``ReplicaGroup.serve``: the positionally built result equals
-  ``dataclasses.replace`` of the winning attempt's result, field for
-  field, on clean, failed-over, timed-out and hedged fragments.
+  attention set equals its definition, ``dispatch_order`` /
+  ``probes_due`` / ``resync_due`` equal the full-scan versions, and a
+  second monitor fed through the ``record_success`` that always ran the
+  state checks holds the same state, so the steady-state return is exact;
+* ``ReplicaGroup.serve``: the returned result *is* the winning attempt's
+  own record, and equals ``dataclasses.replace`` of a snapshot taken as
+  that attempt returned, field for field, on clean, failed-over,
+  timed-out and hedged fragments.
 """
 
 import dataclasses
+import functools
 import os
 
 import hypothesis.strategies as st
@@ -244,6 +248,45 @@ def oracle_probes_due(monitor, now_us):
     ]
 
 
+def oracle_record_success(monitor, replica, now_us, reason="cleared"):
+    """``record_success`` as it was before the steady-state return."""
+    config = monitor.config
+    monitor.error_score[replica] *= 1.0 - config.ewma_alpha
+    monitor.consecutive_failures[replica] = 0
+    monitor.consecutive_successes[replica] += 1
+    state = monitor.states[replica]
+    if (
+        state == SUSPECT
+        and monitor.error_score[replica] <= config.clear_error_score
+    ):
+        monitor._transition(replica, HEALTHY, now_us, reason)
+    elif (
+        state == RECOVERING
+        and monitor.consecutive_successes[replica]
+        >= config.promote_successes
+    ):
+        monitor._transition(replica, HEALTHY, now_us, "promoted")
+    monitor._watch(replica)
+
+
+def monitor_state(monitor):
+    """Everything a monitor keeps, floats as hex strings."""
+    return fingerprint(
+        (
+            monitor.states,
+            monitor.error_score,
+            monitor.consecutive_failures,
+            monitor.consecutive_successes,
+            monitor.dispatched,
+            monitor.failures,
+            monitor.dead_since_us,
+            monitor.last_probe_us,
+            monitor.transitions,
+            sorted(monitor.attention),
+        )
+    )
+
+
 def oracle_resync_due(monitor, replica, now_us):
     dead_since = monitor.dead_since_us[replica]
     return (
@@ -307,21 +350,26 @@ class TestMonitorMatchesDefinitions:
         self, num_replicas, config, feed
     ):
         monitor = ReplicaHealthMonitor(num_replicas, config)
+        # The twin's successes, probes included, run the oracle.
+        twin = ReplicaHealthMonitor(num_replicas, config)
+        twin.record_success = functools.partial(oracle_record_success, twin)
         assert monitor.attention == set()
         now = 0.0
         for pick, elapsed, (kind, *args) in feed:
             replica = pick % num_replicas
             now += elapsed
-            if kind == "dispatch":
-                monitor.record_dispatch(replica)
-            elif kind == "success":
-                monitor.record_success(replica, now)
-            elif kind == "failure":
-                monitor.record_failure(replica, now, reason=args[0])
-            elif kind == "probe":
-                monitor.record_probe(replica, args[0], now)
-            else:
-                monitor.mark_recovering(replica, now)
+            for fed in (monitor, twin):
+                if kind == "dispatch":
+                    fed.record_dispatch(replica)
+                elif kind == "success":
+                    fed.record_success(replica, now)
+                elif kind == "failure":
+                    fed.record_failure(replica, now, reason=args[0])
+                elif kind == "probe":
+                    fed.record_probe(replica, args[0], now)
+                else:
+                    fed.mark_recovering(replica, now)
+            assert monitor_state(monitor) == monitor_state(twin)
             assert monitor.attention == oracle_attention(monitor)
             assert monitor.dispatch_order() == oracle_dispatch_order(monitor)
             for at in (now, now + config.probe_interval_us, now + 1e6):
@@ -359,7 +407,12 @@ def make_group(health=None, **engine_kwargs):
 
 
 def record_attempts(group):
-    """Log every ``_attempt`` of ``group``: (replica, fragment, result|None)."""
+    """Log every ``_attempt`` of ``group``.
+
+    Entries are (replica, fragment, snapshot, result), the last two None
+    for a failed attempt.  The snapshot is a copy taken as the attempt
+    returns: the group sets its provenance on the winner's own record.
+    """
     log = []
     attempt = group._attempt
 
@@ -367,9 +420,9 @@ def record_attempts(group):
         try:
             result = attempt(replica, fragment, at_us, degrade)
         except Exception:
-            log.append((replica, fragment, None))
+            log.append((replica, fragment, None, None))
             raise
-        log.append((replica, fragment, result))
+        log.append((replica, fragment, dataclasses.replace(result), result))
         return result
 
     group._attempt = recording
@@ -411,38 +464,41 @@ def serve_and_check(group, fragments=80, gap_us=50.0):
             totals[3] += 1
             continue
         attempts = [
-            (replica, result)
-            for replica, sent, result in log
+            (replica, snapshot, result)
+            for replica, sent, snapshot, result in log
             if sent is fragment  # probes send the group's canary query
         ]
         failed = [
-            (replica, result)
-            for replica, result in attempts
-            if result is None
-            or (deadline is not None and result.latency_us > deadline)
+            attempt
+            for attempt in attempts
+            if attempt[1] is None
+            or (deadline is not None and attempt[1].latency_us > deadline)
         ]
         good = [a for a in attempts if a not in failed]
         hedges = hedge_wins = 0
         if failed and attempts[0] in failed:
             # Failover: failures first, then exactly one success.
             assert attempts[: len(failed)] == failed and len(good) == 1
-            winner, result = good[0]
+            winner, result, returned = good[0]
             failovers = len(failed)
         else:
             # Clean primary, possibly hedged to a secondary.
             failovers = 0
-            winner, result = attempts[0]
+            winner, result, returned = attempts[0]
             if len(attempts) == 2:
                 hedges = 1
-                second, alternate = attempts[1]
+                second, alternate, alternate_returned = attempts[1]
                 if (
                     alternate is not None
                     and alternate.finish_us < result.finish_us
                 ):
                     hedge_wins = 1
                     winner, result = second, alternate
+                    returned = alternate_returned
             else:
                 assert len(attempts) == 1
+        # The group builds no copy: it returns the winner's own record.
+        assert served is returned
         expected = dataclasses.replace(
             result,
             start_us=start,

@@ -9,6 +9,8 @@ stay under a committed ceiling.  The driver row counts what
 gather) is replaced by a replay of its recorded results, so only the
 simulation loop, its report and the cluster's shard tally are counted —
 a closed-loop query routed through the admission queue would blow it.
+The replica-group row counts what a healthy ``ReplicaGroup.serve`` adds
+around its engine's ``serve_query`` per fragment.
 
 That count has a blind spot: ``object.__setattr__`` is a slot wrapper,
 which ``sys.setprofile`` never reports, so a frozen dataclass — nineteen
@@ -42,19 +44,29 @@ from repro.ssd import Completion, PacedReadCommand, SsdProfile
 QUERIES = 200
 WARMUP = 100
 
-#: Python + C calls per query: 237.4 / 95.5 / 526.8 measured on CPython
+#: Python + C calls per query: 237.4 / 95.5 / 467.0 measured on CPython
 #: 3.11 (each repeats to the digit), plus 15 %.  Ceilings, not equalities —
 #: the trace comes from numpy's generator and the C-call mix differs
 #: across the CI matrix.  Lower them when a path gets shorter: with one
 #: ``LruCache.get`` / ``put`` per key the same loops made 306.7 / 105.6 /
-#: 604.5, and with a sampled latency per device read and a latency EWMA
-#: per replica fragment 269.4 / 99.0 / 577.7.
-CEILINGS = {"engine": 273, "hybrid": 110, "cluster": 606}
+#: 604.5, with a sampled latency per device read and a latency EWMA per
+#: replica fragment 269.4 / 99.0 / 577.7, and with a replica group that
+#: copied its winner's record and ran its full health bookkeeping on every
+#: healthy fragment 237.4 / 95.5 / 526.8.
+CEILINGS = {"engine": 273, "hybrid": 110, "cluster": 537}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
-#: (cluster: a replayed gather): 15.4 / 37.6 measured on CPython 3.11, plus
-#: 15 %.  Through the admission queue they would be 24.5 / 46.6.
-DRIVER_CEILINGS = {"engine": 17.7, "cluster": 43.2}
+#: (cluster: a replayed gather): 16.4 / 29.8 measured on CPython 3.11, plus
+#: 15 %.  Through the admission queue they would be 24.5 / 46.6; with a
+#: shard tally that folded every counter of every fragment and an event
+#: for every served shard, the cluster's was 38.6.
+DRIVER_CEILINGS = {"engine": 17.7, "cluster": 34.3}
+
+#: Python + C calls per fragment a healthy ``ReplicaGroup.serve`` makes
+#: beyond its engine's ``serve_query``: 6.0 measured on CPython 3.11.  The
+#: group that maintained, copied its winner's record and ran the full
+#: health bookkeeping on every fragment made 14.0.
+GROUP_CEILING = 9
 
 
 class RecordingDevice:
@@ -103,13 +115,23 @@ def servers(criteo_small, maxembed_layout_small):
     }
 
 
-def counted_calls(run) -> int:
-    """Python + C calls made by ``run()``."""
+def counted_calls(run, skip=None) -> int:
+    """Python + C calls made by ``run()``.
+
+    With ``skip`` a code object, a call of it and every call made inside
+    that call are left out.
+    """
     calls = 0
+    inside = None
 
     def hook(frame, event, arg) -> None:
-        nonlocal calls
-        if event == "call" or event == "c_call":
+        nonlocal calls, inside
+        if inside is not None:
+            if event == "return" and frame is inside:
+                inside = None
+        elif event == "call" and frame.f_code is skip:
+            inside = frame
+        elif event == "call" or event == "c_call":
             calls += 1
 
     sys.setprofile(hook)
@@ -142,6 +164,28 @@ def test_calls_per_query_under_ceiling(name, servers, criteo_small):
     server, _ = servers[name]
     measured = calls_per_query(server, list(live))
     assert measured <= CEILINGS[name], measured
+
+
+def test_replica_group_calls_per_fragment(servers, criteo_small):
+    _, live = criteo_small
+    cluster, _ = servers["cluster"]
+    fragments = [
+        (cluster.groups[shard], fragment)
+        for query in list(live)[:QUERIES]
+        for shard, fragment in sorted(cluster.scatter(query).items())
+    ]
+
+    def run() -> None:
+        now = 0.0
+        for group, fragment in fragments:
+            now = group.serve(fragment, now).finish_us
+
+    measured = counted_calls(run, skip=ServingEngine.serve_query.__code__)
+    # A healthy group: every fragment served by its primary.
+    assert all(not group.monitor.attention for group in cluster.groups)
+    assert not any(group.failovers for group in cluster.groups)
+    per_fragment = measured / len(fragments)
+    assert per_fragment <= GROUP_CEILING, per_fragment
 
 
 @pytest.mark.parametrize("name", sorted(DRIVER_CEILINGS))

@@ -8,8 +8,10 @@ default engine, a hybrid-tier engine and a 4 x 2 cluster, with the
 cluster report's per-shard lists) and three open loops (an unbounded
 queue, tail admission, admission with brownout).  The closed loops, plus
 an engine on a two-drive RAID-0, also pin every counter of every device
-they drove.  A change that moves a simulated number fails here, in the
-change that moves it.
+they drove.  Two faulted 4 x 2 cluster runs, one at a fan-out-capping
+rung, pin every per-shard list of the shard tally (each non-zero on
+some shard) and every replica counter.  A change that moves a simulated
+number fails here, in the change that moves it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    BreakerConfig,
     ClusterEngine,
+    DegradeLevel,
     EngineConfig,
+    HealthConfig,
     MaxEmbedConfig,
     ServingEngine,
+    ShardFaultPlan,
     ShpConfig,
     build_sharded_layout,
 )
@@ -217,9 +223,10 @@ def test_raid_device_counters(maxembed_layout_small, queries):
     )
 
 
-def test_closed_loop_cluster(criteo_small, queries):
+@pytest.fixture(scope="module")
+def sharded(criteo_small):
     history, _ = criteo_small
-    sharded = build_sharded_layout(
+    return build_sharded_layout(
         history,
         MaxEmbedConfig(
             num_shards=4,
@@ -229,6 +236,9 @@ def test_closed_loop_cluster(criteo_small, queries):
             seed=7,
         ),
     )
+
+
+def test_closed_loop_cluster(sharded, queries):
     cluster = ClusterEngine(sharded, EngineConfig(replicas=2))
     report = cluster.serve_trace(queries[:300], warmup_queries=50)
     assert pinned(report.report) == GOLDEN["cluster"]
@@ -262,3 +272,177 @@ def test_open_loop(name, maxembed_layout_small, queries):
         report.goodput_qps().hex(),
         report.offered_qps.hex(),
     ) == GOLDEN_OPEN[name]
+
+
+#: A 4 x 2 cluster over a hybrid tier under every fault the router and
+#: the replica groups handle: crash windows, flaps and gray-degraded
+#: replicas (seeded), hedging under a budget, a breaker per shard and a
+#: per-attempt deadline.  ``fanout`` serves the same trace at a rung that
+#: caps the fan-out at three shards.  Between them every per-shard
+#: counter below is non-zero on some shard.
+FAULTED_CONFIG = EngineConfig(
+    replicas=2,
+    tier_mode="hybrid",
+    tier_ratio=0.2,
+    cache_ratio=0.2,
+    shard_fault_plan=ShardFaultPlan(
+        seed=7,
+        crash_rate=0.5,
+        horizon_us=300.0,
+        crash_duration_us=80.0,
+        flap_rate=0.5,
+        flap_failure_rate=0.3,
+        degrade_rate=0.5,
+        degrade_factor=8.0,
+    ),
+    hedge_quantile=0.9,
+    hedge_budget=0.1,
+    breaker=BreakerConfig(failure_threshold=2, recovery_timeout_us=40.0),
+    shard_deadline_us=25.0,
+)
+FAULTED_HEALTH = HealthConfig(probe_interval_us=20.0, resync_delay_us=60.0)
+FAULTED_RUNGS = {
+    "faulted": None,
+    "fanout": DegradeLevel(level=1, name="fanout", fanout_cap=3),
+}
+
+#: The :class:`ClusterReport` lists pinned per faulted run.
+TALLIED = (
+    "shard_queries",
+    "shard_pages_read",
+    "shard_ssd_keys",
+    "shard_cache_hits",
+    "shard_tier_hits",
+    "shard_requested_keys",
+    "shard_missing_keys",
+    "shard_failovers",
+    "shard_hedges",
+    "shard_hedge_wins",
+    "shard_timeouts",
+    "shard_skipped",
+    "shard_errors",
+    "shard_shed",
+    "shard_hedges_denied",
+    "replica_states",
+    "replica_transitions",
+    "replica_resyncs",
+    "replica_probes",
+    "breaker_states",
+)
+
+#: Per faulted run: every list above, each group's ``counters()`` values,
+#: fan-outs, straggler, p99 slowest shard and the pinned merged report.
+GOLDEN_FAULTED = {
+    "fanout": {
+        "shard_queries": [247, 250, 222, 248],
+        "shard_pages_read": [183, 0, 63, 306],
+        "shard_ssd_keys": [208, 0, 70, 366],
+        "shard_cache_hits": [346, 2, 27, 480],
+        "shard_tier_hits": [554, 12, 41, 773],
+        "shard_requested_keys": [1619, 2456, 523, 1663],
+        "shard_missing_keys": [511, 2442, 385, 44],
+        "shard_failovers": [3, 0, 1, 2],
+        "shard_hedges": [7, 0, 0, 9],
+        "shard_hedge_wins": [0, 0, 0, 3],
+        "shard_timeouts": [0, 4, 0, 0],
+        "shard_skipped": [70, 237, 0, 0],
+        "shard_errors": [3, 1, 0, 0],
+        "shard_shed": [11, 6, 176, 24],
+        "shard_hedges_denied": [0, 0, 0, 2],
+        "replica_states": [
+            ["dead", "dead"],
+            ["suspect", "suspect"],
+            ["healthy", "healthy"],
+            ["healthy", "dead"],
+        ],
+        "replica_transitions": [6, 2, 2, 6],
+        "replica_resyncs": [0, 0, 0, 1],
+        "replica_probes": [14, 8, 11, 10],
+        "breaker_states": ["open", "open", "closed", "closed"],
+        "groups": [
+            [213, 4, 7, 0, 0, 14, 6, 0, 0],
+            [9, 0, 0, 0, 0, 8, 1, 0, 0],
+            [55, 2, 0, 0, 0, 11, 3, 0, 0],
+            [269, 3, 9, 3, 2, 10, 7, 1, 0],
+        ],
+        "fanouts": 967,
+        "straggler": "0x1.31064e78cb0d1p+2",
+        "p99_shard": "0x1.8ffffffffffffp+5",
+        "report": (
+            "0x1.d4200dc37b92ap+19",
+            "0x1.8ffffffffffffp+5",
+            "0x1.04c3a4efc4ca0p+8",
+            "0x1.531bf2f04376fp+5",
+            "0x1.d70f4948af732p+10",
+            552,
+            "0x1.2aaaaaaaaaaabp-4",
+        ),
+    },
+    "faulted": {
+        "shard_queries": [247, 250, 222, 248],
+        "shard_pages_read": [170, 0, 91, 312],
+        "shard_ssd_keys": [194, 0, 99, 376],
+        "shard_cache_hits": [323, 0, 80, 492],
+        "shard_tier_hits": [513, 0, 89, 795],
+        "shard_requested_keys": [1619, 2456, 523, 1663],
+        "shard_missing_keys": [589, 2456, 255, 0],
+        "shard_failovers": [1, 0, 2, 3],
+        "shard_hedges": [6, 0, 3, 21],
+        "shard_hedge_wins": [0, 0, 0, 10],
+        "shard_timeouts": [4, 2, 4, 0],
+        "shard_skipped": [85, 246, 103, 0],
+        "shard_errors": [4, 2, 0, 0],
+        "shard_shed": [0, 0, 0, 0],
+        "shard_hedges_denied": [0, 0, 0, 3],
+        "replica_states": [
+            ["dead", "dead"],
+            ["suspect", "suspect"],
+            ["suspect", "suspect"],
+            ["healthy", "healthy"],
+        ],
+        "replica_transitions": [8, 2, 8, 10],
+        "replica_resyncs": [0, 0, 1, 2],
+        "replica_probes": [12, 10, 10, 11],
+        "breaker_states": ["open", "open", "open", "closed"],
+        "groups": [
+            [212, 2, 6, 0, 0, 12, 5, 0, 0],
+            [6, 0, 0, 0, 0, 10, 2, 0, 0],
+            [122, 3, 3, 0, 0, 10, 1, 1, 0],
+            [297, 4, 21, 10, 3, 11, 4, 2, 0],
+        ],
+        "fanouts": 967,
+        "straggler": "0x1.52a28168abb88p+2",
+        "p99_shard": "0x1.9000000000000p+5",
+        "report": (
+            "0x1.ba7af91f8378cp+19",
+            "0x1.9000000000000p+5",
+            "0x1.13e09a59c9186p+8",
+            "0x1.4e2086f4aad46p+5",
+            "0x1.fde2e21cfcc32p+10",
+            573,
+            "0x1.2ae3da78a0d67p-4",
+        ),
+    },
+}
+
+
+def tallied(report, cluster) -> dict:
+    return {
+        **{name: getattr(report, name) for name in TALLIED},
+        "groups": [list(g.counters().values()) for g in cluster.groups],
+        "fanouts": sum(report.fanouts),
+        "straggler": report.mean_straggler_us().hex(),
+        "p99_shard": report.p99_max_shard_latency_us().hex(),
+        "report": pinned(report.report),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FAULTED_RUNGS))
+def test_closed_loop_cluster_under_faults(name, sharded, queries):
+    cluster = ClusterEngine(
+        sharded, FAULTED_CONFIG, replica_health=FAULTED_HEALTH
+    )
+    report = cluster.serve_trace(
+        queries[:300], warmup_queries=50, degrade=FAULTED_RUNGS[name]
+    )
+    assert tallied(report, cluster) == GOLDEN_FAULTED[name]
