@@ -181,7 +181,8 @@ class MaxEmbedStore:
         if tier is not None:
             # Pinned-tier keys live in DRAM permanently: serve them from
             # the table without touching the cache or the SSD.
-            tier_keys, keys = tier.split(keys)
+            tier_keys = [k for k in keys if k in tier]
+            _, keys = tier.split(keys)
         else:
             tier_keys = []
         hits, misses = self.engine.cache.filter_hits(keys)

@@ -233,13 +233,17 @@ def engine_hotness(engine) -> Callable[[Query], float]:
     Hotness is the mean replica count of the query's distinct keys —
     the offline phase replicates exactly the keys it judged hot, so the
     forward index doubles as a free popularity signal at serving time.
-    Works over a single :class:`~repro.serving.ServingEngine` (one
-    forward index) or a :class:`~repro.cluster.ClusterEngine` (per-shard
-    indexes through the shard plan); both are duck-typed to keep this
-    package import-free of the serving layers.
+    A key outside the table scores zero replicas: the request is
+    admitted and the engine's bounds check sheds it, as under every
+    other policy.  Works over a single
+    :class:`~repro.serving.ServingEngine` (one forward index) or a
+    :class:`~repro.cluster.ClusterEngine` (per-shard indexes through
+    the shard plan); both are duck-typed to keep this package
+    import-free of the serving layers.
     """
     if hasattr(engine, "engines"):  # cluster: shard-local lookups
         plan = engine.plan
+        num_keys = len(plan.assignment)
         shard_counts = [e.forward.replica_counts() for e in engine.engines]
 
         def hotness(query: Query) -> float:
@@ -247,15 +251,17 @@ def engine_hotness(engine) -> Callable[[Query], float]:
             total = sum(
                 shard_counts[plan.shard_of(k)][plan.local_id(k)]
                 for k in keys
+                if k < num_keys
             )
             return total / len(keys)
 
         return hotness
 
     counts = engine.forward.replica_counts()
+    num_keys = len(counts)
 
     def hotness(query: Query) -> float:
         keys = query.unique_keys()
-        return sum(counts[k] for k in keys) / len(keys)
+        return sum(counts[k] for k in keys if k < num_keys) / len(keys)
 
     return hotness

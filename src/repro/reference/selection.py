@@ -35,7 +35,7 @@ class _SetAlgebraSelector(Selector):
         hits, residue = tier.split(distinct)
         outcome = self._select_impl(residue)
         if hits:
-            outcome = replace(outcome, tier_hits=len(hits))
+            outcome = replace(outcome, tier_hits=hits)
         return outcome
 
     @abstractmethod

@@ -580,9 +580,9 @@ class GatewayCore:
         union: Dict[int, None] = {}
         requested: List[int] = []
         for entry in batch:
-            member_keys = entry.query.unique_keys()
+            member_keys = dict.fromkeys(entry.query.keys)
             requested.append(len(member_keys))
-            union.update(dict.fromkeys(member_keys))
+            union.update(member_keys)
         result = self.engine.serve_query(Query(tuple(union)), start_us)
         return _BatchServed(
             members=[

@@ -360,7 +360,10 @@ class ServingEngine:
         if degrade is not None and not degrade.is_noop:
             return self._serve_overloaded(query, start_us, degrade)
         keys = query.unique_keys()
-        tier_hits, rest = self._tier_split(keys)
+        # The tier runs before the cache, so pinned keys never touch (or
+        # pollute) the LRU front: DRAM serves them unconditionally.
+        tier = self.tier
+        tier_hits, rest = (0, keys) if tier is None else tier.split(keys)
         hits, misses = self.cache.filter_hits(rest)
         if not misses:
             return self._cache_only_result(
@@ -379,18 +382,6 @@ class ServingEngine:
             if tier is not None:
                 keys = [k for k in keys if k not in tier]
             self.cache.admit(keys)
-
-    def _tier_split(self, keys):
-        """(tier-1 hit count, residue) for ``keys``; no-op without a tier.
-
-        Runs *before* the cache so pinned keys never touch (or pollute)
-        the LRU front — the tier serves them from DRAM unconditionally.
-        """
-        tier = self.tier
-        if tier is None:
-            return 0, keys
-        tier_keys, rest = tier.split(keys)
-        return len(tier_keys), rest
 
     def _execute(
         self, outcome, keys, start_us, requested, hits, tier_hits,
@@ -490,7 +481,8 @@ class ServingEngine:
         the fault path's losses.
         """
         keys = query.unique_keys()
-        tier_hits, rest = self._tier_split(keys)
+        tier = self.tier
+        tier_hits, rest = (0, keys) if tier is None else tier.split(keys)
         hits, misses = self.cache.filter_hits(rest)
         if not misses:
             return self._cache_only_result(

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ServingError
 from ..placement import ForwardIndex, InvertIndex
+from ..types import distinct_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..tiering import PinnedTier
@@ -233,7 +234,8 @@ class _PageMaskSelector(Selector):
 
     def select(self, keys: Sequence[int]) -> MaskSelectionOutcome:
         """Choose pages covering all ``keys``; tier-1 keys need none."""
-        distinct = list(dict.fromkeys(keys))
+        # A fresh list: ``_select_impl`` sorts it in place.
+        distinct = list(distinct_keys(keys))
         num_keys = self._num_keys
         if distinct and (min(distinct) < 0 or max(distinct) >= num_keys):
             bad = next(k for k in distinct if not 0 <= k < num_keys)
@@ -242,7 +244,7 @@ class _PageMaskSelector(Selector):
         if tier is None:
             return self._select_impl(distinct)
         hits, residue = tier.split(distinct)
-        return self._select_impl(residue, len(hits))
+        return self._select_impl(residue, hits)
 
     @abstractmethod
     def _select_impl(

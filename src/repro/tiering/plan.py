@@ -6,9 +6,9 @@ index — that RecShard shows beat reactive LRU caching for placing hot
 rows in faster tiers.  A :class:`TierPlan` pins the top keys by those
 statistics into a DRAM-resident hot set sized as a fraction of the SSD
 layout; the online path (engine, selectors) consults its
-:class:`PinnedTier` runtime form to split every query into tier-1 hits
-(served from DRAM, no page selection, no page reads) and SSD residue
-*before* selection runs.
+:class:`PinnedTier` runtime form to count every query's tier-1 hits
+(served from DRAM, no page selection, no page reads) and take its SSD
+residue *before* selection runs.
 
 Ordering: hotness descending (when a history trace is available),
 then replica count descending (the partitioner replicates exactly the
@@ -36,10 +36,10 @@ TIER_MODES = ("pinned", "lru", "hybrid")
 class PinnedTier:
     """Runtime membership structure for a pinned DRAM hot set.
 
-    One bool per table key; :meth:`split` partitions a query's keys into
-    tier-1 hits and SSD residue in one pass, preserving request order on
-    both sides.  Out-of-range keys are passed through to the residue so
-    the selectors' bounds checks still raise the canonical error.
+    One bool per table key; :meth:`split` counts a query's tier-1 hits
+    and returns its SSD residue in one pass, in request order.
+    Out-of-range keys are passed through to the residue so the
+    selectors' bounds checks still raise the canonical error.
     """
 
     __slots__ = ("num_keys", "capacity", "_mask")
@@ -62,20 +62,25 @@ class PinnedTier:
     def __len__(self) -> int:
         return self.capacity
 
-    def split(
-        self, keys: Sequence[int]
-    ) -> Tuple[List[int], List[int]]:
-        """Partition ``keys`` into (tier-1 hits, SSD residue), order kept."""
+    def split(self, keys: Sequence[int]) -> Tuple[int, List[int]]:
+        """Count the tier-1 hits in ``keys`` and return the SSD residue.
+
+        Returns ``(hit_count, residue)``; the residue keeps request
+        order.  No caller on the serving path needs the hit keys, so no
+        list of them is built (``[k for k in keys if k in tier]`` has
+        them).
+        """
         mask = self._mask
         num_keys = self.num_keys
-        hits: List[int] = []
+        # A plain loop, not a comprehension: on CPython 3.11 a
+        # comprehension is a function call per split, which costs more
+        # than the few residue appends; and two plain comparisons run
+        # faster than ``0 <= k < num_keys``.
         residue: List[int] = []
         for k in keys:
-            if 0 <= k < num_keys and mask[k]:
-                hits.append(k)
-            else:
+            if not (k < num_keys and k >= 0 and mask[k]):
                 residue.append(k)
-        return hits, residue
+        return len(keys) - len(residue), residue
 
 
 @dataclass(frozen=True)

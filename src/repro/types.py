@@ -27,6 +27,18 @@ PageId = int
 EdgeId = int
 
 
+def distinct_keys(keys: Sequence[Key]) -> Sequence[Key]:
+    """``keys`` itself when no key repeats, else its distinct keys.
+
+    The fallback is a tuple in first-appearance order.  Generated traces
+    carry no repeated key, so the common case copies nothing; callers
+    that mutate the result must copy it first.
+    """
+    if len(set(keys)) == len(keys):
+        return keys
+    return tuple(dict.fromkeys(keys))
+
+
 @dataclass(frozen=True)
 class Query:
     """One embedding lookup request: an immutable tuple of keys.
@@ -51,8 +63,11 @@ class Query:
         return iter(self.keys)
 
     def unique_keys(self) -> Tuple[Key, ...]:
-        """Return the distinct keys in first-appearance order."""
-        return tuple(dict.fromkeys(self.keys))
+        """Return the distinct keys in first-appearance order.
+
+        A query without a repeated key returns its own ``keys`` tuple.
+        """
+        return distinct_keys(self.keys)
 
     @staticmethod
     def of(keys: Iterable[Key]) -> "Query":

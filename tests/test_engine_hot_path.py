@@ -44,16 +44,23 @@ from repro.ssd import Completion, PacedReadCommand, SsdProfile
 QUERIES = 200
 WARMUP = 100
 
-#: Python + C calls per query: 237.4 / 95.5 / 467.0 measured on CPython
-#: 3.11 (each repeats to the digit), plus 15 %.  Ceilings, not equalities —
-#: the trace comes from numpy's generator and the C-call mix differs
-#: across the CI matrix.  Lower them when a path gets shorter: with one
-#: ``LruCache.get`` / ``put`` per key the same loops made 306.7 / 105.6 /
-#: 604.5, with a sampled latency per device read and a latency EWMA per
-#: replica fragment 269.4 / 99.0 / 577.7, and with a replica group that
-#: copied its winner's record and ran its full health bookkeeping on every
-#: healthy fragment 237.4 / 95.5 / 526.8.
-CEILINGS = {"engine": 273, "hybrid": 110, "cluster": 537}
+#: Python + C calls per query: 240.4 / 83.6 / 478.3 measured on CPython
+#: 3.11 (each repeats to the digit); the ceilings are 15 % over 237.4 /
+#: 83.6 / 467.0.  Ceilings, not equalities — the trace comes from numpy's
+#: generator and the C-call mix differs across the CI matrix.  Lower them
+#: when a path gets shorter: with one ``LruCache.get`` / ``put`` per key
+#: the same loops made 306.7 / 105.6 / 604.5, with a sampled latency per
+#: device read and a latency EWMA per replica fragment 269.4 / 99.0 /
+#: 577.7, with a replica group that copied its winner's record and ran
+#: its full health bookkeeping on every healthy fragment 237.4 / 95.5 /
+#: 526.8, and with a tier split that listed every hit 237.4 / 95.5 /
+#: 467.0.  Dropping that list took the hybrid row to 83.6, while each
+#: engine call gained three: ``unique_keys`` and ``select`` dedupe through
+#: ``distinct_keys`` (a call and two ``len`` where ``dict.fromkeys`` was
+#: one), less the inlined ``_tier_split``.  What they save is the copy of
+#: a query with no repeated key, which a call count cannot see
+#: (``tests/test_types.py`` holds ``unique_keys() is query.keys``).
+CEILINGS = {"engine": 273, "hybrid": 96, "cluster": 537}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
 #: (cluster: a replayed gather): 16.4 / 29.8 measured on CPython 3.11, plus

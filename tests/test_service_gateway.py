@@ -273,6 +273,60 @@ class TestInvariant:
         assert svc["batch_errors_total"] == 1
         assert "1000000000" in svc["last_batch_error"]
 
+    @pytest.mark.parametrize("kind", ["engine", "cluster"])
+    def test_priority_admission_sheds_an_unknown_key_as_error(
+        self, layout, kind
+    ):
+        """The priority policy's hotness scorer counts a key outside the
+        table as zero replicas: the request is admitted, then shed
+        ``error`` (503) like under every other policy — ``offer`` has
+        already counted it offered, so a raise would break the
+        invariant."""
+        if kind == "engine":
+            server = ServingEngine(
+                layout, EngineConfig(cache_ratio=0.0, threads=2)
+            )
+        else:
+            from repro import MaxEmbedConfig, QueryTrace, ShpConfig
+            from repro import build_sharded_layout
+            from repro.cluster import ClusterEngine
+
+            trace = QueryTrace(
+                8, [Query((0, 1, 2, 3)), Query((4, 5, 6, 7))] * 4
+            )
+            sharded = build_sharded_layout(
+                trace,
+                MaxEmbedConfig(
+                    num_shards=2,
+                    shard_strategy="modulo",
+                    shp=ShpConfig(max_iterations=2),
+                ),
+            )
+            server = ClusterEngine(sharded, EngineConfig(cache_ratio=0.0))
+        num_keys = 8
+
+        async def scenario():
+            config = ServiceConfig(
+                admission=AdmissionConfig(capacity=8, policy="priority")
+            )
+            async with GatewayCore(server, config) as core:
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(
+                        core.submit([1, 2]), core.submit([1, num_keys + 5])
+                    ),
+                    timeout=5,
+                )
+                return outcomes, check_invariant(core)
+
+        (good, bad), metrics = run(scenario())
+        assert good.ok and good.served == 2
+        assert (bad.status, bad.shed_reason) == ("shed", "error")
+        assert bad.http_status() == 503
+        svc = metrics["service"]
+        assert svc["offered"] == 2
+        assert svc["completed"] == 1
+        assert svc["shed"] == {"error": 1}
+
     def test_engine_error_in_paced_batch_resolves_every_member(self, engine):
         class ExplodingEngine(RecordingEngine):
             def serve_query(self, query, start_us=0.0, degrade=None):

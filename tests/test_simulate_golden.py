@@ -11,7 +11,9 @@ an engine on a two-drive RAID-0, also pin every counter of every device
 they drove.  Two faulted 4 x 2 cluster runs, one at a fan-out-capping
 rung, pin every per-shard list of the shard tally (each non-zero on
 some shard) and every replica counter.  A change that moves a simulated
-number fails here, in the change that moves it.
+number fails here, in the change that moves it.  The same engines and
+cluster, fed queries whose keys repeat, must report exactly what they
+report for the deduplicated queries.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro import (
     EngineConfig,
     HealthConfig,
     MaxEmbedConfig,
+    Query,
     ServingEngine,
     ShardFaultPlan,
     ShpConfig,
@@ -446,3 +449,34 @@ def test_closed_loop_cluster_under_faults(name, sharded, queries):
         queries[:300], warmup_queries=50, degrade=FAULTED_RUNGS[name]
     )
     assert tallied(report, cluster) == GOLDEN_FAULTED[name]
+
+
+def with_repeats(query: Query) -> Query:
+    """``query``'s keys followed by a repeated prefix of them."""
+    keys = query.keys
+    return Query(keys + keys[: (len(keys) + 1) // 2])
+
+
+@pytest.mark.parametrize("name", ["cluster", *sorted(ENGINES)])
+def test_repeated_keys_serve_like_distinct_keys(
+    name, maxembed_layout_small, sharded, queries
+):
+    distinct = [Query(q.unique_keys()) for q in queries[:300]]
+    repeated = [with_repeats(q) for q in distinct]
+    assert all(len(set(q.keys)) < len(q.keys) for q in repeated)
+    runs = []
+    for trace in (distinct, repeated):
+        if name == "cluster":
+            cluster = ClusterEngine(sharded, EngineConfig(replicas=2))
+            report = cluster.serve_trace(trace, warmup_queries=50)
+            devices = [
+                e.device for group in cluster.groups for e in group.engines
+            ]
+            runs.append(
+                (tallied(report, cluster), device_counters(*devices))
+            )
+        else:
+            engine = ServingEngine(maxembed_layout_small, ENGINES[name])
+            report = engine.serve_trace(trace, warmup_queries=50)
+            runs.append((pinned(report), device_counters(engine.device)))
+    assert runs[0] == runs[1]

@@ -52,8 +52,7 @@ from tests.test_fast_selection import (
 )
 
 
-@pytest.fixture
-def layout():
+def eight_key_layout() -> PageLayout:
     """Keys 0/4/5 carry replicas; 8 keys over 4 pages + 2 replica pages."""
     return PageLayout(
         num_keys=8,
@@ -66,6 +65,11 @@ def layout():
         ],
         num_base_pages=2,
     )
+
+
+@pytest.fixture
+def layout():
+    return eight_key_layout()
 
 
 @pytest.fixture
@@ -114,13 +118,13 @@ class TestPinnedTier:
     def test_split_preserves_order_both_sides(self):
         tier = PinnedTier(8, (1, 5, 6))
         hits, residue = tier.split([7, 6, 0, 5, 3, 1])
-        assert hits == [6, 5, 1]
+        assert hits == 3
         assert residue == [7, 0, 3]
 
     def test_out_of_range_keys_fall_through_to_residue(self):
         tier = PinnedTier(8, (1,))
         hits, residue = tier.split([1, 99, -3])
-        assert hits == [1]
+        assert hits == 1
         assert residue == [99, -3]
 
     def test_membership_and_len(self):
@@ -132,6 +136,17 @@ class TestPinnedTier:
     def test_constructor_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
             PinnedTier(4, (4,))
+
+    @given(
+        pinned=st.sets(st.integers(0, 15), max_size=16),
+        keys=st.lists(st.integers(-20, 40), max_size=40),
+    )
+    def test_split_counts_hits_and_keeps_residue_order(self, pinned, keys):
+        tier = PinnedTier(16, sorted(pinned))
+        hits, residue = tier.split(keys)
+        assert hits == sum(k in tier for k in keys)
+        assert residue == [k for k in keys if k not in tier]
+        assert hits + len(residue) == len(keys)
 
 
 class TestPlanTier:
@@ -155,7 +170,7 @@ class TestPlanTier:
     def test_zero_ratio_is_empty(self, layout):
         plan = plan_tier(layout, 0.0)
         assert plan.pinned == ()
-        assert plan.runtime().split([0, 1]) == ([], [0, 1])
+        assert plan.runtime().split([0, 1]) == (0, [0, 1])
 
     def test_hotness_shape_checked(self, layout):
         import numpy as np
@@ -281,6 +296,33 @@ class TestTieredSelection:
             fast.attach_tier(PinnedTier(8, (0,)))
             with pytest.raises(ServingError):
                 fast.select([0, 99])
+
+    @given(
+        known=st.lists(st.integers(0, 7), max_size=10),
+        unknown=st.lists(
+            st.tuples(st.integers(8, 12), st.integers(0, 10)),
+            min_size=1,
+            max_size=4,
+        ),
+        tiered=st.booleans(),
+    )
+    def test_repeated_unknown_key_names_the_first_offender(
+        self, known, unknown, tiered
+    ):
+        """Each unknown key appears twice, at a drawn spot and again at
+        the end; the error names the first one in query order."""
+        keys = list(known)
+        for bad, spot in unknown:
+            keys.insert(min(spot, len(keys)), bad)
+        keys += [bad for bad, _ in unknown]
+        first = next(k for k in keys if k >= 8)
+        for fast, _ in selector_pairs(eight_key_layout()):
+            if tiered:
+                fast.attach_tier(PinnedTier(8, (0, 5)))
+            with pytest.raises(
+                ServingError, match=f"^key {first} is not in the"
+            ):
+                fast.select(keys)
 
 
 @settings(

@@ -1,6 +1,8 @@
 """Tests for repro.types: Query, QueryTrace, EmbeddingSpec, ReplicationConfig."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import ConfigError, EmbeddingSpec, Query, QueryTrace
 from repro.types import ReplicationConfig, as_queries
@@ -16,6 +18,20 @@ class TestQuery:
     def test_unique_keys_preserves_first_appearance(self):
         q = Query((5, 1, 5, 2, 1))
         assert q.unique_keys() == (5, 1, 2)
+
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    def test_unique_keys_is_first_appearance_order(self, keys):
+        query = Query(tuple(keys))
+        unique = query.unique_keys()
+        assert type(unique) is tuple
+        assert unique == tuple(dict.fromkeys(keys))
+
+    @given(st.sets(st.integers(0, 10**6), min_size=1, max_size=60))
+    def test_distinct_keys_are_not_copied(self, keys):
+        """The copy ``sys.setprofile`` call budgets cannot see: a query
+        with no repeated key hands out its own ``keys`` tuple."""
+        query = Query(tuple(keys))
+        assert query.unique_keys() is query.keys
 
     def test_of_builds_from_iterable(self):
         assert Query.of(iter([1, 2])).keys == (1, 2)
