@@ -9,7 +9,6 @@ counts, sort charge, tier hits, errors).
 from __future__ import annotations
 
 from abc import abstractmethod
-from dataclasses import replace
 from typing import Dict, List, Sequence, Set
 
 from ..errors import ServingError
@@ -34,8 +33,7 @@ class _SetAlgebraSelector(Selector):
         distinct = self._check_keys(keys)
         hits, residue = tier.split(distinct)
         outcome = self._select_impl(residue)
-        if hits:
-            outcome = replace(outcome, tier_hits=hits)
+        outcome.tier_hits = hits
         return outcome
 
     @abstractmethod
@@ -102,7 +100,7 @@ class GreedySetCoverSelector(_SetAlgebraSelector):
                     candidates_examined=num_candidates,
                 )
             )
-        return SelectionOutcome(tuple(steps), sorted_keys=0)
+        return SelectionOutcome.from_steps(steps, sorted_keys=0)
 
 
 class OnePassSelector(_SetAlgebraSelector):
@@ -158,4 +156,4 @@ class OnePassSelector(_SetAlgebraSelector):
             )
         if remaining:  # pragma: no cover - ForwardIndex guarantees coverage
             raise ServingError(f"uncovered keys {sorted(remaining)[:5]}")
-        return SelectionOutcome(tuple(steps), sorted_keys=len(distinct))
+        return SelectionOutcome.from_steps(steps, sorted_keys=len(distinct))

@@ -7,11 +7,11 @@ cover.  This package provides:
   baseline (O(|S|·|Q|) candidate examinations per query);
 * :class:`OnePassSelector` — MaxEmbed's §6.1 algorithm: sort keys by
   ascending replica count, then for each uncovered key pick the best of
-  its (index-limited) candidate pages — both on one query-side
-  integer-mask kernel (:class:`MaskSelectionOutcome` is their lazy
-  result), the two values of the selection axis, :data:`SELECTORS`;
-  their set-algebra oracles live in :mod:`repro.reference`, which
-  nothing here imports;
+  its (index-limited) candidate pages, taking a key stored once by a
+  lookup of its one page — both on one query-side integer-mask kernel
+  and both returning one flat :class:`SelectionOutcome`, the two values
+  of the selection axis, :data:`SELECTORS`; their set-algebra oracles
+  live in :mod:`repro.reference`, which nothing here imports;
 * :class:`SerialExecutor` / :class:`PipelinedExecutor` — §6.2: overlap
   page selection with asynchronous SSD reads or run them back-to-back
   (with :class:`BatchedExecutor` / :class:`NdpExecutor`, the four values
@@ -25,7 +25,6 @@ cover.  This package provides:
 from .selection import (
     SELECTORS,
     GreedySetCoverSelector,
-    MaskSelectionOutcome,
     OnePassSelector,
     SelectionOutcome,
     SelectionStep,
@@ -51,7 +50,6 @@ __all__ = [
     "Selector",
     "SelectionStep",
     "SelectionOutcome",
-    "MaskSelectionOutcome",
     "SELECTORS",
     "GreedySetCoverSelector",
     "OnePassSelector",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import Sequence
 
 from ..errors import ConfigError
 from .selection import SelectionOutcome
@@ -40,14 +40,19 @@ class CpuCostModel:
     query_base_us: float = 0.5
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so "finite and >= 0" is spelled
+        # out: a bundle's JSON may carry NaN or Infinity.
         for name in (
             "sort_per_key_us",
             "candidate_examine_us",
             "step_base_us",
             "query_base_us",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
 
     def sort_time_us(self, num_keys: int) -> float:
         """Cost of sorting ``num_keys`` by replica count (0 for no sort)."""
@@ -59,21 +64,19 @@ class CpuCostModel:
         """Cost of choosing one page among ``candidates_examined``."""
         return self.step_base_us + self.candidate_examine_us * candidates_examined
 
-    def step_times_us(self, outcome: SelectionOutcome) -> List[float]:
-        """:meth:`step_time_us` of every step of ``outcome``, in order."""
-        base, examine = self.step_base_us, self.candidate_examine_us
-        return [base + examine * c for c in outcome.candidate_counts]
+    def selection_time_us(self, candidate_counts: Sequence[int]) -> float:
+        """Total selection CPU (excluding the sort) for a query whose
+        steps examined ``candidate_counts`` (an outcome's list).
 
-    def selection_time_us(self, outcome: SelectionOutcome) -> float:
-        """Total selection CPU (excluding the sort) for a query.
-
-        Accumulated left to right: builtin ``sum`` is compensated on
-        Python >= 3.12 and plain before, so it would make the last bits
-        depend on the interpreter (and differ from a pipelined ``+=``).
+        The :meth:`step_time_us` of each step, accumulated left to
+        right: builtin ``sum`` is compensated on Python >= 3.12 and plain
+        before, so it would make the last bits depend on the interpreter
+        (and differ from a pipelined ``+=``).
         """
+        base, examine = self.step_base_us, self.candidate_examine_us
         total = 0.0
-        for step_us in self.step_times_us(outcome):
-            total += step_us
+        for count in candidate_counts:
+            total += base + examine * count
         return total
 
     def total_cpu_us(self, outcome: SelectionOutcome) -> float:
@@ -81,5 +84,5 @@ class CpuCostModel:
         return (
             self.query_base_us
             + self.sort_time_us(outcome.sorted_keys)
-            + self.selection_time_us(outcome)
+            + self.selection_time_us(outcome.candidate_counts)
         )

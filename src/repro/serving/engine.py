@@ -509,8 +509,8 @@ class ServingEngine:
         covered = served
         cap = degrade.max_pages_per_query
         if cap is not None and outcome.num_steps > cap:
-            steps = tuple(outcome.steps[:cap])
-            outcome = SelectionOutcome(steps, sorted_keys=outcome.sorted_keys)
+            steps = outcome.steps[:cap]
+            outcome = SelectionOutcome.from_steps(steps, outcome.sorted_keys)
             covered = [k for step in steps for k in step.covered]
             shed += len(served) - len(covered)
         return self._execute(

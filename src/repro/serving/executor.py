@@ -26,9 +26,13 @@ choice the engine has.
   device parses pages in its controller and returns only the valid
   embeddings over the bus (requires a gather-capable profile).
 
-Every executor is a *pacing* (:meth:`Executor._pacing`): the CPU spent
-after the sort and before the first submission (``lead``), then the CPU
-spent before each submitted command (``gaps``).  The first three share
+Every executor is a *pacing* (:meth:`Executor._pacing`), computed from
+the outcome's candidate counts and the cost model: the selection CPU,
+the CPU spent after the sort and before the first submission
+(``lead``), then the CPU spent before each submitted command (``gaps``).
+The pipelined one gets all three in one pass over the counts; the others
+take the total from :meth:`CpuCostModel.selection_time_us`, with the
+same float operations in the same order.  The first three share
 one run function (:meth:`Executor.execute`) that sends the query's reads
 as one :class:`~repro.ssd.commands.PacedReadCommand` — the pages plus
 their gaps — so a query costs one device call, not one per page.  Fault
@@ -161,11 +165,15 @@ class Executor(ABC):
 
     @abstractmethod
     def _pacing(
-        self, step_times: List[float], selection_us: float, overhead: float
-    ) -> Tuple[float, List[float]]:
-        """``(lead_us, gaps_us)``: CPU before the first gap, then the CPU
-        before each submitted command (``overhead`` is the device's
-        ``submit_overhead_us``)."""
+        self,
+        candidate_counts: List[int],
+        cost: CpuCostModel,
+        overhead: float,
+    ) -> Tuple[float, float, List[float]]:
+        """``(selection_us, lead_us, gaps_us)`` for steps that examined
+        ``candidate_counts``: the selection CPU, the CPU before the first
+        gap, then the CPU before each submitted command (``overhead`` is
+        the device's ``submit_overhead_us``)."""
 
     def _schedule(
         self, outcome: SelectionOutcome, device
@@ -179,14 +187,9 @@ class Executor(ABC):
         """
         cost = self.cost_model
         sort_us = cost.sort_time_us(outcome.sorted_keys)
-        step_times = cost.step_times_us(outcome)
-        # Left to right, whichever executor: see selection_time_us.
-        selection_us = 0.0
-        for step_us in step_times:
-            selection_us += step_us
-        lead_us, gaps_us = self._pacing(
-            step_times,
-            selection_us,
+        selection_us, lead_us, gaps_us = self._pacing(
+            outcome.candidate_counts,
+            cost,
             getattr(device, "submit_overhead_us", 0.0),
         )
         front_us = cost.query_base_us + sort_us
@@ -233,15 +236,25 @@ class Executor(ABC):
 class SerialExecutor(Executor):
     """All selection first, then all reads — no CPU/I-O overlap."""
 
-    def _pacing(self, step_times, selection_us, overhead):
-        return selection_us, [overhead] * len(step_times)
+    def _pacing(self, candidate_counts, cost, overhead):
+        selection_us = cost.selection_time_us(candidate_counts)
+        return selection_us, selection_us, [overhead] * len(candidate_counts)
 
 
 class PipelinedExecutor(Executor):
     """Selection step → async read issue → next step; wait once at the end."""
 
-    def _pacing(self, step_times, selection_us, overhead):
-        return 0.0, [step_us + overhead for step_us in step_times]
+    def _pacing(self, candidate_counts, cost, overhead):
+        # One pass: each step's CPU, the left-to-right total (the same
+        # float operations as selection_time_us) and its gap.
+        base, examine = cost.step_base_us, cost.candidate_examine_us
+        selection_us = 0.0
+        gaps_us = []
+        for count in candidate_counts:
+            step_us = base + examine * count
+            selection_us += step_us
+            gaps_us.append(step_us + overhead)
+        return selection_us, 0.0, gaps_us
 
 
 class BatchedExecutor(Executor):
@@ -255,11 +268,12 @@ class BatchedExecutor(Executor):
 
     submits_wave = True
 
-    def _pacing(self, step_times, selection_us, overhead):
-        gaps_us = [0.0] * len(step_times)
+    def _pacing(self, candidate_counts, cost, overhead):
+        selection_us = cost.selection_time_us(candidate_counts)
+        gaps_us = [0.0] * len(candidate_counts)
         if gaps_us:
             gaps_us[0] = overhead
-        return selection_us, gaps_us
+        return selection_us, selection_us, gaps_us
 
 
 class NdpExecutor(Executor):
@@ -274,8 +288,10 @@ class NdpExecutor(Executor):
     gather-capable profile (:class:`~repro.ssd.profiles.NdpSsdProfile`).
     """
 
-    def _pacing(self, step_times, selection_us, overhead):
-        return selection_us, [overhead] if step_times else []
+    def _pacing(self, candidate_counts, cost, overhead):
+        selection_us = cost.selection_time_us(candidate_counts)
+        gaps_us = [overhead] if candidate_counts else []
+        return selection_us, selection_us, gaps_us
 
     def _commands(self, outcome: SelectionOutcome) -> List[DeviceCommand]:
         """The whole selection outcome as one gather command."""

@@ -16,20 +16,30 @@ transpose of the invert index) to fill a ``page → int mask`` dict of
 the query keys each page holds — O(Σ fan-out) dict updates.  The cover
 loop is then plain ints: ``rem`` is the mask of still-uncovered keys,
 a candidate's gain is ``(mask & rem).bit_count()``, covering is one
-XOR.  The one-pass selector assigns bits in *process* order (ascending
-replica count, then key, from a per-selector precomputed rank), so
-``rem & -rem`` is exactly the key the next step starts from.  Python
-ints are unbounded, so a 300-key gateway union takes the same path as a
-6-key cluster fragment.
+XOR.  Python ints are unbounded, so a 300-key gateway union takes the
+same path as a 6-key cluster fragment.
+
+The one-pass selector processes keys in ascending replica count, then
+key (a per-selector precomputed rank), so the keys stored once come
+first and each one's read is forced: it takes that leading run by
+lookup — one dict counting keys per home page, in first-appearance
+order — and needs no mask for it.  The run ends at the first key whose
+never-shrunk map holds two or more pages, even one the index limit cut
+to a single candidate: that key may ride on a page chosen earlier.  The
+keys after the run get bits, in process order, and one mask fill; each
+forced read, in read order, then clears the bits of the keys it holds
+(so a key is credited to the first chosen page holding it), and the
+cover loop runs on the bits still set: ``rem & -rem`` is exactly the key
+the next step starts from.
 
 Candidates are examined in (shrunk) forward-index order with a
 first-strict-max tie break, covers are counted through the never-shrunk
 map, and covered keys are emitted ascending — outcome for outcome what
 the set-algebra oracle in :mod:`repro.reference` produces, which the
 differential suites enforce.  The selectors keep no per-query state, so
-one instance may serve concurrent threads.  :class:`MaskSelectionOutcome`
-serves the executors' flat accessors from the loop's lists and builds
-:class:`SelectionStep` tuples only if ``.steps`` is read.
+one instance may serve concurrent threads.  Both return one flat
+:class:`SelectionOutcome` — pages, covered and candidate counts — and
+build :class:`SelectionStep` tuples only if ``.steps`` is read.
 """
 
 from __future__ import annotations
@@ -62,136 +72,101 @@ class SelectionStep:
     candidates_examined: int
 
 
-@dataclass(frozen=True)
 class SelectionOutcome:
-    """Full selection for one query, as materialized steps.
+    """Full selection for one query, flat.
 
-    The flat accessors (:attr:`pages`, :attr:`candidate_counts`,
-    :attr:`covered_counts`, :attr:`num_steps`) are the interface the
-    executors and cost model consume; :class:`MaskSelectionOutcome`
-    serves the same accessors without building :class:`SelectionStep`
-    tuples until ``.steps`` is actually read.
-    """
-
-    steps: Tuple[SelectionStep, ...]
-    sorted_keys: int  # keys put through the replica-count sort (0 = no sort)
-    tier_hits: int = 0  # keys served by the pinned DRAM tier (no pages)
-
-    @property
-    def pages(self) -> List[int]:
-        """Chosen page ids in read order."""
-        return [s.page_id for s in self.steps]
-
-    @property
-    def candidate_counts(self) -> List[int]:
-        """Candidate pages examined at each step, in read order."""
-        return [s.candidates_examined for s in self.steps]
-
-    @property
-    def covered_counts(self) -> List[int]:
-        """Newly covered keys per step, in read order."""
-        return [len(s.covered) for s in self.steps]
-
-    @property
-    def num_steps(self) -> int:
-        """Number of page reads chosen."""
-        return len(self.steps)
-
-    @property
-    def total_candidates(self) -> int:
-        """Total candidate-page examinations across steps."""
-        return sum(s.candidates_examined for s in self.steps)
-
-    def covered_keys(self) -> Set[int]:
-        """Union of keys served by the chosen pages."""
-        out: Set[int] = set()
-        for s in self.steps:
-            out.update(s.covered)
-        return out
-
-
-class MaskSelectionOutcome:
-    """Lazy outcome produced by the page-mask selectors.
-
-    Duck-types :class:`SelectionOutcome`: the flat accessors are served
-    straight from the selection loop's lists, and ``.steps``
-    materializes (once) only when read.
+    Both selectors return one: the chosen :attr:`pages` in read order,
+    the keys each read newly covers (:attr:`covered_counts`) and the
+    candidate pages each step examined (:attr:`candidate_counts`) — the
+    lists the executors and the cost model consume — plus the sort
+    charge and the tier hits.  :attr:`steps` is derived on demand (and
+    once): each covered key is credited to the first chosen page, in
+    read order, that holds it in the never-shrunk key→pages map, which
+    is the rule both selectors implement.
     """
 
     __slots__ = (
-        "_pages",
-        "_masks",
-        "_candidate_counts",
-        "_okeys",
+        "pages",
+        "covered_counts",
+        "candidate_counts",
         "sorted_keys",
         "tier_hits",
+        "_keys",
+        "_key_pages",
         "_steps",
     )
 
     def __init__(
         self,
         pages: List[int],
-        masks: List[int],
+        covered_counts: List[int],
         candidate_counts: List[int],
-        okeys: List[int],
-        sorted_keys: int,
-        tier_hits: int = 0,
+        sorted_keys: int,  # keys put through the sort (0 = no sort)
+        tier_hits: int = 0,  # keys served by the pinned DRAM tier
+        keys: Sequence[int] = (),
+        key_pages: Sequence[Tuple[int, ...]] = (),
     ) -> None:
-        self._pages = pages
-        self._masks = masks  # per step: bit i set <=> okeys[i] newly covered
-        self._candidate_counts = candidate_counts
-        self._okeys = okeys
+        self.pages = pages
+        self.covered_counts = covered_counts
+        self.candidate_counts = candidate_counts
         self.sorted_keys = sorted_keys
         self.tier_hits = tier_hits
+        self._keys = keys  # the covered keys, any order
+        self._key_pages = key_pages  # the never-shrunk key → pages map
         self._steps: Optional[Tuple[SelectionStep, ...]] = None
 
-    @property
-    def pages(self) -> List[int]:
-        """Chosen page ids in read order (shared list — do not mutate)."""
-        return self._pages
-
-    @property
-    def candidate_counts(self) -> List[int]:
-        """Candidate pages examined at each step, in read order."""
-        return self._candidate_counts
-
-    @property
-    def covered_counts(self) -> List[int]:
-        """Newly covered keys per step (popcount of the cover masks)."""
-        return [m.bit_count() for m in self._masks]
+    @classmethod
+    def from_steps(
+        cls,
+        steps: Sequence[SelectionStep],
+        sorted_keys: int,
+        tier_hits: int = 0,
+    ) -> "SelectionOutcome":
+        """An outcome given as materialized steps (oracles, truncation)."""
+        outcome = cls(
+            [s.page_id for s in steps],
+            [len(s.covered) for s in steps],
+            [s.candidates_examined for s in steps],
+            sorted_keys,
+            tier_hits,
+        )
+        outcome._steps = tuple(steps)
+        return outcome
 
     @property
     def num_steps(self) -> int:
         """Number of page reads chosen."""
-        return len(self._pages)
+        return len(self.pages)
 
     @property
     def total_candidates(self) -> int:
         """Total candidate-page examinations across steps."""
-        return sum(self._candidate_counts)
+        return sum(self.candidate_counts)
 
     @property
     def steps(self) -> Tuple[SelectionStep, ...]:
         """Materialized steps, covered keys ascending."""
         if self._steps is None:
-            self._steps = tuple(
-                SelectionStep(
-                    page_id=page,
-                    covered=tuple(sorted(_mask_keys(mask, self._okeys))),
-                    candidates_examined=n_cand,
+            step_of = {page: step for step, page in enumerate(self.pages)}
+            covered: List[List[int]] = [[] for _ in self.pages]
+            for key in sorted(self._keys):
+                first = min(
+                    step_of[page]
+                    for page in self._key_pages[key]
+                    if page in step_of
                 )
-                for page, mask, n_cand in zip(
-                    self._pages, self._masks, self._candidate_counts
+                covered[first].append(key)
+            self._steps = tuple(
+                SelectionStep(page, tuple(keys), n_cand)
+                for page, keys, n_cand in zip(
+                    self.pages, covered, self.candidate_counts
                 )
             )
         return self._steps
 
     def covered_keys(self) -> Set[int]:
         """Union of keys served by the chosen pages."""
-        out: Set[int] = set()
-        for mask in self._masks:
-            out.update(_mask_keys(mask, self._okeys))
-        return out
+        return {key for step in self.steps for key in step.covered}
 
 
 class Selector(ABC):
@@ -217,9 +192,9 @@ class Selector(ABC):
     def select(self, keys: Sequence[int]):
         """Choose pages covering all ``keys``; tier-1 keys need none.
 
-        Returns a :class:`SelectionOutcome` or an object serving the
-        same accessors.  Raises :class:`~repro.errors.ServingError` for
-        a key outside the embedding table.
+        Returns a :class:`SelectionOutcome`.  Raises
+        :class:`~repro.errors.ServingError` for a key outside the
+        embedding table.
         """
 
 
@@ -232,7 +207,7 @@ class _PageMaskSelector(Selector):
         self._entries = forward.entries()
         self._full = _key_pages(forward, invert)
 
-    def select(self, keys: Sequence[int]) -> MaskSelectionOutcome:
+    def select(self, keys: Sequence[int]) -> SelectionOutcome:
         """Choose pages covering all ``keys``; tier-1 keys need none."""
         # A fresh list: ``_select_impl`` sorts it in place.
         distinct = list(distinct_keys(keys))
@@ -249,7 +224,7 @@ class _PageMaskSelector(Selector):
     @abstractmethod
     def _select_impl(
         self, keys: List[int], tier_hits: int = 0
-    ) -> MaskSelectionOutcome:
+    ) -> SelectionOutcome:
         """Cover ``keys`` — distinct and in range (``select`` checked)."""
 
     def _page_masks(self, okeys: List[int]) -> Dict[int, int]:
@@ -288,26 +263,63 @@ class OnePassSelector(_PageMaskSelector):
             count * span + key
             for key, count in enumerate(forward.replica_counts())
         ]
+        # The one page of a key stored once, None for a replicated key.
+        # From the never-shrunk map: a replicated key the index limit cut
+        # to one candidate may still ride on another page.
+        self._home = [
+            pages[0] if len(pages) == 1 else None for pages in self._full
+        ]
 
     def _select_impl(
         self, keys: List[int], tier_hits: int = 0
-    ) -> MaskSelectionOutcome:
+    ) -> SelectionOutcome:
         """Cover ``keys`` — distinct and in range (``select`` checked)."""
         keys.sort(key=self._rank.__getitem__)
-        masks = self._page_masks(keys)
+        full = self._full
+        # The sort puts the keys stored once first: each one's read is
+        # forced, so a step is its home page and a count, not a mask.
+        home = self._home
+        forced: Dict[int, int] = {}
+        for key in keys:
+            page = home[key]
+            if page is None:
+                break
+            if page in forced:
+                forced[page] += 1
+            else:
+                forced[page] = 1
+        else:
+            return SelectionOutcome(
+                list(forced),
+                list(forced.values()),
+                [1] * len(forced),
+                len(keys),
+                tier_hits,
+                keys,
+                full,
+            )
+        pages = list(forced)
+        covered = list(forced.values())
+        cands = [1] * len(pages)
+        # The keys after the run get bits, in process order.  A forced
+        # read covers those it holds that no earlier read did.
+        okeys = keys[sum(covered) :]
+        masks = self._page_masks(okeys)
+        rem = (1 << len(okeys)) - 1
+        for step, page in enumerate(pages):
+            if page in masks:
+                mask = masks[page] & rem
+                covered[step] += mask.bit_count()
+                rem ^= mask
         entries = self._entries
-        rem = (1 << len(keys)) - 1
-        pages: List[int] = []
-        step_masks: List[int] = []
-        step_cands: List[int] = []
         while rem:
             # Lowest set bit: the first key in process order not yet
             # covered (hitchhikers on earlier reads are already cleared).
-            candidates = entries[keys[(rem & -rem).bit_length() - 1]]
+            candidates = entries[okeys[(rem & -rem).bit_length() - 1]]
             best_page = candidates[0]
             best_mask = masks[best_page] & rem
+            best_count = best_mask.bit_count()
             if len(candidates) > 1:
-                best_count = best_mask.bit_count()
                 for page in candidates[1:]:
                     mask = masks[page] & rem
                     count = mask.bit_count()
@@ -317,10 +329,10 @@ class OnePassSelector(_PageMaskSelector):
                         best_count = count
             rem ^= best_mask
             pages.append(best_page)
-            step_masks.append(best_mask)
-            step_cands.append(len(candidates))
-        return MaskSelectionOutcome(
-            pages, step_masks, step_cands, keys, len(keys), tier_hits
+            covered.append(best_count)
+            cands.append(len(candidates))
+        return SelectionOutcome(
+            pages, covered, cands, len(keys), tier_hits, keys, full
         )
 
 
@@ -342,7 +354,7 @@ class GreedySetCoverSelector(_PageMaskSelector):
 
     def _select_impl(
         self, keys: List[int], tier_hits: int = 0
-    ) -> MaskSelectionOutcome:
+    ) -> SelectionOutcome:
         """Cover ``keys`` — distinct and in range (``select`` checked)."""
         masks = self._page_masks(keys)
         entries = self._entries
@@ -352,10 +364,10 @@ class GreedySetCoverSelector(_PageMaskSelector):
                 support[page] = support.get(page, 0) + 1
         rem = (1 << len(keys)) - 1
         pages: List[int] = []
-        step_masks: List[int] = []
-        step_cands: List[int] = []
+        covered: List[int] = []
+        cands: List[int] = []
         while rem:
-            step_cands.append(len(support))
+            cands.append(len(support))
             best_page = -1
             best_mask = 0
             best_count = 0
@@ -371,7 +383,7 @@ class GreedySetCoverSelector(_PageMaskSelector):
                 raise ServingError(f"keys {stranded[:5]} are on no page")
             rem ^= best_mask
             pages.append(best_page)
-            step_masks.append(best_mask)
+            covered.append(best_count)
             for key in _mask_keys(best_mask, keys):
                 for page in entries[key]:
                     count = support[page] - 1
@@ -379,8 +391,8 @@ class GreedySetCoverSelector(_PageMaskSelector):
                         support[page] = count
                     else:
                         del support[page]
-        return MaskSelectionOutcome(
-            pages, step_masks, step_cands, keys, 0, tier_hits
+        return SelectionOutcome(
+            pages, covered, cands, 0, tier_hits, keys, self._full
         )
 
 

@@ -44,9 +44,9 @@ from repro.ssd import Completion, PacedReadCommand, SsdProfile
 QUERIES = 200
 WARMUP = 100
 
-#: Python + C calls per query: 240.4 / 83.6 / 478.3 measured on CPython
-#: 3.11 (each repeats to the digit); the ceilings are 15 % over 237.4 /
-#: 83.6 / 467.0.  Ceilings, not equalities — the trace comes from numpy's
+#: Python + C calls per query: 171.6 / 71.9 / 398.6 measured on CPython
+#: 3.11 (each repeats to the digit); the ceilings are 15 % over those.
+#: Ceilings, not equalities — the trace comes from numpy's
 #: generator and the C-call mix differs across the CI matrix.  Lower them
 #: when a path gets shorter: with one ``LruCache.get`` / ``put`` per key
 #: the same loops made 306.7 / 105.6 / 604.5, with a sampled latency per
@@ -59,8 +59,14 @@ WARMUP = 100
 #: ``distinct_keys`` (a call and two ``len`` where ``dict.fromkeys`` was
 #: one), less the inlined ``_tier_split``.  What they save is the copy of
 #: a query with no repeated key, which a call count cannot see
-#: (``tests/test_types.py`` holds ``unique_keys() is query.keys``).
-CEILINGS = {"engine": 273, "hybrid": 96, "cluster": 537}
+#: (``tests/test_types.py`` holds ``unique_keys() is query.keys``).  With
+#: a page mask for every selected key, a comprehension to read the
+#: covered counts and a pacing that walked the step times three times,
+#: they made 240.4 / 83.6 / 478.3; taking the keys stored once by a
+#: lookup of their one page (no mask, no per-key ``dict.get``), flat
+#: outcome lists and a one-pass pacing brought them to 171.6 / 71.9 /
+#: 398.6.
+CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 458}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
 #: (cluster: a replayed gather): 16.4 / 29.8 measured on CPython 3.11, plus

@@ -39,11 +39,11 @@ def tiny_queue_device(queue_depth=2, latency=10.0):
 
 
 def many_step_outcome(steps=8):
-    return SelectionOutcome(
-        tuple(
+    return SelectionOutcome.from_steps(
+        [
             SelectionStep(page_id=p, covered=(p,), candidates_examined=1)
             for p in range(steps)
-        ),
+        ],
         sorted_keys=steps,
     )
 

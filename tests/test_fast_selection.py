@@ -121,6 +121,21 @@ class TestFullyReplicated:
                     assert_same_outcome(fast.select(keys), ref.select(keys))
 
 
+class TestInterruptedForcedPrefix:
+    """A replicated key the index limit shrank to one candidate is not
+    forced: here key 1 keeps only page 0, yet rides on page 1, which
+    key 0 (stored once) forces first."""
+
+    def test_shrunk_single_candidate_rides_on_a_forced_page(self):
+        layout = PageLayout(4, 2, [(1, 2), (0, 1), (3,)])
+        for fast, ref in selector_pairs(layout, limit=1):
+            assert_same_outcome(fast.select([0, 1, 3]), ref.select([0, 1, 3]))
+        forward, invert = build_indexes(layout, limit=1)
+        outcome = OnePassSelector(forward, invert).select([0, 1, 3])
+        assert outcome.pages == [1, 2]
+        assert outcome.covered_counts == [2, 1]
+
+
 class TestWideQueries:
     """Masks are Python ints: width past one machine word changes nothing."""
 
@@ -168,7 +183,10 @@ def layouts_queries_limits(draw):
     keys.  Wide: 53-400 keys with one hot key replicated on 64+ pages
     (the fan-out the query-side kernel walks) and queries of 53 to all
     keys, past one machine word.  Either way queries may repeat keys
-    and may carry keys outside the table.
+    and may carry keys outside the table, and the replica pages may come
+    before the base pages: the forward index keeps a key's lowest page
+    ids, so a shrunk replicated key can then lose the page that a
+    single-copy key lives on.
     """
     wide = draw(st.booleans())
     if wide:
@@ -203,7 +221,10 @@ def layouts_queries_limits(draw):
         for _ in range(draw(st.integers(min_value=64, max_value=72))):
             company = rnd.sample(others, rnd.randint(0, capacity - 1))
             pages.append((hot, *company))
-    layout = PageLayout(n, capacity, pages, num_base_pages=num_base)
+    replicas_first = draw(st.booleans())
+    if replicas_first:
+        pages = pages[num_base:] + pages[:num_base]
+    layout = PageLayout(n, capacity, pages)
     queries = []
     num_queries = draw(st.integers(min_value=1, max_value=3 if wide else 6))
     for _ in range(num_queries):
@@ -228,7 +249,10 @@ def layouts_queries_limits(draw):
             ):
                 keys.insert(rnd.randint(0, len(keys)), stray)
         queries.append(keys)
-    limit = draw(st.sampled_from([None, 1, 2, 5]))
+    # Only a limit can drop a page, so replicas-first layouts take one.
+    limit = draw(
+        st.sampled_from([1, 2, 5] if replicas_first else [None, 1, 2, 5])
+    )
     return layout, queries, limit
 
 

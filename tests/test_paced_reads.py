@@ -114,7 +114,7 @@ def outcome_of(pages, candidates):
         SelectionStep(page_id=p, covered=(i,), candidates_examined=c)
         for i, (p, c) in enumerate(zip(pages, candidates))
     )
-    return SelectionOutcome(steps, sorted_keys=len(steps))
+    return SelectionOutcome.from_steps(steps, sorted_keys=len(steps))
 
 
 def device_state(device):
@@ -298,7 +298,7 @@ class TestExecutorsEqualPerPageOracle:
         device = make_device("ssd")
         device.submit_read(0, 0.0)
         result = EXECUTORS[kind]().execute(
-            SelectionOutcome((), sorted_keys=0), device, 50.0
+            SelectionOutcome.from_steps((), sorted_keys=0), device, 50.0
         )
         assert result.pages_read == 0
         assert result.finish_us == 50.0 + CpuCostModel().query_base_us
@@ -318,7 +318,7 @@ class TestExecutorsEqualPerPageOracle:
             for kind in sorted(EXECUTORS)
         ]
         assert {r.selection_us for r in results} == {expected}
-        assert cost.selection_time_us(outcome) == expected
+        assert cost.selection_time_us(outcome.candidate_counts) == expected
 
     def test_injected_fault_raises_out_of_execute(self):
         plan = FaultPlan(seed=1, read_error_rate=1.0)

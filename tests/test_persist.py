@@ -1,5 +1,7 @@
 """Tests for repro.core.persist: deployment bundles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,24 @@ class TestConfigRoundTrip:
     def test_default_config_round_trips(self):
         config = MaxEmbedConfig()
         assert config_from_dict(config_to_dict(config)) == config
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "sort_per_key_us",
+            "candidate_examine_us",
+            "step_base_us",
+            "query_base_us",
+        ],
+    )
+    def test_non_finite_cost_rejected(self, field, value):
+        # Python's json reads these tokens, so a bundle can carry them.
+        text = json.dumps(config_to_dict(MaxEmbedConfig()))
+        data = json.loads(text)
+        data["cost_model"][field] = json.loads(value)
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(json.loads(json.dumps(data)))
 
     def test_version_check(self, rich_config):
         data = config_to_dict(rich_config)

@@ -1,5 +1,7 @@
 """Tests for repro.serving: cost model, executors, engine, reports."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -22,12 +24,16 @@ from repro.serving.stats import QueryResult
 from repro.ssd import SsdProfile
 
 
+COST_FIELDS = [f.name for f in dataclasses.fields(CpuCostModel)]
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
 def outcome_with(steps, sorted_keys=0):
-    return SelectionOutcome(
-        tuple(
+    return SelectionOutcome.from_steps(
+        [
             SelectionStep(page_id=p, covered=c, candidates_examined=n)
             for p, c, n in steps
-        ),
+        ],
         sorted_keys=sorted_keys,
     )
 
@@ -51,7 +57,7 @@ class TestCpuCostModel:
     def test_selection_time_sums_steps(self):
         model = CpuCostModel(candidate_examine_us=1.0, step_base_us=0.0)
         outcome = outcome_with([(0, (1,), 2), (1, (2,), 3)])
-        assert model.selection_time_us(outcome) == 5.0
+        assert model.selection_time_us(outcome.candidate_counts) == 5.0
 
     def test_total_includes_base_and_sort(self):
         model = CpuCostModel(
@@ -66,6 +72,12 @@ class TestCpuCostModel:
     def test_rejects_negative_costs(self):
         with pytest.raises(ConfigError):
             CpuCostModel(sort_per_key_us=-1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", COST_FIELDS)
+    def test_rejects_non_finite_costs(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CpuCostModel(**{field: value})
 
 
 def fast_device(latency=10.0):
