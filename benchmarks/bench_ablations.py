@@ -1,7 +1,8 @@
 """Ablation benches for the design choices DESIGN.md §5 calls out.
 
 These are not paper figures; they justify the choices the paper made by
-toggling each one off on the same workload.
+toggling each one off on the same workload.  The selector ablation is
+``bench_selector.py``: its baselines are oracles in ``repro.reference``.
 """
 
 from conftest import publish
@@ -31,22 +32,6 @@ def test_ablation_home_cluster_exclusion(benchmark, scale, max_queries):
     publish(result)
     by_name = {row[0]: row for row in result.rows}
     assert by_name["True"][1] >= by_name["False"][1] * 0.99
-
-
-def test_ablation_selector_cost(benchmark, scale):
-    result = benchmark.pedantic(
-        ablations.run_selector_cost,
-        kwargs=dict(scale=scale),
-        rounds=1,
-        iterations=1,
-    )
-    publish(result)
-    by_name = {row[0]: row for row in result.rows}
-    greedy_pages, greedy_cost = by_name["greedy"][1:]
-    onepass_pages, onepass_cost = by_name["onepass"][1:]
-    # Near-identical page counts, far lower examination cost.
-    assert onepass_pages <= greedy_pages * 1.15
-    assert onepass_cost < greedy_cost / 2
 
 
 def test_extension_greedy_benefit(benchmark, scale, max_queries):

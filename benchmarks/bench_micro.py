@@ -3,7 +3,7 @@
 Unlike the figure benches (one-shot experiment reproductions), these
 measure the per-operation cost of the core primitives with full
 pytest-benchmark statistics — the regression guards for anyone touching
-the selectors, the partitioner, or the device model.
+the selector, the partitioner, or the device model.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.hypergraph import build_weighted_hypergraph
 from repro.placement import ForwardIndex, InvertIndex
-from repro.serving.selection import GreedySetCoverSelector, OnePassSelector
+from repro.serving.selection import OnePassSelector
 
 from conftest import bench_scale
 
@@ -41,20 +41,6 @@ def test_micro_onepass_selection(benchmark, criteo_setup):
     invert = InvertIndex.from_layout(layout)
     selector = OnePassSelector(forward, invert)
     queries = [q.unique_keys() for q in list(live)[:64]]
-
-    def run():
-        for keys in queries:
-            selector.select(keys)
-
-    benchmark(run)
-
-
-def test_micro_greedy_selection(benchmark, criteo_setup):
-    _, live, layout, _ = criteo_setup
-    forward = ForwardIndex.from_layout(layout)
-    invert = InvertIndex.from_layout(layout)
-    selector = GreedySetCoverSelector(forward, invert)
-    queries = [q.unique_keys() for q in list(live)[:16]]
 
     def run():
         for keys in queries:

@@ -3,8 +3,8 @@
 A faithful, laptop-scale reimplementation of *MaxEmbed: Maximizing SSD
 bandwidth utilization for huge embedding models serving* (ASPLOS '24),
 including every substrate the paper depends on: the SHP hypergraph
-partitioner, the three replication strategies, the one-pass/greedy page
-selectors with index shrinking and pipelined reads, a discrete-event NVMe
+partitioner, the three replication strategies, the one-pass page
+selector with index shrinking and pipelined reads, a discrete-event NVMe
 simulator, a CacheLib-style LRU cache, synthetic versions of the five
 evaluation datasets, and a numpy DLRM that consumes the store.
 
@@ -114,7 +114,6 @@ from .service import (
 )
 from .serving import (
     EngineConfig,
-    GreedySetCoverSelector,
     OnePassSelector,
     PipelinedExecutor,
     RetryPolicy,
@@ -190,7 +189,6 @@ __all__ = [
     "EngineConfig",
     "ServingReport",
     "OnePassSelector",
-    "GreedySetCoverSelector",
     "PipelinedExecutor",
     "SerialExecutor",
     "RetryPolicy",

@@ -50,7 +50,6 @@ from .overload import ADMISSION_POLICIES, AdmissionConfig, BrownoutConfig
 from .placement import load_layout, save_layout
 from .serving import (
     EXECUTORS,
-    SELECTORS,
     EngineConfig,
     OpenLoopSimulator,
     RetryPolicy,
@@ -170,7 +169,6 @@ def _add_serve(subparsers) -> None:
         "single-shard layouts only",
     )
     p.add_argument("--index-limit", type=int, default=None)
-    p.add_argument("--selector", default="onepass", choices=list(SELECTORS))
     p.add_argument(
         "--executor",
         default="pipelined",
@@ -554,7 +552,6 @@ def _engine_config(args) -> EngineConfig:
         cache_ratio=args.cache_ratio,
         cache_policy=args.cache_policy,
         index_limit=args.index_limit,
-        selector=args.selector,
         executor=args.executor,
         threads=args.threads,
         fault_plan=(

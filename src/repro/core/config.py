@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..errors import ConfigError
 from ..partition import ShpConfig
-from ..serving import EXECUTORS, SELECTORS, CpuCostModel
+from ..serving import EXECUTORS, CpuCostModel
 from ..ssd import P5800X, SsdProfile
 from ..tiering import TIER_MODES
 from ..types import EmbeddingSpec
@@ -43,9 +43,8 @@ class MaxEmbedConfig:
             (ignored under ``tier_mode="lru"``).
         profile: simulated SSD profile.
         raid_members: >1 stripes over a RAID-0.
-        selector / executor: online algorithms (see
-            :class:`~repro.serving.EngineConfig`; one of
-            :data:`~repro.serving.SELECTORS` and of
+        executor: when and in what form selected reads reach the device
+            (see :class:`~repro.serving.EngineConfig`; one of
             :data:`~repro.serving.EXECUTORS`).
         threads: simulated serving threads.
         cost_model: selection CPU charges.
@@ -83,7 +82,6 @@ class MaxEmbedConfig:
     tier_ratio: float = 0.0
     profile: SsdProfile = P5800X
     raid_members: int = 1
-    selector: str = "onepass"
     executor: str = "pipelined"
     threads: int = 8
     cost_model: CpuCostModel = field(default_factory=CpuCostModel)
@@ -135,11 +133,6 @@ class MaxEmbedConfig:
         if self.offline_workers is not None and self.offline_workers < 0:
             raise ConfigError(
                 f"offline_workers must be >= 0, got {self.offline_workers}"
-            )
-        if self.selector not in SELECTORS:
-            raise ConfigError(
-                f"unknown selector {self.selector!r}; "
-                f"choose from {sorted(SELECTORS)}"
             )
         if self.executor not in EXECUTORS:
             raise ConfigError(

@@ -80,7 +80,6 @@ def config_to_dict(config: MaxEmbedConfig) -> dict:
         "tier_ratio": config.tier_ratio,
         "profile": _profile_name(config.profile),
         "raid_members": config.raid_members,
-        "selector": config.selector,
         "executor": config.executor,
         "threads": config.threads,
         "cost_model": {
@@ -109,6 +108,15 @@ def config_from_dict(data: dict) -> MaxEmbedConfig:
         raise ConfigError(
             f"unsupported bundle version {data.get('version')!r}"
         )
+    # One-pass is the one page selector; a bundle saved under another
+    # must not be served by it without a word.
+    selector = data.get("selector", "onepass")
+    if selector != "onepass":
+        raise ConfigError(
+            f"bundle names selector {selector!r}; only one-pass selection "
+            "serves (greedy set cover is the baseline in "
+            "benchmarks/bench_selector.py)"
+        )
     shp = data["shp"]
     cost = data["cost_model"]
     return MaxEmbedConfig(
@@ -131,7 +139,6 @@ def config_from_dict(data: dict) -> MaxEmbedConfig:
         tier_ratio=data.get("tier_ratio", 0.0),
         profile=PROFILES[data["profile"]],
         raid_members=data["raid_members"],
-        selector=data["selector"],
         executor=data["executor"],
         threads=data["threads"],
         cost_model=CpuCostModel(**cost),

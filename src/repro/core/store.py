@@ -104,7 +104,6 @@ class MaxEmbedStore:
                 tier_ratio=self.config.tier_ratio,
                 tier_plan=tier_plan,
                 index_limit=self.config.index_limit,
-                selector=self.config.selector,
                 executor=self.config.executor,
                 threads=self.config.threads,
                 raid_members=self.config.raid_members,

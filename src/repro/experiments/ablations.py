@@ -9,10 +9,12 @@ paper made matter, using the same workloads and metrics:
 * **home-cluster exclusion** — replica pages skip neighbours already
   co-located with the base vertex; disabling it wastes replica slots on
   already-satisfied pairs.
-* **selector** — one-pass vs full greedy set cover: page counts should be
-  near-identical while the candidate-examination cost collapses.
 * **partitioner refinement** — full SHP (bulk + KL) vs random assignment:
   quantifies how much the local search actually buys.
+
+The selector ablation (one-pass vs greedy set cover vs the exact cover)
+is ``benchmarks/bench_selector.py``: its baselines are oracles in
+:mod:`repro.reference`, which the library does not import.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from ..partition import (
     ShpConfig,
     ShpPartitioner,
 )
-from ..placement import build_indexes, layout_from_partition
+from ..placement import layout_from_partition
 from ..replication import ConnectivityPriorityStrategy
-from ..serving.selection import GreedySetCoverSelector, OnePassSelector
 from .common import get_split_trace
 from .report import ExperimentResult
 
@@ -103,47 +104,6 @@ def run_home_cluster_exclusion(
                 round(evaluation.mean_valid_per_read(), 3),
             ]
         )
-    return result
-
-
-def run_selector_cost(
-    dataset: str = "criteo",
-    ratio: float = 0.4,
-    scale: str = "bench",
-    seed: int = 0,
-    capacity: int = 16,
-    max_queries: Optional[int] = 400,
-) -> ExperimentResult:
-    """Ablation: one-pass vs full greedy set cover (pages and CPU)."""
-    history, live = get_split_trace(dataset, scale, seed)
-    graph = build_weighted_hypergraph(history)
-    strategy = ConnectivityPriorityStrategy(
-        ShpPartitioner(ShpConfig(seed=seed))
-    )
-    layout = strategy.build_layout(graph, capacity, ratio)
-    forward, invert = build_indexes(layout)
-    result = ExperimentResult(
-        exp_id="ablation-selector",
-        title=f"Page selection ablation ({dataset}, r={ratio})",
-        headers=["selector", "pages_read", "candidates_examined"],
-        notes=(
-            "one-pass reads nearly the same page count as greedy set "
-            "cover while examining far fewer candidates (paper §6.1)"
-        ),
-    )
-    for name, selector in (
-        ("greedy", GreedySetCoverSelector(forward, invert)),
-        ("onepass", OnePassSelector(forward, invert)),
-    ):
-        pages = 0
-        candidates = 0
-        for index, query in enumerate(live):
-            if max_queries is not None and index >= max_queries:
-                break
-            outcome = selector.select(query.unique_keys())
-            pages += outcome.num_steps
-            candidates += outcome.total_candidates
-        result.rows.append([name, pages, candidates])
     return result
 
 

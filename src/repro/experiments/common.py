@@ -160,7 +160,6 @@ def make_engine(
     dim: int = 64,
     cache_ratio: float = 0.10,
     index_limit: Optional[int] = None,
-    selector: str = "onepass",
     executor: str = "pipelined",
     profile: SsdProfile = P5800X,
     threads: int = 8,
@@ -178,7 +177,6 @@ def make_engine(
             profile=profile,
             cache_ratio=cache_ratio,
             index_limit=index_limit,
-            selector=selector,
             executor=executor,
             threads=threads,
             raid_members=raid_members,

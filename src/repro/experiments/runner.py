@@ -49,7 +49,6 @@ ALL_EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table2": table2_tco.run,
     "ablation-scoring": ablations.run_scoring,
     "ablation-home-exclusion": ablations.run_home_cluster_exclusion,
-    "ablation-selector": ablations.run_selector_cost,
     "ablation-partitioner": ablations.run_partitioner_refinement,
     "ablation-cache-policy": ablations.run_cache_policy,
     "ablation-admission": ablations.run_page_grain_admission,

@@ -1,6 +1,6 @@
 """Static effective-bandwidth evaluation of a page layout.
 
-Runs the page-selection algorithm over every query of a trace (no cache,
+Runs one-pass page selection over every query of a trace (no cache,
 no timing) and measures how many *useful* embeddings each page read
 delivers.  The paper's "effective bandwidth" is the useful fraction of the
 raw transfer::
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ConfigError
 from ..placement import PageLayout, build_indexes
-from ..serving.selection import SELECTORS, Selector
+from ..serving.selection import OnePassSelector
 from ..types import QueryTrace
 
 
@@ -70,29 +70,23 @@ class PlacementEvaluation:
 def evaluate_placement(
     layout: PageLayout,
     trace: QueryTrace,
-    selector: str = "onepass",
     index_limit: Optional[int] = None,
     embedding_bytes: int = 256,
     page_size: int = 4096,
     max_queries: Optional[int] = None,
 ) -> PlacementEvaluation:
-    """Evaluate ``layout`` on ``trace`` with the chosen selection algorithm.
+    """Evaluate ``layout`` on ``trace`` under one-pass selection.
 
     Args:
         layout: placement under test.
         trace: queries to replay (no cache — every key goes to SSD).
-        selector: ``"onepass"`` or ``"greedy"``.
         index_limit: forward-index shrink ``k`` (None = full).
         embedding_bytes: bytes per embedding vector.
         page_size: SSD page size in bytes.
         max_queries: optionally evaluate only the head of the trace.
     """
-    if selector not in SELECTORS:
-        raise ConfigError(
-            f"unknown selector {selector!r}; choose from {sorted(SELECTORS)}"
-        )
     forward, invert = build_indexes(layout, limit=index_limit)
-    chooser: Selector = SELECTORS[selector](forward, invert)
+    chooser = OnePassSelector(forward, invert)
     evaluation = PlacementEvaluation(
         num_queries=0,
         total_reads=0,

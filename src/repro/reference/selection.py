@@ -1,29 +1,57 @@
 """Set-algebra page selectors — the oracle for :mod:`repro.serving.selection`.
 
 Readable python sets: each step intersects a candidate page's key set
-with the still-uncovered keys.  The production page-mask selectors must
-match these outcome for outcome (pages, order, covered tuples, candidate
-counts, sort charge, tier hits, errors).
+with the still-uncovered keys.  The production one-pass selector must
+match :class:`OnePassSelector` outcome for outcome (pages, order, covered
+tuples, candidate counts, sort charge, tier hits, errors).
+
+:class:`GreedySetCoverSelector` is the paper's §6 baseline, which
+one-pass replaces in serving, and :func:`exact_cover` the minimum page
+set; ``benchmarks/bench_selector.py`` compares the three.
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
-from typing import Dict, List, Sequence, Set
+from abc import ABC, abstractmethod
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import ServingError
-from ..serving.selection import SelectionOutcome, SelectionStep, Selector
+from ..placement import ForwardIndex, InvertIndex
+from ..serving.selection import SelectionOutcome, SelectionStep
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..tiering import PinnedTier
 
 
-class _SetAlgebraSelector(Selector):
+class _SetAlgebraSelector(ABC):
     """Template shared by the oracle selectors.
 
-    ``select`` is a template method: with no tier attached it delegates
-    straight to the subclass ``_select_impl``; with a
-    :class:`~repro.tiering.PinnedTier` attached it first splits the
-    query into tier-1 hits and SSD residue, runs selection on the
-    residue only, and reports the hit count on the outcome.
+    It holds the two indexes and, optionally, a
+    :class:`~repro.tiering.PinnedTier`.  ``select`` is a template
+    method: with no tier attached it delegates straight to the subclass
+    ``_select_impl``; with a tier attached it first splits the query
+    into tier-1 hits and SSD residue, runs selection on the residue
+    only, and reports the hit count on the outcome.
     """
+
+    def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
+        self.forward = forward
+        self.invert = invert
+        self.tier: "Optional[PinnedTier]" = None
+
+    def attach_tier(self, tier: "Optional[PinnedTier]") -> None:
+        """Attach (or detach, with None) a pinned DRAM tier."""
+        self.tier = tier
 
     def select(self, keys: Sequence[int]) -> SelectionOutcome:
         """Choose pages covering all ``keys`` (distinct, SSD-resident)."""
@@ -157,3 +185,98 @@ class OnePassSelector(_SetAlgebraSelector):
         if remaining:  # pragma: no cover - ForwardIndex guarantees coverage
             raise ServingError(f"uncovered keys {sorted(remaining)[:5]}")
         return SelectionOutcome.from_steps(steps, sorted_keys=len(distinct))
+
+
+class ExactCover(NamedTuple):
+    """What :func:`exact_cover` found for one query.
+
+    Attributes:
+        pages: the cover, page ids ascending.
+        optimal: True if the search finished, so no smaller cover
+            exists; False if it hit its node cap, and ``pages`` is only
+            the smallest cover found by then.
+    """
+
+    pages: Tuple[int, ...]
+    optimal: bool
+
+
+class _NodeCapHit(Exception):
+    """The branch and bound visited its node cap."""
+
+
+def exact_cover(
+    selector_or_maps, keys: Sequence[int], node_cap: int = 200_000
+) -> ExactCover:
+    """A minimum set of pages covering ``keys``: branch and bound.
+
+    ``selector_or_maps`` is a selector (anything with ``forward`` and
+    ``invert``) or a ``(forward, invert)`` pair.  A key's pages are
+    those of the never-shrunk key → pages map — every page the invert
+    index lists it on — so an index limit does not bind the optimum,
+    and a tier attached to the selector is ignored: every key is
+    covered.
+
+    Each search node branches on the pages of the uncovered key held
+    by the fewest pages, largest gain first.  A node is cut when its
+    page count plus ⌈uncovered / largest gain⌉ cannot beat the best
+    cover found so far (greedy set cover's, to start).  After
+    ``node_cap`` nodes the search stops and the best cover found is
+    returned with ``optimal=False``.
+    """
+    if isinstance(selector_or_maps, tuple):
+        forward, invert = selector_or_maps
+    else:
+        forward, invert = selector_or_maps.forward, selector_or_maps.invert
+    wanted = set(keys)
+    for key in keys:
+        if not 0 <= key < forward.num_keys:
+            raise ServingError(f"key {key} is not in the embedding table")
+    holds: Dict[int, FrozenSet[int]] = {}
+    pages_of: Dict[int, List[int]] = {key: [] for key in wanted}
+    for page in range(invert.num_pages):
+        cover = invert.key_set(page) & wanted
+        if cover:
+            holds[page] = cover
+            for key in cover:
+                pages_of[key].append(page)
+    stranded = sorted(key for key, pages in pages_of.items() if not pages)
+    if stranded:
+        raise ServingError(f"keys {stranded[:5]} are on no page")
+
+    best = []
+    uncovered = set(wanted)
+    while uncovered:
+        page = max(holds, key=lambda p: (len(holds[p] & uncovered), -p))
+        best.append(page)
+        uncovered -= holds[page]
+    nodes = 0
+
+    def search(uncovered: FrozenSet[int], chosen: List[int]) -> None:
+        nonlocal best, nodes
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        nodes += 1
+        if nodes > node_cap:
+            raise _NodeCapHit
+        gains = {
+            page: len(holds[page] & uncovered)
+            for key in uncovered
+            for page in pages_of[key]
+        }
+        bound = -(-len(uncovered) // max(gains.values()))
+        if len(chosen) + bound >= len(best):
+            return
+        key = min(uncovered, key=lambda k: (len(pages_of[k]), k))
+        for page in sorted(pages_of[key], key=lambda p: (-gains[p], p)):
+            chosen.append(page)
+            search(uncovered - holds[page], chosen)
+            chosen.pop()
+
+    try:
+        search(frozenset(wanted), [])
+    except _NodeCapHit:
+        return ExactCover(tuple(sorted(best)), optimal=False)
+    return ExactCover(tuple(sorted(best)), optimal=True)

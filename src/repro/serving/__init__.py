@@ -3,15 +3,14 @@
 With replication, choosing the minimal page set covering a query is set
 cover.  This package provides:
 
-* :class:`GreedySetCoverSelector` — the near-optimal but expensive greedy
-  baseline (O(|S|·|Q|) candidate examinations per query);
-* :class:`OnePassSelector` — MaxEmbed's §6.1 algorithm: sort keys by
-  ascending replica count, then for each uncovered key pick the best of
-  its (index-limited) candidate pages, taking a key stored once by a
-  lookup of its one page — both on one query-side integer-mask kernel
-  and both returning one flat :class:`SelectionOutcome`, the two values
-  of the selection axis, :data:`SELECTORS`; their set-algebra oracles
-  live in :mod:`repro.reference`, which nothing here imports;
+* :class:`OnePassSelector` — MaxEmbed's §6.1 algorithm and the one page
+  selector: sort keys by ascending replica count, then for each
+  uncovered key pick the best of its (index-limited) candidate pages,
+  taking a key stored once by a lookup of its one page, on a query-side
+  integer-mask kernel that returns one flat :class:`SelectionOutcome`.
+  The greedy set-cover baseline it replaces (§6), its set-algebra
+  oracle and an exact cover live in :mod:`repro.reference`, which
+  nothing here imports;
 * :class:`SerialExecutor` / :class:`PipelinedExecutor` — §6.2: overlap
   page selection with asynchronous SSD reads or run them back-to-back
   (with :class:`BatchedExecutor` / :class:`NdpExecutor`, the four values
@@ -22,14 +21,7 @@ cover.  This package provides:
   open loop at given arrival times) to one :class:`ServingReport`.
 """
 
-from .selection import (
-    SELECTORS,
-    GreedySetCoverSelector,
-    OnePassSelector,
-    SelectionOutcome,
-    SelectionStep,
-    Selector,
-)
+from .selection import OnePassSelector, SelectionOutcome, SelectionStep
 from .cost_model import CpuCostModel
 from .executor import (
     EXECUTORS,
@@ -47,11 +39,8 @@ from .stats import ServingReport
 from .openloop import OpenLoopSimulator, simulate
 
 __all__ = [
-    "Selector",
     "SelectionStep",
     "SelectionOutcome",
-    "SELECTORS",
-    "GreedySetCoverSelector",
     "OnePassSelector",
     "CpuCostModel",
     "Executor",

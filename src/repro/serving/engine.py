@@ -32,7 +32,7 @@ from ..types import EmbeddingSpec, Query, QueryTrace
 from .cost_model import CpuCostModel
 from .executor import EXECUTORS, Executor, NdpExecutor
 from .recovery import RecoveringExecutor, RetryPolicy
-from .selection import SELECTORS, SelectionOutcome, Selector
+from .selection import OnePassSelector, SelectionOutcome
 from .openloop import simulate
 from .stats import QueryResult, ServingReport
 
@@ -54,8 +54,6 @@ class EngineConfig:
             a co-occurrence-aware placement the co-residents are exactly
             the keys likely to be asked for next).
         index_limit: forward-index shrink ``k`` (None = full index).
-        selector: ``"onepass"`` (MaxEmbed) or ``"greedy"`` (baseline) —
-            the keys of :data:`~repro.serving.selection.SELECTORS`.
         executor: when, and in what form, a query's selected reads
             reach the device (:data:`~repro.serving.executor.EXECUTORS`)
             — ``"pipelined"`` (MaxEmbed §6.2: each read issued right
@@ -111,7 +109,6 @@ class EngineConfig:
     cache_policy: str = "lru"
     page_grain_admission: bool = False
     index_limit: Optional[int] = None
-    selector: str = "onepass"
     executor: str = "pipelined"
     threads: int = 8
     raid_members: int = 1
@@ -129,11 +126,6 @@ class EngineConfig:
     tier_plan: Optional[TierPlan] = None
 
     def __post_init__(self) -> None:
-        if self.selector not in SELECTORS:
-            raise ServingError(
-                f"unknown selector {self.selector!r}; "
-                f"choose from {sorted(SELECTORS)}"
-            )
         if self.executor not in EXECUTORS:
             raise ServingError(
                 f"unknown executor {self.executor!r}; "
@@ -198,9 +190,7 @@ class ServingEngine:
         self.forward, self.invert = build_indexes(
             layout, limit=self.config.index_limit
         )
-        self.selector: Selector = SELECTORS[self.config.selector](
-            self.forward, self.invert
-        )
+        self.selector = OnePassSelector(self.forward, self.invert)
         self.executor: Executor = EXECUTORS[self.config.executor](
             self.config.cost_model, spec=self.config.spec
         )

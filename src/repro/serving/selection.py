@@ -1,14 +1,17 @@
-"""Page selection algorithms (paper §6 / §6.1).
+"""Page selection (paper §6.1): MaxEmbed's one-pass selector.
 
-A selector answers: *given the distinct keys of one query, which SSD pages
-do we read, in what order?*  Besides the page list, selectors report how
+The selector answers: *given the distinct keys of one query, which SSD
+pages do we read, in what order?*  Besides the page list, it reports how
 many candidate pages each step examined — the quantity the CPU cost model
-charges for, and the thing MaxEmbed's one-pass algorithm bounds.
+charges for, and the thing the one-pass algorithm bounds.  The greedy
+set-cover baseline it replaces (§6) and an exact cover are oracles in
+:mod:`repro.reference`; ``benchmarks/bench_selector.py`` compares the
+three.
 
 The paper measures selection at >56 % of end-to-end latency (Fig. 15),
-so both selectors run on one kernel that works from the *query* side: a
-page holds 16 slots but a query wants little more than one of them, so
-walking page contents is mostly misses.
+so the selector works from the *query* side: a page holds 16 slots but a
+query wants little more than one of them, so walking page contents is
+mostly misses.
 
 Per query: dedupe and bounds-check once, give the *i*-th key bit *i*,
 and walk each key's pages in the never-shrunk key→pages map (the
@@ -19,8 +22,8 @@ a candidate's gain is ``(mask & rem).bit_count()``, covering is one
 XOR.  Python ints are unbounded, so a 300-key gateway union takes the
 same path as a 6-key cluster fragment.
 
-The one-pass selector processes keys in ascending replica count, then
-key (a per-selector precomputed rank), so the keys stored once come
+One-pass processes keys in ascending replica count, then key (a
+per-selector precomputed rank), so the keys stored once come
 first and each one's read is forced: it takes that leading run by
 lookup — one dict counting keys per home page, in first-appearance
 order — and needs no mask for it.  The run ends at the first key whose
@@ -36,15 +39,14 @@ Candidates are examined in (shrunk) forward-index order with a
 first-strict-max tie break, covers are counted through the never-shrunk
 map, and covered keys are emitted ascending — outcome for outcome what
 the set-algebra oracle in :mod:`repro.reference` produces, which the
-differential suites enforce.  The selectors keep no per-query state, so
-one instance may serve concurrent threads.  Both return one flat
+differential suites enforce.  The selector keeps no per-query state, so
+one instance may serve concurrent threads.  It returns one flat
 :class:`SelectionOutcome` — pages, covered and candidate counts — and
-build :class:`SelectionStep` tuples only if ``.steps`` is read.
+builds :class:`SelectionStep` tuples only if ``.steps`` is read.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -75,14 +77,14 @@ class SelectionStep:
 class SelectionOutcome:
     """Full selection for one query, flat.
 
-    Both selectors return one: the chosen :attr:`pages` in read order,
+    The selector returns one: the chosen :attr:`pages` in read order,
     the keys each read newly covers (:attr:`covered_counts`) and the
     candidate pages each step examined (:attr:`candidate_counts`) — the
     lists the executors and the cost model consume — plus the sort
     charge and the tier hits.  :attr:`steps` is derived on demand (and
     once): each covered key is credited to the first chosen page, in
     read order, that holds it in the never-shrunk key→pages map, which
-    is the rule both selectors implement.
+    is the rule the selector and its oracles implement.
     """
 
     __slots__ = (
@@ -169,79 +171,8 @@ class SelectionOutcome:
         return {key for step in self.steps for key in step.covered}
 
 
-class Selector(ABC):
-    """Strategy interface for page selection.
-
-    A selector holds the two indexes and, optionally, a
-    :class:`~repro.tiering.PinnedTier`: with a tier attached ``select``
-    splits the query into tier-1 hits and SSD residue, runs selection on
-    the residue only, and reports the hit count on the outcome — tier-1
-    keys never reach the sort, the candidate scan, or a page read.
-    """
-
-    def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
-        self.forward = forward
-        self.invert = invert
-        self.tier: "Optional[PinnedTier]" = None
-
-    def attach_tier(self, tier: "Optional[PinnedTier]") -> None:
-        """Attach (or detach, with None) a pinned DRAM tier."""
-        self.tier = tier
-
-    @abstractmethod
-    def select(self, keys: Sequence[int]):
-        """Choose pages covering all ``keys``; tier-1 keys need none.
-
-        Returns a :class:`SelectionOutcome`.  Raises
-        :class:`~repro.errors.ServingError` for a key outside the
-        embedding table.
-        """
-
-
-class _PageMaskSelector(Selector):
-    """Shared front end and page-mask fill; subclasses run the cover loop."""
-
-    def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
-        super().__init__(forward, invert)
-        self._num_keys = forward.num_keys
-        self._entries = forward.entries()
-        self._full = _key_pages(forward, invert)
-
-    def select(self, keys: Sequence[int]) -> SelectionOutcome:
-        """Choose pages covering all ``keys``; tier-1 keys need none."""
-        # A fresh list: ``_select_impl`` sorts it in place.
-        distinct = list(distinct_keys(keys))
-        num_keys = self._num_keys
-        if distinct and (min(distinct) < 0 or max(distinct) >= num_keys):
-            bad = next(k for k in distinct if not 0 <= k < num_keys)
-            raise ServingError(f"key {bad} is not in the embedding table")
-        tier = self.tier
-        if tier is None:
-            return self._select_impl(distinct)
-        hits, residue = tier.split(distinct)
-        return self._select_impl(residue, hits)
-
-    @abstractmethod
-    def _select_impl(
-        self, keys: List[int], tier_hits: int = 0
-    ) -> SelectionOutcome:
-        """Cover ``keys`` — distinct and in range (``select`` checked)."""
-
-    def _page_masks(self, okeys: List[int]) -> Dict[int, int]:
-        """page → mask of the ``okeys`` it holds (bit i = ``okeys[i]``)."""
-        full = self._full
-        masks: Dict[int, int] = {}
-        get = masks.get
-        bit = 1
-        for key in okeys:
-            for page in full[key]:
-                masks[page] = get(page, 0) | bit
-            bit <<= 1
-        return masks
-
-
-class OnePassSelector(_PageMaskSelector):
-    """MaxEmbed's one-pass selection (paper §6.1).
+class OnePassSelector:
+    """MaxEmbed's one-pass selection (paper §6.1), the one page selector.
 
     ❶ Sort the queried keys ascending by replica count, so keys with a
     single candidate page are placed first and highly replicated keys get
@@ -252,11 +183,21 @@ class OnePassSelector(_PageMaskSelector):
 
     Each key contributes at most ``k`` candidate examinations (``k`` =
     index limit), giving O(|S| + |Q|) mask operations per query.
+
+    The selector holds the two indexes and, optionally, a
+    :class:`~repro.tiering.PinnedTier`: with a tier attached ``select``
+    splits the query into tier-1 hits and SSD residue, runs selection on
+    the residue only, and reports the hit count on the outcome — tier-1
+    keys never reach the sort, the candidate scan, or a page read.
     """
 
     def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
-        super().__init__(forward, invert)
-        span = self._num_keys
+        self.forward = forward
+        self.invert = invert
+        self.tier: "Optional[PinnedTier]" = None
+        self._num_keys = span = forward.num_keys
+        self._entries = forward.entries()
+        self._full = _key_pages(forward, invert)
         # count * span + key orders exactly like (count, key) since
         # key < span, without a tuple per key.
         self._rank = [
@@ -269,6 +210,40 @@ class OnePassSelector(_PageMaskSelector):
         self._home = [
             pages[0] if len(pages) == 1 else None for pages in self._full
         ]
+
+    def attach_tier(self, tier: "Optional[PinnedTier]") -> None:
+        """Attach (or detach, with None) a pinned DRAM tier."""
+        self.tier = tier
+
+    def select(self, keys: Sequence[int]) -> SelectionOutcome:
+        """Choose pages covering all ``keys``; tier-1 keys need none.
+
+        Raises :class:`~repro.errors.ServingError` for a key outside the
+        embedding table.
+        """
+        # A fresh list: ``_select_impl`` sorts it in place.
+        distinct = list(distinct_keys(keys))
+        num_keys = self._num_keys
+        if distinct and (min(distinct) < 0 or max(distinct) >= num_keys):
+            bad = next(k for k in distinct if not 0 <= k < num_keys)
+            raise ServingError(f"key {bad} is not in the embedding table")
+        tier = self.tier
+        if tier is None:
+            return self._select_impl(distinct)
+        hits, residue = tier.split(distinct)
+        return self._select_impl(residue, hits)
+
+    def _page_masks(self, okeys: List[int]) -> Dict[int, int]:
+        """page → mask of the ``okeys`` it holds (bit i = ``okeys[i]``)."""
+        full = self._full
+        masks: Dict[int, int] = {}
+        get = masks.get
+        bit = 1
+        for key in okeys:
+            for page in full[key]:
+                masks[page] = get(page, 0) | bit
+            bit <<= 1
+        return masks
 
     def _select_impl(
         self, keys: List[int], tier_hits: int = 0
@@ -334,81 +309,6 @@ class OnePassSelector(_PageMaskSelector):
         return SelectionOutcome(
             pages, covered, cands, len(keys), tier_hits, keys, full
         )
-
-
-class GreedySetCoverSelector(_PageMaskSelector):
-    """Classic greedy set cover over *all* candidate pages (paper §6 baseline).
-
-    Each step scans every page that contains at least one still-uncovered
-    queried key and picks the one covering the most.  Near-optimal
-    (ln-approximation) but each step costs O(|S|) mask intersections,
-    which is why the paper measures selection at >56 % of end-to-end
-    latency.
-
-    The candidate set is maintained incrementally: each page carries a
-    support count (how many still-uncovered keys list it in the forward
-    index) and leaves the set when the count hits zero — the set's
-    contents are identical to a from-scratch rebuild each step, without
-    re-walking every remaining key's page list.
-    """
-
-    def _select_impl(
-        self, keys: List[int], tier_hits: int = 0
-    ) -> SelectionOutcome:
-        """Cover ``keys`` — distinct and in range (``select`` checked)."""
-        masks = self._page_masks(keys)
-        entries = self._entries
-        support: Dict[int, int] = {}
-        for key in keys:
-            for page in entries[key]:
-                support[page] = support.get(page, 0) + 1
-        rem = (1 << len(keys)) - 1
-        pages: List[int] = []
-        covered: List[int] = []
-        cands: List[int] = []
-        while rem:
-            cands.append(len(support))
-            best_page = -1
-            best_mask = 0
-            best_count = 0
-            for page in sorted(support):
-                mask = masks[page] & rem
-                count = mask.bit_count()
-                if count > best_count:
-                    best_page = page
-                    best_mask = mask
-                    best_count = count
-            if not best_mask:  # pragma: no cover - every key has a page
-                stranded = sorted(_mask_keys(rem, keys))
-                raise ServingError(f"keys {stranded[:5]} are on no page")
-            rem ^= best_mask
-            pages.append(best_page)
-            covered.append(best_count)
-            for key in _mask_keys(best_mask, keys):
-                for page in entries[key]:
-                    count = support[page] - 1
-                    if count:
-                        support[page] = count
-                    else:
-                        del support[page]
-        return SelectionOutcome(
-            pages, covered, cands, 0, tier_hits, keys, self._full
-        )
-
-
-#: The selection axis: every ``selector`` name the configs, the CLI and
-#: the static evaluator accept, and the class it builds.
-SELECTORS = {"onepass": OnePassSelector, "greedy": GreedySetCoverSelector}
-
-
-def _mask_keys(mask: int, okeys: List[int]) -> List[int]:
-    """The keys of ``okeys`` whose bits are set in ``mask``, in bit order."""
-    keys = []
-    while mask:
-        bit = mask & -mask
-        keys.append(okeys[bit.bit_length() - 1])
-        mask ^= bit
-    return keys
 
 
 def _key_pages(

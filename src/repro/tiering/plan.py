@@ -5,7 +5,7 @@ access frequency in the history trace, replica counts in the forward
 index — that RecShard shows beat reactive LRU caching for placing hot
 rows in faster tiers.  A :class:`TierPlan` pins the top keys by those
 statistics into a DRAM-resident hot set sized as a fraction of the SSD
-layout; the online path (engine, selectors) consults its
+layout; the online path (engine, selector) consults its
 :class:`PinnedTier` runtime form to count every query's tier-1 hits
 (served from DRAM, no page selection, no page reads) and take its SSD
 residue *before* selection runs.
@@ -39,7 +39,7 @@ class PinnedTier:
     One bool per table key; :meth:`split` counts a query's tier-1 hits
     and returns its SSD residue in one pass, in request order.
     Out-of-range keys are passed through to the residue so the
-    selectors' bounds checks still raise the canonical error.
+    selector's bounds check still raises the canonical error.
     """
 
     __slots__ = ("num_keys", "capacity", "_mask")

@@ -36,7 +36,8 @@ class TestParser:
         ],
     )
     def test_removed_path_flags_and_unknown_selector_exit_2(self, argv):
-        # There is one implementation per algorithm: nothing to select.
+        # There is one implementation per algorithm and one page
+        # selector: nothing to select.
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
@@ -281,8 +282,6 @@ class TestCommands:
                 trace_path,
                 "--layout",
                 layout_path,
-                "--selector",
-                "greedy",
                 "--executor",
                 "serial",
                 "--cache-policy",
@@ -503,7 +502,6 @@ class TestServeModes:
         ("--tier-mode", "hybrid", lambda c: c.tier_mode, "hybrid"),
         ("--tier-ratio", "0.05", lambda c: c.tier_ratio, 0.05),
         ("--index-limit", "4", lambda c: c.index_limit, 4),
-        ("--selector", "greedy", lambda c: c.selector, "greedy"),
         ("--executor", "batched", lambda c: c.executor, "batched"),
         ("--threads", "3", lambda c: c.threads, 3),
         ("--retry-max", "5", lambda c: c.retry.max_retries, 5),

@@ -20,7 +20,6 @@ class TestMaxEmbedConfig:
         assert config.replication_ratio == 0.10
         assert config.cache_ratio == 0.10
         assert config.strategy == "maxembed"
-        assert config.selector == "onepass"
         assert config.executor == "pipelined"
         assert config.page_capacity == 16
 

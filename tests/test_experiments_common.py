@@ -84,7 +84,6 @@ class TestMakeEngineAndServe:
         layout = layout_for("criteo", "none", 0.0, scale="small", seed=1)
         engine = make_engine(layout)
         assert engine.config.cache_ratio == 0.10
-        assert engine.config.selector == "onepass"
 
     def test_serve_live_reports(self):
         layout = layout_for("criteo", "none", 0.0, scale="small", seed=1)

@@ -1,7 +1,7 @@
 """Selector parity through engines and clusters; parallel offline builds.
 
-Because the production selectors produce outcomes bit-identical to the
-``repro.reference`` oracles, every serving report must be *exactly*
+Because the production selector produces outcomes bit-identical to the
+``repro.reference`` oracle, every serving report must be *exactly*
 equal between an engine as built and the same engine with the oracle
 assigned to ``engine.selector`` — not approximately.  Likewise the
 parallel offline build must reproduce the serial artifacts verbatim,
@@ -22,11 +22,7 @@ from repro import (
 )
 from repro.cluster import ClusterEngine
 from repro.core import MaxEmbedStore, build_offline_layout
-from repro.serving import (
-    GreedySetCoverSelector,
-    OnePassSelector,
-    ServingEngine,
-)
+from repro.serving import OnePassSelector, ServingEngine
 
 
 @pytest.fixture
@@ -75,24 +71,19 @@ class TestEngineFastPath:
         assert type(engine.selector) is OnePassSelector
         assert type(MaxEmbedStore(layout).engine.selector) is OnePassSelector
 
-    @pytest.mark.parametrize("selector", ["onepass", "greedy"])
-    def test_fast_and_reference_reports_identical(
-        self, layout, trace, selector
-    ):
-        config = EngineConfig(selector=selector)
-        got = ServingEngine(layout, config).serve_trace(trace)
-        want = use_oracle(ServingEngine(layout, config)).serve_trace(trace)
+    def test_fast_and_reference_reports_identical(self, layout, trace):
+        got = ServingEngine(layout).serve_trace(trace)
+        want = use_oracle(ServingEngine(layout)).serve_trace(trace)
         assert report_fingerprint(got) == report_fingerprint(want)
 
-    def test_greedy_fast_class(self, layout):
-        engine = ServingEngine(layout, EngineConfig(selector="greedy"))
-        assert type(engine.selector) is GreedySetCoverSelector
-
     def test_selection_path_knob_is_gone_not_deprecated(self):
-        with pytest.raises(TypeError):
-            EngineConfig(fast_selection=False)
-        with pytest.raises(TypeError):
-            MaxEmbedConfig(fast_selection=False)
+        # One-pass is the one selector: neither the old fast/oracle
+        # switch nor the one-pass/greedy axis can be set.
+        for knob in ({"fast_selection": False}, {"selector": "greedy"}):
+            with pytest.raises(TypeError):
+                EngineConfig(**knob)
+            with pytest.raises(TypeError):
+                MaxEmbedConfig(**knob)
 
     def test_fault_free_serving_builds_no_page_sets(self, layout, trace):
         # The set-typed copy of every page is for fault recovery and the

@@ -1,6 +1,6 @@
-"""Differential tests: the page-mask selectors vs their set-algebra oracle.
+"""Differential tests: the page-mask selector vs its set-algebra oracle.
 
-The production selectors' contract is *bit-identical outcomes* with
+The production one-pass selector's contract is *bit-identical outcomes* with
 ``repro.reference``: same pages in the same order, same covered tuples,
 same candidate counts, same sorted-keys charge.  These tests enforce
 the contract over hand-built layouts and hypothesis-generated random
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import PageLayout, ServingError, reference
 from repro.placement import build_indexes
-from repro.serving import GreedySetCoverSelector, OnePassSelector
+from repro.serving import OnePassSelector
 
 
 def assert_same_outcome(fast, ref):
@@ -61,16 +61,12 @@ def layout():
     )
 
 
-def selector_pairs(layout, limit=None):
-    """(production, oracle) selector pairs over one index pair."""
+def selector_pair(layout, limit=None):
+    """(production, oracle) one-pass selectors over one index pair."""
     forward, invert = build_indexes(layout, limit=limit)
-    yield (
+    return (
         OnePassSelector(forward, invert),
         reference.OnePassSelector(forward, invert),
-    )
-    yield (
-        GreedySetCoverSelector(forward, invert),
-        reference.GreedySetCoverSelector(forward, invert),
     )
 
 
@@ -89,22 +85,22 @@ QUERIES = [
 class TestFixtureParity:
     @pytest.mark.parametrize("limit", [None, 1, 2])
     def test_all_queries_match(self, layout, limit):
-        for fast, ref in selector_pairs(layout, limit):
-            for keys in QUERIES:
-                assert_same_outcome(fast.select(keys), ref.select(keys))
+        fast, ref = selector_pair(layout, limit)
+        for keys in QUERIES:
+            assert_same_outcome(fast.select(keys), ref.select(keys))
 
     def test_rejects_unknown_key(self, layout):
-        for fast, _ in selector_pairs(layout):
-            with pytest.raises(ServingError):
-                fast.select([99])
-            with pytest.raises(ServingError):
-                fast.select([-1])
+        fast, _ = selector_pair(layout)
+        with pytest.raises(ServingError):
+            fast.select([99])
+        with pytest.raises(ServingError):
+            fast.select([-1])
 
     def test_no_state_carried_across_queries(self, layout):
-        for fast, ref in selector_pairs(layout):
-            for _ in range(3):
-                for keys in QUERIES:
-                    assert_same_outcome(fast.select(keys), ref.select(keys))
+        fast, ref = selector_pair(layout)
+        for _ in range(3):
+            for keys in QUERIES:
+                assert_same_outcome(fast.select(keys), ref.select(keys))
 
 
 class TestFullyReplicated:
@@ -116,9 +112,9 @@ class TestFullyReplicated:
             num_base_pages=1,
         )
         for limit in (None, 1, 2):
-            for fast, ref in selector_pairs(layout, limit):
-                for keys in ([0], [0, 1, 2], [2, 0], [1, 1, 1]):
-                    assert_same_outcome(fast.select(keys), ref.select(keys))
+            fast, ref = selector_pair(layout, limit)
+            for keys in ([0], [0, 1, 2], [2, 0], [1, 1, 1]):
+                assert_same_outcome(fast.select(keys), ref.select(keys))
 
 
 class TestInterruptedForcedPrefix:
@@ -128,10 +124,9 @@ class TestInterruptedForcedPrefix:
 
     def test_shrunk_single_candidate_rides_on_a_forced_page(self):
         layout = PageLayout(4, 2, [(1, 2), (0, 1), (3,)])
-        for fast, ref in selector_pairs(layout, limit=1):
-            assert_same_outcome(fast.select([0, 1, 3]), ref.select([0, 1, 3]))
-        forward, invert = build_indexes(layout, limit=1)
-        outcome = OnePassSelector(forward, invert).select([0, 1, 3])
+        fast, ref = selector_pair(layout, limit=1)
+        assert_same_outcome(fast.select([0, 1, 3]), ref.select([0, 1, 3]))
+        outcome = fast.select([0, 1, 3])
         assert outcome.pages == [1, 2]
         assert outcome.covered_counts == [2, 1]
 
@@ -150,9 +145,9 @@ class TestWideQueries:
 
     def test_wide_query_matches(self):
         layout = self.make_layout()
+        fast, ref = selector_pair(layout)
         for wide in (list(range(60)), list(range(199, -1, -1))):
-            for fast, ref in selector_pairs(layout):
-                assert_same_outcome(fast.select(wide), ref.select(wide))
+            assert_same_outcome(fast.select(wide), ref.select(wide))
 
 
 class TestLazyOutcome:
@@ -264,6 +259,6 @@ def layouts_queries_limits(draw):
 @given(data=layouts_queries_limits())
 def test_fast_selectors_match_reference(data):
     layout, queries, limit = data
-    for fast, ref in selector_pairs(layout, limit):
-        for keys in queries:
-            assert_same_selection(fast, ref, keys)
+    fast, ref = selector_pair(layout, limit)
+    for keys in queries:
+        assert_same_selection(fast, ref, keys)

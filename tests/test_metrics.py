@@ -72,10 +72,6 @@ class TestEvaluatePlacement:
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0)
 
-    def test_greedy_selector_option(self, layout, trace):
-        ev = evaluate_placement(layout, trace, selector="greedy")
-        assert ev.total_reads == 4
-
     def test_index_limit_option(self, layout, trace):
         ev = evaluate_placement(layout, trace, index_limit=1)
         # Key 0 and 4 lose their replica entry, but the replica page is
@@ -87,8 +83,9 @@ class TestEvaluatePlacement:
         assert ev.num_queries == 1
 
     def test_unknown_selector(self, layout, trace):
-        with pytest.raises(ConfigError):
-            evaluate_placement(layout, trace, selector="optimal")
+        # One-pass is the only selection: no selector can be named.
+        with pytest.raises(TypeError):
+            evaluate_placement(layout, trace, selector="greedy")
 
     def test_custom_geometry(self, layout, trace):
         ev = evaluate_placement(

@@ -15,8 +15,13 @@ from repro import (
     ShpConfig,
 )
 from repro.core import MaxEmbedStore, load_store, save_store
-from repro.core.persist import config_from_dict, config_to_dict
-from repro.serving import EXECUTORS, SELECTORS, CpuCostModel
+from repro.core.persist import (
+    MAGIC_BUNDLE_CONFIG,
+    config_from_dict,
+    config_to_dict,
+)
+from repro.integrity import wrap_document
+from repro.serving import EXECUTORS, CpuCostModel
 
 
 @pytest.fixture
@@ -31,7 +36,6 @@ def rich_config():
         cache_ratio=0.15,
         profile=P4510,
         raid_members=2,
-        selector="greedy",
         executor="serial",
         threads=3,
         cost_model=CpuCostModel(sort_per_key_us=0.07),
@@ -137,13 +141,54 @@ class TestStoreBundle:
         assert loaded.config.executor == executor
         assert type(loaded.engine.executor) is EXECUTORS[executor]
 
-    def test_unknown_selector_rejected_at_config_time(self):
-        # One table (repro.serving.SELECTORS) validates every entry
-        # point: the config refuses before any offline phase runs, not
-        # the engine after it.
-        with pytest.raises(ConfigError, match="unknown selector 'warp'"):
-            MaxEmbedConfig(selector="warp")
-        assert sorted(SELECTORS) == ["greedy", "onepass"]
+    def test_legacy_onepass_bundle_serves_like_a_new_one(
+        self, criteo_small, tmp_path
+    ):
+        # Bundles saved while the selector was a setting name "onepass";
+        # they load, and serve float for float what a new bundle does.
+        store, _ = self.build_store(criteo_small, with_table=False)
+        new = save_store(store, tmp_path / "new")
+        old = save_store(store, tmp_path / "old")
+        data = config_to_dict(store.config)
+        assert "selector" not in data
+        data["selector"] = "onepass"
+        (old / "config.json").write_text(
+            json.dumps(wrap_document(MAGIC_BUNDLE_CONFIG, data))
+        )
+        _, live = criteo_small
+        reports = [
+            load_store(bundle).serve_trace(live) for bundle in (new, old)
+        ]
+        fingerprints = [
+            (
+                report.total_pages_read,
+                report.makespan_us.hex(),
+                report.throughput_qps().hex(),
+                report.percentile_latency_us(99).hex(),
+                report.effective_bandwidth_fraction().hex(),
+            )
+            for report in reports
+        ]
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_unknown_selector_rejected_at_config_time(self, tmp_path):
+        # One-pass is the one page selector: a bundle saved under any
+        # other is refused when its config is rebuilt, not served by
+        # one-pass without a word.
+        layout = PageLayout(
+            8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)], num_base_pages=2
+        )
+        bundle = save_store(MaxEmbedStore(layout), tmp_path / "bundle")
+        for selector in ("greedy", "warp"):
+            data = config_to_dict(MaxEmbedConfig())
+            data["selector"] = selector
+            with pytest.raises(ConfigError, match="bench_selector.py"):
+                config_from_dict(data)
+            (bundle / "config.json").write_text(
+                json.dumps(wrap_document(MAGIC_BUNDLE_CONFIG, data))
+            )
+            with pytest.raises(ConfigError, match=repr(selector)):
+                load_store(bundle)
 
     def test_load_missing_bundle(self, tmp_path):
         with pytest.raises(ConfigError, match="not a store bundle"):

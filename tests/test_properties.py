@@ -5,8 +5,8 @@ Each property pins an invariant the whole system leans on:
 * partitioners always produce complete, capacity-respecting partitions;
 * every replication strategy produces a layout that covers every key and
   never exceeds page capacity;
-* page selection always covers the query, with any selector, any index
-  limit, and any layout;
+* page selection always covers the query, with any index limit and any
+  layout, and no cover is smaller than the exact one;
 * the LRU cache never exceeds capacity and obeys updateOnRead semantics;
 * the device model is monotone: completions never precede submissions and
   never beat the latency floor.
@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import LruCache, PageLayout, Query, QueryTrace
+from repro import LruCache, PageLayout, Query, QueryTrace, reference
 from repro.hypergraph import Hypergraph, build_weighted_hypergraph
 from repro.partition import (
     MultilevelConfig,
@@ -35,7 +35,7 @@ from repro.replication import (
     FprStrategy,
     RppStrategy,
 )
-from repro.serving.selection import GreedySetCoverSelector, OnePassSelector
+from repro.serving.selection import OnePassSelector
 from repro.ssd import SimulatedSsd, SsdProfile
 
 # -- strategies ------------------------------------------------------------------
@@ -196,17 +196,33 @@ def test_selectors_always_cover_the_query(data):
     layout, keys, limit = data
     forward = ForwardIndex.from_layout(layout, limit=limit)
     invert = InvertIndex.from_layout(layout)
+    outcome = OnePassSelector(forward, invert).select(keys)
+    assert outcome.covered_keys() >= set(keys)
+    # Each chosen page must serve at least one newly covered key.
+    for step in outcome.steps:
+        assert step.covered
+    # No page chosen twice.
+    assert len(outcome.pages) == len(set(outcome.pages))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=layouts_and_queries())
+def test_exact_cover_bounds_both_selectors(data):
+    """exact ≤ one-pass at the drawn index limit, exact ≤ greedy, and
+    all three cover the query."""
+    layout, keys, limit = data
+    forward = ForwardIndex.from_layout(layout, limit=limit)
+    invert = InvertIndex.from_layout(layout)
+    exact = reference.exact_cover((forward, invert), keys)
+    assert exact.optimal
+    assert set().union(*map(invert.key_set, exact.pages)) >= set(keys)
     for selector in (
-        GreedySetCoverSelector(forward, invert),
         OnePassSelector(forward, invert),
+        reference.GreedySetCoverSelector(forward, invert),
     ):
         outcome = selector.select(keys)
         assert outcome.covered_keys() >= set(keys)
-        # Each chosen page must serve at least one newly covered key.
-        for step in outcome.steps:
-            assert step.covered
-        # No page chosen twice.
-        assert len(outcome.pages) == len(set(outcome.pages))
+        assert len(exact.pages) <= outcome.num_steps
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,6 +18,7 @@ import repro.partition
 import repro.reference
 import repro.replication
 import repro.serving
+import repro.serving.selection
 
 SRC = Path(repro.__file__).resolve().parent
 REFERENCE = SRC / "reference"
@@ -26,7 +27,6 @@ REFERENCE = SRC / "reference"
 ALGORITHMS = {
     "OnePassSelector",
     "GreedySetCoverSelector",
-    "SELECTORS",
     "ShpPartitioner",
     "FastShpPartitioner",
     "edge_connectivities",
@@ -93,6 +93,17 @@ def test_no_fast_twin_is_exported():
             assert twins == [], (package.__name__, twins)
     assert repro.partition.FastShpPartitioner is repro.partition.ShpPartitioner
     assert "reference" not in repro.__all__
+
+
+def test_greedy_selection_is_an_oracle_only():
+    # One-pass is the one page selector; greedy set cover is the
+    # baseline it is measured against, reachable from repro.reference.
+    selection = repro.serving.selection
+    for name in ("GreedySetCoverSelector", "SELECTORS", "Selector"):
+        for module in (repro, repro.serving, selection):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(selection, "_PageMaskSelector")
+    assert repro.reference.GreedySetCoverSelector
 
 
 def test_the_oracle_imports_no_algorithm_it_checks():

@@ -2,7 +2,7 @@
 
 The gateway — and any application that shares an engine — hands one
 engine's selector to whichever thread holds the query (the cluster's
-own gather is single-threaded).  The page-mask selectors keep no
+own gather is single-threaded).  The page-mask selector keeps no
 per-query state on the instance, so every thread must get the
 ``repro.reference`` oracle's outcome however the interpreter interleaves
 them; a selector with per-query scratch state on the instance loses
@@ -17,7 +17,7 @@ import pytest
 
 from repro import PageLayout, reference
 from repro.placement import build_indexes
-from repro.serving import GreedySetCoverSelector, OnePassSelector
+from repro.serving import OnePassSelector
 from tests.test_fast_selection import assert_same_outcome
 
 THREADS = 4
@@ -51,11 +51,6 @@ def make_case(seed=7, num_keys=96, capacity=8, replica_pages=40):
             OnePassSelector,
             reference.OnePassSelector,
             id="FastOnePassSelector-OnePassSelector",
-        ),
-        pytest.param(
-            GreedySetCoverSelector,
-            reference.GreedySetCoverSelector,
-            id="FastGreedySelector-GreedySetCoverSelector",
         ),
     ],
 )

@@ -161,14 +161,13 @@ def simple_layout():
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.selector == "onepass"
         assert config.executor == "pipelined"
         assert config.threads == 8
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"selector": "magic"},
+            {"tier_mode": "magic"},
             {"executor": "warp"},
             {"threads": 0},
             {"raid_members": 0},

@@ -1,10 +1,11 @@
-"""Tests for the greedy and one-pass page selectors.
+"""Tests for the one-pass page selector and the greedy baseline.
 
-The algorithmic properties hold for the production selectors
-(:mod:`repro.serving.selection`) and for their set-algebra oracles
-(:mod:`repro.reference`) alike: every class here takes the
+The one-pass properties hold for the production selector
+(:mod:`repro.serving.selection`) and for its set-algebra oracle
+(:mod:`repro.reference`) alike: every one-pass class here takes the
 implementation under test from its ``impl`` attribute and is run once
-per implementation.
+per implementation.  Greedy set cover exists only as the oracle's
+baseline, so its cases run on :mod:`repro.reference` alone.
 """
 
 import pytest
@@ -14,10 +15,11 @@ from repro.placement import ForwardIndex, InvertIndex
 
 
 def make_selectors(impl, layout, limit=None):
+    """(reference greedy, ``impl``'s one-pass) over one index pair."""
     forward = ForwardIndex.from_layout(layout, limit=limit)
     invert = InvertIndex.from_layout(layout)
     return (
-        impl.GreedySetCoverSelector(forward, invert),
+        reference.GreedySetCoverSelector(forward, invert),
         impl.OnePassSelector(forward, invert),
     )
 
@@ -38,8 +40,8 @@ def layout():
     )
 
 
-class TestGreedySelector:
-    impl = serving
+class TestReferenceGreedySelector:
+    impl = reference
 
     def test_covers_all_keys(self, layout):
         greedy, _ = make_selectors(self.impl, layout)
@@ -77,10 +79,6 @@ class TestGreedySelector:
     def test_no_sort_charge(self, layout):
         greedy, _ = make_selectors(self.impl, layout)
         assert greedy.select([0, 1]).sorted_keys == 0
-
-
-class TestReferenceGreedySelector(TestGreedySelector):
-    impl = reference
 
 
 class TestOnePassSelector:

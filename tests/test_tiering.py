@@ -48,7 +48,7 @@ from tests.test_fast_selection import (
     assert_same_outcome,
     assert_same_selection,
     layouts_queries_limits,
-    selector_pairs,
+    selector_pair,
 )
 
 
@@ -258,44 +258,44 @@ def assert_tier_partition(outcome, tier, keys):
 class TestTieredSelection:
     def test_fast_matches_reference_with_tier(self, layout):
         tier = PinnedTier(8, (0, 5))
-        for fast, ref in selector_pairs(layout):
-            fast.attach_tier(tier)
-            ref.attach_tier(tier)
-            for keys in QUERIES:
-                got, want = fast.select(keys), ref.select(keys)
-                assert_same_outcome(got, want)
-                assert_tier_partition(got, tier, keys)
+        fast, ref = selector_pair(layout)
+        fast.attach_tier(tier)
+        ref.attach_tier(tier)
+        for keys in QUERIES:
+            got, want = fast.select(keys), ref.select(keys)
+            assert_same_outcome(got, want)
+            assert_tier_partition(got, tier, keys)
 
     def test_empty_tier_is_identity(self, layout):
         empty = PinnedTier(8, ())
-        for tiered, plain in selector_pairs(layout):
-            tiered.attach_tier(empty)
-            for keys in QUERIES:
-                got, want = tiered.select(keys), plain.select(keys)
-                assert_same_outcome(got, want)
-                assert got.tier_hits == 0
+        tiered, plain = selector_pair(layout)
+        tiered.attach_tier(empty)
+        for keys in QUERIES:
+            got, want = tiered.select(keys), plain.select(keys)
+            assert_same_outcome(got, want)
+            assert got.tier_hits == 0
 
     def test_detach_restores_untiered_path(self, layout):
-        for fast, ref in selector_pairs(layout):
-            fast.attach_tier(PinnedTier(8, (0, 5)))
-            fast.attach_tier(None)
-            for keys in QUERIES:
-                assert_same_outcome(fast.select(keys), ref.select(keys))
+        fast, ref = selector_pair(layout)
+        fast.attach_tier(PinnedTier(8, (0, 5)))
+        fast.attach_tier(None)
+        for keys in QUERIES:
+            assert_same_outcome(fast.select(keys), ref.select(keys))
 
     def test_fully_pinned_query_reads_no_pages(self, layout):
         tier = PinnedTier(8, (0, 4, 5))
-        for fast, _ in selector_pairs(layout):
-            fast.attach_tier(tier)
-            outcome = fast.select([0, 4, 5, 0])
-            assert outcome.tier_hits == 3
-            assert outcome.pages == []
-            assert outcome.covered_keys() == set()
+        fast, _ = selector_pair(layout)
+        fast.attach_tier(tier)
+        outcome = fast.select([0, 4, 5, 0])
+        assert outcome.tier_hits == 3
+        assert outcome.pages == []
+        assert outcome.covered_keys() == set()
 
     def test_tiered_select_still_rejects_unknown_keys(self, layout):
-        for fast, _ in selector_pairs(layout):
-            fast.attach_tier(PinnedTier(8, (0,)))
-            with pytest.raises(ServingError):
-                fast.select([0, 99])
+        fast, _ = selector_pair(layout)
+        fast.attach_tier(PinnedTier(8, (0,)))
+        with pytest.raises(ServingError):
+            fast.select([0, 99])
 
     @given(
         known=st.lists(st.integers(0, 7), max_size=10),
@@ -316,13 +316,13 @@ class TestTieredSelection:
             keys.insert(min(spot, len(keys)), bad)
         keys += [bad for bad, _ in unknown]
         first = next(k for k in keys if k >= 8)
-        for fast, _ in selector_pairs(eight_key_layout()):
-            if tiered:
-                fast.attach_tier(PinnedTier(8, (0, 5)))
-            with pytest.raises(
-                ServingError, match=f"^key {first} is not in the"
-            ):
-                fast.select(keys)
+        fast, _ = selector_pair(eight_key_layout())
+        if tiered:
+            fast.attach_tier(PinnedTier(8, (0, 5)))
+        with pytest.raises(
+            ServingError, match=f"^key {first} is not in the"
+        ):
+            fast.select(keys)
 
 
 @settings(
@@ -334,13 +334,13 @@ class TestTieredSelection:
 def test_tiered_selectors_match_reference(data, ratio):
     layout, queries, limit = data
     tier = plan_tier(layout, ratio).runtime()
-    for fast, ref in selector_pairs(layout, limit):
-        fast.attach_tier(tier)
-        ref.attach_tier(tier)
-        for keys in queries:
-            got = assert_same_selection(fast, ref, keys)
-            if got is not None:  # None: both rejected an unknown key
-                assert_tier_partition(got, tier, keys)
+    fast, ref = selector_pair(layout, limit)
+    fast.attach_tier(tier)
+    ref.attach_tier(tier)
+    for keys in queries:
+        got = assert_same_selection(fast, ref, keys)
+        if got is not None:  # None: both rejected an unknown key
+            assert_tier_partition(got, tier, keys)
 
 
 @pytest.fixture
