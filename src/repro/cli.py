@@ -43,11 +43,13 @@ from .cluster import (
     load_sharded_layout,
 )
 from .core import MaxEmbedConfig, build_offline_layout
+from .core.config import STRATEGIES
 from .errors import ConfigError, ReproError
 from .experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
 from .faults import FaultPlan, ShardFaultPlan
 from .overload import ADMISSION_POLICIES, AdmissionConfig, BrownoutConfig
 from .placement import load_layout, save_layout
+from .refresh import RefreshConfig
 from .serving import (
     EXECUTORS,
     EngineConfig,
@@ -55,10 +57,18 @@ from .serving import (
     RetryPolicy,
     ServingEngine,
 )
+from .service import ServiceConfig
 from .tiering import TIER_MODES, load_tier_plan
 from .types import EmbeddingSpec
 from .utils.tables import format_mapping
 from .workloads import load_trace, make_trace, save_trace, DATASETS
+
+# Flag defaults are read off default configs, so each library default is
+# typed once, in its dataclass.
+_ENGINE = EngineConfig()
+_DEPLOYMENT = MaxEmbedConfig()
+_SERVICE = ServiceConfig()
+_REFRESH = RefreshConfig()
 
 
 def _add_generate(subparsers) -> None:
@@ -74,34 +84,36 @@ def _add_analyze(subparsers) -> None:
         "analyze", help="summarize a trace's skew and co-appearance breadth"
     )
     p.add_argument("--trace", required=True, help="trace file to analyze")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, default=_ENGINE.spec.dim)
 
 
 def _add_build(subparsers) -> None:
     p = subparsers.add_parser("build", help="run the offline phase")
     p.add_argument("--trace", required=True, help="input trace file")
-    p.add_argument("--ratio", type=float, default=0.1)
     p.add_argument(
-        "--strategy",
-        default="maxembed",
-        choices=["maxembed", "rpp", "fpr", "none"],
+        "--ratio", type=float, default=_DEPLOYMENT.replication_ratio
     )
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--strategy", default=_DEPLOYMENT.strategy, choices=STRATEGIES
+    )
+    p.add_argument("--dim", type=int, default=_DEPLOYMENT.spec.dim)
+    p.add_argument("--seed", type=int, default=_DEPLOYMENT.seed)
     p.add_argument(
         "--shards",
         type=int,
-        default=1,
+        default=_DEPLOYMENT.num_shards,
         help=">1 builds a sharded cluster layout (one placement per shard)",
     )
     p.add_argument(
         "--shard-strategy",
-        default="cooccurrence",
+        default=_DEPLOYMENT.shard_strategy,
         choices=SHARD_STRATEGIES,
     )
     p.add_argument(
         "--workers",
         type=int,
+        # Not offline_workers' default (1, serial): a command-line build
+        # uses every CPU, and the layout is the same for any count.
         default=None,
         help="build processes: per-shard builds when --shards > 1, "
         "SHP bisection subtrees otherwise "
@@ -110,7 +122,7 @@ def _add_build(subparsers) -> None:
     p.add_argument(
         "--tier-ratio",
         type=float,
-        default=0.0,
+        default=_DEPLOYMENT.tier_ratio,
         help="also plan a pinned DRAM tier of this table fraction from "
         "the build trace's hotness (single-shard builds only)",
     )
@@ -142,14 +154,16 @@ def _add_serve(subparsers) -> None:
         "live requests instead of replaying)",
     )
     p.add_argument("--layout", required=True, help="layout file")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--cache-ratio", type=float, default=0.1)
+    p.add_argument("--dim", type=int, default=_ENGINE.spec.dim)
+    p.add_argument("--cache-ratio", type=float, default=_ENGINE.cache_ratio)
     p.add_argument(
-        "--cache-policy", default="lru", choices=list(CACHE_POLICIES)
+        "--cache-policy",
+        default=_ENGINE.cache_policy,
+        choices=list(CACHE_POLICIES),
     )
     p.add_argument(
         "--tier-mode",
-        default="lru",
+        default=_ENGINE.tier_mode,
         choices=TIER_MODES,
         help="DRAM tier strategy: reactive LRU cache only (default), a "
         "statistically pinned hot set, or pinned + LRU for the residue",
@@ -157,7 +171,7 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--tier-ratio",
         type=float,
-        default=0.0,
+        default=_ENGINE.tier_ratio,
         help="pinned-tier size as a fraction of the table (with "
         "--tier-mode pinned/hybrid; ignored under lru)",
     )
@@ -168,10 +182,10 @@ def _add_serve(subparsers) -> None:
         "--tier-ratio`) instead of deriving one from replica counts; "
         "single-shard layouts only",
     )
-    p.add_argument("--index-limit", type=int, default=None)
+    p.add_argument("--index-limit", type=int, default=_ENGINE.index_limit)
     p.add_argument(
         "--executor",
-        default="pipelined",
+        default=_ENGINE.executor,
         choices=list(EXECUTORS),
         help="when, and in what form, a query's reads reach the device: "
         "each read right after its selection step (default), all "
@@ -180,7 +194,7 @@ def _add_serve(subparsers) -> None:
         "in-device gather command (NDP; non-gather profiles are "
         "upgraded automatically)",
     )
-    p.add_argument("--threads", type=int, default=8)
+    p.add_argument("--threads", type=int, default=_ENGINE.threads)
     p.add_argument(
         "--shards",
         type=int,
@@ -197,20 +211,20 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--retry-max",
         type=int,
-        default=2,
+        default=_ENGINE.retry.max_retries,
         help="retries per failed read before replica recovery kicks in",
     )
     p.add_argument(
         "--shard-deadline-us",
         type=float,
-        default=None,
+        default=_ENGINE.shard_deadline_us,
         help="per-shard gather deadline in simulated microseconds; a "
         "fragment slower than this is dropped (its keys go missing)",
     )
     p.add_argument(
         "--replicas",
         type=int,
-        default=1,
+        default=_ENGINE.replicas,
         help="engines per logical shard; >1 enables health-tracked "
         "failover and hedged dispatch inside the gather (cluster "
         "layouts only)",
@@ -218,7 +232,7 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--hedge-quantile",
         type=float,
-        default=None,
+        default=_ENGINE.hedge_quantile,
         help="hedge a straggling fragment to a second replica once it "
         "exceeds this quantile of recent latency (e.g. 0.95; default: "
         "hedging off)",
@@ -226,7 +240,7 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--hedge-budget",
         type=float,
-        default=0.1,
+        default=_ENGINE.hedge_budget,
         help="hard cap on hedged dispatches per routed fragment",
     )
     p.add_argument(
@@ -291,20 +305,20 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--coalesce-max-batch",
         type=int,
-        default=16,
+        default=_SERVICE.coalescer.max_batch,
         help="gateway mode: requests merged into one batch at most",
     )
     p.add_argument(
         "--coalesce-max-wait-us",
         type=float,
-        default=2000.0,
+        default=_SERVICE.coalescer.max_wait_us,
         help="gateway mode: max wall microseconds the oldest waiting "
         "request may age before its batch flushes",
     )
     p.add_argument(
         "--max-concurrent-batches",
         type=int,
-        default=8,
+        default=_SERVICE.max_concurrent_batches,
         help="gateway mode: coalesced batches in flight at once",
     )
     p.add_argument(
@@ -324,7 +338,7 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--time-scale",
         type=float,
-        default=1.0,
+        default=_SERVICE.time_scale,
         help="gateway mode: wall microseconds slept per simulated "
         "microsecond when pacing",
     )
@@ -338,6 +352,9 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--refresh-interval",
         type=float,
+        # Not RefreshConfig.interval_s (1 s): each check replays up to
+        # probe_max_queries window queries on the serving host, so a
+        # live gateway checks less often.
         default=5.0,
         help="seconds between drift checks (0 = no background thread; "
         "repairs only run when POST /refresh triggers a step)",
@@ -345,33 +362,33 @@ def _add_serve(subparsers) -> None:
     p.add_argument(
         "--refresh-window",
         type=int,
-        default=2048,
+        default=_REFRESH.window_size,
         help="live queries kept in the drift-detection window",
     )
     p.add_argument(
         "--refresh-trigger-share",
         type=float,
-        default=0.92,
+        default=_REFRESH.trigger_share,
         help="drift fires when the active layout's share-of-best on the "
         "probe window falls below this",
     )
     p.add_argument(
         "--refresh-drop-fraction",
         type=float,
-        default=0.15,
+        default=_REFRESH.drop_fraction,
         help="drift also fires when effective bandwidth drops by this "
         "fraction below the installed baseline",
     )
     p.add_argument(
         "--refresh-retries",
         type=int,
-        default=3,
+        default=_REFRESH.max_retries,
         help="rebuild/swap attempts per repair before it is abandoned",
     )
     p.add_argument(
         "--refresh-margin",
         type=float,
-        default=1.0,
+        default=_REFRESH.shadow_margin,
         help="shadow-score gate: a candidate must score at least this "
         "multiple of the active layout's bandwidth to swap in",
     )
@@ -673,7 +690,7 @@ def _parse_tenants(specs) -> tuple:
 
 def _service_config(args):
     """ServiceConfig for the serve command's gateway flags."""
-    from .service import CoalescerConfig, ServiceConfig
+    from .service import CoalescerConfig
 
     overload = _overload_options(args)
     return ServiceConfig(
@@ -702,7 +719,7 @@ def _refresh_daemon(args, engine):
     if not getattr(args, "refresh", False):
         return engine, None
     from .core import LayoutManager
-    from .refresh import RefreshConfig, RefreshDaemon
+    from .refresh import RefreshDaemon
 
     refresh_config = RefreshConfig(
         window_size=args.refresh_window,
@@ -710,7 +727,7 @@ def _refresh_daemon(args, engine):
             args.refresh_interval if args.refresh_interval > 0 else None
         ),
         trigger_share=args.refresh_trigger_share,
-        clear_share=max(args.refresh_trigger_share, 0.97),
+        clear_share=max(args.refresh_trigger_share, _REFRESH.clear_share),
         drop_fraction=args.refresh_drop_fraction,
         max_retries=args.refresh_retries,
         shadow_margin=args.refresh_margin,

@@ -31,6 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.config import SHARD_STRATEGIES
 from ..errors import ConfigError, PartitionError
 from ..hypergraph import build_weighted_hypergraph
 from ..partition import ShpConfig, ShpPartitioner
@@ -257,9 +258,6 @@ class CoOccurrencePlanner(ShardPlanner):
                 f"of {num_shards}"
             )
         return ShardPlan(num_shards, tuple(assignment), strategy=self.name)
-
-
-SHARD_STRATEGIES = ("modulo", "frequency", "cooccurrence")
 
 
 def make_planner(

@@ -5,7 +5,7 @@ build job and the serving hosts needs a durable bundle.  A saved store is
 a directory::
 
     bundle/
-      config.json   — MaxEmbedConfig (spec, ratios, online knobs)
+      config.json   — every MaxEmbedConfig field (see config_to_dict)
       layout.json   — the page layout (repro.placement.serialize format)
       tier.json     — optional pinned DRAM tier plan (CRC envelope)
       table.npy     — optional float32 embedding table
@@ -22,11 +22,19 @@ truncated or bit-flipped bundle raises
 :class:`~repro.errors.CorruptArtifactError` at load.  Pre-envelope
 bundles still load, with an
 :class:`~repro.integrity.UncheckedArtifactWarning`.
+
+``config_to_dict`` walks the fields of
+:class:`~repro.core.MaxEmbedConfig`, so a new field is persisted without
+an edit here.  A bundle may omit only the keys older bundles lacked
+(``_OPTIONAL``), which load at their defaults; ``config_from_dict``
+refuses any other missing key and every key no field reads, so a bundle
+is never served differently from how it was saved without a word.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Union
 
@@ -53,43 +61,44 @@ from .store import MaxEmbedStore
 PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
+# Config fields persisted as their own dataclass's fields.
+_NESTED = {"spec": EmbeddingSpec, "shp": ShpConfig, "cost_model": CpuCostModel}
+# Keys a bundle may omit, each loading at its field's default: the ones
+# older bundles never wrote or were always read with a default.
+_OPTIONAL = (
+    "cache_policy",
+    "tier_mode",
+    "tier_ratio",
+    "num_shards",
+    "shard_strategy",
+    "replicas",
+    "build_workers",
+    "offline_workers",
+)
+
+
+def _as_dict(value) -> dict:
+    """A nested config dataclass as a flat field → value mapping."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
 def config_to_dict(config: MaxEmbedConfig) -> dict:
-    """Serialize a :class:`MaxEmbedConfig` to plain JSON-able data."""
-    return {
-        "version": _FORMAT_VERSION,
-        "spec": {"dim": config.spec.dim, "page_size": config.spec.page_size},
-        "replication_ratio": config.replication_ratio,
-        "strategy": config.strategy,
-        "partitioner": config.partitioner,
-        "shp": {
-            "max_iterations": config.shp.max_iterations,
-            "min_swap_gain": config.shp.min_swap_gain,
-            "kl_threshold": config.shp.kl_threshold,
-            "kl_passes": config.shp.kl_passes,
-            "kl_restarts": config.shp.kl_restarts,
-            "seed": config.shp.seed
-            if isinstance(config.shp.seed, int)
-            else None,
-        },
-        "index_limit": config.index_limit,
-        "cache_ratio": config.cache_ratio,
-        "cache_policy": config.cache_policy,
-        "tier_mode": config.tier_mode,
-        "tier_ratio": config.tier_ratio,
-        "profile": _profile_name(config.profile),
-        "raid_members": config.raid_members,
-        "executor": config.executor,
-        "threads": config.threads,
-        "cost_model": {
-            "sort_per_key_us": config.cost_model.sort_per_key_us,
-            "candidate_examine_us": config.cost_model.candidate_examine_us,
-            "step_base_us": config.cost_model.step_base_us,
-            "query_base_us": config.cost_model.query_base_us,
-        },
-        "seed": config.seed,
-    }
+    """Serialize a :class:`MaxEmbedConfig` to plain JSON-able data.
+
+    Every field is written: nested dataclasses as their own fields, the
+    profile by its registry name, and a Generator SHP seed as ``None``.
+    """
+    data = {"version": _FORMAT_VERSION}
+    for f in fields(MaxEmbedConfig):
+        value = getattr(config, f.name)
+        if f.name == "profile":
+            value = _profile_name(value)
+        elif f.name in _NESTED:
+            value = _as_dict(value)
+        data[f.name] = value
+    if not isinstance(config.shp.seed, int):
+        data["shp"]["seed"] = None
+    return data
 
 
 def _profile_name(profile: SsdProfile) -> str:
@@ -100,6 +109,19 @@ def _profile_name(profile: SsdProfile) -> str:
         f"profile {profile.name!r} is not in the registry; "
         "only registered profiles can be persisted"
     )
+
+
+def _check_keys(data, cls, optional=(), where: str = "") -> None:
+    """Refuse a missing required key or a key no field of ``cls`` reads."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"malformed bundle config: {where}not a mapping")
+    known = {f.name for f in fields(cls)}
+    missing = sorted(known - set(optional) - data.keys())
+    if missing:
+        raise ConfigError(f"malformed bundle config: {where}missing {missing}")
+    unknown = sorted(data.keys() - known)
+    if unknown:
+        raise ConfigError(f"bundle config {where}has unknown keys {unknown}")
 
 
 def config_from_dict(data: dict) -> MaxEmbedConfig:
@@ -117,33 +139,17 @@ def config_from_dict(data: dict) -> MaxEmbedConfig:
             "serves (greedy set cover is the baseline in "
             "benchmarks/bench_selector.py)"
         )
-    shp = data["shp"]
-    cost = data["cost_model"]
-    return MaxEmbedConfig(
-        spec=EmbeddingSpec(**data["spec"]),
-        replication_ratio=data["replication_ratio"],
-        strategy=data["strategy"],
-        partitioner=data["partitioner"],
-        shp=ShpConfig(
-            max_iterations=shp["max_iterations"],
-            min_swap_gain=shp["min_swap_gain"],
-            kl_threshold=shp["kl_threshold"],
-            kl_passes=shp["kl_passes"],
-            kl_restarts=shp["kl_restarts"],
-            seed=shp["seed"] if shp["seed"] is not None else 0,
-        ),
-        index_limit=data["index_limit"],
-        cache_ratio=data["cache_ratio"],
-        cache_policy=data.get("cache_policy", "lru"),
-        tier_mode=data.get("tier_mode", "lru"),
-        tier_ratio=data.get("tier_ratio", 0.0),
-        profile=PROFILES[data["profile"]],
-        raid_members=data["raid_members"],
-        executor=data["executor"],
-        threads=data["threads"],
-        cost_model=CpuCostModel(**cost),
-        seed=data["seed"],
-    )
+    kwargs = {
+        k: v for k, v in data.items() if k not in ("version", "selector")
+    }
+    _check_keys(kwargs, MaxEmbedConfig, _OPTIONAL)
+    for name, cls in _NESTED.items():
+        _check_keys(kwargs[name], cls, where=f"{name}: ")
+        kwargs[name] = cls(**kwargs[name])
+    if kwargs["shp"].seed is None:  # saved from a Generator seed
+        kwargs["shp"] = replace(kwargs["shp"], seed=0)
+    kwargs["profile"] = PROFILES[kwargs["profile"]]
+    return MaxEmbedConfig(**kwargs)
 
 
 def save_store(store: MaxEmbedStore, directory: PathLike) -> Path:

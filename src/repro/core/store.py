@@ -27,7 +27,7 @@ from ..replication import (
     FprStrategy,
     RppStrategy,
 )
-from ..serving import EngineConfig, QueryResult, ServingEngine, ServingReport
+from ..serving import QueryResult, ServingEngine, ServingReport
 from ..ssd.page_store import extract_embedding, materialize_layout
 from ..tiering import TierPlan, plan_tier_from_trace
 from ..types import Query, QueryTrace
@@ -94,21 +94,7 @@ class MaxEmbedStore:
         self.config = config or MaxEmbedConfig()
         self.layout = layout
         self.engine = ServingEngine(
-            layout,
-            EngineConfig(
-                spec=self.config.spec,
-                profile=self.config.profile,
-                cache_ratio=self.config.cache_ratio,
-                cache_policy=self.config.cache_policy,
-                tier_mode=self.config.tier_mode,
-                tier_ratio=self.config.tier_ratio,
-                tier_plan=tier_plan,
-                index_limit=self.config.index_limit,
-                executor=self.config.executor,
-                threads=self.config.threads,
-                raid_members=self.config.raid_members,
-                cost_model=self.config.cost_model,
-            ),
+            layout, self.config.engine_config(tier_plan=tier_plan)
         )
         self._table = None
         self._page_store = None

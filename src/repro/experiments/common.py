@@ -15,8 +15,7 @@ from ..cluster import ShardedLayout, build_sharded_layout
 from ..core import MaxEmbedConfig, build_offline_layout
 from ..partition import ShpConfig
 from ..placement import PageLayout
-from ..serving import CpuCostModel, EngineConfig, ServingEngine, ServingReport
-from ..ssd import SsdProfile, P5800X
+from ..serving import EngineConfig, ServingEngine, ServingReport
 from ..tiering import TierPlan
 from ..types import EmbeddingSpec, QueryTrace
 from ..workloads import make_trace
@@ -29,6 +28,9 @@ DEFAULT_DATASETS: Tuple[str, ...] = (
     "criteo",
     "criteo_tb",
 )
+
+# Every default below is the library's, read off one default config.
+_DEFAULTS = MaxEmbedConfig()
 
 # The replication ratios of Figures 8/10/11.
 DEFAULT_RATIOS: Tuple[float, ...] = (0.1, 0.2, 0.4, 0.8)
@@ -64,7 +66,7 @@ def layout_for(
     ratio: float,
     scale: str = "bench",
     seed: int = 0,
-    dim: int = 64,
+    dim: int = _DEFAULTS.spec.dim,
     partitioner: str = "shp",
     shp: "ShpConfig | None" = None,
 ) -> PageLayout:
@@ -97,11 +99,11 @@ def sharded_layout_for(
     dataset: str,
     num_shards: int,
     shard_strategy: str,
-    strategy: str = "maxembed",
-    ratio: float = 0.1,
+    strategy: str = _DEFAULTS.strategy,
+    ratio: float = _DEFAULTS.replication_ratio,
     scale: str = "bench",
     seed: int = 0,
-    dim: int = 64,
+    dim: int = _DEFAULTS.spec.dim,
 ) -> ShardedLayout:
     """Build (or fetch) the cluster offline artifact for one configuration."""
     key = (
@@ -136,7 +138,7 @@ def tier_plan_for(
     tier_ratio: float,
     scale: str = "bench",
     seed: int = 0,
-    dim: int = 64,
+    dim: int = _DEFAULTS.spec.dim,
 ) -> TierPlan:
     """Statistical tier plan from the dataset's history half, memoized.
 
@@ -156,35 +158,13 @@ def tier_plan_for(
 
 
 def make_engine(
-    layout: PageLayout,
-    dim: int = 64,
-    cache_ratio: float = 0.10,
-    index_limit: Optional[int] = None,
-    executor: str = "pipelined",
-    profile: SsdProfile = P5800X,
-    threads: int = 8,
-    raid_members: int = 1,
-    cost_model: "CpuCostModel | None" = None,
-    tier_mode: str = "lru",
-    tier_ratio: float = 0.0,
-    tier_plan: "TierPlan | None" = None,
+    layout: PageLayout, dim: int = _DEFAULTS.spec.dim, **fields
 ) -> ServingEngine:
-    """Construct a serving engine with experiment-friendly defaults."""
+    """A serving engine for ``layout``: ``dim``-wide embeddings, and
+    every other setting an :class:`~repro.serving.EngineConfig` field
+    (library defaults for the rest)."""
     return ServingEngine(
-        layout,
-        EngineConfig(
-            spec=EmbeddingSpec(dim=dim),
-            profile=profile,
-            cache_ratio=cache_ratio,
-            index_limit=index_limit,
-            executor=executor,
-            threads=threads,
-            raid_members=raid_members,
-            cost_model=cost_model or CpuCostModel(),
-            tier_mode=tier_mode,
-            tier_ratio=tier_ratio,
-            tier_plan=tier_plan,
-        ),
+        layout, EngineConfig(spec=EmbeddingSpec(dim=dim), **fields)
     )
 
 

@@ -13,10 +13,10 @@ over makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import ClassVar, List, Optional, Sequence, Type
 
 from ..cache import EmbeddingCache
-from ..errors import ServingError
+from ..errors import ReproError, ServingError
 from ..faults import BreakerConfig, FaultPlan, FaultySsd, ShardFaultPlan
 from ..overload import DegradeLevel
 from ..placement import PageLayout, build_indexes
@@ -38,8 +38,17 @@ from .stats import QueryResult, ServingReport
 
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Full online-phase configuration.
+class OnlineConfig:
+    """The online settings a deployment and its engine share.
+
+    Each field is declared, defaulted and checked here once;
+    :class:`EngineConfig` and :class:`~repro.core.MaxEmbedConfig` inherit
+    them and add only their own.  A failed check raises the subclass's
+    ``error`` type, so each config keeps its own exception.  An
+    ``EngineConfig`` is never saved; a bundle carries these fields as
+    :class:`~repro.core.MaxEmbedConfig`'s, and may omit ``cache_policy``,
+    ``tier_mode``, ``tier_ratio`` and ``replicas`` (older bundles lacked
+    them; see :mod:`repro.core.persist`).
 
     Attributes:
         spec: embedding geometry (dim, page size).
@@ -47,12 +56,8 @@ class EngineConfig:
         cache_ratio: DRAM cache size as a fraction of the table (paper
             default 10 %; 0 disables the cache, Fig 13).
         cache_policy: eviction policy (``lru``/``fifo``/``lfu``/``slru``;
-            the paper's CacheLib setup is ``lru``).
-        page_grain_admission: admit *every* key on each page read to the
-            cache, not only the requested ones (extension: the page is
-            already in DRAM, so the extra admissions are free — and under
-            a co-occurrence-aware placement the co-residents are exactly
-            the keys likely to be asked for next).
+            the paper's CacheLib setup is ``lru``; checked by
+            :func:`~repro.cache.make_cache`).
         index_limit: forward-index shrink ``k`` (None = full index).
         executor: when, and in what form, a query's selected reads
             reach the device (:data:`~repro.serving.executor.EXECUTORS`)
@@ -66,6 +71,73 @@ class EngineConfig:
         threads: simulated serving threads (paper uses 8).
         raid_members: >1 builds a RAID-0 of that many drives.
         cost_model: CPU charge table for the selection path.
+        replicas: replicas per logical shard for cluster serving
+            (1 = no replica groups, bit-identical to earlier releases).
+            Ignored by single engines.
+        tier_mode: DRAM tier strategy — ``"lru"`` (reactive cache only,
+            today's behavior), ``"pinned"`` (offline statistical hot set,
+            LRU off: the whole DRAM key budget is the pinned tier), or
+            ``"hybrid"`` (pinned tier plus an LRU front for the residue).
+        tier_ratio: pinned tier size as a fraction of the table (used to
+            derive a plan when no tier plan is given; ignored in ``lru``
+            mode).
+    """
+
+    error: ClassVar[Type[ReproError]] = ServingError
+
+    spec: EmbeddingSpec = field(default_factory=EmbeddingSpec)
+    profile: SsdProfile = P5800X
+    cache_ratio: float = 0.10
+    cache_policy: str = "lru"
+    index_limit: Optional[int] = None
+    executor: str = "pipelined"
+    threads: int = 8
+    raid_members: int = 1
+    cost_model: CpuCostModel = field(default_factory=CpuCostModel)
+    replicas: int = 1
+    tier_mode: str = "lru"
+    tier_ratio: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.executor not in EXECUTORS:
+            raise self.error(
+                f"unknown executor {self.executor!r}; "
+                f"choose from {sorted(EXECUTORS)}"
+            )
+        if self.threads <= 0:
+            raise self.error(f"threads must be positive, got {self.threads}")
+        if self.raid_members <= 0:
+            raise self.error(
+                f"raid_members must be positive, got {self.raid_members}"
+            )
+        if not 0.0 <= self.cache_ratio <= 1.0:
+            raise self.error(
+                f"cache_ratio must be in [0, 1], got {self.cache_ratio}"
+            )
+        if self.replicas < 1:
+            raise self.error(f"replicas must be >= 1, got {self.replicas}")
+        if self.tier_mode not in TIER_MODES:
+            raise self.error(
+                f"unknown tier_mode {self.tier_mode!r}; "
+                f"choose from {sorted(TIER_MODES)}"
+            )
+        if not 0.0 <= self.tier_ratio <= 1.0:
+            raise self.error(
+                f"tier_ratio must be in [0, 1], got {self.tier_ratio}"
+            )
+
+
+@dataclass(frozen=True)
+class EngineConfig(OnlineConfig):
+    """Full online-phase configuration: the shared
+    :class:`OnlineConfig` fields plus the engine-only ones below.
+
+    Attributes:
+        page_grain_admission: admit *every* key on each page read to the
+            cache, not only the requested ones (extension: the page is
+            already in DRAM, so the extra admissions are free — and under
+            a co-occurrence-aware placement the co-residents are exactly
+            the keys likely to be asked for next).
         fault_plan: deterministic fault-injection schedule (None = no
             injection; the fault machinery stays entirely out of the hot
             path and serving is bit-identical to a fault-free build).
@@ -75,9 +147,6 @@ class EngineConfig:
             (None = wait forever).  Ignored by single-shard engines.
         breaker: per-shard circuit-breaker configuration for cluster
             serving (None = no breaker).  Ignored by single engines.
-        replicas: replicas per logical shard for cluster serving
-            (1 = no replica groups, bit-identical to earlier releases).
-            Ignored by single engines.
         hedge_quantile: latency quantile (in ``(0, 1)``) after which a
             straggling fragment is hedged to a secondary replica; None
             disables hedging.  Only meaningful with ``replicas > 1``.
@@ -90,65 +159,28 @@ class EngineConfig:
             nothing.  Setting it at ``replicas == 1`` exercises the
             unprotected baseline: crashes cost coverage because there
             is no surviving replica to fail over to.
-        tier_mode: DRAM tier strategy — ``"lru"`` (reactive cache only,
-            today's behavior), ``"pinned"`` (offline statistical hot set,
-            LRU off: the whole DRAM key budget is the pinned tier), or
-            ``"hybrid"`` (pinned tier plus an LRU front for the residue).
-        tier_ratio: pinned tier size as a fraction of the table (used to
-            derive a plan when ``tier_plan`` is not given; ignored in
-            ``lru`` mode).
         tier_plan: precomputed :class:`~repro.tiering.TierPlan` (e.g. the
             trace-hotness plan persisted next to the layout).  None in
             ``pinned``/``hybrid`` mode derives a replica-count plan from
             the layout at ``tier_ratio``.
     """
 
-    spec: EmbeddingSpec = field(default_factory=EmbeddingSpec)
-    profile: SsdProfile = P5800X
-    cache_ratio: float = 0.10
-    cache_policy: str = "lru"
     page_grain_admission: bool = False
-    index_limit: Optional[int] = None
-    executor: str = "pipelined"
-    threads: int = 8
-    raid_members: int = 1
-    cost_model: CpuCostModel = field(default_factory=CpuCostModel)
     fault_plan: Optional[FaultPlan] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     shard_deadline_us: Optional[float] = None
     breaker: Optional[BreakerConfig] = None
-    replicas: int = 1
     hedge_quantile: Optional[float] = None
     hedge_budget: float = 0.1
     shard_fault_plan: Optional[ShardFaultPlan] = None
-    tier_mode: str = "lru"
-    tier_ratio: float = 0.0
     tier_plan: Optional[TierPlan] = None
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ServingError(
-                f"unknown executor {self.executor!r}; "
-                f"choose from {sorted(EXECUTORS)}"
-            )
-        if self.threads <= 0:
-            raise ServingError(f"threads must be positive, got {self.threads}")
-        if self.raid_members <= 0:
-            raise ServingError(
-                f"raid_members must be positive, got {self.raid_members}"
-            )
-        if not 0.0 <= self.cache_ratio <= 1.0:
-            raise ServingError(
-                f"cache_ratio must be in [0, 1], got {self.cache_ratio}"
-            )
+        super().__post_init__()
         if self.shard_deadline_us is not None and self.shard_deadline_us <= 0:
             raise ServingError(
                 f"shard_deadline_us must be positive, got "
                 f"{self.shard_deadline_us}"
-            )
-        if self.replicas < 1:
-            raise ServingError(
-                f"replicas must be >= 1, got {self.replicas}"
             )
         if self.hedge_quantile is not None and not (
             0.0 < self.hedge_quantile < 1.0
@@ -160,15 +192,6 @@ class EngineConfig:
         if self.hedge_budget < 0.0:
             raise ServingError(
                 f"hedge_budget must be >= 0, got {self.hedge_budget}"
-            )
-        if self.tier_mode not in TIER_MODES:
-            raise ServingError(
-                f"unknown tier_mode {self.tier_mode!r}; "
-                f"choose from {sorted(TIER_MODES)}"
-            )
-        if not 0.0 <= self.tier_ratio <= 1.0:
-            raise ServingError(
-                f"tier_ratio must be in [0, 1], got {self.tier_ratio}"
             )
         if self.tier_plan is not None and self.tier_mode == "lru":
             raise ServingError(

@@ -115,7 +115,12 @@ class TestPlanners:
             make_planner("range")
 
     def test_registry_matches_config_validation(self):
-        assert SHARD_STRATEGIES == MaxEmbedConfig._SHARD_STRATEGIES
+        # One tuple: the planner registry is the one the config checks.
+        from repro.core import config
+
+        assert SHARD_STRATEGIES is config.SHARD_STRATEGIES
+        for strategy in SHARD_STRATEGIES:
+            assert MaxEmbedConfig(shard_strategy=strategy).shard_strategy
 
 
 class TestProjection:

@@ -29,6 +29,11 @@ class TestMaxEmbedConfig:
             {"strategy": "clone-everything"},
             {"partitioner": "metis"},
             {"replication_ratio": -0.5},
+            # The shared online checks reject at construction what the
+            # engine would reject later.
+            {"threads": 0},
+            {"raid_members": 0},
+            {"cache_ratio": 1.5},
         ],
     )
     def test_validation(self, kwargs):
