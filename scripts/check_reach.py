@@ -1,0 +1,147 @@
+"""Fail when a public library name is reached by nothing but tests.
+
+A public top-level function or class in ``src/repro`` (``repro.reference``
+excepted: it is the oracle tests compare against) is *reached* when its
+name appears as an AST ``Name``, ``Attribute`` or import alias — never a
+docstring or comment — in
+
+* another top-level statement of its own module (not its own definition),
+* any other module under ``src/``, except the imports of an
+  ``__init__.py`` (a re-export is not a use), or
+* any file under ``benchmarks/``, ``scripts/`` or ``examples/``.
+
+Tests do not count: a name that only its own tests call is code the
+suite keeps alive and nothing else runs.  Names are matched by
+identifier, so a collision can hide a dead name but never invent one.
+Methods are out of scope because their names (``run``, ``stats``, …)
+collide everywhere.
+
+Prints each unreached name not in ``ALLOWLIST`` and each allowlist entry
+that no longer names an unreached definition, and exits 1 if there is
+any; stdlib only, no install::
+
+    python scripts/check_reach.py
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
+from typing import Dict, List, Set
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = ("benchmarks", "scripts", "examples")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: Unreached on purpose; each entry says why it stays.
+ALLOWLIST: Dict[str, str] = {
+    "repro.workloads.adapters.parse_criteo_tsv": (
+        "dataset adapter: the only way to load the paper's real Criteo "
+        "trace once the file is in the repository"
+    ),
+    "repro.workloads.adapters.parse_avazu_csv": (
+        "dataset adapter: the only way to load the paper's real Avazu "
+        "trace once the file is in the repository"
+    ),
+    "repro.workloads.temporal.burst_rate": (
+        "test support: tests/test_overload_faults.py builds its bursty "
+        "arrival stream from it"
+    ),
+    "repro.workloads.temporal.sample_arrivals": (
+        "test support: tests/test_overload_faults.py draws its arrival "
+        "times with it"
+    ),
+    "repro.core.persist.save_store": (
+        "store bundles: the one format that carries a built store's "
+        "online configuration with its layout and tier plan"
+    ),
+    "repro.core.persist.load_store": (
+        "store bundles: reads what save_store writes, refusing a bad "
+        "configuration or a torn artifact"
+    ),
+    "repro.experiments.common.clear_caches": (
+        "test support: experiment tests drop the memoized traces and "
+        "layouts between cases"
+    ),
+    "repro.partition.metrics.fanout_objective": (
+        "test support: partitioner tests score assignments with the SHP "
+        "objective"
+    ),
+    "repro.ssd.tracing.TracingDevice": (
+        "test support: device and executor tests record the commands "
+        "that reach the device"
+    ),
+}
+
+
+def _names(node: ast.AST, imports: bool = True) -> Set[str]:
+    """Identifiers ``node`` refers to."""
+    found: Set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif imports and isinstance(sub, ast.alias):
+            found.update(sub.name.split("."))
+    return found
+
+
+def _module(path: Path, src: Path) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def unreached(root: Path = ROOT) -> List[str]:
+    """Dotted names of the public definitions nothing outside tests reaches."""
+    src = root / "src"
+    exempt = src / "repro" / "reference"
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    users: Dict[str, Set[Path]] = defaultdict(set)
+    for path, tree in trees.items():
+        for name in _names(tree, imports=path.name != "__init__.py"):
+            users[name].add(path)
+    called: Set[str] = set()
+    for folder in CALLERS:
+        for path in sorted((root / folder).rglob("*.py")):
+            called |= _names(ast.parse(path.read_text()))
+
+    dead = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(src / "repro") or path.is_relative_to(exempt):
+            continue
+        statements = [_names(statement) for statement in tree.body]
+        in_module = Counter(name for names in statements for name in names)
+        for statement, names in zip(tree.body, statements):
+            if not isinstance(statement, DEFINITIONS):
+                continue
+            name = statement.name
+            if name.startswith("_") or name in called or users[name] - {path}:
+                continue
+            if in_module[name] > (name in names):
+                continue
+            dead.append(f"{_module(path, src)}.{name}")
+    return dead
+
+
+def main() -> int:
+    dead = unreached()
+    failures = [
+        f"unreached: {name} (delete it, or add it to ALLOWLIST with a reason)"
+        for name in dead
+        if name not in ALLOWLIST
+    ]
+    failures += [
+        f"stale ALLOWLIST entry: {name} is reached or gone"
+        for name in ALLOWLIST
+        if name not in dead
+    ]
+    for line in failures:
+        print(line)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,8 @@ including every substrate the paper depends on: the SHP hypergraph
 partitioner, the three replication strategies, the one-pass page
 selector with index shrinking and pipelined reads, a discrete-event NVMe
 simulator, a CacheLib-style LRU cache, synthetic versions of the five
-evaluation datasets, and a numpy DLRM that consumes the store.
+evaluation datasets, and a byte-accurate lookup path that returns the
+stored vectors.
 
 Quickstart::
 
@@ -84,7 +85,7 @@ from .overload import (
     DegradeLevel,
     default_ladder,
 )
-from .metrics import evaluate_placement, read_amplification
+from .metrics import evaluate_placement
 from .partition import (
     MultilevelConfig,
     MultilevelPartitioner,
@@ -123,7 +124,7 @@ from .serving import (
 )
 from .ssd import P4510, P5800X, RAID0_2X_P5800X, SimulatedSsd, SsdProfile
 from .cache import EmbeddingCache, LruCache
-from .types import EmbeddingSpec, Query, QueryTrace, ReplicationConfig
+from .types import EmbeddingSpec, Query, QueryTrace
 from .workloads import (
     DATASETS,
     SyntheticTraceGenerator,
@@ -161,7 +162,6 @@ __all__ = [
     "Query",
     "QueryTrace",
     "EmbeddingSpec",
-    "ReplicationConfig",
     # hypergraph
     "Hypergraph",
     "build_hypergraph",
@@ -242,7 +242,6 @@ __all__ = [
     "load_trace",
     # metrics
     "evaluate_placement",
-    "read_amplification",
     # errors
     "ReproError",
     "ConfigError",

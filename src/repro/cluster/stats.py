@@ -128,20 +128,6 @@ class ClusterReport:
                 return max(loads) / (total / len(loads))
         return 1.0
 
-    def key_load_imbalance(self) -> float:
-        """Max-over-mean of per-shard served keys (SSD + DRAM)."""
-        tier = self.shard_tier_hits or [0] * len(self.shard_ssd_keys)
-        loads = [
-            s + c + t
-            for s, c, t in zip(
-                self.shard_ssd_keys, self.shard_cache_hits, tier
-            )
-        ]
-        total = sum(loads)
-        if not total:
-            return 1.0
-        return max(loads) / (total / len(loads))
-
     # -- scatter-gather costs -------------------------------------------------
 
     def mean_fanout(self) -> float:

@@ -9,7 +9,7 @@ phase is measured on the second half.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cluster import ShardedLayout, build_sharded_layout
 from ..core import MaxEmbedConfig, build_offline_layout
@@ -185,10 +185,3 @@ def serve_live(
     if warmup >= len(queries):
         warmup = max(0, len(queries) - 1)
     return engine.serve_trace(queries, warmup_queries=warmup)
-
-
-def normalize(values: List[float], base: float) -> List[float]:
-    """Values as fractions of ``base`` (1.0 = baseline)."""
-    if base == 0:
-        return [0.0 for _ in values]
-    return [v / base for v in values]

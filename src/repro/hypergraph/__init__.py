@@ -8,8 +8,7 @@ from .hypergraph import Hypergraph
 from .builder import build_hypergraph, build_weighted_hypergraph
 from .csr import HypergraphCsr, gather_rows
 from .stats import HypergraphStats, compute_stats, vertex_cooccurrence
-from .io import load_hypergraph, save_hypergraph
-from .sampling import head_trace, sample_edges, sample_trace
+from .sampling import sample_trace
 
 __all__ = [
     "Hypergraph",
@@ -20,9 +19,5 @@ __all__ = [
     "HypergraphStats",
     "compute_stats",
     "vertex_cooccurrence",
-    "load_hypergraph",
-    "save_hypergraph",
-    "sample_edges",
     "sample_trace",
-    "head_trace",
 ]

@@ -169,14 +169,6 @@ class Hypergraph:
         """Total number of (edge, vertex) incidences, unweighted."""
         return len(self._pin_vertices)
 
-    def subgraph_on_edges(self, edge_ids: Sequence[int]) -> "Hypergraph":
-        """Hypergraph restricted to the given edges (same vertex space)."""
-        return Hypergraph(
-            self._num_vertices,
-            [self._edges[e] for e in edge_ids],
-            [self._weights[e] for e in edge_ids],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Hypergraph(num_vertices={self._num_vertices}, "

@@ -1,35 +1,17 @@
-"""Trace and hypergraph sampling.
+"""Trace sampling.
 
 The paper's offline phase ingests up to 4.37 B queries (CriteoTB, Table 1:
 ~3 hours on Hadoop).  In practice you sample: partition quality saturates
 well before the full log is consumed, because the co-occurrence structure
-is heavily repeated.  These helpers provide the two standard reductions —
-uniform edge (query) sampling and prefix truncation — so experiments can
-chart the offline-cost/quality trade-off.
+is heavily repeated.  Uniform query sampling lets experiments chart the
+offline-cost/quality trade-off.
 """
 
 from __future__ import annotations
 
-from ..errors import HypergraphError, WorkloadError
+from ..errors import WorkloadError
 from ..types import QueryTrace
 from ..utils.rng import RngLike, make_rng
-from .hypergraph import Hypergraph
-
-
-def sample_edges(
-    graph: Hypergraph, fraction: float, seed: RngLike = 0
-) -> Hypergraph:
-    """Uniformly sample a fraction of edges (weights preserved)."""
-    if not 0.0 < fraction <= 1.0:
-        raise HypergraphError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return graph
-    rng = make_rng(seed)
-    count = max(1, int(graph.num_edges * fraction))
-    chosen = sorted(
-        rng.choice(graph.num_edges, size=count, replace=False).tolist()
-    )
-    return graph.subgraph_on_edges(chosen)
 
 
 def sample_trace(
@@ -48,11 +30,3 @@ def sample_trace(
     )
     return QueryTrace(trace.num_keys, [queries[i] for i in chosen])
 
-
-def head_trace(trace: QueryTrace, fraction: float) -> QueryTrace:
-    """The chronological head of the trace (prefix truncation)."""
-    if not 0.0 < fraction <= 1.0:
-        raise WorkloadError(f"fraction must be in (0, 1], got {fraction}")
-    queries = list(trace)
-    count = max(1, int(len(queries) * fraction))
-    return QueryTrace(trace.num_keys, queries[:count])

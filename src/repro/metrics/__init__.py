@@ -4,20 +4,16 @@ Two families:
 
 * **static** (this package) — evaluate a page layout against a trace
   without simulating time or cache: reads per query, valid embeddings per
-  read, effective-bandwidth fraction, read amplification.  These drive the
-  paper's bandwidth figures (3, 8, 14, 16, 17).
+  read, effective-bandwidth fraction (the reciprocal of read
+  amplification).  These drive the paper's bandwidth figures (3, 8, 14,
+  16, 17).
 * **dynamic** — throughput/latency come from
   :class:`repro.serving.ServingReport` (figures 10–13, 15).
 """
 
 from .bandwidth import PlacementEvaluation, evaluate_placement
-from .amplification import read_amplification
-from .cdf import cdf_points, histogram
 
 __all__ = [
     "PlacementEvaluation",
     "evaluate_placement",
-    "read_amplification",
-    "cdf_points",
-    "histogram",
 ]

@@ -22,7 +22,6 @@ from .metrics import (
     fanout_objective,
     imbalance,
     mean_connectivity,
-    total_connectivity,
 )
 from .multilevel import MultilevelConfig, MultilevelPartitioner
 from .random_partition import RandomPartitioner
@@ -47,7 +46,6 @@ __all__ = [
     "MultilevelConfig",
     "StreamingPartitioner",
     "edge_connectivities",
-    "total_connectivity",
     "mean_connectivity",
     "fanout_objective",
     "imbalance",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
@@ -132,22 +132,3 @@ def sequential_assignment(
             f"sequential blocks of {size} exceed capacity {capacity}"
         )
     return [min(v // size, num_clusters - 1) for v in range(num_vertices)]
-
-
-def validate_against_graph(
-    result: PartitionResult, graph: Hypergraph
-) -> PartitionResult:
-    """Check the result covers exactly the graph's vertex set."""
-    if result.num_vertices != graph.num_vertices:
-        raise PartitionError(
-            f"partition covers {result.num_vertices} vertices, "
-            f"graph has {graph.num_vertices}"
-        )
-    return result
-
-
-def balanced_sizes(num_vertices: int, num_clusters: int) -> Sequence[int]:
-    """Target sizes per cluster when spreading vertices as evenly as possible."""
-    base = num_vertices // num_clusters
-    extra = num_vertices % num_clusters
-    return [base + (1 if c < extra else 0) for c in range(num_clusters)]

@@ -62,23 +62,6 @@ def edge_connectivities(
     return np.add.reduceat(boundary, csr.edge_indptr[:-1]).tolist()
 
 
-def total_connectivity(
-    graph: Hypergraph,
-    assignment: Sequence[int],
-    lambdas: "Sequence[int] | None" = None,
-) -> int:
-    """Weighted sum of λ(e) — total SSD reads to serve the whole trace.
-
-    ``lambdas`` lets a caller that already computed the per-edge
-    connectivities reuse them instead of recomputing.
-    """
-    if lambdas is None:
-        lambdas = edge_connectivities(graph, assignment)
-    return sum(
-        lam * graph.weight(eid) for eid, lam in enumerate(lambdas)
-    )
-
-
 def fanout_objective(
     graph: Hypergraph,
     assignment: Sequence[int],

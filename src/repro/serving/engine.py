@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Type
 
-from ..cache import EmbeddingCache
+from ..cache import CACHE_POLICIES, EmbeddingCache
 from ..errors import ReproError, ServingError
 from ..faults import BreakerConfig, FaultPlan, FaultySsd, ShardFaultPlan
 from ..overload import DegradeLevel
@@ -55,10 +55,11 @@ class OnlineConfig:
         profile: simulated device profile.
         cache_ratio: DRAM cache size as a fraction of the table (paper
             default 10 %; 0 disables the cache, Fig 13).
-        cache_policy: eviction policy (``lru``/``fifo``/``lfu``/``slru``;
-            the paper's CacheLib setup is ``lru``; checked by
-            :func:`~repro.cache.make_cache`).
-        index_limit: forward-index shrink ``k`` (None = full index).
+        cache_policy: eviction policy, a key of
+            :data:`~repro.cache.CACHE_POLICIES` (``lru``/``fifo``/``lfu``/
+            ``slru``; the paper's CacheLib setup is ``lru``).
+        index_limit: forward-index shrink ``k``, at least 1 (None = full
+            index).
         executor: when, and in what form, a query's selected reads
             reach the device (:data:`~repro.serving.executor.EXECUTORS`)
             — ``"pipelined"`` (MaxEmbed §6.2: each read issued right
@@ -113,6 +114,15 @@ class OnlineConfig:
         if not 0.0 <= self.cache_ratio <= 1.0:
             raise self.error(
                 f"cache_ratio must be in [0, 1], got {self.cache_ratio}"
+            )
+        if self.cache_policy not in CACHE_POLICIES:
+            raise self.error(
+                f"unknown cache_policy {self.cache_policy!r}; "
+                f"choose from {sorted(CACHE_POLICIES)}"
+            )
+        if self.index_limit is not None and self.index_limit < 1:
+            raise self.error(
+                f"index_limit must be >= 1 or None, got {self.index_limit}"
             )
         if self.replicas < 1:
             raise self.error(f"replicas must be >= 1, got {self.replicas}")

@@ -26,7 +26,7 @@ unbounded and the engine always serves at full service.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,39 +271,3 @@ class OpenLoopSimulator:
         if offered_qps is not None:
             report.offered_qps = offered_qps
         return report
-
-    def latency_curve(
-        self,
-        queries: Sequence[Query],
-        load_points: Sequence[float],
-        capacity_qps: float,
-        warmup_fraction: float = 0.1,
-    ) -> List[ServingReport]:
-        """Sweep offered load as fractions of a measured capacity.
-
-        Args:
-            queries: request stream reused at every point.
-            load_points: utilization fractions (e.g. ``(0.2, 0.5, 0.8)``).
-            capacity_qps: closed-loop capacity to scale against.
-            warmup_fraction: head fraction excluded at every point
-                (threaded through to :meth:`run` so sweeps measure the
-                same window they configure).
-        """
-        if capacity_qps <= 0:
-            raise ServingError(
-                f"capacity_qps must be positive, got {capacity_qps}"
-            )
-        reports = []
-        for fraction in load_points:
-            if fraction <= 0:
-                raise ServingError(
-                    f"load fractions must be positive, got {fraction}"
-                )
-            reports.append(
-                self.run(
-                    queries,
-                    capacity_qps * fraction,
-                    warmup_fraction=warmup_fraction,
-                )
-            )
-        return reports

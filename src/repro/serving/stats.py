@@ -304,18 +304,6 @@ class ServingReport:
             return 0.0
         return self.total_valid_embeddings / self.total_pages_read
 
-    def valid_per_read_cdf(self) -> List[tuple]:
-        """CDF points ``(valid_count, cumulative_fraction)`` (Fig 9)."""
-        total = sum(self.valid_per_read_hist.values())
-        if total == 0:
-            return []
-        points = []
-        cumulative = 0
-        for value in sorted(self.valid_per_read_hist):
-            cumulative += self.valid_per_read_hist[value]
-            points.append((value, cumulative / total))
-        return points
-
     def cache_hit_rate(self) -> float:
         """Fraction of requested keys served from the DRAM cache."""
         if self.total_requested == 0:
@@ -519,4 +507,3 @@ def merge_shard_results(results: Sequence[QueryResult]) -> QueryResult:
         hedge_wins,
         tuple(served_by),
     )
-

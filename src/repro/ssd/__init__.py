@@ -14,7 +14,6 @@ returns a ticket; ``poll`` retires completions.  All time is simulated
 (microseconds as floats) so experiments are deterministic and fast.
 """
 
-from .clock import SimClock
 from .commands import (
     DeviceCommand,
     GatherCommand,
@@ -31,13 +30,12 @@ from .profiles import (
     RAID0_2X_P5800X,
     SsdProfile,
 )
-from .page_store import PageStore, gather_embeddings
+from .page_store import PageStore
 from .device import Completion, DeviceStats, SimulatedSsd
 from .raid import Raid0Array
 from .tracing import IoRecord, TracingDevice
 
 __all__ = [
-    "SimClock",
     "SsdProfile",
     "NdpSsdProfile",
     "P5800X",
@@ -47,7 +45,6 @@ __all__ = [
     "P5800X_NDP",
     "PROFILES",
     "PageStore",
-    "gather_embeddings",
     "SimulatedSsd",
     "Completion",
     "DeviceStats",

@@ -3,7 +3,8 @@
 Holds the actual page contents (embedding vectors packed into fixed-size
 pages).  Kept separate from the timing model so the serving engine can run
 purely on page ids when vector payloads are not needed (bandwidth
-experiments) and with real payloads when they are (DLRM inference).
+experiments) and with real payloads when they are
+(:meth:`~repro.core.MaxEmbedStore.lookup`).
 """
 
 from __future__ import annotations
@@ -79,19 +80,6 @@ def pack_embeddings(vectors: np.ndarray, spec: EmbeddingSpec) -> bytes:
     return arr.tobytes()
 
 
-def unpack_embeddings(
-    payload: bytes, count: int, spec: EmbeddingSpec
-) -> np.ndarray:
-    """Unpack the first ``count`` embedding vectors from a page payload."""
-    needed = count * spec.embedding_bytes
-    if needed > len(payload):
-        raise StorageError(
-            f"payload of {len(payload)} B holds fewer than {count} embeddings"
-        )
-    flat = np.frombuffer(payload[:needed], dtype=np.float32)
-    return flat.reshape(count, spec.dim).copy()
-
-
 def materialize_layout(
     layout: PageLayout,
     table: np.ndarray,
@@ -124,47 +112,6 @@ def materialize_layout(
         store.write_page(page_id, pack_embeddings(table[list(keys)], spec))
         page_keys.append(keys)
     return store, page_keys
-
-
-def gather_embeddings(
-    store: PageStore,
-    page_keys: List[Tuple[int, ...]],
-    page_ids: Iterable[int],
-    wanted: Iterable[int],
-    spec: EmbeddingSpec,
-) -> Tuple[Dict[int, np.ndarray], int]:
-    """In-device gather over ``page_ids``: parse pages, keep wanted keys.
-
-    The byte-level counterpart of the NDP timing model: the device reads
-    each page from media, scans its slots (``page_keys`` is the on-page
-    key order, the structure a RecSSD-style controller parses), and only
-    the embeddings of ``wanted`` keys are placed in the output buffer.
-
-    Returns ``(vectors, payload_bytes)`` — the gathered key → vector map
-    and the bytes that would cross the host bus (valid embeddings only,
-    versus ``pages × page_size`` on the classic path).  A key present on
-    several of the pages is delivered once, from the first page scanned.
-    """
-    remaining = set(wanted)
-    vectors: Dict[int, np.ndarray] = {}
-    for page_id in page_ids:
-        if not remaining:
-            break
-        if not 0 <= page_id < len(page_keys):
-            raise StorageError(
-                f"page id {page_id} outside the layout's "
-                f"{len(page_keys)} pages"
-            )
-        payload = store.read_page(page_id)
-        for slot, key in enumerate(page_keys[page_id]):
-            if key in remaining:
-                start = slot * spec.embedding_bytes
-                end = start + spec.embedding_bytes
-                vectors[key] = np.frombuffer(
-                    payload[start:end], dtype=np.float32
-                ).copy()
-                remaining.discard(key)
-    return vectors, len(vectors) * spec.embedding_bytes
 
 
 def extract_embedding(

@@ -1,19 +1,18 @@
 """I/O tracing and device-level statistics.
 
 Wraps any simulated device (single drive or RAID array) and records every
-read — submission time, page, completion time — so experiments can answer
-device-level questions the aggregate counters can't: page-access skew
-(how hot are the hottest pages?), queue-depth over time, and utilization
-windows.  The wrapper is transparent: it exposes the same submit/poll
-interface, so it drops into a :class:`~repro.serving.ServingEngine` by
-assignment.
+read — submission time, page, completion time — so tests can check what
+the aggregate counters can't: which commands reached the device, in what
+shape, and how often each page was read.  The wrapper is transparent: it
+exposes the same submit/poll interface, so it drops into a
+:class:`~repro.serving.ServingEngine` by assignment.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import StorageError
 from .commands import PacedReadCommand
@@ -133,51 +132,3 @@ class TracingDevice:
     def page_access_counts(self) -> Counter:
         """How many times each page was read."""
         return Counter(r.page_id for r in self.records)
-
-    def hot_page_share(self, fraction: float = 0.1) -> float:
-        """Share of reads hitting the hottest ``fraction`` of touched pages."""
-        if not 0.0 < fraction <= 1.0:
-            raise StorageError(f"fraction must be in (0, 1], got {fraction}")
-        counts = self.page_access_counts()
-        if not counts:
-            return 0.0
-        total = sum(counts.values())
-        k = max(1, int(len(counts) * fraction))
-        hottest = sorted(counts.values(), reverse=True)[:k]
-        return sum(hottest) / total
-
-    def latency_percentiles(
-        self, percentiles: Tuple[float, ...] = (50.0, 99.0)
-    ) -> Dict[float, float]:
-        """Observed device-latency percentiles."""
-        from ..utils.percentile import percentile
-
-        latencies = [r.latency_us for r in self.records]
-        return {p: percentile(latencies, p) for p in percentiles}
-
-    def queue_depth_timeline(self, bucket_us: float = 10.0) -> List[Tuple[float, int]]:
-        """Mean in-flight reads per time bucket (from the trace)."""
-        if bucket_us <= 0:
-            raise StorageError(f"bucket_us must be positive, got {bucket_us}")
-        if not self.records:
-            return []
-        events: List[Tuple[float, int]] = []
-        for record in self.records:
-            events.append((record.submitted_at_us, 1))
-            events.append((record.completed_at_us, -1))
-        events.sort()
-        end = events[-1][0]
-        timeline: List[Tuple[float, int]] = []
-        depth = 0
-        index = 0
-        t = events[0][0]
-        while t <= end:
-            edge = t + bucket_us
-            peak = depth
-            while index < len(events) and events[index][0] < edge:
-                depth += events[index][1]
-                peak = max(peak, depth)
-                index += 1
-            timeline.append((t, peak))
-            t = edge
-        return timeline

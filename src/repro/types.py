@@ -18,7 +18,7 @@ shared freely between the offline (partitioning/replication) and online
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .errors import ConfigError
 
@@ -69,11 +69,6 @@ class Query:
         """
         return distinct_keys(self.keys)
 
-    @staticmethod
-    def of(keys: Iterable[Key]) -> "Query":
-        """Build a query from any iterable of keys."""
-        return Query(tuple(keys))
-
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
@@ -109,29 +104,6 @@ class EmbeddingSpec:
     def slots_per_page(self) -> int:
         """``d`` in the paper: embeddings that fit in one SSD page."""
         return self.page_size // self.embedding_bytes
-
-
-@dataclass(frozen=True)
-class ReplicationConfig:
-    """Parameters of the offline replication pass.
-
-    Attributes:
-        ratio: ``r`` in the paper — extra storage as a fraction of the
-            un-replicated table (0.1 means 10 % additional pages).
-        index_limit: ``k`` in the paper — maximum forward-index entries kept
-            per key (``None`` keeps all entries; §6.1 index shrinking).
-    """
-
-    ratio: float = 0.1
-    index_limit: "int | None" = None
-
-    def __post_init__(self) -> None:
-        if self.ratio < 0:
-            raise ConfigError(f"replication ratio must be >= 0, got {self.ratio}")
-        if self.index_limit is not None and self.index_limit < 1:
-            raise ConfigError(
-                f"index limit must be >= 1 or None, got {self.index_limit}"
-            )
 
 
 @dataclass
@@ -189,8 +161,3 @@ class QueryTrace:
         head = QueryTrace(self.num_keys, list(self.queries[:cut]))
         tail = QueryTrace(self.num_keys, list(self.queries[cut:]))
         return head, tail
-
-
-def as_queries(raw: Iterable[Sequence[Key]]) -> list:
-    """Convert an iterable of key sequences into a list of :class:`Query`."""
-    return [Query(tuple(keys)) for keys in raw]

@@ -43,14 +43,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[object], ys: Sequence[object]) -> str:
-    """Render one figure series as ``name: (x1, y1) (x2, y2) …``."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    pairs = " ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"
-
-
 def format_mapping(title: str, mapping: Mapping[str, object]) -> str:
     """Render a flat key/value mapping with a title line."""
     width = max((len(k) for k in mapping), default=0)

@@ -19,19 +19,14 @@ from .trace_io import load_trace, save_trace
 from .adapters import hash_feature, parse_avazu_csv, parse_criteo_tsv
 from .temporal import (
     burst_rate,
-    constant_rate,
-    diurnal_rate,
     sample_arrivals,
 )
 from .analysis import (
     BreadthReport,
     coappearance_breadth,
-    cooccurrence_overlap,
     gini_coefficient,
-    popularity_overlap,
     summarize,
     top_share,
-    working_set_curve,
 )
 
 __all__ = [
@@ -45,14 +40,9 @@ __all__ = [
     "load_trace",
     "BreadthReport",
     "coappearance_breadth",
-    "cooccurrence_overlap",
     "gini_coefficient",
-    "popularity_overlap",
     "summarize",
     "top_share",
-    "working_set_curve",
-    "constant_rate",
-    "diurnal_rate",
     "burst_rate",
     "sample_arrivals",
     "parse_criteo_tsv",

@@ -1,21 +1,18 @@
 """Trace analysis: the statistics that decide whether MaxEmbed will help.
 
 Before committing SSD space to replication, an operator wants to know
-three things about a trace, and this module computes all of them:
+two things about a trace, and this module computes both:
 
 * **skew** — how concentrated accesses are (drives cache effectiveness);
 * **co-appearance breadth** — how many partners the hot keys co-occur
   with, versus the page capacity (the paper's §3 motivation: breadth
-  beyond ``d`` is exactly what replication exploits);
-* **drift** — how much the key popularity and co-occurrence structure
-  move between two trace windows (stale placements stop paying off).
+  beyond ``d`` is exactly what replication exploits).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -58,30 +55,6 @@ def gini_coefficient(trace: QueryTrace) -> float:
     return float((2 * (ranks * counts).sum()) / (n * total) - (n + 1) / n)
 
 
-def working_set_curve(
-    trace: QueryTrace, points: int = 10
-) -> List[Tuple[int, int]]:
-    """Distinct keys touched after each prefix of the trace.
-
-    Returns ``(queries_seen, distinct_keys)`` pairs at ``points`` evenly
-    spaced prefixes — the curve whose plateau tells you how much cache
-    can ever help.
-    """
-    if points < 1:
-        raise WorkloadError(f"points must be >= 1, got {points}")
-    queries = list(trace)
-    if not queries:
-        return []
-    step = max(1, len(queries) // points)
-    seen: set = set()
-    curve: List[Tuple[int, int]] = []
-    for index, query in enumerate(queries, start=1):
-        seen.update(query.keys)
-        if index % step == 0 or index == len(queries):
-            curve.append((index, len(seen)))
-    return curve
-
-
 @dataclass(frozen=True)
 class BreadthReport:
     """Co-appearance breadth vs page capacity."""
@@ -120,44 +93,6 @@ def coappearance_breadth(
         if len(active)
         else 0.0,
     )
-
-
-# -- drift ----------------------------------------------------------------------
-
-
-def popularity_overlap(
-    first: QueryTrace, second: QueryTrace, fraction: float = 0.1
-) -> float:
-    """Jaccard overlap of the two windows' hottest-``fraction`` key sets."""
-    if first.num_keys != second.num_keys:
-        raise WorkloadError("traces must share a key space")
-    k = max(1, int(first.num_keys * fraction))
-    hot_a = set(np.argsort(-access_counts(first))[:k].tolist())
-    hot_b = set(np.argsort(-access_counts(second))[:k].tolist())
-    union = hot_a | hot_b
-    return len(hot_a & hot_b) / len(union) if union else 0.0
-
-
-def cooccurrence_overlap(
-    first: QueryTrace, second: QueryTrace, top_pairs: int = 200
-) -> float:
-    """Jaccard overlap of the two windows' most frequent co-occurring pairs."""
-    if first.num_keys != second.num_keys:
-        raise WorkloadError("traces must share a key space")
-
-    def hot_pairs(trace: QueryTrace) -> set:
-        pairs: Counter = Counter()
-        for query in trace:
-            keys = sorted(query.unique_keys())
-            for i, a in enumerate(keys):
-                for b in keys[i + 1 :]:
-                    pairs[(a, b)] += 1
-        return {p for p, _ in pairs.most_common(top_pairs)}
-
-    a = hot_pairs(first)
-    b = hot_pairs(second)
-    union = a | b
-    return len(a & b) / len(union) if union else 0.0
 
 
 def summarize(trace: QueryTrace, page_capacity: int = 16) -> Dict[str, float]:

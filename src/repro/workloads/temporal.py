@@ -1,55 +1,20 @@
 """Time-varying arrival-rate profiles.
 
 Production recommendation traffic is not a constant-rate Poisson stream:
-it breathes diurnally and spikes on events.  These profiles supply a
-rate function ``qps(t_us)`` that the open-loop simulator can follow via
-thinning (non-homogeneous Poisson sampling), so capacity planning can be
-done against the *peak*, not the average.
+it spikes on events.  A profile is a rate function ``qps(t_us)`` that
+:func:`sample_arrivals` follows via thinning (non-homogeneous Poisson
+sampling), so capacity planning can be done against the *peak*, not the
+average.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List
-
-import numpy as np
 
 from ..errors import WorkloadError
 from ..utils.rng import RngLike, make_rng
 
 RateFn = Callable[[float], float]
-
-
-def constant_rate(qps: float) -> RateFn:
-    """A flat profile (equivalent to plain Poisson arrivals)."""
-    if qps <= 0:
-        raise WorkloadError(f"qps must be positive, got {qps}")
-    return lambda _t: qps
-
-
-def diurnal_rate(
-    base_qps: float, swing: float = 0.5, period_us: float = 1e6
-) -> RateFn:
-    """Sinusoidal day/night profile.
-
-    Args:
-        base_qps: mean rate.
-        swing: peak deviation as a fraction of base (0.5 → peak 1.5×,
-            trough 0.5×).
-        period_us: one full cycle in simulated microseconds (scaled down
-            from 24 h the same way everything else in the simulator is).
-    """
-    if base_qps <= 0:
-        raise WorkloadError(f"base_qps must be positive, got {base_qps}")
-    if not 0.0 <= swing < 1.0:
-        raise WorkloadError(f"swing must be in [0, 1), got {swing}")
-    if period_us <= 0:
-        raise WorkloadError(f"period_us must be positive, got {period_us}")
-
-    def rate(t_us: float) -> float:
-        return base_qps * (1.0 + swing * math.sin(2 * math.pi * t_us / period_us))
-
-    return rate
 
 
 def burst_rate(

@@ -34,6 +34,9 @@ class TestMaxEmbedConfig:
             {"threads": 0},
             {"raid_members": 0},
             {"cache_ratio": 1.5},
+            {"index_limit": 0},
+            {"index_limit": -3},
+            {"cache_policy": "bogus"},
         ],
     )
     def test_validation(self, kwargs):

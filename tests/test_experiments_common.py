@@ -8,7 +8,6 @@ from repro.experiments.common import (
     get_split_trace,
     layout_for,
     make_engine,
-    normalize,
     serve_live,
 )
 
@@ -114,11 +113,3 @@ class TestMakeEngineAndServe:
             warmup_fraction=0.2,
         )
         assert report.num_queries == 40
-
-
-class TestNormalize:
-    def test_scales_by_base(self):
-        assert normalize([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_zero_base(self):
-        assert normalize([1.0, 2.0], 0.0) == [0.0, 0.0]

@@ -1,4 +1,4 @@
-"""Tests for repro.hypergraph: structure, builders, stats, io."""
+"""Tests for repro.hypergraph: structure, builders, stats."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,8 +12,6 @@ from repro.hypergraph import (
     build_hypergraph,
     build_weighted_hypergraph,
     compute_stats,
-    load_hypergraph,
-    save_hypergraph,
     vertex_cooccurrence,
 )
 from repro.hypergraph.hypergraph import merge_duplicate_edges
@@ -74,12 +72,6 @@ class TestHypergraph:
         g = Hypergraph(3, [(0, 1)], weights=[4])
         items = list(g.edge_items())
         assert items == [(0, (0, 1), 4)]
-
-    def test_subgraph_on_edges(self, tiny_graph):
-        sub = tiny_graph.subgraph_on_edges([0, 2])
-        assert sub.num_edges == 2
-        assert sub.num_vertices == tiny_graph.num_vertices
-        assert sub.edge(0) == (0, 1, 2, 3)
 
 
 @st.composite
@@ -307,31 +299,3 @@ class TestStats:
     def test_hot_vertex_breadth_rejects_bad_fraction(self, tiny_graph):
         with pytest.raises(ValueError):
             hot_vertex_neighbour_breadth(tiny_graph, 0.0)
-
-
-class TestIo:
-    def test_round_trip(self, tiny_graph, tmp_path):
-        path = tmp_path / "graph.json"
-        save_hypergraph(tiny_graph, path)
-        loaded = load_hypergraph(path)
-        assert loaded.num_vertices == tiny_graph.num_vertices
-        assert loaded.num_edges == tiny_graph.num_edges
-        assert [loaded.edge(e) for e in range(loaded.num_edges)] == [
-            tiny_graph.edge(e) for e in range(tiny_graph.num_edges)
-        ]
-
-    def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(HypergraphError):
-            load_hypergraph(tmp_path / "absent.json")
-
-    def test_load_malformed_json_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(HypergraphError):
-            load_hypergraph(path)
-
-    def test_load_missing_field_raises(self, tmp_path):
-        path = tmp_path / "partial.json"
-        path.write_text('{"num_vertices": 3, "edges": [[0, 1]]}')
-        with pytest.raises(HypergraphError, match="weights"):
-            load_hypergraph(path)

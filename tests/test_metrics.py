@@ -1,15 +1,9 @@
-"""Tests for repro.metrics: placement evaluation, amplification, CDF helpers."""
+"""Tests for repro.metrics: placement evaluation."""
 
 import pytest
 
 from repro import ConfigError, PageLayout, Query, QueryTrace
-from repro.metrics import (
-    cdf_points,
-    evaluate_placement,
-    histogram,
-    read_amplification,
-)
-from repro.metrics.bandwidth import PlacementEvaluation
+from repro.metrics import evaluate_placement
 
 
 @pytest.fixture
@@ -94,34 +88,3 @@ class TestEvaluatePlacement:
         assert ev.effective_fraction() == pytest.approx(
             (8 * 512) / (4 * 2048)
         )
-
-
-class TestReadAmplification:
-    def test_is_reciprocal_of_effective_fraction(self, layout, trace):
-        ev = evaluate_placement(layout, trace)
-        assert read_amplification(ev) == pytest.approx(
-            1.0 / ev.effective_fraction()
-        )
-
-    def test_undefined_when_nothing_served(self):
-        ev = PlacementEvaluation(
-            num_queries=0, total_reads=0, total_valid=0, total_requested=0
-        )
-        with pytest.raises(ConfigError):
-            read_amplification(ev)
-
-
-class TestCdfHelpers:
-    def test_histogram(self):
-        assert histogram([1, 1, 2, 3, 3, 3]) == {1: 2, 2: 1, 3: 3}
-        assert histogram([]) == {}
-
-    def test_cdf_points(self):
-        points = cdf_points([3.0, 1.0, 2.0, 2.0])
-        assert points == [(1.0, 0.25), (2.0, 0.75), (3.0, 1.0)]
-
-    def test_cdf_points_empty(self):
-        assert cdf_points([]) == []
-
-    def test_cdf_points_single(self):
-        assert cdf_points([5.0]) == [(5.0, 1.0)]

@@ -148,21 +148,6 @@ class TestSimulator:
         with pytest.raises(ServingError):
             simulator.run(stream, offered_qps=100.0, warmup_fraction=1.0)
 
-    def test_latency_curve(self, engine, stream):
-        simulator = OpenLoopSimulator(engine, seed=0)
-        reports = simulator.latency_curve(
-            stream, load_points=(0.1, 0.5), capacity_qps=100_000.0
-        )
-        assert len(reports) == 2
-        assert reports[0].offered_qps < reports[1].offered_qps
-
-    def test_latency_curve_validation(self, engine, stream):
-        simulator = OpenLoopSimulator(engine, seed=0)
-        with pytest.raises(ServingError):
-            simulator.latency_curve(stream, (0.5,), capacity_qps=0.0)
-        with pytest.raises(ServingError):
-            simulator.latency_curve(stream, (0.0,), capacity_qps=1000.0)
-
     def test_maxembed_lowers_tail_latency_under_load(
         self, criteo_small, shp_layout_small, maxembed_layout_small
     ):

@@ -660,14 +660,3 @@ class TestReportAccounting:
         report = completed(*[(0.0, 0.0, 1.0, 0)] * 3)
         assert report.offered_count() == 3
         assert report.completion_rate() == 1.0
-
-    def test_latency_curve_threads_warmup_fraction(self, engine, stream):
-        simulator = OpenLoopSimulator(engine, seed=0)
-        reports = simulator.latency_curve(
-            stream,
-            load_points=(0.1,),
-            capacity_qps=100_000.0,
-            warmup_fraction=0.5,
-        )
-        assert reports[0].num_queries == len(stream) - len(stream) // 2
-        assert reports[0].offered_count() == len(stream) - len(stream) // 2

@@ -17,14 +17,8 @@ from repro.partition import (
     fanout_objective,
     imbalance,
     mean_connectivity,
-    total_connectivity,
 )
-from repro.partition.base import (
-    balanced_sizes,
-    required_clusters,
-    sequential_assignment,
-    validate_against_graph,
-)
+from repro.partition.base import required_clusters, sequential_assignment
 
 
 class TestPartitionResult:
@@ -73,20 +67,6 @@ class TestBaseHelpers:
         with pytest.raises(PartitionError):
             sequential_assignment(10, 2, 3)
 
-    def test_balanced_sizes_sums(self):
-        sizes = balanced_sizes(10, 3)
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_validate_against_graph(self, tiny_graph):
-        result = VanillaPlacement().partition(tiny_graph, 4)
-        assert validate_against_graph(result, tiny_graph) is result
-
-    def test_validate_against_graph_rejects_mismatch(self, tiny_graph):
-        bad = PartitionResult([0, 0], 1, 4)
-        with pytest.raises(PartitionError):
-            validate_against_graph(bad, tiny_graph)
-
     def test_resolve_num_clusters_rejects_too_few(self, tiny_graph):
         with pytest.raises(PartitionError):
             VanillaPlacement().partition(tiny_graph, 4, num_clusters=2)
@@ -99,15 +79,6 @@ class TestMetrics:
         lambdas = edge_connectivities(tiny_graph, assignment)
         assert lambdas[0] == 1  # (0,1,2,3) all in cluster 0
         assert lambdas[6] == 2  # (3,7) straddles clusters 0 and 1
-
-    def test_total_and_fanout_relate(self, tiny_graph):
-        assignment = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
-        total = total_connectivity(tiny_graph, assignment)
-        fanout = fanout_objective(tiny_graph, assignment)
-        weight_sum = sum(
-            tiny_graph.weight(e) for e in range(tiny_graph.num_edges)
-        )
-        assert total - fanout == weight_sum
 
     def test_weighted_objective(self):
         g = Hypergraph(4, [(0, 1), (2, 3)], weights=[5, 1])
@@ -233,4 +204,3 @@ class TestShp:
 
 class TestReferenceShp(TestShp):
     shp = reference.ShpPartitioner
-

@@ -121,7 +121,7 @@ FIELD_STRATEGIES = {
     "profile": st.sampled_from(list(PROFILES.values())),
     "cache_ratio": st.floats(0.0, 1.0, **_FLOATS),
     "cache_policy": st.sampled_from(sorted(CACHE_POLICIES)),
-    "index_limit": _OPTIONAL_INT,
+    "index_limit": st.none() | st.integers(1, 64),
     "executor": st.sampled_from(sorted(EXECUTORS)),
     "threads": st.integers(1, 64),
     "raid_members": st.integers(1, 8),
@@ -261,6 +261,14 @@ class TestConfigRoundTrip:
         data["cost_model"][field] = json.loads(value)
         with pytest.raises(ConfigError, match=field):
             config_from_dict(json.loads(json.dumps(data)))
+
+    def test_index_limit_below_one_is_refused(self):
+        # Refused when the bundle's config is rebuilt, not when the
+        # loaded store first builds its indexes.
+        data = config_to_dict(MaxEmbedConfig())
+        data["index_limit"] = 0
+        with pytest.raises(ConfigError, match="index_limit"):
+            config_from_dict(data)
 
     def test_version_check(self, rich_config):
         data = config_to_dict(rich_config)

@@ -2,53 +2,13 @@
 
 import pytest
 
-from repro import HypergraphError, Query, QueryTrace, WorkloadError
-from repro.hypergraph import (
-    Hypergraph,
-    head_trace,
-    sample_edges,
-    sample_trace,
-)
-
-
-@pytest.fixture
-def graph():
-    return Hypergraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+from repro import Query, QueryTrace, WorkloadError
+from repro.hypergraph import sample_trace
 
 
 @pytest.fixture
 def trace():
     return QueryTrace(10, [Query((k, (k + 1) % 10)) for k in range(10)])
-
-
-class TestSampleEdges:
-    def test_fraction_of_edges(self, graph):
-        sampled = sample_edges(graph, 0.4, seed=0)
-        assert sampled.num_edges == 2
-        assert sampled.num_vertices == graph.num_vertices
-
-    def test_full_fraction_returns_same(self, graph):
-        assert sample_edges(graph, 1.0) is graph
-
-    def test_deterministic(self, graph):
-        a = sample_edges(graph, 0.6, seed=5)
-        b = sample_edges(graph, 0.6, seed=5)
-        assert list(a.edges()) == list(b.edges())
-
-    def test_minimum_one_edge(self, graph):
-        sampled = sample_edges(graph, 0.01, seed=0)
-        assert sampled.num_edges == 1
-
-    def test_rejects_bad_fraction(self, graph):
-        with pytest.raises(HypergraphError):
-            sample_edges(graph, 0.0)
-        with pytest.raises(HypergraphError):
-            sample_edges(graph, 1.5)
-
-    def test_weights_preserved(self):
-        g = Hypergraph(3, [(0, 1), (1, 2)], weights=[5, 7])
-        sampled = sample_edges(g, 0.5, seed=1)
-        assert sampled.weight(0) in (5, 7)
 
 
 class TestSampleTrace:
@@ -69,17 +29,3 @@ class TestSampleTrace:
     def test_rejects_bad_fraction(self, trace):
         with pytest.raises(WorkloadError):
             sample_trace(trace, -0.1)
-
-
-class TestHeadTrace:
-    def test_prefix(self, trace):
-        head = head_trace(trace, 0.2)
-        assert len(head) == 2
-        assert head.queries[0].keys == (0, 1)
-
-    def test_minimum_one(self, trace):
-        assert len(head_trace(trace, 0.001)) == 1
-
-    def test_rejects_bad_fraction(self, trace):
-        with pytest.raises(WorkloadError):
-            head_trace(trace, 0.0)

@@ -172,6 +172,9 @@ class TestEngineConfig:
             {"threads": 0},
             {"raid_members": 0},
             {"cache_ratio": 1.5},
+            {"index_limit": 0},
+            {"index_limit": -3},
+            {"cache_policy": "bogus"},
         ],
     )
     def test_validation(self, kwargs):
@@ -341,10 +344,6 @@ class TestReports:
     def test_cache_hit_rate(self):
         report = self.make_report()
         assert report.cache_hit_rate() == pytest.approx(3 / 6)
-
-    def test_valid_per_read_cdf(self):
-        report = self.make_report()
-        assert report.valid_per_read_cdf() == [(1, 0.5), (2, 1.0)]
 
     def test_mean_valid_per_read(self):
         report = self.make_report()

@@ -1,4 +1,4 @@
-"""Tests for repro.ssd: clock, profiles, page store, device model, RAID."""
+"""Tests for repro.ssd: profiles, page store, device model, RAID."""
 
 import numpy as np
 import pytest
@@ -13,37 +13,13 @@ from repro import (
     SsdProfile,
     StorageError,
 )
-from repro.ssd import GENERIC_NAND, PROFILES, PageStore, Raid0Array, SimClock
+from repro.ssd import GENERIC_NAND, PROFILES, PageStore, Raid0Array
 from repro.ssd.page_store import (
     extract_embedding,
     materialize_layout,
     pack_embeddings,
-    unpack_embeddings,
 )
 from repro.placement import PageLayout
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now == 0.0
-
-    def test_advance(self):
-        clock = SimClock()
-        assert clock.advance(5.0) == 5.0
-        assert clock.now == 5.0
-
-    def test_advance_to_is_monotonic(self):
-        clock = SimClock(10.0)
-        clock.advance_to(5.0)
-        assert clock.now == 10.0
-        clock.advance_to(20.0)
-        assert clock.now == 20.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(StorageError):
-            SimClock(-1.0)
-        with pytest.raises(StorageError):
-            SimClock().advance(-1.0)
 
 
 class TestProfiles:
@@ -133,7 +109,7 @@ class TestPackUnpack:
         spec = EmbeddingSpec(dim=4, page_size=64)
         vectors = np.arange(12, dtype=np.float32).reshape(3, 4)
         payload = pack_embeddings(vectors, spec)
-        out = unpack_embeddings(payload, 3, spec)
+        out = np.frombuffer(payload, dtype=np.float32).reshape(3, 4)
         assert np.array_equal(out, vectors)
 
     def test_pack_rejects_wrong_shape(self):
@@ -145,11 +121,6 @@ class TestPackUnpack:
         spec = EmbeddingSpec(dim=4, page_size=32)  # 2 slots
         with pytest.raises(StorageError):
             pack_embeddings(np.zeros((3, 4), dtype=np.float32), spec)
-
-    def test_unpack_rejects_short_payload(self):
-        spec = EmbeddingSpec(dim=4, page_size=64)
-        with pytest.raises(StorageError):
-            unpack_embeddings(b"\x00" * 8, 2, spec)
 
     def test_extract_embedding(self):
         spec = EmbeddingSpec(dim=2, page_size=32)

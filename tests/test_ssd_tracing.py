@@ -79,41 +79,6 @@ class TestAnalysis:
         assert counts[0] == 3
         assert counts[2] == 1
 
-    def test_hot_page_share(self, traced):
-        self.fill(traced, [0] * 8 + [1, 2])
-        # Hottest 34% of 3 touched pages = 1 page = 8/10 reads.
-        assert traced.hot_page_share(0.34) == pytest.approx(0.8)
-
-    def test_hot_page_share_empty(self, traced):
-        assert traced.hot_page_share(0.5) == 0.0
-
-    def test_hot_page_share_rejects_bad_fraction(self, traced):
-        with pytest.raises(StorageError):
-            traced.hot_page_share(0.0)
-
-    def test_latency_percentiles(self, traced):
-        self.fill(traced, range(4))
-        pct = traced.latency_percentiles((50.0,))
-        assert pct[50.0] >= P5800X.read_latency_us
-
-    def test_latency_percentiles_empty(self, traced):
-        assert traced.latency_percentiles((99.0,)) == {99.0: 0.0}
-
-    def test_queue_depth_timeline(self, traced):
-        # Submit 4 reads at once: the first bucket must see depth 4.
-        for page in range(4):
-            traced.submit_read(page, 0.0)
-        timeline = traced.queue_depth_timeline(bucket_us=100.0)
-        assert timeline[0][1] == 4
-
-    def test_queue_depth_timeline_empty(self, traced):
-        assert traced.queue_depth_timeline() == []
-
-    def test_queue_depth_rejects_bad_bucket(self, traced):
-        traced.submit_read(0, 0.0)
-        with pytest.raises(StorageError):
-            traced.queue_depth_timeline(bucket_us=0.0)
-
     def test_io_record_latency(self):
         record = IoRecord(page_id=1, submitted_at_us=2.0, completed_at_us=9.0)
         assert record.latency_us == pytest.approx(7.0)

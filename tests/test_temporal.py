@@ -1,6 +1,5 @@
 """Tests for repro.workloads.temporal + explicit-arrival open-loop runs."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -12,38 +11,10 @@ from repro import (
     WorkloadError,
 )
 from repro.serving import OpenLoopSimulator
-from repro.workloads import (
-    burst_rate,
-    constant_rate,
-    diurnal_rate,
-    sample_arrivals,
-)
+from repro.workloads import burst_rate, sample_arrivals
 
 
 class TestRateProfiles:
-    def test_constant(self):
-        rate = constant_rate(1000.0)
-        assert rate(0.0) == rate(5e5) == 1000.0
-
-    def test_constant_rejects_bad(self):
-        with pytest.raises(WorkloadError):
-            constant_rate(0.0)
-
-    def test_diurnal_oscillates_around_base(self):
-        rate = diurnal_rate(1000.0, swing=0.5, period_us=1e6)
-        values = [rate(t) for t in np.linspace(0, 1e6, 100)]
-        assert min(values) >= 499.0
-        assert max(values) <= 1501.0
-        assert max(values) > 1400.0  # actually reaches near the peak
-
-    def test_diurnal_validation(self):
-        with pytest.raises(WorkloadError):
-            diurnal_rate(0.0)
-        with pytest.raises(WorkloadError):
-            diurnal_rate(100.0, swing=1.0)
-        with pytest.raises(WorkloadError):
-            diurnal_rate(100.0, period_us=0.0)
-
     def test_burst_window(self):
         rate = burst_rate(
             100.0, burst_factor=4.0, burst_start_us=50.0,
@@ -64,12 +35,12 @@ class TestRateProfiles:
 
 class TestSampleArrivals:
     def test_count_and_monotonicity(self):
-        arrivals = sample_arrivals(constant_rate(10_000.0), 100, 10_000.0, 0)
+        arrivals = sample_arrivals(lambda _t: 10_000.0, 100, 10_000.0, 0)
         assert len(arrivals) == 100
         assert arrivals == sorted(arrivals)
 
     def test_mean_rate_tracks_profile(self):
-        arrivals = sample_arrivals(constant_rate(10_000.0), 2000, 10_000.0, 0)
+        arrivals = sample_arrivals(lambda _t: 10_000.0, 2000, 10_000.0, 0)
         span_s = (arrivals[-1] - arrivals[0]) * 1e-6
         assert 2000 / span_s == pytest.approx(10_000.0, rel=0.15)
 
@@ -84,19 +55,19 @@ class TestSampleArrivals:
         assert inside > 100
 
     def test_deterministic(self):
-        a = sample_arrivals(constant_rate(5000.0), 50, 5000.0, seed=3)
-        b = sample_arrivals(constant_rate(5000.0), 50, 5000.0, seed=3)
+        a = sample_arrivals(lambda _t: 5000.0, 50, 5000.0, seed=3)
+        b = sample_arrivals(lambda _t: 5000.0, 50, 5000.0, seed=3)
         assert a == b
 
     def test_peak_violation_detected(self):
         with pytest.raises(WorkloadError):
-            sample_arrivals(constant_rate(10_000.0), 10, 5000.0, 0)
+            sample_arrivals(lambda _t: 10_000.0, 10, 5000.0, 0)
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
-            sample_arrivals(constant_rate(100.0), 0, 100.0)
+            sample_arrivals(lambda _t: 100.0, 0, 100.0)
         with pytest.raises(WorkloadError):
-            sample_arrivals(constant_rate(100.0), 10, 0.0)
+            sample_arrivals(lambda _t: 100.0, 10, 0.0)
 
 
 class TestRunArrivals:
@@ -124,7 +95,7 @@ class TestRunArrivals:
             )
 
         queries = [Query((k % 8,)) for k in range(300)]
-        flat = sample_arrivals(constant_rate(40_000.0), 300, 40_000.0, 0)
+        flat = sample_arrivals(lambda _t: 40_000.0, 300, 40_000.0, 0)
         bursty_rate = burst_rate(
             30_000.0, burst_factor=8.0, burst_start_us=0.0,
             burst_duration_us=2e3,

@@ -1,11 +1,10 @@
-"""Tests for repro.types: Query, QueryTrace, EmbeddingSpec, ReplicationConfig."""
+"""Tests for repro.types: Query, QueryTrace, EmbeddingSpec."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import ConfigError, EmbeddingSpec, Query, QueryTrace
-from repro.types import ReplicationConfig, as_queries
 
 
 class TestQuery:
@@ -32,9 +31,6 @@ class TestQuery:
         with no repeated key hands out its own ``keys`` tuple."""
         query = Query(tuple(keys))
         assert query.unique_keys() is query.keys
-
-    def test_of_builds_from_iterable(self):
-        assert Query.of(iter([1, 2])).keys == (1, 2)
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -76,21 +72,6 @@ class TestEmbeddingSpec:
     def test_rejects_embedding_larger_than_page(self):
         with pytest.raises(ConfigError):
             EmbeddingSpec(dim=4096, page_size=4096)
-
-
-class TestReplicationConfig:
-    def test_defaults(self):
-        config = ReplicationConfig()
-        assert config.ratio == 0.1
-        assert config.index_limit is None
-
-    def test_rejects_negative_ratio(self):
-        with pytest.raises(ConfigError):
-            ReplicationConfig(ratio=-0.1)
-
-    def test_rejects_zero_index_limit(self):
-        with pytest.raises(ConfigError):
-            ReplicationConfig(index_limit=0)
 
 
 class TestQueryTrace:
@@ -138,8 +119,3 @@ class TestQueryTrace:
             trace.split(0.0)
         with pytest.raises(ConfigError):
             trace.split(1.0)
-
-
-def test_as_queries_converts_sequences():
-    queries = as_queries([[1, 2], (3,)])
-    assert [q.keys for q in queries] == [(1, 2), (3,)]

@@ -1,4 +1,4 @@
-"""Tests for repro.utils: validation, rng, zipf, tables."""
+"""Tests for repro.utils: rng, zipf, tables."""
 
 import numpy as np
 import pytest
@@ -6,46 +6,12 @@ import pytest
 from repro.errors import ConfigError
 from repro.utils import (
     ZipfSampler,
-    check_fraction,
-    check_non_negative,
-    check_positive,
-    check_probability,
-    format_series,
     format_table,
     make_rng,
     spawn_rngs,
     zipf_weights,
 )
 from repro.utils.tables import format_mapping
-
-
-class TestValidation:
-    def test_check_positive_passes_and_returns(self):
-        assert check_positive(3, "x") == 3
-
-    def test_check_positive_rejects_zero(self):
-        with pytest.raises(ConfigError, match="x"):
-            check_positive(0, "x")
-
-    def test_check_non_negative_allows_zero(self):
-        assert check_non_negative(0, "x") == 0
-
-    def test_check_non_negative_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            check_non_negative(-1, "x")
-
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
-    def test_check_fraction_bounds(self, value):
-        assert check_fraction(value, "f") == value
-
-    @pytest.mark.parametrize("value", [-0.01, 1.01])
-    def test_check_fraction_rejects_outside(self, value):
-        with pytest.raises(ConfigError):
-            check_fraction(value, "f")
-
-    def test_check_probability_message_names_parameter(self):
-        with pytest.raises(ConfigError, match="p.*probability"):
-            check_probability(2.0, "p")
 
 
 class TestRng:
@@ -143,15 +109,6 @@ class TestTables:
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
 
-    def test_format_series(self):
-        text = format_series("s", [1, 2], [0.5, 0.25])
-        assert text.startswith("s:")
-        assert "(1, 0.5)" in text
-
-    def test_format_series_rejects_mismatched(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])
-
     def test_format_mapping(self):
         text = format_mapping("title", {"key": 1.5, "other": "x"})
         assert text.splitlines()[0] == "title"
@@ -161,4 +118,3 @@ class TestTables:
         text = format_table(["v"], [[1234.5], [0.1234567], [2.0]])
         assert "1,235" in text or "1,234" in text
         assert "0.1235" in text
-

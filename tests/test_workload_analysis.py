@@ -7,12 +7,9 @@ from repro import Query, QueryTrace, WorkloadError, make_trace
 from repro.workloads.analysis import (
     access_counts,
     coappearance_breadth,
-    cooccurrence_overlap,
     gini_coefficient,
-    popularity_overlap,
     summarize,
     top_share,
-    working_set_curve,
 )
 
 
@@ -63,21 +60,6 @@ class TestSkewMetrics:
         assert gini_coefficient(QueryTrace(4)) == 0.0
 
 
-class TestWorkingSet:
-    def test_curve_monotone_and_complete(self, skewed_trace):
-        curve = working_set_curve(skewed_trace, points=3)
-        sizes = [s for _, s in curve]
-        assert sizes == sorted(sizes)
-        assert curve[-1] == (9, 10)
-
-    def test_curve_empty_trace(self):
-        assert working_set_curve(QueryTrace(4)) == []
-
-    def test_curve_rejects_bad_points(self, skewed_trace):
-        with pytest.raises(WorkloadError):
-            working_set_curve(skewed_trace, points=0)
-
-
 class TestBreadth:
     def test_breadth_report_fields(self):
         trace, _ = make_trace("criteo", scale="small", seed=1)
@@ -95,35 +77,6 @@ class TestBreadth:
     def test_rejects_bad_capacity(self, skewed_trace):
         with pytest.raises(WorkloadError):
             coappearance_breadth(skewed_trace, page_capacity=0)
-
-
-class TestDriftMetrics:
-    def test_identical_windows_overlap_fully(self):
-        trace, _ = make_trace("criteo", scale="small", seed=1)
-        assert popularity_overlap(trace, trace) == pytest.approx(1.0)
-        assert cooccurrence_overlap(trace, trace) == pytest.approx(1.0)
-
-    def test_different_seeds_drift(self):
-        a, _ = make_trace("criteo", scale="small", seed=1)
-        b, _ = make_trace("criteo", scale="small", seed=99)
-        assert popularity_overlap(a, b) < 1.0
-        assert cooccurrence_overlap(a, b) < 0.8
-
-    def test_same_workload_windows_are_stable(self):
-        trace, _ = make_trace("criteo", scale="small", seed=1)
-        first, second = trace.split(0.5)
-        # Two windows of the same stationary workload stay correlated.
-        assert popularity_overlap(first, second) > popularity_overlap(
-            first, make_trace("criteo", scale="small", seed=99)[0]
-        )
-
-    def test_mismatched_key_spaces_rejected(self):
-        a = QueryTrace(4, [Query((0,))])
-        b = QueryTrace(5, [Query((0,))])
-        with pytest.raises(WorkloadError):
-            popularity_overlap(a, b)
-        with pytest.raises(WorkloadError):
-            cooccurrence_overlap(a, b)
 
 
 class TestSummary:
