@@ -28,9 +28,15 @@ docs diagram as *gateway → admission → coalescer → engine*:
    are then served member-by-member, because degraded shedding must be
    attributed to individual requests).
 
+One record per request: ``offer`` checks the keys (the only check they
+get), makes the request's :class:`ServeOutcome`, and that object is what
+the admission queue holds, what the flush fills in from the engine's
+result and what ``reply`` receives — no queue entry, pending record or
+per-batch result object beside it.
+
 One thread, one flush per loop tick: everything runs on the event loop's
 thread — no dispatcher task, no serve thread.  ``offer`` queues its
-entry and schedules :meth:`GatewayCore._flush` once per tick
+outcome and schedules :meth:`GatewayCore._flush` once per tick
 (``loop.call_soon``, de-duplicated by a flag), so one tick's arrivals
 meet the admission policy and then flush together; the flush calls the
 engine inline and — unpaced — records the batch and calls each member's
@@ -62,17 +68,15 @@ request is exactly one of *completed*, *shed* (quota / admission policy
 from __future__ import annotations
 
 import asyncio
-import json
-import time
-from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from time import monotonic
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..errors import ServingError
+from ..errors import ConfigError, ServingError
 from ..overload import (
     AdmissionQueue,
     BrownoutController,
-    QueueEntry,
     default_ladder,
     engine_hotness,
 )
@@ -94,24 +98,28 @@ class WallClock:
     """Monotonic wall clock in microseconds since construction."""
 
     def __init__(self) -> None:
-        self._t0 = time.monotonic()
+        self._t0 = monotonic()
 
     def now_us(self) -> float:
         """Microseconds elapsed since the clock was created."""
-        return (time.monotonic() - self._t0) * 1e6
+        return (monotonic() - self._t0) * 1e6
 
 
-@dataclass
+@dataclass(init=False)
 class ServeOutcome:
-    """What one submitted request got back from the gateway.
+    """One request's record, from :meth:`GatewayCore.offer` to its reply.
 
-    ``status`` is ``ok`` (served), ``shed`` (rejected by quota, an
-    admission policy, or drain — ``shed_reason`` names which), or
-    ``miss`` (admitted but dropped at dispatch because its queue wait
-    blew the deadline).
+    The admission queue holds it while it waits (it carries the
+    ``arrival_us`` and ``priority`` an
+    :class:`~repro.overload.AdmissionQueue` reads), the flush fills in
+    what the engine did, and ``reply`` receives it.  ``status`` is ``ok``
+    (served), ``shed`` (rejected by quota, an admission policy, or drain
+    — ``shed_reason`` names which), or ``miss`` (admitted but dropped at
+    dispatch because its queue wait blew the deadline); ``queued`` until
+    then, which is what keeps a request from being answered twice.
     """
 
-    status: str
+    status: str = "queued"
     tenant: str
     keys: Tuple[int, ...]
     arrival_us: float
@@ -123,6 +131,25 @@ class ServeOutcome:
     shed_reason: Optional[str] = None
     coalesced: int = 1
     batch_pages_read: int = 0
+    #: Admission priority (read by the ``priority`` shed policy only).
+    priority: float = field(default=0.0, repr=False, compare=False)
+    #: Called with this outcome once it leaves ``queued``.
+    reply: Optional[Callable[["ServeOutcome"], None]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __init__(
+        self,
+        tenant: str,
+        keys: Tuple[int, ...],
+        arrival_us: float,
+        reply: Optional[Callable[["ServeOutcome"], None]],
+    ) -> None:
+        # Every other field keeps its class default until resolution.
+        self.tenant = tenant
+        self.keys = keys
+        self.arrival_us = arrival_us
+        self.reply = reply
 
     @property
     def ok(self) -> bool:
@@ -161,60 +188,6 @@ class ServeOutcome:
         else:
             body["reason"] = self.shed_reason
         return body
-
-    def json_line(self) -> bytes:
-        """:meth:`payload` encoded as one JSON line.
-
-        Byte-identical to ``json.dumps(self.payload(), sort_keys=True) +
-        "\\n"``.  A served outcome — the single-query HTTP reply on the
-        hot path — is formatted without the dict: the fields in sorted
-        order, and the keys as a list repr, which is their JSON when they
-        are exact ``int`` (the only keys the HTTP layer admits).
-        ``json.dumps`` spends most of its time on the key list; the A/B
-        is in EXPERIMENTS.md.  A field added to :meth:`payload` must be
-        added here too: ``tests/test_service_http.py::TestSingleQueryReply``
-        compares the two encodings byte for byte.
-        """
-        if not self.ok:
-            return (json.dumps(self.payload(), sort_keys=True) + "\n").encode()
-        return (
-            '{"batch_pages_read": %d, "coalesced": %d, "degrade_level": %d, '
-            '"keys": %r, "latency_us": %r, "missing": %d, "served": %d, '
-            '"status": "ok", "tenant": %s}\n'
-            % (
-                self.batch_pages_read,
-                self.coalesced,
-                self.degrade_level,
-                list(self.keys),
-                round(self.finish_us - self.arrival_us, 3),
-                self.missing,
-                self.served,
-                encode_basestring_ascii(self.tenant),
-            )
-        ).encode()
-
-
-@dataclass
-class _Pending:
-    """Book-keeping for one admitted-but-unfinished request."""
-
-    entry: QueueEntry
-    tenant: str
-    reply: Callable[[ServeOutcome], None]
-
-
-@dataclass
-class _BatchServed:
-    """What the engine returned for one flushed batch (pure data)."""
-
-    #: (entry, requested keys, missing keys, engine result) per served
-    #: member; a member whose engine call raised is shed, not listed.
-    members: List[Tuple[QueueEntry, int, int, QueryResult]]
-    query_results: List[QueryResult]
-    finish_us: float
-    pages_read: int
-    duplicate_keys: int = 0
-    unattributed_missing: int = 0
 
 
 class GatewayCore:
@@ -285,8 +258,12 @@ class GatewayCore:
         # device is shared mutable state and serve_trace's model is
         # simulated workers over one real thread — the gateway keeps that
         # contract, overlapping batches only in (paced) completion.
-        self._pending: Dict[int, _Pending] = {}
-        self._seq = 0
+        coalescer = self.config.coalescer
+        self._batch_limit = coalescer.max_batch if coalescer.enabled else 1
+        admission = self.config.admission
+        self._deadline_us = (
+            admission.queue_deadline_us if admission is not None else None
+        )
         # Two reports accumulate at completion, never a record per
         # request: one per request (what was offered, shed and missed
         # too), one per engine call (what the device did).
@@ -295,7 +272,9 @@ class GatewayCore:
         self._engine_calls = ServingReport(
             spec.page_size, spec.embedding_bytes
         )
-        self._batch_log: List[Tuple[str, int]] = []
+        self._batch_log: Deque[Tuple[str, int]] = deque(
+            maxlen=BATCH_LOG_LIMIT
+        )
         self._batches = 0
         self._batch_errors: List[str] = []
         self._batch_errors_total = 0
@@ -345,8 +324,8 @@ class GatewayCore:
             self.refresh.pause()
             self.refresh.stop()
         self._cancel_max_wait()
-        for entry in self.queue.drain():
-            self._resolve_shed(entry, SHED_DRAIN)
+        for outcome in self.queue.drain():
+            self._shed(outcome, SHED_DRAIN)
         if self._batch_tasks:
             await asyncio.wait(
                 set(self._batch_tasks), timeout=self.config.drain_timeout_s
@@ -395,7 +374,9 @@ class GatewayCore:
                 future.set_result(outcome)
 
         self.offer(keys, tenant, resolve)
-        return await future
+        outcome = await future
+        outcome.reply = None  # no cycle outcome -> resolve -> future
+        return outcome
 
     def offer(
         self,
@@ -408,106 +389,60 @@ class GatewayCore:
         Synchronous: a request shed on arrival (drain, quota, admission)
         is answered before ``offer`` returns; an admitted one is answered
         from the loop tick's flush, once its batch is served.  Raises
-        :class:`~repro.errors.ConfigError` for malformed keys (the HTTP
-        layer maps that to 400) before anything is counted.
+        :class:`~repro.errors.ConfigError` for an empty key list or a
+        negative key (the HTTP layer maps that to 400) before anything is
+        counted.  The keys are checked here and nowhere after.
         """
         loop = self._loop
         if loop is None:
             raise ServingError("gateway not started; call start() first")
-        query = Query(tuple(keys))
+        keys = tuple(keys)
+        if not keys:
+            raise ConfigError("a query must contain at least one key")
+        if min(keys) < 0:
+            raise ConfigError("keys must be non-negative integers")
         now = self.clock.now_us()
         self._requests.offered += 1
+        outcome = ServeOutcome(tenant, keys, now, reply)
         if self._draining:
-            reply(self._immediate_shed(query, tenant, now, SHED_DRAIN))
+            self._shed(outcome, SHED_DRAIN)
             return
-        bucket = self._buckets.get(tenant)
-        if bucket is not None and not bucket.try_take(now):
-            reply(self._immediate_shed(query, tenant, now, SHED_QUOTA))
-            return
-        priority = self.config.tenant(tenant).priority
+        if self._buckets:
+            bucket = self._buckets.get(tenant)
+            if bucket is not None and not bucket.try_take(now):
+                self._shed(outcome, SHED_QUOTA)
+                return
         if self._hotness is not None:
             # Tenant priority breaks ties between tenants; query hotness
             # (mean replica count) orders requests within one.
-            priority += self._hotness(query)
-        self._seq += 1
-        entry = QueueEntry(
-            arrival_us=now, index=self._seq, query=query, priority=priority
-        )
-        self._pending[entry.index] = _Pending(entry, tenant, reply)
-        for victim, reason in self.queue.offer(entry, now):
-            self._resolve_shed(victim, reason)
+            outcome.priority = self.config.tenant(
+                tenant
+            ).priority + self._hotness(Query(keys))
+        for victim, reason in self.queue.offer(outcome, now):
+            self._shed(victim, reason)
         if not self._flush_scheduled:
             # One flush per loop tick: every arrival of this tick is in
             # the queue (and has met the admission policy) when it runs.
             self._flush_scheduled = True
             loop.call_soon(self._flush)
 
-    def _count_shed(self, reason: str) -> None:
-        shed = self._requests.shed
-        shed[reason] = shed.get(reason, 0) + 1
-
-    def _immediate_shed(
-        self, query: Query, tenant: str, now: float, reason: str
-    ) -> ServeOutcome:
-        self._count_shed(reason)
-        return ServeOutcome(
-            status="shed",
-            tenant=tenant,
-            keys=query.keys,
-            arrival_us=now,
-            shed_reason=reason,
-        )
-
-    def _resolve_shed(
-        self, entry: QueueEntry, reason: str, status: str = "shed"
+    def _shed(
+        self, outcome: ServeOutcome, reason: str, status: str = "shed"
     ) -> None:
-        """Resolve a queued request as shed (or, ``miss``, deadline-missed)."""
-        pending = self._pending.pop(entry.index, None)
-        if pending is None:
+        """Answer a request as shed (or, ``miss``, deadline-missed) —
+        unless it has been answered already."""
+        if outcome.status != "queued":
             return
         if status == "miss":
             self._requests.deadline_misses += 1
         else:
-            self._count_shed(reason)
-        outcome = ServeOutcome(
-            status=status,
-            tenant=pending.tenant,
-            keys=entry.query.keys,
-            arrival_us=entry.arrival_us,
-            shed_reason=reason,
-        )
-        pending.reply(outcome)
+            shed = self._requests.shed
+            shed[reason] = shed.get(reason, 0) + 1
+        outcome.status = status
+        outcome.shed_reason = reason
+        outcome.reply(outcome)
 
     # -- dispatcher ------------------------------------------------------------
-
-    def _tenant_of(self, entry: QueueEntry) -> str:
-        pending = self._pending.get(entry.index)
-        return pending.tenant if pending is not None else "default"
-
-    def _take_batch(self, now: float) -> List[QueueEntry]:
-        """Pop the head run of same-tenant entries, up to ``max_batch``.
-
-        The caller has just expired the queue at ``now`` and found a head,
-        so the batch is never empty.
-        """
-        tenant = self._tenant_of(self.queue.peek())
-        limit = (
-            self.config.coalescer.max_batch
-            if self.config.coalescer.enabled
-            else 1
-        )
-        batch: List[QueueEntry] = []
-        while len(batch) < limit:
-            head = self.queue.peek()
-            if head is None or self._tenant_of(head) != tenant:
-                break
-            entry, skipped = self.queue.take(now)
-            for missed in skipped:
-                self._resolve_shed(missed, "deadline-miss", status="miss")
-            if entry is None:
-                break
-            batch.append(entry)
-        return batch
 
     def _cancel_max_wait(self) -> None:
         if self._max_wait_timer is not None:
@@ -517,58 +452,78 @@ class GatewayCore:
     def _flush(self) -> None:
         """Drain the admission queue into coalesced batches, synchronously.
 
-        Runs once per loop tick that saw a ``submit``, when the
+        A batch is the run of the head's tenant, up to ``max_batch``.
+        Runs once per loop tick that saw an ``offer``, when the
         ``max_wait_us`` timer fires and when a paced batch completes.
         """
         self._flush_scheduled = False
-        self._cancel_max_wait()
+        if self._max_wait_timer is not None:
+            self._cancel_max_wait()
         coalescer = self.config.coalescer
         slots = self.config.max_concurrent_batches
+        limit = self._batch_limit
         queue = self.queue
-        while len(queue) and self._in_flight < slots:
-            now = self.clock.now_us()
-            for missed in queue.expire(now):
-                self._resolve_shed(missed, "deadline-miss", status="miss")
+        deadline = self._deadline_us
+        while self._in_flight < slots:
             head = queue.peek()
             if head is None:
                 break
-            ready = (
-                not coalescer.enabled
-                or len(queue) >= coalescer.max_batch
-                or now - head.arrival_us >= coalescer.max_wait_us
+            now = self.clock.now_us()
+            if deadline is not None:
+                for missed in queue.expire(now):
+                    self._shed(missed, "deadline-miss", status="miss")
+                head = queue.peek()
+                if head is None:
+                    break
+            if not (
                 # Idle bypass: with nothing in flight, waiting to
                 # coalesce would only manufacture latency.
-                or self._in_flight == 0
-            )
-            if not ready:
+                self._in_flight == 0
+                or not coalescer.enabled
+                or len(queue) >= coalescer.max_batch
+                or now - head.arrival_us >= coalescer.max_wait_us
+            ):
                 wait_us = head.arrival_us + coalescer.max_wait_us - now
                 self._max_wait_timer = self._loop.call_later(
                     wait_us * 1e-6, self._flush
                 )
                 break
-            self._dispatch(self._take_batch(now), now)
+            tenant = head.tenant
+            batch: List[ServeOutcome] = []
+            while head is not None and head.tenant == tenant:
+                entry, skipped = queue.take(now)
+                for missed in skipped:
+                    self._shed(missed, "deadline-miss", status="miss")
+                if entry is None:
+                    break
+                batch.append(entry)
+                if len(batch) == limit:
+                    break
+                head = queue.peek()
+            self._dispatch(batch, now)
 
     # -- batch execution -------------------------------------------------------
 
-    def _shed_error(self, batch: List[QueueEntry], exc: Exception) -> None:
-        """Resolve ``batch`` as shed("error") and keep ``exc`` for /metrics.
+    def _shed_error(self, batch: List[ServeOutcome], exc: Exception) -> None:
+        """Answer ``batch`` as shed("error") and keep ``exc`` for /metrics.
 
         A request must never wedge its submitter: an engine error becomes
         a 503 instead of a hung connection, and the accounting invariant
         (offered == completed + shed + missed) holds.  The error is kept
         rather than re-raised — nothing awaits a flush.
         """
-        for entry in batch:
-            self._resolve_shed(entry, "error")
+        for outcome in batch:
+            self._shed(outcome, "error")
         self._batch_errors_total += 1
         self._last_batch_error = f"{type(exc).__name__}: {exc}"
         if len(self._batch_errors) < 16:
             self._batch_errors.append(self._last_batch_error)
 
     def _serve_merged(
-        self, batch: List[QueueEntry], start_us: float
-    ) -> _BatchServed:
-        """One engine query over the batch's deduplicated key union.
+        self, batch: List[ServeOutcome], start_us: float
+    ) -> Tuple[List[QueryResult], int]:
+        """One engine query over the batch's deduplicated key union ->
+        (engine results, duplicate keys merged away).
 
         Overlapping keys across the batch's members are read once — the
         shared-page-read path.  Only used when per-request loss
@@ -578,28 +533,25 @@ class GatewayCore:
         ``unattributed_missing`` rather than silently dropped.
         """
         union: Dict[int, None] = {}
-        requested: List[int] = []
-        for entry in batch:
-            member_keys = dict.fromkeys(entry.query.keys)
-            requested.append(len(member_keys))
-            union.update(member_keys)
+        requested = 0
+        for outcome in batch:
+            keys = dict.fromkeys(outcome.keys)
+            outcome.served = served = len(keys)
+            requested += served
+            union.update(keys)
         result = self.engine.serve_query(Query(tuple(union)), start_us)
-        return _BatchServed(
-            members=[
-                (entry, keys, 0, result)
-                for entry, keys in zip(batch, requested)
-            ],
-            query_results=[result],
-            finish_us=result.finish_us,
-            pages_read=result.pages_read,
-            duplicate_keys=sum(requested) - len(union),
-            unattributed_missing=result.missing_keys,
-        )
+        finish_us = result.finish_us
+        level = result.degrade_level
+        for outcome in batch:
+            outcome.finish_us = finish_us
+            outcome.degrade_level = level
+        return [result], requested - len(union)
 
     def _serve_each(
-        self, batch: List[QueueEntry], start_us: float, degrade
-    ) -> _BatchServed:
-        """Serve batch members individually (exact per-request results).
+        self, batch: List[ServeOutcome], start_us: float, degrade
+    ) -> Tuple[List[ServeOutcome], List[QueryResult]]:
+        """Serve batch members individually (exact per-request results)
+        -> (members served, engine results).
 
         Used when a degradation rung is active or the engine can lose
         keys (faults / breakers / shard deadlines): shed and missing
@@ -608,134 +560,134 @@ class GatewayCore:
         else.  Members share the batch's dispatch time, mirroring
         ``serve_trace``'s simulated worker model.
         """
-        served = _BatchServed([], [], finish_us=start_us, pages_read=0)
-        for entry in batch:
+        members: List[ServeOutcome] = []
+        results: List[QueryResult] = []
+        for outcome in batch:
+            query = Query(outcome.keys)
             try:
-                result = self.engine.serve_query(
-                    entry.query, start_us, degrade
-                )
+                result = self.engine.serve_query(query, start_us, degrade)
             except Exception as exc:
-                self._shed_error([entry], exc)
+                outcome.served = 0  # a failed merged attempt counted it
+                self._shed_error([outcome], exc)
                 continue
-            requested = len(entry.query.unique_keys())
-            served.members.append(
-                (entry, requested, result.missing_keys, result)
-            )
-            served.query_results.append(result)
-            served.finish_us = max(served.finish_us, result.finish_us)
-            served.pages_read += result.pages_read
-        return served
+            missing = result.missing_keys
+            outcome.served = len(query.unique_keys()) - missing
+            outcome.missing = missing
+            outcome.finish_us = result.finish_us
+            outcome.degrade_level = result.degrade_level
+            members.append(outcome)
+            results.append(result)
+        return members, results
 
-    def _dispatch(self, batch: List[QueueEntry], start_us: float) -> None:
+    def _dispatch(self, batch: List[ServeOutcome], start_us: float) -> None:
         """Serve ``batch`` on this thread; complete it now or after pacing."""
-        tenant = self._tenant_of(batch[0])
+        size = len(batch)
         degrade = None
         if self.controller is not None and self.controller.level > 0:
             degrade = self.ladder.level(self.controller.level)
-        served = None
-        if (
-            self.config.coalescer.enabled
-            and degrade is None
-            and not self._exact_per_query
-            and len(batch) > 1
-        ):
+        duplicates = None
+        if degrade is None and not self._exact_per_query and size > 1:
             try:
-                served = self._serve_merged(batch, start_us)
+                results, duplicates = self._serve_merged(batch, start_us)
                 self._merged_batches += 1
             except Exception:
                 # One member's keys broke the union; serving each member
                 # alone lands the error on its owner.
                 pass
-        if served is None:
-            served = self._serve_each(batch, start_us, degrade)
-        if not served.members:
-            return  # every member raised and is already shed
+        if duplicates is None:
+            batch, results = self._serve_each(batch, start_us, degrade)
+            if not batch:
+                return  # every member raised and is already shed
         if self.config.pace_service:
             self._in_flight += 1
             task = self._loop.create_task(
-                self._complete_paced(tenant, len(batch), served, start_us)
+                self._complete_paced(batch, results, duplicates, start_us, size)
             )
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
-        else:
-            self._complete(tenant, len(batch), served, start_us)
+            return
+        try:
+            self._record_batch(batch, results, duplicates, start_us, size)
+        except Exception as exc:
+            self._shed_error(batch, exc)
 
     async def _complete_paced(
-        self, tenant: str, size: int, served: _BatchServed, start_us: float
+        self,
+        batch: List[ServeOutcome],
+        results: List[QueryResult],
+        duplicates: Optional[int],
+        start_us: float,
+        size: int,
     ) -> None:
         """Sleep the batch's simulated service time, then complete it."""
         try:
+            finish_us = max(outcome.finish_us for outcome in batch)
             await asyncio.sleep(
-                (served.finish_us - start_us) * self.config.time_scale * 1e-6
+                (finish_us - start_us) * self.config.time_scale * 1e-6
             )
-            self._complete(tenant, size, served, start_us)
+            try:
+                self._record_batch(
+                    batch, results, duplicates, start_us, size
+                )
+            except Exception as exc:
+                self._shed_error(batch, exc)
         finally:
             self._in_flight -= 1
         self._flush()
 
-    def _complete(
-        self, tenant: str, size: int, served: _BatchServed, start_us: float
-    ) -> None:
-        """Record a served batch; a failure there sheds its members."""
-        try:
-            self._record_batch(tenant, size, served, start_us)
-        except Exception as exc:
-            self._shed_error([member[0] for member in served.members], exc)
-
     def _record_batch(
-        self, tenant: str, size: int, served: _BatchServed, start_us: float
+        self,
+        batch: List[ServeOutcome],
+        results: List[QueryResult],
+        duplicates: Optional[int],
+        start_us: float,
+        size: int,
     ) -> None:
-        """Account one served batch and reply to each of its members."""
+        """Account one served batch and reply to each of its members.
+
+        ``duplicates`` is None when the members were served one by one
+        (one engine result each), else the keys the merged union saved.
+        A failure here sheds the members not yet answered (the callers'
+        ``_shed_error``).
+        """
         self._batches += 1
         self._coalesced_queries += size
-        self._duplicate_keys_merged += served.duplicate_keys
-        self._unattributed_missing += served.unattributed_missing
-        if len(self._batch_log) < BATCH_LOG_LIMIT:
-            self._batch_log.append((tenant, size))
+        if duplicates is not None:
+            self._duplicate_keys_merged += duplicates
+            self._unattributed_missing += results[0].missing_keys
+        self._batch_log.append((batch[0].tenant, size))
         add_call = self._engine_calls.add
-        for result in served.query_results:
+        pages_read = 0
+        for result in results:
             add_call(result, result.start_us)
+            pages_read += result.pages_read
         if self.refresh is not None:
             # Completed requests are the drift evidence: the daemon's
             # window sees exactly what the engine actually served.
-            self.refresh.observe_many(
-                member[0].query for member in served.members
-            )
-        depth = self.queue.depth
+            self.refresh.observe_many(Query(o.keys) for o in batch)
         controller = self.controller
-        pages_read = served.pages_read
+        if controller is not None:
+            depth = self.queue.depth
         add_request = self._requests.add_request
-        for entry, requested, missing, result in served.members:
-            arrival_us = entry.arrival_us
-            finish_us = result.finish_us
+        for outcome in batch:
+            arrival_us = outcome.arrival_us
+            finish_us = outcome.finish_us
+            missing = outcome.missing
             if controller is not None:
                 controller.observe(finish_us - arrival_us, depth, start_us)
             add_request(
                 arrival_us,
                 start_us,
                 finish_us,
-                requested,
+                outcome.served + missing,
                 missing,
-                result.degrade_level,
+                outcome.degrade_level,
             )
-            pending = self._pending.pop(entry.index, None)
-            if pending is None:
-                continue
-            pending.reply(
-                ServeOutcome(
-                    status="ok",
-                    tenant=pending.tenant,
-                    keys=entry.query.keys,
-                    arrival_us=arrival_us,
-                    served=requested - missing,
-                    missing=missing,
-                    degrade_level=result.degrade_level,
-                    start_us=start_us,
-                    finish_us=finish_us,
-                    coalesced=size,
-                    batch_pages_read=pages_read,
-                )
-            )
+            outcome.status = "ok"
+            outcome.start_us = start_us
+            outcome.coalesced = size
+            outcome.batch_pages_read = pages_read
+            outcome.reply(outcome)
 
     # -- introspection ---------------------------------------------------------
 

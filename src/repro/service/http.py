@@ -26,28 +26,37 @@ POST      /refresh    trigger one watch→repair iteration now (off the
 POST      /drain      begin graceful drain (also triggered by SIGTERM)
 ========  ==========  ====================================================
 
-One callback from request bytes to reply bytes: ``data_received`` parses
+One callback from request bytes to reply bytes: ``data_received`` frames
 every complete request out of the connection's buffer, and a
 single-query ``POST /query`` goes straight to the synchronous
 :meth:`GatewayCore.offer <repro.service.GatewayCore.offer>` with the
 connection's reply callable, which the gateway's per-tick flush calls to
-write the encoded reply to the transport — no stream reader, coroutine,
-task or future per request.  The routes that must await (a batch, a
-streamed batch, the ``/refresh`` trigger) run as one task whose writes
-go to the same transport.  A connection parses nothing further until
-its current reply is written, so pipelined requests are answered in
-order, and it stops reading while a reply is pending and its buffer
-holds more than one largest request.
+write the reply to the transport — no stream reader, coroutine, task or
+future per request.  On that path each step is done once: a head is
+framed by one scan for a refused framing field and one for the
+``Content-Length``; the body is scanned as one UTF-8 JSON value
+(``json.loads`` itself reads any other body); the key list's types are
+checked here and its sign by ``offer``; and the reply, head and body,
+is formatted as one str and encoded once.  The routes that must await
+(a batch, a streamed batch, the ``/refresh`` trigger) run as one task
+whose writes go to the same transport.  A connection parses nothing
+further until its current reply is written, so pipelined requests are
+answered in order, and it stops reading while a reply is pending and its
+buffer holds more than one largest request.
 
 Backpressure maps straight off the gateway outcome: quota sheds are 429,
 admission-policy sheds / deadline misses / drain are 503, each carrying
 its shed reason so clients can distinguish "you specifically are over
-quota" from "the service is hot".  Malformed requests are 400 and are
-*not* offered to the gateway — they never touch the accounting.  A
+quota" from "the service is hot".  Malformed requests — a body
+``json.loads`` cannot read, whatever its error, included — are 400 and
+are *not* offered to the gateway: they never touch the accounting.  A
 request the server cannot frame — a malformed request line or
-``Content-Length``, an oversized head or body, or any
-``Transfer-Encoding`` (501: a body must come with a ``Content-Length``)
-— is answered with ``Connection: close``, and the connection closes.
+``Content-Length``, two different ``Content-Length`` values, one with
+whitespace before its colon or obs-folded (RFC 9112 §5.1, §5.2, §6.3:
+the forms a proxy may read differently), an oversized head or body, or
+any ``Transfer-Encoding`` (501: a body must come with a
+``Content-Length``) — is answered with ``Connection: close``, and the
+connection closes.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ import asyncio
 import json
 import re
 import signal
+from json.encoder import encode_basestring_ascii
 from typing import Awaitable, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
@@ -71,13 +81,42 @@ MAX_HEAD_BYTES = 64 * 1024
 #: more than one largest request.
 _BUFFER_LIMIT = MAX_HEAD_BYTES + MAX_BODY_BYTES
 
-#: A ``Content-Length`` header line inside a request head.
+#: A well-formed ``Content-Length`` header line inside a request head.
+#: The value is captured without the ASCII whitespace around it.
 _CONTENT_LENGTH = re.compile(
-    rb"\r\n[ \t]*content-length[ \t]*:([^\r\n]*)", re.IGNORECASE
+    rb"\r\ncontent-length:[ \t\v\f]*([^\r\n]*?)[ \t\v\f]*(?=\r\n)",
+    re.IGNORECASE,
 )
-#: A ``Transfer-Encoding`` header line inside a request head.
-_TRANSFER_ENCODING = re.compile(
-    rb"\r\n[ \t]*transfer-encoding[ \t]*:", re.IGNORECASE
+#: A header line the server refuses to frame a request by: any
+#: ``Transfer-Encoding`` (group 1), and the ``Content-Length`` forms RFC
+#: 9112 §5.1/§5.2 make a server reject because proxies may read them
+#: differently — whitespace before the colon, and an obs-folded line
+#: (one starting with whitespace, or continued by one).
+_UNFRAMEABLE = re.compile(
+    rb"\r\n(?:[ \t]*(transfer-encoding)[ \t]*:"
+    rb"|[ \t]+content-length[ \t]*:"
+    rb"|content-length[ \t]+:"
+    rb"|content-length:[^\r\n]*\r\n[ \t])",
+    re.IGNORECASE,
+)
+
+#: ``json.loads``' own scanner: the JSON value at an index of a str.
+_SCAN_JSON = json.JSONDecoder().scan_once
+#: The key types a valid key list holds (``json`` yields exact ints).
+_INT_KEYS = {int}
+
+#: A served single query's reply: the head, then the body as
+#: ``json.dumps(outcome.payload(), sort_keys=True) + "\n"`` writes it.
+#: The body is ASCII (the tenant is escaped the way ``json`` escapes
+#: it), so its length in characters is its ``Content-Length``.
+_SERVED_REPLY = (
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    "Content-Length: %d\r\nConnection: keep-alive\r\n\r\n%s"
+)
+_SERVED_BODY = (
+    '{"batch_pages_read": %d, "coalesced": %d, "degrade_level": %d, '
+    '"keys": [%s], "latency_us": %r, "missing": %d, "served": %d, '
+    '"status": "ok", "tenant": %s}\n'
 )
 
 _REASONS = {
@@ -134,6 +173,41 @@ def _error_response(exc: HttpError, close: bool = False) -> bytes:
     )
 
 
+def _json_body(body: bytes) -> object:
+    """``json.loads(body or b"{}")``, any error a 400.
+
+    A UTF-8 body that is one JSON value and nothing else, what clients
+    send, is scanned directly; ``json.loads`` reads every other body, so
+    the same bodies are accepted with the same errors.  A body the scan
+    takes whole reads the same under ``json.loads``' encoding detection:
+    that picks another codec only for a byte-order mark or a NUL byte,
+    and no JSON text holds either.
+    """
+    try:
+        text = body.decode("utf-8", "surrogatepass")
+        value, end = _SCAN_JSON(text, 0)
+        if end == len(text):
+            return value
+    except (ValueError, StopIteration, RecursionError):
+        pass  # json.loads says what is wrong with it
+    try:
+        return json.loads(body or b"{}")
+    except (ValueError, RecursionError) as exc:
+        # Not only JSONDecodeError: an undecodable body raises
+        # UnicodeDecodeError, a deeply nested one RecursionError.
+        raise HttpError(400, f"invalid JSON body: {exc}") from None
+
+
+def _key_list(raw: object) -> list:
+    """``raw`` if it is a non-empty list of ``int`` keys, else a 400
+    (their sign is :meth:`GatewayCore.offer`'s check)."""
+    if not isinstance(raw, list) or not raw:
+        raise HttpError(400, "each query needs a non-empty key list")
+    if set(map(type, raw)) != _INT_KEYS:
+        raise HttpError(400, "keys must be non-negative integers")
+    return raw
+
+
 def _chunk(data: bytes) -> bytes:
     return f"{len(data):x}\r\n".encode() + data + b"\r\n"
 
@@ -159,7 +233,6 @@ class _Connection(asyncio.Protocol):
         #: The buffered head, once framed: see :meth:`_frame`.
         self._framed: Optional[Tuple[int, int, str, str, str]] = None
         self.busy = False
-        self._parsing = False
         self._eof = False
         self._reading_paused = False
         self._writing_paused = False
@@ -218,41 +291,83 @@ class _Connection(asyncio.Protocol):
     def send(self, data: bytes) -> None:
         """Write the last bytes of the current reply; the connection is
         free for its next request."""
-        self.write(data)
+        transport = self.transport
+        if not transport.is_closing():
+            transport.write(data)
         self.busy = False
-        if (
-            not self._parsing
-            and (self.buffer or self._eof)
-            and not self.transport.is_closing()
-        ):
+        if (self.buffer or self._eof) and not transport.is_closing():
             # Taken up on the next turn, never from inside the flush that
             # is replying (a pipelined request must not join its batch).
             asyncio.get_running_loop().call_soon(self._parse)
 
     def reply(self, outcome: ServeOutcome) -> None:
-        """The reply callable handed to :meth:`GatewayCore.offer`."""
-        self.send(_response(outcome.http_status(), outcome.json_line()))
+        """The reply callable handed to :meth:`GatewayCore.offer`: the
+        whole reply formatted as one str and encoded once."""
+        if outcome.status != "ok":
+            body = _json_bytes(outcome.payload())
+            self.send(_response(outcome.http_status(), body))
+            return
+        keys = outcome.keys
+        body = _SERVED_BODY % (
+            outcome.batch_pages_read,
+            outcome.coalesced,
+            outcome.degrade_level,
+            # The keys' JSON, without a str per key.
+            ("%d, " * len(keys))[:-2] % keys,
+            round(outcome.finish_us - outcome.arrival_us, 3),
+            outcome.missing,
+            outcome.served,
+            encode_basestring_ascii(outcome.tenant),
+        )
+        self.send((_SERVED_REPLY % (len(body), body)).encode())
 
     # -- framing ---------------------------------------------------------------
 
     def _parse(self) -> None:
-        """Dispatch the buffer's complete requests, in order, until one
-        leaves its reply pending."""
-        self._parsing = True
-        while not self.busy:
-            try:
-                request = self._next_request()
-            except HttpError as exc:
-                self._refuse(exc)
+        """Frame and dispatch the buffer's complete requests, in order,
+        until one leaves its reply pending.
+
+        Resumes where the previous call stopped — the blank-line search
+        from where the last one ended, a framed head kept until its body
+        is complete — so a request costs work linear in its bytes however
+        finely it is segmented.  A head is framed once: the request line
+        split in three, a refused framing field looked for, and the
+        ``Content-Length`` read — the only header read.  A request that
+        cannot be framed is refused (:meth:`_refuse`).
+        """
+        if self.busy:  # ``send`` scheduled this turn; a request is in flight
+            return
+        buffer = self.buffer
+        while True:
+            if self._framed is not None:
+                head_end, stop, method, path, query = self._framed
+                self._framed = None
+            else:
+                head_end = buffer.find(b"\r\n\r\n", self._scan_from) + 4
+                if head_end == 3:  # no blank line yet
+                    if len(buffer) > MAX_HEAD_BYTES:
+                        self._refuse(HttpError(413, "request head too large"))
+                    else:
+                        self._scan_from = max(0, len(buffer) - 3)
+                    break
+                try:
+                    stop, method, path, query = self._frame(head_end)
+                except HttpError as exc:
+                    self._refuse(exc)
+                    break
+            if len(buffer) < stop:
+                self._framed = head_end, stop, method, path, query
                 break
-            if request is None:
-                break
+            body = buffer[head_end:stop]
+            del buffer[:stop]
+            self._scan_from = 0
             self.busy = True
-            pending = self.server._dispatch(self, *request)
+            pending = self.server._dispatch(self, method, path, query, body)
             if pending is not None:
                 self._run(pending)
-        self._parsing = False
-        if self.busy:
+            if self.busy:
+                return
+        if self.busy:  # refused
             return
         # Needs more bytes (or none are coming).
         if self._reading_paused:
@@ -261,65 +376,52 @@ class _Connection(asyncio.Protocol):
         if self._eof:
             self.transport.close()
 
-    def _next_request(self) -> Optional[Tuple[str, str, str, bytes]]:
-        """Take one complete request off the buffer; None until its last
-        byte has arrived.
-
-        Resumes where the previous call stopped — the blank-line search
-        from where the last one ended, a framed head kept until its body
-        is complete — so a request costs work linear in its bytes however
-        finely it is segmented.
-        """
-        buffer = self.buffer
-        framed = self._framed
-        if framed is None:
-            end = buffer.find(b"\r\n\r\n", self._scan_from)
-            if end < 0:
-                if len(buffer) > MAX_HEAD_BYTES:
-                    raise HttpError(413, "request head too large")
-                self._scan_from = max(0, len(buffer) - 3)
-                return None
-            framed = self._framed = self._frame(end + 4)
-        head_end, stop, method, path, query = framed
-        if len(buffer) < stop:
-            return None
-        body = bytes(buffer[head_end:stop])
-        del buffer[:stop]
-        self._framed = None
-        self._scan_from = 0
-        return method, path, query, body
-
-    def _frame(self, head_end: int) -> Tuple[int, int, str, str, str]:
-        """Check the head ending at ``head_end`` -> (head end, request
-        end, method, path, query string)."""
+    def _frame(self, head_end: int) -> Tuple[int, str, str, str]:
+        """Check the head ending at ``head_end`` -> (request end, method,
+        path, query string)."""
         if head_end > MAX_HEAD_BYTES:
             raise HttpError(413, "request head too large")
         head = self.buffer[:head_end]
         request_line = head[: head.index(b"\r\n")].decode("latin-1")
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            raise HttpError(400, f"malformed request line {request_line!r}")
-        if _TRANSFER_ENCODING.search(head):
-            raise HttpError(
-                501,
-                "Transfer-Encoding is not supported; send a Content-Length",
-            )
-        # Content-Length is the only header read; the last one wins.
-        lengths = _CONTENT_LENGTH.findall(head)
-        raw = lengths[-1].strip() if lengths else b""
         try:
-            length = int(raw or 0)
-            if length < 0:
-                raise ValueError(length)
+            method, target, _version = request_line.split(" ")
         except ValueError:
             raise HttpError(
-                400, f"malformed Content-Length {raw.decode('latin-1')!r}"
+                400, f"malformed request line {request_line!r}"
+            ) from None
+        refused = _UNFRAMEABLE.search(head)
+        if refused is not None:
+            if refused.group(1):
+                raise HttpError(
+                    501,
+                    "Transfer-Encoding is not supported; send a Content-Length",
+                )
+            raise HttpError(
+                400, "Content-Length must not be folded or precede a space"
             )
-        if length > MAX_BODY_BYTES:
-            raise HttpError(413, f"body of {length} bytes exceeds cap")
-        method, target, _version = parts
-        path, _, query = target.partition("?")
-        return head_end, head_end + length, method.upper(), path, query
+        # Content-Length is the only header read; repeated, it must repeat
+        # one value (RFC 9112 §6.3).
+        lengths = _CONTENT_LENGTH.findall(head)
+        length = 0
+        if lengths:
+            raw = lengths[0]
+            if lengths[1:] and set(lengths) != {raw}:
+                raise HttpError(400, "conflicting Content-Length values")
+            try:
+                length = int(raw or 0)
+                if length < 0:
+                    raise ValueError(length)
+            except ValueError:
+                raise HttpError(
+                    400, f"malformed Content-Length {raw.decode('latin-1')!r}"
+                ) from None
+            if length > MAX_BODY_BYTES:
+                raise HttpError(413, f"body of {length} bytes exceeds cap")
+        if "?" in target:
+            path, _, query = target.partition("?")
+        else:
+            path, query = target, ""
+        return head_end + length, method.upper(), path, query
 
     def _refuse(self, exc: HttpError) -> None:
         """Answer a request that cannot be framed, then close: nothing
@@ -517,10 +619,7 @@ class HttpGateway:
             return None
         if method != "POST":
             raise HttpError(405, "/refresh is GET or POST")
-        try:
-            payload = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            raise HttpError(400, f"invalid JSON body: {exc}")
+        payload = _json_body(body)
         if not isinstance(payload, dict):
             raise HttpError(400, "body must be a JSON object")
         if "pause" in payload:
@@ -547,55 +646,48 @@ class HttpGateway:
 
     # -- /query ----------------------------------------------------------------
 
-    @staticmethod
-    def _parse_query_body(body: bytes) -> Tuple[List[List[int]], str, bool]:
-        """Extract (key lists, tenant, stream?) from a /query body."""
-        try:
-            payload = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            raise HttpError(400, f"invalid JSON body: {exc}")
+    def _handle_query(
+        self, body: bytes, conn: _Connection
+    ) -> Optional[Awaitable[None]]:
+        """A single query goes straight to :meth:`GatewayCore.offer`; a
+        batch is submitted member by member once every member's keys are
+        valid."""
+        payload = _json_body(body)
         if not isinstance(payload, dict):
             raise HttpError(400, "body must be a JSON object")
         tenant = payload.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise HttpError(400, "tenant must be a non-empty string")
-        stream = bool(payload.get("stream", False))
         if "keys" in payload:
-            raw_queries = [{"keys": payload["keys"]}]
+            keys = _key_list(payload["keys"])
         elif "queries" in payload:
             raw_queries = payload["queries"]
+            if not isinstance(raw_queries, list) or not raw_queries:
+                raise HttpError(400, "'queries' must be a non-empty list")
+            key_lists = []
+            for raw in raw_queries:
+                keys = _key_list(
+                    raw.get("keys") if isinstance(raw, dict) else raw
+                )
+                if min(keys) < 0:  # before any member is offered
+                    raise HttpError(400, "keys must be non-negative integers")
+                key_lists.append(keys)
+            if len(key_lists) > 1:
+                submissions = [
+                    asyncio.ensure_future(self.gateway.submit(keys, tenant))
+                    for keys in key_lists
+                ]
+                if payload.get("stream", False):
+                    return self._stream_batch(submissions, conn)
+                return self._gather_batch(submissions, conn)
+            # A one-member batch is served as a single query.
         else:
             raise HttpError(400, "body needs 'keys' or 'queries'")
-        if not isinstance(raw_queries, list) or not raw_queries:
-            raise HttpError(400, "'queries' must be a non-empty list")
-        key_lists: List[List[int]] = []
-        for raw in raw_queries:
-            keys = raw.get("keys") if isinstance(raw, dict) else raw
-            if not isinstance(keys, list) or not keys:
-                raise HttpError(400, "each query needs a non-empty key list")
-            # json yields exact ints, never subclasses other than bool.
-            if set(map(type, keys)) != {int} or min(keys) < 0:
-                raise HttpError(400, "keys must be non-negative integers")
-            key_lists.append(keys)
-        return key_lists, tenant, stream
-
-    def _handle_query(
-        self, body: bytes, conn: _Connection
-    ) -> Optional[Awaitable[None]]:
-        key_lists, tenant, stream = self._parse_query_body(body)
-        if len(key_lists) == 1:
-            try:
-                self.gateway.offer(key_lists[0], tenant, conn.reply)
-            except ConfigError as exc:
-                raise HttpError(400, str(exc))
-            return None
-        submissions = [
-            asyncio.ensure_future(self.gateway.submit(keys, tenant))
-            for keys in key_lists
-        ]
-        if stream:
-            return self._stream_batch(submissions, conn)
-        return self._gather_batch(submissions, conn)
+        try:
+            self.gateway.offer(keys, tenant, conn.reply)
+        except ConfigError as exc:
+            raise HttpError(400, str(exc))
+        return None
 
     @staticmethod
     async def _gather_batch(

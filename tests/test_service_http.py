@@ -8,11 +8,13 @@ keep-alive reuse, pipelining, chunked streaming and refused framing.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
 
 from repro import EngineConfig, PageLayout, Query, ServingEngine
+from repro.faults import FaultPlan
 from repro.overload import AdmissionConfig
 from repro.service import (
     CoalescerConfig,
@@ -59,6 +61,59 @@ UNFRAMEABLE = {
         + b"\r\n0\r\n\r\n",
         501,
     ),
+    # RFC 9112 §5.1, §5.2 and §6.3: the Content-Length forms a proxy in
+    # front may read differently, so a server must refuse them.
+    "conflicting-content-lengths": (
+        b"POST /query HTTP/1.1\r\nContent-Length: 9999\r\n"
+        b"content-length: %d\r\n\r\n" % len(_KEYS_BODY) + _KEYS_BODY,
+        400,
+    ),
+    "space-before-colon": (
+        b"POST /query HTTP/1.1\r\nContent-Length : %d\r\n\r\n"
+        % len(_KEYS_BODY)
+        + _KEYS_BODY,
+        400,
+    ),
+    "folded-content-length-line": (
+        b"POST /query HTTP/1.1\r\nX-Pad: a\r\n Content-Length: %d\r\n\r\n"
+        % len(_KEYS_BODY)
+        + _KEYS_BODY,
+        400,
+    ),
+    "folded-content-length-value": (
+        b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n 0\r\n\r\n"
+        % len(_KEYS_BODY)
+        + _KEYS_BODY,
+        400,
+    ),
+}
+
+
+#: Request bodies -> the status the server answers each with.  Every
+#: refused one is answered without being offered to the gateway.
+BODIES = {
+    "bool-keys": (b'{"keys": [true]}', 400),
+    "float-keys": (b'{"keys": [1.0]}', 400),
+    "string-keys": (b'{"keys": ["1"]}', 400),
+    "nested-list-keys": (b'{"keys": [[1]]}', 400),
+    "negative-key": (b'{"keys": [-1]}', 400),
+    "negative-batch-member": (
+        b'{"queries": [{"keys": [0]}, {"keys": [-1]}]}',
+        400,
+    ),
+    "top-level-list": (b"[0, 1]", 400),
+    "empty": (b"", 400),
+    "trailing-data": (b'{"keys": [0]} x', 400),
+    # Bodies only json.loads' encoding detection reads.
+    "utf-16-with-bom": ('{"keys": [0, 1]}'.encode("utf-16"), 200),
+    "utf-8-with-bom": ('{"keys": [0, 1]}'.encode("utf-8-sig"), 200),
+    "surrounding-whitespace": (b' {"keys": [0, 1]}\n', 200),
+    # The last of a repeated name wins, as in json.loads.
+    "repeated-name": (b'{"keys": [0], "keys": [1]}', 200),
+    # json.loads refuses these with UnicodeDecodeError and RecursionError,
+    # not JSONDecodeError.
+    "undecodable-byte": (b'{"keys": [1]}\xff', 400),
+    "deeply-nested": (b"[" * 100_000 + b"]" * 100_000, 400),
 }
 
 
@@ -267,22 +322,19 @@ class TestRoutes:
         assert value in json.loads(body)["error"]
         assert metrics["service"]["offered"] == 0
 
-    def test_last_content_length_wins(self, layout):
+    def test_repeated_identical_content_length_is_accepted(self, layout):
         async def scenario(server, r, w):
-            body = json.dumps({"keys": [0, 1]}).encode()
             w.write(
-                (
-                    "POST /query HTTP/1.1\r\nContent-Length: 9999\r\n"
-                    f"content-length : {len(body)}\r\n\r\n"
-                ).encode()
-                + body
+                b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n"
+                b"content-length:%d \r\n\r\n"
+                % (len(_KEYS_BODY), len(_KEYS_BODY))
+                + _KEYS_BODY
             )
-            head = await asyncio.wait_for(r.readuntil(b"\r\n\r\n"), timeout=5)
-            return head
+            return await asyncio.wait_for(read_reply(r), timeout=5)
 
-        assert serve(layout, ServiceConfig(), scenario).startswith(
-            b"HTTP/1.1 200 "
-        )
+        status, payload = serve(layout, ServiceConfig(), scenario)
+        assert status == 200
+        assert payload["keys"] == [0, 1]
 
     @pytest.mark.parametrize("case", sorted(UNFRAMEABLE))
     def test_unframeable_request_is_answered_once_then_closed(
@@ -338,6 +390,82 @@ class TestRoutes:
         assert late[0] == 503
         assert late[1]["reason"] == "drain"
         assert health[1]["status"] == "draining"
+
+
+class StubDaemon:
+    """The refresh daemon surface the gateway and ``/refresh`` touch."""
+
+    state = "watching"
+
+    def start(self) -> None:
+        pass
+
+    def stop(self) -> None:
+        pass
+
+    def pause(self) -> None:
+        pass
+
+    def resume(self) -> None:
+        pass
+
+    def status(self) -> dict:
+        return {"state": self.state}
+
+
+class TestBodies:
+    def test_each_body_gets_its_status_and_refused_ones_are_not_offered(
+        self, layout
+    ):
+        async def scenario(server, r, w):
+            answers = {}
+            for name, (body, _) in BODIES.items():
+                w.write(
+                    b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                    % len(body)
+                    + body
+                )
+                answers[name] = await asyncio.wait_for(read_reply(r), 5)
+            _, metrics = await http_request(r, w, "GET", "/metrics")
+            return answers, metrics["service"]
+
+        answers, service = serve(layout, ServiceConfig(), scenario)
+        for name, (_, status) in BODIES.items():
+            assert answers[name][0] == status, (name, answers[name])
+            if status == 400:
+                assert "error" in answers[name][1], name
+        assert answers["repeated-name"][1]["keys"] == [1]
+        assert answers["utf-16-with-bom"][1]["keys"] == [0, 1]
+        for name in ("undecodable-byte", "deeply-nested", "trailing-data"):
+            assert answers[name][1]["error"].startswith("invalid JSON body")
+        accepted = sum(1 for _, status in BODIES.values() if status == 200)
+        assert service["offered"] == service["completed"] == accepted
+
+    @pytest.mark.parametrize("case", ["undecodable-byte", "deeply-nested"])
+    def test_refresh_refuses_a_body_json_cannot_read(self, layout, case):
+        body, _ = BODIES[case]
+
+        async def runner():
+            core = GatewayCore(
+                make_engine(layout), ServiceConfig(), refresh=StubDaemon()
+            )
+            async with HttpGateway(core, port=0) as server:
+                r, w = await asyncio.open_connection(
+                    "127.0.0.1", server.bound_port
+                )
+                try:
+                    w.write(
+                        b"POST /refresh HTTP/1.1\r\nContent-Length: %d"
+                        b"\r\n\r\n" % len(body)
+                        + body
+                    )
+                    return await asyncio.wait_for(read_reply(r), 5)
+                finally:
+                    w.close()
+
+        status, payload = asyncio.run(runner())
+        assert status == 400
+        assert payload["error"].startswith("invalid JSON body")
 
 
 class TestPipelining:
@@ -481,6 +609,48 @@ class TestSingleQueryReply:
         for outcome, data in zip(outcomes, writes):
             body = json.dumps(outcome.payload(), sort_keys=True) + "\n"
             assert data == _response(outcome.http_status(), body.encode())
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_served_reply_bytes_are_the_payload_encoded(self, lossy):
+        """A coalesced pair, repeated keys, keys past 2**31, a non-ASCII
+        tenant and (``lossy``) members served one by one with keys
+        missing: every reply is the head plus ``json.dumps`` of the
+        payload."""
+        engine = CannedEngine()
+        if lossy:
+            # A (never-firing) fault plan serves members one by one.
+            engine.config = dataclasses.replace(
+                engine.config,
+                fault_plan=FaultPlan.from_spec("seed=3,read_error=0.0"),
+            )
+            engine.result = dataclasses.replace(engine.result, missing_keys=2)
+
+        async def scenario():
+            async with GatewayCore(engine, ServiceConfig()) as core:
+                conn = _Connection(HttpGateway(core, port=0))
+                conn.transport = _CapturingTransport()
+                outcomes = []
+
+                def reply(outcome):
+                    outcomes.append(outcome)
+                    conn.reply(outcome)
+
+                core.offer([7, 2**31, 7, 2**40 + 3, 0], "métré", reply)
+                core.offer([2**31, 5, 5], "métré", reply)
+                while len(outcomes) < 2:
+                    await asyncio.sleep(0)
+                return outcomes, conn.transport.writes
+
+        outcomes, writes = asyncio.run(scenario())
+        assert [o.coalesced for o in outcomes] == [2, 2]
+        assert [o.missing for o in outcomes] == ([2, 2] if lossy else [0, 0])
+        assert [o.served for o in outcomes] == (
+            [2, 0] if lossy else [4, 2]
+        )
+        for outcome, data in zip(outcomes, writes):
+            assert outcome.http_status() == 200
+            body = json.dumps(outcome.payload(), sort_keys=True) + "\n"
+            assert data == _response(200, body.encode())
 
     def test_submit_and_http_leave_the_same_service_section(self):
         async def by_submit():
