@@ -8,8 +8,10 @@ Runs the contract command (``command``, ``run_seconds`` and the metric
 names, directions and bounds all come from the change's BENCHMARK.json)
 in both checkouts, one process at a time, alternating which side goes
 first.  A pair in which either run reports ``host.noise_frac`` >= 0.25 is
-printed, kept out of the summary and run again (at most ``--pairs`` extra
-pairs).  The verdict is the choosing-metrics rule: a gain needs the
+printed, kept out of the quiet summary and run again (at most ``--pairs``
+extra pairs); a second table summarises every pair run, noisy ones
+included, and carries the verdict and exit code when no pair is quiet.
+The verdict is the choosing-metrics rule: a gain needs the
 change to win at least nine tenths of the pairs (ties count for neither)
 and the medians to differ by more than the distance between the parent's
 quartiles and by more than the metric's bound (the gap a claimed gain must
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
     if args.metric not in directions:
         parser.error(f"--metric must be one of {sorted(directions)}")
     better = directions[args.metric]
-    kept, ran, won = [], 0, 0
+    kept, everything, ran, won = [], [], 0, 0
     print(f"# {args.workload} seed={args.seed} trace={args.trace} "
           f"seconds={seconds:g} pairs={args.pairs}")
     print(f"pair first  parent.{args.metric} change.{args.metric} ratio "
@@ -123,6 +125,7 @@ def main(argv=None) -> int:
             for side in order
         }
         quiet = all(run["noise_frac"] < NOISE_LIMIT for run in pair.values())
+        everything.append(pair)
         if quiet:
             kept.append(pair)
         p, c = (pair[s]["metrics"][args.metric] for s in sides)
@@ -139,19 +142,32 @@ def main(argv=None) -> int:
                                trace=args.trace, seconds=seconds)
                     out.write(json.dumps(row) + "\n")
     if not kept:
-        print("no quiet pair: nothing to summarise", file=sys.stderr)
-        return 1
+        print("no quiet pair: the all-pairs table carries the verdict",
+              file=sys.stderr)
+    tables = [("quiet", kept)] if kept else []
+    if len(kept) < len(everything):
+        tables.append(("all", everything))
+    verdicts = []
+    for label, pairs in tables:
+        print(f"\n{label}: {len(pairs)} pairs of {ran} run ({args.metric}: "
+              f"change won {won} of all {ran}); failed operations: "
+              + ", ".join(
+                  f"{side} {sum(pair[side]['failed'] for pair in pairs)}/"
+                  f"{sum(pair[side]['attempted'] for pair in pairs)}"
+                  for side in sides))
+        verdicts.append(summarise(pairs, declared, args, sides))
+    return 0 if verdicts and verdicts[0] else 1
 
-    print(f"\n{len(kept)} pairs kept of {ran} run ({args.metric}: change won "
-          f"{won} of all {ran}); failed operations: " + ", ".join(
-        f"{side} {sum(pair[side]['failed'] for pair in kept)}/"
-        f"{sum(pair[side]['attempted'] for pair in kept)}" for side in sides))
+
+def summarise(pairs, declared, args, sides) -> bool:
+    """Print medians, quartiles, wins and verdicts over ``pairs``; True
+    unless a claim is not met or a metric regressed."""
     print(f"{'metric':32s} {'parent median [q1, q3]':>40s} "
           f"{'change median [q1, q3]':>40s} ratio  wins verdict")
     met = True
     for metric in declared:
         name = metric["name"]
-        columns = [[pair[s]["metrics"][name] for pair in kept] for s in sides]
+        columns = [[pair[s]["metrics"][name] for pair in pairs] for s in sides]
         wins, verdict = judge(
             *columns, metric["better"], metric.get("bound"),
             claimed=name == args.metric and not args.trace,
@@ -161,9 +177,9 @@ def main(argv=None) -> int:
         p_med, c_med = spread[0][1], spread[1][1]
         ratio = f"{c_med / p_med:5.3f}" if p_med else "  -  "
         print(f"{name:32s} {cells[0]:>40s} {cells[1]:>40s} {ratio} "
-              f"{wins:2d}/{len(kept)} {verdict}")
+              f"{wins:2d}/{len(pairs)} {verdict}")
         met = met and verdict not in ("claim not met", "REGRESSION")
-    return 0 if met else 1
+    return met
 
 
 if __name__ == "__main__":

@@ -65,11 +65,3 @@ class EmbeddingCache:
     def admit(self, keys: Iterable[int]) -> None:
         """Insert keys served from SSD (no-op when disabled)."""
         self._cache.put_many(keys)
-
-    def admit_value(self, key: int, value) -> None:
-        """Insert one key with an explicit value (DLRM path)."""
-        self._cache.put(key, value)
-
-    def get_value(self, key: int):
-        """Value lookup for the DLRM path (None on miss or disabled)."""
-        return self._cache.get(key)

@@ -142,11 +142,3 @@ class LruCache(CachePolicy[K, V]):
             items[key] = value  # an existing key keeps its position
         self.stats.inserts += inserts
         self.stats.evictions += evictions
-
-    def evict_all(self) -> None:
-        """Empty the cache (counters retained)."""
-        self._items.clear()
-
-    def keys_in_recency_order(self):
-        """Keys from least- to most-recently used (for tests/debugging)."""
-        return list(self._items.keys())

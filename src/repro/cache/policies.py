@@ -68,10 +68,6 @@ class FifoCache(CachePolicy[K, V]):
         self._items[key] = value
         self.stats.inserts += 1
 
-    def evict_all(self) -> None:
-        """Empty the cache (counters retained)."""
-        self._items.clear()
-
 
 class LfuCache(CachePolicy[K, V]):
     """Bounded LFU mapping: evict the least-frequently-used entry.
@@ -121,11 +117,6 @@ class LfuCache(CachePolicy[K, V]):
         self._items[key] = value
         self._freq[key] = 1
         self.stats.inserts += 1
-
-    def evict_all(self) -> None:
-        """Empty the cache (counters retained)."""
-        self._items.clear()
-        self._freq.clear()
 
 
 class SegmentedLruCache(CachePolicy[K, V]):
@@ -195,11 +186,6 @@ class SegmentedLruCache(CachePolicy[K, V]):
         self.stats.inserts += 1
         self._shrink_to_capacity()
 
-    def evict_all(self) -> None:
-        """Empty both segments (counters retained)."""
-        self._probation.clear()
-        self._protected.clear()
-
 
 class NullCache(CachePolicy[K, V]):
     """The disabled (zero-capacity) cache: never stores, never counts.
@@ -238,9 +224,6 @@ class NullCache(CachePolicy[K, V]):
 
     def put_many(self, keys, value=True) -> None:
         """Dropped."""
-
-    def evict_all(self) -> None:
-        """No-op."""
 
 
 CACHE_POLICIES = {

@@ -109,10 +109,6 @@ class ShardPlan:
         """``key``'s dense id within its shard."""
         return self._local_ids[key]
 
-    def global_id(self, shard: int, local: int) -> int:
-        """Global key for ``local`` id on ``shard``."""
-        return self._shard_keys[shard][local]
-
     def shard_keys(self, shard: int) -> Tuple[int, ...]:
         """Global keys owned by ``shard``, in local-id order."""
         return self._shard_keys[shard]
@@ -122,12 +118,6 @@ class ShardPlan:
         return [len(k) for k in self._shard_keys]
 
     # -- balance diagnostics ------------------------------------------------
-
-    def size_imbalance(self) -> float:
-        """Max shard key count over the mean (1.0 = perfectly even)."""
-        sizes = self.shard_sizes()
-        mean = sum(sizes) / len(sizes)
-        return max(sizes) / mean if mean else 0.0
 
     def load_imbalance(self, trace: QueryTrace) -> float:
         """Max over mean of per-shard *requested-key* load on ``trace``."""

@@ -296,12 +296,6 @@ class ReplicaHealthMonitor:
             >= self.config.probe_interval_us
         )
 
-    def probes_due(self, now_us: float) -> List[int]:
-        """Replicas whose probe is due, in ascending id."""
-        return [
-            r for r in sorted(self.attention) if self.probe_due(r, now_us)
-        ]
-
     def state_counts(self) -> Dict[str, int]:
         """Replica count per state (all states present, zeros kept)."""
         counts = {state: 0 for state in REPLICA_STATES}

@@ -89,8 +89,6 @@ _SHARD_COUNTS = (
     "shard_ssd_keys",
     "shard_cache_hits",
     "shard_tier_hits",
-    "shard_requested_keys",
-    "shard_missing_keys",
     "shard_failovers",
     "shard_hedges",
     "shard_hedge_wins",
@@ -170,11 +168,6 @@ class ClusterEngine:
         """Shard count."""
         return self.plan.num_shards
 
-    @property
-    def resilient(self) -> bool:
-        """True when worker exceptions degrade instead of raising."""
-        return self.breakers is not None
-
     def close(self) -> None:
         """Retire every shard engine or replica group (idempotent).
 
@@ -187,15 +180,6 @@ class ClusterEngine:
             owned.close()
 
     # -- layout management -----------------------------------------------------
-
-    def swap_shard(
-        self, shard: int, layout: PageLayout, keep_cache: bool = True
-    ) -> ServingEngine:
-        """Replace one shard's engine with a new layout: a one-shard
-        :meth:`swap_shards`, so the other shards keep serving untouched
-        and a failure leaves the previous layout serving.  Returns the
-        installed engine."""
-        return self.swap_shards({shard: layout}, keep_cache)[shard]
 
     def swap_shards(
         self,
@@ -589,8 +573,8 @@ class _TraceTally:
             self.skip -= 1
             return merged
         (
-            queries, pages, ssd_keys, cache_hits, tier_hits, requested,
-            missing, failovers, hedges, hedge_wins,
+            queries, pages, ssd_keys, cache_hits, tier_hits, failovers,
+            hedges, hedge_wins,
         ) = self._counts
         latencies = []
         for shard, sub in subs.items():
@@ -598,14 +582,11 @@ class _TraceTally:
             pages[shard] += sub.pages_read
             ssd_keys[shard] += sub.ssd_keys
             cache_hits[shard] += sub.cache_hits
-            requested[shard] += sub.requested_keys
             latencies.append(sub.finish_us - sub.start_us)
         # The rest are zero on every fragment of a fault-free query.  They
         # are non-negative, so a zero merged total is zero on every shard.
         if merged.tier_hits:
             _fold(tier_hits, subs, "tier_hits")
-        if merged.missing_keys:
-            _fold(missing, subs, "missing_keys")
         if merged.failovers:
             _fold(failovers, subs, "failovers")
         if merged.hedges:
@@ -618,7 +599,6 @@ class _TraceTally:
         out = self.out
         out.fanouts.append(len(subs))
         slowest = max(latencies)
-        out.max_shard_latency_us.append(slowest)
         out.straggler_us.append(slowest - sum(latencies) / len(latencies))
         return merged
 

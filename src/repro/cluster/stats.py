@@ -40,11 +40,8 @@ class ClusterReport:
         shard_tier_hits: keys each shard served from its pinned DRAM
             tier (all zeros when no tier is configured).
         fanouts: shards touched per query, in serve order.
-        max_shard_latency_us: per query, the slowest shard's latency.
         straggler_us: per query, slowest-shard latency minus the mean
             latency of the shards it touched (0 for single-shard queries).
-        shard_requested_keys: keys routed to each shard.
-        shard_missing_keys: keys each shard failed to serve (degraded).
         shard_timeouts: fragments that blew the per-shard deadline.
         shard_skipped: fragments rejected by an open circuit breaker.
         shard_errors: fragments lost to worker exceptions (resilient
@@ -82,10 +79,7 @@ class ClusterReport:
     shard_cache_hits: List[int] = field(default_factory=list)
     shard_tier_hits: List[int] = field(default_factory=list)
     fanouts: List[int] = field(default_factory=list)
-    max_shard_latency_us: List[float] = field(default_factory=list)
     straggler_us: List[float] = field(default_factory=list)
-    shard_requested_keys: List[int] = field(default_factory=list)
-    shard_missing_keys: List[int] = field(default_factory=list)
     shard_timeouts: List[int] = field(default_factory=list)
     shard_skipped: List[int] = field(default_factory=list)
     shard_errors: List[int] = field(default_factory=list)
@@ -140,34 +134,11 @@ class ClusterReport:
             float(np.mean(self.straggler_us)) if self.straggler_us else 0.0
         )
 
-    def p99_max_shard_latency_us(self) -> float:
-        """p99 of the slowest-shard latency — the gather critical path."""
-        if not self.max_shard_latency_us:
-            return 0.0
-        return float(np.percentile(self.max_shard_latency_us, 99))
-
     # -- fault-domain accounting ----------------------------------------------
 
     def coverage(self) -> float:
         """Fraction of requested keys served cluster-wide (1.0 = all)."""
         return self.report.coverage()
-
-    def shard_coverage(self) -> List[float]:
-        """Per-shard served-key fraction (1.0 for untouched shards)."""
-        out: List[float] = []
-        for requested, missing in zip(
-            self.shard_requested_keys, self.shard_missing_keys
-        ):
-            out.append(1.0 - missing / requested if requested else 1.0)
-        return out
-
-    def total_shard_failures(self) -> int:
-        """Timed-out + skipped + errored fragments across the cluster."""
-        return (
-            sum(self.shard_timeouts)
-            + sum(self.shard_skipped)
-            + sum(self.shard_errors)
-        )
 
     def total_breaker_transitions(self) -> int:
         """Breaker state changes across every shard."""

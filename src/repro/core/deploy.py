@@ -284,7 +284,3 @@ class LayoutManager:
             active_score / best if best > 0 else 1.0
         )
         return scores
-
-    def probe_cache_size(self) -> int:
-        """Cached (version, window, cap) probe scores (introspection)."""
-        return len(self._probe_cache)

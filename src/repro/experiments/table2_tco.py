@@ -10,12 +10,12 @@ A pure price model, exactly as the paper computes it:
   1.16×; ours comes from the Figure 10 measurement when provided).
 
 The paper amortizes drive cost into a monthly figure implicitly; we
-follow its arithmetic: total = instance + drives needed to hold the table.
+follow its arithmetic: total = instance + the table's size at the drive's
+price per GB.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import ExperimentError
@@ -37,13 +37,6 @@ class TcoModel:
     def replicated_table_gb(self) -> float:
         """Table size after replication."""
         return self.table_gb * (1.0 + self.replication_ratio)
-
-    def storage_cost(self, size_gb: float, drive_gb: float, drive_cost: float) -> float:
-        """Cost of enough whole drives to hold ``size_gb``."""
-        if size_gb <= 0:
-            raise ExperimentError(f"size must be positive, got {size_gb}")
-        drives = max(1, math.ceil(size_gb / drive_gb))
-        return drives * drive_cost
 
     def total_cost_p5800x(self, size_gb: float) -> float:
         """Instance + Optane storage (the paper prices capacity linearly)."""

@@ -98,14 +98,6 @@ class FaultySsd:
         """The inner device's counters (successful transfers only)."""
         return self._inner.stats
 
-    def reset_stats(self) -> None:
-        """Zero the inner device's counters."""
-        self._inner.reset_stats()
-
-    def delivered_bandwidth_gb_s(self, elapsed_us: float) -> float:
-        """Raw transfer rate achieved over ``elapsed_us`` (GB/s)."""
-        return self._inner.delivered_bandwidth_gb_s(elapsed_us)
-
     # -- fault bookkeeping -----------------------------------------------------
 
     @property

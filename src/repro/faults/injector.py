@@ -42,11 +42,6 @@ class FaultDecision:
     extra_latency_us: float = 0.0
     retry_at_us: float = 0.0
 
-    @property
-    def fails_submission(self) -> bool:
-        """True when the read never produces a completion."""
-        return self.kind in SUBMIT_FAILURES
-
 
 class FaultInjector:
     """Stateful driver of a :class:`FaultPlan`.
@@ -71,10 +66,6 @@ class FaultInjector:
     def submissions(self) -> int:
         """Total submission attempts decided so far."""
         return self._seq
-
-    def total_injected(self) -> int:
-        """Total faults of any kind injected so far."""
-        return sum(self.counters.values())
 
     def decide(
         self, page_id: int, now_us: float, attempt: int = 0

@@ -113,12 +113,6 @@ class FaultPlan:
 
     # -- queries --------------------------------------------------------------
 
-    def any_faults(self) -> bool:
-        """True when the plan can inject at least one fault."""
-        return bool(self.brownouts) or any(
-            getattr(self, name) > 0.0 for name in _RATE_FIELDS
-        )
-
     def in_brownout(self, now_us: float) -> bool:
         """True when ``now_us`` falls inside a brown-out window."""
         return any(start <= now_us < end for start, end in self.brownouts)

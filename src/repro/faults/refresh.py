@@ -58,10 +58,6 @@ class RefreshFaultPlan:
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
 
-    def any_faults(self) -> bool:
-        """True when the plan can inject at least one fault."""
-        return any(getattr(self, name) > 0.0 for name in _RATE_FIELDS)
-
     def draw_rebuild_failure(self, shard: int, attempt: int) -> bool:
         """Should this rebuild attempt crash before staging?"""
         if self.rebuild_failure_rate <= 0.0:

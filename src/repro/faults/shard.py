@@ -98,14 +98,6 @@ class ShardFaultPlan:
 
     # -- queries --------------------------------------------------------------
 
-    def any_faults(self) -> bool:
-        """True when the plan can inject at least one fault."""
-        return (
-            self.crash_rate > 0.0
-            or (self.flap_rate > 0.0 and self.flap_failure_rate > 0.0)
-            or self.degrade_rate > 0.0
-        )
-
     def crash_window(
         self, shard: int, replica: int
     ) -> Optional[Tuple[float, float]]:

@@ -91,18 +91,9 @@ class HypergraphCsr:
         """Number of hyperedges."""
         return len(self.weights)
 
-    @property
-    def num_pins(self) -> int:
-        """Total (edge, vertex) incidences."""
-        return len(self.pin_vertices)
-
     def edge_sizes(self) -> np.ndarray:
         """Per-edge pin counts."""
         return np.diff(self.edge_indptr)
-
-    def vertex_degrees(self) -> np.ndarray:
-        """Per-vertex incident-edge counts (unweighted)."""
-        return np.diff(self.vertex_indptr)
 
     # -- construction --------------------------------------------------------
 
@@ -134,12 +125,6 @@ class HypergraphCsr:
         """Incident edge ids of ``vertex`` (zero-copy slice, ascending)."""
         return self.vertex_edges[
             self.vertex_indptr[vertex] : self.vertex_indptr[vertex + 1]
-        ]
-
-    def vertices_of_edge(self, edge_id: int) -> np.ndarray:
-        """Vertices of ``edge_id`` (zero-copy slice, tuple order)."""
-        return self.pin_vertices[
-            self.edge_indptr[edge_id] : self.edge_indptr[edge_id + 1]
         ]
 
 

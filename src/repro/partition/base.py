@@ -66,10 +66,6 @@ class PartitionResult:
         """Size of each cluster."""
         return [len(c) for c in self.clusters()]
 
-    def cluster_of(self, vertex: int) -> int:
-        """Cluster id of ``vertex``."""
-        return self.assignment[vertex]
-
 
 def required_clusters(num_vertices: int, capacity: int) -> int:
     """Smallest cluster count that fits ``num_vertices`` at ``capacity`` each."""

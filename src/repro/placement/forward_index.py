@@ -63,22 +63,12 @@ class ForwardIndex:
         """All per-key page tuples, indexed by key (shared, do not mutate)."""
         return self._entries
 
-    def replica_count(self, key: int) -> int:
-        """Number of indexed pages for ``key`` (1 = unreplicated)."""
-        return len(self.pages_of(key))
-
     def replica_counts(self) -> List[int]:
         """Per-key page counts, memoized — the one-pass sort key reads this
         once per query key, so it must not re-walk the entry tuples."""
         if self._counts is None:
             self._counts = [len(p) for p in self._entries]
         return self._counts
-
-    def shrink(self, limit: int) -> "ForwardIndex":
-        """Return a copy keeping only the first ``limit`` pages per key."""
-        if limit < 1:
-            raise PlacementError(f"index limit must be >= 1, got {limit}")
-        return ForwardIndex([pages[:limit] for pages in self._entries])
 
     def total_entries(self) -> int:
         """Total (key, page) pairs stored — the index's memory footprint."""

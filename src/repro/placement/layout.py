@@ -110,11 +110,6 @@ class PageLayout:
         """All pages in id order (shallow copy)."""
         return list(self._pages)
 
-    def is_replica_page(self, page_id: int) -> bool:
-        """True if ``page_id`` was appended by replication."""
-        self.page(page_id)  # bounds check
-        return page_id >= self._num_base_pages
-
     # -- replication accounting -----------------------------------------------
 
     def total_slots_used(self) -> int:
@@ -144,12 +139,6 @@ class PageLayout:
             for k in page:
                 counts[k] += 1
         return counts
-
-    def storage_bytes(self, page_size: int) -> int:
-        """Raw SSD bytes occupied at ``page_size`` bytes per page."""
-        if page_size <= 0:
-            raise PlacementError(f"page_size must be positive, got {page_size}")
-        return self.num_pages * page_size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

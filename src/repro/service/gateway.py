@@ -68,10 +68,9 @@ request is exactly one of *completed*, *shed* (quota / admission policy
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigError, ServingError
 from ..overload import (
@@ -88,10 +87,6 @@ from .quota import TokenBucket
 #: Shed reasons the gateway adds on top of the admission policies.
 SHED_QUOTA = "quota"
 SHED_DRAIN = "drain"
-
-#: How many recent flushed batches keep their (tenant, size) record for
-#: introspection (tests assert tenant purity on this log).
-BATCH_LOG_LIMIT = 4096
 
 
 class WallClock:
@@ -271,9 +266,6 @@ class GatewayCore:
         self._requests = ServingReport(spec.page_size, spec.embedding_bytes)
         self._engine_calls = ServingReport(
             spec.page_size, spec.embedding_bytes
-        )
-        self._batch_log: Deque[Tuple[str, int]] = deque(
-            maxlen=BATCH_LOG_LIMIT
         )
         self._batches = 0
         self._batch_errors: List[str] = []
@@ -655,7 +647,6 @@ class GatewayCore:
         if duplicates is not None:
             self._duplicate_keys_merged += duplicates
             self._unattributed_missing += results[0].missing_keys
-        self._batch_log.append((batch[0].tenant, size))
         add_call = self._engine_calls.add
         pages_read = 0
         for result in results:
@@ -695,11 +686,6 @@ class GatewayCore:
     def brownout_level(self) -> int:
         """Current degradation rung (0 = full service)."""
         return self.controller.level if self.controller is not None else 0
-
-    @property
-    def batch_log(self) -> List[Tuple[str, int]]:
-        """(tenant, size) of recent flushed batches (bounded history)."""
-        return list(self._batch_log)
 
     def open_loop_report(self) -> ServingReport:
         """The live per-request report, the simulator's report type.

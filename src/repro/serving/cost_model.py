@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ConfigError
-from .selection import SelectionOutcome
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,3 @@ class CpuCostModel:
         for count in candidate_counts:
             total += base + examine * count
         return total
-
-    def total_cpu_us(self, outcome: SelectionOutcome) -> float:
-        """Sort + selection + per-query base."""
-        return (
-            self.query_base_us
-            + self.sort_time_us(outcome.sorted_keys)
-            + self.selection_time_us(outcome.candidate_counts)
-        )

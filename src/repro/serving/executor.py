@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from ..ssd.commands import (
     DeviceCommand,
@@ -56,6 +56,7 @@ from ..ssd.commands import (
     PacedReadCommand,
     ReadCommand,
 )
+from ..ssd.device import submit_with_backpressure
 from ..types import EmbeddingSpec
 from .cost_model import CpuCostModel
 from .selection import SelectionOutcome
@@ -81,11 +82,6 @@ class ExecutionResult:
     def latency_us(self) -> float:
         """End-to-end query latency."""
         return self.finish_us - self.start_us
-
-    @property
-    def cpu_us(self) -> float:
-        """CPU component (sort + selection)."""
-        return self.sort_us + self.selection_us
 
 
 def build_gather_command(
@@ -203,35 +199,6 @@ class Executor(ABC):
         """
         return [ReadCommand(page_id) for page_id in outcome.pages]
 
-    @staticmethod
-    def _submit_batch_with_backpressure(
-        device, commands: Sequence[DeviceCommand], now_us: float
-    ):
-        """Submit a command batch, chunking on submission-queue headroom.
-
-        The whole batch shares one submission timestamp unless the queue
-        fills mid-way, in which case the submitting CPU polls until
-        slots free (advancing the clock) and pushes the remainder —
-        same stall rule as
-        :func:`~repro.ssd.device.submit_with_backpressure`, amortized.
-        Returns ``(completions, now_us)``.
-        """
-        completions: List = []
-        index = 0
-        while index < len(commands):
-            free = device.queue_depth - device.inflight
-            if free <= 0:
-                next_done = device.next_completion_time()
-                if next_done is None:  # pragma: no cover - queue full ⇒ set
-                    break
-                now_us = max(now_us, next_done)
-                device.poll(now_us)
-                continue
-            chunk = list(commands[index : index + free])
-            completions.extend(device.submit_batch(chunk, now_us))
-            index += len(chunk)
-        return completions, now_us
-
 
 class SerialExecutor(Executor):
     """All selection first, then all reads — no CPU/I-O overlap."""
@@ -307,12 +274,14 @@ class NdpExecutor(Executor):
         )
         now = finish = start_us + front + lead_us
         if gaps_us:
-            completions, now = self._submit_batch_with_backpressure(
-                device, self._commands(outcome), now + gaps_us[0]
+            (gather,) = self._commands(outcome)
+            completion, now = submit_with_backpressure(
+                device,
+                gather,
+                now + gaps_us[0],
+                lambda command, at: device.submit_batch([command], at)[0],
             )
-            finish = now
-            for completion in completions:
-                finish = max(finish, completion.completed_at_us)
+            finish = max(now, completion.completed_at_us)
         device.poll(finish)
         # Field order is ExecutionResult's.
         return ExecutionResult(

@@ -48,7 +48,7 @@ builds :class:`SelectionStep` tuples only if ``.steps`` is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ServingError
 from ..placement import ForwardIndex, InvertIndex
@@ -165,10 +165,6 @@ class SelectionOutcome:
                 )
             )
         return self._steps
-
-    def covered_keys(self) -> Set[int]:
-        """Union of keys served by the chosen pages."""
-        return {key for step in self.steps for key in step.covered}
 
 
 class OnePassSelector:

@@ -371,15 +371,3 @@ class SimulatedSsd:
     def next_completion_time(self) -> Optional[float]:
         """Completion time of the earliest in-flight read, or None."""
         return self._inflight[0][0] if self._inflight else None
-
-    # -- derived metrics -----------------------------------------------------
-
-    def delivered_bandwidth_gb_s(self, elapsed_us: float) -> float:
-        """Raw transfer rate achieved over ``elapsed_us`` (GB/s)."""
-        if elapsed_us <= 0:
-            return 0.0
-        return self.stats.bytes_read / (elapsed_us * 1e-6) / 1e9
-
-    def reset_stats(self) -> None:
-        """Zero the counters (the service cursor is kept)."""
-        self.stats = DeviceStats()

@@ -60,10 +60,6 @@ class PageStore:
         self._check_page_id(page_id)
         return self._pages.get(page_id, b"\x00" * self._page_size)
 
-    def written_pages(self) -> int:
-        """Number of pages that have been explicitly written."""
-        return len(self._pages)
-
 
 def pack_embeddings(vectors: np.ndarray, spec: EmbeddingSpec) -> bytes:
     """Pack float32 embedding vectors into one page payload."""

@@ -81,12 +81,6 @@ class SsdProfile:
             raise ConfigError(f"num_bytes must be >= 0, got {num_bytes}")
         return num_bytes / (self.bandwidth_gb_s * 1e9) * 1e6
 
-    def max_page_reads_per_second(self, page_size: int) -> float:
-        """Bandwidth ceiling expressed as page reads per second."""
-        if page_size <= 0:
-            raise ConfigError(f"page_size must be positive, got {page_size}")
-        return self.bandwidth_gb_s * 1e9 / page_size
-
     def scaled(
         self,
         name: str,

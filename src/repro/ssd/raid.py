@@ -195,8 +195,3 @@ class Raid0Array:
             )
             total.gathers += member.stats.gathers
         return total
-
-    def reset_stats(self) -> None:
-        """Zero every member's counters."""
-        for member in self._members:
-            member.reset_stats()

@@ -10,7 +10,6 @@ exposes the same submit/poll interface, so it drops into a
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -123,12 +122,3 @@ class TracingDevice:
     @property
     def submit_overhead_us(self) -> float:
         return getattr(self._device, "submit_overhead_us", 0.0)
-
-    def reset_stats(self) -> None:
-        self._device.reset_stats()
-
-    # -- analysis -------------------------------------------------------------------
-
-    def page_access_counts(self) -> Counter:
-        """How many times each page was read."""
-        return Counter(r.page_id for r in self.records)

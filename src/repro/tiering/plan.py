@@ -134,10 +134,6 @@ class TierPlan:
         """Build the O(1)-membership runtime form."""
         return PinnedTier(self.num_keys, self.pinned)
 
-    def dram_rows(self) -> int:
-        """Alias of :attr:`capacity` for budget-accounting call sites."""
-        return len(self.pinned)
-
 
 def hotness_from_trace(
     trace: "QueryTrace | Sequence", num_keys: int

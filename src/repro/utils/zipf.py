@@ -37,8 +37,7 @@ class ZipfSampler:
     """
 
     def __init__(self, n: int, alpha: float, seed: RngLike = None) -> None:
-        self._weights = zipf_weights(n, alpha)
-        self._cdf = np.cumsum(self._weights)
+        self._cdf = np.cumsum(zipf_weights(n, alpha))
         # Guard against floating-point round-off leaving the last entry
         # fractionally below 1.0, which would make searchsorted return n.
         self._cdf[-1] = 1.0
@@ -56,7 +55,3 @@ class ZipfSampler:
     def sample_one(self) -> int:
         """Draw a single rank."""
         return int(self.sample(1)[0])
-
-    def pmf(self) -> np.ndarray:
-        """Return the full probability mass function (copy)."""
-        return self._weights.copy()

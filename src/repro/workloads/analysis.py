@@ -64,10 +64,6 @@ class BreadthReport:
     hot_mean_breadth: float
     fraction_exceeding_capacity: float
 
-    def replication_headroom(self) -> bool:
-        """True when hot keys co-appear beyond one page — MaxEmbed's case."""
-        return self.hot_mean_breadth > self.page_capacity
-
 
 def coappearance_breadth(
     trace: QueryTrace, page_capacity: int = 16, hot_fraction: float = 0.05

@@ -20,6 +20,7 @@ from repro.experiments import (
 )
 from repro.placement import ForwardIndex, InvertIndex, build_indexes
 from repro.serving.selection import OnePassSelector
+from tests.test_fast_selection import covered_keys
 
 SMALL = dict(scale="small", seed=3)
 
@@ -127,7 +128,7 @@ class TestNearOptimality:
         ):
             outcome = selector.select(list(keys))
             assert len(outcome.steps) <= optimal + 1
-            assert outcome.covered_keys() >= set(keys)
+            assert covered_keys(outcome) >= set(keys)
 
     def test_onepass_finds_exact_optimum_on_replica_hit(self, replicated):
         layout, pages = replicated

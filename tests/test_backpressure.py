@@ -1,32 +1,38 @@
 """Submission-queue backpressure: stalls, clock advance, full queues.
 
-``submit_with_backpressure`` / ``_submit_batch_with_backpressure``
-mirror an SPDK submitter: when the queue is full, the submitting CPU
-polls completions until a slot frees, advancing its clock to that
-completion.  The single-read helper is the stall-and-submit step of the
-reference loop behind ``PacedReadCommand``
+``submit_with_backpressure`` mirrors an SPDK submitter: when the queue
+is full, the submitting CPU polls completions until a slot frees,
+advancing its clock to that completion.  It is the stall-and-submit step
+of the reference loop behind ``PacedReadCommand``
 (``repro.ssd.device.run_paced_reads``): the executors no longer call it
-page by page, but every wrapper device does, and the fused loop of
-``SimulatedSsd`` is tested against it (``tests/test_paced_reads.py``).
+page by page, but every wrapper device does, the NDP executor submits
+its gather through it, and the fused loop of ``SimulatedSsd`` is tested
+against it (``tests/test_paced_reads.py``).
 Pinned here:
 
 * the queue-depth bound is never violated, whatever the page stream;
 * a stalled submission's clock advances exactly to the freed
   completion's time (never backwards, never short);
 * a device that reports a full queue but no pending completion (a
-  broken stub — impossible for the real model) does not hang either
+  broken stub — impossible for the real model) does not hang the
   helper;
+* the NDP executor's one gather, submitted on a full queue, waits for
+  the freed slot like any read;
 * end-to-end, a depth-2 device serves every query with full coverage
   under both the serial and the batched executor.
 """
 
 import hypothesis.strategies as st
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
 from repro import EngineConfig, PageLayout, Query, ServingEngine, SimulatedSsd
-from repro.serving.executor import Executor
-from repro.ssd import Completion, ReadCommand, SsdProfile
+from repro.serving import CpuCostModel
+from repro.serving.executor import NdpExecutor, build_gather_command
+from repro.serving.selection import SelectionOutcome, SelectionStep
+from repro.ssd import P5800X_NDP, Completion, SsdProfile
 from repro.ssd.device import submit_with_backpressure
 
 TINY = SsdProfile(
@@ -87,59 +93,6 @@ class TestSingleSubmitBackpressure:
         assert device.inflight == 0
 
 
-class TestBatchSubmitBackpressure:
-    def test_batch_chunks_on_headroom(self):
-        device = tiny_device(queue_depth=2)
-        commands = [ReadCommand(p) for p in range(5)]
-        completions, now = Executor._submit_batch_with_backpressure(
-            device, commands, 0.0
-        )
-        assert len(completions) == 5
-        # The tail chunks stalled: the final clock sits at a completion
-        # time of an earlier read, strictly after the submit time.
-        assert now > 0.0
-        assert completions[-1].submitted_at_us == now
-
-    def test_batch_within_headroom_shares_timestamp(self):
-        device = tiny_device(queue_depth=8)
-        commands = [ReadCommand(p) for p in range(5)]
-        completions, now = Executor._submit_batch_with_backpressure(
-            device, commands, 3.0
-        )
-        assert now == 3.0
-        assert all(c.submitted_at_us == 3.0 for c in completions)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        pages=st.lists(
-            st.integers(min_value=0, max_value=50), min_size=1, max_size=40
-        ),
-        queue_depth=st.integers(min_value=1, max_value=4),
-        now=st.floats(min_value=0.0, max_value=1e4),
-    )
-    def test_batch_equals_looped_backpressure(self, pages, queue_depth, now):
-        """Chunked batch submission == one-at-a-time backpressure.
-
-        With zero submit overhead the two must be bit-identical even
-        through stalls — the chunking is an optimization of who polls,
-        not a different service model.
-        """
-        batch_dev = tiny_device(queue_depth=queue_depth)
-        loop_dev = tiny_device(queue_depth=queue_depth)
-        batched, batch_now = Executor._submit_batch_with_backpressure(
-            batch_dev, [ReadCommand(p) for p in pages], now
-        )
-        looped = []
-        loop_now = now
-        for page in pages:
-            completion, loop_now = submit_with_backpressure(
-                loop_dev, page, loop_now
-            )
-            looped.append(completion)
-        assert batched == looped
-        assert batch_now == loop_now
-
-
 class BrokenFullQueueDevice:
     """A stub reporting a full queue with nothing in flight.
 
@@ -166,9 +119,6 @@ class BrokenFullQueueDevice:
         self.submissions.append((page_id, now_us))
         return Completion(self._ticket, page_id, now_us, now_us + 1.0)
 
-    def submit_batch(self, commands, now_us):
-        return [self.submit_read(c.page_id, now_us) for c in commands]
-
 
 class TestBrokenDeviceDoesNotHang:
     def test_single_submit_breaks_out(self):
@@ -180,14 +130,33 @@ class TestBrokenDeviceDoesNotHang:
         assert completion.page_id == 7
         assert device.submissions == [(7, 2.0)]
 
-    def test_batch_submit_breaks_out(self):
-        device = BrokenFullQueueDevice()
-        completions, now = Executor._submit_batch_with_backpressure(
-            device, [ReadCommand(1), ReadCommand(2)], 2.0
+
+class TestNdpGatherStalls:
+    def test_gather_on_a_full_queue_waits_for_the_freed_slot(self):
+        outcome = SelectionOutcome.from_steps(
+            [
+                SelectionStep(page_id=p, covered=(p,), candidates_examined=1)
+                for p in range(3)
+            ],
+            sorted_keys=3,
         )
-        # The break abandons the batch rather than spinning forever.
-        assert completions == []
-        assert now == 2.0
+        executor = NdpExecutor(
+            CpuCostModel(
+                sort_per_key_us=0.0,
+                candidate_examine_us=0.0,
+                step_base_us=0.0,
+                query_base_us=0.0,
+            )
+        )
+        device = SimulatedSsd(dataclasses.replace(P5800X_NDP, queue_depth=1))
+        gather = build_gather_command(outcome, executor.spec)
+        (blocker,) = device.submit_batch([gather], 0.0)
+        result = executor.execute(outcome, device, 0.0)
+        # Submitted at the blocker's completion, not at 0.
+        submitted_at = result.finish_us - result.io_wait_us
+        assert submitted_at == pytest.approx(blocker.completed_at_us)
+        assert result.finish_us > blocker.completed_at_us
+        assert device.inflight == 0
 
 
 class TestEndToEndTinyQueue:

@@ -1,7 +1,10 @@
 """The verdict rule of ``scripts/bench_pairs.py`` (choosing-metrics §8)."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -73,3 +76,70 @@ def test_unclaimed_metric_is_held_to_its_bound():
 def test_quartiles_of_one_run():
     assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+def fake_contract(tmp_path, monkeypatch, noises, change_qps):
+    """Argv for two checkouts whose runs report ``noises`` in turn; the
+    parent serves 100 qps, the change ``change_qps``."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["true"],
+        "run_seconds": 1,
+        "end_to_end": [
+            {"name": "wall_qps", "better": "higher", "bound": 0.1},
+            {"name": "setup_s", "better": "lower", "bound": 0.2},
+        ],
+    }))
+    noise = iter(noises)
+
+    def run_once(checkout, command, workload, seed, seconds, trace):
+        qps = change_qps if checkout.name == "change" else 100.0
+        return {
+            "correct": True,
+            "attempted": 10,
+            "failed": 0,
+            "noise_frac": next(noise),
+            "metrics": {"wall_qps": qps, "setup_s": 0.25},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return [
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"),
+        "--workload", "w", "--pairs", "3",
+    ]
+
+
+def rows(out, metric):
+    return [line for line in out.splitlines() if line.startswith(metric)]
+
+
+@pytest.mark.parametrize(
+    "change_qps, code, verdict",
+    [(130.0, 0, "6/6 gain"), (70.0, 1, "0/6 claim not met")],
+)
+def test_every_pair_noisy_still_summarises_all_pairs(
+    tmp_path, monkeypatch, capsys, change_qps, code, verdict
+):
+    argv = fake_contract(tmp_path, monkeypatch, [0.4] * 12, change_qps)
+    # No pair is quiet, so the all-pairs verdict sets the exit code.
+    assert bench_pairs.main(argv) == code
+    out = capsys.readouterr().out
+    assert "all: 6 pairs of 6 run" in out
+    assert "quiet:" not in out
+    (row,) = rows(out, "wall_qps")
+    assert row.endswith(verdict)
+
+
+def test_some_pairs_noisy_prints_both_tables(tmp_path, monkeypatch, capsys):
+    # Pair 1 is noisy on its second run; pairs 2-4 are quiet.
+    argv = fake_contract(tmp_path, monkeypatch, [0.0, 0.4] + [0.0] * 6, 130.0)
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "quiet: 3 pairs of 4 run" in out
+    assert "all: 4 pairs of 4 run" in out
+    assert [row.split()[-2:] for row in rows(out, "wall_qps")] == [
+        ["3/3", "gain"],
+        ["4/4", "gain"],
+    ]

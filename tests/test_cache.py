@@ -71,15 +71,13 @@ class TestLruCache:
         cache = LruCache(3)
         for key in ("a", "b", "c"):
             cache.put(key, 1)
-        cache.get("a")
-        assert cache.keys_in_recency_order() == ["b", "c", "a"]
-
-    def test_evict_all(self):
-        cache = LruCache(2)
-        cache.put("a", 1)
-        cache.evict_all()
-        assert len(cache) == 0
-        assert cache.stats.inserts == 1  # counters retained
+        cache.get("a")  # recency now b, c, a
+        cache.put("d", 1)
+        assert "b" not in cache and "c" in cache and "a" in cache
+        cache.put("e", 1)
+        assert "c" not in cache and "a" in cache
+        cache.put("f", 1)
+        assert "a" not in cache
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(CacheError):
@@ -100,7 +98,7 @@ class TestEmbeddingCache:
         assert hits == []
         assert misses == [1, 2, 3]
         cache.admit([1])  # no-op, must not raise
-        assert cache.get_value(1) is None
+        assert cache.filter_hits([1]) == ([], [1])
 
     def test_filter_hits_after_admission(self):
         cache = EmbeddingCache(num_keys=10, cache_ratio=0.5)
@@ -115,11 +113,6 @@ class TestEmbeddingCache:
         hits, misses = cache.filter_hits([1, 2, 3])
         assert 1 in misses
         assert hits == [2, 3]
-
-    def test_value_path(self):
-        cache = EmbeddingCache(num_keys=4, cache_ratio=1.0)
-        cache.admit_value(2, "vec")
-        assert cache.get_value(2) == "vec"
 
     def test_stats_exposed(self):
         cache = EmbeddingCache(num_keys=4, cache_ratio=0.5)

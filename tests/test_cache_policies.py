@@ -55,12 +55,6 @@ class TestFifo:
         assert len(cache) == 1
         assert "b" in cache
 
-    def test_evict_all(self):
-        cache = FifoCache(2)
-        cache.put("a", 1)
-        cache.evict_all()
-        assert len(cache) == 0
-
     def test_rejects_bad_capacity(self):
         with pytest.raises(CacheError):
             FifoCache(0)
@@ -96,16 +90,6 @@ class TestLfu:
         cache.put("b", 2)
         cache.put("c", 3)  # b has freq 1 (insert), a has 2
         assert cache.peek("a") == 9
-
-    def test_evict_all_clears_frequencies(self):
-        cache = LfuCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.evict_all()
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)  # "a" no longer privileged
-        assert len(cache) == 2
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(CacheError):
@@ -243,8 +227,6 @@ def test_batch_calls_equal_per_key_calls(policy, capacity, ops):
                 twin.put(key, True)
         assert counters(cache.stats) == counters(twin.stats)
     assert members(batched) == members(twin)
-    if policy == "lru" and capacity:
-        assert batched.keys_in_recency_order() == twin.keys_in_recency_order()
     for fresh in range(100, 100 + capacity):
         batched.put(fresh, True)
         twin.put(fresh, True)

@@ -43,7 +43,7 @@ class TestShardPlan:
         plan = ModuloHashPlanner().plan(two_community_trace, 3)
         for key in range(plan.num_keys):
             shard = plan.shard_of(key)
-            assert plan.global_id(shard, plan.local_id(key)) == key
+            assert plan.shard_keys(shard)[plan.local_id(key)] == key
 
     def test_rejects_empty_shard(self):
         with pytest.raises(ConfigError):
@@ -56,7 +56,6 @@ class TestShardPlan:
     def test_shard_sizes_and_imbalance(self, two_community_trace):
         plan = ModuloHashPlanner().plan(two_community_trace, 2)
         assert plan.shard_sizes() == [4, 4]
-        assert plan.size_imbalance() == pytest.approx(1.0)
         assert plan.load_imbalance(two_community_trace) >= 1.0
 
     def test_mean_fanout_bounds(self, two_community_trace):
@@ -242,7 +241,7 @@ class TestClusterEngine:
             for local in fragment.keys:
                 assert (
                     cluster.plan.shard_of(
-                        cluster.plan.global_id(shard, local)
+                        cluster.plan.shard_keys(shard)[local]
                     )
                     == shard
                 )
@@ -296,7 +295,7 @@ class TestClusterEngine:
         report = engine.serve_trace(two_community_trace)
         assert report.mean_fanout() > 1.0
         assert report.mean_straggler_us() >= 0.0
-        assert max(report.max_shard_latency_us) > 0.0
+        assert max(report.report.latencies_us) > 0.0
 
     def test_rejects_empty_trace(self, cluster):
         with pytest.raises(ServingError):

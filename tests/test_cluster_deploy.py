@@ -88,7 +88,7 @@ class TestShardSwap:
         shard0_live = project_trace(live, cluster.plan, 0)
         new_layout = build_offline_layout(shard0_live, _config(1))
         old_cache = cluster.engines[0].cache
-        swapped = cluster.swap_shard(0, new_layout, keep_cache=True)
+        swapped = cluster.swap_shards({0: new_layout}, keep_cache=True)[0]
         assert cluster.engines[0] is swapped
         assert cluster.engines[0].cache is old_cache  # warm cache kept
         assert cluster.engines[1] is untouched_engine  # still serving
@@ -100,16 +100,16 @@ class TestShardSwap:
     def test_swap_drops_cache_on_request(self, cluster):
         old_cache = cluster.engines[0].cache
         new_layout = cluster.sharded.layouts[0]
-        cluster.swap_shard(0, new_layout, keep_cache=False)
+        cluster.swap_shards({0: new_layout}, keep_cache=False)
         assert cluster.engines[0].cache is not old_cache
 
     def test_swap_rejects_wrong_key_space(self, cluster, criteo_halves):
         history, _ = criteo_halves
         whole = build_offline_layout(history, _config(1))
         with pytest.raises(ServingError):
-            cluster.swap_shard(0, whole)  # covers all keys, not shard 0's
+            cluster.swap_shards({0: whole})  # all keys, not shard 0's
         with pytest.raises(ServingError):
-            cluster.swap_shard(5, cluster.sharded.layouts[0])
+            cluster.swap_shards({5: cluster.sharded.layouts[0]})
 
 
 class TestStalenessDrivenSwap:
@@ -133,6 +133,6 @@ class TestStalenessDrivenSwap:
         assert manager.active_version == 1
         # Deploy the manager's chosen layout into the live cluster and
         # verify the cluster still serves the full key space.
-        cluster.swap_shard(0, manager.versions()[1].layout)
+        cluster.swap_shards({0: manager.versions()[1].layout})
         report = cluster.serve_trace(list(live)[:80])
         assert report.report.num_queries == 80

@@ -43,6 +43,15 @@ def make_cluster(trace, **engine_kwargs) -> ClusterEngine:
     )
 
 
+def keys_on(cluster, trace, shard: int) -> int:
+    """Keys of ``trace`` the cluster routes to ``shard``."""
+    return sum(
+        cluster.plan.shard_of(key) == shard
+        for query in trace
+        for key in query.keys
+    )
+
+
 def slow_down(engine, delay_us: float) -> None:
     """Stretch every result of one shard engine by ``delay_us``."""
     original = engine.serve_query
@@ -73,11 +82,10 @@ class TestShardDeadlines:
         # Shard 0 missed every deadline; shard 1 kept serving.
         assert report.shard_timeouts[0] == report.shard_queries[0] > 0
         assert report.shard_timeouts[1] == 0
-        assert report.shard_coverage()[0] == 0.0
-        assert report.shard_coverage()[1] == 1.0
         assert 0.0 < report.coverage() < 1.0
-        assert report.report.total_missing_keys == sum(
-            report.shard_missing_keys
+        # Exactly shard 0's keys went missing.
+        assert report.report.total_missing_keys == keys_on(
+            cluster, two_community_trace, 0
         )
 
     def test_timed_out_fragment_charges_exactly_the_deadline(
@@ -111,7 +119,7 @@ class TestCircuitBreakers:
                 failure_threshold=2, recovery_timeout_us=1e12
             ),
         )
-        assert cluster.resilient
+        assert cluster.breakers is not None  # resilient mode
         slow_down(cluster.engines[0], 50_000.0)
         report = cluster.serve_trace(two_community_trace)
         # Two timeouts trip the breaker; later queries skip at dispatch.
@@ -150,12 +158,15 @@ class TestCircuitBreakers:
         report = cluster.serve_trace(two_community_trace)  # must not raise
         assert report.shard_errors[1] > 0
         assert report.shard_errors[0] == 0
-        assert report.shard_coverage()[1] == 0.0
-        # After the breaker trips, later fragments are skipped instead of
-        # errored; both count as shard failures.
-        assert report.total_shard_failures() == (
-            report.shard_errors[1] + report.shard_skipped[1]
+        assert report.report.total_missing_keys == keys_on(
+            cluster, two_community_trace, 1
         )
+        # After the breaker trips, later fragments are skipped instead of
+        # errored: every shard-1 fragment is one or the other.
+        assert report.shard_errors[1] + report.shard_skipped[1] == (
+            report.shard_queries[1]
+        )
+        assert report.shard_timeouts == [0, 0]
 
     def test_recovered_shard_closes_breaker_again(self, two_community_trace):
         cluster = make_cluster(
@@ -182,7 +193,7 @@ class TestStrictMode:
         self, two_community_trace, failing
     ):
         cluster = make_cluster(two_community_trace)
-        assert not cluster.resilient
+        assert cluster.breakers is None  # strict mode
         break_engine(cluster.engines[failing], RuntimeError("boom"))
         reads_before = [e.device.stats.reads for e in cluster.engines]
         with pytest.raises(ShardUnavailableError) as info:
@@ -207,7 +218,7 @@ class TestSwapRollback:
         before = cluster.engines[0]
         bogus = PageLayout(2, 4, [(0, 1)])
         with pytest.raises(ServingError):
-            cluster.swap_shard(0, bogus)
+            cluster.swap_shards({0: bogus})
         assert cluster.engines[0] is before
 
     def test_engine_build_failure_leaves_old_layout_serving(
@@ -224,7 +235,7 @@ class TestSwapRollback:
             [tuple(range(owned))],
         )
         with pytest.raises(ServingError):
-            cluster.swap_shard(0, oversized)
+            cluster.swap_shards({0: oversized})
         assert cluster.engines[0] is before
         # The cluster still serves through the original engine.
         assert cluster.serve_query(Query((0, 2))).missing_keys == 0
@@ -238,14 +249,14 @@ class TestSwapRollback:
         cluster.serve_query(Query((0, 2)))
         assert cluster.breakers[0].state == OPEN
         replacement_layout = cluster.sharded.layouts[0]
-        cluster.swap_shard(0, replacement_layout)
+        cluster.swap_shards({0: replacement_layout})
         assert cluster.breakers[0].state == "closed"
         assert cluster.serve_query(Query((0, 2))).missing_keys == 0
 
     def test_out_of_range_shard_rejected(self, two_community_trace):
         cluster = make_cluster(two_community_trace)
         with pytest.raises(ServingError):
-            cluster.swap_shard(9, cluster.sharded.layouts[0])
+            cluster.swap_shards({9: cluster.sharded.layouts[0]})
 
 
 class TestReplicatedSwap:

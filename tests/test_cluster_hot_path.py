@@ -8,7 +8,7 @@ lives on here as the oracle:
   compared by ``.hex()``;
 * ``ReplicaHealthMonitor``: after every step of a random outcome feed the
   attention set equals its definition, ``dispatch_order`` /
-  ``probes_due`` / ``resync_due`` equal the full-scan versions, and a
+  ``probe_due`` / ``resync_due`` equal the full-scan versions, and a
   second monitor fed through the ``record_success`` that always ran the
   state checks holds the same state, so the steady-state return is exact;
 * ``ReplicaGroup.serve``: the returned result *is* the winning attempt's
@@ -374,7 +374,10 @@ class TestMonitorMatchesDefinitions:
             assert monitor.dispatch_order() == oracle_dispatch_order(monitor)
             for at in (now, now + config.probe_interval_us, now + 1e6):
                 due = oracle_probes_due(monitor, at)
-                assert monitor.probes_due(at) == due
+                assert [  # the replicas ReplicaGroup._maintain probes
+                    r for r in sorted(monitor.attention)
+                    if monitor.probe_due(r, at)
+                ] == due
                 for r in range(num_replicas):
                     assert monitor.probe_due(r, at) == (r in due)
                     assert monitor.resync_due(r, at) == oracle_resync_due(

@@ -40,5 +40,5 @@ class TestBuildIndexes:
         counts = forward.replica_counts()
         assert counts is forward.replica_counts()  # cached object
         assert counts == [
-            forward.replica_count(k) for k in range(layout.num_keys)
+            len(forward.pages_of(k)) for k in range(layout.num_keys)
         ]

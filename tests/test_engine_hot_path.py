@@ -69,11 +69,12 @@ WARMUP = 100
 CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 458}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
-#: (cluster: a replayed gather): 16.4 / 29.8 measured on CPython 3.11, plus
+#: (cluster: a replayed gather): 16.4 / 28.8 measured on CPython 3.11, plus
 #: 15 %.  Through the admission queue they would be 24.5 / 46.6; with a
 #: shard tally that folded every counter of every fragment and an event
-#: for every served shard, the cluster's was 38.6.
-DRIVER_CEILINGS = {"engine": 17.7, "cluster": 34.3}
+#: for every served shard, the cluster's was 38.6; with a per-query
+#: slowest-shard list, 29.8.
+DRIVER_CEILINGS = {"engine": 17.7, "cluster": 33.1}
 
 #: Python + C calls per fragment a healthy ``ReplicaGroup.serve`` makes
 #: beyond its engine's ``serve_query``: 6.0 measured on CPython 3.11.  The

@@ -298,7 +298,3 @@ class TestTable2:
     def test_model_helpers(self):
         model = TcoModel()
         assert model.replicated_table_gb() == pytest.approx(405.0)
-        assert model.storage_cost(800, 800, 1000) == 1000
-        assert model.storage_cost(801, 800, 1000) == 2000
-        with pytest.raises(ExperimentError):
-            model.storage_cost(0, 800, 1000)

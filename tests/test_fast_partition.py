@@ -91,7 +91,10 @@ class TestCsrRoundTrip:
         assert csr.num_vertices == graph.num_vertices
         assert csr.num_edges == graph.num_edges
         for eid, edge, weight in graph.edge_items():
-            assert csr.vertices_of_edge(eid).tolist() == list(edge)
+            pins = csr.pin_vertices[
+                csr.edge_indptr[eid] : csr.edge_indptr[eid + 1]
+            ]
+            assert pins.tolist() == list(edge)
             assert int(csr.weights[eid]) == weight
         for v in range(graph.num_vertices):
             assert sorted(csr.edges_of_vertex(v).tolist()) == sorted(

@@ -161,7 +161,7 @@ class TestFlatFrontEnd:
         for have, want in zip(got, _loop_csr_arrays(graph)):
             assert have.dtype == want.dtype
             assert have.tolist() == want.tolist()
-        assert graph.total_pin_count() == csr.num_pins
+        assert graph.total_pin_count() == len(csr.pin_vertices)
 
     @settings(max_examples=60, deadline=None)
     @given(raw_traces())

@@ -26,7 +26,7 @@ class TestPartitionResult:
         result = PartitionResult([0, 1, 0, 1], 2, 2)
         assert result.clusters() == [[0, 2], [1, 3]]
         assert result.cluster_sizes() == [2, 2]
-        assert result.cluster_of(2) == 0
+        assert result.assignment[2] == 0
         assert result.num_vertices == 4
 
     def test_rejects_over_capacity(self):

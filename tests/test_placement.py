@@ -39,8 +39,8 @@ class TestPageLayout:
             replicated_layout.page(3)
 
     def test_is_replica_page(self, replicated_layout):
-        assert not replicated_layout.is_replica_page(0)
-        assert replicated_layout.is_replica_page(2)
+        assert replicated_layout.num_base_pages == 2
+        assert replicated_layout.num_replica_pages == 1  # page 2
 
     def test_replica_counts(self, replicated_layout):
         counts = replicated_layout.replica_counts()
@@ -53,11 +53,6 @@ class TestPageLayout:
 
     def test_space_overhead(self, replicated_layout):
         assert replicated_layout.space_overhead() == pytest.approx(0.5)
-
-    def test_storage_bytes(self, replicated_layout):
-        assert replicated_layout.storage_bytes(4096) == 3 * 4096
-        with pytest.raises(PlacementError):
-            replicated_layout.storage_bytes(0)
 
     def test_rejects_missing_key(self):
         with pytest.raises(PlacementError, match="on no page"):
@@ -95,7 +90,7 @@ class TestLayoutFromPartition:
         result = PartitionResult([0, 0, 1, 1], 2, 2)
         layout = layout_from_partition(result, [(0, 2)])
         assert layout.num_pages == 3
-        assert layout.is_replica_page(2)
+        assert layout.num_replica_pages == 1  # page 2
 
     def test_empty_clusters_skipped(self):
         result = PartitionResult([0, 0], 3, 2)
@@ -108,19 +103,12 @@ class TestForwardIndex:
         index = ForwardIndex.from_layout(replicated_layout)
         assert index.pages_of(1) == (0, 2)
         assert index.home_page(1) == 0
-        assert index.replica_count(1) == 2
-        assert index.replica_count(0) == 1
+        assert len(index.pages_of(0)) == 1
 
     def test_limit_keeps_home_page(self, replicated_layout):
         index = ForwardIndex.from_layout(replicated_layout, limit=1)
         assert index.pages_of(1) == (0,)
         assert index.pages_of(4) == (1,)
-
-    def test_shrink_copy(self, replicated_layout):
-        full = ForwardIndex.from_layout(replicated_layout)
-        shrunk = full.shrink(1)
-        assert shrunk.replica_count(1) == 1
-        assert full.replica_count(1) == 2  # original untouched
 
     def test_total_entries(self, replicated_layout):
         index = ForwardIndex.from_layout(replicated_layout)
@@ -129,8 +117,6 @@ class TestForwardIndex:
     def test_rejects_bad_limit(self, replicated_layout):
         with pytest.raises(PlacementError):
             ForwardIndex.from_layout(replicated_layout, limit=0)
-        with pytest.raises(PlacementError):
-            ForwardIndex.from_layout(replicated_layout).shrink(0)
 
     def test_rejects_unknown_key(self, replicated_layout):
         index = ForwardIndex.from_layout(replicated_layout)

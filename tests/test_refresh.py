@@ -28,6 +28,7 @@ from repro import (
 )
 from repro.cluster import ClusterEngine
 from repro.core import LayoutManager
+from repro.core import deploy as deploy_module
 from repro.core.deploy import window_fingerprint
 from repro.refresh import daemon as daemon_module
 from repro.refresh import (
@@ -221,25 +222,38 @@ class TestRetention:
         assert names == {"initial", "v5", "v6"}
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Layouts the probe evaluates, in order (a cache hit adds none)."""
+    seen = []
+    evaluate = deploy_module.evaluate_placement
+
+    def counting(layout, *args, **kwargs):
+        seen.append(layout)
+        return evaluate(layout, *args, **kwargs)
+
+    monkeypatch.setattr(deploy_module, "evaluate_placement", counting)
+    return seen
+
+
 class TestProbeCache:
-    def test_same_window_probes_once(self, tiny_trace):
+    def test_same_window_probes_once(self, tiny_trace, evaluations):
         layout_a = PageLayout(16, 4, [tuple(range(i, i + 4))
                                       for i in range(0, 16, 4)])
         manager = LayoutManager(layout_a)
-        manager.staleness_probe(tiny_trace)
-        size = manager.probe_cache_size()
-        assert size == 1
-        manager.staleness_probe(tiny_trace)
-        assert manager.probe_cache_size() == size
+        first = manager.staleness_probe(tiny_trace)
+        assert evaluations == [layout_a]
+        assert manager.staleness_probe(tiny_trace) == first
+        assert evaluations == [layout_a]
 
-    def test_cache_keyed_by_window(self, tiny_trace):
+    def test_cache_keyed_by_window(self, tiny_trace, evaluations):
         layout_a = PageLayout(16, 4, [tuple(range(i, i + 4))
                                       for i in range(0, 16, 4)])
         manager = LayoutManager(layout_a)
         manager.staleness_probe(tiny_trace)
         other = QueryTrace(16, [Query((0, 5, 10))])
         manager.staleness_probe(other)
-        assert manager.probe_cache_size() == 2
+        assert evaluations == [layout_a, layout_a]
 
     def test_pruning_drops_cache_entries(self):
         base = PageLayout(8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)])
@@ -249,7 +263,7 @@ class TestProbeCache:
         manager.register(PageLayout(8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)]))
         manager.staleness_probe(window)
         # Only retained versions' entries remain.
-        assert manager.probe_cache_size() == len(manager.versions())
+        assert len(manager._probe_cache) == len(manager.versions())
 
 
 class TestEngineClose:

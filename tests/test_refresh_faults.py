@@ -107,7 +107,6 @@ class TestRefreshFaultPlan:
 
     def test_zero_rates_never_fire(self):
         plan = RefreshFaultPlan(seed=1)
-        assert not plan.any_faults()
         assert not any(
             plan.draw_rebuild_failure(0, t)
             or plan.draw_corrupt_artifact(0, t)

@@ -259,11 +259,13 @@ class TestInvariant:
                     core.submit((10**9,)),
                     core.submit((4, 5)),
                 )
-                return outcomes, core.batch_log, check_invariant(core)
+                return outcomes, check_invariant(core)
 
-        (first, bad, last), log, metrics = run(scenario())
+        (first, bad, last), metrics = run(scenario())
         if path != "coalescer-off":
-            assert log == [("default", 3)], "the three must share a batch"
+            assert first.coalesced == last.coalesced == 3, (
+                "the three must share a batch"
+            )
         assert first.ok and first.served == 3
         assert last.ok and last.served == 2
         assert (bad.status, bad.shed_reason) == ("shed", "error")
@@ -380,8 +382,9 @@ class TestInvariant:
 
 class TestCoalescing:
     def test_batches_never_mix_tenants(self, engine):
-        """Tenant A queries keys 0-3, tenant B keys 4-7: every engine
-        call (merged or not) must stay inside one tenant's key space."""
+        """Tenant A queries keys 0-3, tenant B keys 4-7, in runs of five
+        (a batch ends where the tenant changes): every engine call, the
+        merged unions included, must stay inside one tenant's key space."""
         recorder = RecordingEngine(engine)
 
         async def scenario():
@@ -390,22 +393,23 @@ class TestCoalescing:
                 max_concurrent_batches=1,
             )
             async with GatewayCore(recorder, config) as core:
-                await asyncio.gather(
+                outcomes = await asyncio.gather(
                     *(
                         core.submit(
-                            ((i % 4) + (4 if i % 2 else 0),),
-                            "b" if i % 2 else "a",
+                            ((i % 4) + (4 if i // 5 % 2 else 0),),
+                            "b" if i // 5 % 2 else "a",
                         )
                         for i in range(40)
                     )
                 )
-                log = core.batch_log
                 check_invariant(core)
-            return log
+            return outcomes
 
-        log = run(scenario())
-        assert sum(size for _, size in log) == 40
-        a_space, b_space = set(range(0, 4)), set(range(4, 8))
+        outcomes = run(scenario())
+        assert all(outcome.ok for outcome in outcomes)
+        # Requests were merged, so purity is not vacuous.
+        assert max(len(keys) for keys in recorder.served_keys) > 1
+        b_space = set(range(4, 8))
         for keys in recorder.served_keys:
             spaces = {k in b_space for k in keys}
             assert len(spaces) == 1, f"tenant key spaces mixed: {keys}"
@@ -477,12 +481,9 @@ class TestCoalescing:
                     *(core.submit((i % 8,)) for i in range(10))
                 )
                 lone = await core.submit((0,))
-                return outcomes, lone, core.batch_log
+                return outcomes, lone
 
-        outcomes, lone, log = run(scenario())
-        assert log == [("default", 4), ("default", 4), ("default", 2)] + [
-            ("default", 1)
-        ]
+        outcomes, lone = run(scenario())
         assert [o.coalesced for o in outcomes] == [4] * 8 + [2] * 2
         assert lone.ok and lone.coalesced == 1
         # One flush served all ten: they share its tick, in queue order.

@@ -60,14 +60,11 @@ class TestCpuCostModel:
         assert model.selection_time_us(outcome.candidate_counts) == 5.0
 
     def test_total_includes_base_and_sort(self):
-        model = CpuCostModel(
-            sort_per_key_us=0.0,
-            candidate_examine_us=0.0,
-            step_base_us=0.0,
-            query_base_us=3.0,
-        )
-        outcome = outcome_with([(0, (1,), 1)], sorted_keys=4)
-        assert model.total_cpu_us(outcome) == 3.0
+        model = CpuCostModel(sort_per_key_us=1.0, query_base_us=3.0)
+        outcome = outcome_with([], sorted_keys=4)
+        result = SerialExecutor(model).execute(outcome, fast_device(), 0.0)
+        assert result.sort_us == model.sort_time_us(4) > 0.0
+        assert result.latency_us == pytest.approx(3.0 + result.sort_us)
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ConfigError):
@@ -144,7 +141,6 @@ class TestExecutors:
         outcome = outcome_with([(0, (1,), 1)])
         result = SerialExecutor(model).execute(outcome, fast_device(), 3.0)
         assert result.start_us == 3.0
-        assert result.cpu_us == result.sort_us + result.selection_us
         assert result.finish_us > result.start_us
 
 

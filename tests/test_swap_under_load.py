@@ -196,7 +196,7 @@ class TestClusterSwapUnderLoad:
         server.start()
         try:
             for _ in range(10):
-                engine.swap_shard(1, replacement)
+                engine.swap_shards({1: replacement})
         finally:
             stop.set()
             server.join(timeout=30)

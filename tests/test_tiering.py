@@ -47,6 +47,7 @@ from repro.tiering import (
 from tests.test_fast_selection import (
     assert_same_outcome,
     assert_same_selection,
+    covered_keys,
     layouts_queries_limits,
     selector_pair,
 )
@@ -88,7 +89,6 @@ class TestTierPlanValidation:
     def test_valid_plan(self):
         plan = TierPlan(num_keys=8, tier_ratio=0.25, pinned=(1, 5))
         assert plan.capacity == 2
-        assert plan.dram_rows() == 2
         assert plan.source == "replicas"
 
     def test_rejects_out_of_range_key(self):
@@ -249,7 +249,7 @@ def assert_tier_partition(outcome, tier, keys):
     """Every distinct key served exactly once, from exactly one tier."""
     distinct = list(dict.fromkeys(keys))
     expected_hits = [k for k in distinct if k in tier]
-    covered = outcome.covered_keys()
+    covered = covered_keys(outcome)
     assert outcome.tier_hits == len(expected_hits)
     assert covered == set(distinct) - set(expected_hits)
     assert not covered & set(expected_hits)
@@ -289,7 +289,7 @@ class TestTieredSelection:
         outcome = fast.select([0, 4, 5, 0])
         assert outcome.tier_hits == 3
         assert outcome.pages == []
-        assert outcome.covered_keys() == set()
+        assert covered_keys(outcome) == set()
 
     def test_tiered_select_still_rejects_unknown_keys(self, layout):
         fast, _ = selector_pair(layout)

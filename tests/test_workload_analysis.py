@@ -72,7 +72,7 @@ class TestBreadth:
         # The paper's premise: hot keys co-appear beyond a page.
         trace, _ = make_trace("criteo", scale="small", seed=1)
         report = coappearance_breadth(trace, page_capacity=16)
-        assert report.replication_headroom()
+        assert report.hot_mean_breadth > report.page_capacity
 
     def test_rejects_bad_capacity(self, skewed_trace):
         with pytest.raises(WorkloadError):
