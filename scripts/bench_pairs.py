@@ -11,7 +11,8 @@ first.  A pair in which either run reports ``host.noise_frac`` >= 0.25 is
 printed, kept out of the quiet summary and run again (at most ``--pairs``
 extra pairs); a second table summarises every pair run, noisy ones
 included, and carries the verdict and exit code when no pair is quiet.
-The verdict is the choosing-metrics rule: a gain needs the
+The verdict is the choosing-metrics rule: a gain, claimed by naming its
+metric with ``--metric``, needs the
 change to win at least nine tenths of the pairs (ties count for neither)
 and the medians to differ by more than the distance between the parent's
 quartiles and by more than the metric's bound (the gap a claimed gain must
@@ -95,7 +96,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
-        "--metric", help="the claimed one (default wall_qps; shown per pair)"
+        "--metric",
+        help="the claimed gain, judged as one only when given (shown per "
+        "pair; default wall_qps, or host.cpu_us_per_query with --trace 1)",
     )
     parser.add_argument("--seconds", type=float, help="default: run_seconds")
     parser.add_argument("--save", type=Path, help="append every run as JSONL")
@@ -104,6 +107,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
     declared = spec["per_layer"] if args.trace else spec["end_to_end"]
+    claimed = None if args.trace else args.metric
     if args.metric is None:
         args.metric = "host.cpu_us_per_query" if args.trace else "wall_qps"
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -155,12 +159,13 @@ def main(argv=None) -> int:
                   f"{side} {sum(pair[side]['failed'] for pair in pairs)}/"
                   f"{sum(pair[side]['attempted'] for pair in pairs)}"
                   for side in sides))
-        verdicts.append(summarise(pairs, declared, args, sides))
+        verdicts.append(summarise(pairs, declared, claimed, sides))
     return 0 if verdicts and verdicts[0] else 1
 
 
-def summarise(pairs, declared, args, sides) -> bool:
-    """Print medians, quartiles, wins and verdicts over ``pairs``; True
+def summarise(pairs, declared, claimed, sides) -> bool:
+    """Print medians, quartiles, wins and verdicts over ``pairs``, judging
+    the metric named ``claimed`` (None: none) as a claimed gain; True
     unless a claim is not met or a metric regressed."""
     print(f"{'metric':32s} {'parent median [q1, q3]':>40s} "
           f"{'change median [q1, q3]':>40s} ratio  wins verdict")
@@ -170,7 +175,7 @@ def summarise(pairs, declared, args, sides) -> bool:
         columns = [[pair[s]["metrics"][name] for pair in pairs] for s in sides]
         wins, verdict = judge(
             *columns, metric["better"], metric.get("bound"),
-            claimed=name == args.metric and not args.trace,
+            claimed=name == claimed,
         )
         spread = [quartiles(col) for col in columns]
         cells = ["{1:.6g} [{0:.6g}, {2:.6g}]".format(*qs) for qs in spread]

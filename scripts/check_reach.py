@@ -61,14 +61,6 @@ ALLOWLIST: Dict[str, str] = {
         "test support: tests/test_overload_faults.py draws its arrival "
         "times with it"
     ),
-    "repro.core.persist.save_store": (
-        "store bundles: the one format that carries a built store's "
-        "online configuration with its layout and tier plan"
-    ),
-    "repro.core.persist.load_store": (
-        "store bundles: reads what save_store writes, refusing a bad "
-        "configuration or a torn artifact"
-    ),
     "repro.experiments.common.clear_caches": (
         "test support: experiment tests drop the memoized traces and "
         "layouts between cases"

@@ -30,9 +30,7 @@ from .cluster import (
     ShardPlan,
     ShardedLayout,
     build_sharded_layout,
-    load_sharded_layout,
     make_planner,
-    save_sharded_layout,
 )
 from .core import (
     LayoutManager,
@@ -41,6 +39,7 @@ from .core import (
     MaxEmbedStore,
     build_offline_layout,
 )
+from .bundle import Bundle, load_bundle, save_bundle
 from .errors import (
     CacheError,
     ConfigError,
@@ -145,6 +144,10 @@ __all__ = [
     "build_offline_layout",
     "LayoutManager",
     "LayoutVersion",
+    # deployment bundle
+    "Bundle",
+    "save_bundle",
+    "load_bundle",
     # cluster
     "SHARD_STRATEGIES",
     "ShardPlan",
@@ -156,8 +159,6 @@ __all__ = [
     "ReplicaHealthMonitor",
     "HealthConfig",
     "make_planner",
-    "save_sharded_layout",
-    "load_sharded_layout",
     # types
     "Query",
     "QueryTrace",

@@ -4,14 +4,15 @@ Subcommands::
 
     maxembed generate  --dataset criteo --scale bench --out trace.txt
     maxembed analyze   --trace trace.txt
-    maxembed build     --trace trace.txt --ratio 0.1 --out layout.json
+    maxembed build     --trace trace.txt --ratio 0.1 --out bundle.json
+    maxembed build     --trace trace.txt --tier-ratio 0.05 --out tiered.json
     maxembed build     --trace trace.txt --shards 4 --shard-strategy cooccurrence --out cluster.json
-    maxembed diagnose  --layout layout.json [--trace trace.txt]
-    maxembed serve     --trace trace.txt --layout layout.json
-    maxembed serve     --trace trace.txt --layout cluster.json --shards 4
-    maxembed serve     --trace trace.txt --layout layout.json \\
+    maxembed diagnose  --bundle bundle.json [--trace trace.txt]
+    maxembed serve     --trace trace.txt --bundle bundle.json
+    maxembed serve     --trace trace.txt --bundle cluster.json
+    maxembed serve     --trace trace.txt --bundle bundle.json \\
                        --offered-qps 50000 --admission-capacity 64 --brownout
-    maxembed serve     --layout cluster.json --listen 127.0.0.1:8080 \\
+    maxembed serve     --bundle cluster.json --listen 127.0.0.1:8080 \\
                        --admission-capacity 64 --brownout --tenant gold:5000
     maxembed loadgen   --target 127.0.0.1:8080 --trace trace.txt \\
                        --concurrency 16 --duration 5
@@ -22,9 +23,12 @@ Everything the CLI does is a thin layer over the public API, so scripts
 can reproduce any invocation programmatically.  Every ``serve`` mode —
 replay, open loop (``--offered-qps``) and the gateway (``--listen``) —
 runs an engine from one builder: every engine flag goes into one
-:class:`~repro.serving.EngineConfig`, and the layout file decides
-between a :class:`~repro.serving.ServingEngine` and a
-:class:`~repro.cluster.ClusterEngine`.  The modes differ only in what
+:class:`~repro.serving.EngineConfig`, and the deployment bundle that
+``build`` wrote (:mod:`repro.bundle`) supplies everything fixed at build
+time — the embedding geometry, the tier plan, the shard plan (which
+decides between a :class:`~repro.serving.ServingEngine` and a
+:class:`~repro.cluster.ClusterEngine`) and the build configuration a
+``--refresh`` rebuild re-places under.  The modes differ only in what
 they print.  A library error (:class:`~repro.errors.ReproError`) exits 1
 with one ``error:`` line on stderr.
 """
@@ -35,20 +39,15 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .bundle import Bundle, load_bundle, save_bundle
 from .cache import CACHE_POLICIES
-from .cluster import (
-    SHARD_STRATEGIES,
-    ClusterEngine,
-    is_sharded_layout_file,
-    load_sharded_layout,
-)
+from .cluster import SHARD_STRATEGIES, ClusterEngine, ShardedLayout
 from .core import MaxEmbedConfig, build_offline_layout
 from .core.config import STRATEGIES
 from .errors import ConfigError, ReproError
 from .experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
 from .faults import FaultPlan, ShardFaultPlan
 from .overload import ADMISSION_POLICIES, AdmissionConfig, BrownoutConfig
-from .placement import load_layout, save_layout
 from .refresh import RefreshConfig
 from .serving import (
     EXECUTORS,
@@ -58,7 +57,7 @@ from .serving import (
     ServingEngine,
 )
 from .service import ServiceConfig
-from .tiering import TIER_MODES, load_tier_plan
+from .tiering import TIER_MODES
 from .types import EmbeddingSpec
 from .utils.tables import format_mapping
 from .workloads import load_trace, make_trace, save_trace, DATASETS
@@ -124,22 +123,23 @@ def _add_build(subparsers) -> None:
         type=float,
         default=_DEPLOYMENT.tier_ratio,
         help="also plan a pinned DRAM tier of this table fraction from "
-        "the build trace's hotness (single-shard builds only)",
+        "the build trace's hotness, saved in the bundle (single-shard "
+        "builds only)",
     )
     p.add_argument(
-        "--tier-out",
-        default=None,
-        help="output file for the tier plan (default: <out>.tier.json "
-        "when --tier-ratio > 0)",
+        "--out",
+        required=True,
+        help="output deployment bundle: config, layouts, tier plan",
     )
-    p.add_argument("--out", required=True, help="output layout file")
 
 
 def _add_diagnose(subparsers) -> None:
     p = subparsers.add_parser(
-        "diagnose", help="inspect a layout's replica budget"
+        "diagnose", help="inspect each shard layout's replica budget"
     )
-    p.add_argument("--layout", required=True, help="layout file")
+    p.add_argument(
+        "--bundle", required=True, help="deployment bundle from `build`"
+    )
     p.add_argument(
         "--trace", default=None, help="optional trace for pair coverage"
     )
@@ -153,8 +153,12 @@ def _add_serve(subparsers) -> None:
         help="trace to serve (optional with --listen: the gateway takes "
         "live requests instead of replaying)",
     )
-    p.add_argument("--layout", required=True, help="layout file")
-    p.add_argument("--dim", type=int, default=_ENGINE.spec.dim)
+    p.add_argument(
+        "--bundle",
+        required=True,
+        help="deployment bundle from `build`: its geometry, shard plan "
+        "and tier plan are served as built",
+    )
     p.add_argument("--cache-ratio", type=float, default=_ENGINE.cache_ratio)
     p.add_argument(
         "--cache-policy",
@@ -173,14 +177,8 @@ def _add_serve(subparsers) -> None:
         type=float,
         default=_ENGINE.tier_ratio,
         help="pinned-tier size as a fraction of the table (with "
-        "--tier-mode pinned/hybrid; ignored under lru)",
-    )
-    p.add_argument(
-        "--tier-plan",
-        default=None,
-        help="load a pre-computed tier plan (from `maxembed build "
-        "--tier-ratio`) instead of deriving one from replica counts; "
-        "single-shard layouts only",
+        "--tier-mode pinned/hybrid and no tier plan in the bundle; "
+        "ignored under lru)",
     )
     p.add_argument("--index-limit", type=int, default=_ENGINE.index_limit)
     p.add_argument(
@@ -195,13 +193,6 @@ def _add_serve(subparsers) -> None:
         "upgraded automatically)",
     )
     p.add_argument("--threads", type=int, default=_ENGINE.threads)
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="serve a sharded cluster layout (inferred from the layout "
-        "file when omitted; must match its shard count when given)",
-    )
     p.add_argument(
         "--fault-plan",
         default=None,
@@ -227,7 +218,7 @@ def _add_serve(subparsers) -> None:
         default=_ENGINE.replicas,
         help="engines per logical shard; >1 enables health-tracked "
         "failover and hedged dispatch inside the gather (cluster "
-        "layouts only)",
+        "bundles only)",
     )
     p.add_argument(
         "--hedge-quantile",
@@ -478,11 +469,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .types import EmbeddingSpec as _Spec
     from .workloads.analysis import summarize
 
     trace = load_trace(args.trace)
-    capacity = _Spec(dim=args.dim).slots_per_page
+    capacity = EmbeddingSpec(dim=args.dim).slots_per_page
     summary = summarize(trace, page_capacity=capacity)
     print(format_mapping(f"trace analysis ({args.trace})", summary))
     if summary["hot_coappearance_breadth"] > capacity:
@@ -507,10 +497,10 @@ def _cmd_build(args) -> int:
         seed=args.seed,
     )
     if args.shards > 1:
-        from .cluster import build_sharded_layout, save_sharded_layout
+        from .cluster import build_sharded_layout
 
         sharded = build_sharded_layout(trace, config)
-        save_sharded_layout(sharded, args.out)
+        save_bundle(Bundle(config, sharded), args.out)
         sizes = sharded.plan.shard_sizes()
         print(
             f"built {sharded.num_shards}-shard cluster layout "
@@ -519,53 +509,66 @@ def _cmd_build(args) -> int:
         )
         return 0
     layout = build_offline_layout(trace, config)
-    save_layout(layout, args.out)
+    tier_plan = None
+    if args.tier_ratio > 0:
+        from .tiering import plan_tier_from_trace
+
+        tier_plan = plan_tier_from_trace(layout, trace, args.tier_ratio)
+    save_bundle(Bundle(config, layout, tier_plan), args.out)
     print(
         f"built layout: {layout.num_pages} pages "
         f"({layout.num_replica_pages} replicas, "
         f"space overhead {layout.space_overhead():.1%}) -> {args.out}"
     )
-    if args.tier_ratio > 0:
-        from .tiering import plan_tier_from_trace, save_tier_plan
-
-        tier_plan = plan_tier_from_trace(layout, trace, args.tier_ratio)
-        tier_out = args.tier_out or f"{args.out}.tier.json"
-        save_tier_plan(tier_plan, tier_out)
+    if tier_plan is not None:
         print(
             f"planned DRAM tier: {tier_plan.capacity} pinned keys "
             f"({args.tier_ratio:.1%} of table, by {tier_plan.source}) "
-            f"-> {tier_out}"
+            f"-> {args.out}"
         )
     return 0
 
 
 def _cmd_diagnose(args) -> int:
+    """One table per shard layout; a sharded bundle's hot-pair coverage
+    is each shard's on its projection of the trace."""
+    from .cluster import project_trace
     from .placement import hot_pair_coverage, layout_report
 
-    layout = load_layout(args.layout)
-    report = layout_report(layout)
-    print(format_mapping(f"layout diagnostics ({args.layout})", report.as_dict()))
-    if args.trace:
-        trace = load_trace(args.trace)
-        coverage = hot_pair_coverage(layout, trace)
-        print(f"\nhot-pair coverage on {args.trace}: {coverage:.1%}")
+    bundle = load_bundle(args.bundle)
+    sharded = isinstance(bundle.layout, ShardedLayout)
+    trace = load_trace(args.trace) if args.trace else None
+    for shard, layout in enumerate(bundle.layouts):
+        where = args.bundle
+        if sharded:
+            where = f"{args.bundle}, shard {shard}"
+            if shard:
+                print()
+        report = layout_report(layout).as_dict()
+        print(format_mapping(f"layout diagnostics ({where})", report))
+        if trace is not None:
+            seen = trace
+            if sharded:
+                seen = project_trace(trace, bundle.layout.plan, shard)
+            coverage = hot_pair_coverage(layout, seen)
+            print(f"\nhot-pair coverage on {args.trace}: {coverage:.1%}")
     return 0
 
 
-def _engine_config(args) -> EngineConfig:
-    """The serve command's engine flags, all of them, in every mode.
+def _engine_config(args, bundle: Bundle) -> EngineConfig:
+    """The serve command's engine flags, all of them, in every mode, on
+    the bundle's geometry and tier plan.
 
     Nothing is passed conditionally: a single engine ignores the
     cluster-only fields, ``retry`` is read only under a fault plan and
-    ``tier_ratio`` only outside ``lru``.  ``--tier-plan`` alone implies
-    the pinned tier.
+    ``tier_ratio`` only outside ``lru``.  A tier plan in the bundle
+    alone implies the pinned tier.
     """
-    tier_plan = load_tier_plan(args.tier_plan) if args.tier_plan else None
     tier_mode = args.tier_mode
-    if tier_plan is not None and tier_mode == "lru":
+    if bundle.tier_plan is not None and tier_mode == "lru":
         tier_mode = "pinned"
     return EngineConfig(
-        spec=EmbeddingSpec(dim=args.dim),
+        spec=bundle.config.spec,
         cache_ratio=args.cache_ratio,
         cache_policy=args.cache_policy,
         index_limit=args.index_limit,
@@ -586,30 +589,21 @@ def _engine_config(args) -> EngineConfig:
         ),
         tier_mode=tier_mode,
         tier_ratio=args.tier_ratio,
-        tier_plan=tier_plan,
+        tier_plan=bundle.tier_plan,
     )
 
 
-def _build_serve_engine(args):
-    """The engine every serve mode runs: one per layout file.
+def _build_serve_engine(bundle: Bundle, args):
+    """The engine every serve mode runs: the bundle's placement under
+    the serve flags.
 
-    A sharded layout file gets a :class:`~repro.cluster.ClusterEngine`,
-    a plain one a :class:`~repro.serving.ServingEngine` and counts as one
-    shard; ``--shards``, when given, must match.
+    A bundle with a shard plan gets a :class:`~repro.cluster.ClusterEngine`,
+    a one-shard bundle a :class:`~repro.serving.ServingEngine`.
     """
-    if is_sharded_layout_file(args.layout):
-        engine_cls, layout = ClusterEngine, load_sharded_layout(args.layout)
-        shards = layout.num_shards
-    else:
-        engine_cls, layout = ServingEngine, load_layout(args.layout)
-        shards = 1
-    if args.shards is not None and args.shards != shards:
-        raise ConfigError(
-            f"--shards {args.shards} but {args.layout} holds {shards} "
-            f"shard{'' if shards == 1 else 's'}\n"
-            f"hint: build a cluster layout with `maxembed build --shards N`"
-        )
-    return engine_cls(layout, _engine_config(args))
+    engine_cls = ServingEngine
+    if isinstance(bundle.layout, ShardedLayout):
+        engine_cls = ClusterEngine
+    return engine_cls(bundle.layout, _engine_config(args, bundle))
 
 
 def _overload_options(args) -> dict:
@@ -708,13 +702,14 @@ def _service_config(args):
     )
 
 
-def _refresh_daemon(args, engine):
+def _refresh_daemon(args, engine, build_config: MaxEmbedConfig):
     """(engine, daemon) for `serve --listen --refresh`.
 
     Single-engine serving is re-mounted behind a
     :class:`~repro.core.LayoutManager` so the daemon's hot swaps are
     what the gateway serves through; a cluster engine already swaps in
-    place and is mounted directly.
+    place and is mounted directly.  Rebuilds re-place under
+    ``build_config``, the bundle's: the parameters actually deployed.
     """
     if not getattr(args, "refresh", False):
         return engine, None
@@ -732,7 +727,6 @@ def _refresh_daemon(args, engine):
         max_retries=args.refresh_retries,
         shadow_margin=args.refresh_margin,
     )
-    build_config = MaxEmbedConfig(spec=EmbeddingSpec(dim=args.dim))
     if isinstance(engine, ClusterEngine):
         target = engine
     else:
@@ -750,8 +744,9 @@ def _cmd_serve_gateway(args) -> int:
     from .service import run_gateway
 
     host, port = _parse_address(args.listen)
-    engine = _build_serve_engine(args)
-    engine, refresh = _refresh_daemon(args, engine)
+    bundle = load_bundle(args.bundle)
+    engine = _build_serve_engine(bundle, args)
+    engine, refresh = _refresh_daemon(args, engine, bundle.config)
     config = _service_config(args)
 
     def ready(server) -> None:
@@ -866,7 +861,7 @@ def _cmd_serve(args) -> int:
             "--trace is required unless --listen starts the live gateway"
         )
     trace = load_trace(args.trace)
-    engine = _build_serve_engine(args)
+    engine = _build_serve_engine(load_bundle(args.bundle), args)
     if args.offered_qps is not None:
         return _serve_open_loop(engine, trace, args)
     _print_replay(engine, engine.serve_trace(trace), args)

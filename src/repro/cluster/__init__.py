@@ -13,8 +13,10 @@ scales with the shard count.
 * :mod:`.router` — the scatter-gather :class:`ClusterEngine`;
 * :mod:`.replicas` — R-way replica groups with health-tracked failover
   and hedged fragment dispatch;
-* :mod:`.stats` — shard-load, imbalance, and straggler metrics;
-* :mod:`.io` — sharded-layout persistence.
+* :mod:`.stats` — shard-load, imbalance, and straggler metrics.
+
+A built cluster is saved with its config in one deployment bundle
+(:mod:`repro.bundle`).
 """
 
 from .planner import (
@@ -40,11 +42,6 @@ from .replicas import (
 )
 from .router import ClusterEngine
 from .stats import ClusterReport
-from .io import (
-    is_sharded_layout_file,
-    load_sharded_layout,
-    save_sharded_layout,
-)
 
 __all__ = [
     "SHARD_STRATEGIES",
@@ -64,7 +61,4 @@ __all__ = [
     "HealthConfig",
     "HealthTransition",
     "REPLICA_STATES",
-    "save_sharded_layout",
-    "load_sharded_layout",
-    "is_sharded_layout_file",
 ]

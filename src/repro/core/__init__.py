@@ -9,7 +9,6 @@ simulated SSD reads, DRAM cache).
 from .config import MaxEmbedConfig
 from .store import MaxEmbedStore, build_offline_layout
 from .deploy import LayoutManager, LayoutVersion
-from .persist import load_store, save_store
 
 __all__ = [
     "MaxEmbedConfig",
@@ -17,6 +16,4 @@ __all__ = [
     "build_offline_layout",
     "LayoutManager",
     "LayoutVersion",
-    "save_store",
-    "load_store",
 ]

@@ -8,12 +8,9 @@ selection with pipelined reads on a P5800X.
 The online fields are inherited from
 :class:`~repro.serving.engine.OnlineConfig`, the one place they are
 declared, defaulted and checked; :meth:`MaxEmbedConfig.engine_config`
-hands them to the engine.  A saved bundle
-(:func:`~repro.core.persist.config_to_dict`) holds every field; it may
-omit only the keys older bundles lacked (``cache_policy``,
-``tier_mode``, ``tier_ratio``, ``num_shards``, ``shard_strategy``,
-``replicas``, ``build_workers``, ``offline_workers``), which load at
-their defaults.
+hands them to the engine.  A deployment bundle
+(:func:`~repro.bundle.config_to_dict`) holds every field; a bundle
+without one (saved before the field existed) is refused: rebuild it.
 """
 
 from __future__ import annotations

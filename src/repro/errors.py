@@ -75,11 +75,10 @@ class DeviceFault(StorageError):
 class CorruptArtifactError(PlacementError, ConfigError):
     """A persisted artifact failed its integrity check.
 
-    Raised when a checksummed artifact (layout, store bundle, sharded
-    layout) is truncated, bit-flipped, or carries the
-    wrong magic/version.  Subclasses both :class:`PlacementError` and
-    :class:`ConfigError` so pre-checksum call sites that catch those
-    (layout loads / bundle loads respectively) keep working unchanged.
+    Raised when a deployment bundle (:mod:`repro.bundle`) is truncated,
+    bit-flipped, malformed, or carries the wrong magic/version.
+    Subclasses both :class:`PlacementError` and :class:`ConfigError`, as
+    a bundle holds both layouts and a configuration.
     """
 
 

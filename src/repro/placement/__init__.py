@@ -13,7 +13,6 @@ from .layout import PageLayout, layout_from_partition
 from .forward_index import ForwardIndex
 from .invert_index import InvertIndex
 from .build import build_indexes
-from .serialize import load_layout, save_layout
 from .diagnostics import LayoutReport, hot_pair_coverage, layout_report
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "ForwardIndex",
     "InvertIndex",
     "build_indexes",
-    "save_layout",
-    "load_layout",
     "LayoutReport",
     "layout_report",
     "hot_pair_coverage",

@@ -1,12 +1,12 @@
 """Crash-safe artifact staging and the shadow-score swap gate.
 
 A rebuilt layout never goes straight from builder memory into the
-serving engine.  It is **staged**: written to disk through the
-CRC-enveloped layout serializer, read back, and only the round-tripped,
-checksum-validated copy is eligible to swap.  A torn or bit-flipped
-staging write (the chaos suite injects exactly that) fails the CRC at
-load time and the repair is retried — a corrupt layout cannot reach the
-engine.
+serving engine.  It is **staged**: written to disk as a CRC-enveloped
+deployment bundle (:mod:`repro.bundle`), read back, and only the
+round-tripped, checksum-validated copy is eligible to swap.  A torn or
+bit-flipped staging write (the chaos suite injects exactly that) fails
+the CRC at load time and the repair is retried — a corrupt layout
+cannot reach the engine.
 
 The **shadow-score gate** then replays the probe window against the
 staged candidate and the active layout offline (no live traffic
@@ -21,9 +21,11 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import CorruptArtifactError, RefreshError
+from ..bundle import Bundle, load_bundle, save_bundle
+from ..core import MaxEmbedConfig
+from ..errors import ConfigError, PlacementError, RefreshError
 from ..metrics import evaluate_placement
-from ..placement import PageLayout, load_layout, save_layout
+from ..placement import PageLayout
 from ..types import EmbeddingSpec, QueryTrace
 
 
@@ -42,8 +44,9 @@ def stage_layout(
     ``stage="stage"``.
     """
     os.makedirs(staging_dir, exist_ok=True)
-    path = os.path.join(staging_dir, f"{tag}.layout.json")
-    save_layout(layout, path)
+    path = os.path.join(staging_dir, f"{tag}.bundle.json")
+    # Only the layout is read back; the default config rides along.
+    save_bundle(Bundle(MaxEmbedConfig(), layout), path)
     if corrupt:
         data = bytearray(open(path, "rb").read())
         middle = len(data) // 2
@@ -51,11 +54,10 @@ def stage_layout(
         with open(path, "wb") as handle:
             handle.write(bytes(data))
     try:
-        staged = load_layout(path)
-    except (CorruptArtifactError, ValueError, KeyError, OSError) as exc:
-        # CorruptArtifactError is the CRC envelope catching the tear;
-        # ValueError covers UnicodeDecodeError/JSONDecodeError when the
-        # flipped byte breaks decoding before the checksum is reached.
+        staged = load_bundle(path).layout
+    except (ConfigError, PlacementError) as exc:
+        # The loader reports a tear as CorruptArtifactError (both of
+        # these): the CRC check, or JSON / UTF-8 decoding failing first.
         raise RefreshError(
             f"staged artifact {path} failed validation: "
             f"{type(exc).__name__}: {exc}",

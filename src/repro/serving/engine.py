@@ -45,10 +45,9 @@ class OnlineConfig:
     :class:`EngineConfig` and :class:`~repro.core.MaxEmbedConfig` inherit
     them and add only their own.  A failed check raises the subclass's
     ``error`` type, so each config keeps its own exception.  An
-    ``EngineConfig`` is never saved; a bundle carries these fields as
-    :class:`~repro.core.MaxEmbedConfig`'s, and may omit ``cache_policy``,
-    ``tier_mode``, ``tier_ratio`` and ``replicas`` (older bundles lacked
-    them; see :mod:`repro.core.persist`).
+    ``EngineConfig`` is never saved; a deployment bundle
+    (:mod:`repro.bundle`) carries these fields as
+    :class:`~repro.core.MaxEmbedConfig`'s.
 
     Attributes:
         spec: embedding geometry (dim, page size).
@@ -170,7 +169,7 @@ class EngineConfig(OnlineConfig):
             unprotected baseline: crashes cost coverage because there
             is no surviving replica to fail over to.
         tier_plan: precomputed :class:`~repro.tiering.TierPlan` (e.g. the
-            trace-hotness plan persisted next to the layout).  None in
+            trace-hotness plan saved in the deployment bundle).  None in
             ``pinned``/``hybrid`` mode derives a replica-count plan from
             the layout at ``tier_ratio``.
     """

@@ -17,12 +17,6 @@ from .plan import (
     replan_tier,
     replica_counts_from_layout,
 )
-from .serialize import (
-    load_tier_plan,
-    save_tier_plan,
-    tier_plan_from_dict,
-    tier_plan_to_dict,
-)
 
 __all__ = [
     "TIER_MODES",
@@ -33,8 +27,4 @@ __all__ = [
     "plan_tier_from_trace",
     "replan_tier",
     "replica_counts_from_layout",
-    "load_tier_plan",
-    "save_tier_plan",
-    "tier_plan_from_dict",
-    "tier_plan_to_dict",
 ]

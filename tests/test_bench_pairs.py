@@ -78,9 +78,10 @@ def test_quartiles_of_one_run():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
 
 
-def fake_contract(tmp_path, monkeypatch, noises, change_qps):
+def fake_contract(tmp_path, monkeypatch, noises, change_qps, claim=True):
     """Argv for two checkouts whose runs report ``noises`` in turn; the
-    parent serves 100 qps, the change ``change_qps``."""
+    parent serves 100 qps, the change ``change_qps``; ``claim`` passes
+    ``--metric wall_qps``."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
@@ -108,7 +109,7 @@ def fake_contract(tmp_path, monkeypatch, noises, change_qps):
         "--parent", str(tmp_path / "parent"),
         "--change", str(tmp_path / "change"),
         "--workload", "w", "--pairs", "3",
-    ]
+    ] + (["--metric", "wall_qps"] if claim else [])
 
 
 def rows(out, metric):
@@ -143,3 +144,20 @@ def test_some_pairs_noisy_prints_both_tables(tmp_path, monkeypatch, capsys):
         ["3/3", "gain"],
         ["4/4", "gain"],
     ]
+
+
+@pytest.mark.parametrize(
+    "change_qps, code, verdict",
+    [(130.0, 0, "3/3 ok"), (100.0, 0, "0/3 ok"), (70.0, 1, "0/3 REGRESSION")],
+)
+def test_without_metric_no_gain_is_claimed(
+    tmp_path, monkeypatch, capsys, change_qps, code, verdict
+):
+    # A change that claims nothing is held to every bound, wall_qps too.
+    argv = fake_contract(
+        tmp_path, monkeypatch, [0.0] * 12, change_qps, claim=False
+    )
+    assert bench_pairs.main(argv) == code
+    out = capsys.readouterr().out
+    (row,) = rows(out, "wall_qps")
+    assert row.endswith(verdict)

@@ -1,7 +1,10 @@
 """Tests for the maxembed CLI."""
 
+import json
+
 import pytest
 
+from repro.bundle import load_bundle
 from repro.cli import build_parser, main
 
 
@@ -30,9 +33,9 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "--layout", "l.json", "--selection-path", "reference"],
+            ["serve", "--bundle", "l.json", "--selection-path", "reference"],
             ["build", "--trace", "t", "--out", "l.json", "--offline-path", "fast"],
-            ["serve", "--layout", "l.json", "--selector", "warp"],
+            ["serve", "--bundle", "l.json", "--selector", "warp"],
         ],
     )
     def test_removed_path_flags_and_unknown_selector_exit_2(self, argv):
@@ -77,7 +80,7 @@ class TestCommands:
         assert "built layout" in out
 
         assert main(
-            ["serve", "--trace", trace_path, "--layout", layout_path]
+            ["serve", "--trace", trace_path, "--bundle", layout_path]
         ) == 0
         out = capsys.readouterr().out
         assert "throughput_qps" in out
@@ -139,86 +142,14 @@ class TestCommands:
         ) == 0
         assert "4-shard cluster layout" in capsys.readouterr().out
 
-        # Explicit shard count must match the file.
+        # The shard count is the bundle's: no flag restates it.
         assert main(
-            [
-                "serve",
-                "--trace",
-                trace_path,
-                "--layout",
-                cluster_path,
-                "--shards",
-                "4",
-            ]
+            ["serve", "--trace", trace_path, "--bundle", cluster_path]
         ) == 0
         out = capsys.readouterr().out
-        assert "cluster serving report" in out
+        assert "cluster serving report (4 shards, frequency)" in out
         assert "load_imbalance" in out
         assert "shard_3" in out
-
-        # Shard count is inferred from the layout file when omitted.
-        assert main(
-            ["serve", "--trace", trace_path, "--layout", cluster_path]
-        ) == 0
-        assert "cluster serving report" in capsys.readouterr().out
-
-    def test_serve_shards_mismatch_errors(self, tmp_path, capsys):
-        trace_path = str(tmp_path / "trace.txt")
-        cluster_path = str(tmp_path / "cluster.json")
-        layout_path = str(tmp_path / "layout.json")
-        main(
-            [
-                "generate",
-                "--dataset",
-                "amazon_m2",
-                "--scale",
-                "small",
-                "--out",
-                trace_path,
-            ]
-        )
-        main(
-            [
-                "build",
-                "--trace",
-                trace_path,
-                "--shards",
-                "2",
-                "--out",
-                cluster_path,
-            ]
-        )
-        capsys.readouterr()
-        assert main(
-            [
-                "serve",
-                "--trace",
-                trace_path,
-                "--layout",
-                cluster_path,
-                "--shards",
-                "4",
-            ]
-        ) == 1
-        assert "holds 2 shards" in capsys.readouterr().err
-
-        # A plain layout cannot be served with --shards > 1.
-        main(
-            ["build", "--trace", trace_path, "--out", layout_path]
-        )
-        capsys.readouterr()
-        assert main(
-            [
-                "serve",
-                "--trace",
-                trace_path,
-                "--layout",
-                layout_path,
-                "--shards",
-                "4",
-            ]
-        ) == 1
-        assert "maxembed build --shards" in capsys.readouterr().err
 
     def test_experiment_command(self, capsys):
         assert main(["experiment", "table2"]) == 0
@@ -251,7 +182,7 @@ class TestCommands:
         )
         capsys.readouterr()
         assert main(
-            ["diagnose", "--layout", layout_path, "--trace", trace_path]
+            ["diagnose", "--bundle", layout_path, "--trace", trace_path]
         ) == 0
         out = capsys.readouterr().out
         assert "num_replica_pages" in out
@@ -280,7 +211,7 @@ class TestCommands:
                 "serve",
                 "--trace",
                 trace_path,
-                "--layout",
+                "--bundle",
                 layout_path,
                 "--executor",
                 "serial",
@@ -305,7 +236,7 @@ class TestCommands:
             ]
         )
         main(["build", "--trace", trace_path, "--out", layout_path])
-        serve = ["serve", "--trace", trace_path, "--layout", layout_path]
+        serve = ["serve", "--trace", trace_path, "--bundle", layout_path]
         for executor in ("batched", "ndp"):
             capsys.readouterr()
             assert main(serve + ["--executor", executor]) == 0
@@ -343,7 +274,7 @@ class TestGatewayCli:
         args = build_parser().parse_args(
             [
                 "serve",
-                "--layout",
+                "--bundle",
                 "l.json",
                 "--listen",
                 "0.0.0.0:9000",
@@ -374,7 +305,7 @@ class TestGatewayCli:
         assert args.concurrency == 4
 
     def test_serve_without_trace_or_listen_errors(self, tmp_path, capsys):
-        assert main(["serve", "--layout", str(tmp_path / "x.json")]) == 1
+        assert main(["serve", "--bundle", str(tmp_path / "x.json")]) == 1
         assert "--trace is required" in capsys.readouterr().err
 
     def test_address_and_tenant_spec_parsing(self):
@@ -426,7 +357,7 @@ class TestGatewayCli:
                 "-m",
                 "repro.cli",
                 "serve",
-                "--layout",
+                "--bundle",
                 layout_path,
                 "--listen",
                 "127.0.0.1:0",
@@ -473,22 +404,33 @@ class TestGatewayCli:
 
 @pytest.fixture(scope="module")
 def deployment(tmp_path_factory):
-    """One small trace, a plain layout with its tier plan, a 2-shard one."""
+    """One small trace; a plain bundle, a tiered one, a 2-shard one, and
+    a layout in the format releases before the bundle wrote."""
     root = tmp_path_factory.mktemp("serve-modes")
     paths = {
-        "trace": str(root / "trace.txt"),
-        "layout": str(root / "layout.json"),
-        "cluster": str(root / "cluster.json"),
+        name: str(root / f"{name}.json")
+        for name in ("layout", "tiered", "cluster", "old")
     }
-    paths["tier_plan"] = paths["layout"] + ".tier.json"
+    paths["trace"] = str(root / "trace.txt")
     build = ["build", "--trace", paths["trace"], "--workers", "1"]
     assert main(
         ["generate", "--dataset", "amazon_m2", "--scale", "small",
          "--out", paths["trace"]]
     ) == 0
-    assert main(build + ["--tier-ratio", "0.1", "--out", paths["layout"]]) == 0
+    assert main(build + ["--out", paths["layout"]]) == 0
+    assert main(build + ["--tier-ratio", "0.1", "--out", paths["tiered"]]) == 0
     assert main(build + ["--shards", "2", "--out", paths["cluster"]]) == 0
+    with open(paths["layout"]) as handle:
+        layout = json.load(handle)["payload"]["layouts"][0]
+    with open(paths["old"], "w") as handle:
+        json.dump({"magic": "maxembed-layout", "payload": layout}, handle)
     return paths
+
+
+def replay_table(out: str) -> dict:
+    """The ``name : value`` rows of a printed report."""
+    rows = (line.split(":") for line in out.splitlines() if " : " in line)
+    return {name.strip(): value.strip() for name, value in rows}
 
 
 class TestServeModes:
@@ -496,7 +438,6 @@ class TestServeModes:
 
     # Each engine flag at a non-default value, and the field it must set.
     ENGINE_FLAGS = [
-        ("--dim", "32", lambda c: c.spec.dim, 32),
         ("--cache-ratio", "0.2", lambda c: c.cache_ratio, 0.2),
         ("--cache-policy", "slru", lambda c: c.cache_policy, "slru"),
         ("--tier-mode", "hybrid", lambda c: c.tier_mode, "hybrid"),
@@ -517,24 +458,18 @@ class TestServeModes:
     def test_every_engine_flag_reaches_the_engine(self, deployment, kind):
         from repro.cli import _build_serve_engine
         from repro.faults import FaultPlan, ShardFaultPlan
-        from repro.tiering import load_tier_plan
 
-        argv = ["serve", "--trace", deployment["trace"]]
+        # A tier plan is single-shard only: the plain case serves one.
+        path = deployment["tiered" if kind == "plain" else "cluster"]
+        argv = ["serve", "--trace", deployment["trace"], "--bundle", path]
         for flag, value, _, _ in self.ENGINE_FLAGS:
             argv += [flag, value]
         argv += [
             "--fault-plan", self.FAULT_SPEC,
             "--shard-fault-plan", self.SHARD_FAULT_SPEC,
         ]
-        if kind == "plain":
-            # An explicit tier plan is single-engine only.
-            argv += [
-                "--layout", deployment["layout"],
-                "--tier-plan", deployment["tier_plan"],
-            ]
-        else:
-            argv += ["--layout", deployment["cluster"], "--shards", "2"]
-        engine = _build_serve_engine(build_parser().parse_args(argv))
+        bundle = load_bundle(path)
+        engine = _build_serve_engine(bundle, build_parser().parse_args(argv))
         config = engine.config
         for flag, _, read, want in self.ENGINE_FLAGS:
             assert read(config) == want, flag
@@ -542,13 +477,15 @@ class TestServeModes:
         assert config.shard_fault_plan == ShardFaultPlan.from_spec(
             self.SHARD_FAULT_SPEC
         )
+        assert config.spec == bundle.config.spec
         if kind == "plain":
             assert type(engine).__name__ == "ServingEngine"
-            assert config.tier_plan == load_tier_plan(deployment["tier_plan"])
+            assert config.tier_plan == bundle.tier_plan is not None
             assert engine.tier_plan == config.tier_plan
         else:
             assert type(engine).__name__ == "ClusterEngine"
             assert config.tier_plan is None
+            assert engine.num_shards == 2
             assert engine.groups[0].num_replicas == 2
             assert engine.groups[0].hedge_quantile == 0.8
 
@@ -567,8 +504,8 @@ class TestServeModes:
                 ["--fault-plan", "seed=7,read_error=0.05"],
                 "fault & recovery report",
             ),
-            # --tier-plan alone implies the pinned tier.
-            ("layout", ["--tier-plan", "{tier_plan}"], "tier_hit_rate"),
+            # The bundle's tier plan alone implies the pinned tier.
+            ("tiered", [], "tier_hit_rate"),
             (
                 "cluster",
                 ["--replicas", "2", "--hedge-quantile", "0.9"],
@@ -583,20 +520,21 @@ class TestServeModes:
         ids=["open-loop", "fault-plan", "tier-plan", "replicas", "shard-faults"],
     )
     def test_replay_modes_smoke(self, deployment, capsys, layout, extra, header):
-        extra = [arg.format(**deployment) for arg in extra]
         assert main(
             ["serve", "--trace", deployment["trace"],
-             "--layout", deployment[layout]] + extra
+             "--bundle", deployment[layout]] + extra
         ) == 0
         out = capsys.readouterr().out
         assert header in out
         # The fault report is printed under a fault plan only.
         assert ("fault & recovery report" in out) == ("--fault-plan" in extra)
+        if layout == "tiered":
+            assert float(replay_table(out)["tier_hit_rate"]) > 0
 
     @pytest.mark.parametrize(
         "layout, extra",
         [
-            ("cluster", ["--tier-plan", "{tier_plan}"]),
+            ("old", []),
             ("layout", ["--fault-plan", "bogus=1"]),
             ("layout", ["--cache-ratio", "1.5"]),
             ("layout", ["--hedge-quantile", "1.5"]),
@@ -606,37 +544,87 @@ class TestServeModes:
                  "--admission-capacity", "4"],
             ),
         ],
-        ids=["tier-plan-on-cluster", "fault-plan", "cache-ratio",
+        ids=["old-format-file", "fault-plan", "cache-ratio",
              "hedge-quantile", "deadline-without-deadline"],
     )
     def test_bad_value_is_one_error_line(self, deployment, capsys, layout, extra):
-        extra = [arg.format(**deployment) for arg in extra]
         assert main(
             ["serve", "--trace", deployment["trace"],
-             "--layout", deployment[layout]] + extra
+             "--bundle", deployment[layout]] + extra
         ) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        if layout == "old":
+            assert "maxembed build --out" in captured.err
 
-    def test_listen_refuses_shards_mismatch(self, deployment):
-        """`--listen` checks --shards like the replay does (it used to start
-        a single-engine gateway and ignore it)."""
-        import subprocess
-        import sys
+    def test_serve_reports_the_bundle_geometry(
+        self, deployment, tmp_path, capsys
+    ):
+        """A dim-32 bundle is served at dim 32: no serve flag restates
+        the geometry it was built for."""
+        from repro import EmbeddingSpec, EngineConfig, ServingEngine
+        from repro.workloads import load_trace
 
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--layout", deployment["layout"], "--shards", "4",
-                "--listen", "127.0.0.1:0",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=30,
+        path = str(tmp_path / "dim32.json")
+        assert main(
+            ["build", "--trace", deployment["trace"], "--workers", "1",
+             "--dim", "32", "--out", path]
+        ) == 0
+        capsys.readouterr()
+        serve = ["serve", "--trace", deployment["trace"], "--bundle", path]
+        assert main(serve) == 0
+        table = replay_table(capsys.readouterr().out)
+        served = float(table["effective_bandwidth"])
+        engine = ServingEngine(
+            load_bundle(path).layout, EngineConfig(spec=EmbeddingSpec(dim=32))
         )
-        assert proc.returncode == 1, proc.stdout
-        assert "holds 1 shard" in proc.stderr
-        assert "maxembed build --shards" in proc.stderr
-        assert "gateway listening" not in proc.stdout
+        report = engine.serve_trace(load_trace(deployment["trace"]))
+        assert served == round(report.effective_bandwidth_fraction(), 4)
+
+
+class TestRefresh:
+    def test_refresh_rebuilds_under_the_deployed_config(
+        self, deployment, tmp_path
+    ):
+        """`serve --refresh` re-places with the parameters `build` used,
+        not with defaults."""
+        from repro.cli import _build_serve_engine, _refresh_daemon
+
+        path = str(tmp_path / "deployed.json")
+        assert main(
+            ["build", "--trace", deployment["trace"], "--workers", "1",
+             "--ratio", "0.4", "--strategy", "rpp", "--seed", "3",
+             "--shards", "2", "--shard-strategy", "modulo", "--out", path]
+        ) == 0
+        args = build_parser().parse_args(
+            ["serve", "--bundle", path, "--listen", "127.0.0.1:0",
+             "--refresh", "--refresh-interval", "0"]
+        )
+        bundle = load_bundle(path)
+        engine = _build_serve_engine(bundle, args)
+        engine, daemon = _refresh_daemon(args, engine, bundle.config)
+        assert daemon.build_config == bundle.config
+        config = daemon.build_config
+        assert (
+            config.replication_ratio, config.strategy, config.seed,
+            config.num_shards, config.shard_strategy,
+        ) == (0.4, "rpp", 3, 2, "modulo")
+        daemon.stop()
+
+
+def test_diagnose_reports_every_shard(deployment, capsys):
+    cluster, plain = deployment["cluster"], deployment["layout"]
+    trace = deployment["trace"]
+    assert main(["diagnose", "--bundle", cluster, "--trace", trace]) == 0
+    out = capsys.readouterr().out
+    for shard in (0, 1):
+        assert f"layout diagnostics ({cluster}, shard {shard})\n" in out
+    assert out.count("num_replica_pages") == 2
+    assert out.count("hot-pair coverage") == 2
+    # One shard: one table, titled by the bundle alone.
+    assert main(["diagnose", "--bundle", plain]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"layout diagnostics ({plain})\n")
+    assert out.count("num_replica_pages") == 1

@@ -10,10 +10,11 @@ from repro import (
     QueryTrace,
     ServingError,
     ShpConfig,
+    Bundle,
     build_sharded_layout,
-    load_sharded_layout,
+    load_bundle,
     make_planner,
-    save_sharded_layout,
+    save_bundle,
 )
 from repro.cluster import (
     SHARD_STRATEGIES,
@@ -199,8 +200,8 @@ class TestPersistence:
         config = MaxEmbedConfig(num_shards=2, shard_strategy="frequency")
         sharded = build_sharded_layout(two_community_trace, config)
         path = tmp_path / "cluster.json"
-        save_sharded_layout(sharded, path)
-        loaded = load_sharded_layout(path)
+        save_bundle(Bundle(config, sharded), path)
+        loaded = load_bundle(path).layout
         assert loaded.plan.assignment == sharded.plan.assignment
         assert loaded.plan.strategy == "frequency"
         assert [l.pages() for l in loaded.layouts] == [
@@ -208,17 +209,19 @@ class TestPersistence:
         ]
 
     def test_rejects_plain_layout_file(self, tmp_path):
-        from repro.cluster import is_sharded_layout_file
-        from repro.errors import PlacementError
-        from repro.placement import PageLayout, save_layout
+        # A bundle's shard count is its config's: a plain layout saved
+        # under a sharded config is refused on save, and a one-shard
+        # bundle loads as a plain layout, never as a cluster.
+        from repro.placement import PageLayout
 
+        plain = PageLayout(num_keys=2, capacity=2, pages=[(0, 1)])
+        with pytest.raises(ConfigError, match="num_shards=2"):
+            Bundle(MaxEmbedConfig(num_shards=2), plain)
         path = tmp_path / "plain.json"
-        save_layout(
-            PageLayout(num_keys=2, capacity=2, pages=[(0, 1)]), path
-        )
-        assert not is_sharded_layout_file(path)
-        with pytest.raises(PlacementError):
-            load_sharded_layout(path)
+        save_bundle(Bundle(MaxEmbedConfig(), plain), path)
+        loaded = load_bundle(path)
+        assert isinstance(loaded.layout, PageLayout)
+        assert [l.pages() for l in loaded.layouts] == [plain.pages()]
 
 
 class TestClusterEngine:

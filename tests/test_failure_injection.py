@@ -21,11 +21,12 @@ from repro import (
     StorageError,
     WorkloadError,
 )
-from repro.placement import load_layout
+from repro.bundle import load_bundle
 from repro.serving import PipelinedExecutor, SerialExecutor
 from repro.serving.selection import SelectionOutcome, SelectionStep
 from repro.ssd import SsdProfile
 from repro.workloads import load_trace
+from tests.test_placement import write_layout_record
 
 
 def tiny_queue_device(queue_depth=2, latency=10.0):
@@ -87,21 +88,23 @@ class TestQueueBackpressure:
 class TestCorruptArtifacts:
     def test_layout_json_with_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "layout.json"
-        path.write_text(
+        write_layout_record(
+            path,
             '{"num_keys": 4, "capacity": 4, "num_base_pages": 1, '
-            '"pages": [[0, 1]]}'
+            '"pages": [[0, 1]]}',
         )
         with pytest.raises(PlacementError, match="on no page"):
-            load_layout(path)
+            load_bundle(path)
 
     def test_layout_json_with_oversized_page_rejected(self, tmp_path):
         path = tmp_path / "layout.json"
-        path.write_text(
+        write_layout_record(
+            path,
             '{"num_keys": 3, "capacity": 2, "num_base_pages": 1, '
-            '"pages": [[0, 1, 2]]}'
+            '"pages": [[0, 1, 2]]}',
         )
         with pytest.raises(PlacementError):
-            load_layout(path)
+            load_bundle(path)
 
     def test_truncated_trace_rejected(self, tmp_path):
         path = tmp_path / "trace.txt"

@@ -1,4 +1,5 @@
-"""Tests for repro.core.persist: deployment bundles."""
+"""Tests for repro.bundle: the config half of the deployment bundle and
+bundles served after a round trip."""
 
 import json
 from dataclasses import fields
@@ -9,23 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    Bundle,
     ConfigError,
+    CorruptArtifactError,
     EmbeddingSpec,
     MaxEmbedConfig,
     P4510,
     PageLayout,
     Query,
+    ServingEngine,
     ShpConfig,
+    build_offline_layout,
+    load_bundle,
+    save_bundle,
 )
+from repro.bundle import config_from_dict, config_to_dict, wrap_document
 from repro.cache import CACHE_POLICIES
-from repro.core import MaxEmbedStore, load_store, save_store
 from repro.core.config import PARTITIONERS, SHARD_STRATEGIES, STRATEGIES
-from repro.core.persist import (
-    MAGIC_BUNDLE_CONFIG,
-    config_from_dict,
-    config_to_dict,
-)
-from repro.integrity import wrap_document
 from repro.serving import EXECUTORS, CpuCostModel, EngineConfig
 from repro.ssd import PROFILES
 from repro.tiering import TIER_MODES
@@ -59,54 +60,9 @@ def rich_config():
     )
 
 
-# A bundle config as the format wrote it before every field was saved:
-# no num_shards, shard_strategy, replicas, build_workers, offline_workers.
-PARENT_FORMAT = {
-    "version": 1,
-    "spec": {"dim": 64, "page_size": 4096},
-    "replication_ratio": 0.2,
-    "strategy": "maxembed",
-    "partitioner": "shp",
-    "shp": {
-        "max_iterations": 4,
-        "min_swap_gain": 0,
-        "kl_threshold": 48,
-        "kl_passes": 8,
-        "kl_restarts": 2,
-        "seed": 0,
-    },
-    "index_limit": None,
-    "cache_ratio": 0.1,
-    "cache_policy": "lru",
-    "tier_mode": "lru",
-    "tier_ratio": 0.0,
-    "profile": "p5800x",
-    "raid_members": 1,
-    "executor": "pipelined",
-    "threads": 8,
-    "cost_model": {
-        "sort_per_key_us": 0.05,
-        "candidate_examine_us": 0.15,
-        "step_base_us": 0.15,
-        "query_base_us": 0.5,
-    },
-    "seed": 0,
-}
-# Keys a bundle may omit: the ones above always read with a default, and
-# the five that format never wrote.
-OPTIONAL_KEYS = (
-    "cache_policy",
-    "tier_mode",
-    "tier_ratio",
-    "num_shards",
-    "shard_strategy",
-    "replicas",
-    "build_workers",
-    "offline_workers",
-)
-REQUIRED_KEYS = sorted(
-    set(PARENT_FORMAT) - set(OPTIONAL_KEYS) - {"version"}
-)
+# Every key is required: a bundle saved before a field existed is
+# refused and rebuilt, never loaded at a default.
+REQUIRED_KEYS = sorted(f.name for f in fields(MaxEmbedConfig))
 
 _FLOATS = dict(allow_nan=False, allow_infinity=False)
 _OPTIONAL_INT = st.none() | st.integers(0, 64)
@@ -210,32 +166,25 @@ class TestConfigRoundTrip:
         assert data["shp"]["seed"] is None
         assert config_from_dict(data).shp.seed == 0
 
-    @pytest.mark.parametrize("key", OPTIONAL_KEYS)
-    def test_optional_key_loads_at_its_default(self, rich_config, key):
-        data = config_to_dict(rich_config)
-        del data[key]
-        rebuilt = config_from_dict(data)
-        assert getattr(rebuilt, key) == getattr(MaxEmbedConfig(), key)
-
     @pytest.mark.parametrize("key", REQUIRED_KEYS)
     def test_required_key_missing_is_malformed(self, key):
-        data = dict(PARENT_FORMAT)
+        data = config_to_dict(MaxEmbedConfig())
         del data[key]
-        with pytest.raises(ConfigError, match=f"malformed.*{key}"):
+        with pytest.raises(ConfigError, match=f"malformed.*{key}.*rebuild"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("nested", ["spec", "shp", "cost_model"])
     def test_nested_key_missing_is_malformed(self, nested):
-        data = json.loads(json.dumps(PARENT_FORMAT))
+        data = config_to_dict(MaxEmbedConfig())
         data[nested].popitem()
         with pytest.raises(ConfigError, match="malformed"):
             config_from_dict(data)
 
     def test_unknown_key_is_named(self):
-        data = dict(PARENT_FORMAT, hedge_budget=0.5)
+        data = dict(config_to_dict(MaxEmbedConfig()), hedge_budget=0.5)
         with pytest.raises(ConfigError, match="hedge_budget"):
             config_from_dict(data)
-        data = json.loads(json.dumps(PARENT_FORMAT))
+        data = config_to_dict(MaxEmbedConfig())
         data["shp"]["warp"] = 1
         with pytest.raises(ConfigError, match="warp"):
             config_from_dict(data)
@@ -270,11 +219,16 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="index_limit"):
             config_from_dict(data)
 
-    def test_version_check(self, rich_config):
-        data = config_to_dict(rich_config)
-        data["version"] = 99
-        with pytest.raises(ConfigError):
-            config_from_dict(data)
+    def test_version_check(self, tmp_path):
+        # One version, the bundle envelope's; the config carries none.
+        assert "version" not in config_to_dict(MaxEmbedConfig())
+        path = tmp_path / "bundle.json"
+        save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
+        document = json.loads(path.read_text())
+        document["version"] = 99
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigError, match="version 99.*maxembed build"):
+            load_bundle(path)
 
     def test_unregistered_profile_rejected(self):
         from repro.ssd import SsdProfile
@@ -286,158 +240,103 @@ class TestConfigRoundTrip:
             config_to_dict(config)
 
 
+def tiny_layout() -> PageLayout:
+    return PageLayout(8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)], num_base_pages=2)
+
+
+def rewrite_config(path, data) -> None:
+    """Replace a saved bundle's config with ``data``, re-checksummed."""
+    payload = json.loads(path.read_text())["payload"]
+    payload["config"] = data
+    path.write_text(json.dumps(wrap_document(payload)))
+
+
+def fingerprint(report):
+    return (
+        report.total_pages_read,
+        report.makespan_us.hex(),
+        report.throughput_qps().hex(),
+        report.percentile_latency_us(99).hex(),
+        report.effective_bandwidth_fraction().hex(),
+    )
+
+
 class TestStoreBundle:
-    def build_store(self, criteo_small, with_table):
+    @pytest.fixture
+    def bundle(self, criteo_small):
         history, _ = criteo_small
         config = MaxEmbedConfig(
             replication_ratio=0.2,
             shp=ShpConfig(max_iterations=4, seed=0),
         )
-        table = None
-        if with_table:
-            table = (
-                np.random.default_rng(0)
-                .normal(size=(history.num_keys, 64))
-                .astype(np.float32)
-            )
-        return MaxEmbedStore.build(history, config, table=table), table
+        return Bundle(config, build_offline_layout(history, config))
 
-    def test_round_trip_without_table(self, criteo_small, tmp_path):
-        store, _ = self.build_store(criteo_small, with_table=False)
-        save_store(store, tmp_path / "bundle")
-        loaded = load_store(tmp_path / "bundle")
-        assert loaded.layout.pages() == store.layout.pages()
-        assert loaded.config == store.config
-        result = loaded.serve(Query((0, 1, 2)))
-        assert result.requested_keys == 3
+    def test_round_trip_without_table(self, bundle, tmp_path):
+        save_bundle(bundle, tmp_path / "bundle.json")
+        loaded = load_bundle(tmp_path / "bundle.json")
+        assert loaded.layout.pages() == bundle.layout.pages()
+        assert loaded.config == bundle.config
+        assert loaded.tier_plan is None
+        engine = ServingEngine(loaded.layout, loaded.config.engine_config())
+        assert engine.serve_query(Query((0, 1, 2))).requested_keys == 3
 
-    def test_round_trip_with_table(self, criteo_small, tmp_path):
-        store, table = self.build_store(criteo_small, with_table=True)
-        save_store(store, tmp_path / "bundle")
-        loaded = load_store(tmp_path / "bundle")
-        vectors = loaded.lookup(Query((3, 5)))
-        assert np.allclose(vectors[3], table[3])
-        assert np.allclose(vectors[5], table[5])
-
-    def test_serving_equivalence(self, criteo_small, tmp_path):
-        store, _ = self.build_store(criteo_small, with_table=False)
-        save_store(store, tmp_path / "bundle")
-        loaded = load_store(tmp_path / "bundle")
+    def test_serving_equivalence(self, bundle, criteo_small, tmp_path):
+        save_bundle(bundle, tmp_path / "bundle.json")
+        loaded = load_bundle(tmp_path / "bundle.json")
         _, live = criteo_small
-        original = store.serve_trace(live)
-        restored = loaded.serve_trace(live)
-        assert original.total_pages_read == restored.total_pages_read
-        assert original.makespan_us == restored.makespan_us
+        reports = [
+            ServingEngine(b.layout, b.config.engine_config()).serve_trace(live)
+            for b in (bundle, loaded)
+        ]
+        assert fingerprint(reports[0]) == fingerprint(reports[1])
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_executor_survives_the_bundle(self, executor, tmp_path):
         config = MaxEmbedConfig(executor=executor)
         assert config_from_dict(config_to_dict(config)).executor == executor
-        layout = PageLayout(
-            8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)], num_base_pages=2
-        )
-        save_store(MaxEmbedStore(layout, config), tmp_path / "bundle")
-        loaded = load_store(tmp_path / "bundle")
+        save_bundle(Bundle(config, tiny_layout()), tmp_path / "bundle.json")
+        loaded = load_bundle(tmp_path / "bundle.json")
         assert loaded.config.executor == executor
-        assert type(loaded.engine.executor) is EXECUTORS[executor]
-
-    def test_legacy_onepass_bundle_serves_like_a_new_one(
-        self, criteo_small, tmp_path
-    ):
-        # Bundles saved while the selector was a setting name "onepass";
-        # they load, and serve float for float what a new bundle does.
-        store, _ = self.build_store(criteo_small, with_table=False)
-        new = save_store(store, tmp_path / "new")
-        old = save_store(store, tmp_path / "old")
-        data = config_to_dict(store.config)
-        assert "selector" not in data
-        data["selector"] = "onepass"
-        (old / "config.json").write_text(
-            json.dumps(wrap_document(MAGIC_BUNDLE_CONFIG, data))
-        )
-        _, live = criteo_small
-        reports = [
-            load_store(bundle).serve_trace(live) for bundle in (new, old)
-        ]
-        fingerprints = [
-            (
-                report.total_pages_read,
-                report.makespan_us.hex(),
-                report.throughput_qps().hex(),
-                report.percentile_latency_us(99).hex(),
-                report.effective_bandwidth_fraction().hex(),
-            )
-            for report in reports
-        ]
-        assert fingerprints[0] == fingerprints[1]
-
-    def test_parent_format_bundle_serves_like_a_new_one(
-        self, criteo_small, tmp_path
-    ):
-        # A bundle written before every field was saved loads, and serves
-        # float for float what a new bundle of the same config does.
-        store, _ = self.build_store(criteo_small, with_table=False)
-        assert config_from_dict(PARENT_FORMAT) == store.config
-        new = save_store(store, tmp_path / "new")
-        old = save_store(store, tmp_path / "old")
-        (old / "config.json").write_text(
-            json.dumps(wrap_document(MAGIC_BUNDLE_CONFIG, PARENT_FORMAT))
-        )
-        _, live = criteo_small
-        reports = [
-            load_store(bundle).serve_trace(live) for bundle in (new, old)
-        ]
-        fingerprints = [
-            (
-                report.total_pages_read,
-                report.makespan_us.hex(),
-                report.throughput_qps().hex(),
-                report.percentile_latency_us(99).hex(),
-                report.effective_bandwidth_fraction().hex(),
-            )
-            for report in reports
-        ]
-        assert fingerprints[0] == fingerprints[1]
+        engine = ServingEngine(loaded.layout, loaded.config.engine_config())
+        assert type(engine.executor) is EXECUTORS[executor]
 
     def test_bundle_missing_a_required_key_is_refused(self, tmp_path):
-        layout = PageLayout(
-            8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)], num_base_pages=2
-        )
-        bundle = save_store(MaxEmbedStore(layout), tmp_path / "bundle")
-        data = dict(PARENT_FORMAT)
+        path = tmp_path / "bundle.json"
+        save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
+        data = config_to_dict(MaxEmbedConfig())
         del data["threads"]
-        (bundle / "config.json").write_text(
-            json.dumps(wrap_document(MAGIC_BUNDLE_CONFIG, data))
-        )
-        with pytest.raises(ConfigError, match="malformed"):
-            load_store(bundle)
+        rewrite_config(path, data)
+        with pytest.raises(ConfigError, match="malformed.*threads"):
+            load_bundle(path)
 
     def test_unknown_selector_rejected_at_config_time(self, tmp_path):
-        # One-pass is the one page selector: a bundle saved under any
-        # other is refused when its config is rebuilt, not served by
-        # one-pass without a word.
-        layout = PageLayout(
-            8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)], num_base_pages=2
-        )
-        bundle = save_store(MaxEmbedStore(layout), tmp_path / "bundle")
-        for selector in ("greedy", "warp"):
+        # One-pass is the one page selector and no field names it: a
+        # saved "selector", even "onepass", is a key no field reads.
+        path = tmp_path / "bundle.json"
+        save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
+        for selector in ("greedy", "warp", "onepass"):
             data = config_to_dict(MaxEmbedConfig())
             data["selector"] = selector
-            with pytest.raises(ConfigError, match="bench_selector.py"):
+            with pytest.raises(ConfigError, match="unknown keys.*selector"):
                 config_from_dict(data)
-            (bundle / "config.json").write_text(
-                json.dumps(wrap_document(MAGIC_BUNDLE_CONFIG, data))
-            )
-            with pytest.raises(ConfigError, match=repr(selector)):
-                load_store(bundle)
+            rewrite_config(path, data)
+            with pytest.raises(ConfigError, match="selector"):
+                load_bundle(path)
 
     def test_load_missing_bundle(self, tmp_path):
-        with pytest.raises(ConfigError, match="not a store bundle"):
-            load_store(tmp_path / "nowhere")
+        with pytest.raises(ConfigError, match="cannot read bundle"):
+            load_bundle(tmp_path / "nowhere.json")
 
-    def test_load_malformed_config(self, criteo_small, tmp_path):
-        store, _ = self.build_store(criteo_small, with_table=False)
-        bundle = save_store(store, tmp_path / "bundle")
-        (bundle / "config.json").write_text("{broken")
-        with pytest.raises(ConfigError, match="malformed"):
-            load_store(bundle)
+    def test_load_malformed_config(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text("{broken")
+        with pytest.raises(CorruptArtifactError, match="malformed"):
+            load_bundle(path)
+        save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
+        rewrite_config(path, ["not", "a", "mapping"])
+        with pytest.raises(ConfigError, match="malformed.*not a mapping"):
+            load_bundle(path)
+
+    def test_config_must_match_the_shard_count(self):
+        with pytest.raises(ConfigError, match="num_shards=2"):
+            Bundle(MaxEmbedConfig(num_shards=2), tiny_layout())

@@ -1,16 +1,35 @@
 """Tests for repro.placement: layout, indexes, shrinking, serialization."""
 
+import json
+
 import pytest
 
-from repro import PageLayout, PlacementError
+from repro import (
+    Bundle,
+    ConfigError,
+    MaxEmbedConfig,
+    PageLayout,
+    PlacementError,
+)
+from repro.bundle import config_to_dict, load_bundle, save_bundle, wrap_document
 from repro.placement import (
     ForwardIndex,
     InvertIndex,
     layout_from_partition,
-    load_layout,
-    save_layout,
 )
 from repro.partition import PartitionResult
+
+
+def write_layout_record(path, record: str) -> None:
+    """A checksummed one-shard bundle whose layout is the JSON ``record``:
+    what reaches ``PageLayout`` when a bundle was built wrong."""
+    payload = {
+        "config": config_to_dict(MaxEmbedConfig()),
+        "shard_plan": None,
+        "layouts": [json.loads(record)],
+        "tier_plan": None,
+    }
+    path.write_text(json.dumps(wrap_document(payload)))
 
 
 @pytest.fixture
@@ -158,24 +177,26 @@ class TestInvertIndex:
 class TestSerialize:
     def test_round_trip(self, replicated_layout, tmp_path):
         path = tmp_path / "layout.json"
-        save_layout(replicated_layout, path)
-        loaded = load_layout(path)
+        save_bundle(Bundle(MaxEmbedConfig(), replicated_layout), path)
+        loaded = load_bundle(path).layout
         assert loaded.pages() == replicated_layout.pages()
         assert loaded.num_base_pages == replicated_layout.num_base_pages
         assert loaded.capacity == replicated_layout.capacity
 
     def test_load_missing_raises(self, tmp_path):
-        with pytest.raises(PlacementError):
-            load_layout(tmp_path / "absent.json")
+        with pytest.raises(ConfigError, match="cannot read bundle"):
+            load_bundle(tmp_path / "absent.json")
 
     def test_load_malformed_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2")
         with pytest.raises(PlacementError):
-            load_layout(path)
+            load_bundle(path)
 
     def test_load_missing_field_raises(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text('{"num_keys": 2, "capacity": 4, "pages": [[0, 1]]}')
+        write_layout_record(
+            path, '{"num_keys": 2, "capacity": 4, "pages": [[0, 1]]}'
+        )
         with pytest.raises(PlacementError, match="num_base_pages"):
-            load_layout(path)
+            load_bundle(path)

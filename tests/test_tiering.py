@@ -2,8 +2,8 @@
 
 Three layers of guarantees:
 
-* offline: :class:`TierPlan` construction, validation, ranking, and the
-  checksummed persistence envelope;
+* offline: :class:`TierPlan` construction, validation, ranking, and its
+  round trip through the checksummed deployment bundle;
 * selection: differential tests (hand-built layouts plus hypothesis
   random layouts) that tier-aware fast selectors stay bit-identical to
   the reference oracle, that an *empty* tier changes nothing, and that
@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    Bundle,
     ConfigError,
     EngineConfig,
     MaxEmbedConfig,
@@ -30,6 +31,8 @@ from repro import (
     ServingEngine,
     ServingError,
     build_sharded_layout,
+    load_bundle,
+    save_bundle,
 )
 from repro.cache.policies import CACHE_POLICIES, NullCache, make_cache
 from repro.cluster import ClusterEngine
@@ -38,11 +41,9 @@ from repro.tiering import (
     PinnedTier,
     TierPlan,
     hotness_from_trace,
-    load_tier_plan,
     plan_tier,
     plan_tier_from_trace,
     replica_counts_from_layout,
-    save_tier_plan,
 )
 from tests.test_fast_selection import (
     assert_same_outcome,
@@ -193,28 +194,29 @@ class TestSerialization:
     def test_round_trip(self, tmp_path, layout, hot_trace):
         plan = plan_tier_from_trace(layout, hot_trace, 0.5)
         path = tmp_path / "tier.json"
-        save_tier_plan(plan, path)
-        assert load_tier_plan(path) == plan
+        save_bundle(Bundle(MaxEmbedConfig(), layout, plan), path)
+        assert load_bundle(path).tier_plan == plan
 
     def test_tampered_payload_rejected(self, tmp_path, layout):
         plan = plan_tier(layout, 0.25)
         path = tmp_path / "tier.json"
-        save_tier_plan(plan, path)
+        save_bundle(Bundle(MaxEmbedConfig(), layout, plan), path)
         document = json.loads(path.read_text())
-        document["payload"]["pinned"] = [0, 2]  # flip a key, keep crc
+        document["payload"]["tier_plan"]["pinned"] = [0, 2]  # keep crc
         path.write_text(json.dumps(document))
         with pytest.raises(CorruptArtifactError):
-            load_tier_plan(path)
+            load_bundle(path)
 
     def test_missing_field_rejected(self, tmp_path, layout):
-        from repro.integrity import MAGIC_TIER_PLAN, wrap_document
+        from repro.bundle import wrap_document
 
         path = tmp_path / "tier.json"
-        path.write_text(
-            json.dumps(wrap_document(MAGIC_TIER_PLAN, {"num_keys": 8}))
-        )
-        with pytest.raises(ConfigError):
-            load_tier_plan(path)
+        save_bundle(Bundle(MaxEmbedConfig(), layout), path)
+        payload = json.loads(path.read_text())["payload"]
+        payload["tier_plan"] = {"num_keys": 8}
+        path.write_text(json.dumps(wrap_document(payload)))
+        with pytest.raises(ConfigError, match="tier plan missing"):
+            load_bundle(path)
 
 
 class TestConfigValidation:
