@@ -309,12 +309,49 @@ class TestStoreBundle:
         with pytest.raises(ConfigError, match="malformed.*threads"):
             load_bundle(path)
 
-    def test_unknown_selector_rejected_at_config_time(self, tmp_path):
-        # One-pass is the one page selector and no field names it: a
-        # saved "selector", even "onepass", is a key no field reads.
+    def test_parent_format_bundle_is_refused(self, tmp_path):
+        # A config written before every field was saved lacks these five
+        # keys; it is refused with all of them named, not served at
+        # defaults.
         path = tmp_path / "bundle.json"
         save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
-        for selector in ("greedy", "warp", "onepass"):
+        never_written = [
+            "build_workers",
+            "num_shards",
+            "offline_workers",
+            "replicas",
+            "shard_strategy",
+        ]
+        data = config_to_dict(MaxEmbedConfig())
+        for key in never_written:
+            del data[key]
+        rewrite_config(path, data)
+        with pytest.raises(ConfigError) as info:
+            load_bundle(path)
+        assert f"missing {never_written}" in str(info.value)
+        assert "maxembed build --out" in str(info.value)
+
+    def test_legacy_onepass_bundle_is_refused(self, tmp_path):
+        # Bundles saved while the selector was a setting name "onepass".
+        # One-pass is now the one page selector and no field names it,
+        # so the saved key is one no field reads.
+        path = tmp_path / "bundle.json"
+        save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
+        data = config_to_dict(MaxEmbedConfig())
+        data["selector"] = "onepass"
+        with pytest.raises(ConfigError, match="unknown keys.*selector"):
+            config_from_dict(data)
+        rewrite_config(path, data)
+        with pytest.raises(ConfigError, match="unknown keys.*selector"):
+            load_bundle(path)
+
+    def test_unknown_selector_rejected_at_config_time(self, tmp_path):
+        # One-pass is the one page selector: a bundle saved under any
+        # other is refused when its config is rebuilt, not served by
+        # one-pass without a word.
+        path = tmp_path / "bundle.json"
+        save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
+        for selector in ("greedy", "warp"):
             data = config_to_dict(MaxEmbedConfig())
             data["selector"] = selector
             with pytest.raises(ConfigError, match="unknown keys.*selector"):
