@@ -485,6 +485,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    if args.shards > 1 and args.tier_ratio > 0:
+        # A tier plan is in one layout's key ids; a shard layout's are
+        # shard-local.
+        raise ConfigError(
+            "build --tier-ratio plans a tier for one shard only; serve a "
+            "sharded bundle with --tier-mode pinned --tier-ratio R, which "
+            "plans each shard's tier"
+        )
     trace = load_trace(args.trace)
     config = MaxEmbedConfig(
         spec=EmbeddingSpec(dim=args.dim),

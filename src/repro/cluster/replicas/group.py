@@ -93,6 +93,14 @@ class ReplicaGroup:
         )
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._dispatch_seq = 0
+        # Nothing to inject, time out or hedge: a healthy fragment goes
+        # straight to the least-loaded replica (see serve).
+        self._direct = (
+            self.fault_plan is None
+            and self.deadline_us is None
+            and self.hedge_quantile is None
+        )
+        self._later_replicas = range(1, self.num_replicas)
         self._probe_query = Query(
             tuple(range(min(_PROBE_KEYS, layout.num_keys)))
         )
@@ -150,25 +158,64 @@ class ReplicaGroup:
 
         Raises :class:`~repro.errors.ReplicaExhaustedError` only when
         *every* live replica failed the attempt — the router maps that
-        onto its shard-grain outcome taxonomy.
+        onto its shard-grain outcome taxonomy.  A group with no fault
+        plan, deadline or hedging serves a full-service fragment whose
+        replicas are all healthy by a direct dispatch to the first of
+        :meth:`~ReplicaHealthMonitor.dispatch_order`, the least-loaded
+        replica, with the same bookkeeping; if it raises, failover goes
+        on down that order.
         """
         monitor = self.monitor
-        if monitor.attention:
-            # Only a replica under attention can be due a probe or a
-            # resync, so a healthy group skips maintenance outright.
-            self._maintain(start_us)
-        self.fragments += 1
-        order = monitor.dispatch_order()
-        if not order:
-            raise ReplicaExhaustedError(
-                f"shard {self.shard}: every replica is dead",
-                shard=self.shard,
-                kind="error",
-            )
+        if not monitor.attention and self._direct and degrade is None:
+            # Every replica is healthy and untainted, so dispatch_order()
+            # would rank by (dispatches, score, id): its first is the
+            # least-loaded replica.  The bookkeeping is _attempt's and
+            # record_success's, less the fault plan this group lacks.
+            dispatched = monitor.dispatched
+            scores = monitor.error_score
+            replica = 0
+            for other in self._later_replicas:
+                if (dispatched[other], scores[other]) < (
+                    dispatched[replica],
+                    scores[replica],
+                ):
+                    replica = other
+            self.fragments += 1
+            self._dispatch_seq += 1
+            dispatched[replica] += 1
+            try:
+                result = self.engines[replica].serve_query(fragment, start_us)
+            except Exception:  # noqa: BLE001 - failover catches everything
+                monitor.record_failure(replica, start_us)
+                failures = 1
+                # The rest of the order, which the failure did not touch.
+                order = [r for r in monitor.dispatch_order() if r != replica]
+            else:
+                # record_success on a replica outside attention.
+                scores[replica] *= monitor.success_decay
+                monitor.consecutive_failures[replica] = 0
+                monitor.consecutive_successes[replica] += 1
+                result.start_us = start_us
+                result.failovers = 0
+                result.served_by = ((self.shard, replica),)
+                return result
+        else:
+            if monitor.attention:
+                # Only a replica under attention can be due a probe or a
+                # resync, so a healthy group skips maintenance outright.
+                self._maintain(start_us)
+            self.fragments += 1
+            failures = 0
+            order = monitor.dispatch_order()
+            if not order:
+                raise ReplicaExhaustedError(
+                    f"shard {self.shard}: every replica is dead",
+                    shard=self.shard,
+                    kind="error",
+                )
         deadline = self.deadline_us
         clock = start_us
         elapsed = 0.0
-        failures = 0
         timeouts = 0
         for replica in order:
             try:

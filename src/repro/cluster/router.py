@@ -81,8 +81,7 @@ SHARD_SKIPPED = "skipped"
 SHARD_ERROR = "error"
 SHARD_SHED = "shed"
 
-#: The per-shard counters of a :class:`ClusterReport`, in the order
-#: :meth:`_TraceTally.serve_query` unpacks them.
+#: The per-shard counters of a :class:`ClusterReport`.
 _SHARD_COUNTS = (
     "shard_queries",
     "shard_pages_read",
@@ -162,6 +161,16 @@ class ClusterEngine:
         self.swap_counts: List[int] = [0] * self.num_shards
         self.swap_rollbacks = 0
         self.swap_events: List[dict] = []
+        # What every scatter reads of the plan, held once.
+        self._assignment = self.plan.assignment
+        self._local_ids = self.plan.local_ids
+        self._shard_ids = range(self.num_shards)
+        # No breaker to consult and no router-side deadline (a group
+        # enforces its own): a full-service gather checks nothing per
+        # fragment.
+        self._unchecked = self.breakers is None and (
+            self.groups is not None or self.config.shard_deadline_us is None
+        )
 
     @property
     def num_shards(self) -> int:
@@ -290,25 +299,30 @@ class ClusterEngine:
     # -- scatter / gather -------------------------------------------------------
 
     def scatter(self, query: Query) -> Dict[int, Query]:
-        """Split a global query into shard-local fragments."""
+        """Split a global query into shard-local fragments.
+
+        The fragments are keyed in ascending shard id.  One shard's local
+        ids are the global ones, so there the fragment is the query
+        itself.
+        """
         keys = query.keys
-        assignment = self.plan.assignment
+        assignment = self._assignment
         num_keys = len(assignment)
         if max(keys) >= num_keys:
             bad = next(k for k in keys if k >= num_keys)
             raise ServingError(f"key {bad} is not in the embedding table")
-        local_ids = self.plan.local_ids
-        fragments: Dict[int, List[int]] = {}
+        shard_ids = self._shard_ids
+        if len(shard_ids) == 1:
+            return {0: query}
+        local_ids = self._local_ids
+        buckets = [[] for _ in shard_ids]
         for key in keys:
-            shard = assignment[key]
-            if shard in fragments:
-                fragments[shard].append(local_ids[key])
-            else:
-                fragments[shard] = [local_ids[key]]
-        return {
-            shard: Query(tuple(local))
-            for shard, local in fragments.items()
-        }
+            buckets[assignment[key]].append(local_ids[key])
+        fragments: Dict[int, Query] = {}
+        for shard, local in enumerate(buckets):
+            if local:
+                fragments[shard] = Query(tuple(local))
+        return fragments
 
     @staticmethod
     def _unserved_result(
@@ -334,7 +348,7 @@ class ClusterEngine:
         )
 
     def _serve_scattered(
-        self, query: Query, start_us: float, degrade=None
+        self, query: Query, start_us: float, degrade=None, fold=None
     ) -> Tuple[QueryResult, Dict[int, QueryResult], Dict[int, str]]:
         """Serve one query; return (gathered, per-shard results, events).
 
@@ -346,10 +360,43 @@ class ClusterEngine:
         (breaker open), :data:`SHARD_ERROR` (resilient-mode worker
         exception) or :data:`SHARD_SHED` (fragment dropped by a degraded
         fan-out cap); it is empty for a query every shard served.
+
+        ``fold`` is None or a trace tally's per-shard ``(queries,
+        pages, ssd_keys, cache_hits)`` lists and its latency list: each
+        fragment's result is added to them.
         """
-        items = sorted(self.scatter(query).items())
+        fragments = self.scatter(query)
         if degrade is not None and degrade.is_noop:
             degrade = None
+        groups = self.groups
+        if degrade is None and self._unchecked:
+            # Nothing to shed, skip or time out here: serve every
+            # fragment, folding each result as it returns.
+            engines = self.engines
+            if fold is not None:
+                queries, pages, ssd_keys, cache_hits, latencies = fold
+            subs: Dict[int, QueryResult] = {}
+            for shard, fragment in fragments.items():
+                try:
+                    # Looked up per dispatch: swaps and fault doubles
+                    # replace ``group.serve`` / ``engine.serve_query`` on
+                    # the instance.
+                    sub = (
+                        groups[shard].serve(fragment, start_us)
+                        if groups is not None
+                        else engines[shard].serve_query(fragment, start_us)
+                    )
+                except Exception as exc:  # noqa: BLE001 - rewrapped
+                    raise _unavailable(shard, exc) from exc
+                subs[shard] = sub
+                if fold is not None:
+                    queries[shard] += 1
+                    pages[shard] += sub.pages_read
+                    ssd_keys[shard] += sub.ssd_keys
+                    cache_hits[shard] += sub.cache_hits
+                    latencies.append(sub.finish_us - sub.start_us)
+            return merge_shard_results(list(subs.values())), subs, {}
+        items = list(fragments.items())
         kept = None
         if (
             degrade is not None
@@ -366,15 +413,14 @@ class ClusterEngine:
             kept = {shard for shard, _ in ranked[: degrade.fanout_cap]}
         # A None degrade is not forwarded at all, so engines (or test
         # doubles) with the pre-overload two-argument signature keep
-        # working and the disabled path stays call-identical.
+        # working.
         extra = () if degrade is None else (degrade,)
-        groups = self.groups
         breakers = self.breakers
         # Replica groups enforce the per-attempt deadline internally (a
         # failover legally finishes later than one deadline), so the
         # router-side timeout check only applies to bare engines.
         deadline = self.config.shard_deadline_us if groups is None else None
-        subs: Dict[int, QueryResult] = {}
+        subs = {}
         events: Dict[int, str] = {}
         for shard, fragment in items:
             if kept is not None and shard not in kept:
@@ -395,8 +441,6 @@ class ClusterEngine:
                 events[shard] = SHARD_SKIPPED
                 continue
             try:
-                # Looked up per dispatch: swaps and fault doubles replace
-                # ``group.serve`` / ``engine.serve_query`` on the instance.
                 if groups is not None:
                     outcome = groups[shard].serve(fragment, start_us, *extra)
                 else:
@@ -405,11 +449,7 @@ class ClusterEngine:
                     )
             except Exception as exc:  # noqa: BLE001 - degraded or rewrapped
                 if breaker is None:
-                    raise ShardUnavailableError(
-                        f"shard {shard} failed serving a scattered "
-                        f"fragment: {exc}",
-                        shard=shard,
-                    ) from exc
+                    raise _unavailable(shard, exc) from exc
                 # A group exhausted by timeouts burned real simulated
                 # time (deadline waits) and maps onto the shard-timeout
                 # taxonomy; everything else is an instant shard error.
@@ -438,6 +478,14 @@ class ClusterEngine:
                 subs[shard] = outcome
                 if breaker is not None:
                     breaker.record_success(outcome.finish_us)
+        if fold is not None:
+            queries, pages, ssd_keys, cache_hits, latencies = fold
+            for shard, sub in subs.items():
+                queries[shard] += 1
+                pages[shard] += sub.pages_read
+                ssd_keys[shard] += sub.ssd_keys
+                cache_hits[shard] += sub.cache_hits
+                latencies.append(sub.finish_us - sub.start_us)
         return merge_shard_results(list(subs.values())), subs, events
 
     def serve_query(
@@ -531,6 +579,14 @@ class ClusterEngine:
         }
 
 
+def _unavailable(shard: int, exc: Exception) -> ShardUnavailableError:
+    """Strict mode's error for a shard whose worker raised ``exc``."""
+    return ShardUnavailableError(
+        f"shard {shard} failed serving a scattered fragment: {exc}",
+        shard=shard,
+    )
+
+
 def _fold(counts: List[int], subs: Dict[int, QueryResult], field: str) -> None:
     """Add each fragment's ``field`` to its shard's entry of ``counts``."""
     for shard, sub in subs.items():
@@ -559,40 +615,43 @@ class _TraceTally:
             **{name: [0] * n for name in _SHARD_COUNTS},
             **{name: [0] * n for name in _EVENT_COUNTS.values()},
         )
-        self._counts = tuple(getattr(self.out, name) for name in _SHARD_COUNTS)
+        out = self.out
+        # What the gather adds each fragment to, the latencies one
+        # query's worth (see ClusterEngine._serve_scattered).
+        self._latencies: List[float] = []
+        self._fold = (
+            out.shard_queries,
+            out.shard_pages_read,
+            out.shard_ssd_keys,
+            out.shard_cache_hits,
+            self._latencies,
+        )
         self._events = {
             event: getattr(self.out, name)
             for event, name in _EVENT_COUNTS.items()
         }
 
     def serve_query(self, query: Query, start_us: float) -> QueryResult:
-        merged, subs, events = self.cluster._serve_scattered(
-            query, start_us, self.degrade
-        )
+        cluster = self.cluster
         if self.skip:
+            merged = cluster._serve_scattered(query, start_us, self.degrade)[0]
             self.skip -= 1
             return merged
-        (
-            queries, pages, ssd_keys, cache_hits, tier_hits, failovers,
-            hedges, hedge_wins,
-        ) = self._counts
-        latencies = []
-        for shard, sub in subs.items():
-            queries[shard] += 1
-            pages[shard] += sub.pages_read
-            ssd_keys[shard] += sub.ssd_keys
-            cache_hits[shard] += sub.cache_hits
-            latencies.append(sub.finish_us - sub.start_us)
+        latencies = self._latencies
+        del latencies[:]
+        merged, subs, events = cluster._serve_scattered(
+            query, start_us, self.degrade, self._fold
+        )
         # The rest are zero on every fragment of a fault-free query.  They
         # are non-negative, so a zero merged total is zero on every shard.
         if merged.tier_hits:
-            _fold(tier_hits, subs, "tier_hits")
+            _fold(self.out.shard_tier_hits, subs, "tier_hits")
         if merged.failovers:
-            _fold(failovers, subs, "failovers")
+            _fold(self.out.shard_failovers, subs, "failovers")
         if merged.hedges:
-            _fold(hedges, subs, "hedges")
+            _fold(self.out.shard_hedges, subs, "hedges")
         if merged.hedge_wins:
-            _fold(hedge_wins, subs, "hedge_wins")
+            _fold(self.out.shard_hedge_wins, subs, "hedge_wins")
         if events:
             for shard, event in events.items():
                 self._events[event][shard] += 1

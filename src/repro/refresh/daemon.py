@@ -37,6 +37,7 @@ and bench can drive it deterministically instead: construct it with
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import threading
 import time
@@ -143,6 +144,8 @@ class RefreshDaemon:
         self.errors: List[str] = []
         self._degraded = False
         self._staging: Optional[str] = self.config.staging_dir
+        # True once the daemon made its own staging directory.
+        self._owns_staging = False
         self._probe_cache: Dict[tuple, float] = {}
         self._step_lock = threading.Lock()
         self._pause = threading.Event()
@@ -165,11 +168,17 @@ class RefreshDaemon:
         return True
 
     def stop(self) -> None:
-        """Stop the background thread (idempotent; safe in manual mode)."""
+        """Stop the background thread (idempotent; safe in manual mode)
+        and remove the staging directory the daemon made, if it made one
+        (a configured ``staging_dir`` is the caller's and stays)."""
         self._stop.set()
         thread, self._thread = self._thread, None
         if thread is not None and thread.is_alive():
             thread.join(timeout=5.0)
+        with self._step_lock:
+            if self._owns_staging:
+                shutil.rmtree(self._staging, ignore_errors=True)
+                self._staging, self._owns_staging = None, False
 
     def pause(self) -> None:
         """Suspend repairs (drain-time: never swap under a draining
@@ -537,7 +546,9 @@ class RefreshDaemon:
         corrupt = self.faults is not None and self.faults.draw_corrupt_artifact(
             target, seq
         )
-        return stage_layout(layout, self._staging_dir(), tag, corrupt=corrupt)
+        return stage_layout(
+            layout, self._staging_dir(), tag, corrupt=corrupt, keep=False
+        )
 
     def _scoped_build_config(self, num_shards: int) -> MaxEmbedConfig:
         return replace(self.build_config, num_shards=num_shards)
@@ -545,6 +556,7 @@ class RefreshDaemon:
     def _staging_dir(self) -> str:
         if self._staging is None:
             self._staging = tempfile.mkdtemp(prefix="repro-refresh-")
+            self._owns_staging = True
         return self._staging
 
     def _backoff(self, attempt: int) -> None:

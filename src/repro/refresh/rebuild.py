@@ -17,6 +17,7 @@ from a noisy window can never make serving *worse*.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -34,6 +35,7 @@ def stage_layout(
     staging_dir: str,
     tag: str,
     corrupt: bool = False,
+    keep: bool = True,
 ) -> PageLayout:
     """Round-trip ``layout`` through a CRC-validated staging artifact.
 
@@ -41,28 +43,35 @@ def stage_layout(
     swap path is allowed to install.  ``corrupt=True`` flips a byte in
     the staged file first (fault injection for the chaos suite); the
     CRC check turns that into :class:`RefreshError` with
-    ``stage="stage"``.
+    ``stage="stage"``.  ``keep=False`` removes the staged file once it
+    has been re-loaded or refused.
     """
     os.makedirs(staging_dir, exist_ok=True)
     path = os.path.join(staging_dir, f"{tag}.bundle.json")
-    # Only the layout is read back; the default config rides along.
-    save_bundle(Bundle(MaxEmbedConfig(), layout), path)
-    if corrupt:
-        data = bytearray(open(path, "rb").read())
-        middle = len(data) // 2
-        data[middle] ^= 0xFF
-        with open(path, "wb") as handle:
-            handle.write(bytes(data))
     try:
-        staged = load_bundle(path).layout
-    except (ConfigError, PlacementError) as exc:
-        # The loader reports a tear as CorruptArtifactError (both of
-        # these): the CRC check, or JSON / UTF-8 decoding failing first.
-        raise RefreshError(
-            f"staged artifact {path} failed validation: "
-            f"{type(exc).__name__}: {exc}",
-            stage="stage",
-        ) from exc
+        # Only the layout is read back; the default config rides along.
+        save_bundle(Bundle(MaxEmbedConfig(), layout), path)
+        if corrupt:
+            data = bytearray(open(path, "rb").read())
+            middle = len(data) // 2
+            data[middle] ^= 0xFF
+            with open(path, "wb") as handle:
+                handle.write(bytes(data))
+        try:
+            staged = load_bundle(path).layout
+        except (ConfigError, PlacementError) as exc:
+            # The loader reports a tear as CorruptArtifactError (both of
+            # these): the CRC check, or JSON / UTF-8 decoding failing
+            # first.
+            raise RefreshError(
+                f"staged artifact {path} failed validation: "
+                f"{type(exc).__name__}: {exc}",
+                stage="stage",
+            ) from exc
+    finally:
+        if not keep:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     if staged.num_keys != layout.num_keys:
         raise RefreshError(
             f"staged artifact {path} covers {staged.num_keys} keys, "

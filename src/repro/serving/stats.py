@@ -470,8 +470,8 @@ def merge_shard_results(results: Sequence[QueryResult]) -> QueryResult:
         failovers += r.failovers
         hedges += r.hedges
         hedge_wins += r.hedge_wins
-        valid.extend(r.valid_per_read)
-        served_by.extend(r.served_by)
+        valid += r.valid_per_read
+        served_by += r.served_by
         execution = r.execution
         if execution is not None:
             executed = True

@@ -559,6 +559,26 @@ class TestServeModes:
         if layout == "old":
             assert "maxembed build --out" in captured.err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--shards", "2", "--tier-ratio", "0.05"]],
+        ids=["sharded-tier-ratio"],
+    )
+    def test_bad_build_value_is_one_error_line(
+        self, deployment, tmp_path, capsys, extra
+    ):
+        out = tmp_path / "never.json"
+        assert main(
+            ["build", "--trace", deployment["trace"], "--workers", "1",
+             "--out", str(out)] + extra
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_serve_reports_the_bundle_geometry(
         self, deployment, tmp_path, capsys
     ):

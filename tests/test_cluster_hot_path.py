@@ -14,12 +14,20 @@ lives on here as the oracle:
 * ``ReplicaGroup.serve``: the returned result *is* the winning attempt's
   own record, and equals ``dataclasses.replace`` of a snapshot taken as
   that attempt returned, field for field, on clean, failed-over,
-  timed-out and hedged fragments.
+  timed-out and hedged fragments;
+* the healthy group's direct dispatch against the general loop it
+  skips: a twin forced through that loop holds the same state and
+  returns the same record at every step of a seeded outcome feed;
+* the router at one shard: ``scatter`` hands back the query itself, and
+  the whole router costs at most 4 % more bytecodes than the engine it
+  wraps (CPython 3.11).
 """
 
 import dataclasses
 import functools
 import os
+import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -33,8 +41,11 @@ from repro import (
     Query,
     QueryTrace,
     ReplicaHealthMonitor,
+    ServingEngine,
     ServingError,
+    ShardedLayout,
     ShardFaultPlan,
+    ShardPlan,
     ShpConfig,
     build_sharded_layout,
 )
@@ -410,25 +421,62 @@ def make_group(health=None, **engine_kwargs):
 
 
 def record_attempts(group):
-    """Log every ``_attempt`` of ``group``.
+    """Log every attempt ``group`` makes, on every dispatch path.
 
-    Entries are (replica, fragment, snapshot, result), the last two None
-    for a failed attempt.  The snapshot is a copy taken as the attempt
-    returns: the group sets its provenance on the winner's own record.
+    Entries are (replica, query, snapshot, result), the result None
+    where the group receives a copy of it.  A served attempt is
+    logged by a wrapper on its replica engine's ``serve_query``, which
+    the healthy group's direct dispatch reaches too; a resynced replica's
+    new engine is wrapped as it is installed.  The snapshot is a copy
+    taken as the engine returns: the group sets its provenance on the
+    winner's own record.  A failed attempt — an engine that raised or a
+    fault the shard fault plan injected before the engine — is logged
+    as (replica, None, None, None) when the group reports it to its
+    monitor as a fault; timeouts are served attempts, and probe
+    failures are reported as probes.
     """
     log = []
-    attempt = group._attempt
 
-    def recording(replica, fragment, at_us, degrade):
-        try:
-            result = attempt(replica, fragment, at_us, degrade)
-        except Exception:
-            log.append((replica, fragment, None, None))
-            raise
-        log.append((replica, fragment, dataclasses.replace(result), result))
-        return result
+    def watch(replica):
+        engine = group.engines[replica]
+        serve = engine.serve_query
 
-    group._attempt = recording
+        def recording(query, start_us=0.0, *degrade):
+            result = serve(query, start_us, *degrade)
+            snapshot, returned = dataclasses.replace(result), result
+            plan = group.fault_plan
+            if plan is not None:
+                factor = plan.degrade_multiplier(group.shard, replica)
+                if factor > 1.0:
+                    # A gray-degraded replica's attempt hands the group a
+                    # stretched copy, not this record.
+                    snapshot.finish_us = start_us + result.latency_us * factor
+                    returned = None
+            log.append((replica, query, snapshot, returned))
+            return result
+
+        engine.serve_query = recording
+
+    for replica in range(group.num_replicas):
+        watch(replica)
+    resync = group._resync
+
+    def resyncing(replica, now_us):
+        before = group.engines[replica]
+        resync(replica, now_us)
+        if group.engines[replica] is not before:
+            watch(replica)
+
+    group._resync = resyncing
+    monitor = group.monitor
+    record_failure = monitor.record_failure
+
+    def failing(replica, now_us, reason="fault"):
+        if reason == "fault":
+            log.append((replica, None, None, None))
+        record_failure(replica, now_us, reason)
+
+    monitor.record_failure = failing
     return log
 
 
@@ -469,7 +517,8 @@ def serve_and_check(group, fragments=80, gap_us=50.0):
         attempts = [
             (replica, snapshot, result)
             for replica, sent, snapshot, result in log
-            if sent is fragment  # probes send the group's canary query
+            # Probes send the group's canary query; a failure names none.
+            if sent is fragment or sent is None
         ]
         failed = [
             attempt
@@ -500,8 +549,10 @@ def serve_and_check(group, fragments=80, gap_us=50.0):
                     returned = alternate_returned
             else:
                 assert len(attempts) == 1
-        # The group builds no copy: it returns the winner's own record.
-        assert served is returned
+        # The group builds no copy: it returns the winner's own record
+        # (or the stretched copy a gray-degraded attempt made of it).
+        if returned is not None:
+            assert served is returned
         expected = dataclasses.replace(
             result,
             start_us=start,
@@ -560,3 +611,191 @@ class TestGroupResultIsReplaceOfTheWinner:
         )
         assert failovers == 0
         assert hedges > hedge_wins > 0
+
+
+# -- the healthy group's direct dispatch -------------------------------------
+
+
+class FeedEngine:
+    """A replica engine whose outcomes come from a shared step feed.
+
+    ``feed["failing"]`` names the replicas that raise at the current
+    step and ``feed["latency"]`` each replica's latency, so two groups
+    fed the same steps see the same outcome from the same replica,
+    whichever path dispatched to it.
+    """
+
+    def __init__(self, replica, feed):
+        self.replica = replica
+        self.feed = feed
+
+    def serve_query(self, query, start_us=0.0):
+        if self.replica in self.feed["failing"]:
+            raise RuntimeError(f"replica {self.replica} failed")
+        keys = len(query.unique_keys())
+        return QueryResult(
+            requested_keys=keys,
+            cache_hits=0,
+            ssd_keys=keys,
+            pages_read=1,
+            valid_per_read=(keys,),
+            start_us=start_us,
+            finish_us=start_us + self.feed["latency"][self.replica],
+        )
+
+
+def group_state(group):
+    """What serving a fragment changes in a group and its monitor."""
+    monitor = group.monitor
+    return fingerprint(
+        (
+            monitor.dispatched,
+            monitor.error_score,
+            monitor.consecutive_failures,
+            monitor.consecutive_successes,
+            monitor.states,
+            sorted(monitor.attention),
+            group.fragments,
+            group.failovers,
+            group._dispatch_seq,
+        )
+    )
+
+
+class TestDirectDispatchMatchesTheGeneralLoop:
+    def test_same_state_and_record_at_every_step(self):
+        """A healthy group dispatches straight to its least-loaded
+        replica; a twin forced through the general loop must pick the
+        same replica, fail over the same way when that replica raises,
+        and keep the same state, step after step."""
+        # Quick to clear a failure, so the direct path resumes often.
+        health = HealthConfig(
+            ewma_alpha=0.6,
+            clear_error_score=0.3,
+            probe_interval_us=10.0,
+            resync_delay_us=1e12,
+        )
+        feed = {"failing": set(), "latency": [0.0] * 3}
+        direct = make_group(health, replicas=3)
+        general = make_group(health, replicas=3)
+        general._direct = False
+        for group in (direct, general):
+            group.engines = [FeedEngine(r, feed) for r in range(3)]
+        rng = random.Random(FAULT_SEED)
+        direct_steps = direct_failovers = 0
+        for step in range(400):
+            healthy = not direct.monitor.attention
+            order = general.monitor.dispatch_order()
+            draw = rng.random()
+            if draw < 0.08:
+                failing = order[:1]  # the primary raises
+            elif draw < 0.11:
+                failing = order[:2]
+            elif draw < 0.12:
+                failing = order  # every live replica raises
+            else:
+                failing = []
+            feed["failing"] = set(failing)
+            feed["latency"] = [rng.uniform(5.0, 500.0) for _ in range(3)]
+            fragment = Query((step % 4, (step + 1) % 4))
+            outcomes = []
+            for group in (direct, general):
+                try:
+                    result = group.serve(fragment, step * 50.0)
+                except ReplicaExhaustedError as exc:
+                    outcomes.append(("exhausted", str(exc), exc.attempts))
+                else:
+                    outcomes.append(fingerprint(result))
+            assert outcomes[0] == outcomes[1], step
+            assert group_state(direct) == group_state(general), step
+            if healthy:
+                direct_steps += 1
+                if failing != order:
+                    # Served by the first replica of the order that did
+                    # not raise: the primary, or the one failed over to.
+                    assert result.served_by == ((0, order[len(failing)]),)
+                    assert result.failovers == len(failing)
+                    direct_failovers += bool(failing)
+        assert direct_steps > 200
+        assert direct_failovers > 0
+
+
+# -- the router at one shard --------------------------------------------------
+
+
+def one_shard(layout, config):
+    """A 1-shard ``ClusterEngine`` serving ``layout`` under ``config``."""
+    plan = ShardPlan(1, (0,) * layout.num_keys)
+    return ClusterEngine(ShardedLayout(plan, (layout,)), config)
+
+
+def test_one_shard_scatter_returns_the_query_itself(maxembed_layout_small):
+    cluster = one_shard(maxembed_layout_small, EngineConfig())
+    query = Query((5, 3, 5, 8))
+    fragments = cluster.scatter(query)
+    assert list(fragments) == [0]
+    assert fragments[0] is query
+    # The key-range check still runs.
+    num_keys = maxembed_layout_small.num_keys
+    with pytest.raises(ServingError) as info:
+        cluster.scatter(Query((1, num_keys)))
+    assert str(info.value) == f"key {num_keys} is not in the embedding table"
+
+
+#: Bytecodes per query of a 1-shard, 1-replica ``ClusterEngine`` over
+#: those of the plain ``ServingEngine`` it wraps, same layout and config,
+#: 200 queries after 100 warm-up ones: 3 341.1 / 3 214.1 = 1.0395 on
+#: CPython 3.11 (each count repeats to the digit).  The ceiling is that
+#: ratio; the target for the router's own cost is 1.05 (+5 %).  The
+#: router that sorted its fragments, rebuilt a one-shard query and ran
+#: its per-fragment breaker, deadline and fan-out checks made 3 947.1
+#: (1.2281).
+ROUTER_BYTECODE_RATIO_CEILING = 1.040
+#: Opcode counts differ between interpreter versions.
+BYTECODE_PYTHON = (3, 11)
+
+
+def bytecodes_per_query(server, queries):
+    """Bytecodes ``server.serve_query`` runs per query, after a warm-up."""
+    now = 0.0
+    for query in queries[:100]:
+        now = server.serve_query(query, now).finish_us
+    counted = 0
+
+    def opcodes(frame, event, arg):
+        nonlocal counted
+        if event == "opcode":
+            counted += 1
+        return opcodes
+
+    def calls(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcodes
+
+    measured = queries[100:300]
+    assert len(measured) == 200
+    for query in measured:
+        sys.settrace(calls)
+        result = server.serve_query(query, now)
+        sys.settrace(None)
+        now = result.finish_us
+    return counted / len(measured)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != BYTECODE_PYTHON,
+    reason="the bytecode budget is CPython 3.11's; opcode counts differ "
+    "between versions",
+)
+def test_one_shard_router_bytecode_budget(criteo_small, maxembed_layout_small):
+    _, live = criteo_small
+    queries = list(live)
+    config = EngineConfig(cache_ratio=0.1)
+    engine = bytecodes_per_query(
+        ServingEngine(maxembed_layout_small, config), queries
+    )
+    cluster = bytecodes_per_query(
+        one_shard(maxembed_layout_small, config), queries
+    )
+    ratio = cluster / engine
+    assert ratio <= ROUTER_BYTECODE_RATIO_CEILING, (cluster, engine, ratio)

@@ -44,7 +44,7 @@ from repro.ssd import Completion, PacedReadCommand, SsdProfile
 QUERIES = 200
 WARMUP = 100
 
-#: Python + C calls per query: 171.6 / 71.9 / 398.6 measured on CPython
+#: Python + C calls per query: 171.6 / 71.9 / 373.4 measured on CPython
 #: 3.11 (each repeats to the digit); the ceilings are 15 % over those.
 #: Ceilings, not equalities — the trace comes from numpy's
 #: generator and the C-call mix differs across the CI matrix.  Lower them
@@ -65,22 +65,29 @@ WARMUP = 100
 #: they made 240.4 / 83.6 / 478.3; taking the keys stored once by a
 #: lookup of their one page (no mask, no per-key ``dict.get``), flat
 #: outcome lists and a one-pass pacing brought them to 171.6 / 71.9 /
-#: 398.6.
-CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 458}
+#: 398.6.  A healthy replica group dispatching straight to its
+#: least-loaded replica (no sorted order, no ``_attempt``, no
+#: ``record_dispatch`` / ``record_success`` calls) took the cluster's to
+#: 373.4.
+CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 429}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
-#: (cluster: a replayed gather): 16.4 / 28.8 measured on CPython 3.11, plus
+#: (cluster: a replayed gather): 16.4 / 24.8 measured on CPython 3.11, plus
 #: 15 %.  Through the admission queue they would be 24.5 / 46.6; with a
 #: shard tally that folded every counter of every fragment and an event
 #: for every served shard, the cluster's was 38.6; with a per-query
-#: slowest-shard list, 29.8.
-DRIVER_CEILINGS = {"engine": 17.7, "cluster": 33.1}
+#: slowest-shard list, 29.8; with the tally's second pass over the
+#: fragments, 28.8.  The gather now folds each fragment as it returns, so
+#: the replayed gather hands back only that query's latencies.
+DRIVER_CEILINGS = {"engine": 17.7, "cluster": 28.5}
 
 #: Python + C calls per fragment a healthy ``ReplicaGroup.serve`` makes
-#: beyond its engine's ``serve_query``: 6.0 measured on CPython 3.11.  The
-#: group that maintained, copied its winner's record and ran the full
-#: health bookkeeping on every fragment made 14.0.
-GROUP_CEILING = 9
+#: beyond its engine's ``serve_query``: 1.0 (the call itself) measured on
+#: CPython 3.11, plus 15 %.  Through ``dispatch_order`` (a sorted order),
+#: ``_attempt``, ``record_dispatch`` and ``record_success`` it made 6.0;
+#: the group that maintained, copied its winner's record and ran the full
+#: health bookkeeping on every fragment, 14.0.
+GROUP_CEILING = 1.15
 
 
 class RecordingDevice:
@@ -213,14 +220,24 @@ def test_driver_calls_per_query_under_ceiling(name, servers, criteo_small):
     recorded = []
 
     def record(*args):
-        recorded.append(serve(*args))
-        return recorded[-1]
+        result = serve(*args)
+        # The gather folds each fragment into the tally's lists, its last
+        # argument; a replay hands back the query's fragment latencies.
+        fold = args[3] if len(args) > 3 else None
+        recorded.append((result, list(fold[-1]) if fold else None))
+        return result
+
+    def replayed(*args):
+        result, latencies = replay()
+        if latencies:
+            args[3][-1].extend(latencies)
+        return result
 
     setattr(server, seam, record)
     try:
         server.serve_trace(queries)
         replay = iter(recorded).__next__
-        setattr(server, seam, lambda *args: replay())
+        setattr(server, seam, replayed)
         measured = counted_calls(lambda: server.serve_trace(queries))
     finally:
         delattr(server, seam)

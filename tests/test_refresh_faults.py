@@ -12,6 +12,8 @@ artifact, and the swap itself — and proves the crash-safety contract:
   serving path keeps answering every query completely.
 """
 
+import tempfile
+
 import pytest
 
 from repro import (
@@ -137,6 +139,43 @@ class TestStagingValidation:
         layout = build_offline_layout(history, _build_config())
         staged = stage_layout(layout, str(tmp_path), "ok")
         assert staged.num_keys == layout.num_keys
+
+
+class TestStagingCleanup:
+    """A repair's staged file is removed once read back or refused, and
+    ``stop()`` removes the staging directory the daemon made."""
+
+    @pytest.mark.parametrize("corrupt_rate", [0.0, 1.0], ids=["kept", "torn"])
+    def test_nothing_staged_is_left_on_disk(
+        self, drift_pair, tmp_path, monkeypatch, corrupt_rate
+    ):
+        # The daemon's own directory is made under tmp_path.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        _, daemon = _drifted_single_daemon(
+            drift_pair,
+            RefreshFaultPlan(seed=0, corrupt_artifact_rate=corrupt_rate),
+        )
+        out = daemon.step()
+        assert out["action"] == (
+            "repair-failed" if corrupt_rate else "swap"
+        ), out
+        assert daemon.counters["rebuild_attempts"] > 0
+        (staging,) = tmp_path.iterdir()
+        assert staging.name.startswith("repro-refresh-")
+        assert list(staging.iterdir()) == []
+        daemon.stop()
+        assert list(tmp_path.iterdir()) == []
+        daemon.stop()  # idempotent
+
+    def test_a_configured_directory_is_kept(self, drift_pair, tmp_path):
+        staging = tmp_path / "staging"
+        _, daemon = _drifted_single_daemon(
+            drift_pair, None, staging_dir=str(staging)
+        )
+        assert daemon.step()["action"] == "swap"
+        daemon.stop()
+        assert staging.is_dir()
+        assert list(staging.iterdir()) == []
 
 
 class TestSingleModeFaults:
