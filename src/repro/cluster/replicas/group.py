@@ -169,8 +169,8 @@ class ReplicaGroup:
         if not monitor.attention and self._direct and degrade is None:
             # Every replica is healthy and untainted, so dispatch_order()
             # would rank by (dispatches, score, id): its first is the
-            # least-loaded replica.  The bookkeeping is _attempt's and
-            # record_success's, less the fault plan this group lacks.
+            # least-loaded replica.  The bookkeeping is _attempt's, less
+            # the fault plan this group lacks.
             dispatched = monitor.dispatched
             scores = monitor.error_score
             replica = 0
@@ -182,7 +182,7 @@ class ReplicaGroup:
                     replica = other
             self.fragments += 1
             self._dispatch_seq += 1
-            dispatched[replica] += 1
+            monitor.record_dispatch(replica)
             try:
                 result = self.engines[replica].serve_query(fragment, start_us)
             except Exception:  # noqa: BLE001 - failover catches everything
@@ -191,10 +191,7 @@ class ReplicaGroup:
                 # The rest of the order, which the failure did not touch.
                 order = [r for r in monitor.dispatch_order() if r != replica]
             else:
-                # record_success on a replica outside attention.
-                scores[replica] *= monitor.success_decay
-                monitor.consecutive_failures[replica] = 0
-                monitor.consecutive_successes[replica] += 1
+                monitor.record_success(replica, result.finish_us)
                 result.start_us = start_us
                 result.failovers = 0
                 result.served_by = ((self.shard, replica),)

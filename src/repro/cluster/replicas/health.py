@@ -133,8 +133,6 @@ class ReplicaHealthMonitor:
                 f"num_replicas must be >= 1, got {num_replicas}"
             )
         self.config = config or HealthConfig()
-        #: The factor a success scales the error score by (``1 - ewma_alpha``).
-        self.success_decay = 1.0 - self.config.ewma_alpha
         self.num_replicas = num_replicas
         self.states: List[str] = [HEALTHY] * num_replicas
         self.error_score: List[float] = [0.0] * num_replicas
@@ -160,7 +158,8 @@ class ReplicaHealthMonitor:
         self, replica: int, now_us: float, reason: str = "cleared"
     ) -> None:
         """Feed one successful outcome; may clear suspect / promote."""
-        self.error_score[replica] *= self.success_decay
+        alpha = self.config.ewma_alpha
+        self.error_score[replica] *= 1.0 - alpha
         self.consecutive_failures[replica] = 0
         self.consecutive_successes[replica] += 1
         if replica not in self.attention:

@@ -165,12 +165,6 @@ class ClusterEngine:
         self._assignment = self.plan.assignment
         self._local_ids = self.plan.local_ids
         self._shard_ids = range(self.num_shards)
-        # No breaker to consult and no router-side deadline (a group
-        # enforces its own): a full-service gather checks nothing per
-        # fragment.
-        self._unchecked = self.breakers is None and (
-            self.groups is not None or self.config.shard_deadline_us is None
-        )
 
     @property
     def num_shards(self) -> int:
@@ -368,63 +362,35 @@ class ClusterEngine:
         fragments = self.scatter(query)
         if degrade is not None and degrade.is_noop:
             degrade = None
-        groups = self.groups
-        if degrade is None and self._unchecked:
-            # Nothing to shed, skip or time out here: serve every
-            # fragment, folding each result as it returns.
-            engines = self.engines
-            if fold is not None:
-                queries, pages, ssd_keys, cache_hits, latencies = fold
-            subs: Dict[int, QueryResult] = {}
-            for shard, fragment in fragments.items():
-                try:
-                    # Looked up per dispatch: swaps and fault doubles
-                    # replace ``group.serve`` / ``engine.serve_query`` on
-                    # the instance.
-                    sub = (
-                        groups[shard].serve(fragment, start_us)
-                        if groups is not None
-                        else engines[shard].serve_query(fragment, start_us)
-                    )
-                except Exception as exc:  # noqa: BLE001 - rewrapped
-                    raise _unavailable(shard, exc) from exc
-                subs[shard] = sub
-                if fold is not None:
-                    queries[shard] += 1
-                    pages[shard] += sub.pages_read
-                    ssd_keys[shard] += sub.ssd_keys
-                    cache_hits[shard] += sub.cache_hits
-                    latencies.append(sub.finish_us - sub.start_us)
-            return merge_shard_results(list(subs.values())), subs, {}
-        items = list(fragments.items())
         kept = None
         if (
             degrade is not None
             and degrade.fanout_cap is not None
-            and len(items) > degrade.fanout_cap
+            and len(fragments) > degrade.fanout_cap
         ):
             # Keep the shards carrying the most keys (ties: lower shard
             # id); shed the small fragments whole — their keys buy the
             # least coverage per gather slot.
             ranked = sorted(
-                items,
+                fragments.items(),
                 key=lambda item: (-len(item[1].unique_keys()), item[0]),
             )
             kept = {shard for shard, _ in ranked[: degrade.fanout_cap]}
-        # A None degrade is not forwarded at all, so engines (or test
-        # doubles) with the pre-overload two-argument signature keep
-        # working.
-        extra = () if degrade is None else (degrade,)
+        groups = self.groups
+        engines = self.engines
         breakers = self.breakers
         # Replica groups enforce the per-attempt deadline internally (a
         # failover legally finishes later than one deadline), so the
         # router-side timeout check only applies to bare engines.
         deadline = self.config.shard_deadline_us if groups is None else None
-        subs = {}
+        if fold is not None:
+            queries, pages, ssd_keys, cache_hits, latencies = fold
+        subs: Dict[int, QueryResult] = {}
         events: Dict[int, str] = {}
-        for shard, fragment in items:
+        for shard, fragment in fragments.items():
+            breaker = breakers[shard] if breakers is not None else None
             if kept is not None and shard not in kept:
-                subs[shard] = self._unserved_result(
+                sub = self._unserved_result(
                     fragment,
                     start_us,
                     start_us,
@@ -432,55 +398,59 @@ class ClusterEngine:
                     shed=True,
                 )
                 events[shard] = SHARD_SHED
-                continue
-            breaker = breakers[shard] if breakers is not None else None
-            if breaker is not None and not breaker.allow(start_us):
-                subs[shard] = self._unserved_result(
-                    fragment, start_us, start_us
-                )
+            elif breaker is not None and not breaker.allow(start_us):
+                sub = self._unserved_result(fragment, start_us, start_us)
                 events[shard] = SHARD_SKIPPED
-                continue
-            try:
-                if groups is not None:
-                    outcome = groups[shard].serve(fragment, start_us, *extra)
-                else:
-                    outcome = self.engines[shard].serve_query(
-                        fragment, start_us, *extra
-                    )
-            except Exception as exc:  # noqa: BLE001 - degraded or rewrapped
-                if breaker is None:
-                    raise _unavailable(shard, exc) from exc
-                # A group exhausted by timeouts burned real simulated
-                # time (deadline waits) and maps onto the shard-timeout
-                # taxonomy; everything else is an instant shard error.
-                if (
-                    isinstance(exc, ReplicaExhaustedError)
-                    and exc.kind == "timeout"
-                ):
-                    finish = start_us + exc.elapsed_us
-                    events[shard] = SHARD_TIMEOUT
-                else:
-                    finish = start_us
-                    events[shard] = SHARD_ERROR
-                subs[shard] = self._unserved_result(
-                    fragment, start_us, finish
-                )
-                breaker.record_failure(finish)
-                continue
-            if deadline is not None and outcome.latency_us > deadline:
-                subs[shard] = self._unserved_result(
-                    fragment, start_us, start_us + deadline
-                )
-                events[shard] = SHARD_TIMEOUT
-                if breaker is not None:
-                    breaker.record_failure(start_us + deadline)
             else:
-                subs[shard] = outcome
-                if breaker is not None:
-                    breaker.record_success(outcome.finish_us)
-        if fold is not None:
-            queries, pages, ssd_keys, cache_hits, latencies = fold
-            for shard, sub in subs.items():
+                try:
+                    # Looked up per dispatch: swaps and fault doubles
+                    # replace ``group.serve`` / ``engine.serve_query`` on
+                    # the instance.  A None degrade is not forwarded, so
+                    # engines (or test doubles) with the pre-overload
+                    # two-argument signature keep working.
+                    serve = (
+                        groups[shard].serve
+                        if groups is not None
+                        else engines[shard].serve_query
+                    )
+                    sub = (
+                        serve(fragment, start_us)
+                        if degrade is None
+                        else serve(fragment, start_us, degrade)
+                    )
+                except Exception as exc:  # noqa: BLE001 - degraded or rewrapped
+                    if breaker is None:
+                        raise ShardUnavailableError(
+                            f"shard {shard} failed serving a scattered "
+                            f"fragment: {exc}",
+                            shard=shard,
+                        ) from exc
+                    # A group exhausted by timeouts burned real simulated
+                    # time (deadline waits) and maps onto the shard-timeout
+                    # taxonomy; everything else is an instant shard error.
+                    if (
+                        isinstance(exc, ReplicaExhaustedError)
+                        and exc.kind == "timeout"
+                    ):
+                        finish = start_us + exc.elapsed_us
+                        events[shard] = SHARD_TIMEOUT
+                    else:
+                        finish = start_us
+                        events[shard] = SHARD_ERROR
+                    sub = self._unserved_result(fragment, start_us, finish)
+                    breaker.record_failure(finish)
+                else:
+                    if deadline is not None and sub.latency_us > deadline:
+                        sub = self._unserved_result(
+                            fragment, start_us, start_us + deadline
+                        )
+                        events[shard] = SHARD_TIMEOUT
+                        if breaker is not None:
+                            breaker.record_failure(start_us + deadline)
+                    elif breaker is not None:
+                        breaker.record_success(sub.finish_us)
+            subs[shard] = sub
+            if fold is not None:
                 queries[shard] += 1
                 pages[shard] += sub.pages_read
                 ssd_keys[shard] += sub.ssd_keys
@@ -577,14 +547,6 @@ class ClusterEngine:
             ),
             "shards": infos,
         }
-
-
-def _unavailable(shard: int, exc: Exception) -> ShardUnavailableError:
-    """Strict mode's error for a shard whose worker raised ``exc``."""
-    return ShardUnavailableError(
-        f"shard {shard} failed serving a scattered fragment: {exc}",
-        shard=shard,
-    )
 
 
 def _fold(counts: List[int], subs: Dict[int, QueryResult], field: str) -> None:

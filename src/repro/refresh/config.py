@@ -50,7 +50,8 @@ class RefreshConfig:
             engine keeps serving untouched).
         keep_cache: carry warm DRAM caches across hot swaps.
         staging_dir: directory for CRC-validated staged artifacts
-            (``None`` = a private temp directory, created lazily).
+            (``None`` = a temporary directory per artifact, removed
+            with it).
     """
 
     window_size: int = 2048

@@ -37,7 +37,6 @@ and bench can drive it deterministically instead: construct it with
 
 from __future__ import annotations
 
-import shutil
 import tempfile
 import threading
 import time
@@ -143,9 +142,6 @@ class RefreshDaemon:
         self.counters: Dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         self.errors: List[str] = []
         self._degraded = False
-        self._staging: Optional[str] = self.config.staging_dir
-        # True once the daemon made its own staging directory.
-        self._owns_staging = False
         self._probe_cache: Dict[tuple, float] = {}
         self._step_lock = threading.Lock()
         self._pause = threading.Event()
@@ -168,17 +164,11 @@ class RefreshDaemon:
         return True
 
     def stop(self) -> None:
-        """Stop the background thread (idempotent; safe in manual mode)
-        and remove the staging directory the daemon made, if it made one
-        (a configured ``staging_dir`` is the caller's and stays)."""
+        """Stop the background thread (idempotent; safe in manual mode)."""
         self._stop.set()
         thread, self._thread = self._thread, None
         if thread is not None and thread.is_alive():
             thread.join(timeout=5.0)
-        with self._step_lock:
-            if self._owns_staging:
-                shutil.rmtree(self._staging, ignore_errors=True)
-                self._staging, self._owns_staging = None, False
 
     def pause(self) -> None:
         """Suspend repairs (drain-time: never swap under a draining
@@ -546,18 +536,16 @@ class RefreshDaemon:
         corrupt = self.faults is not None and self.faults.draw_corrupt_artifact(
             target, seq
         )
-        return stage_layout(
-            layout, self._staging_dir(), tag, corrupt=corrupt, keep=False
-        )
+        staging = self.config.staging_dir
+        if staging is not None:
+            return stage_layout(layout, staging, tag, corrupt=corrupt)
+        # No configured directory: stage in one made for this artifact
+        # and removed with it, so the daemon leaves nothing on disk.
+        with tempfile.TemporaryDirectory(prefix="repro-refresh-") as scratch:
+            return stage_layout(layout, scratch, tag, corrupt=corrupt)
 
     def _scoped_build_config(self, num_shards: int) -> MaxEmbedConfig:
         return replace(self.build_config, num_shards=num_shards)
-
-    def _staging_dir(self) -> str:
-        if self._staging is None:
-            self._staging = tempfile.mkdtemp(prefix="repro-refresh-")
-            self._owns_staging = True
-        return self._staging
 
     def _backoff(self, attempt: int) -> None:
         if self.config.backoff_s > 0:

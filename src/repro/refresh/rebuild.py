@@ -35,7 +35,6 @@ def stage_layout(
     staging_dir: str,
     tag: str,
     corrupt: bool = False,
-    keep: bool = True,
 ) -> PageLayout:
     """Round-trip ``layout`` through a CRC-validated staging artifact.
 
@@ -43,8 +42,8 @@ def stage_layout(
     swap path is allowed to install.  ``corrupt=True`` flips a byte in
     the staged file first (fault injection for the chaos suite); the
     CRC check turns that into :class:`RefreshError` with
-    ``stage="stage"``.  ``keep=False`` removes the staged file once it
-    has been re-loaded or refused.
+    ``stage="stage"``.  The staged file is removed once it has been
+    re-loaded or refused.
     """
     os.makedirs(staging_dir, exist_ok=True)
     path = os.path.join(staging_dir, f"{tag}.bundle.json")
@@ -69,9 +68,8 @@ def stage_layout(
                 stage="stage",
             ) from exc
     finally:
-        if not keep:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     if staged.num_keys != layout.num_keys:
         raise RefreshError(
             f"staged artifact {path} covers {staged.num_keys} keys, "

@@ -66,10 +66,10 @@ WARMUP = 100
 #: lookup of their one page (no mask, no per-key ``dict.get``), flat
 #: outcome lists and a one-pass pacing brought them to 171.6 / 71.9 /
 #: 398.6.  A healthy replica group dispatching straight to its
-#: least-loaded replica (no sorted order, no ``_attempt``, no
-#: ``record_dispatch`` / ``record_success`` calls) took the cluster's to
-#: 373.4.
-CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 429}
+#: least-loaded replica (no sorted order, no ``_attempt``) took the
+#: cluster's to 381.1; with the monitor's ``record_dispatch`` /
+#: ``record_success`` inlined too it was 373.4.
+CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 438}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
 #: (cluster: a replayed gather): 16.4 / 24.8 measured on CPython 3.11, plus
@@ -82,12 +82,13 @@ CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 429}
 DRIVER_CEILINGS = {"engine": 17.7, "cluster": 28.5}
 
 #: Python + C calls per fragment a healthy ``ReplicaGroup.serve`` makes
-#: beyond its engine's ``serve_query``: 1.0 (the call itself) measured on
-#: CPython 3.11, plus 15 %.  Through ``dispatch_order`` (a sorted order),
-#: ``_attempt``, ``record_dispatch`` and ``record_success`` it made 6.0;
-#: the group that maintained, copied its winner's record and ran the full
+#: beyond its engine's ``serve_query``: 3.0 (the call itself,
+#: ``record_dispatch`` and ``record_success``) measured on CPython 3.11,
+#: plus 15 %.  With those two inlined it made 1.0; through
+#: ``dispatch_order`` (a sorted order) and ``_attempt`` as well, 6.0; the
+#: group that maintained, copied its winner's record and ran the full
 #: health bookkeeping on every fragment, 14.0.
-GROUP_CEILING = 1.15
+GROUP_CEILING = 3.45
 
 
 class RecordingDevice:

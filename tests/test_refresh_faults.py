@@ -12,7 +12,10 @@ artifact, and the swap itself — and proves the crash-safety contract:
   serving path keeps answering every query completely.
 """
 
+import os
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -142,15 +145,24 @@ class TestStagingValidation:
 
 
 class TestStagingCleanup:
-    """A repair's staged file is removed once read back or refused, and
-    ``stop()`` removes the staging directory the daemon made."""
+    """A repair's staged file is removed once read back or refused; with
+    no configured directory each artifact is staged in a temporary
+    directory removed with it."""
 
     @pytest.mark.parametrize("corrupt_rate", [0.0, 1.0], ids=["kept", "torn"])
     def test_nothing_staged_is_left_on_disk(
         self, drift_pair, tmp_path, monkeypatch, corrupt_rate
     ):
-        # The daemon's own directory is made under tmp_path.
+        # The daemon's temporary directories are made under tmp_path.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recording(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording)
         _, daemon = _drifted_single_daemon(
             drift_pair,
             RefreshFaultPlan(seed=0, corrupt_artifact_rate=corrupt_rate),
@@ -160,12 +172,15 @@ class TestStagingCleanup:
             "repair-failed" if corrupt_rate else "swap"
         ), out
         assert daemon.counters["rebuild_attempts"] > 0
-        (staging,) = tmp_path.iterdir()
-        assert staging.name.startswith("repro-refresh-")
-        assert list(staging.iterdir()) == []
+        # One directory per staged artifact, each named as the daemon's.
+        assert len(made) == daemon.counters["rebuild_attempts"]
+        assert all(
+            os.path.basename(path).startswith("repro-refresh-")
+            for path in made
+        )
+        assert list(tmp_path.iterdir()) == []
         daemon.stop()
         assert list(tmp_path.iterdir()) == []
-        daemon.stop()  # idempotent
 
     def test_a_configured_directory_is_kept(self, drift_pair, tmp_path):
         staging = tmp_path / "staging"
@@ -176,6 +191,33 @@ class TestStagingCleanup:
         daemon.stop()
         assert staging.is_dir()
         assert list(staging.iterdir()) == []
+
+    def test_stop_does_not_wait_for_a_running_step(
+        self, drift_pair, monkeypatch
+    ):
+        """``stop()`` is called on the gateway's event loop, so a repair
+        in flight on another thread must not hold it up."""
+        _, daemon = _drifted_single_daemon(drift_pair, None)
+        entered, release = threading.Event(), threading.Event()
+
+        def blocked(snapshot):
+            entered.set()
+            release.wait(30.0)
+            return {"action": "healthy"}
+
+        monkeypatch.setattr(daemon, "_climb", blocked)
+        stepping = threading.Thread(target=daemon.step)
+        stepping.start()
+        try:
+            assert entered.wait(30.0)
+            began = time.monotonic()
+            daemon.stop()
+            assert time.monotonic() - began < 1.0
+            assert stepping.is_alive()
+        finally:
+            release.set()
+            stepping.join(30.0)
+        assert not stepping.is_alive()
 
 
 class TestSingleModeFaults:

@@ -48,6 +48,7 @@ from repro.cluster.replicas.health import (
     RECOVERING,
     SUSPECT,
 )
+from repro.refresh import rebuild
 from repro.ssd import P5800X
 
 
@@ -391,7 +392,7 @@ class TestCrashResync:
         assert (RECOVERING, HEALTHY) in edges
 
     def test_resync_stages_artifacts_when_directory_given(
-        self, two_community_trace, tmp_path
+        self, two_community_trace, tmp_path, monkeypatch
     ):
         trace = self.long_trace(two_community_trace)
         plan = self.crash_plan()
@@ -410,10 +411,20 @@ class TestCrashResync:
             replica_health=health,
             replica_staging_dir=str(tmp_path),
         )
+        staged = []
+        stage = rebuild.stage_layout
+
+        def spy(layout, staging_dir, tag, corrupt=False):
+            staged.append(staging_dir)
+            return stage(layout, staging_dir, tag, corrupt=corrupt)
+
+        monkeypatch.setattr(rebuild, "stage_layout", spy)
         report = cluster.serve_trace(trace)
         assert sum(report.replica_resyncs) > 0
-        staged = list(tmp_path.iterdir())
-        assert staged, "resync should stage layout artifacts on disk"
+        # Every resync went through the staging round trip, in the
+        # configured directory, and left no staged file behind.
+        assert staged == [str(tmp_path)] * sum(report.replica_resyncs)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHedging:
