@@ -248,14 +248,25 @@ class ReplicaHealthMonitor:
         never-failed ones.  Dead replicas are excluded entirely.
 
         With ``attention`` empty every replica is healthy and untainted,
-        so the first two keys tie and the stable sort of ``range`` keeps
-        the id tiebreak: the order is by (dispatches, score) alone.
+        so the first two keys tie and the order is by (dispatches,
+        score, id) alone: an insertion sort of the few replicas, each
+        placed after every earlier one it does not beat.
         """
         if not self.attention:
-            return sorted(
-                range(self.num_replicas),
-                key=list(zip(self.dispatched, self.error_score)).__getitem__,
-            )
+            dispatched, scores = self.dispatched, self.error_score
+            order = [0]
+            for r in range(1, self.num_replicas):
+                load, score = dispatched[r], scores[r]
+                at = len(order)
+                while at:
+                    prev = order[at - 1]
+                    if dispatched[prev] < load or (
+                        dispatched[prev] == load and scores[prev] <= score
+                    ):
+                        break
+                    at -= 1
+                order.insert(at, r)
+            return order
         states, scores = self.states, self.error_score
         dispatched, clear = self.dispatched, self.config.clear_error_score
         ranked = [

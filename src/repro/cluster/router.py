@@ -68,8 +68,9 @@ from ..faults import CircuitBreaker
 from ..placement import PageLayout
 from ..serving import EngineConfig, ServingEngine
 from ..serving.openloop import simulate
+from ..serving.selection import unknown_key_error
 from ..serving.stats import QueryResult, ServingReport, merge_shard_results
-from ..types import Query, QueryTrace
+from ..types import DistinctQuery, Query, QueryTrace
 from .pipeline import ShardedLayout
 from .replicas import HealthConfig, ReplicaGroup
 from .stats import ClusterReport
@@ -163,6 +164,7 @@ class ClusterEngine:
         self.swap_events: List[dict] = []
         # What every scatter reads of the plan, held once.
         self._assignment = self.plan.assignment
+        self._num_keys = len(self._assignment)
         self._local_ids = self.plan.local_ids
         self._shard_ids = range(self.num_shards)
 
@@ -295,27 +297,33 @@ class ClusterEngine:
     def scatter(self, query: Query) -> Dict[int, Query]:
         """Split a global query into shard-local fragments.
 
-        The fragments are keyed in ascending shard id.  One shard's local
-        ids are the global ones, so there the fragment is the query
-        itself.
+        The fragments are keyed in ascending shard id and each is a
+        :class:`~repro.types.DistinctQuery` of the query's distinct keys
+        (deduplicated here, once).  A key past the table raises
+        :class:`~repro.errors.ServingError` where it first indexes the
+        shard plan, before any shard is dispatched (a shard's failure
+        would wrap it, or fail it over).  One shard's local ids are the
+        global ones, so there the fragment is the query itself, which
+        the shard engine deduplicates.
         """
-        keys = query.keys
-        assignment = self._assignment
-        num_keys = len(assignment)
-        if max(keys) >= num_keys:
-            bad = next(k for k in keys if k >= num_keys)
-            raise ServingError(f"key {bad} is not in the embedding table")
         shard_ids = self._shard_ids
         if len(shard_ids) == 1:
+            if max(query.keys) >= self._num_keys:
+                raise unknown_key_error(query.keys, self._num_keys)
             return {0: query}
+        keys = query.unique_keys()
+        assignment = self._assignment
         local_ids = self._local_ids
         buckets = [[] for _ in shard_ids]
-        for key in keys:
-            buckets[assignment[key]].append(local_ids[key])
+        try:
+            for key in keys:
+                buckets[assignment[key]].append(local_ids[key])
+        except IndexError:
+            raise unknown_key_error(keys, self._num_keys) from None
         fragments: Dict[int, Query] = {}
         for shard, local in enumerate(buckets):
             if local:
-                fragments[shard] = Query(tuple(local))
+                fragments[shard] = DistinctQuery(tuple(local))
         return fragments
 
     @staticmethod

@@ -164,7 +164,7 @@ class AdmissionQueue:
     # -- inspection ------------------------------------------------------------
 
     def peek(self) -> Optional[QueueEntry]:
-        """The next entry :meth:`take` would consider (None when empty).
+        """The next entry :meth:`take_run` would consider (None when empty).
 
         Combined with :meth:`expire`, this lets a dispatcher group the
         head of the line into batches (e.g. by tenant) without popping
@@ -179,7 +179,7 @@ class AdmissionQueue:
         form a prefix of the queue; after this call :meth:`peek` returns
         an entry that is still dispatchable at ``now_us`` (or None).
         The popped entries are deadline misses — the caller accounts
-        them exactly as :meth:`take` would have.
+        them exactly as :meth:`take_run` would have.
         """
         deadline = (
             self.config.queue_deadline_us if self.config is not None else None
@@ -204,27 +204,41 @@ class AdmissionQueue:
 
     # -- dispatch --------------------------------------------------------------
 
-    def take(
-        self, free_at_us: float
-    ) -> Tuple[Optional[QueueEntry], List[QueueEntry]]:
-        """Pop the next dispatchable entry for a worker free at ``free_at_us``.
+    def take_run(
+        self, free_at_us: float, limit: int
+    ) -> Tuple[List[QueueEntry], List[QueueEntry]]:
+        """Pop the next run of dispatchable entries for a worker free at
+        ``free_at_us``.
 
-        Returns ``(entry, deadline_missed)``: the entry to serve (None
-        when the queue drained) and the waiters skipped because their
-        queue wait would already exceed the deadline at dispatch.
+        Returns ``(run, deadline_missed)``.  The run is the first
+        dispatchable entry and the entries right behind it with its
+        ``tenant``, at most ``limit`` of them (empty when the queue
+        drained); it ends at the first entry of another tenant.  The
+        waiters popped on the way whose queue wait would already exceed
+        the deadline at dispatch are skipped into ``deadline_missed``.
+        With ``limit`` 1 no ``tenant`` is read, so any entry will do.
         """
+        queue = self._queue
         deadline = (
             self.config.queue_deadline_us if self.config is not None else None
         )
+        run: List[QueueEntry] = []
         missed: List[QueueEntry] = []
-        while self._queue:
-            entry = self._queue.popleft()
-            start = max(entry.arrival_us, free_at_us)
-            if deadline is not None and start - entry.arrival_us > deadline:
+        while queue:
+            if run and queue[0].tenant != run[0].tenant:
+                break
+            entry = queue.popleft()
+            if (
+                deadline is not None
+                and max(entry.arrival_us, free_at_us) - entry.arrival_us
+                > deadline
+            ):
                 missed.append(entry)
                 continue
-            return entry, missed
-        return None, missed
+            run.append(entry)
+            if len(run) == limit:
+                break
+        return run, missed
 
 
 def engine_hotness(engine) -> Callable[[Query], float]:

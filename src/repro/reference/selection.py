@@ -3,7 +3,9 @@
 Readable python sets: each step intersects a candidate page's key set
 with the still-uncovered keys.  The production one-pass selector must
 match :class:`OnePassSelector` outcome for outcome (pages, order, covered
-tuples, candidate counts, sort charge, tier hits, errors).
+tuples, candidate counts, sort charge, errors).  An oracle takes raw
+keys — it deduplicates and bounds-checks them itself — while production
+is fed what its callers feed it, a query's distinct keys.
 
 :class:`GreedySetCoverSelector` is the paper's §6 baseline, which
 one-pass replaces in serving, and :func:`exact_cover` the minimum page
@@ -14,12 +16,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     List,
     NamedTuple,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -29,44 +29,22 @@ from ..errors import ServingError
 from ..placement import ForwardIndex, InvertIndex
 from ..serving.selection import SelectionOutcome, SelectionStep
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..tiering import PinnedTier
-
 
 class _SetAlgebraSelector(ABC):
-    """Template shared by the oracle selectors.
-
-    It holds the two indexes and, optionally, a
-    :class:`~repro.tiering.PinnedTier`.  ``select`` is a template
-    method: with no tier attached it delegates straight to the subclass
-    ``_select_impl``; with a tier attached it first splits the query
-    into tier-1 hits and SSD residue, runs selection on the residue
-    only, and reports the hit count on the outcome.
-    """
+    """Template shared by the oracle selectors: the two indexes, and a
+    ``select`` that is the subclass's ``_select_impl``."""
 
     def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
         self.forward = forward
         self.invert = invert
-        self.tier: "Optional[PinnedTier]" = None
-
-    def attach_tier(self, tier: "Optional[PinnedTier]") -> None:
-        """Attach (or detach, with None) a pinned DRAM tier."""
-        self.tier = tier
 
     def select(self, keys: Sequence[int]) -> SelectionOutcome:
-        """Choose pages covering all ``keys`` (distinct, SSD-resident)."""
-        tier = self.tier
-        if tier is None:
-            return self._select_impl(keys)
-        distinct = self._check_keys(keys)
-        hits, residue = tier.split(distinct)
-        outcome = self._select_impl(residue)
-        outcome.tier_hits = hits
-        return outcome
+        """Choose pages covering all ``keys`` (any keys: checked here)."""
+        return self._select_impl(keys)
 
     @abstractmethod
     def _select_impl(self, keys: Sequence[int]) -> SelectionOutcome:
-        """Selection body; ``keys`` are tier-residue when a tier is set."""
+        """Selection body."""
 
     def _check_keys(self, keys: Sequence[int]) -> List[int]:
         distinct = list(dict.fromkeys(keys))
@@ -213,9 +191,8 @@ def exact_cover(
     ``selector_or_maps`` is a selector (anything with ``forward`` and
     ``invert``) or a ``(forward, invert)`` pair.  A key's pages are
     those of the never-shrunk key → pages map — every page the invert
-    index lists it on — so an index limit does not bind the optimum,
-    and a tier attached to the selector is ignored: every key is
-    covered.
+    index lists it on — so an index limit does not bind the optimum:
+    every key is covered.
 
     Each search node branches on the pages of the uncovered key held
     by the fewest pages, largest gain first.  A node is cut when its

@@ -80,7 +80,7 @@ from ..overload import (
     engine_hotness,
 )
 from ..serving.stats import QueryResult, ServingReport
-from ..types import EmbeddingSpec, Query
+from ..types import DistinctQuery, EmbeddingSpec, Query, distinct_keys
 from .config import ServiceConfig
 from .quota import TokenBucket
 
@@ -480,18 +480,9 @@ class GatewayCore:
                     wait_us * 1e-6, self._flush
                 )
                 break
-            tenant = head.tenant
-            batch: List[ServeOutcome] = []
-            while head is not None and head.tenant == tenant:
-                entry, skipped = queue.take(now)
-                for missed in skipped:
-                    self._shed(missed, "deadline-miss", status="miss")
-                if entry is None:
-                    break
-                batch.append(entry)
-                if len(batch) == limit:
-                    break
-                head = queue.peek()
+            batch, skipped = queue.take_run(now, limit)
+            for missed in skipped:
+                self._shed(missed, "deadline-miss", status="miss")
             self._dispatch(batch, now)
 
     # -- batch execution -------------------------------------------------------
@@ -531,7 +522,10 @@ class GatewayCore:
             outcome.served = served = len(keys)
             requested += served
             union.update(keys)
-        result = self.engine.serve_query(Query(tuple(union)), start_us)
+        # Distinct (a dict's keys) and non-negative (``offer`` checked).
+        result = self.engine.serve_query(
+            DistinctQuery(tuple(union)), start_us
+        )
         finish_us = result.finish_us
         level = result.degrade_level
         for outcome in batch:
@@ -555,7 +549,8 @@ class GatewayCore:
         members: List[ServeOutcome] = []
         results: List[QueryResult] = []
         for outcome in batch:
-            query = Query(outcome.keys)
+            # Deduplicated once here; ``offer`` checked the keys.
+            query = DistinctQuery(distinct_keys(outcome.keys))
             try:
                 result = self.engine.serve_query(query, start_us, degrade)
             except Exception as exc:
@@ -563,7 +558,7 @@ class GatewayCore:
                 self._shed_error([outcome], exc)
                 continue
             missing = result.missing_keys
-            outcome.served = len(query.unique_keys()) - missing
+            outcome.served = len(query.keys) - missing
             outcome.missing = missing
             outcome.finish_us = result.finish_us
             outcome.degrade_level = result.degrade_level

@@ -295,19 +295,18 @@ class ServingEngine:
             )
         if plan.capacity == 0:
             return plan, None
-        tier = plan.runtime()
-        self.selector.attach_tier(tier)
-        return plan, tier
+        return plan, plan.runtime()
 
     def apply_tier_plan(self, plan: TierPlan) -> None:
         """Re-plan the pinned DRAM tier in place, under live traffic.
 
         The cheap first rung of the refresh repair ladder: rather than
         rebuilding the whole engine, swap only the pinned hot set.  The
-        runtime tier is built fully before the one-reference rebind on
-        the selector, so a concurrent ``serve_query`` sees either the
-        old tier or the new one — both serve every key correctly (tier
-        membership only moves keys between the DRAM and SSD paths).
+        runtime tier is built fully before the one-reference rebind of
+        :attr:`tier`, which ``serve_query`` reads once, so a concurrent
+        query sees either the old tier or the new one — both serve every
+        key correctly (tier membership only moves keys between the DRAM
+        and SSD paths).
         """
         if self.config.tier_mode == "lru":
             raise ServingError(
@@ -319,7 +318,6 @@ class ServingEngine:
                 f"{self.layout.num_keys}"
             )
         tier = plan.runtime() if plan.capacity else None
-        self.selector.attach_tier(tier)
         self.tier_plan, self.tier = plan, tier
 
     def tier_info(self) -> "dict | None":

@@ -61,6 +61,8 @@ from ..types import EmbeddingSpec
 from .cost_model import CpuCostModel
 from .selection import SelectionOutcome
 
+_new_command = object.__new__
+
 
 @dataclass
 class ExecutionResult:
@@ -146,9 +148,12 @@ class Executor(ABC):
         )
         now = start_us + front + lead_us
         if gaps_us:
-            (completion,) = device.submit_batch(
-                [PacedReadCommand(outcome.pages, gaps_us)], now
-            )
+            # Built unchecked: the selector chose the pages (one or
+            # more, non-negative) and the pacing gave each its gap.
+            command = _new_command(PacedReadCommand)
+            command.page_ids = outcome.pages
+            command.gaps_us = gaps_us
+            (completion,) = device.submit_batch([command], now)
             now = completion.submitted_at_us
             finish = max(now, completion.completed_at_us)
         else:

@@ -150,13 +150,14 @@ def simulate(
         """Dispatch queued work to every worker freeing by ``now_us``."""
         while len(queue) and workers[0] <= now_us:
             free_at = heapq.heappop(workers)
-            entry, missed = queue.take(free_at)
+            run, missed = queue.take_run(free_at, 1)
             report.deadline_misses += sum(
                 1 for late in missed if late.index >= warmup
             )
-            if entry is None:
+            if not run:
                 heapq.heappush(workers, free_at)
                 break
+            (entry,) = run
             dispatch(entry, max(entry.arrival_us, free_at))
 
     for index, query in enumerate(queries):

@@ -13,8 +13,8 @@ so the selector works from the *query* side: a page holds 16 slots but a
 query wants little more than one of them, so walking page contents is
 mostly misses.
 
-Per query: dedupe and bounds-check once, give the *i*-th key bit *i*,
-and walk each key's pages in the never-shrunk key→pages map (the
+Per query: sort the keys by rank (which bounds-checks them), give the
+*i*-th key bit *i*, and walk each key's pages in the never-shrunk key→pages map (the
 transpose of the invert index) to fill a ``page → int mask`` dict of
 the query keys each page holds — O(Σ fan-out) dict updates.  The cover
 loop is then plain ints: ``rem`` is the mask of still-uncovered keys,
@@ -52,10 +52,15 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ServingError
 from ..placement import ForwardIndex, InvertIndex
-from ..types import distinct_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..tiering import PinnedTier
+
+
+def unknown_key_error(keys: Sequence[int], num_keys: int) -> ServingError:
+    """The error for the first of ``keys`` past a ``num_keys`` table."""
+    bad = next(k for k in keys if k >= num_keys)
+    return ServingError(f"key {bad} is not in the embedding table")
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class SelectionOutcome:
     the keys each read newly covers (:attr:`covered_counts`) and the
     candidate pages each step examined (:attr:`candidate_counts`) — the
     lists the executors and the cost model consume — plus the sort
-    charge and the tier hits.  :attr:`steps` is derived on demand (and
+    charge.  :attr:`steps` is derived on demand (and
     once): each covered key is credited to the first chosen page, in
     read order, that holds it in the never-shrunk key→pages map, which
     is the rule the selector and its oracles implement.
@@ -92,7 +97,6 @@ class SelectionOutcome:
         "covered_counts",
         "candidate_counts",
         "sorted_keys",
-        "tier_hits",
         "_keys",
         "_key_pages",
         "_steps",
@@ -104,7 +108,6 @@ class SelectionOutcome:
         covered_counts: List[int],
         candidate_counts: List[int],
         sorted_keys: int,  # keys put through the sort (0 = no sort)
-        tier_hits: int = 0,  # keys served by the pinned DRAM tier
         keys: Sequence[int] = (),
         key_pages: Sequence[Tuple[int, ...]] = (),
     ) -> None:
@@ -112,7 +115,6 @@ class SelectionOutcome:
         self.covered_counts = covered_counts
         self.candidate_counts = candidate_counts
         self.sorted_keys = sorted_keys
-        self.tier_hits = tier_hits
         self._keys = keys  # the covered keys, any order
         self._key_pages = key_pages  # the never-shrunk key → pages map
         self._steps: Optional[Tuple[SelectionStep, ...]] = None
@@ -122,7 +124,6 @@ class SelectionOutcome:
         cls,
         steps: Sequence[SelectionStep],
         sorted_keys: int,
-        tier_hits: int = 0,
     ) -> "SelectionOutcome":
         """An outcome given as materialized steps (oracles, truncation)."""
         outcome = cls(
@@ -130,7 +131,6 @@ class SelectionOutcome:
             [len(s.covered) for s in steps],
             [s.candidates_examined for s in steps],
             sorted_keys,
-            tier_hits,
         )
         outcome._steps = tuple(steps)
         return outcome
@@ -180,11 +180,9 @@ class OnePassSelector:
     Each key contributes at most ``k`` candidate examinations (``k`` =
     index limit), giving O(|S| + |Q|) mask operations per query.
 
-    The selector holds the two indexes and, optionally, a
-    :class:`~repro.tiering.PinnedTier`: with a tier attached ``select``
-    splits the query into tier-1 hits and SSD residue, runs selection on
-    the residue only, and reports the hit count on the outcome — tier-1
-    keys never reach the sort, the candidate scan, or a page read.
+    The selector holds the two indexes and nothing of a pinned DRAM
+    tier: the engine splits a query against its tier before the cache,
+    so the keys ``select`` gets are already the SSD residue.
     """
 
     def __init__(self, forward: ForwardIndex, invert: InvertIndex) -> None:
@@ -208,26 +206,31 @@ class OnePassSelector:
         ]
 
     def attach_tier(self, tier: "Optional[PinnedTier]") -> None:
-        """Attach (or detach, with None) a pinned DRAM tier."""
+        """Record ``tier`` as :attr:`tier`; selection never reads it.
+
+        A seam of the end-to-end harness (ROADMAP item 6), which hands
+        the selector its tracing proxy of the engine's tier; the engine
+        itself splits queries against the tier and never calls this.
+        """
         self.tier = tier
 
     def select(self, keys: Sequence[int]) -> SelectionOutcome:
-        """Choose pages covering all ``keys``; tier-1 keys need none.
+        """Choose pages covering all ``keys``.
 
-        Raises :class:`~repro.errors.ServingError` for a key outside the
-        embedding table.
+        Precondition: ``keys`` are distinct, non-negative key ids —
+        what every caller passes (the engine's and the store's cache
+        misses, a query's ``unique_keys()``, a hyperedge's pins); the
+        checks run where a query enters (``Query``, the gateway's
+        ``offer``, the router's scatter), not here.  A key past the
+        table still raises :class:`~repro.errors.ServingError`, from
+        its failed rank lookup.
         """
-        # A fresh list: ``_select_impl`` sorts it in place.
-        distinct = list(distinct_keys(keys))
-        num_keys = self._num_keys
-        if distinct and (min(distinct) < 0 or max(distinct) >= num_keys):
-            bad = next(k for k in distinct if not 0 <= k < num_keys)
-            raise ServingError(f"key {bad} is not in the embedding table")
-        tier = self.tier
-        if tier is None:
-            return self._select_impl(distinct)
-        hits, residue = tier.split(distinct)
-        return self._select_impl(residue, hits)
+        try:
+            # A fresh list, in process order; ``keys`` is left as given.
+            ordered = sorted(keys, key=self._rank.__getitem__)
+        except IndexError:
+            raise unknown_key_error(keys, self._num_keys) from None
+        return self._select_impl(ordered)
 
     def _page_masks(self, okeys: List[int]) -> Dict[int, int]:
         """page → mask of the ``okeys`` it holds (bit i = ``okeys[i]``)."""
@@ -241,11 +244,8 @@ class OnePassSelector:
             bit <<= 1
         return masks
 
-    def _select_impl(
-        self, keys: List[int], tier_hits: int = 0
-    ) -> SelectionOutcome:
-        """Cover ``keys`` — distinct and in range (``select`` checked)."""
-        keys.sort(key=self._rank.__getitem__)
+    def _select_impl(self, keys: List[int]) -> SelectionOutcome:
+        """Cover ``keys`` — distinct, in range and in process order."""
         full = self._full
         # The sort puts the keys stored once first: each one's read is
         # forced, so a step is its home page and a count, not a mask.
@@ -265,7 +265,6 @@ class OnePassSelector:
                 list(forced.values()),
                 [1] * len(forced),
                 len(keys),
-                tier_hits,
                 keys,
                 full,
             )
@@ -303,7 +302,7 @@ class OnePassSelector:
             covered.append(best_count)
             cands.append(len(candidates))
         return SelectionOutcome(
-            pages, covered, cands, len(keys), tier_hits, keys, full
+            pages, covered, cands, len(keys), keys, full
         )
 
 

@@ -106,7 +106,10 @@ class PacedReadCommand:
     it polls once at the later of its clock and the latest completion.
     Built once per query for one device, so a plain dataclass (DESIGN.md,
     "Values and records"); :class:`ReadCommand` / :class:`GatherCommand`
-    stay frozen, hashable descriptions (a test pins that).
+    stay frozen, hashable descriptions (a test pins that).  The
+    constructor checks its arguments; the executors, whose pages the
+    selector has just chosen, set the two fields on an unchecked
+    instance instead.
 
     Attributes:
         page_ids: pages to read, in submission order.

@@ -8,7 +8,9 @@ The library deals with three identifier spaces:
   embeddings, where ``d = page_size // embedding_bytes``.
 * **queries** — an ordered collection of keys requested together by one
   inference request.  Queries may contain duplicates in raw traces; the
-  serving path deduplicates them.
+  serving path deduplicates them once, where a query enters it, and
+  the queries it builds inside (scatter fragments, a gateway batch's
+  key union) are :class:`DistinctQuery` values that skip the checks.
 
 The dataclasses here are deliberately small and immutable so they can be
 shared freely between the offline (partitioning/replication) and online
@@ -56,6 +58,12 @@ class Query:
         if min(self.keys) < 0:
             raise ConfigError("query keys must be non-negative")
 
+    def __eq__(self, other: object) -> bool:
+        # A DistinctQuery is the same query as a Query of its keys.
+        if isinstance(other, Query):
+            return self.keys == other.keys
+        return NotImplemented
+
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -68,6 +76,25 @@ class Query:
         A query without a repeated key returns its own ``keys`` tuple.
         """
         return distinct_keys(self.keys)
+
+
+class DistinctQuery(Query):
+    """A query built from keys already known to be distinct, non-negative
+    and at least one: nothing is checked, and :meth:`unique_keys` is the
+    ``keys`` tuple itself.
+
+    Only code that made the keys so builds one — the router's scatter
+    fragments (from a query's distinct keys) and the gateway's batch
+    union (from keys :meth:`~repro.service.GatewayCore.offer` checked)
+    — so each key is checked once, where its query entered.
+    """
+
+    def __init__(self, keys: Tuple[Key, ...]) -> None:
+        object.__setattr__(self, "keys", keys)
+
+    def unique_keys(self) -> Tuple[Key, ...]:
+        """The keys themselves: they are distinct by construction."""
+        return self.keys
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,39 @@ class TestMonitorMatchesDefinitions:
                     )
 
 
+class TestHealthyDispatchOrder:
+    """A healthy group's order is the stable sort of ``range`` by
+    ``(dispatched, error_score)`` — the form ``dispatch_order`` used
+    before its insertion sort, kept here as the oracle."""
+
+    def test_matches_the_sorted_form_with_ties(self):
+        rng = random.Random(43)
+        checked = 0
+        for num_replicas in range(1, 5):
+            monitor = ReplicaHealthMonitor(num_replicas)
+            clear = monitor.config.clear_error_score
+            for _ in range(500):
+                # Few distinct values, so loads and scores tie often.
+                monitor.dispatched = [
+                    rng.randint(0, 3) for _ in range(num_replicas)
+                ]
+                monitor.error_score = [
+                    rng.choice((0.0, clear / 2, clear))
+                    for _ in range(num_replicas)
+                ]
+                assert not monitor.attention
+                want = sorted(
+                    range(num_replicas),
+                    key=list(
+                        zip(monitor.dispatched, monitor.error_score)
+                    ).__getitem__,
+                )
+                assert monitor.dispatch_order() == want
+                assert want == oracle_dispatch_order(monitor)
+                checked += 1
+        assert checked == 2000
+
+
 # -- ReplicaGroup.serve -------------------------------------------------------
 
 

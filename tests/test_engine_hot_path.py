@@ -44,7 +44,7 @@ from repro.ssd import Completion, PacedReadCommand, SsdProfile
 QUERIES = 200
 WARMUP = 100
 
-#: Python + C calls per query: 171.6 / 71.9 / 373.4 measured on CPython
+#: Python + C calls per query: 162.6 / 63.5 / 330.3 measured on CPython
 #: 3.11 (each repeats to the digit); the ceilings are 15 % over those.
 #: Ceilings, not equalities — the trace comes from numpy's
 #: generator and the C-call mix differs across the CI matrix.  Lower them
@@ -68,8 +68,14 @@ WARMUP = 100
 #: 398.6.  A healthy replica group dispatching straight to its
 #: least-loaded replica (no sorted order, no ``_attempt``) took the
 #: cluster's to 381.1; with the monitor's ``record_dispatch`` /
-#: ``record_success`` inlined too it was 373.4.
-CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 438}
+#: ``record_success`` inlined too it was 373.4 (381.1 when re-measured
+#: beside the next change).  With each key checked once, where its query
+#: enters — scatter fragments built as distinct queries, a ``select``
+#: that trusts its keys and bounds them in its rank sort, no second tier
+#: split in the selector, a paced read built without its checks — the
+#: three rows were 171.6 / 71.9 / 381.1 before and 162.6 / 63.5 / 330.3
+#: after.
+CEILINGS = {"engine": 187, "hybrid": 73, "cluster": 380}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
 #: (cluster: a replayed gather): 16.4 / 24.8 measured on CPython 3.11, plus
@@ -78,7 +84,9 @@ CEILINGS = {"engine": 197, "hybrid": 83, "cluster": 438}
 #: for every served shard, the cluster's was 38.6; with a per-query
 #: slowest-shard list, 29.8; with the tally's second pass over the
 #: fragments, 28.8.  The gather now folds each fragment as it returns, so
-#: the replayed gather hands back only that query's latencies.
+#: the replayed gather hands back only that query's latencies.  Checking
+#: each key once (no re-check inside the engine or the router) left both
+#: counts where they were, 16.4 / 24.9: the driver checks no key.
 DRIVER_CEILINGS = {"engine": 17.7, "cluster": 28.5}
 
 #: Python + C calls per fragment a healthy ``ReplicaGroup.serve`` makes

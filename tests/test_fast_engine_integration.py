@@ -61,7 +61,6 @@ def use_oracle(engine):
     """Swap ``engine``'s selector for its ``repro.reference`` oracle."""
     oracle = getattr(reference, type(engine.selector).__name__)
     engine.selector = oracle(engine.forward, engine.invert)
-    engine.selector.attach_tier(engine.tier)
     return engine
 
 

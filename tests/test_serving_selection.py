@@ -10,7 +10,16 @@ baseline, so its cases run on :mod:`repro.reference` alone.
 
 import pytest
 
-from repro import PageLayout, ServingError, reference, serving
+from repro import (
+    ConfigError,
+    EngineConfig,
+    PageLayout,
+    Query,
+    ServingEngine,
+    ServingError,
+    reference,
+    serving,
+)
 from repro.placement import ForwardIndex, InvertIndex
 from tests.test_fast_selection import covered_keys
 
@@ -135,11 +144,19 @@ class TestOnePassSelector:
     def test_rejects_unknown_key(self, layout):
         _, onepass = make_selectors(self.impl, layout)
         with pytest.raises(ServingError):
-            onepass.select([-1])
+            onepass.select([8])
+        # A negative key never reaches a selector: its query refuses it.
+        with pytest.raises(ConfigError, match="non-negative"):
+            Query((-1,))
 
     def test_duplicate_keys_counted_once(self, layout):
+        # Selection takes a query's distinct keys; the engine's entry
+        # deduplicates the query once, before the cache and selection.
+        engine = ServingEngine(layout, EngineConfig(cache_ratio=0.0))
+        result = engine.serve_query(Query((5, 5, 4)))
+        assert result.requested_keys == result.ssd_keys == 2
         _, onepass = make_selectors(self.impl, layout)
-        outcome = onepass.select([5, 5, 4])
+        outcome = onepass.select(Query((5, 5, 4)).unique_keys())
         assert covered_keys(outcome) == {4, 5}
 
 

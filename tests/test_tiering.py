@@ -5,10 +5,11 @@ Three layers of guarantees:
 * offline: :class:`TierPlan` construction, validation, ranking, and its
   round trip through the checksummed deployment bundle;
 * selection: differential tests (hand-built layouts plus hypothesis
-  random layouts) that tier-aware fast selectors stay bit-identical to
-  the reference oracle, that an *empty* tier changes nothing, and that
-  a populated tier partitions every query exactly — each distinct key
-  served once, from exactly one of {tier, pages};
+  random layouts) that the engine's tier split followed by selection of
+  the residue stays bit-identical to the reference oracle on that
+  residue, that an *empty* tier changes nothing, and that a populated
+  tier partitions every query exactly — each distinct key served once,
+  from exactly one of {tier, pages};
 * serving: engine- and cluster-level accounting (tier hits counted,
   ``tier_ratio=0`` parity with the legacy path, N>1 plan rejection),
   and the uniform ``NullCache`` disabled-cache contract.
@@ -47,8 +48,8 @@ from repro.tiering import (
 )
 from tests.test_fast_selection import (
     assert_same_outcome,
-    assert_same_selection,
     covered_keys,
+    fed,
     layouts_queries_limits,
     selector_pair,
 )
@@ -247,57 +248,80 @@ QUERIES = [
 ]
 
 
-def assert_tier_partition(outcome, tier, keys):
+def tiered_select(selector, tier, keys):
+    """The engine's tier path: split a query's distinct keys at the tier,
+    select the SSD residue -> (tier hits, outcome)."""
+    hits, residue = tier.split(fed(keys))
+    return hits, selector.select(residue)
+
+
+def assert_tier_partition(hits, outcome, tier, keys):
     """Every distinct key served exactly once, from exactly one tier."""
     distinct = list(dict.fromkeys(keys))
     expected_hits = [k for k in distinct if k in tier]
     covered = covered_keys(outcome)
-    assert outcome.tier_hits == len(expected_hits)
+    assert hits == len(expected_hits)
     assert covered == set(distinct) - set(expected_hits)
     assert not covered & set(expected_hits)
 
 
+def pinned_engine(layout, pinned):
+    """An engine whose DRAM tier pins exactly ``pinned``, cache off."""
+    plan = TierPlan(layout.num_keys, 0.0, tuple(pinned), source="explicit")
+    return ServingEngine(
+        layout,
+        EngineConfig(cache_ratio=0.0, tier_mode="pinned", tier_plan=plan),
+    )
+
+
 class TestTieredSelection:
+    """The engine splits a query at its tier before the cache, so the
+    selector only ever sees the SSD residue."""
+
     def test_fast_matches_reference_with_tier(self, layout):
         tier = PinnedTier(8, (0, 5))
         fast, ref = selector_pair(layout)
-        fast.attach_tier(tier)
-        ref.attach_tier(tier)
         for keys in QUERIES:
-            got, want = fast.select(keys), ref.select(keys)
-            assert_same_outcome(got, want)
-            assert_tier_partition(got, tier, keys)
+            hits, got = tiered_select(fast, tier, keys)
+            residue = [k for k in dict.fromkeys(keys) if k not in tier]
+            assert_same_outcome(got, ref.select(residue))
+            assert_tier_partition(hits, got, tier, keys)
 
     def test_empty_tier_is_identity(self, layout):
         empty = PinnedTier(8, ())
-        tiered, plain = selector_pair(layout)
-        tiered.attach_tier(empty)
-        for keys in QUERIES:
-            got, want = tiered.select(keys), plain.select(keys)
-            assert_same_outcome(got, want)
-            assert got.tier_hits == 0
-
-    def test_detach_restores_untiered_path(self, layout):
         fast, ref = selector_pair(layout)
-        fast.attach_tier(PinnedTier(8, (0, 5)))
-        fast.attach_tier(None)
         for keys in QUERIES:
-            assert_same_outcome(fast.select(keys), ref.select(keys))
+            hits, got = tiered_select(fast, empty, keys)
+            assert_same_outcome(got, ref.select(keys))
+            assert hits == 0
+
+    def test_detach_restores_untiered_path(self, layout, stream):
+        engine = pinned_engine(layout, (0, 5))
+        engine.apply_tier_plan(
+            TierPlan(8, 0.0, (), source="explicit")
+        )
+        assert engine.tier is None
+        got = engine.serve_trace(stream)
+        want = ServingEngine(
+            layout, EngineConfig(cache_ratio=0.0)
+        ).serve_trace(stream)
+        assert got.total_tier_hits == 0
+        assert got.latencies_us == want.latencies_us
+        assert got.total_pages_read == want.total_pages_read
 
     def test_fully_pinned_query_reads_no_pages(self, layout):
-        tier = PinnedTier(8, (0, 4, 5))
-        fast, _ = selector_pair(layout)
-        fast.attach_tier(tier)
-        outcome = fast.select([0, 4, 5, 0])
-        assert outcome.tier_hits == 3
-        assert outcome.pages == []
-        assert covered_keys(outcome) == set()
+        engine = pinned_engine(layout, (0, 4, 5))
+        result = engine.serve_query(Query((0, 4, 5, 0)))
+        assert result.tier_hits == 3
+        assert result.pages_read == 0
+        assert result.ssd_keys == 0
 
     def test_tiered_select_still_rejects_unknown_keys(self, layout):
-        fast, _ = selector_pair(layout)
-        fast.attach_tier(PinnedTier(8, (0,)))
-        with pytest.raises(ServingError):
-            fast.select([0, 99])
+        engine = pinned_engine(layout, (0,))
+        with pytest.raises(
+            ServingError, match="^key 99 is not in the embedding table$"
+        ):
+            engine.serve_query(Query((0, 99)))
 
     @given(
         known=st.lists(st.integers(0, 7), max_size=10),
@@ -318,13 +342,16 @@ class TestTieredSelection:
             keys.insert(min(spot, len(keys)), bad)
         keys += [bad for bad, _ in unknown]
         first = next(k for k in keys if k >= 8)
-        fast, _ = selector_pair(eight_key_layout())
-        if tiered:
-            fast.attach_tier(PinnedTier(8, (0, 5)))
+        layout = eight_key_layout()
+        engine = (
+            pinned_engine(layout, (0, 5))
+            if tiered
+            else ServingEngine(layout, EngineConfig(cache_ratio=0.0))
+        )
         with pytest.raises(
             ServingError, match=f"^key {first} is not in the"
         ):
-            fast.select(keys)
+            engine.serve_query(Query(tuple(keys)))
 
 
 @settings(
@@ -337,12 +364,13 @@ def test_tiered_selectors_match_reference(data, ratio):
     layout, queries, limit = data
     tier = plan_tier(layout, ratio).runtime()
     fast, ref = selector_pair(layout, limit)
-    fast.attach_tier(tier)
-    ref.attach_tier(tier)
     for keys in queries:
-        got = assert_same_selection(fast, ref, keys)
-        if got is not None:  # None: both rejected an unknown key
-            assert_tier_partition(got, tier, keys)
+        if min(keys) < 0 or max(keys) >= layout.num_keys:
+            continue  # refused before or by selection, tier or not
+        hits, got = tiered_select(fast, tier, keys)
+        residue = [k for k in dict.fromkeys(keys) if k not in tier]
+        assert_same_outcome(got, ref.select(residue))
+        assert_tier_partition(hits, got, tier, keys)
 
 
 @pytest.fixture
