@@ -129,11 +129,6 @@ class LayoutManager:
         return [self._versions[number] for number in self._order]
 
     @property
-    def retain(self) -> int:
-        """Registrations kept besides the active version."""
-        return self._retain
-
-    @property
     def active_version(self) -> int:
         """Currently serving version number."""
         if self._active is None:

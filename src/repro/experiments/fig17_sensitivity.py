@@ -118,8 +118,3 @@ def run_ssd_types(
             ]
         )
     return result
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Default entry point: Figure 17(a)."""
-    return run_dimensions(**kwargs)

@@ -112,7 +112,7 @@ def run_refresh_scenarios(
         for query in window.queries:
             result = manager.serve_query(query)
             missing += result.missing_keys
-            daemon.observe(query)
+            daemon.observe(query.keys)
         dropped += missing
         stale_bw = evaluate_placement(
             base, window, embedding_bytes=spec.embedding_bytes,

@@ -1,8 +1,7 @@
 """A fault-injecting wrapper around the simulated SSD.
 
 :class:`FaultySsd` exposes the exact submit/poll interface of
-:class:`~repro.ssd.device.SimulatedSsd` (and of
-:class:`~repro.ssd.raid.Raid0Array` — any page-device works), so every
+:class:`~repro.ssd.device.SimulatedSsd` (any page device works), so every
 executor and engine runs against it unchanged.  Each submission is first
 routed through a :class:`~repro.faults.injector.FaultInjector`:
 
@@ -52,8 +51,8 @@ class FaultySsd:
             raise DeviceInterfaceError(
                 f"FaultySsd requires a device exposing the batched command "
                 f"interface (submit_batch); "
-                f"{type(inner).__name__} does not — wrap a SimulatedSsd or "
-                f"Raid0Array, not a bare stub"
+                f"{type(inner).__name__} does not — wrap a SimulatedSsd, "
+                f"not a bare stub"
             )
         if isinstance(injector, FaultPlan):
             injector = FaultInjector(injector)

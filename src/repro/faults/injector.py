@@ -62,11 +62,6 @@ class FaultInjector:
             LATENCY_SPIKE: 0,
         }
 
-    @property
-    def submissions(self) -> int:
-        """Total submission attempts decided so far."""
-        return self._seq
-
     def decide(
         self, page_id: int, now_us: float, attempt: int = 0
     ) -> FaultDecision:

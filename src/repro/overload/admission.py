@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from ..types import Query
+from ..types import Query, distinct_keys
 
 ADMISSION_POLICIES = ("tail", "deadline", "priority")
 
@@ -241,9 +241,11 @@ class AdmissionQueue:
         return run, missed
 
 
-def engine_hotness(engine) -> Callable[[Query], float]:
+def engine_hotness(engine) -> Callable[[Sequence[int]], float]:
     """Query-hotness scorer for the ``priority`` shed policy.
 
+    The scorer takes a query's checked keys (repeats allowed, as a
+    request carries them) and builds no :class:`~repro.types.Query`.
     Hotness is the mean replica count of the query's distinct keys —
     the offline phase replicates exactly the keys it judged hot, so the
     forward index doubles as a free popularity signal at serving time.
@@ -260,8 +262,8 @@ def engine_hotness(engine) -> Callable[[Query], float]:
         num_keys = len(plan.assignment)
         shard_counts = [e.forward.replica_counts() for e in engine.engines]
 
-        def hotness(query: Query) -> float:
-            keys = query.unique_keys()
+        def hotness(keys: Sequence[int]) -> float:
+            keys = distinct_keys(keys)
             total = sum(
                 shard_counts[plan.shard_of(k)][plan.local_id(k)]
                 for k in keys
@@ -274,8 +276,8 @@ def engine_hotness(engine) -> Callable[[Query], float]:
     counts = engine.forward.replica_counts()
     num_keys = len(counts)
 
-    def hotness(query: Query) -> float:
-        keys = query.unique_keys()
+    def hotness(keys: Sequence[int]) -> float:
+        keys = distinct_keys(keys)
         return sum(counts[k] for k in keys if k < num_keys) / len(keys)
 
     return hotness

@@ -20,7 +20,6 @@ from .base import PartitionResult, Partitioner
 from .metrics import (
     edge_connectivities,
     fanout_objective,
-    imbalance,
     mean_connectivity,
 )
 from .multilevel import MultilevelConfig, MultilevelPartitioner
@@ -48,5 +47,4 @@ __all__ = [
     "edge_connectivities",
     "mean_connectivity",
     "fanout_objective",
-    "imbalance",
 ]

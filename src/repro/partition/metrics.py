@@ -86,17 +86,3 @@ def mean_connectivity(
     weights = [graph.weight(eid) for eid in range(graph.num_edges)]
     return float(np.average(lambdas, weights=weights))
 
-
-def imbalance(assignment: Sequence[int], num_clusters: int) -> float:
-    """Max cluster size divided by the mean cluster size, minus 1.
-
-    0.0 is perfectly balanced; SHP's swap discipline keeps this constant
-    across iterations.
-    """
-    if num_clusters <= 0:
-        raise PartitionError(f"num_clusters must be positive, got {num_clusters}")
-    sizes = np.bincount(np.asarray(assignment), minlength=num_clusters)
-    mean = len(assignment) / num_clusters
-    if mean == 0:
-        return 0.0
-    return float(sizes.max() / mean - 1.0)

@@ -63,7 +63,3 @@ class InvertIndex:
         if not 0 <= page_id < len(self._sorted):
             raise PlacementError(f"page id {page_id} out of range")
         return self._sorted[page_id]
-
-    def covered(self, page_id: int, wanted: set) -> int:
-        """How many of ``wanted`` keys a read of ``page_id`` would serve."""
-        return len(self.key_set(page_id) & wanted)

@@ -204,13 +204,13 @@ class RefreshDaemon:
 
     # -- observation -----------------------------------------------------------
 
-    def observe(self, query) -> None:
-        """Feed one served query into the drift window."""
-        self.window.observe(query)
+    def observe(self, keys) -> None:
+        """Feed one served query's keys into the drift window."""
+        self.window.observe(keys)
 
-    def observe_many(self, queries) -> None:
-        """Feed a batch of served queries into the drift window."""
-        self.window.observe_many(queries)
+    def observe_many(self, batch) -> None:
+        """Feed a batch of served queries' keys into the drift window."""
+        self.window.observe_many(batch)
 
     # -- one iteration ---------------------------------------------------------
 

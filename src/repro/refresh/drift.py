@@ -23,7 +23,7 @@ repair ladder.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from ..types import Query, QueryTrace
 
@@ -36,23 +36,24 @@ class TrafficWindow:
     """Thread-safe bounded window of recent live queries.
 
     ``observe`` is called from the serving path (the gateway's batch
-    completion hook) and costs one append under a lock; ``snapshot``
+    completion hook) with a served query's keys, already checked where
+    the query entered, and costs one append under a lock; ``snapshot``
     materializes the window as a :class:`QueryTrace` for probing and
-    rebuilds.
+    rebuilds, building each :class:`Query` there.
     """
 
     def __init__(self, num_keys: int, capacity: int) -> None:
         self.num_keys = num_keys
         self.capacity = capacity
-        self._queries: List[Query] = []
+        self._queries: List[Sequence[int]] = []
         self._start = 0
         self._observed = 0
         self._lock = threading.Lock()
 
-    def observe(self, query: Query) -> None:
-        """Append one served query (oldest drops past capacity)."""
+    def observe(self, keys: Sequence[int]) -> None:
+        """Append one served query's keys (oldest drops past capacity)."""
         with self._lock:
-            self._queries.append(query)
+            self._queries.append(keys)
             self._observed += 1
             if len(self._queries) - self._start > self.capacity:
                 self._start += 1
@@ -61,10 +62,10 @@ class TrafficWindow:
                     self._queries = self._queries[self._start:]
                     self._start = 0
 
-    def observe_many(self, queries: Iterable[Query]) -> None:
-        """Append a batch of served queries."""
-        for query in queries:
-            self.observe(query)
+    def observe_many(self, batch: Iterable[Sequence[int]]) -> None:
+        """Append a batch of served queries' keys."""
+        for keys in batch:
+            self.observe(keys)
 
     def __len__(self) -> int:
         with self._lock:
@@ -79,8 +80,8 @@ class TrafficWindow:
     def snapshot(self) -> QueryTrace:
         """The current window as a trace (copies under the lock)."""
         with self._lock:
-            queries = self._queries[self._start:]
-        return QueryTrace(self.num_keys, queries)
+            window = self._queries[self._start:]
+        return QueryTrace(self.num_keys, [Query(keys) for keys in window])
 
 
 class DriftWatcher:

@@ -19,7 +19,7 @@ loop-based oracles live in :mod:`repro.reference`, which nothing here
 imports.
 """
 
-from .base import ReplicationStrategy, build_layout
+from .base import ReplicationStrategy
 from .scoring import connectivity_scores, hotness_scores
 from .connectivity import ConnectivityPriorityStrategy, replica_page
 from .rpp import RppStrategy
@@ -29,7 +29,6 @@ from .incremental import IncrementalReplicator
 
 __all__ = [
     "ReplicationStrategy",
-    "build_layout",
     "ConnectivityPriorityStrategy",
     "RppStrategy",
     "FprStrategy",

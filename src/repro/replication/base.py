@@ -52,24 +52,3 @@ class ReplicationStrategy(ABC):
             raise ConfigError(f"capacity must be positive, got {capacity}")
         return math.floor(ratio * num_keys / capacity)
 
-
-def build_layout(
-    strategy: ReplicationStrategy,
-    graph: Hypergraph,
-    capacity: int,
-    ratio: float,
-) -> PageLayout:
-    """Convenience wrapper: run ``strategy`` and sanity-check its budget."""
-    layout = strategy.build_layout(graph, capacity, ratio)
-    budget = ReplicationStrategy.replica_page_budget(
-        graph.num_vertices, capacity, ratio
-    )
-    # RPP folds replicas into base clusters rather than appending pages,
-    # so check total extra pages against the base page count instead.
-    base_minimum = math.ceil(graph.num_vertices / capacity)
-    extra = layout.num_pages - base_minimum
-    if extra > budget + 1:  # +1 tolerates ceil/floor rounding at tiny scale
-        raise ConfigError(
-            f"strategy produced {extra} extra pages, budget is {budget}"
-        )
-    return layout

@@ -80,7 +80,7 @@ from ..overload import (
     engine_hotness,
 )
 from ..serving.stats import QueryResult, ServingReport
-from ..types import DistinctQuery, EmbeddingSpec, Query, distinct_keys
+from ..types import DistinctQuery, EmbeddingSpec, distinct_keys
 from .config import ServiceConfig
 from .quota import TokenBucket
 
@@ -409,7 +409,7 @@ class GatewayCore:
             # (mean replica count) orders requests within one.
             outcome.priority = self.config.tenant(
                 tenant
-            ).priority + self._hotness(Query(keys))
+            ).priority + self._hotness(keys)
         for victim, reason in self.queue.offer(outcome, now):
             self._shed(victim, reason)
         if not self._flush_scheduled:
@@ -650,7 +650,7 @@ class GatewayCore:
         if self.refresh is not None:
             # Completed requests are the drift evidence: the daemon's
             # window sees exactly what the engine actually served.
-            self.refresh.observe_many(Query(o.keys) for o in batch)
+            self.refresh.observe_many(o.keys for o in batch)
         controller = self.controller
         if controller is not None:
             depth = self.queue.depth

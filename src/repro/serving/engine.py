@@ -23,7 +23,6 @@ from ..placement import PageLayout, build_indexes
 from ..ssd import (
     NdpSsdProfile,
     P5800X,
-    Raid0Array,
     SimulatedSsd,
     SsdProfile,
 )
@@ -32,7 +31,7 @@ from ..types import EmbeddingSpec, Query, QueryTrace
 from .cost_model import CpuCostModel
 from .executor import EXECUTORS, Executor, NdpExecutor
 from .recovery import RecoveringExecutor, RetryPolicy
-from .selection import OnePassSelector, SelectionOutcome
+from .selection import OnePassSelector, SelectionOutcome, unknown_key_error
 from .openloop import simulate
 from .stats import QueryResult, ServingReport
 
@@ -69,7 +68,6 @@ class OnlineConfig:
             support gather — a plain profile is auto-upgraded to its
             :class:`~repro.ssd.NdpSsdProfile` counterpart).
         threads: simulated serving threads (paper uses 8).
-        raid_members: >1 builds a RAID-0 of that many drives.
         cost_model: CPU charge table for the selection path.
         replicas: replicas per logical shard for cluster serving
             (1 = no replica groups, bit-identical to earlier releases).
@@ -92,7 +90,6 @@ class OnlineConfig:
     index_limit: Optional[int] = None
     executor: str = "pipelined"
     threads: int = 8
-    raid_members: int = 1
     cost_model: CpuCostModel = field(default_factory=CpuCostModel)
     replicas: int = 1
     tier_mode: str = "lru"
@@ -106,10 +103,6 @@ class OnlineConfig:
             )
         if self.threads <= 0:
             raise self.error(f"threads must be positive, got {self.threads}")
-        if self.raid_members <= 0:
-            raise self.error(
-                f"raid_members must be positive, got {self.raid_members}"
-            )
         if not 0.0 <= self.cache_ratio <= 1.0:
             raise self.error(
                 f"cache_ratio must be in [0, 1], got {self.cache_ratio}"
@@ -342,16 +335,7 @@ class ServingEngine:
             # to its NDP counterpart (same latency/bandwidth/queue depth,
             # default controller parameters).
             profile = NdpSsdProfile.from_base(profile)
-        if self.config.raid_members > 1:
-            device = Raid0Array(
-                profile,
-                members=self.config.raid_members,
-                page_size=self.config.spec.page_size,
-            )
-        else:
-            device = SimulatedSsd(
-                profile, page_size=self.config.spec.page_size
-            )
+        device = SimulatedSsd(profile, page_size=self.config.spec.page_size)
         if self.config.fault_plan is not None:
             return FaultySsd(device, self.config.fault_plan)
         return device
@@ -508,6 +492,12 @@ class ServingEngine:
             return self._cache_only_result(
                 len(keys), len(hits), 0, start_us, degrade.level, tier_hits
             )
+        if degrade.cache_only or degrade.skip_cold_keys:
+            # These rungs drop keys before selection, whose rank lookup
+            # is the full path's bound check: check the table here.
+            num_keys = self.layout.num_keys
+            if max(misses) >= num_keys:
+                raise unknown_key_error(misses, num_keys)
         if degrade.cache_only:
             served: List[int] = []
         elif degrade.skip_cold_keys:

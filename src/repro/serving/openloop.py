@@ -167,7 +167,7 @@ def simulate(
             arrival_us=arrival,
             index=index,
             query=query,
-            priority=hotness(query) if hotness is not None else 0.0,
+            priority=hotness(query.keys) if hotness is not None else 0.0,
         )
         if not len(queue) and workers[0] <= arrival:
             # A worker is idle and nobody is waiting: serve directly.

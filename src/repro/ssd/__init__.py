@@ -32,7 +32,6 @@ from .profiles import (
 )
 from .page_store import PageStore
 from .device import Completion, DeviceStats, SimulatedSsd
-from .raid import Raid0Array
 from .tracing import IoRecord, TracingDevice
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "SimulatedSsd",
     "Completion",
     "DeviceStats",
-    "Raid0Array",
     "TracingDevice",
     "IoRecord",
     "ReadCommand",

@@ -1,9 +1,8 @@
 """Device command vocabulary: what the host asks a drive to do.
 
 Splitting the *command set* from the *timing model* lets every device in
-the stack (single drive, RAID-0 array, fault wrapper, tracing wrapper)
-accept the same batched submissions while keeping its own service-time
-rules.  Three commands cover the serving paths:
+the stack (drive, fault wrapper, tracing wrapper) accept the same batched
+submissions while keeping its own service-time rules.  Three commands cover the serving paths:
 
 * :class:`ReadCommand` — transfer one whole page over the bus (the
   classic path; fault recovery submits a query's reads as these, one

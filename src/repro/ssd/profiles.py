@@ -90,14 +90,11 @@ class SsdProfile:
         """Derived profile with bandwidth multiplied by ``bandwidth_factor``.
 
         ``queue_depth`` overrides the submission-queue depth of the
-        derived profile; omitted, the base depth is kept.  Note the
-        RAID-0 interaction: :class:`~repro.ssd.raid.Raid0Array` builds
-        one drive *per member* from the profile it is given and
-        advertises ``min(member depth) × members`` as its aggregate
-        depth — so a profile whose bandwidth was scaled to stand in for
-        an N-drive array (like the ``RAID0_2X_P5800X`` preset) models
-        the array's bandwidth but only a single drive's queue, unless
-        the depth is scaled along with it here.
+        derived profile; omitted, the base depth is kept — so a profile
+        whose bandwidth was scaled to stand in for an N-drive array
+        (like the ``RAID0_2X_P5800X`` preset) models the array's
+        bandwidth but only a single drive's queue, unless the depth is
+        scaled along with it here.
 
         Subclass fields (e.g. the NDP gather parameters) are preserved.
         """

@@ -1,6 +1,6 @@
 """I/O tracing and device-level statistics.
 
-Wraps any simulated device (single drive or RAID array) and records every
+Wraps any simulated device (a drive or a fault wrapper) and records every
 read — submission time, page, completion time — so tests can check what
 the aggregate counters can't: which commands reached the device, in what
 shape, and how often each page was read.  The wrapper is transparent: it

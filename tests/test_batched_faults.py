@@ -248,21 +248,3 @@ class TestAccountingIdentity:
             assert result.requested_keys == (
                 result.cache_hits + result.ssd_keys + result.missing_keys
             )
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_raid_array_behind_faults(
-        self, executor, maxembed_layout_small, criteo_small
-    ):
-        _, live = criteo_small
-        engine = ServingEngine(
-            maxembed_layout_small,
-            EngineConfig(
-                executor=executor,
-                raid_members=2,
-                fault_plan=FaultPlan(
-                    seed=17 + FAULT_SEED, read_error_rate=0.05
-                ),
-            ),
-        )
-        report = engine.serve_trace(list(live)[:400])
-        assert report.coverage() > 0.99

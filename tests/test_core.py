@@ -32,7 +32,7 @@ class TestMaxEmbedConfig:
             # The shared online checks reject at construction what the
             # engine would reject later.
             {"threads": 0},
-            {"raid_members": 0},
+            {"replicas": 0},
             {"cache_ratio": 1.5},
             {"index_limit": 0},
             {"index_limit": -3},

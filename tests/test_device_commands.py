@@ -8,8 +8,6 @@ The contract pinned here:
   service model;
 * a :class:`GatherCommand` occupies an NDP device for media + scan +
   bus time and answers one completion covering all its pages;
-* the RAID-0 array stripes both command kinds per member and merges
-  gathers at the slowest member's completion;
 * the tracing and fault wrappers pass the batched interface through
   (faults inline, one trace row per command).
 """
@@ -26,7 +24,6 @@ from repro.ssd import (
     NdpSsdProfile,
     P5800X,
     P5800X_NDP,
-    Raid0Array,
     ReadCommand,
     SsdProfile,
     TracingDevice,
@@ -209,58 +206,10 @@ class TestScaledQueueDepth:
         scaled = P5800X.scaled("2x", bandwidth_factor=2.0, queue_depth=256)
         assert scaled.queue_depth == 256
 
-    def test_scaled_matches_real_array_depth_when_overridden(self):
-        array = Raid0Array(P5800X, members=2)
-        standin = P5800X.scaled(
-            "2x", bandwidth_factor=2.0, queue_depth=array.queue_depth
-        )
-        assert standin.queue_depth == 2 * P5800X.queue_depth
-
     def test_scaled_preserves_ndp_fields(self):
         scaled = P5800X_NDP.scaled("ndp-2x", bandwidth_factor=2.0)
         assert scaled.supports_gather
         assert scaled.gather_setup_us == P5800X_NDP.gather_setup_us
-
-
-class TestRaidBatch:
-    def test_batch_parity_with_loop(self):
-        batch_arr = Raid0Array(P5800X, members=2)
-        loop_arr = Raid0Array(P5800X, members=2)
-        pages = [0, 1, 2, 3, 4, 5, 6, 7]
-        batched = batch_arr.submit_batch(
-            [ReadCommand(p) for p in pages], 0.0
-        )
-        looped = [loop_arr.submit_read(p, 0.0) for p in pages]
-        assert batched == looped
-
-    def test_gather_splits_by_stripe(self):
-        array = Raid0Array(P5800X_NDP, members=2)
-        command = GatherCommand(
-            page_ids=(0, 1, 2, 3), wanted_keys=16, candidates=64,
-            payload_bytes=4096,
-        )
-        merged = array.submit_batch([command], 0.0)[0]
-        assert merged.pages == 4
-        stats = array.stats
-        # Each member gathered its own two pages.
-        assert stats.gathers == 2
-        assert stats.reads == 4
-        # Candidates/payload shares are conserved exactly.
-        assert stats.bytes_read == command.payload_bytes
-        # The merged completion is the slowest member's.
-        assert merged.completed_at_us == array.drain()
-
-    def test_single_member_gather_is_passthrough(self):
-        array = Raid0Array(P5800X_NDP, members=2)
-        command = GatherCommand(
-            page_ids=(0, 2, 4), wanted_keys=6, candidates=12,
-            payload_bytes=1536,
-        )
-        solo = SimulatedSsd(P5800X_NDP)
-        expected = solo.submit_gather(command, 0.0)
-        merged = array.submit_gather(command, 0.0)
-        assert merged.completed_at_us == expected.completed_at_us
-        assert merged.pages == expected.pages
 
 
 class TestTracingBatch:
@@ -330,11 +279,3 @@ class TestFaultyBatch:
         assert faulty.is_corrupt(completion)
         # The verdict is consumed.
         assert not faulty.is_corrupt(completion)
-
-    def test_raid_inside_faulty_supports_batches(self):
-        faulty = FaultySsd(Raid0Array(P5800X, members=2), FaultPlan())
-        results = faulty.submit_batch(
-            [ReadCommand(p) for p in range(4)], 0.0
-        )
-        assert len(results) == 4
-        assert all(not isinstance(r, DeviceFault) for r in results)

@@ -4,13 +4,12 @@ import pytest
 
 from repro import (
     EngineConfig,
-    P5800X,
     PageLayout,
     Query,
     QueryTrace,
     ServingEngine,
 )
-from repro.ssd import Raid0Array, TracingDevice
+from repro.ssd import TracingDevice
 
 
 @pytest.fixture
@@ -24,35 +23,12 @@ def layout():
 
 
 class TestDeviceVariants:
-    def test_raid_engine_report_matches_single_on_page_counts(self, layout):
-        trace = QueryTrace(12, [Query((0, 4, 8)), Query((1, 5, 9))] * 10)
-        single = ServingEngine(
-            layout, EngineConfig(cache_ratio=0.0)
-        ).serve_trace(trace)
-        raid = ServingEngine(
-            layout, EngineConfig(cache_ratio=0.0, raid_members=2)
-        ).serve_trace(trace)
-        # Page counts are placement decisions, independent of the device.
-        assert raid.total_pages_read == single.total_pages_read
-        # With parallel members, the raid makespan never exceeds single's.
-        assert raid.makespan_us <= single.makespan_us + 1e-6
-
     def test_traced_engine_records_every_read(self, layout):
         engine = ServingEngine(layout, EngineConfig(cache_ratio=0.0))
         engine.device = TracingDevice(engine.device)
         trace = QueryTrace(12, [Query((0, 5)), Query((2, 6, 10))])
         report = engine.serve_trace(trace)
         assert len(engine.device.records) == report.total_pages_read
-
-    def test_traced_raid(self, layout):
-        engine = ServingEngine(
-            layout, EngineConfig(cache_ratio=0.0, raid_members=2)
-        )
-        engine.device = TracingDevice(engine.device)
-        engine.serve_query(Query((0, 4, 8)))
-        # RAID-0 advertises the aggregate queue across both members.
-        assert engine.device.queue_depth == 2 * P5800X.queue_depth
-        assert len(engine.device.records) >= 1
 
 
 class TestPageGrainAdmission:

@@ -8,7 +8,6 @@ from repro.partition import (
     MultilevelConfig,
     MultilevelPartitioner,
     fanout_objective,
-    imbalance,
 )
 from repro.partition.multilevel import _Level
 
@@ -61,8 +60,10 @@ class TestMultilevelPartitioner:
 
     def test_reasonable_balance(self, small_graph):
         result = MultilevelPartitioner().partition(small_graph, 16)
-        # Affinity packing tolerates imbalance but capacity bounds it.
-        assert imbalance(result.assignment, result.num_clusters) <= 1.0
+        # Affinity packing tolerates imbalance but capacity bounds it:
+        # no cluster is more than twice the mean size.
+        mean = len(result.assignment) / result.num_clusters
+        assert max(result.cluster_sizes()) <= 2 * mean
 
     def test_singleton_edges_ignored(self):
         g = Hypergraph(8, [(0,), (1,), (2, 3), (4, 5)])

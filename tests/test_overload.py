@@ -19,6 +19,7 @@ from repro import (
     Query,
     QueryTrace,
     ServingEngine,
+    ServingError,
     build_sharded_layout,
 )
 from repro.cluster import ClusterEngine
@@ -396,9 +397,12 @@ class TestBrownoutController:
 class TestEngineHotness:
     def test_single_engine_mean_replica_count(self, engine):
         hotness = engine_hotness(engine)
-        assert hotness(Query((0, 1))) == pytest.approx(2.0)
-        assert hotness(Query((2, 3))) == pytest.approx(1.0)
-        assert hotness(Query((0, 2))) == pytest.approx(1.5)
+        assert hotness((0, 1)) == pytest.approx(2.0)
+        assert hotness((2, 3)) == pytest.approx(1.0)
+        assert hotness((0, 2)) == pytest.approx(1.5)
+        # The scorer takes a request's checked keys, repeats included,
+        # and scores their distinct keys.
+        assert hotness((0, 2, 2, 0)) == pytest.approx(1.5)
 
     def test_cluster_engine_uses_shard_local_indexes(self):
         trace = QueryTrace(
@@ -416,7 +420,8 @@ class TestEngineHotness:
         )
         cluster = ClusterEngine(sharded, EngineConfig(cache_ratio=0.0))
         hotness = engine_hotness(cluster)
-        assert hotness(Query((0, 1, 2, 3))) >= 1.0
+        assert hotness((0, 1, 2, 3)) >= 1.0
+        assert hotness((0, 1, 2, 3, 3)) == hotness((0, 1, 2, 3))
 
 
 class TestEngineDegradedModes:
@@ -462,6 +467,25 @@ class TestEngineDegradedModes:
         assert result.ssd_keys == 4
         assert result.missing_keys == 4
         assert result.degrade_shed_keys == 4
+
+    @pytest.mark.parametrize(
+        "rung",
+        [
+            DegradeLevel(level=2, name="hot-only", skip_cold_keys=True),
+            default_ladder().level(3),
+        ],
+        ids=["skip_cold_keys", "cache_only"],
+    )
+    def test_key_past_the_table_is_refused_at_a_dropping_rung(
+        self, engine, rung
+    ):
+        # A rung that drops keys before selection still refuses a key
+        # past the table the way the full path does, not with a bare
+        # IndexError (skip_cold_keys) or as a shed key (cache_only).
+        with pytest.raises(
+            ServingError, match="^key 9 is not in the embedding table$"
+        ):
+            engine.serve_query(Query((0, 9)), degrade=rung)
 
     def test_generous_cap_keeps_full_coverage(self, engine):
         rung = DegradeLevel(level=1, name="capped", max_pages_per_query=8)

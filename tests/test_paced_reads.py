@@ -38,7 +38,6 @@ from repro.serving import (
 from repro.serving.selection import SelectionOutcome, SelectionStep
 from repro.ssd import (
     PacedReadCommand,
-    Raid0Array,
     SimulatedSsd,
     SsdProfile,
     TracingDevice,
@@ -65,8 +64,6 @@ def profile(queue_depth=128, overhead=0.0):
 
 def make_device(kind, queue_depth=128, overhead=0.0):
     prof = profile(queue_depth, overhead)
-    if kind == "raid":
-        return Raid0Array(prof, members=2)
     drive = SimulatedSsd(prof)
     if kind == "traced":
         return TracingDevice(drive)
@@ -128,11 +125,6 @@ def device_state(device):
         device.inflight,
         device.next_completion_time(),
     )
-
-
-def striped(draws, offset=0):
-    """Page ids alternating parity, so a 2-member array fills evenly."""
-    return [2 * v + (offset + i) % 2 for i, v in enumerate(draws)]
 
 
 page_draws = st.lists(st.integers(0, 40), min_size=1, max_size=12)
@@ -247,7 +239,7 @@ class TestExecutorsEqualPerPageOracle:
     @settings(max_examples=300, deadline=None)
     @given(
         kind=st.sampled_from(sorted(EXECUTORS)),
-        device_kind=st.sampled_from(["ssd", "raid", "traced", "faulty"]),
+        device_kind=st.sampled_from(["ssd", "traced", "faulty"]),
         queue_depth=st.sampled_from([1, 2, 128]),
         overhead=st.sampled_from([0.0, 1.5]),
         older=st.lists(st.integers(0, 40), max_size=2),
@@ -266,29 +258,19 @@ class TestExecutorsEqualPerPageOracle:
     ):
         new = make_device(device_kind, queue_depth, overhead)
         old = make_device(device_kind, queue_depth, overhead)
-        older = striped(older[:queue_depth])
+        older = older[:queue_depth]
         for device in (new, old):
             for page in older:
                 device.submit_read(page, 0.0)
         cost = CpuCostModel()
         executor = EXECUTORS[kind](cost)
-        offset = len(older)
-        finish_us = 0.0
-        for draws, candidates, start_us in queries:
-            if device_kind == "raid":
-                # The array backpressures on the aggregate depth only
-                # (see Raid0Array.queue_depth): a clock running backwards
-                # over a shallow member overflows it on either path.
-                start_us = max(start_us, finish_us)
-            pages = striped(draws, offset)
-            offset += len(pages)
+        for pages, candidates, start_us in queries:
             outcome = outcome_of(pages, candidates)
             result = executor.execute(outcome, new, start_us)
             assert result == reference_execute(
                 kind, cost, outcome, old, start_us
             )
             assert device_state(new) == device_state(old)
-            finish_us = result.finish_us
         if device_kind == "traced":
             assert new.records == old.records
             assert len(new.records) == new.stats.reads

@@ -15,10 +15,20 @@ from repro.partition import (
     PartitionResult,
     edge_connectivities,
     fanout_objective,
-    imbalance,
     mean_connectivity,
 )
 from repro.partition.base import required_clusters, sequential_assignment
+
+
+def imbalance(assignment, num_clusters):
+    """Max cluster size over the mean, minus 1 (0.0 is balanced): the
+    measure the balance assertions below use."""
+    if num_clusters <= 0:
+        raise PartitionError(f"num_clusters must be positive: {num_clusters}")
+    sizes = [0] * num_clusters
+    for cluster in assignment:
+        sizes[cluster] += 1
+    return max(sizes) / (len(assignment) / num_clusters) - 1.0
 
 
 class TestPartitionResult:

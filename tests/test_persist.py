@@ -47,7 +47,6 @@ def rich_config():
         tier_mode="hybrid",
         tier_ratio=0.05,
         profile=P4510,
-        raid_members=2,
         executor="serial",
         threads=3,
         cost_model=CpuCostModel(sort_per_key_us=0.07),
@@ -80,7 +79,6 @@ FIELD_STRATEGIES = {
     "index_limit": st.none() | st.integers(1, 64),
     "executor": st.sampled_from(sorted(EXECUTORS)),
     "threads": st.integers(1, 64),
-    "raid_members": st.integers(1, 8),
     "cost_model": st.builds(
         CpuCostModel,
         **{
@@ -151,7 +149,6 @@ class TestConfigRoundTrip:
             index_limit=config.index_limit,
             executor=config.executor,
             threads=config.threads,
-            raid_members=config.raid_members,
             cost_model=config.cost_model,
             replicas=config.replicas,
             tier_mode=config.tier_mode,
@@ -343,6 +340,20 @@ class TestStoreBundle:
             config_from_dict(data)
         rewrite_config(path, data)
         with pytest.raises(ConfigError, match="unknown keys.*selector"):
+            load_bundle(path)
+
+    def test_raid_members_bundle_is_refused(self, tmp_path):
+        # Bundles saved while a RAID-0 array was an engine knob carry
+        # "raid_members". The array is gone (the RAID0_2X_P5800X profile
+        # is the one RAID model), so the saved key is one no field reads.
+        path = tmp_path / "bundle.json"
+        save_bundle(Bundle(MaxEmbedConfig(), tiny_layout()), path)
+        data = config_to_dict(MaxEmbedConfig())
+        data["raid_members"] = 1
+        with pytest.raises(ConfigError, match="unknown keys.*raid_members"):
+            config_from_dict(data)
+        rewrite_config(path, data)
+        with pytest.raises(ConfigError, match="unknown keys.*raid_members"):
             load_bundle(path)
 
     def test_unknown_selector_rejected_at_config_time(self, tmp_path):

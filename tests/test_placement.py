@@ -153,11 +153,6 @@ class TestInvertIndex:
         assert index.keys_of(2) == (1, 4, 6)
         assert index.key_set(2) == frozenset({1, 4, 6})
 
-    def test_covered_counts_intersection(self, replicated_layout):
-        index = InvertIndex.from_layout(replicated_layout)
-        assert index.covered(2, {1, 4, 9}) == 2
-        assert index.covered(0, {7}) == 0
-
     def test_rejects_bad_page(self, replicated_layout):
         index = InvertIndex.from_layout(replicated_layout)
         with pytest.raises(PlacementError):

@@ -96,7 +96,7 @@ class TestTrafficWindow:
     def test_bounded_and_ordered(self):
         window = TrafficWindow(num_keys=100, capacity=4)
         for i in range(10):
-            window.observe(Query((i,)))
+            window.observe((i,))
         assert len(window) == 4
         assert window.total_observed == 10
         snapshot = window.snapshot()
@@ -105,14 +105,14 @@ class TestTrafficWindow:
 
     def test_observe_many(self):
         window = TrafficWindow(num_keys=10, capacity=8)
-        window.observe_many(Query((k,)) for k in range(3))
+        window.observe_many((k,) for k in range(3))
         assert len(window) == 3
 
     def test_snapshot_is_a_copy(self):
         window = TrafficWindow(num_keys=10, capacity=8)
-        window.observe(Query((1,)))
+        window.observe((1,))
         snap = window.snapshot()
-        window.observe(Query((2,)))
+        window.observe((2,))
         assert len(snap.queries) == 1
 
 
@@ -374,9 +374,9 @@ class TestDaemonSingle:
         daemon = RefreshDaemon(
             manager, _daemon_config(), build_config=_build_config()
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         assert daemon.step()["action"] == "healthy"
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         assert daemon.step()["action"] == "tier-replan"
         swap = daemon.step()
         assert swap["action"] == "swap"
@@ -396,9 +396,9 @@ class TestDaemonSingle:
         daemon = RefreshDaemon(
             manager, _daemon_config(), build_config=_build_config()
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         assert daemon.step()["action"] == "healthy"  # sets the baseline
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         assert daemon.step()["action"] == "swap"
 
     def test_shadow_gate_rejects_non_improving_rebuild(self, drift_pair):
@@ -412,9 +412,9 @@ class TestDaemonSingle:
             _daemon_config(shadow_margin=10.0),
             build_config=_build_config(),
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         assert daemon.step()["action"] == "healthy"
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         out = daemon.step()
         assert out["action"] == "shadow-rejected"
         assert manager.active_version == 0  # nothing swapped
@@ -429,9 +429,9 @@ class TestDaemonSingle:
         daemon = RefreshDaemon(
             manager, _daemon_config(), build_config=_build_config()
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         assert daemon.step()["action"] == "healthy"
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         daemon.pause()
         assert daemon.state == STATE_PAUSED
         assert daemon.step()["action"] == "paused"
@@ -469,9 +469,9 @@ class TestDaemonCluster:
             _daemon_config(tier_first=False, full_replace_fraction=1.0),
             build_config=config,
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         assert daemon.step()["action"] == "healthy"
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         out = daemon.step()
         assert out["action"] in ("repair", "full-replace")
         status = daemon.status()
@@ -508,9 +508,9 @@ class TestDaemonCluster:
         daemon = RefreshDaemon(
             engine, _daemon_config(tier_first=False), build_config=config
         )
-        daemon.observe_many(shard0_only(live)[:200])
+        daemon.observe_many(q.keys for q in shard0_only(live)[:200])
         assert daemon.step()["action"] == "healthy"
-        daemon.observe_many(shard0_only(drifted_live))
+        daemon.observe_many(q.keys for q in shard0_only(drifted_live))
         assert daemon.step()["shards"][0]["action"] == "swap"
         scored = []
         evaluate = daemon_module.evaluate_placement
@@ -533,9 +533,9 @@ class TestDaemonCluster:
             _daemon_config(tier_first=False, full_replace_fraction=0.5),
             build_config=config,
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         daemon.step()  # baselines every shard watcher on live traffic
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         daemon.step()
         # Whatever the ladder did, the cluster must still cover every key.
         for query in list(live)[:60]:

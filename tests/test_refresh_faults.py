@@ -82,9 +82,9 @@ def _drifted_single_daemon(drift_pair, fault_plan, **config_overrides):
         build_config=_build_config(),
         fault_plan=fault_plan,
     )
-    daemon.observe_many(live.queries[:200])
+    daemon.observe_many(q.keys for q in live.queries[:200])
     assert daemon.step()["action"] == "healthy"  # baseline on live traffic
-    daemon.observe_many(drifted_live.queries)
+    daemon.observe_many(q.keys for q in drifted_live.queries)
     return manager, daemon
 
 
@@ -253,9 +253,9 @@ class TestSingleModeFaults:
             build_config=_build_config(),
             fault_plan=RefreshFaultPlan(seed=0, swap_failure_rate=1.0),
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         assert daemon.step()["action"] == "healthy"
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         assert daemon.step()["action"] == "tier-replan"
         engine = manager.engine
         plan = engine.tier_plan
@@ -348,9 +348,9 @@ class TestClusterModeFaults:
             build_config=config,
             fault_plan=fault_plan,
         )
-        daemon.observe_many(live.queries[:200])
+        daemon.observe_many(q.keys for q in live.queries[:200])
         daemon.step()  # baseline every shard watcher
-        daemon.observe_many(drifted_live.queries)
+        daemon.observe_many(q.keys for q in drifted_live.queries)
         return engine, daemon
 
     def test_mid_roll_failure_restores_originals(self, drift_pair):
@@ -420,9 +420,9 @@ def test_chaos_matrix_never_drops_or_corrupts(drift_pair, seed):
             swap_failure_rate=0.3,
         ),
     )
-    daemon.observe_many(live.queries[:200])
+    daemon.observe_many(q.keys for q in live.queries[:200])
     daemon.step()
-    daemon.observe_many(drifted_live.queries)
+    daemon.observe_many(q.keys for q in drifted_live.queries)
     for _ in range(3):
         daemon.step()
         assert all(not e.closed for e in engine.engines)

@@ -121,10 +121,10 @@ def _record(daemon: RefreshDaemon, out: dict) -> str:
 def _drive(daemon: RefreshDaemon, drift_pair) -> list:
     """Baseline on live traffic, then drift away, back, and away again."""
     _, live, drifted_live = drift_pair
-    daemon.observe_many(live.queries[:200])
+    daemon.observe_many(q.keys for q in live.queries[:200])
     records = [_record(daemon, daemon.step())]
     for phase in (drifted_live, live, drifted_live):
-        daemon.observe_many(phase.queries)
+        daemon.observe_many(q.keys for q in phase.queries)
         for _ in range(REPAIR_STEPS):
             records.append(_record(daemon, daemon.step()))
     return records

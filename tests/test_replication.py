@@ -1,5 +1,7 @@
 """Tests for repro.replication: scoring and the three strategies."""
 
+import math
+
 import pytest
 
 from repro import (
@@ -13,7 +15,7 @@ from repro import (
 )
 from repro.hypergraph import Hypergraph, build_weighted_hypergraph
 from repro.metrics import evaluate_placement
-from repro.replication import build_layout, connectivity_scores, hotness_scores
+from repro.replication import connectivity_scores, hotness_scores
 from repro.replication.base import ReplicationStrategy
 from repro.replication.scoring import top_scored_vertices
 
@@ -152,9 +154,16 @@ class TestConnectivityPriority:
 class TestRpp:
     def test_layout_valid_and_within_budget(self, small_graph):
         strategy = RppStrategy(ShpPartitioner(ShpConfig(max_iterations=4, seed=0)))
-        layout = build_layout(strategy, small_graph, 16, 0.2)
+        layout = strategy.build_layout(small_graph, 16, 0.2)
         assert layout.num_keys == small_graph.num_vertices
         assert max(len(p) for p in layout.pages()) <= 16
+        # RPP folds replicas into base clusters, so count the pages over
+        # a plain partition's (+1 for ceil/floor rounding at this scale).
+        budget = ReplicationStrategy.replica_page_budget(
+            small_graph.num_vertices, 16, 0.2
+        )
+        extra = layout.num_pages - math.ceil(small_graph.num_vertices / 16)
+        assert extra <= budget + 1
 
     def test_space_overhead_tracks_ratio(self, small_graph):
         strategy = RppStrategy(ShpPartitioner(ShpConfig(max_iterations=4, seed=0)))

@@ -329,6 +329,48 @@ class TestInvariant:
         assert svc["completed"] == 1
         assert svc["shed"] == {"error": 1}
 
+    def test_admitted_keys_are_checked_once(self, engine, monkeypatch):
+        """``offer`` checks a request's keys; neither the ``priority``
+        scorer nor the refresh window's feed re-checks them by building
+        a ``Query`` per request: the window gets each request's keys."""
+
+        class Window:
+            def __init__(self):
+                self.fed = []
+
+            def observe_many(self, batch):
+                self.fed.extend(batch)
+
+            def __getattr__(self, name):  # start / stop / pause / resume
+                return lambda: None
+
+        built = []
+        checks = Query.__post_init__
+
+        def counted(query):
+            built.append(query.keys)
+            checks(query)
+
+        monkeypatch.setattr(Query, "__post_init__", counted)
+        requests = [(0, 1, 1), (4, 5), (2,)]
+        window = Window()
+
+        async def scenario():
+            config = ServiceConfig(
+                admission=AdmissionConfig(capacity=8, policy="priority")
+            )
+            async with GatewayCore(engine, config, refresh=window) as core:
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*(core.submit(keys) for keys in requests)),
+                    timeout=5,
+                )
+                return outcomes, check_invariant(core)
+
+        outcomes, _ = run(scenario())
+        assert all(outcome.ok for outcome in outcomes)
+        assert built == []
+        assert sorted(window.fed) == sorted(requests)
+
     def test_engine_error_in_paced_batch_resolves_every_member(self, engine):
         class ExplodingEngine(RecordingEngine):
             def serve_query(self, query, start_us=0.0, degrade=None):

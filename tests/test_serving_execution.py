@@ -166,7 +166,7 @@ class TestEngineConfig:
             {"tier_mode": "magic"},
             {"executor": "warp"},
             {"threads": 0},
-            {"raid_members": 0},
+            {"replicas": 0},
             {"cache_ratio": 1.5},
             {"index_limit": 0},
             {"index_limit": -3},
@@ -241,14 +241,6 @@ class TestServingEngine:
                 simple_layout,
                 EngineConfig(spec=EmbeddingSpec(dim=1024, page_size=4096)),
             )
-
-    def test_raid_engine(self, simple_layout):
-        engine = ServingEngine(
-            simple_layout,
-            EngineConfig(cache_ratio=0.0, raid_members=2),
-        )
-        result = engine.serve_query(Query((0, 5)))
-        assert result.pages_read >= 1
 
     def test_memory_overhead_counts_both_indexes(self, simple_layout):
         engine = ServingEngine(simple_layout)
@@ -325,9 +317,6 @@ class TestReports:
         assert report.total_bytes_read() == 2 * 4096
         assert report.effective_bandwidth_fraction() == pytest.approx(
             768 / 8192
-        )
-        assert report.effective_bandwidth_mb_s(1.0) == pytest.approx(
-            768 / 8192 * 1000
         )
 
     def test_latency_percentiles(self):

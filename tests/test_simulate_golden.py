@@ -6,9 +6,8 @@ paths.  Small seeded runs of each pin what those loops produced, as
 ``float.hex()`` strings taken before the fold: three closed loops (the
 default engine, a hybrid-tier engine and a 4 x 2 cluster, with the
 cluster report's per-shard lists) and three open loops (an unbounded
-queue, tail admission, admission with brownout).  The closed loops, plus
-an engine on a two-drive RAID-0, also pin every counter of every device
-they drove.  Two faulted 4 x 2 cluster runs, one at a fan-out-capping
+queue, tail admission, admission with brownout).  The closed loops also
+pin every counter of every device they drove.  Two faulted 4 x 2 cluster runs, one at a fan-out-capping
 rung, pin every per-shard list of the shard tally (each non-zero on
 some shard) and every replica counter.  A change that moves a simulated
 number fails here, in the change that moves it.  The same engines and
@@ -124,19 +123,14 @@ GOLDEN_OPEN = {
 }
 
 #: Per device after the closed loops: reads, bytes read, gathers, total
-#: latency and busy-until.  ``raid`` is the array's aggregate, then each
-#: member; ``cluster`` is shard by shard, replica by replica.
+#: latency and busy-until.  ``cluster`` is shard by shard, replica by
+#: replica.
 GOLDEN_DEVICES = {
     "engine": [
         (3311, 13561856, 0, "0x1.eb01931d2abffp+16", "0x1.da5e235fb8eacp+10"),
     ],
     "hybrid": [
         (453, 1855488, 0, "0x1.1c0f507c9aa6ep+12", "0x1.174d81a0a8f4bp+8"),
-    ],
-    "raid": [
-        (3311, 13561856, 0, "0x1.72ddcd2337952p+15", "0x1.e7e7823ffb314p+9"),
-        (1640, 6717440, 0, "0x1.6e213dfabf613p+14", "0x1.e336bf811ad13p+9"),
-        (1671, 6844416, 0, "0x1.779a5c4bafc91p+14", "0x1.e7e7823ffb314p+9"),
     ],
     "cluster": [
         (409, 1675264, 0, "0x1.22645b5c89ca7p+11", "0x1.79d6b0d5e733fp+8"),
@@ -216,14 +210,6 @@ def test_closed_loop_engine(name, maxembed_layout_small, queries):
     assert pinned(report) == GOLDEN[name]
     assert device_counters(engine.device) == GOLDEN_DEVICES[name]
 
-
-def test_raid_device_counters(maxembed_layout_small, queries):
-    engine = ServingEngine(maxembed_layout_small, EngineConfig(raid_members=2))
-    engine.serve_trace(queries, warmup_queries=100)
-    array = engine.device
-    assert (
-        device_counters(array, *array._members) == GOLDEN_DEVICES["raid"]
-    )
 
 
 @pytest.fixture(scope="module")

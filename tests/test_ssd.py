@@ -1,4 +1,4 @@
-"""Tests for repro.ssd: profiles, page store, device model, RAID."""
+"""Tests for repro.ssd: profiles, page store, device model."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from repro import (
     SsdProfile,
     StorageError,
 )
-from repro.ssd import GENERIC_NAND, PROFILES, PageStore, Raid0Array
+from repro.ssd import GENERIC_NAND, PROFILES, PageStore
 from repro.ssd.page_store import (
     extract_embedding,
     materialize_layout,
@@ -214,95 +214,3 @@ class TestSimulatedSsd:
             dev.submit_read(0, -1.0)
         with pytest.raises(StorageError):
             SimulatedSsd(P5800X, page_size=0)
-
-
-class TestRaid0:
-    def test_stripes_by_page_id(self):
-        array = Raid0Array(P5800X, members=2)
-        a = array.submit_read(0, 0.0)
-        b = array.submit_read(1, 0.0)
-        # Different members: both complete at the idle latency.
-        assert a.completed_at_us == pytest.approx(b.completed_at_us)
-
-    def test_same_stripe_serializes(self):
-        slow = SsdProfile("slow", 10.0, 0.004096, queue_depth=16)
-        array = Raid0Array(slow, members=2)
-        first = array.submit_read(0, 0.0)
-        second = array.submit_read(2, 0.0)  # same member (even pages)
-        assert second.completed_at_us > first.completed_at_us
-
-    def test_aggregate_stats(self):
-        array = Raid0Array(P5800X, members=2)
-        array.submit_read(0, 0.0)
-        array.submit_read(1, 0.0)
-        assert array.stats.reads == 2
-        assert array.inflight == 2
-        array.poll(1e9)
-        assert array.inflight == 0
-
-    def test_drain_and_next_completion(self):
-        array = Raid0Array(P5800X, members=2)
-        assert array.next_completion_time() is None
-        c = array.submit_read(3, 0.0)
-        assert array.next_completion_time() == pytest.approx(
-            c.completed_at_us
-        )
-        assert array.drain() == pytest.approx(c.completed_at_us)
-
-    def test_rejects_zero_members(self):
-        with pytest.raises(StorageError):
-            Raid0Array(P5800X, members=0)
-
-    def test_queue_depth_aggregates_members(self):
-        # The docstring promises aggregate capacity: per-member floor
-        # times the member count (min * members under round-robin).
-        for members in (1, 2, 4):
-            array = Raid0Array(P5800X, members=members)
-            assert array.queue_depth == members * P5800X.queue_depth
-        single = SimulatedSsd(P5800X)
-        assert single.queue_depth == P5800X.queue_depth
-
-    def test_aggregate_queue_depth_accepted_round_robin(self):
-        # Evenly striped submissions fill the whole advertised aggregate
-        # queue without any member overflowing.
-        qd = 4
-        profile = SsdProfile("tiny-q", 10.0, 0.004096, queue_depth=qd)
-        array = Raid0Array(profile, members=2)
-        for page in range(array.queue_depth):
-            array.submit_read(page, 0.0)
-        assert array.inflight == 2 * qd
-
-    def test_skewed_stripes_overflow_one_member(self):
-        # The documented caveat: page ids all on one member overflow its
-        # own queue well below the aggregate depth.
-        qd = 4
-        profile = SsdProfile("tiny-q", 10.0, 0.004096, queue_depth=qd)
-        array = Raid0Array(profile, members=2)
-        for page in range(0, 2 * qd, 2):  # even pages -> member 0 only
-            if page // 2 < qd:
-                array.submit_read(page, 0.0)
-        with pytest.raises(StorageError):
-            array.submit_read(2 * qd, 0.0)
-
-    def test_stats_equal_member_sums_after_each_submit(self):
-        array = Raid0Array(P5800X, members=2)
-        members = array._members
-        for page in range(9):
-            array.submit_read(page, float(page))
-            stats = array.stats
-            assert stats.reads == page + 1
-            assert stats.reads == sum(m.stats.reads for m in members)
-            assert stats.bytes_read == sum(
-                m.stats.bytes_read for m in members
-            )
-            assert stats.total_latency_us == (
-                members[0].stats.total_latency_us
-                + members[1].stats.total_latency_us
-            )
-            assert stats.busy_until_us == max(
-                m.stats.busy_until_us for m in members
-            )
-        first = array.stats
-        array.submit_read(9, 9.0)
-        # A returned aggregate is a snapshot, not a live view.
-        assert first.reads == 9
