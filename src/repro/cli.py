@@ -46,7 +46,7 @@ from .core import MaxEmbedConfig, build_offline_layout
 from .core.config import STRATEGIES
 from .errors import ConfigError, ReproError
 from .experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
-from .faults import FaultPlan, ShardFaultPlan
+from .faults import BreakerConfig, FaultPlan, ShardFaultPlan
 from .overload import ADMISSION_POLICIES, AdmissionConfig, BrownoutConfig
 from .refresh import RefreshConfig
 from .serving import (
@@ -567,14 +567,20 @@ def _engine_config(args, bundle: Bundle) -> EngineConfig:
     """The serve command's engine flags, all of them, in every mode, on
     the bundle's geometry and tier plan.
 
-    Nothing is passed conditionally: a single engine ignores the
+    Every flag is passed as given: a single engine ignores the
     cluster-only fields, ``retry`` is read only under a fault plan and
     ``tier_ratio`` only outside ``lru``.  A tier plan in the bundle
-    alone implies the pinned tier.
+    alone implies the pinned tier, and a shard fault plan or a shard
+    deadline implies a circuit breaker per shard: a fragment every
+    replica failed then degrades the query (coverage below 1) instead
+    of ending the replay.
     """
     tier_mode = args.tier_mode
     if bundle.tier_plan is not None and tier_mode == "lru":
         tier_mode = "pinned"
+    breaker = None
+    if args.shard_fault_plan or args.shard_deadline_us is not None:
+        breaker = BreakerConfig()
     return EngineConfig(
         spec=bundle.config.spec,
         cache_ratio=args.cache_ratio,
@@ -587,6 +593,7 @@ def _engine_config(args, bundle: Bundle) -> EngineConfig:
         ),
         retry=RetryPolicy(max_retries=args.retry_max),
         shard_deadline_us=args.shard_deadline_us,
+        breaker=breaker,
         replicas=args.replicas,
         hedge_quantile=args.hedge_quantile,
         hedge_budget=args.hedge_budget,

@@ -14,13 +14,16 @@ The library deals with three identifier spaces:
 
 The dataclasses here are deliberately small and immutable so they can be
 shared freely between the offline (partitioning/replication) and online
-(serving) phases.
+(serving) phases.  A :class:`Query` is a slotted value (no per-instance
+``__dict__``), and every trace producer hands out its keys through a
+:class:`KeyInterner`, so a trace holds one ``int`` object per key id
+rather than one per key occurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import ConfigError
 
@@ -41,13 +44,42 @@ def distinct_keys(keys: Sequence[Key]) -> Sequence[Key]:
     return tuple(dict.fromkeys(keys))
 
 
-@dataclass(frozen=True)
+class KeyInterner:
+    """Hands out one shared ``int`` object per key id.
+
+    CPython caches only the ints up to 256, so each key a generator draws
+    or a parser reads is otherwise its own 32-byte object: a trace that
+    repeats a key id N times would hold N copies.  A trace producer keeps
+    one interner for the trace it builds and passes every query's keys
+    through :meth:`keys`; the trace then holds one ``int`` per distinct
+    key id, and the interner's dict is bounded by the ids the trace uses,
+    never by the key space.  Values and their order are unchanged.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self) -> None:
+        self._ids: Dict[Key, Key] = {}
+
+    def keys(self, values: Iterable[int]) -> Tuple[Key, ...]:
+        """``values`` as a tuple of the shared objects of their ids.
+
+        ``values`` must be Python ints (``ndarray.tolist()``, not numpy
+        scalars): the first object seen for an id is the one kept.
+        """
+        ids = self._ids
+        return tuple([ids.setdefault(value, value) for value in values])
+
+
+@dataclass(frozen=True, slots=True)
 class Query:
     """One embedding lookup request: an immutable tuple of keys.
 
     ``keys`` preserves the raw request order (and duplicates); use
     :meth:`unique_keys` for the deduplicated set the serving path operates
-    on.
+    on.  The class is slotted, so a query is its ``keys`` reference and
+    nothing more.  ``slots=True`` replaces the class object, so no method
+    here may use zero-argument ``super()``.
     """
 
     keys: Tuple[Key, ...]
@@ -88,6 +120,8 @@ class DistinctQuery(Query):
     union (from keys :meth:`~repro.service.GatewayCore.offer` checked)
     — so each key is checked once, where its query entered.
     """
+
+    __slots__ = ()
 
     def __init__(self, keys: Tuple[Key, ...]) -> None:
         object.__setattr__(self, "keys", keys)

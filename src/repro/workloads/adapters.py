@@ -11,6 +11,9 @@ implement the standard preprocessing for both:
   "embeddings fetched together for one inference" semantics the paper's
   hypergraph construction assumes.
 
+Each parse keeps one :class:`~repro.types.KeyInterner`, so a trace holds
+one int object per key id however often the id recurs.
+
 Both parsers are streaming (line iterators in, queries out) so terabyte
 logs never need to fit in memory; `max_records` caps ingestion for
 sampling runs.
@@ -22,7 +25,7 @@ import hashlib
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..errors import WorkloadError
-from ..types import Query, QueryTrace
+from ..types import KeyInterner, Query, QueryTrace
 
 # Criteo Kaggle / Terabyte row: label, 13 integer features, 26 categorical.
 CRITEO_NUM_INTEGER = 13
@@ -80,6 +83,7 @@ def parse_criteo_tsv(
         )
     num_keys = CRITEO_NUM_CATEGORICAL * buckets_per_feature
     trace = QueryTrace(num_keys)
+    interner = KeyInterner()
     expected = 1 + CRITEO_NUM_INTEGER + CRITEO_NUM_CATEGORICAL
     for record_index, line in enumerate(_bounded(lines, max_records)):
         fields = line.rstrip("\n").split("\t")
@@ -96,7 +100,7 @@ def parse_criteo_tsv(
             bucket = hash_feature(feature_index, raw, buckets_per_feature)
             keys.append(feature_index * buckets_per_feature + bucket)
         if keys:
-            trace.append(Query(tuple(keys)))
+            trace.append(Query(interner.keys(keys)))
     if not len(trace):
         raise WorkloadError("no usable criteo records were parsed")
     return trace
@@ -126,6 +130,7 @@ def parse_avazu_csv(
             raise WorkloadError(f"avazu header missing column {column!r}")
     num_keys = len(categorical_columns) * buckets_per_feature
     trace = QueryTrace(num_keys)
+    interner = KeyInterner()
     for record_index, line in enumerate(_bounded(iterator, max_records)):
         fields = line.rstrip("\n").split(",")
         if len(fields) != len(header):
@@ -141,7 +146,7 @@ def parse_avazu_csv(
             bucket = hash_feature(feature_index, raw, buckets_per_feature)
             keys.append(feature_index * buckets_per_feature + bucket)
         if keys:
-            trace.append(Query(tuple(keys)))
+            trace.append(Query(interner.keys(keys)))
     if not len(trace):
         raise WorkloadError("no usable avazu records were parsed")
     return trace

@@ -28,7 +28,7 @@ from typing import List
 import numpy as np
 
 from ..errors import WorkloadError
-from ..types import Query, QueryTrace
+from ..types import KeyInterner, Query, QueryTrace
 from ..utils.rng import RngLike, spawn_rngs
 from ..utils.zipf import ZipfSampler
 
@@ -116,6 +116,9 @@ class SyntheticTraceGenerator:
             num_groups, spec.group_alpha, seed=self._rng
         )
         self._groups = self._build_groups(num_groups)
+        # Every query's keys go through one interner, so the traces this
+        # generator makes hold one int object per key id.
+        self._interner = KeyInterner()
 
     # -- construction -------------------------------------------------------------
 
@@ -149,7 +152,7 @@ class SyntheticTraceGenerator:
             return []
         count = min(count, len(group))
         picked = self._rng.choice(group, size=count, replace=False)
-        return [int(v) for v in picked]
+        return picked.tolist()
 
     def generate_query(self) -> Query:
         """Generate one query."""
@@ -171,11 +174,11 @@ class SyntheticTraceGenerator:
                 keys.extend(self._draw_from_group(primary, group_slots))
         shortfall = length - len(keys) - noise_slots
         noise = self._item_sampler.sample(noise_slots + max(0, shortfall))
-        keys.extend(int(self._id_of_rank[v]) for v in noise)
-        deduped = list(dict.fromkeys(keys))
+        keys.extend(self._id_of_rank[noise].tolist())
+        deduped = dict.fromkeys(keys)
         if not deduped:
             deduped = [int(self._id_of_rank[self._item_sampler.sample_one()])]
-        return Query(tuple(deduped))
+        return Query(self._interner.keys(deduped))
 
     def generate(self) -> QueryTrace:
         """Generate the full trace."""

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Union
 
 from ..errors import WorkloadError
-from ..types import Query, QueryTrace
+from ..types import KeyInterner, Query, QueryTrace
 
 PathLike = Union[str, Path]
 
@@ -26,7 +26,11 @@ def save_trace(trace: QueryTrace, path: PathLike) -> None:
 
 
 def load_trace(path: PathLike) -> QueryTrace:
-    """Read a trace previously written by :func:`save_trace`."""
+    """Read a trace previously written by :func:`save_trace`.
+
+    The trace holds one int object per key id
+    (:class:`~repro.types.KeyInterner`).
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -39,9 +43,10 @@ def load_trace(path: PathLike) -> QueryTrace:
     except (IndexError, ValueError):
         raise WorkloadError(f"trace {path} has a malformed header")
     trace = QueryTrace(num_keys)
+    interner = KeyInterner()
     for line_no, line in enumerate(lines[1:], start=2):
         try:
-            keys = tuple(int(tok) for tok in line.split())
+            keys = interner.keys(map(int, line.split()))
         except ValueError:
             raise WorkloadError(
                 f"trace {path}:{line_no}: non-integer key"

@@ -531,6 +531,37 @@ class TestServeModes:
         if layout == "tiered":
             assert float(replay_table(out)["tier_hit_rate"]) > 0
 
+    def test_shard_faults_every_replica_fails_degrade_the_replay(
+        self, deployment, capsys
+    ):
+        """A fragment whose every replica failed costs its keys, not the
+        replay: a shard fault plan brings a breaker per shard."""
+        from repro.cli import _build_serve_engine
+        from repro.faults import BreakerConfig
+
+        argv = [
+            "serve", "--trace", deployment["trace"],
+            "--bundle", deployment["cluster"], "--replicas", "2",
+            "--shard-fault-plan", "crash=0.5,horizon_us=500,seed=3",
+        ]
+        assert main(argv) == 0
+        table = replay_table(capsys.readouterr().out)
+        assert float(table["coverage"]) < 1.0
+        assert int(table["missing_keys"]) > 0
+        assert int(table["dead_replicas"]) == 2
+        args = build_parser().parse_args(argv)
+        bundle = load_bundle(deployment["cluster"])
+        config = _build_serve_engine(bundle, args).config
+        assert config.breaker == BreakerConfig()
+        deadline = build_parser().parse_args(
+            argv[:5] + ["--shard-deadline-us", "500"]
+        )
+        assert _build_serve_engine(bundle, deadline).config.breaker == (
+            BreakerConfig()
+        )
+        plain = build_parser().parse_args(argv[:5])
+        assert _build_serve_engine(bundle, plain).config.breaker is None
+
     @pytest.mark.parametrize(
         "layout, extra",
         [
