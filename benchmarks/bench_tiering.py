@@ -88,7 +88,7 @@ def _serve(layout, config: EngineConfig, live) -> dict:
     cap = bench_max_queries()
     queries = list(live)[:cap] if cap else list(live)
     warmup = (
-        int(len(queries) * WARMUP_FRACTION) if engine.cache.enabled else 0
+        int(len(queries) * WARMUP_FRACTION) if engine.cache.capacity else 0
     )
     report = engine.serve_trace(queries, warmup_queries=warmup)
     return {

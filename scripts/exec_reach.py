@@ -146,6 +146,10 @@ ENTRY_POINTS: Tuple[object, ...] = (
     _serve("bundle.json", "--offered-qps", "50000", "--admission-capacity",
            "64", "--brownout"),
     _serve("bundle.json", "--fault-plan", "seed=1,read_error=0.05"),
+    _serve("bundle.json", "--fault-plan",
+           "examples/plans/read_errors_brownout.json"),
+    _serve("cluster.json", "--replicas", "2", "--shard-fault-plan",
+           "examples/plans/shard_crashes.json"),
     Run((*CLI, "build", "--trace", "trace.txt", "--ratio", "0.1",
          "--tier-ratio", "0.05", "--out", "tiered.json")),
     _serve("tiered.json"),
@@ -154,6 +158,13 @@ ENTRY_POINTS: Tuple[object, ...] = (
         serve=("--bundle", "bundle.json", "--admission-capacity", "64"),
         loadgen=("--concurrency", "8", "--duration", "2"),
         requests=(("GET", "/metrics", None, 200),),
+    ),
+    Live(
+        serve=("--bundle", "bundle.json", "--refresh", "--refresh-interval",
+               "0.5", "--admission-policy", "priority",
+               "--admission-capacity", "64", "--tenant", "gold:5000:32"),
+        loadgen=("--concurrency", "4", "--duration", "1", "--tenant", "gold"),
+        requests=(),
     ),
     # Surfaces no CI step runs otherwise.
     Run((*CLI, "analyze", "--trace", "trace.txt")),

@@ -122,7 +122,7 @@ from .serving import (
     ServingReport,
 )
 from .ssd import P4510, P5800X, RAID0_2X_P5800X, SimulatedSsd, SsdProfile
-from .cache import EmbeddingCache, LruCache
+from .cache import LruCache, make_cache
 from .types import EmbeddingSpec, Query, QueryTrace
 from .workloads import (
     DATASETS,
@@ -232,7 +232,7 @@ __all__ = [
     "RAID0_2X_P5800X",
     # cache
     "LruCache",
-    "EmbeddingCache",
+    "make_cache",
     # workloads
     "WorkloadSpec",
     "SyntheticTraceGenerator",

@@ -1,19 +1,18 @@
-"""DRAM embedding cache substrate.
+"""DRAM embedding cache: a bounded set of resident key ids.
 
 The paper fronts the SSD with Meta's CacheLib configured as an LRU cache
 with ``updateOnRead`` (reads refresh recency) but not ``updateOnWrite`` —
 the read-intensive configuration.  :class:`LruCache` reproduces those
-semantics; :class:`EmbeddingCache` sizes it as a fraction of the embedding
-table (the paper's "cache ratio", default 10 %).
+semantics; :func:`make_cache` sizes a policy as a fraction of the
+embedding table (the paper's "cache ratio", default 10 %).
 
-Every policy extends :class:`CachePolicy`: per-key ``get`` / ``put`` are
-the primitive; ``get_many(keys) -> (hits, misses)`` / ``put_many(keys)``
-mean those calls in key order and are what ``EmbeddingCache.filter_hits``
-/ ``admit`` enter once per query (:class:`LruCache` fuses them).
+The engine only asks which keys are resident, so every policy is a key
+set with one batch surface: ``filter_hits(keys) -> (hits, misses)`` and
+``admit(keys)``, entered once per query and direction, plus ``stats``
+and ``capacity`` (0 for the disabled :class:`NullCache`).
 """
 
-from .lru import CachePolicy, CacheStats, LruCache
-from .embedding_cache import EmbeddingCache
+from .lru import CacheStats, LruCache
 from .policies import (
     CACHE_POLICIES,
     FifoCache,
@@ -25,9 +24,7 @@ from .policies import (
 
 __all__ = [
     "LruCache",
-    "CachePolicy",
     "CacheStats",
-    "EmbeddingCache",
     "FifoCache",
     "LfuCache",
     "NullCache",

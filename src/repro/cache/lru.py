@@ -1,22 +1,18 @@
-"""LRU cache with CacheLib-style read-intensive semantics.
+"""LRU key set with CacheLib's read-intensive semantics (§8.1): a hit
+refreshes recency (**updateOnRead**), re-admitting a resident key does
+not (**no updateOnWrite**), a new key evicts the least recent when full.
 
-* ``get`` on a hit refreshes recency (**updateOnRead = true**).
-* ``put`` on an existing key overwrites the value but does **not** refresh
-  recency (**updateOnWrite = false**) — the CacheLib configuration the
-  paper uses (§8.1).
-* Insertion of a new key evicts from the LRU tail when full.
+Each batch call means its per-key steps in key order, repeated keys
+included; ``repro.reference.cache`` states them one key at a time.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Iterable, List, Tuple
 
 from ..errors import CacheError
-
-K = TypeVar("K", bound=Hashable)
-V = TypeVar("V")
 
 
 @dataclass
@@ -28,97 +24,36 @@ class CacheStats:
     evictions: int = 0
     inserts: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total get() calls."""
-        return self.hits + self.misses
-
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
 
-class CachePolicy(Generic[K, V]):
-    """Base of the eviction policies: capacity, counters, batch surface.
+def checked_capacity(capacity: int) -> int:
+    """``capacity`` if positive; a :class:`CacheError` otherwise."""
+    if capacity <= 0:
+        raise CacheError(f"capacity must be positive, got {capacity}")
+    return capacity
 
-    A policy supplies per-key ``get`` / ``put`` (``None`` is ``get``'s
-    miss, so values are never ``None``).  The batch methods mean exactly
-    those calls in key order — same hits, recency, evictions, counters,
-    repeated keys included — and are overridden only to go faster.
-    """
+
+class LruCache:
+    """Bounded LRU key set with updateOnRead / no-updateOnWrite semantics."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise CacheError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
+        self.capacity = checked_capacity(capacity)
         self.stats = CacheStats()
+        self._keys: "OrderedDict[int, None]" = OrderedDict()
 
-    @property
-    def capacity(self) -> int:
-        """Maximum number of entries."""
-        return self._capacity
-
-    def get_many(self, keys: Iterable[K]) -> Tuple[List[K], List[K]]:
-        """Look every key up; ``(hits, misses)``, each in key order."""
-        hits: List[K] = []
-        misses: List[K] = []
-        get = self.get
+    def filter_hits(self, keys: Iterable[int]) -> Tuple[List[int], List[int]]:
+        """Split ``keys`` into (hits, misses), each in key order; a hit
+        moves to the most recent end."""
+        resident = self._keys
+        move_to_end = resident.move_to_end
+        hits: List[int] = []
+        misses: List[int] = []
         for key in keys:
-            (misses if get(key) is None else hits).append(key)
-        return hits, misses
-
-    def put_many(self, keys: Iterable[K], value: V = True) -> None:
-        """Insert every key with ``value``, in key order."""
-        put = self.put
-        for key in keys:
-            put(key, value)
-
-
-class LruCache(CachePolicy[K, V]):
-    """Bounded LRU mapping with updateOnRead / no-updateOnWrite semantics."""
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._items: "OrderedDict[K, V]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._items
-
-    def get(self, key: K) -> Optional[V]:
-        """Return the cached value or None; hits refresh recency."""
-        if key in self._items:
-            self._items.move_to_end(key)
-            self.stats.hits += 1
-            return self._items[key]
-        self.stats.misses += 1
-        return None
-
-    def peek(self, key: K) -> Optional[V]:
-        """Return the cached value without touching recency or stats."""
-        return self._items.get(key)
-
-    def put(self, key: K, value: V) -> None:
-        """Insert or overwrite; only *new* keys change recency order."""
-        if key in self._items:
-            self._items[key] = value  # updateOnWrite=false: keep position
-            return
-        if len(self._items) >= self._capacity:
-            self._items.popitem(last=False)
-            self.stats.evictions += 1
-        self._items[key] = value
-        self.stats.inserts += 1
-
-    def get_many(self, keys: Iterable[K]) -> Tuple[List[K], List[K]]:
-        """``get`` per key, fused: one pass on locals, counters added once."""
-        items = self._items
-        move_to_end = items.move_to_end
-        hits: List[K] = []
-        misses: List[K] = []
-        for key in keys:
-            if key in items:
+            if key in resident:
                 move_to_end(key)
                 hits.append(key)
             else:
@@ -127,18 +62,19 @@ class LruCache(CachePolicy[K, V]):
         self.stats.misses += len(misses)
         return hits, misses
 
-    def put_many(self, keys: Iterable[K], value: V = True) -> None:
-        """``put`` per key, fused: one pass on locals, counters added once."""
-        items = self._items
-        capacity = self._capacity
-        popitem = items.popitem
+    def admit(self, keys: Iterable[int]) -> None:
+        """Insert the keys not resident, evicting the least recent when
+        full; a resident key keeps its position."""
+        resident = self._keys
+        capacity = self.capacity
+        popitem = resident.popitem
         inserts = evictions = 0
         for key in keys:
-            if key not in items:
-                if len(items) >= capacity:
+            if key not in resident:
+                if len(resident) >= capacity:
                     popitem(last=False)
                     evictions += 1
+                resident[key] = None
                 inserts += 1
-            items[key] = value  # an existing key keeps its position
         self.stats.inserts += inserts
         self.stats.evictions += evictions

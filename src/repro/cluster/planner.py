@@ -117,31 +117,6 @@ class ShardPlan:
         """Keys per shard."""
         return [len(k) for k in self._shard_keys]
 
-    # -- balance diagnostics ------------------------------------------------
-
-    def load_imbalance(self, trace: QueryTrace) -> float:
-        """Max over mean of per-shard *requested-key* load on ``trace``."""
-        loads = self.shard_loads(trace)
-        mean = sum(loads) / len(loads)
-        return max(loads) / mean if mean else 0.0
-
-    def shard_loads(self, trace: QueryTrace) -> List[int]:
-        """Distinct-key lookups routed to each shard over ``trace``."""
-        loads = [0] * self.num_shards
-        for query in trace:
-            for key in query.unique_keys():
-                loads[self.assignment[key]] += 1
-        return loads
-
-    def mean_fanout(self, trace: QueryTrace) -> float:
-        """Average number of shards one query scatters to."""
-        if not len(trace):
-            return 0.0
-        total = 0
-        for query in trace:
-            total += len({self.assignment[k] for k in query.unique_keys()})
-        return total / len(trace)
-
 
 class ShardPlanner(ABC):
     """Strategy interface: map a trace's key space onto ``n`` shards."""

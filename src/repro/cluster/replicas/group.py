@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ...errors import RefreshError, ReplicaExhaustedError, ReplicaFault
 from ...placement import PageLayout
@@ -419,19 +419,3 @@ class ReplicaGroup:
         displaced.close()
         self.resyncs += 1
         self.monitor.mark_recovering(replica, now_us)
-
-    # -- introspection --------------------------------------------------------
-
-    def counters(self) -> Dict[str, int]:
-        """Lifetime dispatch/failover/hedge/repair counters."""
-        return {
-            "fragments": self.fragments,
-            "failovers": self.failovers,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "hedges_denied": self.hedges_denied,
-            "probes": self.probes,
-            "probe_failures": self.probe_failures,
-            "resyncs": self.resyncs,
-            "resync_failures": self.resync_failures,
-        }

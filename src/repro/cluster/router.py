@@ -501,10 +501,6 @@ class ClusterEngine:
 
     # -- introspection -----------------------------------------------------------
 
-    def memory_overhead_entries(self) -> int:
-        """DRAM index entries summed over every shard engine."""
-        return sum(e.memory_overhead_entries() for e in self.engines)
-
     def shard_device_stats(self) -> List[Optional[object]]:
         """Each shard device's :class:`~repro.ssd.device.DeviceStats`."""
         return [engine.device.stats for engine in self.engines]

@@ -27,7 +27,7 @@ from ..replication import (
     FprStrategy,
     RppStrategy,
 )
-from ..serving import QueryResult, ServingEngine, ServingReport
+from ..serving import ServingEngine, ServingReport
 from ..ssd.page_store import extract_embedding, materialize_layout
 from ..tiering import TierPlan, plan_tier_from_trace
 from ..types import Query, QueryTrace
@@ -138,10 +138,6 @@ class MaxEmbedStore:
         )
 
     # -- serving -------------------------------------------------------------------
-
-    def serve(self, query: Query, start_us: float = 0.0) -> QueryResult:
-        """Serve one query (timing only)."""
-        return self.engine.serve_query(query, start_us)
 
     def serve_trace(
         self, trace: "QueryTrace", warmup_queries: int = 0

@@ -468,9 +468,11 @@ def run_cache_policy(
         ),
     )
     for policy in ("lru", "slru", "lfu", "fifo"):
-        engine = make_engine(layout, cache_ratio=cache_ratio, index_limit=5)
-        engine.cache = type(engine.cache)(
-            layout.num_keys, cache_ratio, policy=policy
+        engine = make_engine(
+            layout,
+            cache_ratio=cache_ratio,
+            cache_policy=policy,
+            index_limit=5,
         )
         report = serve_live(
             engine, dataset, scale, seed, max_queries=max_queries

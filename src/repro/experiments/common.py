@@ -181,7 +181,9 @@ def serve_live(
     queries = list(live)
     if max_queries is not None:
         queries = queries[:max_queries]
-    warmup = int(len(queries) * warmup_fraction) if engine.cache.enabled else 0
+    warmup = (
+        int(len(queries) * warmup_fraction) if engine.cache.capacity else 0
+    )
     if warmup >= len(queries):
         warmup = max(0, len(queries) - 1)
     return engine.serve_trace(queries, warmup_queries=warmup)

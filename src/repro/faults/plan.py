@@ -153,21 +153,10 @@ class FaultPlan:
 
     # -- (de)serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Plain JSON-able representation."""
-        return {
-            "seed": self.seed,
-            "read_error_rate": self.read_error_rate,
-            "dead_page_rate": self.dead_page_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "latency_spike_rate": self.latency_spike_rate,
-            "latency_spike_us": self.latency_spike_us,
-            "brownouts": [list(w) for w in self.brownouts],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
+        """A plan from its fields as JSON holds them (a ``--fault-plan``
+        file): ``brownouts`` as a list of ``[start, end]`` pairs."""
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import List, Set
 
 import numpy as np
 
@@ -30,19 +30,6 @@ class HypergraphStats:
     mean_degree: float
     max_degree: int
     isolated_vertices: int
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return the stats as a flat mapping (for report rendering)."""
-        return {
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "total_pins": self.total_pins,
-            "mean_edge_size": self.mean_edge_size,
-            "max_edge_size": self.max_edge_size,
-            "mean_degree": self.mean_degree,
-            "max_degree": self.max_degree,
-            "isolated_vertices": self.isolated_vertices,
-        }
 
 
 def compute_stats(graph: Hypergraph) -> HypergraphStats:

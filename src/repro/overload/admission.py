@@ -251,18 +251,22 @@ def engine_hotness(engine) -> Callable[[Sequence[int]], float]:
     forward index doubles as a free popularity signal at serving time.
     A key outside the table scores zero replicas: the request is
     admitted and the engine's bounds check sheds it, as under every
-    other policy.  Works over a single
-    :class:`~repro.serving.ServingEngine` (one forward index) or a
+    other policy.  Each call reads the counts of the layout serving now
+    (each forward index memoizes them), so a hot swap re-ranks the
+    requests that follow it.  Works over a single
+    :class:`~repro.serving.ServingEngine` or a
+    :class:`~repro.core.deploy.LayoutManager` (one forward index) or a
     :class:`~repro.cluster.ClusterEngine` (per-shard indexes through
-    the shard plan); both are duck-typed to keep this package
+    the shard plan); all are duck-typed to keep this package
     import-free of the serving layers.
     """
     if hasattr(engine, "engines"):  # cluster: shard-local lookups
-        plan = engine.plan
-        num_keys = len(plan.assignment)
-        shard_counts = [e.forward.replica_counts() for e in engine.engines]
-
         def hotness(keys: Sequence[int]) -> float:
+            plan = engine.plan
+            num_keys = len(plan.assignment)
+            shard_counts = [
+                e.forward.replica_counts() for e in engine.engines
+            ]
             keys = distinct_keys(keys)
             total = sum(
                 shard_counts[plan.shard_of(k)][plan.local_id(k)]
@@ -273,10 +277,9 @@ def engine_hotness(engine) -> Callable[[Sequence[int]], float]:
 
         return hotness
 
-    counts = engine.forward.replica_counts()
-    num_keys = len(counts)
-
     def hotness(keys: Sequence[int]) -> float:
+        counts = engine.forward.replica_counts()
+        num_keys = len(counts)
         keys = distinct_keys(keys)
         return sum(counts[k] for k in keys if k < num_keys) / len(keys)
 

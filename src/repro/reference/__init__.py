@@ -6,7 +6,9 @@ has one of — the two page selectors (§6, §6.1), SHP, the connectivity
 cover, the optimum both selectors approximate.  The implementations
 under :mod:`repro.serving.selection`, :mod:`repro.partition` and
 :mod:`repro.replication` must match them bit for bit; the hypothesis
-differential suites under ``tests/`` enforce it.
+differential suites under ``tests/`` enforce it.  :mod:`.cache` states
+each DRAM cache policy one key at a time, the semantics the fused batch
+calls of :mod:`repro.cache` must keep.
 
 Importers are ``tests/``, the two speed-up benches
 (``benchmarks/bench_selection.py``, ``benchmarks/bench_offline.py``) and

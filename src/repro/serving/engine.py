@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Type
 
-from ..cache import CACHE_POLICIES, EmbeddingCache
+from ..cache import CACHE_POLICIES, make_cache
 from ..errors import ReproError, ServingError
 from ..faults import BreakerConfig, FaultPlan, FaultySsd, ShardFaultPlan
 from ..overload import DegradeLevel
@@ -228,10 +228,8 @@ class ServingEngine:
             0.0 if self.config.tier_mode == "pinned"
             else self.config.cache_ratio
         )
-        self.cache = EmbeddingCache(
-            layout.num_keys,
-            cache_ratio,
-            policy=self.config.cache_policy,
+        self.cache = make_cache(
+            self.config.cache_policy, layout.num_keys, cache_ratio
         )
         self.device = self._build_device()
         # The fault path is built only when a plan is configured, so the

@@ -1,4 +1,5 @@
-"""Tests for repro.cache.policies: FIFO, LFU, segmented LRU."""
+"""Tests for repro.cache.policies: FIFO, LFU, segmented LRU, and every
+policy's batch calls against the per-key oracle in repro.reference."""
 
 import hashlib
 import random
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 
 from repro import (
     CacheError,
-    EmbeddingCache,
     EngineConfig,
     PageLayout,
     Query,
@@ -19,41 +19,54 @@ from repro.cache import (
     CACHE_POLICIES,
     FifoCache,
     LfuCache,
+    NullCache,
     SegmentedLruCache,
     make_cache,
 )
+from repro.reference.cache import ORACLES
+
+
+def resident(cache):
+    """The keys ``cache`` holds, next victim first, as the oracle's
+    ``resident()`` lists them (read off each policy's own structures)."""
+    if isinstance(cache, NullCache):
+        return []
+    if isinstance(cache, LfuCache):
+        return sorted(cache._freq, key=cache._freq.__getitem__)
+    if isinstance(cache, SegmentedLruCache):
+        return [*cache._probation, *cache._protected]
+    return list(cache._keys)
+
+
+def held(cache):
+    """How many keys ``cache`` holds, from its counters alone."""
+    return cache.stats.inserts - cache.stats.evictions
 
 
 class TestFifo:
     def test_eviction_by_insertion_order(self):
         cache = FifoCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # a read must NOT save "a"
-        cache.put("c", 3)
-        assert cache.get("a") is None
-        assert cache.get("b") == 2
+        cache.admit(["a", "b"])
+        cache.filter_hits(["a"])  # a read must NOT save "a"
+        cache.admit(["c"])
+        assert cache.filter_hits(["a", "b"]) == (["b"], ["a"])
 
     def test_overwrite_keeps_position(self):
         cache = FifoCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)
-        cache.put("c", 3)  # evicts "a" (oldest insertion)
-        assert cache.peek("a") is None
-        assert cache.peek("b") == 2
+        cache.admit(["a", "b", "a"])  # "a" again keeps its place
+        cache.admit(["c"])  # evicts "a" (oldest insertion)
+        assert cache.filter_hits(["a", "b"]) == (["b"], ["a"])
 
     def test_stats(self):
         cache = FifoCache(1)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("b")
-        cache.put("b", 2)
+        cache.admit(["a"])
+        cache.filter_hits(["a", "b"])
+        cache.admit(["b"])
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.evictions == 1
-        assert len(cache) == 1
-        assert "b" in cache
+        assert held(cache) == 1
+        assert resident(cache) == ["b"]
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(CacheError):
@@ -63,33 +76,26 @@ class TestFifo:
 class TestLfu:
     def test_evicts_least_frequent(self):
         cache = LfuCache(2)
-        cache.put("hot", 1)
-        cache.put("cold", 2)
-        cache.get("hot")
-        cache.get("hot")
-        cache.put("new", 3)  # evicts "cold" (freq 0 hits)
-        assert cache.peek("cold") is None
-        assert cache.peek("hot") == 1
-        assert cache.peek("new") == 3
+        cache.admit(["hot", "cold"])
+        cache.filter_hits(["hot", "hot"])
+        cache.admit(["new"])  # evicts "cold" (freq 0 hits)
+        hits, misses = cache.filter_hits(["cold", "hot", "new"])
+        assert (hits, misses) == (["hot", "new"], ["cold"])
 
     def test_tie_breaks_by_recency(self):
         cache = LfuCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        cache.get("b")  # equal freq; "a" is least recent
-        cache.put("c", 3)
-        assert cache.peek("a") is None
-        assert cache.peek("b") == 2
+        cache.admit(["a", "b"])
+        cache.filter_hits(["a", "b"])  # equal freq; "a" is least recent
+        cache.admit(["c"])
+        assert cache.filter_hits(["a", "b"]) == (["b"], ["a"])
 
     def test_overwrite_keeps_frequency(self):
         cache = LfuCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.put("a", 9)
-        cache.put("b", 2)
-        cache.put("c", 3)  # b has freq 1 (insert), a has 2
-        assert cache.peek("a") == 9
+        cache.admit(["a"])
+        cache.filter_hits(["a"])
+        cache.admit(["a", "b"])  # "a" keeps frequency 2
+        cache.admit(["c"])  # evicts "b" (frequency 1)
+        assert cache.filter_hits(["a", "b"]) == (["a"], ["b"])
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(CacheError):
@@ -97,76 +103,75 @@ class TestLfu:
 
 
 class TestSegmentedLru:
+    # Capacity 4 protects int(0.8 * 4) = 3 keys, capacity 3 protects 2.
+
     def test_new_keys_probationary(self):
-        cache = SegmentedLruCache(4, protected_fraction=0.5)
-        for key in "abcd":
-            cache.put(key, key)
-        cache.put("e", "e")  # evicts "a" from probation
-        assert cache.peek("a") is None
-        assert len(cache) == 4
+        cache = SegmentedLruCache(4)
+        cache.admit("abcd")
+        cache.admit(["e"])  # evicts "a" from probation
+        assert resident(cache) == ["b", "c", "d", "e"]
+        assert held(cache) == 4
 
     def test_hit_promotes_and_survives_scan(self):
-        cache = SegmentedLruCache(4, protected_fraction=0.5)
-        cache.put("hot", 1)
-        assert cache.get("hot") == 1  # promoted to protected
-        for key in "wxyz":
-            cache.put(key, key)  # scan floods probation
-        assert cache.peek("hot") == 1  # protected survived the scan
+        cache = SegmentedLruCache(4)
+        cache.admit(["hot"])
+        assert cache.filter_hits(["hot"]) == (["hot"], [])  # promoted
+        cache.admit("wxyz")  # the scan floods probation
+        assert cache.filter_hits(["hot"]) == (["hot"], [])
+        assert cache.stats.evictions == 1  # "w", not "hot"
 
     def test_protected_overflow_demotes(self):
-        cache = SegmentedLruCache(4, protected_fraction=0.5)  # protected cap 2
-        for key in "abc":
-            cache.put(key, key)
-            cache.get(key)  # promote each
-        # Protected holds 2; "a" was demoted back to probation.
-        assert cache.peek("a") == "a"
-        assert len(cache) == 3
+        cache = SegmentedLruCache(4)
+        for key in "abcd":
+            cache.admit([key])
+            cache.filter_hits([key])  # promote each
+        # Protected holds 3; "a" was demoted back to probation.
+        assert resident(cache) == ["a", "b", "c", "d"]
+        cache.admit(["e"])  # "a" is probation's oldest: the victim
+        assert cache.filter_hits("abcde") == (list("bcde"), ["a"])
 
     def test_capacity_enforced(self):
         cache = SegmentedLruCache(3)
         for key in "abcdef":
-            cache.put(key, key)
-            cache.get(key)
-        assert len(cache) <= 3
+            cache.admit([key])
+            cache.filter_hits([key])
+            assert held(cache) <= 3
 
     def test_overwrite_in_place(self):
         cache = SegmentedLruCache(3)
-        cache.put("a", 1)
-        cache.put("a", 2)
-        assert cache.peek("a") == 2
-        cache.get("a")
-        cache.put("a", 3)  # now protected
-        assert cache.peek("a") == 3
+        cache.admit(["a", "a"])
+        assert cache.stats.inserts == 1
+        cache.filter_hits(["a"])  # now protected
+        cache.admit(["a", "b", "c", "d"])  # "a" stays protected
+        assert cache.filter_hits(["a", "b"]) == (["a"], ["b"])
 
     def test_contains_and_stats(self):
         cache = SegmentedLruCache(2)
-        cache.put("a", 1)
-        assert "a" in cache
-        cache.get("a")
-        cache.get("zz")
+        cache.admit(["a"])
+        assert cache.filter_hits(["a", "zz"]) == (["a"], ["zz"])
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
     def test_rejects_bad_args(self):
         with pytest.raises(CacheError):
             SegmentedLruCache(0)
-        with pytest.raises(CacheError):
-            SegmentedLruCache(4, protected_fraction=1.0)
 
 
 class TestPolicyRegistry:
     def test_all_policies_constructible(self):
         for name in CACHE_POLICIES:
-            cache = make_cache(name, 4)
-            cache.put(1, "x")
-            assert cache.get(1) == "x"
+            cache = make_cache(name, 4, 1.0)
+            assert isinstance(cache, CACHE_POLICIES[name])
+            cache.admit([1])
+            assert cache.filter_hits([1]) == ([1], [])
 
     def test_unknown_policy(self):
         with pytest.raises(CacheError):
-            make_cache("belady", 4)
+            make_cache("belady", 4, 0.5)
 
     def test_embedding_cache_accepts_policy(self):
-        cache = EmbeddingCache(num_keys=10, cache_ratio=0.5, policy="lfu")
+        cache = make_cache("lfu", num_keys=10, cache_ratio=0.5)
+        assert isinstance(cache, LfuCache)
         cache.admit([1, 2])
         hits, misses = cache.filter_hits([1, 3])
         assert hits == [1]
@@ -178,25 +183,20 @@ class TestPolicyRegistry:
             shp_layout_small,
             EngineConfig(cache_ratio=0.1, cache_policy="slru"),
         )
+        assert isinstance(engine.cache, SegmentedLruCache)
         report = engine.serve_trace(list(live)[:50])
         assert report.num_queries == 50
 
 
-# -- batch surface: get_many / put_many vs. per-key get / put -----------------
+# -- batch calls vs. the per-key oracle ----------------------------------------
 
 NUM_KEYS = 8  # capacities 0, 1, 2, 7 are exact binary ratios of it
 batches = st.lists(st.integers(0, 9), max_size=6)  # repeats, may be empty
-operations = st.lists(
-    st.tuples(st.booleans(), st.booleans(), batches), max_size=24
-)
+operations = st.lists(st.tuples(st.booleans(), batches), max_size=24)
 
 
 def counters(stats):
     return (stats.hits, stats.misses, stats.evictions, stats.inserts)
-
-
-def members(policy):
-    return [key for key in range(10) if key in policy]
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 2, 7])
@@ -204,48 +204,76 @@ def members(policy):
 @settings(max_examples=60, deadline=None)
 @given(ops=operations)
 def test_batch_calls_equal_per_key_calls(policy, capacity, ops):
-    """``filter_hits`` / ``admit`` leave what key-by-key ``get`` / ``put`` do.
+    """``filter_hits`` / ``admit`` leave what the oracle's key-by-key
+    ``get`` / ``put`` leave.
 
-    One ``EmbeddingCache`` takes each batch in one call (through the
-    facade, or ``direct``ly on its policy); its twin takes the same keys
-    one at a time.  Every reply, all four counters, the membership and —
-    drained with fresh keys — the eviction order agree.
+    Every reply, all four counters and the resident keys in eviction
+    order agree after each batch, and again while fresh keys drain the
+    cache.  At capacity 0 ``make_cache`` gives the disabled cache: every
+    key an uncounted miss.
     """
-    cache = EmbeddingCache(NUM_KEYS, capacity / NUM_KEYS, policy)
+    cache = make_cache(policy, NUM_KEYS, capacity / NUM_KEYS)
     assert cache.capacity == capacity
-    batched, twin = cache._cache, make_cache(policy, capacity)
-    for lookup, direct, keys in ops:
-        if lookup:
-            hits, misses = [], []
+    oracle = ORACLES[policy](capacity) if capacity else None
+
+    def expect(lookup, keys):
+        if oracle is None:
+            return ([], list(keys)) if lookup else None
+        if not lookup:
             for key in keys:
-                (misses if twin.get(key) is None else hits).append(key)
-            filter_hits = batched.get_many if direct else cache.filter_hits
-            assert filter_hits(keys) == (hits, misses)
+                oracle.put(key)
+            return None
+        hits, misses = [], []
+        for key in keys:
+            (hits if oracle.get(key) else misses).append(key)
+        return hits, misses
+
+    def agree():
+        if oracle is None:
+            assert counters(cache.stats) == (0, 0, 0, 0)
+            assert resident(cache) == []
         else:
-            (batched.put_many if direct else cache.admit)(keys)
-            for key in keys:
-                twin.put(key, True)
-        assert counters(cache.stats) == counters(twin.stats)
-    assert members(batched) == members(twin)
+            assert counters(cache.stats) == counters(oracle.stats)
+            assert resident(cache) == oracle.resident()
+
+    for lookup, keys in ops:
+        keys = tuple(keys)
+        expected = expect(lookup, keys)
+        if lookup:
+            assert cache.filter_hits(keys) == expected
+        else:
+            assert cache.admit(keys) is None
+        agree()
     for fresh in range(100, 100 + capacity):
-        batched.put(fresh, True)
-        twin.put(fresh, True)
-        assert members(batched) == members(twin)
-    assert counters(cache.stats) == counters(twin.stats)
+        cache.admit((fresh,))
+        expect(False, (fresh,))
+        agree()
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5])
 @pytest.mark.parametrize("policy", sorted(CACHE_POLICIES))
 def test_embedding_cache_enters_the_policy_once_per_call(policy, ratio):
-    cache = EmbeddingCache(NUM_KEYS, ratio, policy)
-    inner, entered = cache._cache, []
-    get_many, put_many = inner.get_many, inner.put_many
-    inner.get_many = lambda keys: (entered.append("get"), get_many(keys))[1]
-    inner.put_many = lambda keys: (entered.append("put"), put_many(keys))[1]
-    cache.admit([1, 2, 2, 3])
-    expected = ([3, 3], [9]) if ratio else ([], [3, 9, 3])
-    assert cache.filter_hits([3, 9, 3]) == expected
-    assert entered == ["put", "get"]
+    """The engine holds the policy itself: one ``filter_hits`` per query
+    and one ``admit`` per query with misses, each wrappable on the
+    instance (as the end-to-end harness wraps them)."""
+    layout = PageLayout(
+        num_keys=NUM_KEYS, capacity=4, pages=[(0, 1, 2, 3), (4, 5, 6, 7)]
+    )
+    engine = ServingEngine(
+        layout, EngineConfig(cache_ratio=ratio, cache_policy=policy)
+    )
+    cache, entered = engine.cache, []
+    filter_hits, admit = cache.filter_hits, cache.admit
+    cache.filter_hits = lambda keys: (
+        entered.append(("get", tuple(keys))), filter_hits(keys)
+    )[1]
+    cache.admit = lambda keys: (
+        entered.append(("put", tuple(keys))), admit(keys)
+    )[1]
+    engine.serve_query(Query((3, 6, 3)))
+    engine.serve_query(Query((6, 3)))
+    second = [("get", (6, 3))] + ([] if ratio else [("put", (6, 3))])
+    assert entered == [("get", (3, 6)), ("put", (3, 6)), *second]
 
 
 def test_serve_trace_pinned_against_parent():

@@ -109,7 +109,7 @@ class TestMaxEmbedStore:
             history,
             MaxEmbedConfig(shp=ShpConfig(max_iterations=4, seed=0)),
         )
-        result = store.serve(list(live)[0])
+        result = store.engine.serve_query(list(live)[0])
         assert result.requested_keys > 0
 
     def test_storage_overhead_reflects_ratio(self, criteo_small):
@@ -179,5 +179,5 @@ class TestMaxEmbedStore:
     def test_wrap_existing_layout(self, shp_layout_small):
         store = MaxEmbedStore(shp_layout_small)
         assert store.layout is shp_layout_small
-        result = store.serve(Query((0, 1, 2)))
+        result = store.engine.serve_query(Query((0, 1, 2)))
         assert result.requested_keys == 3

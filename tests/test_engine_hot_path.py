@@ -44,11 +44,11 @@ from repro.ssd import Completion, PacedReadCommand, SsdProfile
 QUERIES = 200
 WARMUP = 100
 
-#: Python + C calls per query: 162.6 / 63.5 / 330.3 measured on CPython
+#: Python + C calls per query: 160.6 / 61.9 / 322.8 measured on CPython
 #: 3.11 (each repeats to the digit); the ceilings are 15 % over those.
 #: Ceilings, not equalities — the trace comes from numpy's
 #: generator and the C-call mix differs across the CI matrix.  Lower them
-#: when a path gets shorter: with one ``LruCache.get`` / ``put`` per key
+#: when a path gets shorter: with one per-key cache ``get`` / ``put`` per key
 #: the same loops made 306.7 / 105.6 / 604.5, with a sampled latency per
 #: device read and a latency EWMA per replica fragment 269.4 / 99.0 /
 #: 577.7, with a replica group that copied its winner's record and ran
@@ -74,8 +74,10 @@ WARMUP = 100
 #: that trusts its keys and bounds them in its rank sort, no second tier
 #: split in the selector, a paced read built without its checks — the
 #: three rows were 171.6 / 71.9 / 381.1 before and 162.6 / 63.5 / 330.3
-#: after.
-CEILINGS = {"engine": 187, "hybrid": 73, "cluster": 380}
+#: after.  The engine holding its cache policy itself (no facade call in
+#: front of each ``filter_hits`` / ``admit``) took them to 160.6 / 61.9 /
+#: 322.8.
+CEILINGS = {"engine": 185, "hybrid": 72, "cluster": 372}
 
 #: Python + C calls per query of ``serve_trace`` around a replayed engine
 #: (cluster: a replayed gather): 16.4 / 24.8 measured on CPython 3.11, plus

@@ -1,6 +1,7 @@
 """Fault subsystem units: plans, injector, faulty device, circuit breaker."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -101,7 +102,9 @@ class TestFaultPlan:
             latency_spike_us=750.0,
             brownouts=((10.0, 20.0),),
         )
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        data = json.loads(json.dumps(dataclasses.asdict(plan)))
+        assert data["brownouts"] == [[10.0, 20.0]]
+        assert FaultPlan.from_dict(data) == plan
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="unknown fault plan"):
@@ -119,9 +122,7 @@ class TestFaultPlan:
     def test_from_spec_json_file(self, tmp_path):
         path = tmp_path / "plan.json"
         original = FaultPlan(seed=4, dead_page_rate=0.02)
-        import json
-
-        path.write_text(json.dumps(original.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(original)))
         assert FaultPlan.from_spec(str(path)) == original
 
     @pytest.mark.parametrize(

@@ -267,11 +267,6 @@ class TestStats:
         g = Hypergraph(5, [(0, 1)])
         assert compute_stats(g).isolated_vertices == 3
 
-    def test_as_dict_round_trips_fields(self, tiny_graph):
-        d = compute_stats(tiny_graph).as_dict()
-        assert d["num_vertices"] == 12
-        assert set(d) >= {"mean_degree", "max_degree", "total_pins"}
-
     def test_vertex_cooccurrence_weighted(self):
         g = Hypergraph(4, [(0, 1), (0, 1, 2)], weights=[2, 1])
         counts = vertex_cooccurrence(g, 0)

@@ -23,6 +23,7 @@ from repro import (
     build_sharded_layout,
 )
 from repro.cluster import ClusterEngine
+from repro.core import LayoutManager
 from repro.cluster.router import SHARD_SHED
 from repro.overload import (
     AdmissionConfig,
@@ -422,6 +423,43 @@ class TestEngineHotness:
         hotness = engine_hotness(cluster)
         assert hotness((0, 1, 2, 3)) >= 1.0
         assert hotness((0, 1, 2, 3, 3)) == hotness((0, 1, 2, 3))
+
+    def test_scorer_reads_the_layout_serving_after_a_swap(
+        self, hot_cold_layout
+    ):
+        manager = LayoutManager(
+            hot_cold_layout, EngineConfig(cache_ratio=0.0)
+        )
+        hotness = engine_hotness(manager)
+        assert hotness((0, 1)) == pytest.approx(2.0)
+        # The rebuilt layout replicates the other half of each page.
+        manager.register(
+            PageLayout(8, 4, [(0, 1, 2, 3), (4, 5, 6, 7), (2, 6, 3, 7)])
+        )
+        manager.swap(1)
+        assert hotness((0, 1)) == pytest.approx(1.0)
+        assert hotness((2, 3)) == pytest.approx(2.0)
+
+    def test_cluster_scorer_reads_the_shards_serving_after_a_swap(self):
+        trace = QueryTrace(8, [Query((0, 1, 2, 3))] * 6)
+        sharded = build_sharded_layout(
+            trace,
+            MaxEmbedConfig(
+                num_shards=2,
+                shard_strategy="modulo",
+                replication_ratio=0.5,
+                build_workers=1,
+            ),
+        )
+        cluster = ClusterEngine(sharded, EngineConfig(cache_ratio=0.0))
+        hotness = engine_hotness(cluster)
+        assert hotness((0, 2)) == pytest.approx(1.0)
+        # Shard 0 owns keys 0, 2, 4, 6 (local 0-3); its rebuilt layout
+        # replicates the first two.
+        assert cluster.plan.shard_keys(0) == (0, 2, 4, 6)
+        cluster.swap_shards({0: PageLayout(4, 4, [(0, 1, 2, 3), (0, 1)])})
+        assert hotness((0, 2)) == pytest.approx(2.0)
+        assert hotness((0, 4)) == pytest.approx(1.5)
 
 
 class TestEngineDegradedModes:

@@ -254,11 +254,12 @@ def test_lru_never_exceeds_capacity(capacity, ops):
     cache = LruCache(capacity)
     for op, key in ops:
         if op == "put":
-            cache.put(key, key)
+            cache.admit((key,))
         else:
-            cache.get(key)
-        assert len(cache) <= capacity
-    assert cache.stats.lookups == sum(1 for op, _ in ops if op == "get")
+            cache.filter_hits((key,))
+        assert cache.stats.inserts - cache.stats.evictions <= capacity
+    lookups = cache.stats.hits + cache.stats.misses
+    assert lookups == sum(1 for op, _ in ops if op == "get")
 
 
 @settings(max_examples=50, deadline=None)
@@ -271,12 +272,12 @@ def test_lru_most_recent_reads_survive(keys):
     capacity = 4
     cache = LruCache(capacity)
     for key in keys:
-        cache.put(key, key)
-        cache.get(key)
+        cache.admit((key,))
+        cache.filter_hits((key,))
     # The last `capacity` *distinct* keys must be resident.
     recent = list(dict.fromkeys(reversed(keys)))[:capacity]
-    for key in recent:
-        assert cache.peek(key) == key
+    hits, misses = cache.filter_hits(recent)
+    assert hits == recent and misses == []
 
 
 # -- device properties ------------------------------------------------------------
@@ -315,9 +316,10 @@ def test_device_completions_follow_service_model(submissions):
 def test_embedding_cache_capacity_formula(num_keys, ratio):
     import math
 
-    from repro import EmbeddingCache
+    from repro.cache import CACHE_POLICIES, NullCache, make_cache
 
-    cache = EmbeddingCache(num_keys, ratio)
     expected = math.ceil(num_keys * ratio)
-    assert cache.capacity == expected
-    assert cache.enabled == (expected > 0)
+    for policy, factory in CACHE_POLICIES.items():
+        cache = make_cache(policy, num_keys, ratio)
+        assert cache.capacity == expected
+        assert isinstance(cache, factory if expected else NullCache)

@@ -17,7 +17,7 @@ from repro import (
     ShpConfig,
     ShpPartitioner,
 )
-from repro.cache.policies import CACHE_POLICIES, make_cache
+from repro.cache.policies import CACHE_POLICIES
 from repro.hypergraph import build_weighted_hypergraph
 from repro.replication import GreedyBenefitStrategy, IncrementalReplicator
 
@@ -98,15 +98,15 @@ def test_benefit_strategy_budget_property(trace, ratio):
     ),
 )
 def test_every_policy_bounded_and_consistent(policy, capacity, ops):
-    cache = make_cache(policy, capacity)
-    shadow = {}
+    cache = CACHE_POLICIES[policy](capacity)
+    admitted = set()
     for op, key in ops:
         if op == "put":
-            cache.put(key, key * 2)
-            shadow[key] = key * 2
+            cache.admit((key,))
+            admitted.add(key)
         else:
-            value = cache.get(key)
-            # A hit must return the last written value.
-            if value is not None:
-                assert value == shadow.get(key)
-        assert len(cache) <= capacity
+            hits, misses = cache.filter_hits((key,))
+            # A lookup answers each key once; only an admitted key hits.
+            assert hits + misses == [key]
+            assert set(hits) <= admitted
+        assert cache.stats.inserts - cache.stats.evictions <= capacity

@@ -34,6 +34,11 @@ ALGORITHMS = {
     "hotness_scores",
     "replica_page",
     "ConnectivityPriorityStrategy",
+    "LruCache",
+    "FifoCache",
+    "LfuCache",
+    "SegmentedLruCache",
+    "make_cache",
 }
 
 

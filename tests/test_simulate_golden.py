@@ -405,10 +405,27 @@ GOLDEN_FAULTED = {
 }
 
 
+#: A replica group's lifetime counters, in the order the pins list them.
+GROUP_COUNTERS = (
+    "fragments",
+    "failovers",
+    "hedges",
+    "hedge_wins",
+    "hedges_denied",
+    "probes",
+    "probe_failures",
+    "resyncs",
+    "resync_failures",
+)
+
+
 def tallied(report, cluster) -> dict:
     return {
         **{name: getattr(report, name) for name in TALLIED},
-        "groups": [list(g.counters().values()) for g in cluster.groups],
+        "groups": [
+            [getattr(g, name) for name in GROUP_COUNTERS]
+            for g in cluster.groups
+        ],
         "fanouts": sum(report.fanouts),
         "straggler": report.mean_straggler_us().hex(),
         "report": pinned(report.report),

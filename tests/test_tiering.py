@@ -414,7 +414,7 @@ class TestEngineTiering:
             layout,
             EngineConfig(cache_ratio=0.5, tier_mode="pinned", tier_ratio=0.25),
         )
-        assert not engine.cache.enabled
+        assert engine.cache.capacity == 0
 
     def test_cache_only_rung_serves_tier_hits(self, layout):
         from repro.overload import DegradeLevel
@@ -511,13 +511,11 @@ class TestClusterTiering:
 class TestNullCacheContract:
     @pytest.mark.parametrize("policy", sorted(CACHE_POLICIES))
     def test_disabled_cache_is_null_for_every_policy(self, policy):
-        cache = make_cache(policy, 0)
+        cache = make_cache(policy, 10, 0.0)
         assert isinstance(cache, NullCache)
-        cache.put(1, "a")
-        assert cache.get(1) is None
-        assert cache.peek(1) is None
-        assert 1 not in cache
-        assert len(cache) == 0 and cache.capacity == 0
+        cache.admit([1])
+        assert cache.filter_hits([1, 1]) == ([], [1, 1])
+        assert cache.capacity == 0
         # Disabled lookups are NOT misses: the stats stay zeroed.
         assert cache.stats.hits == 0
         assert cache.stats.misses == 0
@@ -526,4 +524,4 @@ class TestNullCacheContract:
         from repro.errors import CacheError
 
         with pytest.raises(CacheError):
-            make_cache("mru", 0)
+            make_cache("mru", 10, 0.0)
